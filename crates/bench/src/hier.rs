@@ -289,7 +289,7 @@ pub fn run(config: &HierConfig) -> HierBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_telemetry::json;
+    use ampere_telemetry::{json, Capture};
 
     #[test]
     fn tiny_bench_serializes_and_gates() {
@@ -303,7 +303,7 @@ mod tests {
             workers: 2,
             ..HierConfig::quick()
         };
-        let r = run(&config);
+        let r = Capture::standalone().with(|| run(&config));
         assert!(r.has_isolation_axis());
         assert!(
             r.gates_pass(),
@@ -334,9 +334,11 @@ mod tests {
         );
 
         // The dump must be byte-identical at a different worker count.
-        let serial = run(&HierConfig {
-            workers: 1,
-            ..config
+        let serial = Capture::standalone().with(|| {
+            run(&HierConfig {
+                workers: 1,
+                ..config
+            })
         });
         assert_eq!(strip_wall(&jsonl), strip_wall(&serial.to_jsonl()));
     }

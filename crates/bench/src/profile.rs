@@ -397,6 +397,9 @@ mod tests {
 
     #[test]
     fn quick_profile_is_digest_clean_and_serializes() {
+        let _guard = crate::GLOBAL_PIPELINE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let result = run(&ProfileConfig {
             rows: 3,
             workers: 2,

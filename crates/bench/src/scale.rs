@@ -299,6 +299,7 @@ impl ScaleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampere_telemetry::Capture;
 
     #[test]
     fn worker_ladder_doubles_to_max() {
@@ -310,12 +311,14 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_thread_invariant() {
-        let result = run(&ScaleConfig {
-            rows: vec![1, 3],
-            workers: vec![1, 2],
-            sim_minutes: 5,
-            seed: 7,
-            hyper: false,
+        let result = Capture::standalone().with(|| {
+            run(&ScaleConfig {
+                rows: vec![1, 3],
+                workers: vec![1, 2],
+                sim_minutes: 5,
+                seed: 7,
+                hyper: false,
+            })
         });
         // rows=1 skips workers=2: 1 + 2 points.
         assert_eq!(result.points.len(), 3);
@@ -339,12 +342,14 @@ mod tests {
 
     #[test]
     fn floor_gate_flags_slow_points() {
-        let mut result = run(&ScaleConfig {
-            rows: vec![1],
-            workers: vec![1],
-            sim_minutes: 2,
-            seed: 7,
-            hyper: false,
+        let mut result = Capture::standalone().with(|| {
+            run(&ScaleConfig {
+                rows: vec![1],
+                workers: vec![1],
+                sim_minutes: 2,
+                seed: 7,
+                hyper: false,
+            })
         });
         result.ticks_per_server_floor = f64::MAX;
         assert!(!result.clears_floor());

@@ -214,7 +214,7 @@ pub fn run(config: &SlaConfig) -> SlaBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_telemetry::json;
+    use ampere_telemetry::{json, Capture};
     use ampere_workload::InteractiveSim;
 
     #[test]
@@ -228,7 +228,7 @@ mod tests {
             },
             ..SlaConfig::quick(workers)
         };
-        let r = run(&tiny(2));
+        let r = Capture::standalone().with(|| run(&tiny(2)));
         let jsonl = r.to_jsonl();
         let mut lines = jsonl.lines();
         let header = json::parse_object_full(lines.next().expect("header")).expect("valid header");
@@ -245,7 +245,7 @@ mod tests {
         }
 
         // The dump must be byte-identical at a different worker count.
-        let serial = run(&tiny(1));
+        let serial = Capture::standalone().with(|| run(&tiny(1)));
         assert_eq!(strip_wall(&jsonl), strip_wall(&serial.to_jsonl()));
     }
 

@@ -20,9 +20,9 @@
 
 use ampere_experiments as exp;
 use ampere_faults::{FaultPlan, OutageWindow};
-use ampere_sim::SimTime;
+use ampere_sim::{Fnv, SimTime};
 use ampere_telemetry::{install_global, reset_global, JsonlSink, Telemetry};
-use ampere_watch::{pass_marker, Fnv, WatchReport};
+use ampere_watch::{pass_marker, WatchReport};
 use exp::fig10::{Fig10Config, Fig10Result, WorkloadKind};
 
 use std::fmt::Write as _;
@@ -389,6 +389,9 @@ mod tests {
 
     #[test]
     fn tiny_bench_is_deterministic_and_serializes() {
+        let _guard = crate::GLOBAL_PIPELINE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let config = WatchBenchConfig {
             workers: 2,
             seed: 10,

@@ -4,17 +4,16 @@
 //! `Vec`, indexed by the dense server id (row-major, as laid out by
 //! [`crate::topology::Cluster`]). The per-tick loops that dominate a
 //! simulation — the measurement sweep, job progression, the scheduler's
-//! candidate scan — become linear walks over contiguous arrays instead
-//! of pointer-chasing through nested topology objects.
+//! candidate scan — are linear walks over contiguous arrays.
 //!
-//! Two invariants make the engine bit-exact against the legacy nested
-//! storage (DESIGN §14):
+//! Two invariants make every trajectory a pure function of the
+//! operations applied, which the committed checksums and golden
+//! figures pin (DESIGN §14):
 //!
 //! - **Cached power is a pure function.** `power[i]` always equals
 //!   `model[i].power_w(util[i], dvfs[i])`, recomputed at every mutation
-//!   of the inputs. Reading the cache in the sweep therefore yields the
-//!   same bits the nested engine produces by evaluating the model at
-//!   sample time.
+//!   of the inputs, so reading the cache in the sweep yields the same
+//!   bits as evaluating the model at sample time.
 //! - **Integral resource accounting.** [`Resources`] is integral
 //!   (millicores / MB), so `allocated` never depends on the order jobs
 //!   start or stop.

@@ -1,14 +1,14 @@
 //! Data-center topology and resource model.
 //!
 //! Substitutes the paper's physical fleet: a [`Cluster`] is a dense
-//! table of [`Server`]s organized into racks and rows (≈ 40 servers per
+//! table of servers organized into racks and rows (≈ 40 servers per
 //! 8–10 kW rack, ≈ 20 racks per row/PDU, §2.1). Each server tracks its
 //! allocated resources, its running jobs' remaining work, its DVFS state
 //! and its frozen flag; power draw is derived from the
 //! [`ampere_power::ServerPowerModel`].
 //!
 //! The simulation is tick-driven at the granularity the paper measures
-//! (one minute): [`Server::advance`] progresses running jobs by one tick
+//! (one minute): [`Cluster::advance`] progresses running jobs by one tick
 //! scaled by the DVFS frequency and reports completions, which the
 //! scheduler uses to free resources.
 //!
@@ -45,5 +45,5 @@ pub mod topology;
 
 pub use ids::{JobId, RackId, RowId, ServerId};
 pub use resources::Resources;
-pub use server::{PlacementError, RunningJob, Server};
-pub use topology::{Cluster, ClusterSpec, EngineKind, ServerMut, ServerRef, ServiceClass};
+pub use server::{PlacementError, RunningJob};
+pub use topology::{Cluster, ClusterSpec, ServerMut, ServerRef, ServiceClass};

@@ -1,11 +1,5 @@
-//! A single server: resource accounting, job execution, power draw.
+//! Per-server job types: placement errors and running-job state.
 
-use std::collections::BTreeMap;
-
-use ampere_power::{DvfsState, ServerPowerModel};
-use ampere_sim::SimDuration;
-
-use crate::ids::{JobId, RackId, RowId, ServerId};
 use crate::resources::Resources;
 
 /// Why a job could not be placed on a server.
@@ -37,213 +31,42 @@ pub struct RunningJob {
     pub remaining_ms: f64,
 }
 
-/// A server in the cluster.
-///
-/// Holds static identity (position in the topology, power model,
-/// capacity) plus dynamic state: allocated resources, running jobs,
-/// DVFS frequency and the frozen flag set through the scheduler API.
-#[derive(Debug, Clone)]
-pub struct Server {
-    id: ServerId,
-    rack: RackId,
-    row: RowId,
-    power_model: ServerPowerModel,
-    capacity: Resources,
-    allocated: Resources,
-    jobs: BTreeMap<JobId, RunningJob>,
-    dvfs: DvfsState,
-    frozen: bool,
-}
-
-impl Server {
-    /// Creates an idle server.
-    pub fn new(
-        id: ServerId,
-        rack: RackId,
-        row: RowId,
-        power_model: ServerPowerModel,
-        capacity: Resources,
-    ) -> Self {
-        Self {
-            id,
-            rack,
-            row,
-            power_model,
-            capacity,
-            allocated: Resources::ZERO,
-            jobs: BTreeMap::new(),
-            dvfs: DvfsState::nominal(),
-            frozen: false,
-        }
-    }
-
-    /// The server id.
-    pub fn id(&self) -> ServerId {
-        self.id
-    }
-
-    /// The rack this server is mounted in.
-    pub fn rack(&self) -> RackId {
-        self.rack
-    }
-
-    /// The row (PDU power domain) this server belongs to.
-    pub fn row(&self) -> RowId {
-        self.row
-    }
-
-    /// The server's power model.
-    pub fn power_model(&self) -> &ServerPowerModel {
-        &self.power_model
-    }
-
-    /// Total resource capacity.
-    pub fn capacity(&self) -> Resources {
-        self.capacity
-    }
-
-    /// Currently allocated resources.
-    pub fn allocated(&self) -> Resources {
-        self.allocated
-    }
-
-    /// Free resources.
-    pub fn free(&self) -> Resources {
-        self.capacity - self.allocated
-    }
-
-    /// CPU utilization in `[0, 1]` — the input to the power model.
-    pub fn utilization(&self) -> f64 {
-        self.allocated.cpu_fraction_of(&self.capacity)
-    }
-
-    /// Current power draw in watts.
-    pub fn power_w(&self) -> f64 {
-        self.power_model.power_w(self.utilization(), self.dvfs)
-    }
-
-    /// Rated power in watts (the provisioning unit).
-    pub fn rated_w(&self) -> f64 {
-        self.power_model.rated_w
-    }
-
-    /// Current DVFS state.
-    pub fn dvfs(&self) -> DvfsState {
-        self.dvfs
-    }
-
-    /// Sets the DVFS state (the capper's knob).
-    pub fn set_dvfs(&mut self, state: DvfsState) {
-        self.dvfs = state;
-    }
-
-    /// Whether the scheduler has been advised not to place new jobs
-    /// here. Freezing never touches running jobs (§3.4).
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Marks the server frozen (advisory; enforced by the scheduler).
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Clears the frozen flag.
-    pub fn unfreeze(&mut self) {
-        self.frozen = false;
-    }
-
-    /// Number of running jobs.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Iterates over running jobs.
-    pub fn jobs(&self) -> impl Iterator<Item = (JobId, &RunningJob)> {
-        self.jobs.iter().map(|(&id, j)| (id, j))
-    }
-
-    /// Places a job. Freezing does *not* reject placements here — the
-    /// frozen flag only advises the scheduler's candidate filter, so a
-    /// direct placement (e.g. a test fixture) still succeeds.
-    pub fn place(
-        &mut self,
-        job: JobId,
-        resources: Resources,
-        duration: SimDuration,
-    ) -> Result<(), PlacementError> {
-        if self.jobs.contains_key(&job) {
-            return Err(PlacementError::DuplicateJob);
-        }
-        if !self.free().fits(&resources) {
-            return Err(PlacementError::InsufficientResources);
-        }
-        self.allocated += resources;
-        self.jobs.insert(
-            job,
-            RunningJob {
-                resources,
-                remaining_ms: duration.as_millis() as f64,
-            },
-        );
-        Ok(())
-    }
-
-    /// Advances all running jobs by one tick of wall-clock time. Work
-    /// progresses at the DVFS frequency, so capped servers finish jobs
-    /// late — the §4.3 disturbance. Returns completed job ids.
-    pub fn advance(&mut self, tick: SimDuration) -> Vec<JobId> {
-        let progress = tick.as_millis() as f64 * self.dvfs.freq();
-        let mut done = Vec::new();
-        for (&id, job) in self.jobs.iter_mut() {
-            job.remaining_ms -= progress;
-            if job.remaining_ms <= 0.0 {
-                done.push(id);
-            }
-        }
-        for id in &done {
-            let job = self.jobs.remove(id).expect("job present");
-            self.allocated -= job.resources;
-        }
-        done
-    }
-
-    /// Forcibly terminates a job (e.g. preemption tests), freeing its
-    /// resources. Returns whether the job was running here.
-    pub fn terminate(&mut self, job: JobId) -> bool {
-        match self.jobs.remove(&job) {
-            Some(j) => {
-                self.allocated -= j.resources;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
+/// The per-server job lifecycle, driven through [`crate::Cluster`].
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cluster, ClusterSpec, JobId, ServerId};
+    use ampere_power::DvfsState;
+    use ampere_sim::SimDuration;
 
-    fn server() -> Server {
-        Server::new(
-            ServerId::new(0),
-            RackId::new(0),
-            RowId::new(0),
-            ServerPowerModel::default(),
-            Resources::cores_gb(32, 128),
-        )
-    }
+    const ID: ServerId = ServerId::new(0);
 
     fn job(i: u64) -> JobId {
         JobId::new(i)
     }
 
+    fn cluster_with(jobs: &[(u64, u64)]) -> Cluster {
+        let mut c = Cluster::new(ClusterSpec::tiny());
+        for &(j, mins) in jobs {
+            c.server_mut(ID)
+                .place(
+                    job(j),
+                    Resources::cores_gb(4, 8),
+                    SimDuration::from_mins(mins),
+                )
+                .unwrap();
+        }
+        c
+    }
+
     #[test]
     fn placement_accounting() {
-        let mut s = server();
+        let mut c = cluster_with(&[]);
         let r = Resources::cores_gb(8, 16);
-        s.place(job(1), r, SimDuration::from_mins(5)).unwrap();
+        c.server_mut(ID)
+            .place(job(1), r, SimDuration::from_mins(5))
+            .unwrap();
+        let s = c.server(ID);
         assert_eq!(s.allocated(), r);
         assert_eq!(s.free(), Resources::cores_gb(24, 112));
         assert_eq!(s.job_count(), 1);
@@ -252,8 +75,9 @@ mod tests {
 
     #[test]
     fn rejects_overcommit_and_duplicates() {
-        let mut s = server();
+        let mut c = cluster_with(&[]);
         let r = Resources::cores_gb(20, 16);
+        let mut s = c.server_mut(ID);
         s.place(job(1), r, SimDuration::from_mins(5)).unwrap();
         assert_eq!(
             s.place(job(2), r, SimDuration::from_mins(5)),
@@ -267,80 +91,67 @@ mod tests {
 
     #[test]
     fn jobs_complete_after_duration() {
-        let mut s = server();
-        s.place(job(1), Resources::cores_gb(4, 8), SimDuration::from_mins(3))
-            .unwrap();
-        assert!(s.advance(SimDuration::from_mins(1)).is_empty());
-        assert!(s.advance(SimDuration::from_mins(1)).is_empty());
-        let done = s.advance(SimDuration::from_mins(1));
-        assert_eq!(done, vec![job(1)]);
-        assert_eq!(s.allocated(), Resources::ZERO);
-        assert_eq!(s.utilization(), 0.0);
+        let mut c = cluster_with(&[(1, 3)]);
+        assert!(c.advance(SimDuration::MINUTE).is_empty());
+        assert!(c.advance(SimDuration::MINUTE).is_empty());
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(ID, job(1))]);
+        assert_eq!(c.server(ID).allocated(), Resources::ZERO);
+        assert_eq!(c.server(ID).utilization(), 0.0);
     }
 
     #[test]
     fn dvfs_slows_job_progress() {
-        let mut s = server();
-        s.place(job(1), Resources::cores_gb(4, 8), SimDuration::from_mins(2))
-            .unwrap();
-        s.set_dvfs(DvfsState::at(0.5));
+        let mut c = cluster_with(&[(1, 2)]);
+        c.server_mut(ID).set_dvfs(DvfsState::at(0.5));
         // At half speed a 2-minute job needs 4 minutes.
         for _ in 0..3 {
-            assert!(s.advance(SimDuration::from_mins(1)).is_empty());
+            assert!(c.advance(SimDuration::MINUTE).is_empty());
         }
-        assert_eq!(s.advance(SimDuration::from_mins(1)), vec![job(1)]);
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(ID, job(1))]);
     }
 
     #[test]
     fn power_tracks_utilization() {
-        let mut s = server();
-        let idle = s.power_w();
-        assert!((idle - s.power_model().idle_w()).abs() < 1e-9);
-        s.place(
-            job(1),
-            Resources::cores_gb(32, 64),
-            SimDuration::from_mins(5),
-        )
-        .unwrap();
-        assert!((s.power_w() - s.rated_w()).abs() < 1e-9);
+        let mut c = cluster_with(&[]);
+        let idle = c.server(ID).power_w();
+        assert!((idle - c.server(ID).power_model().idle_w()).abs() < 1e-9);
+        c.server_mut(ID)
+            .place(
+                job(1),
+                Resources::cores_gb(32, 64),
+                SimDuration::from_mins(5),
+            )
+            .unwrap();
+        assert!((c.server(ID).power_w() - c.server(ID).rated_w()).abs() < 1e-9);
     }
 
     #[test]
     fn freeze_does_not_touch_jobs() {
-        let mut s = server();
-        s.place(job(1), Resources::cores_gb(4, 8), SimDuration::from_mins(5))
-            .unwrap();
-        s.freeze();
-        assert!(s.is_frozen());
-        assert_eq!(s.job_count(), 1);
+        let mut c = cluster_with(&[(1, 5)]);
+        c.server_mut(ID).freeze();
+        assert!(c.server(ID).is_frozen());
+        assert_eq!(c.server(ID).job_count(), 1);
         // Direct placement still possible; the scheduler is the enforcer.
-        s.place(job(2), Resources::cores_gb(4, 8), SimDuration::from_mins(5))
+        c.server_mut(ID)
+            .place(job(2), Resources::cores_gb(4, 8), SimDuration::from_mins(5))
             .unwrap();
-        s.unfreeze();
-        assert!(!s.is_frozen());
+        c.server_mut(ID).unfreeze();
+        assert!(!c.server(ID).is_frozen());
     }
 
     #[test]
     fn terminate_frees_resources() {
-        let mut s = server();
-        s.place(job(1), Resources::cores_gb(4, 8), SimDuration::from_mins(5))
-            .unwrap();
-        assert!(s.terminate(job(1)));
-        assert!(!s.terminate(job(1)));
-        assert_eq!(s.allocated(), Resources::ZERO);
+        let mut c = cluster_with(&[(1, 5)]);
+        assert!(c.server_mut(ID).terminate(job(1)));
+        assert!(!c.server_mut(ID).terminate(job(1)));
+        assert_eq!(c.server(ID).allocated(), Resources::ZERO);
     }
 
     #[test]
     fn multiple_jobs_interleave() {
-        let mut s = server();
-        s.place(job(1), Resources::cores_gb(4, 8), SimDuration::from_mins(1))
-            .unwrap();
-        s.place(job(2), Resources::cores_gb(4, 8), SimDuration::from_mins(2))
-            .unwrap();
-        let done = s.advance(SimDuration::from_mins(1));
-        assert_eq!(done, vec![job(1)]);
-        assert_eq!(s.job_count(), 1);
-        let done = s.advance(SimDuration::from_mins(1));
-        assert_eq!(done, vec![job(2)]);
+        let mut c = cluster_with(&[(1, 1), (2, 2)]);
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(ID, job(1))]);
+        assert_eq!(c.server(ID).job_count(), 1);
+        assert_eq!(c.advance(SimDuration::MINUTE), vec![(ID, job(2))]);
     }
 }

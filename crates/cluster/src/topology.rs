@@ -5,20 +5,10 @@
 //! tables and per-row scans are cache-friendly — the controller scans
 //! one row per tick at data-center scale.
 //!
-//! Two storage engines back a [`Cluster`]:
-//!
-//! - **Flat** (default): struct-of-arrays [`FleetState`] with cached
-//!   per-server power and incremental per-row accumulators — the
-//!   hyperscale hot path (DESIGN §14).
-//! - **Nested**: the pre-SoA `Vec<Server>` layout, kept constructible
-//!   behind the `legacy-nested` cargo feature for one release so the
-//!   differential suite can prove the flat engine bit-exact against it.
-//!
-//! Per-server access goes through the [`ServerRef`] / [`ServerMut`]
-//! proxies, which dispatch to whichever engine is active. Both engines
-//! share the exact same observable semantics; the differential tests in
-//! `crates/experiments/tests/flat_fleet_differential.rs` hold them to
-//! byte-identical telemetry.
+//! A [`Cluster`] stores server state in the flat struct-of-arrays
+//! [`FleetState`], with cached per-server power and incremental per-row
+//! accumulators — the hyperscale hot path (DESIGN §14). Per-server
+//! access goes through the [`ServerRef`] / [`ServerMut`] proxies.
 
 use ampere_power::monitor::ServerSample;
 use ampere_power::{DvfsState, ServerPowerModel};
@@ -27,7 +17,7 @@ use ampere_sim::SimDuration;
 use crate::fleet::FleetState;
 use crate::ids::{JobId, RackId, RowId, ServerId};
 use crate::resources::Resources;
-use crate::server::{PlacementError, RunningJob, Server};
+use crate::server::{PlacementError, RunningJob};
 
 /// What a server serves: user-facing interactive traffic (protected
 /// by the SLA-aware freeze selector) or deferrable batch work (frozen
@@ -55,19 +45,6 @@ impl ServiceClass {
             ServiceClass::Batch => "batch",
         }
     }
-}
-
-/// Which storage engine backs a [`Cluster`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Flat struct-of-arrays fleet storage (the hyperscale hot path).
-    #[default]
-    Flat,
-    /// Legacy nested `Vec<Server>` storage. Only constructible with the
-    /// `legacy-nested` cargo feature; retained for one release as the
-    /// reference the differential suite measures the flat engine
-    /// against.
-    Nested,
 }
 
 /// Static description of a cluster to build.
@@ -139,41 +116,30 @@ impl ClusterSpec {
     }
 }
 
-/// Storage engine behind a [`Cluster`].
-// One Storage exists per Cluster and it is never moved on the hot
-// path, so the inline FleetState (vs the thin Nested vec) costs
-// nothing; boxing it would add a pointer chase to every tick.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Storage {
-    Flat(FleetState),
-    #[cfg_attr(not(feature = "legacy-nested"), allow(dead_code))]
-    Nested(Vec<Server>),
-}
-
-/// The simulated fleet.
+/// The simulated fleet: the topology spec over flat struct-of-arrays
+/// server state.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
-    storage: Storage,
+    fleet: FleetState,
 }
 
-/// Shared view of one server, dispatching to the active engine.
+/// Shared view of one server.
 #[derive(Clone, Copy)]
 pub struct ServerRef<'a> {
-    cluster: &'a Cluster,
+    fleet: &'a FleetState,
     index: usize,
 }
 
-/// Mutable view of one server, dispatching to the active engine.
+/// Mutable view of one server.
 pub struct ServerMut<'a> {
-    cluster: &'a mut Cluster,
+    fleet: &'a mut FleetState,
     index: usize,
 }
 
 impl Cluster {
     /// Builds an idle, homogeneous cluster from a spec (the paper's
-    /// evaluation row is homogeneous, §4.1.1) on the flat engine.
+    /// evaluation row is homogeneous, §4.1.1).
     pub fn new(spec: ClusterSpec) -> Self {
         Self::new_with(spec, |_| (spec.power_model, spec.capacity))
     }
@@ -187,58 +153,10 @@ impl Cluster {
         spec: ClusterSpec,
         class_of: impl Fn(usize) -> (ServerPowerModel, Resources),
     ) -> Self {
-        Self::new_with_engine(spec, EngineKind::Flat, class_of)
-    }
-
-    /// Builds an idle cluster on an explicit storage engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`EngineKind::Nested`] unless the `legacy-nested`
-    /// cargo feature is enabled — release builds carry only the flat
-    /// engine.
-    pub fn new_with_engine(
-        spec: ClusterSpec,
-        engine: EngineKind,
-        class_of: impl Fn(usize) -> (ServerPowerModel, Resources),
-    ) -> Self {
         assert!(spec.rows > 0 && spec.racks_per_row > 0 && spec.servers_per_rack > 0);
-        let storage = match engine {
-            EngineKind::Flat => Storage::Flat(FleetState::new(&spec, class_of)),
-            #[cfg(feature = "legacy-nested")]
-            EngineKind::Nested => {
-                let mut servers = Vec::with_capacity(spec.server_count());
-                for row in 0..spec.rows {
-                    for rack_in_row in 0..spec.racks_per_row {
-                        let rack = RackId::new((row * spec.racks_per_row + rack_in_row) as u64);
-                        for _ in 0..spec.servers_per_rack {
-                            let id = ServerId::new(servers.len() as u64);
-                            let (model, capacity) = class_of(servers.len());
-                            servers.push(Server::new(
-                                id,
-                                rack,
-                                RowId::new(row as u64),
-                                model,
-                                capacity,
-                            ));
-                        }
-                    }
-                }
-                Storage::Nested(servers)
-            }
-            #[cfg(not(feature = "legacy-nested"))]
-            EngineKind::Nested => {
-                panic!("nested engine requires the `legacy-nested` cargo feature")
-            }
-        };
-        Self { spec, storage }
-    }
-
-    /// Which storage engine this cluster runs on.
-    pub fn engine(&self) -> EngineKind {
-        match &self.storage {
-            Storage::Flat(_) => EngineKind::Flat,
-            Storage::Nested(_) => EngineKind::Nested,
+        Self {
+            spec,
+            fleet: FleetState::new(&spec, class_of),
         }
     }
 
@@ -258,10 +176,7 @@ impl Cluster {
 
     /// Total number of servers.
     pub fn server_count(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.len(),
-            Storage::Nested(s) => s.len(),
-        }
+        self.fleet.len()
     }
 
     /// Number of rows.
@@ -273,7 +188,7 @@ impl Cluster {
     pub fn server(&self, id: ServerId) -> ServerRef<'_> {
         debug_assert!(id.index() < self.server_count());
         ServerRef {
-            cluster: self,
+            fleet: &self.fleet,
             index: id.index(),
         }
     }
@@ -282,7 +197,7 @@ impl Cluster {
     pub fn server_mut(&mut self, id: ServerId) -> ServerMut<'_> {
         assert!(id.index() < self.server_count(), "unknown server {id}");
         ServerMut {
-            cluster: self,
+            fleet: &mut self.fleet,
             index: id.index(),
         }
     }
@@ -290,7 +205,7 @@ impl Cluster {
     /// Iterates over all servers in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = ServerRef<'_>> {
         (0..self.server_count()).map(move |index| ServerRef {
-            cluster: self,
+            fleet: &self.fleet,
             index,
         })
     }
@@ -300,7 +215,7 @@ impl Cluster {
         let per_row = self.spec.servers_per_row();
         let start = row.index() * per_row;
         (start..start + per_row).map(move |index| ServerRef {
-            cluster: self,
+            fleet: &self.fleet,
             index,
         })
     }
@@ -313,40 +228,25 @@ impl Cluster {
     }
 
     /// Visits every unfrozen server in ascending id order with
-    /// `(id, row, free, utilization)` — the scheduler's candidate scan.
-    /// On the flat engine this is a linear walk over contiguous arrays.
-    pub fn each_candidate(&self, mut f: impl FnMut(ServerId, RowId, Resources, f64)) {
-        match &self.storage {
-            Storage::Flat(fleet) => fleet.each_candidate(f),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    if !s.is_frozen() {
-                        f(s.id(), s.row(), s.free(), s.utilization());
-                    }
-                }
-            }
-        }
+    /// `(id, row, free, utilization)` — the scheduler's candidate scan,
+    /// a linear walk over contiguous arrays.
+    pub fn each_candidate(&self, f: impl FnMut(ServerId, RowId, Resources, f64)) {
+        self.fleet.each_candidate(f);
     }
 
     /// Instantaneous power of one row in watts.
     ///
-    /// On the flat engine this reads the delta-maintained accumulator:
-    /// O(1), exact at every re-sum epoch and drift-bounded (≤ 1e-9
-    /// relative) between epochs. Use [`Cluster::exact_row_power_w`]
-    /// when bit-exact sums are required.
+    /// Reads the delta-maintained accumulator: O(1), exact at every
+    /// re-sum epoch and drift-bounded (≤ 1e-9 relative) between epochs.
+    /// Use [`Cluster::exact_row_power_w`] when bit-exact sums are
+    /// required.
     pub fn row_power_w(&self, row: RowId) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => f.row_power_acc_w(row.index()),
-            Storage::Nested(_) => self.exact_row_power_w(row),
-        }
+        self.fleet.row_power_acc_w(row.index())
     }
 
     /// Instantaneous power of one row as an exact ascending-id sum.
     pub fn exact_row_power_w(&self, row: RowId) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => f.exact_row_power_w(row.index()),
-            Storage::Nested(_) => self.iter_row(row).map(|s| s.power_w()).sum(),
-        }
+        self.fleet.exact_row_power_w(row.index())
     }
 
     /// Instantaneous power of one rack in watts.
@@ -359,39 +259,27 @@ impl Cluster {
 
     /// Instantaneous total power in watts.
     pub fn total_power_w(&self) -> f64 {
-        match &self.storage {
-            Storage::Flat(f) => (0..self.spec.rows).map(|r| f.row_power_acc_w(r)).sum(),
-            Storage::Nested(s) => s.iter().map(Server::power_w).sum(),
-        }
+        (0..self.spec.rows)
+            .map(|r| self.fleet.row_power_acc_w(r))
+            .sum()
     }
 
-    /// Service class of one server. The legacy nested engine does not
-    /// carry class tags; it reports the default
-    /// ([`ServiceClass::Interactive`]) for every server, matching a
-    /// flat fleet that was never retagged.
+    /// Service class of one server.
     pub fn service_class(&self, id: ServerId) -> ServiceClass {
-        match &self.storage {
-            Storage::Flat(f) => f.service_class(id.index()),
-            Storage::Nested(_) => ServiceClass::default(),
-        }
+        self.fleet.service_class(id.index())
     }
 
-    /// Retags one server's service class (no-op on the legacy nested
-    /// engine, which carries no class storage).
+    /// Retags one server's service class.
     pub fn set_service_class(&mut self, id: ServerId, class: ServiceClass) {
         assert!(id.index() < self.server_count(), "unknown server {id}");
-        if let Storage::Flat(f) = &mut self.storage {
-            f.set_service_class(id.index(), class);
-        }
+        self.fleet.set_service_class(id.index(), class);
     }
 
     /// Assigns every server's service class from `class_of(index)` —
     /// the bulk path mixed-fleet builders use after construction.
     pub fn set_service_classes(&mut self, class_of: impl Fn(usize) -> ServiceClass) {
-        if let Storage::Flat(f) = &mut self.storage {
-            for i in 0..f.len() {
-                f.set_service_class(i, class_of(i));
-            }
+        for i in 0..self.fleet.len() {
+            self.fleet.set_service_class(i, class_of(i));
         }
     }
 
@@ -402,35 +290,21 @@ impl Cluster {
             .count()
     }
 
-    /// Number of frozen servers in a row. O(1) on the flat engine.
+    /// Number of frozen servers in a row. O(1).
     pub fn frozen_count(&self, row: RowId) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.frozen_in_row(row.index()),
-            Storage::Nested(_) => self.iter_row(row).filter(|s| s.is_frozen()).count(),
-        }
+        self.fleet.frozen_in_row(row.index())
     }
 
-    /// Whether every server is known to run at nominal frequency —
-    /// lets per-tick DVFS resets and frequency rollups short-circuit.
-    /// Conservative: `false` means "unknown" on the nested engine.
+    /// Whether every server runs at nominal frequency — lets per-tick
+    /// DVFS resets and frequency rollups short-circuit.
     pub fn all_nominal_dvfs(&self) -> bool {
-        match &self.storage {
-            Storage::Flat(f) => f.all_nominal_dvfs(),
-            Storage::Nested(_) => false,
-        }
+        self.fleet.all_nominal_dvfs()
     }
 
     /// Resets every server to nominal frequency (the per-tick capper
     /// baseline). Skips the scan entirely when no server is capped.
     pub fn reset_dvfs_nominal(&mut self) {
-        match &mut self.storage {
-            Storage::Flat(f) => f.reset_dvfs_nominal(),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    s.set_dvfs(DvfsState::nominal());
-                }
-            }
-        }
+        self.fleet.reset_dvfs_nominal();
     }
 
     /// Takes an IPMI-style sweep of per-server power readings for the
@@ -447,22 +321,9 @@ impl Cluster {
     pub fn sample_into(
         &self,
         out: &mut Vec<ServerSample>,
-        mut noise: impl FnMut(ServerId, f64) -> f64,
+        noise: impl FnMut(ServerId, f64) -> f64,
     ) {
-        match &self.storage {
-            Storage::Flat(f) => f.sample_into(out, noise),
-            Storage::Nested(servers) => {
-                out.reserve(servers.len());
-                for s in servers {
-                    out.push(ServerSample {
-                        server: s.id().raw(),
-                        rack: s.rack().raw(),
-                        row: s.row().raw(),
-                        watts: noise(s.id(), s.power_w()),
-                    });
-                }
-            }
-        }
+        self.fleet.sample_into(out, noise);
     }
 
     /// Advances every server by one tick; returns `(server, job)` pairs
@@ -474,59 +335,37 @@ impl Cluster {
     }
 
     /// Allocation-free variant of [`Cluster::advance`]: appends
-    /// completions to `done`. On the flat engine this also ticks the
-    /// row-power re-sum epoch counter.
+    /// completions to `done`. Also ticks the row-power re-sum epoch
+    /// counter.
     pub fn advance_into(&mut self, tick: SimDuration, done: &mut Vec<(ServerId, JobId)>) {
-        match &mut self.storage {
-            Storage::Flat(f) => f.advance_into(tick, done),
-            Storage::Nested(servers) => {
-                for s in servers {
-                    for job in s.advance(tick) {
-                        done.push((s.id(), job));
-                    }
-                }
-            }
-        }
+        self.fleet.advance_into(tick, done);
     }
 
     /// Sets how many [`Cluster::advance`] ticks pass between row-power
-    /// accumulator re-sum epochs on the flat engine (no-op on nested).
+    /// accumulator re-sum epochs.
     pub fn set_power_resum_interval(&mut self, ticks: u32) {
-        if let Storage::Flat(f) = &mut self.storage {
-            f.set_resum_interval(ticks);
-        }
+        self.fleet.set_resum_interval(ticks);
     }
 
-    /// Number of re-sum epochs completed so far (0 on nested).
+    /// Number of re-sum epochs completed so far.
     pub fn power_resum_epochs(&self) -> u64 {
-        match &self.storage {
-            Storage::Flat(f) => f.resum_epochs(),
-            Storage::Nested(_) => 0,
-        }
+        self.fleet.resum_epochs()
     }
 
-    /// Forces an immediate row-power re-sum epoch on the flat engine.
+    /// Forces an immediate row-power re-sum epoch.
     pub fn force_power_resum(&mut self) {
-        if let Storage::Flat(f) = &mut self.storage {
-            f.resum();
-        }
+        self.fleet.resum();
     }
 
-    /// Live job count across the fleet (arena occupancy on flat).
+    /// Live job count across the fleet (arena occupancy).
     pub fn total_jobs(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.live_jobs(),
-            Storage::Nested(s) => s.iter().map(Server::job_count).sum(),
-        }
+        self.fleet.live_jobs()
     }
 
-    /// Job-slot arena capacity on the flat engine (recycled slots
-    /// included); 0 on nested. Exposed for arena-recycling tests.
+    /// Job-slot arena capacity (recycled slots included). Exposed for
+    /// arena-recycling tests.
     pub fn arena_slots(&self) -> usize {
-        match &self.storage {
-            Storage::Flat(f) => f.arena_slots(),
-            Storage::Nested(_) => 0,
-        }
+        self.fleet.arena_slots()
     }
 }
 
@@ -538,42 +377,27 @@ impl<'a> ServerRef<'a> {
 
     /// The rack this server is mounted in.
     pub fn rack(&self) -> RackId {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.rack_id(self.index),
-            Storage::Nested(s) => s[self.index].rack(),
-        }
+        self.fleet.rack_id(self.index)
     }
 
     /// The row (PDU power domain) this server belongs to.
     pub fn row(&self) -> RowId {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.row_id(self.index),
-            Storage::Nested(s) => s[self.index].row(),
-        }
+        self.fleet.row_id(self.index)
     }
 
     /// The server's power model.
     pub fn power_model(&self) -> &'a ServerPowerModel {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.model(self.index),
-            Storage::Nested(s) => s[self.index].power_model(),
-        }
+        self.fleet.model(self.index)
     }
 
     /// Total resource capacity.
     pub fn capacity(&self) -> Resources {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.capacity(self.index),
-            Storage::Nested(s) => s[self.index].capacity(),
-        }
+        self.fleet.capacity(self.index)
     }
 
     /// Currently allocated resources.
     pub fn allocated(&self) -> Resources {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.allocated(self.index),
-            Storage::Nested(s) => s[self.index].allocated(),
-        }
+        self.fleet.allocated(self.index)
     }
 
     /// Free resources.
@@ -583,19 +407,13 @@ impl<'a> ServerRef<'a> {
 
     /// CPU utilization in `[0, 1]` — the input to the power model.
     pub fn utilization(&self) -> f64 {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.utilization(self.index),
-            Storage::Nested(s) => s[self.index].utilization(),
-        }
+        self.fleet.utilization(self.index)
     }
 
-    /// Current power draw in watts. Cached on the flat engine — always
-    /// bit-equal to `power_model().power_w(utilization(), dvfs())`.
+    /// Current power draw in watts. Cached — always bit-equal to
+    /// `power_model().power_w(utilization(), dvfs())`.
     pub fn power_w(&self) -> f64 {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.power_w(self.index),
-            Storage::Nested(s) => s[self.index].power_w(),
-        }
+        self.fleet.power_w(self.index)
     }
 
     /// Rated power in watts (the provisioning unit).
@@ -605,46 +423,29 @@ impl<'a> ServerRef<'a> {
 
     /// Current DVFS state.
     pub fn dvfs(&self) -> DvfsState {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.dvfs(self.index),
-            Storage::Nested(s) => s[self.index].dvfs(),
-        }
+        self.fleet.dvfs(self.index)
     }
 
-    /// The server's service class (default [`ServiceClass::Interactive`]
-    /// on the legacy nested engine, which carries no class tags).
+    /// The server's service class.
     pub fn service_class(&self) -> ServiceClass {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.service_class(self.index),
-            Storage::Nested(_) => ServiceClass::default(),
-        }
+        self.fleet.service_class(self.index)
     }
 
     /// Whether the scheduler has been advised not to place new jobs
     /// here. Freezing never touches running jobs (§3.4).
     pub fn is_frozen(&self) -> bool {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.is_frozen(self.index),
-            Storage::Nested(s) => s[self.index].is_frozen(),
-        }
+        self.fleet.is_frozen(self.index)
     }
 
     /// Number of running jobs.
     pub fn job_count(&self) -> usize {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.job_count(self.index),
-            Storage::Nested(s) => s[self.index].job_count(),
-        }
+        self.fleet.job_count(self.index)
     }
 
-    /// Iterates over running jobs by value. Iteration *order* is an
-    /// engine detail (insertion order on flat, id order on nested);
-    /// callers must treat the jobs as a set.
-    pub fn jobs(&self) -> Box<dyn Iterator<Item = (JobId, RunningJob)> + 'a> {
-        match &self.cluster.storage {
-            Storage::Flat(f) => Box::new(f.jobs(self.index)),
-            Storage::Nested(s) => Box::new(s[self.index].jobs().map(|(id, j)| (id, *j))),
-        }
+    /// Iterates over running jobs by value. Callers must treat the jobs
+    /// as a set: iteration order is a storage detail.
+    pub fn jobs(&self) -> impl Iterator<Item = (JobId, RunningJob)> + 'a {
+        self.fleet.jobs(self.index)
     }
 }
 
@@ -658,51 +459,33 @@ impl ServerMut<'_> {
         resources: Resources,
         duration: SimDuration,
     ) -> Result<(), PlacementError> {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.place(self.index, job, resources, duration),
-            Storage::Nested(s) => s[self.index].place(job, resources, duration),
-        }
+        self.fleet.place(self.index, job, resources, duration)
     }
 
     /// Forcibly terminates a job (e.g. preemption tests), freeing its
     /// resources. Returns whether the job was running here.
     pub fn terminate(&mut self, job: JobId) -> bool {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.terminate(self.index, job),
-            Storage::Nested(s) => s[self.index].terminate(job),
-        }
+        self.fleet.terminate(self.index, job)
     }
 
     /// Sets the DVFS state (the capper's knob).
     pub fn set_dvfs(&mut self, state: DvfsState) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.set_dvfs(self.index, state),
-            Storage::Nested(s) => s[self.index].set_dvfs(state),
-        }
+        self.fleet.set_dvfs(self.index, state);
     }
 
     /// Marks the server frozen (advisory; enforced by the scheduler).
     pub fn freeze(&mut self) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.freeze(self.index),
-            Storage::Nested(s) => s[self.index].freeze(),
-        }
+        self.fleet.freeze(self.index);
     }
 
     /// Clears the frozen flag.
     pub fn unfreeze(&mut self) {
-        match &mut self.cluster.storage {
-            Storage::Flat(f) => f.unfreeze(self.index),
-            Storage::Nested(s) => s[self.index].unfreeze(),
-        }
+        self.fleet.unfreeze(self.index);
     }
 
     /// Whether this server is frozen.
     pub fn is_frozen(&self) -> bool {
-        match &self.cluster.storage {
-            Storage::Flat(f) => f.is_frozen(self.index),
-            Storage::Nested(s) => s[self.index].is_frozen(),
-        }
+        self.fleet.is_frozen(self.index)
     }
 }
 
@@ -716,7 +499,6 @@ mod tests {
         let c = Cluster::new(ClusterSpec::tiny());
         assert_eq!(c.server_count(), 16);
         assert_eq!(c.row_count(), 2);
-        assert_eq!(c.engine(), EngineKind::Flat);
         let s = c.server(ServerId::new(0));
         assert_eq!(s.row(), RowId::new(0));
         assert_eq!(s.rack(), RackId::new(0));
@@ -920,32 +702,5 @@ mod tests {
         c.reset_dvfs_nominal();
         assert!(c.all_nominal_dvfs());
         assert_eq!(c.server(ServerId::new(5)).dvfs(), DvfsState::nominal());
-    }
-
-    #[cfg(feature = "legacy-nested")]
-    #[test]
-    fn engines_agree_on_basic_trajectory() {
-        let run = |engine: EngineKind| {
-            let spec = ClusterSpec::tiny();
-            let mut c =
-                Cluster::new_with_engine(spec, engine, |_| (spec.power_model, spec.capacity));
-            let mut trace = Vec::new();
-            for i in 0..8u64 {
-                c.server_mut(ServerId::new(i * 2))
-                    .place(
-                        JobId::new(i),
-                        Resources::cores_gb(8, 16),
-                        SimDuration::from_mins(i + 1),
-                    )
-                    .unwrap();
-            }
-            c.server_mut(ServerId::new(3)).freeze();
-            for _ in 0..10 {
-                let done = c.advance(SimDuration::MINUTE);
-                trace.push((done.len(), c.exact_row_power_w(RowId::new(0)).to_bits()));
-            }
-            trace
-        };
-        assert_eq!(run(EngineKind::Flat), run(EngineKind::Nested));
     }
 }

@@ -33,13 +33,16 @@ use ampere_arbiter::{
 };
 use ampere_cluster::{ClusterSpec, RowId};
 use ampere_faults::{FaultInjector, FaultPlan, OutageWindow};
+use ampere_par::ShardSet;
 use ampere_power::{hierarchy::PowerNode, CappingConfig, CircuitBreaker};
 use ampere_sched::{FreezePolicy, RandomFit};
-use ampere_sim::{derive_subseed, rng::streams, SimDuration, SimTime};
+use ampere_sim::{derive_subseed, rng::streams, Fnv, SimDuration, SimTime};
 use ampere_workload::RateProfile;
 
 use crate::calibrate::default_controller;
-use crate::testbed::{DomainId, DomainSpec, DomainTickRecord, Testbed, TestbedConfig};
+use crate::testbed::{
+    digest_records, DomainId, DomainSpec, DomainTickRecord, Testbed, TestbedConfig,
+};
 
 /// Configuration of the hierarchical sweep.
 pub struct HierConfig {
@@ -297,21 +300,9 @@ fn classify(recs: &[DomainTickRecord]) -> RowHealth {
 /// Order-sensitive FNV-1a over one row's full trajectory (same fields
 /// as `ShardedTestbed::checksum`, per row).
 fn row_checksum(recs: &[DomainTickRecord]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for r in recs {
-        mix(r.time.as_millis());
-        mix(r.power_w.to_bits());
-        mix(r.frozen as u64);
-        mix(r.u_target.to_bits());
-        mix(u64::from(r.violation));
-        mix(r.placed_jobs);
-        mix(r.mean_freq.to_bits());
-    }
-    h
+    let mut h = Fnv::new();
+    digest_records(&mut h, recs);
+    h.finish()
 }
 
 struct RowShard {
@@ -319,21 +310,8 @@ struct RowShard {
     domain: DomainId,
     profile: RateProfile,
     link: GrantLink,
-    /// Records already consumed by the substation/health scan.
-    seen: usize,
     /// Budget currently actuated (post-fallback), in watts.
     applied_w: f64,
-    capture: Option<ampere_telemetry::Capture>,
-}
-
-impl RowShard {
-    fn step(&mut self) {
-        let RowShard { tb, capture, .. } = self;
-        match capture {
-            Some(c) => c.with(|| tb.step()),
-            None => tb.step(),
-        }
-    }
 }
 
 /// The per-row cluster shape: one row of 4 racks × 10 servers — large
@@ -398,78 +376,65 @@ fn run_cell(
     let mut cp = FaultInjector::new(cp_plan);
 
     let parent = ampere_telemetry::global();
-    let mut shards: Vec<RowShard> = (0..rows)
-        .map(|i| {
-            let capture = ampere_telemetry::Capture::new_under(&parent);
-            let sub_seed = derive_subseed(config.seed, streams::SHARD, i as u64);
-            let profile = row_profile(i, &spec);
-            let faults = (row_fault && i == 0).then(|| FaultPlan {
-                sample_dropout: config.fault_dropout,
-                sensor_noise: 0.01,
-                rpc_loss: 0.05,
-                outages: (config.fault_outage_mins > 0)
-                    .then(|| OutageWindow {
-                        start: cp_start,
-                        end: cp_start + SimDuration::from_mins(config.fault_outage_mins),
-                    })
-                    .into_iter()
-                    .collect(),
-                ..FaultPlan::seeded(sub_seed)
-            });
-            let build = || {
-                let mut tb = Testbed::new(TestbedConfig {
-                    spec,
-                    profile: profile.clone(),
-                    seed: sub_seed,
-                    tick: SimDuration::MINUTE,
-                    measurement_noise: 0.003,
-                    capping: CappingConfig {
-                        // Backstop-armable only: the row watchdog may
-                        // engage capping for a dark controller, exactly
-                        // as in the single-row chaos sweep.
-                        enabled: true,
-                        ..CappingConfig::default()
-                    },
-                    policy: Box::new(RandomFit::default()),
-                    server_classes: None,
-                    service_classes: None,
-                    freeze_policy: FreezePolicy::Uniform,
-                    faults,
-                });
-                let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
-                let domain = tb.add_domain(DomainSpec {
-                    name: format!("row{i}"),
-                    servers,
-                    budget_w: rated * config.row_breaker_scale,
-                    controller: Some(default_controller()),
-                    capped: false,
-                });
-                tb.set_control_budget_w(domain, Some(static_share_w));
-                (tb, domain)
-            };
-            let (tb, domain) = match &capture {
-                Some(c) => c.with(build),
-                None => build(),
-            };
-            RowShard {
-                tb,
-                domain,
-                profile,
-                link: GrantLink::new(GrantLinkConfig {
-                    static_share_w,
-                    floor_w: rated * config.floor_scale,
-                    grace_rounds: 2,
-                    haircut_per_round: 0.03,
-                    max_haircut: 0.15,
-                }),
-                seen: 0,
-                applied_w: static_share_w,
-                capture,
-            }
-        })
-        .collect();
+    let mut set = ShardSet::new(&parent, rows, config.workers, |i| {
+        let sub_seed = derive_subseed(config.seed, streams::SHARD, i as u64);
+        let profile = row_profile(i, &spec);
+        let faults = (row_fault && i == 0).then(|| FaultPlan {
+            sample_dropout: config.fault_dropout,
+            sensor_noise: 0.01,
+            rpc_loss: 0.05,
+            outages: (config.fault_outage_mins > 0)
+                .then(|| OutageWindow {
+                    start: cp_start,
+                    end: cp_start + SimDuration::from_mins(config.fault_outage_mins),
+                })
+                .into_iter()
+                .collect(),
+            ..FaultPlan::seeded(sub_seed)
+        });
+        let mut tb = Testbed::new(TestbedConfig {
+            spec,
+            profile: profile.clone(),
+            seed: sub_seed,
+            tick: SimDuration::MINUTE,
+            measurement_noise: 0.003,
+            capping: CappingConfig {
+                // Backstop-armable only: the row watchdog may
+                // engage capping for a dark controller, exactly
+                // as in the single-row chaos sweep.
+                enabled: true,
+                ..CappingConfig::default()
+            },
+            policy: Box::new(RandomFit::default()),
+            server_classes: None,
+            service_classes: None,
+            freeze_policy: FreezePolicy::Uniform,
+            faults,
+        });
+        let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
+        let domain = tb.add_domain(DomainSpec {
+            name: format!("row{i}"),
+            servers,
+            budget_w: rated * config.row_breaker_scale,
+            controller: Some(default_controller()),
+            capped: false,
+        });
+        tb.set_control_budget_w(domain, Some(static_share_w));
+        RowShard {
+            tb,
+            domain,
+            profile,
+            link: GrantLink::new(GrantLinkConfig {
+                static_share_w,
+                floor_w: rated * config.floor_scale,
+                grace_rounds: 2,
+                haircut_per_round: 0.03,
+                max_haircut: 0.15,
+            }),
+            applied_w: static_share_w,
+        }
+    });
 
-    let pool = ampere_par::WorkerPool::new(config.workers);
     let period = config.grant_period_mins;
     let mut rounds_log: Vec<RoundLog> = Vec::new();
     let mut substation_violations = 0u64;
@@ -483,48 +448,46 @@ fn run_cell(
         let round = rounds_log.len() as u64;
 
         // --- Serial arbiter phase at the barrier. ---
+        let seen = done_mins as usize;
         let backstop = substation.tripped_at().is_some();
-        let health: Vec<RowHealth> = shards
+        let health: Vec<RowHealth> = set
+            .shards()
             .iter()
-            .map(|s| classify(&s.tb.records(s.domain)[s.seen.saturating_sub(period as usize)..]))
+            .map(|s| classify(&s.tb.records(s.domain)[seen.saturating_sub(period as usize)..]))
             .collect();
         // Forecast weights from the deterministic workload shape at the
         // period midpoint — never from measured power (isolation).
         let mid = at + SimDuration::from_mins(period / 2);
-        let weights: Vec<f64> = shards.iter().map(|s| s.profile.rate_per_min(mid)).collect();
+        let weights: Vec<f64> = set
+            .shards()
+            .iter()
+            .map(|s| s.profile.rate_per_min(mid))
+            .collect();
 
-        let mut lost_rows = Vec::new();
-        let (arbiter_up, held, reserve_w) = if backstop {
+        let (arbiter_up, held, reserve_w, grants_w) = if backstop {
             // Substation backstop: after a trip every row is pinned to
             // its floor for the rest of the run.
-            for (s, &floor) in shards.iter_mut().zip(&floors_w) {
-                s.applied_w = s.link.deliver(floor);
-            }
-            (false, false, allocatable_w - floors_w.iter().sum::<f64>())
+            let reserve_w = allocatable_w - floors_w.iter().sum::<f64>();
+            (false, false, reserve_w, Some(floors_w.clone()))
         } else if cp.arbiter_up(at) {
             let g = arbiter.reallocate(at, &weights, &health);
-            for (i, s) in shards.iter_mut().enumerate() {
-                if cp.grant_delivered(at, i as u64) {
-                    s.applied_w = s.link.deliver(g.grants_w[i]);
-                } else {
-                    lost_rows.push(i);
-                    s.applied_w = s.link.miss();
-                }
-            }
-            (true, g.held, g.reserve_w)
+            (true, g.held, g.reserve_w, Some(g.grants_w))
         } else {
-            for s in shards.iter_mut() {
-                s.applied_w = s.link.miss();
-            }
-            (false, false, 0.0)
+            (false, false, 0.0, None)
         };
-        for s in shards.iter_mut() {
-            let (domain, w) = (s.domain, s.applied_w);
-            match &s.capture {
-                Some(c) => c.with(|| s.tb.set_control_budget_w(domain, Some(w))),
-                None => s.tb.set_control_budget_w(domain, Some(w)),
-            }
-        }
+        let mut lost_rows = Vec::new();
+        set.for_each_mut(|i, s| {
+            s.applied_w = match &grants_w {
+                Some(g) if backstop || cp.grant_delivered(at, i as u64) => s.link.deliver(g[i]),
+                Some(_) => {
+                    lost_rows.push(i);
+                    s.link.miss()
+                }
+                None => s.link.miss(),
+            };
+            s.tb.set_control_budget_w(s.domain, Some(s.applied_w));
+        });
+        let shards = set.shards();
         static_share_rounds += shards
             .iter()
             .filter(|s| matches!(s.link.state(), FallbackState::StaticShare { .. }))
@@ -543,7 +506,7 @@ fn run_cell(
         });
 
         // --- Parallel stepping phase. ---
-        pool.step_ticks(&mut shards, ticks, |_, s| s.step());
+        set.run(ticks, |s| s.tb.step());
         done_mins += ticks;
 
         // --- Serial substation phase: feed the shared breaker the
@@ -556,8 +519,8 @@ fn run_cell(
             let mut total = 0.0;
             let mut time = at;
             let mut over_grant = false;
-            for s in &shards {
-                let r = &s.tb.records(s.domain)[s.seen + k];
+            for s in set.shards() {
+                let r = &s.tb.records(s.domain)[seen + k];
                 total += r.power_w;
                 time = r.time;
                 over_grant |= r.power_w > s.applied_w;
@@ -571,18 +534,12 @@ fn run_cell(
                 }
             }
         }
-        for s in shards.iter_mut() {
-            s.seen += ticks as usize;
-        }
     }
 
     // Replay per-row telemetry into the parent pipeline in row order —
     // the event stream is byte-identical at any worker count.
-    for s in shards.iter_mut() {
-        if let Some(capture) = s.capture.take() {
-            ampere_telemetry::fanin::replay_into(&parent, capture.finish());
-        }
-    }
+    set.finish();
+    let shards = set.shards();
 
     let warm = config.warmup_mins as usize;
     fn measured(s: &RowShard, warm: usize) -> &[DomainTickRecord] {

@@ -37,9 +37,10 @@
 //! count.
 
 use ampere_cluster::{ClusterSpec, RowId, ServiceClass};
+use ampere_par::ShardSet;
 use ampere_power::CappingConfig;
 use ampere_sched::{FreezePolicy, RandomFit};
-use ampere_sim::{derive_subseed, rng::streams, SimDuration};
+use ampere_sim::{derive_subseed, rng::streams, Fnv, SimDuration};
 use ampere_workload::interactive::{InteractiveSim, OpType};
 use ampere_workload::{RateProfile, UserPopulation};
 
@@ -255,16 +256,11 @@ struct SlaShard {
     domain: DomainId,
     /// Per-tick (frozen interactive, frozen batch) in this row.
     class_frozen: Vec<(u32, u32)>,
-    capture: Option<ampere_telemetry::Capture>,
 }
 
 impl SlaShard {
     fn step(&mut self) {
-        let SlaShard { tb, capture, .. } = self;
-        match capture {
-            Some(c) => c.with(|| tb.step()),
-            None => tb.step(),
-        }
+        self.tb.step();
         let mut frozen = (0u32, 0u32);
         for s in self.tb.cluster().iter_row(RowId::new(0)) {
             if s.is_frozen() {
@@ -281,26 +277,26 @@ impl SlaShard {
 /// Order-sensitive FNV-1a over one row's trajectory plus its
 /// class-frozen trace.
 fn shard_checksum(recs: &[DomainTickRecord], class_frozen: &[(u32, u32)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv::new();
     for r in recs {
-        mix(r.time.as_millis());
-        mix(r.power_w.to_bits());
-        mix(r.frozen as u64);
-        mix(r.u_target.to_bits());
-        mix(u64::from(r.violation));
-        mix(r.placed_jobs);
-        mix(r.froze as u64);
-        mix(r.unfroze as u64);
+        for v in [
+            r.time.as_millis(),
+            r.power_w.to_bits(),
+            r.frozen as u64,
+            r.u_target.to_bits(),
+            u64::from(r.violation),
+            r.placed_jobs,
+            r.froze as u64,
+            r.unfroze as u64,
+        ] {
+            h.word(v);
+        }
     }
     for &(i, b) in class_frozen {
-        mix(u64::from(i));
-        mix(u64::from(b));
+        h.word(u64::from(i));
+        h.word(u64::from(b));
     }
-    h
+    h.finish()
 }
 
 /// Runs the comparison: all arm x row shards advance in lockstep on
@@ -333,67 +329,51 @@ pub fn run(config: &SlaConfig) -> SlaResult {
         })
         .collect();
 
+    // Shard `a * rows + row` is arm `a`'s row `row`. Every arm's row
+    // draws from the same row sub-seed, so the arms see bit-identical
+    // workloads.
     let parent = ampere_telemetry::global();
-    let mut shards: Vec<SlaShard> = ARMS
-        .iter()
-        .flat_map(|arm| (0..config.rows).map(move |row| (arm, row)))
-        .map(|(arm, row)| {
-            let capture = ampere_telemetry::Capture::new_under(&parent);
-            let sub_seed = derive_subseed(config.seed, streams::SHARD, row as u64);
-            let build = || {
-                let mut tb = Testbed::new(TestbedConfig {
-                    spec,
-                    profile: row_profile(row, config),
-                    seed: sub_seed,
-                    tick: SimDuration::MINUTE,
-                    measurement_noise: 0.003,
-                    capping: CappingConfig::default(),
-                    policy: Box::new(RandomFit::default()),
-                    server_classes: None,
-                    service_classes: Some(classes.clone()),
-                    freeze_policy: arm.freeze_policy,
-                    faults: None,
-                });
-                let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
-                let domain = tb.add_domain(DomainSpec {
-                    name: format!("{}-row{row}", arm.policy),
-                    servers,
-                    // Breaker at nameplate: the uncontrolled baseline
-                    // must over-run the *control* budget without
-                    // tripping anything; budget accounting is done
-                    // against `budget_w` below for every arm alike.
-                    budget_w: rated,
-                    controller: arm.controlled.then(default_controller),
-                    capped: false,
-                });
-                if arm.controlled {
-                    tb.set_control_budget_w(domain, Some(budget_w));
-                }
-                (tb, domain)
-            };
-            let (tb, domain) = match &capture {
-                Some(c) => c.with(build),
-                None => build(),
-            };
-            SlaShard {
-                tb,
-                domain,
-                class_frozen: Vec::with_capacity(total_mins as usize),
-                capture,
-            }
-        })
-        .collect();
-
-    let pool = ampere_par::WorkerPool::new(config.workers);
-    pool.step_ticks(&mut shards, total_mins, |_, s| s.step());
-
+    let mut set = ShardSet::new(&parent, ARMS.len() * config.rows, config.workers, |i| {
+        let (arm, row) = (&ARMS[i / config.rows], i % config.rows);
+        let mut tb = Testbed::new(TestbedConfig {
+            spec,
+            profile: row_profile(row, config),
+            seed: derive_subseed(config.seed, streams::SHARD, row as u64),
+            tick: SimDuration::MINUTE,
+            measurement_noise: 0.003,
+            capping: CappingConfig::default(),
+            policy: Box::new(RandomFit::default()),
+            server_classes: None,
+            service_classes: Some(classes.clone()),
+            freeze_policy: arm.freeze_policy,
+            faults: None,
+        });
+        let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
+        let domain = tb.add_domain(DomainSpec {
+            name: format!("{}-row{row}", arm.policy),
+            servers,
+            // Breaker at nameplate: the uncontrolled baseline must
+            // over-run the *control* budget without tripping anything;
+            // budget accounting is done against `budget_w` below for
+            // every arm alike.
+            budget_w: rated,
+            controller: arm.controlled.then(default_controller),
+            capped: false,
+        });
+        if arm.controlled {
+            tb.set_control_budget_w(domain, Some(budget_w));
+        }
+        SlaShard {
+            tb,
+            domain,
+            class_frozen: Vec::with_capacity(total_mins as usize),
+        }
+    });
+    set.run(total_mins, SlaShard::step);
     // Replay per-shard telemetry into the parent pipeline in
     // construction order — byte-identical at any worker count.
-    for s in shards.iter_mut() {
-        if let Some(capture) = s.capture.take() {
-            ampere_telemetry::fanin::replay_into(&parent, capture.finish());
-        }
-    }
+    set.finish();
+    let shards = set.shards();
 
     let interactive_total = interactive_per_row * config.rows;
     let ticks = (config.hours * 60) as usize;
@@ -454,7 +434,12 @@ pub fn run(config: &SlaConfig) -> SlaResult {
                 .sum(),
             froze: rows
                 .iter()
-                .map(|s| s.tb.records(s.domain).iter().map(|r| r.froze as u64).sum::<u64>())
+                .map(|s| {
+                    s.tb.records(s.domain)
+                        .iter()
+                        .map(|r| r.froze as u64)
+                        .sum::<u64>()
+                })
                 .sum(),
             unfroze: rows
                 .iter()
@@ -482,12 +467,11 @@ pub fn run(config: &SlaConfig) -> SlaResult {
                 .unwrap_or(0),
             min_capacity,
             checksum: {
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let mut h = Fnv::new();
                 for s in rows {
-                    h ^= shard_checksum(s.tb.records(s.domain), &s.class_frozen);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                    h.word(shard_checksum(s.tb.records(s.domain), &s.class_frozen));
                 }
-                h
+                h.finish()
             },
         });
     }

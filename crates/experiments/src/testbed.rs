@@ -20,12 +20,13 @@
 //! 5. controlled domains run one Ampere control interval on the same
 //!    measurement, freezing/unfreezing through the scheduler API.
 
-use ampere_cluster::{Cluster, ClusterSpec, EngineKind, JobId, RowId, ServerId, ServiceClass};
+use ampere_cluster::{Cluster, ClusterSpec, JobId, RowId, ServerId, ServiceClass};
 use ampere_core::{
     AmpereController, ControlMode, HistoricalPercentile, ServerPowerReading, TickWatchdog,
     WatchdogConfig,
 };
 use ampere_faults::{FaultInjector, FaultPlan, SweepFaults};
+use ampere_par::ShardSet;
 use ampere_power::{
     monitor::ServerSample, CappingConfig, CircuitBreaker, PowerMonitor, RaplCapper,
 };
@@ -34,7 +35,8 @@ use ampere_sched::{
     SelectorReading,
 };
 use ampere_sim::{
-    derive_stream, derive_subseed, rng::streams, Distribution, Normal, SimDuration, SimRng, SimTime,
+    derive_stream, derive_subseed, rng::streams, Distribution, Fnv, Normal, SimDuration, SimRng,
+    SimTime,
 };
 use ampere_telemetry::{Event, PhaseProfiler, Severity, Telemetry, TickPhase};
 use ampere_workload::{BatchWorkload, RateProfile};
@@ -308,19 +310,9 @@ impl Testbed {
     /// always monitored and their rated power is the default budget
     /// used for scheduler headroom hints.
     pub fn new(config: TestbedConfig) -> Self {
-        Self::new_with_engine(config, EngineKind::Flat)
-    }
-
-    /// Builds a testbed on an explicit cluster storage engine. The
-    /// nested engine is only available behind the `legacy-nested` cargo
-    /// feature; the differential suite uses it to prove the flat engine
-    /// bit-exact.
-    pub fn new_with_engine(config: TestbedConfig, engine: EngineKind) -> Self {
         let mut cluster = match &config.server_classes {
-            None => Cluster::new_with_engine(config.spec, engine, |_| {
-                (config.spec.power_model, config.spec.capacity)
-            }),
-            Some(class_of) => Cluster::new_with_engine(config.spec, engine, class_of),
+            None => Cluster::new(config.spec),
+            Some(class_of) => Cluster::new_with(config.spec, class_of),
         };
         if let Some(classes) = &config.service_classes {
             assert_eq!(
@@ -1095,8 +1087,6 @@ pub struct ShardedTestbedConfig {
     pub controlled: bool,
     /// Worker threads advancing the shards (1 = serial).
     pub workers: usize,
-    /// Server-state engine for every shard (flat SoA by default).
-    pub engine: EngineKind,
     /// Optional fault plan applied identically to every shard (each
     /// shard's injector still draws from its own sub-seeded streams).
     pub faults: Option<FaultPlan>,
@@ -1118,7 +1108,6 @@ impl ShardedTestbedConfig {
             budget_scale: 0.8,
             controlled: true,
             workers,
-            engine: EngineKind::Flat,
             faults: None,
         }
     }
@@ -1135,7 +1124,6 @@ impl ShardedTestbedConfig {
             budget_scale: 0.8,
             controlled: true,
             workers,
-            engine: EngineKind::Flat,
             faults: None,
         }
     }
@@ -1144,105 +1132,69 @@ impl ShardedTestbedConfig {
 struct TestbedShard {
     tb: Testbed,
     domain: DomainId,
-    /// Private telemetry capture; `None` when the parent pipeline is
-    /// disabled. Everything the shard's components record lands here
-    /// until [`ShardedTestbed::finish`] replays it in shard order.
-    capture: Option<ampere_telemetry::Capture>,
-}
-
-impl TestbedShard {
-    fn step(&mut self) {
-        let TestbedShard { tb, capture, .. } = self;
-        match capture {
-            Some(c) => c.with(|| tb.step()),
-            None => tb.step(),
-        }
-    }
 }
 
 /// Row-parallel simulation: each row domain is an independent
 /// [`Testbed`] shard with its own seed sub-stream, advanced in lockstep
-/// by the `ampere-par` worker pool with a barrier at every control tick.
+/// by a [`ShardSet`] with a barrier at every control tick.
 ///
 /// Determinism contract (DESIGN §9): shard `i`'s entire draw sequence
 /// depends only on `(seed, streams::SHARD, i)`, shards share no mutable
 /// state while stepping, and telemetry replays in shard order on
-/// [`ShardedTestbed::finish`] — so records, events and metrics are
-/// byte-identical at any worker count.
+/// [`ShardedTestbed::finish`] into the pipeline that was current at
+/// construction — so records, events and metrics are byte-identical at
+/// any worker count.
 pub struct ShardedTestbed {
-    shards: Vec<TestbedShard>,
-    pool: ampere_par::WorkerPool,
+    set: ShardSet<TestbedShard>,
     tick: SimDuration,
     ticks_run: u64,
-    finished: bool,
 }
 
 impl ShardedTestbed {
-    /// Builds `config.shards` independent shards. Each shard's
-    /// components are constructed under its private telemetry capture,
-    /// so their construction-time [`ampere_telemetry::global`] lookups
-    /// bind to the capture pipeline.
+    /// Builds `config.shards` independent shards, each under its own
+    /// telemetry capture of the current [`ampere_telemetry::global`]
+    /// pipeline.
     pub fn new(config: ShardedTestbedConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         let parent = ampere_telemetry::global();
-        let shards = (0..config.shards)
-            .map(|i| {
-                let capture = ampere_telemetry::Capture::new_under(&parent);
-                let sub_seed = derive_subseed(config.seed, streams::SHARD, i as u64);
-                let build = || {
-                    let mut tb = Testbed::new_with_engine(
-                        TestbedConfig {
-                            spec: config.spec,
-                            profile: config.profile.clone(),
-                            seed: sub_seed,
-                            tick: SimDuration::MINUTE,
-                            measurement_noise: 0.003,
-                            capping: CappingConfig {
-                                enabled: false,
-                                ..CappingConfig::default()
-                            },
-                            policy: Box::new(RandomFit::default()),
-                            server_classes: None,
-                            service_classes: None,
-                            freeze_policy: FreezePolicy::Uniform,
-                            faults: config.faults.clone(),
-                        },
-                        config.engine,
-                    );
-                    let rated = tb.rated_row_power_w(RowId::new(0));
-                    let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
-                    let domain = tb.add_domain(DomainSpec {
-                        name: format!("shard{i}"),
-                        servers,
-                        budget_w: rated * config.budget_scale,
-                        controller: config.controlled.then(crate::calibrate::default_controller),
-                        capped: false,
-                    });
-                    (tb, domain)
-                };
-                let (tb, domain) = match &capture {
-                    Some(c) => c.with(build),
-                    None => build(),
-                };
-                TestbedShard {
-                    tb,
-                    domain,
-                    capture,
-                }
-            })
-            .collect();
+        let set = ShardSet::new(&parent, config.shards, config.workers, |i| {
+            let mut tb = Testbed::new(TestbedConfig {
+                spec: config.spec,
+                profile: config.profile.clone(),
+                seed: derive_subseed(config.seed, streams::SHARD, i as u64),
+                tick: SimDuration::MINUTE,
+                measurement_noise: 0.003,
+                capping: CappingConfig {
+                    enabled: false,
+                    ..CappingConfig::default()
+                },
+                policy: Box::new(RandomFit::default()),
+                server_classes: None,
+                service_classes: None,
+                freeze_policy: FreezePolicy::Uniform,
+                faults: config.faults.clone(),
+            });
+            let rated = tb.rated_row_power_w(RowId::new(0));
+            let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
+            let domain = tb.add_domain(DomainSpec {
+                name: format!("shard{i}"),
+                servers,
+                budget_w: rated * config.budget_scale,
+                controller: config.controlled.then(crate::calibrate::default_controller),
+                capped: false,
+            });
+            TestbedShard { tb, domain }
+        });
         ShardedTestbed {
-            shards,
-            pool: ampere_par::WorkerPool::new(config.workers),
+            set,
             tick: SimDuration::MINUTE,
             ticks_run: 0,
-            finished: false,
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.set.shards().len()
     }
 
     /// Ticks every shard has completed.
@@ -1260,65 +1212,66 @@ impl ShardedTestbed {
             ticks * self.tick.as_millis() == duration.as_millis(),
             "duration must be a multiple of the tick"
         );
-        self.pool
-            .step_ticks(&mut self.shards, ticks, |_, shard| shard.step());
+        self.set.run(ticks, |s| s.tb.step());
         self.ticks_run += ticks;
     }
 
     /// A shard's tick records (its main row/controlled domain).
     pub fn records(&self, shard: usize) -> &[DomainTickRecord] {
-        let s = &self.shards[shard];
+        let s = &self.set.shards()[shard];
         s.tb.records(s.domain)
     }
 
     /// A shard's underlying testbed (read access).
     pub fn testbed(&self, shard: usize) -> &Testbed {
-        &self.shards[shard].tb
+        &self.set.shards()[shard].tb
     }
 
     /// Total breaker violations across all shards.
     pub fn total_violations(&self) -> u64 {
-        self.shards.iter().map(|s| s.tb.violations(s.domain)).sum()
+        self.set
+            .shards()
+            .iter()
+            .map(|s| s.tb.violations(s.domain))
+            .sum()
     }
 
-    /// Replays every shard's captured telemetry into the parent
-    /// pipeline, in shard order (idempotent; a no-op when the parent
-    /// was disabled at construction).
+    /// Replays every shard's captured telemetry into the pipeline bound
+    /// at construction, in shard order (idempotent; a no-op when that
+    /// pipeline was disabled).
     pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let parent = ampere_telemetry::global();
-        for shard in &mut self.shards {
-            if let Some(capture) = shard.capture.take() {
-                ampere_telemetry::fanin::replay_into(&parent, capture.finish());
-            }
-        }
+        self.set.finish();
     }
 
     /// An order-sensitive FNV-1a digest over every shard's records:
     /// equal checksums mean bit-equal trajectories. Used by `repro
     /// scale` and the determinism tests to compare runs cheaply.
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for (i, shard) in self.shards.iter().enumerate() {
-            mix(i as u64);
-            for r in shard.tb.records(shard.domain) {
-                mix(r.time.as_millis());
-                mix(r.power_w.to_bits());
-                mix(r.frozen as u64);
-                mix(r.u_target.to_bits());
-                mix(u64::from(r.violation));
-                mix(r.placed_jobs);
-                mix(r.mean_freq.to_bits());
-            }
+        let mut h = Fnv::new();
+        for i in 0..self.shard_count() {
+            h.word(i as u64);
+            digest_records(&mut h, self.records(i));
         }
-        h
+        h.finish()
+    }
+}
+
+/// Folds a domain's trajectory into `h`, whole words per field: the
+/// field set of [`ShardedTestbed::checksum`] and of the hierarchy
+/// sweep's per-row checksums.
+pub(crate) fn digest_records(h: &mut Fnv, records: &[DomainTickRecord]) {
+    for r in records {
+        for v in [
+            r.time.as_millis(),
+            r.power_w.to_bits(),
+            r.frozen as u64,
+            r.u_target.to_bits(),
+            u64::from(r.violation),
+            r.placed_jobs,
+            r.mean_freq.to_bits(),
+        ] {
+            h.word(v);
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Hand-rolled on `std::thread::scope` — no external dependencies — and
 //! built around one contract: **results are byte-identical at any worker
-//! count**. Three primitives:
+//! count**. Four primitives:
 //!
 //! - [`WorkerPool::run`] — execute a batch of independent tasks on up to
 //!   N workers, returning results **in task order** regardless of which
@@ -14,7 +14,12 @@
 //!   replay: each task records into a private pipeline
 //!   ([`ampere_telemetry::fanin`]) and the buffers are merged into the
 //!   parent **in task order**, reproducing the serial event stream and
-//!   span allocation byte-for-byte.
+//!   span allocation byte-for-byte;
+//! - [`ShardSet`] — the shard driver behind every row-parallel
+//!   experiment: builds shard `i` under its own capture of a parent
+//!   pipeline bound once, steps the shards with
+//!   [`WorkerPool::step_ticks`], gives serial mutable access between
+//!   runs, and replays into that parent in shard order.
 //!
 //! Determinism therefore does not come from scheduling (which is racy by
 //! nature) but from *structure*: tasks share nothing while running, and
@@ -28,6 +33,8 @@
 
 mod fanout;
 mod pool;
+mod shards;
 
 pub use fanout::run_captured;
 pub use pool::{available_workers, default_workers, set_default_workers, Task, WorkerPool};
+pub use shards::ShardSet;

@@ -8,7 +8,7 @@
 //! which is what the printed repro command relies on.
 
 use ampere_par::{run_captured, Task, WorkerPool};
-use ampere_sim::{derive_subseed, rng::streams};
+use ampere_sim::{derive_subseed, rng::streams, Fnv};
 
 use crate::invariant::InvariantKind;
 use crate::run::{run_scenario, RunOptions, ScenarioOutcome};
@@ -195,18 +195,15 @@ pub fn run_batch(config: &BatchConfig) -> BatchReport {
         .collect();
     let rows = run_captured(&pool, tasks);
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Fnv::new();
     for row in &rows {
-        for b in row.outcome.digest.to_le_bytes() {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(0x100_0000_01b3);
-        }
+        digest.bytes(&row.outcome.digest.to_le_bytes());
     }
     BatchReport {
         seed: config.seed,
         count: config.count,
         rows,
-        digest,
+        digest: digest.finish(),
     }
 }
 

@@ -14,7 +14,7 @@ use ampere_experiments::testbed::{DomainTickRecord, Testbed, TestbedConfig};
 use ampere_experiments::DomainSpec;
 use ampere_power::CappingConfig;
 use ampere_sched::{FreezePolicy, RandomFit};
-use ampere_sim::SimDuration;
+use ampere_sim::{Fnv, SimDuration};
 use ampere_telemetry::fanin::{replay_into, Capture};
 use ampere_telemetry::Event;
 use ampere_watch::{WatchConfig, WatchEngine, DEFAULT_HEADROOM_MIN};
@@ -220,7 +220,7 @@ fn run_once(scenario: &Scenario, bug: Option<InjectedBug>, replay: bool) -> RawR
     let mut digest = Fnv::new();
     for domain in &records {
         for r in domain {
-            digest.record(r);
+            digest_record(&mut digest, r);
         }
     }
     for e in &events {
@@ -749,50 +749,27 @@ fn stats_of(scenario: &Scenario, run: &RawRun) -> RunStats {
     }
 }
 
-/// FNV-1a, 64-bit: tiny, dependency-free, stable across platforms.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Folds every field of a tick record in, bit-exact.
-    fn record(&mut self, r: &DomainTickRecord) {
-        self.u64(r.time.as_millis());
-        self.f64(r.power_w);
-        self.f64(r.power_norm);
-        self.u64(r.frozen as u64);
-        self.f64(r.freezing_ratio);
-        self.f64(r.u_target);
-        self.u64(u64::from(r.violation));
-        self.u64(r.capped_servers as u64);
-        self.f64(r.mean_freq);
-        self.u64(r.placed_jobs);
-        self.u64(r.froze as u64);
-        self.u64(r.unfroze as u64);
-        self.f64(r.coverage);
-        self.u64(u64::from(r.degraded));
-        self.u64(u64::from(r.backstop_armed));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+/// Folds every field of a tick record into `h` as little-endian bytes,
+/// bit-exact.
+fn digest_record(h: &mut Fnv, r: &DomainTickRecord) {
+    for v in [
+        r.time.as_millis(),
+        r.power_w.to_bits(),
+        r.power_norm.to_bits(),
+        r.frozen as u64,
+        r.freezing_ratio.to_bits(),
+        r.u_target.to_bits(),
+        u64::from(r.violation),
+        r.capped_servers as u64,
+        r.mean_freq.to_bits(),
+        r.placed_jobs,
+        r.froze as u64,
+        r.unfroze as u64,
+        r.coverage.to_bits(),
+        u64::from(r.degraded),
+        u64::from(r.backstop_armed),
+    ] {
+        h.bytes(&v.to_le_bytes());
     }
 }
 

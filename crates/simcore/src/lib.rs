@@ -35,12 +35,14 @@
 
 pub mod check;
 pub mod dist;
+mod fnv;
 pub mod id;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use dist::{DistError, Distribution, Exp, LogNormal, Normal, Poisson};
+pub use fnv::Fnv;
 pub use id::IdGen;
 pub use queue::EventQueue;
 pub use rng::{derive_stream, derive_subseed, derive_substream, SimRng};

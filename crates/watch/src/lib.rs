@@ -47,7 +47,7 @@ pub use engine::{AlertRecord, Incident, WatchEngine, WatchReport};
 pub use rollup::WindowRollup;
 pub use rules::{default_rules, AlertRule, Cmp, RuleInput, DEFAULT_HEADROOM_MIN};
 
-use ampere_sim::{SimDuration, SimTime};
+use ampere_sim::{Fnv, SimDuration, SimTime};
 use ampere_telemetry::{Event, EventSink, Severity};
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -144,48 +144,14 @@ pub fn pass_marker(label: &'static str) -> Event {
     Event::new(SimTime::ZERO, Severity::Info, "watch", "pass").with("label", label)
 }
 
-/// FNV-1a digest over serialized lines; the alert/rule digest gates in
-/// `repro watch` and `report --alerts` both use this.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the digest.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Folds one line (plus a newline separator) into the digest.
-    pub fn line(&mut self, line: &str) {
-        self.bytes(line.as_bytes());
-        self.bytes(b"\n");
-    }
-
-    /// The digest value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-/// Digest of a line sequence (order-sensitive).
+/// FNV-1a digest of a line sequence (order-sensitive), each line
+/// followed by a newline; the alert/rule digest gates in `repro watch`
+/// and `report --alerts` both use this.
 pub fn digest_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
     let mut fnv = Fnv::new();
     for line in lines {
-        fnv.line(line.as_ref());
+        fnv.bytes(line.as_ref().as_bytes());
+        fnv.bytes(b"\n");
     }
     fnv.finish()
 }

@@ -9,14 +9,33 @@
 //! re-runs of the same seed.
 
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
+use ampere_faults::FaultPlan;
 use ampere_sim::SimDuration;
+use ampere_telemetry::Capture;
 
 use std::sync::Mutex;
 
-/// Serializes tests that install the process-global telemetry
+/// Serializes the tests that install the process-global telemetry
 /// pipeline: the dump file is per-scenario, but the global slot is
-/// shared.
+/// shared. Checksum-only tests need no lock: they run their fleets
+/// under a standalone capture, so their events never reach the global
+/// pipeline.
 static GLOBAL_PIPELINE: Mutex<()> = Mutex::new(());
+
+/// Runs a sharded fleet for 20 simulated minutes under its own
+/// standalone telemetry capture, returning the trajectory checksum and
+/// a dump of every shard's records.
+fn isolated_run(config: ShardedTestbedConfig) -> (u64, String) {
+    Capture::standalone().with(|| {
+        let mut sharded = ShardedTestbed::new(config);
+        sharded.run_for(SimDuration::from_mins(20));
+        sharded.finish();
+        let dump = (0..sharded.shard_count())
+            .map(|s| format!("{:?}\n", sharded.records(s)))
+            .collect();
+        (sharded.checksum(), dump)
+    })
+}
 
 fn dump_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -194,10 +213,7 @@ fn handle_and_string_keyed_paths_export_identical_jsonl() {
 #[test]
 fn trajectory_checksum_is_worker_count_invariant() {
     let checksum = |rows: usize, workers: usize, seed: u64| {
-        let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(rows, workers, seed));
-        sharded.run_for(SimDuration::from_mins(20));
-        sharded.finish();
-        sharded.checksum()
+        isolated_run(ShardedTestbedConfig::quick(rows, workers, seed)).0
     };
     let reference = checksum(5, 1, 7);
     for workers in [2, 3, 5, 8] {
@@ -214,18 +230,20 @@ fn trajectory_checksum_is_worker_count_invariant() {
     );
 }
 
-/// Runs a config at workers 1/2/4 and asserts all three checksums
-/// agree; returns the common checksum.
+/// Runs a config at workers 1/2/4 and asserts all three checksums and
+/// per-shard record dumps agree; returns the common checksum.
 fn worker_invariant_checksum(make: impl Fn(usize) -> ShardedTestbedConfig) -> u64 {
-    let run = |workers: usize| {
-        let mut sharded = ShardedTestbed::new(make(workers));
-        sharded.run_for(SimDuration::from_mins(20));
-        sharded.finish();
-        sharded.checksum()
-    };
-    let reference = run(1);
+    let (reference, reference_dump) = isolated_run(make(1));
     for workers in [2, 4] {
-        assert_eq!(run(workers), reference, "diverged at workers={workers}");
+        let (checksum, dump) = isolated_run(make(workers));
+        assert_eq!(
+            checksum, reference,
+            "checksum diverged at workers={workers}"
+        );
+        assert_eq!(
+            dump, reference_dump,
+            "records diverged at workers={workers}"
+        );
     }
     reference
 }
@@ -233,7 +251,6 @@ fn worker_invariant_checksum(make: impl Fn(usize) -> ShardedTestbedConfig) -> u6
 #[test]
 fn shard_count_not_divisible_by_workers_is_invariant() {
     // 7 shards over 2 and 4 workers: uneven tails at every barrier.
-    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     worker_invariant_checksum(|workers| ShardedTestbedConfig::quick(7, workers, 11));
 }
 
@@ -242,7 +259,6 @@ fn one_server_rows_are_invariant() {
     // Degenerate shards: each row is a single server, so the row
     // rollup, the freeze candidate set and the placement queue all
     // operate on one element.
-    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let checksum = worker_invariant_checksum(|workers| ShardedTestbedConfig {
         spec: ampere_cluster::ClusterSpec {
             rows: 1,
@@ -260,7 +276,6 @@ fn idle_fleet_with_zero_jobs_is_invariant() {
     // No arrivals at all: power is pure idle draw, the controller
     // never freezes, and the checksum must still be stable and
     // worker-count invariant.
-    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let idle = |workers: usize| ShardedTestbedConfig {
         profile: ampere_workload::RateProfile::Constant { per_min: 0.0 },
         ..ShardedTestbedConfig::quick(6, workers, 17)
@@ -268,4 +283,25 @@ fn idle_fleet_with_zero_jobs_is_invariant() {
     let checksum = worker_invariant_checksum(idle);
     // An idle fleet is deterministic across reruns too.
     assert_eq!(checksum, worker_invariant_checksum(idle));
+}
+
+#[test]
+fn faulted_fleet_is_invariant() {
+    // Sensor dropout, bias and noise, lost sweeps and lost freeze RPCs
+    // on every shard, each drawing from its own sub-seeded streams.
+    let faulted = |workers: usize| ShardedTestbedConfig {
+        faults: Some(FaultPlan {
+            sample_dropout: 0.05,
+            sweep_loss: 0.02,
+            sensor_noise: 0.01,
+            sensor_bias: 0.02,
+            rpc_loss: 0.05,
+            ..FaultPlan::seeded(7)
+        }),
+        ..ShardedTestbedConfig::quick(6, workers, 99)
+    };
+    let checksum = worker_invariant_checksum(faulted);
+    // The fault plan actually bit: a clean run differs.
+    let clean = isolated_run(ShardedTestbedConfig::quick(6, 4, 99)).0;
+    assert_ne!(checksum, clean, "fault plan had no effect");
 }
