@@ -1,4 +1,5 @@
-//! Micro-benchmarks of the substrates: scheduler dispatch, power
+//! Micro-benchmarks of the substrates: scheduler dispatch (including a
+//! saturated backlog that fits nowhere), power
 //! monitoring/aggregation, time-series queries, capping decisions and
 //! the full testbed tick. These bound the simulation's own throughput
 //! (simulated minutes per wall-clock second).
@@ -34,6 +35,28 @@ fn main() {
         },
         |(mut cluster, mut sched)| sched.dispatch(&mut cluster, &[]),
     );
+
+    // A standing backlog on a full row: every examined job fits nowhere,
+    // so this times the skip path (bound check, RNG jump, requeue).
+    {
+        let mut cluster = Cluster::new(ClusterSpec {
+            rows: 1,
+            racks_per_row: 1,
+            servers_per_rack: 8,
+            ..ClusterSpec::paper_row()
+        });
+        let mut sched = Scheduler::new(Box::new(RandomFit::default()), 1);
+        sched.submit((0..8).map(|i| JobRequest {
+            id: JobId::new(1_000_000 + i),
+            resources: Resources::cores_gb(32, 128),
+            duration: SimDuration::from_hours(24),
+        }));
+        assert_eq!(sched.dispatch(&mut cluster, &[]).placed.len(), 8);
+        sched.submit(jobs(50_000));
+        r.bench("dispatch_saturated_backlog_8_servers", || {
+            sched.dispatch(&mut cluster, &[])
+        });
+    }
 
     r.bench_with_setup(
         "cluster_advance_440_servers_5k_jobs",

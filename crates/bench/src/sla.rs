@@ -191,7 +191,11 @@ impl SlaBenchResult {
             out,
             "  sla-protection {}   budget-binding {}",
             if self.sla_protected() { "PASS" } else { "FAIL" },
-            if self.budget_binding() { "PASS" } else { "FAIL" },
+            if self.budget_binding() {
+                "PASS"
+            } else {
+                "FAIL"
+            },
         );
         out
     }

@@ -492,7 +492,10 @@ mod tests {
                 for row in 0..s.rows {
                     let row_classes = &classes[row * per_row..(row + 1) * per_row];
                     assert_eq!(
-                        row_classes.iter().filter(|&&c| c == ServiceClass::Batch).count(),
+                        row_classes
+                            .iter()
+                            .filter(|&&c| c == ServiceClass::Batch)
+                            .count(),
                         batch_per_row
                     );
                     assert!(row_classes[per_row - batch_per_row..]

@@ -163,11 +163,10 @@ fn sla_ordering_canary_is_detected_and_shrunk_by_the_batch() {
     // At least one failure has real shrinking work to show: >= 2
     // accepted steps across >= 2 distinct axes.
     assert!(
-        failures
-            .iter()
-            .any(|r| r.shrink.as_ref().is_some_and(|s| {
-                s.level >= 2 && s.axes.len() >= 2
-            })),
+        failures.iter().any(|r| r
+            .shrink
+            .as_ref()
+            .is_some_and(|s| { s.level >= 2 && s.axes.len() >= 2 })),
         "no sla-protection failure shrank along >= 2 axes: {:?}",
         failures
             .iter()

@@ -40,6 +40,21 @@ pub struct PlacementContext<'a> {
     /// Per-row normalized unused power (1 − P/PM), if the caller tracks
     /// it; empty when unknown. Only `PowerSpread` consumes this.
     pub row_headroom: &'a [f64],
+    /// Per-dimension upper bound on any candidate's free CPU and free
+    /// memory. It may be stale-high, never low: a job it does not fit
+    /// fits no candidate.
+    pub max_free: Resources,
+}
+
+/// The per-dimension maximum of free CPU and free memory over
+/// `candidates` ([`Resources::ZERO`] when there are none).
+pub(crate) fn max_free(candidates: &[Candidate]) -> Resources {
+    candidates.iter().fold(Resources::ZERO, |m, c| {
+        Resources::new(
+            m.cpu_millis.max(c.free.cpu_millis),
+            m.memory_mb.max(c.free.memory_mb),
+        )
+    })
 }
 
 /// An upper-level scheduling policy.
@@ -55,6 +70,29 @@ pub trait PlacementPolicy: Send {
         ctx: &PlacementContext<'_>,
         rng: &mut SimRng,
     ) -> Option<usize>;
+
+    /// How many RNG draws [`place`](Self::place) makes when the job fits
+    /// no candidate in `ctx`, or `None` when that count is not fixed.
+    ///
+    /// Dispatch skips a job that provably fits nowhere by jumping its RNG
+    /// ahead by this count instead of calling `place`, so the count is
+    /// part of the determinism contract (DESIGN §9): a wrong value
+    /// changes every later placement. The default, `None`, means "always
+    /// call `place`".
+    fn unplaceable_draws(&self, _ctx: &PlacementContext<'_>) -> Option<u64> {
+        None
+    }
+}
+
+/// The miss cost shared by the probing policies: `probes` probes plus
+/// the fallback sweep's start offset, one draw each; none without
+/// candidates.
+fn probe_miss_draws(probes: usize, ctx: &PlacementContext<'_>) -> Option<u64> {
+    Some(if ctx.candidates.is_empty() {
+        0
+    } else {
+        probes as u64 + 1
+    })
 }
 
 /// Probes up to `probes` random candidates and takes the first fit,
@@ -101,6 +139,10 @@ impl PlacementPolicy for RandomFit {
             .map(|k| (start + k) % n)
             .find(|&i| ctx.candidates[i].fits(job))
     }
+
+    fn unplaceable_draws(&self, ctx: &PlacementContext<'_>) -> Option<u64> {
+        probe_miss_draws(self.probes, ctx)
+    }
 }
 
 /// Power-of-d-choices least-loaded: probes `probes` random candidates
@@ -145,6 +187,10 @@ impl PlacementPolicy for LeastLoaded {
             };
         }
         best.or_else(|| RandomFit { probes: 0 }.place(job, ctx, rng))
+    }
+
+    fn unplaceable_draws(&self, ctx: &PlacementContext<'_>) -> Option<u64> {
+        probe_miss_draws(self.probes, ctx)
     }
 }
 
@@ -194,6 +240,10 @@ impl PlacementPolicy for BestFit {
         best.map(|(i, _)| i)
             .or_else(|| RandomFit { probes: 0 }.place(job, ctx, rng))
     }
+
+    fn unplaceable_draws(&self, ctx: &PlacementContext<'_>) -> Option<u64> {
+        probe_miss_draws(self.probes, ctx)
+    }
 }
 
 /// The paper's future-work idea (§6): steer jobs toward rows with more
@@ -217,6 +267,8 @@ impl Default for PowerSpread {
     }
 }
 
+// `unplaceable_draws` stays `None`: where the row lottery lands decides
+// whether the in-row probes run, so a miss has no fixed draw count.
 impl PlacementPolicy for PowerSpread {
     fn name(&self) -> &'static str {
         "power-spread"
@@ -308,6 +360,7 @@ mod tests {
             candidates: &cands,
             by_row: &by_row,
             row_headroom: &[],
+            max_free: max_free(&cands),
         };
         let mut rng = derive_stream(1, 3);
         let mut p = RandomFit::default();
@@ -323,6 +376,7 @@ mod tests {
             candidates: &cands,
             by_row: &by_row,
             row_headroom: &[],
+            max_free: max_free(&cands),
         };
         let mut rng = derive_stream(1, 3);
         assert_eq!(
@@ -341,11 +395,73 @@ mod tests {
     }
 
     #[test]
+    fn unplaceable_draws_match_what_a_miss_consumes() {
+        let mut gen = derive_stream(5, 3);
+        for case in 0..200 {
+            // Random candidate sets, including the empty one, and a job
+            // just over the largest free amount on one dimension.
+            let n = if case % 10 == 0 {
+                0
+            } else {
+                gen.gen_range(1..40usize)
+            };
+            let rows = gen.gen_range(1..4usize);
+            let cands: Vec<Candidate> = (0..n)
+                .map(|i| Candidate {
+                    id: ServerId::new(i as u64),
+                    row: RowId::new((i % rows) as u64),
+                    free: Resources::new(gen.gen_range(0..32_000u64), gen.gen_range(0..65_536u64)),
+                    utilization: gen.gen::<f64>(),
+                })
+                .collect();
+            let mut by_row = vec![Vec::new(); rows];
+            for (i, c) in cands.iter().enumerate() {
+                by_row[c.row.index()].push(i);
+            }
+            let headroom: Vec<f64> = (0..rows).map(|_| gen.gen::<f64>()).collect();
+            let bound = max_free(&cands);
+            let resources = if gen.gen_bool(0.5) {
+                Resources::new(bound.cpu_millis + 1, gen.gen_range(0..65_536u64))
+            } else {
+                Resources::new(gen.gen_range(0..32_000u64), bound.memory_mb + 1)
+            };
+            let job = JobRequest {
+                resources,
+                ..job(0)
+            };
+            let ctx = PlacementContext {
+                candidates: &cands,
+                by_row: &by_row,
+                row_headroom: &headroom,
+                max_free: bound,
+            };
+            let probes = gen.gen_range(0..70usize);
+            let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
+                Box::new(RandomFit { probes }),
+                Box::new(LeastLoaded { probes }),
+                Box::new(BestFit { probes }),
+            ];
+            for p in &mut policies {
+                let draws = p
+                    .unplaceable_draws(&ctx)
+                    .unwrap_or_else(|| panic!("{} declares its miss cost", p.name()));
+                let mut rng = derive_stream(case, 3);
+                let mut expected = rng.clone();
+                expected.advance(draws);
+                assert_eq!(p.place(&job, &ctx, &mut rng), None, "case {case}");
+                assert_eq!(rng, expected, "case {case}: {} drew != {draws}", p.name());
+            }
+            assert_eq!(PowerSpread::default().unplaceable_draws(&ctx), None);
+        }
+    }
+
+    #[test]
     fn empty_candidates() {
         let ctx = PlacementContext {
             candidates: &[],
             by_row: &[],
             row_headroom: &[],
+            max_free: Resources::ZERO,
         };
         let mut rng = derive_stream(1, 3);
         assert_eq!(RandomFit::default().place(&job(500), &ctx, &mut rng), None);
@@ -360,6 +476,7 @@ mod tests {
             candidates: &cands,
             by_row: &by_row,
             row_headroom: &[],
+            max_free: max_free(&cands),
         };
         let mut rng = derive_stream(2, 3);
         let mut p = LeastLoaded::default();
@@ -379,6 +496,7 @@ mod tests {
             candidates: &cands,
             by_row: &by_row,
             row_headroom: &[],
+            max_free: max_free(&cands),
         };
         let mut rng = derive_stream(3, 3);
         let mut p = BestFit::default();
@@ -408,6 +526,7 @@ mod tests {
             candidates: &cands,
             by_row: &by_row,
             row_headroom: &[0.01, 0.5],
+            max_free: max_free(&cands),
         };
         let mut rng = derive_stream(4, 3);
         let mut p = PowerSpread::default();

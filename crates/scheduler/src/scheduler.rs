@@ -13,7 +13,7 @@ use ampere_telemetry::{
 };
 use ampere_workload::JobRequest;
 
-use crate::policy::{Candidate, PlacementContext, PlacementPolicy};
+use crate::policy::{self, Candidate, PlacementContext, PlacementPolicy};
 
 /// Counters the evaluation reads after a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,9 +97,6 @@ pub struct Scheduler {
     /// over the whole fleet, so the snapshot must not reallocate.
     cand_scratch: Vec<Candidate>,
     by_row_scratch: Vec<Vec<usize>>,
-    /// Double buffer for the requeue pass (swapped with `queue` each
-    /// round instead of allocating a fresh deque).
-    spare_queue: VecDeque<(JobRequest, u64)>,
     telemetry: Telemetry,
     submitted_counter: Counter,
     placed_counter: Counter,
@@ -143,7 +140,6 @@ impl Scheduler {
             freeze_book: HashMap::new(),
             cand_scratch: Vec::new(),
             by_row_scratch: Vec::new(),
-            spare_queue: VecDeque::new(),
             submitted_counter: telemetry.counter("sched_jobs_submitted", &[]),
             placed_counter: telemetry.counter("sched_jobs_placed", &[]),
             completed_counter: telemetry.counter("sched_jobs_completed", &[]),
@@ -328,6 +324,12 @@ impl Scheduler {
     /// Jobs that do not fit anywhere stay queued (the paper: "there are
     /// often jobs waiting in the scheduler queue").
     ///
+    /// A job larger than every candidate's free resources on some
+    /// dimension is requeued without calling the policy when the policy
+    /// declares its miss cost ([`PlacementPolicy::unplaceable_draws`]);
+    /// the RNG is jumped ahead by that cost, so the trajectory is the
+    /// same as if `place` had run and missed.
+    ///
     /// `row_headroom` optionally carries per-row normalized unused power
     /// for headroom-aware policies; pass `&[]` otherwise.
     pub fn dispatch(&mut self, cluster: &mut Cluster, row_headroom: &[f64]) -> DispatchOutcome {
@@ -349,46 +351,75 @@ impl Scheduler {
             });
         });
 
+        // Free resources only shrink within a round, so the bound stays
+        // sound as jobs place. Shrinking a candidate that held a maximum
+        // only marks it stale; it is recomputed after a miss, which
+        // already costs a sweep of the candidates.
+        let mut max_free = policy::max_free(&candidates);
+        let mut max_free_stale = false;
+        // Draws owed by skipped jobs, replayed before the next `place`.
+        let mut pending_draws = 0u64;
+
         let mut placed = Vec::new();
-        let mut still_queued = mem::take(&mut self.spare_queue);
-        still_queued.clear();
         let budget = self.dispatch_budget.min(self.queue.len());
-        for _ in 0..budget {
-            let (job, submitted_round) = self.queue.pop_front().expect("budget <= len");
+        // The examined window is compacted in place: jobs that stay
+        // queued slide down over placed ones, so retries keep their order
+        // ahead of the unexamined (over-budget) tail.
+        let mut kept = 0;
+        for i in 0..budget {
+            let (job, submitted_round) = self.queue[i];
             let ctx = PlacementContext {
                 candidates: &candidates,
                 by_row: &by_row,
                 row_headroom,
+                max_free,
             };
-            match self.policy.place(&job, &ctx, &mut self.rng) {
-                Some(idx) => {
-                    let target = candidates[idx].id;
-                    match cluster
-                        .server_mut(target)
-                        .place(job.id, job.resources, job.duration)
-                    {
-                        Ok(()) => {
-                            let s = cluster.server(target);
-                            candidates[idx].free = s.free();
-                            candidates[idx].utilization = s.utilization();
-                            self.stats.placed += 1;
-                            let waited = (self.round - submitted_round) as f64;
-                            self.wait_rounds.push(waited);
-                            self.wait_hist.record(waited);
-                            placed.push((job.id, target));
-                        }
-                        Err(_) => {
-                            // The policy picked a stale candidate; requeue.
-                            still_queued.push_back((job, submitted_round));
-                        }
-                    }
+            let skip = if max_free.fits(&job.resources) {
+                None
+            } else {
+                self.policy.unplaceable_draws(&ctx)
+            };
+            let pick = match skip {
+                Some(draws) => {
+                    pending_draws += draws;
+                    None
                 }
-                None => still_queued.push_back((job, submitted_round)),
-            }
+                None => {
+                    self.rng.advance(mem::take(&mut pending_draws));
+                    let pick = self.policy.place(&job, &ctx, &mut self.rng);
+                    if pick.is_none() && max_free_stale {
+                        max_free = policy::max_free(&candidates);
+                        max_free_stale = false;
+                    }
+                    // A stale pick fails to place and is requeued.
+                    pick.filter(|&idx| {
+                        cluster
+                            .server_mut(candidates[idx].id)
+                            .place(job.id, job.resources, job.duration)
+                            .is_ok()
+                    })
+                }
+            };
+            let Some(idx) = pick else {
+                self.queue[kept] = (job, submitted_round);
+                kept += 1;
+                continue;
+            };
+            let target = candidates[idx].id;
+            let s = cluster.server(target);
+            let was = candidates[idx].free;
+            max_free_stale |=
+                was.cpu_millis == max_free.cpu_millis || was.memory_mb == max_free.memory_mb;
+            candidates[idx].free = s.free();
+            candidates[idx].utilization = s.utilization();
+            self.stats.placed += 1;
+            let waited = (self.round - submitted_round) as f64;
+            self.wait_rounds.push(waited);
+            self.wait_hist.record(waited);
+            placed.push((job.id, target));
         }
-        // Unprocessed (over-budget) jobs keep their order behind retries.
-        still_queued.extend(self.queue.drain(..));
-        self.spare_queue = mem::replace(&mut self.queue, still_queued);
+        self.rng.advance(pending_draws);
+        self.queue.drain(kept..budget);
         self.cand_scratch = candidates;
         self.by_row_scratch = by_row;
         self.round += 1;
@@ -692,6 +723,103 @@ mod tests {
         let out = sched.dispatch(&mut cluster, &[]);
         assert!(out.placed.is_empty());
         assert_eq!(out.queued, 1);
+    }
+
+    /// `RandomFit` with the skip path disabled: `place` runs for every
+    /// examined job, as it did before dispatch learned to skip.
+    struct AlwaysPlace(RandomFit);
+
+    impl PlacementPolicy for AlwaysPlace {
+        fn name(&self) -> &'static str {
+            "always-place"
+        }
+
+        fn place(
+            &mut self,
+            job: &JobRequest,
+            ctx: &PlacementContext<'_>,
+            rng: &mut SimRng,
+        ) -> Option<usize> {
+            self.0.place(job, ctx, rng)
+        }
+    }
+
+    #[test]
+    fn skipping_unplaceable_jobs_keeps_the_trajectory() {
+        let spec = ClusterSpec {
+            rows: 1,
+            racks_per_row: 2,
+            servers_per_rack: 4,
+            ..ClusterSpec::tiny()
+        };
+        let mut fast_cluster = Cluster::new(spec);
+        let mut slow_cluster = Cluster::new(spec);
+        let mut fast = scheduler();
+        let mut slow = Scheduler::new(Box::new(AlwaysPlace(RandomFit::default())), 11);
+        fast.dispatch_budget = 300;
+        slow.dispatch_budget = 300;
+        let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
+        let mut gen = derive_stream(77, 1);
+        let mut next_id = 0;
+        for round in 0..30 {
+            // A mixed-size backlog: many jobs fit an idle server, some
+            // only when it is nearly empty, some never (over 32 cores).
+            let batch: Vec<JobRequest> = (0..gen.gen_range(20..120u64))
+                .map(|_| {
+                    next_id += 1;
+                    JobRequest {
+                        id: JobId::new(next_id),
+                        resources: Resources::new(
+                            gen.gen_range(500..40_000u64),
+                            gen.gen_range(256..140_000u64),
+                        ),
+                        duration: SimDuration::from_mins(gen.gen_range(1..6u64)),
+                    }
+                })
+                .collect();
+            fast.submit(batch.iter().copied());
+            slow.submit(batch);
+            let all_frozen = round == 17;
+            for &id in &servers {
+                let freeze = all_frozen || gen.gen_bool(0.25);
+                for (sched, cluster) in [
+                    (&mut fast, &mut fast_cluster),
+                    (&mut slow, &mut slow_cluster),
+                ] {
+                    if freeze {
+                        sched.freeze(cluster, id);
+                    } else {
+                        sched.unfreeze(cluster, id);
+                    }
+                }
+            }
+            let a = fast.dispatch(&mut fast_cluster, &[]);
+            let b = slow.dispatch(&mut slow_cluster, &[]);
+            assert_eq!(a.placed, b.placed, "round {round}");
+            assert_eq!(a.queued, b.queued, "round {round}");
+            assert_eq!(fast.queue, slow.queue, "round {round}");
+            assert_eq!(fast.rng, slow.rng, "round {round}");
+            assert_eq!(
+                format!("{:?}", fast.wait_rounds()),
+                format!("{:?}", slow.wait_rounds()),
+                "round {round}"
+            );
+            for (sched, cluster) in [
+                (&mut fast, &mut fast_cluster),
+                (&mut slow, &mut slow_cluster),
+            ] {
+                let done = cluster.advance(SimDuration::from_mins(1));
+                sched.on_completed(done.len() as u64);
+            }
+        }
+        // The backlog exceeds the budget and holds jobs no server can
+        // ever fit, so the skip path ran every round.
+        assert!(fast.queue_len() > 300);
+        assert!(fast.stats().placed > 50);
+        assert!(fast
+            .queue
+            .iter()
+            .any(|(j, _)| j.resources.cpu_millis > spec.capacity.cpu_millis));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! in profiles.
 
 use std::ops::{Range, RangeInclusive};
+use std::sync::OnceLock;
 
 /// The RNG used across the simulation: xoshiro256++ with SplitMix64
 /// seeding. 256-bit state, period 2^256 − 1, passes BigCrush.
@@ -39,18 +40,33 @@ impl SimRng {
     /// Advances the generator and returns the next 64 raw bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = self.s;
+        let [s0, .., s3] = self.s;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-        let t = s1 << 17;
-        let mut s = [s0, s1, s2, s3];
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        self.s = s;
+        self.s = step(self.s);
         result
+    }
+
+    /// Skips `n` outputs: leaves the generator exactly where `n` calls
+    /// to [`SimRng::next_u64`] would, in O(log n) time.
+    ///
+    /// The state transition is linear over GF(2), so `n` steps are the
+    /// bit matrix Tⁿ. The low 7 bits of `n` are stepped directly; each
+    /// higher set bit `k` applies the precomputed T^(2^k), built on first
+    /// use.
+    pub fn advance(&mut self, n: u64) {
+        for _ in 0..n & ((1 << DIRECT_BITS) - 1) {
+            self.s = step(self.s);
+        }
+        let mut high = n >> DIRECT_BITS;
+        if high == 0 {
+            return;
+        }
+        let table = jump_table();
+        while high != 0 {
+            let k = high.trailing_zeros() as usize;
+            self.s = apply(&table[k], self.s);
+            high &= high - 1;
+        }
     }
 
     /// Returns the next value of type `T` (`u64`/`u32`/`f64`/`bool`; `f64`
@@ -72,6 +88,74 @@ impl SimRng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen::<f64>() < p
     }
+}
+
+/// One xoshiro256 state transition (the output function is separate).
+#[inline]
+fn step([s0, s1, s2, s3]: [u64; 4]) -> [u64; 4] {
+    let t = s1 << 17;
+    let mut s = [s0, s1, s2, s3];
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    s
+}
+
+/// Jump lengths below 2^`DIRECT_BITS` are stepped one by one: 127
+/// steps cost about as much as one matrix application.
+const DIRECT_BITS: u32 = 7;
+
+/// A 256×256 bit matrix over GF(2), stored as its 256 columns: column
+/// `i` is the image of state bit `i` (bit `i % 64` of word `i / 64`).
+type BitMatrix = [[u64; 4]; 256];
+
+/// Multiplies `m` by the state vector `v`: the XOR of the columns
+/// selected by `v`'s set bits.
+fn apply(m: &BitMatrix, v: [u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (w, &word) in v.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let col = &m[w * 64 + bits.trailing_zeros() as usize];
+            for (o, c) in out.iter_mut().zip(col) {
+                *o ^= c;
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
+/// T^(2^(k + DIRECT_BITS)) for every `k` a `u64` jump can need
+/// (57 matrices, 456 KiB), built once by repeated squaring.
+fn jump_table() -> &'static [BitMatrix] {
+    static TABLE: OnceLock<Vec<BitMatrix>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut m: BitMatrix = [[0; 4]; 256];
+        for (i, col) in m.iter_mut().enumerate() {
+            let mut s = [0u64; 4];
+            s[i / 64] = 1 << (i % 64);
+            for _ in 0..1u32 << DIRECT_BITS {
+                s = step(s);
+            }
+            *col = s;
+        }
+        let levels = (u64::BITS - DIRECT_BITS) as usize;
+        let mut table = Vec::with_capacity(levels);
+        table.push(m);
+        while table.len() < levels {
+            let prev = table.last().expect("seeded with T^(2^DIRECT_BITS)");
+            let mut sq: BitMatrix = [[0; 4]; 256];
+            for (col, &p) in sq.iter_mut().zip(prev.iter()) {
+                *col = apply(prev, p);
+            }
+            table.push(sq);
+        }
+        table
+    })
 }
 
 /// Types [`SimRng::gen`] can produce.
@@ -381,6 +465,57 @@ mod tests {
             (0..5).map(|_| rngs[2].next_u64()).collect()
         };
         assert_eq!(draws(4), draws(64));
+    }
+
+    fn stepped(mut rng: SimRng, n: u64) -> SimRng {
+        for _ in 0..n {
+            rng.next_u64();
+        }
+        rng
+    }
+
+    fn advanced(mut rng: SimRng, n: u64) -> SimRng {
+        rng.advance(n);
+        rng
+    }
+
+    #[test]
+    fn advance_equals_repeated_next_u64() {
+        let mut pick = SimRng::seed_from_u64(99);
+        let random_n = pick.gen_range(0..1u64 << 24);
+        for seed in [0, 1, 42, 0xDEAD_BEEF] {
+            let rng = SimRng::seed_from_u64(seed);
+            for n in [0, 1, 127, 128, 129, 33 * 50_000, random_n] {
+                assert_eq!(
+                    advanced(rng.clone(), n),
+                    stepped(rng.clone(), n),
+                    "seed {seed}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn advance_composes_additively() {
+        let half = u64::MAX / 2;
+        let pairs = [
+            (1 << 40, 3 << 38),
+            (half, 1),
+            (half, half),
+            (half - 12_345, 12_345 + 127),
+            (0xF0F0_F0F0_F0F0, 0x0F0F_0F0F_0F0F),
+        ];
+        for seed in [3, 7, 1_000_003] {
+            let rng = SimRng::seed_from_u64(seed);
+            for (a, b) in pairs {
+                let mut split = rng.clone();
+                split.advance(a);
+                split.advance(b);
+                assert_eq!(split, advanced(rng.clone(), a + b), "seed {seed}, {a}+{b}");
+                // The result must be a real jump, not a no-op.
+                assert_ne!(split, rng);
+            }
+        }
     }
 
     #[test]

@@ -71,9 +71,7 @@ impl RateProfile {
                 }
                 rate
             }
-            RateProfile::Mix { components } => {
-                components.iter().map(|c| c.rate_per_min(t)).sum()
-            }
+            RateProfile::Mix { components } => components.iter().map(|c| c.rate_per_min(t)).sum(),
         }
     }
 
