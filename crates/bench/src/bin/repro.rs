@@ -21,66 +21,29 @@
 //! DESIGN.md §9). The chaos grid, the ablation groups, Table 3's cases
 //! and Fig 10's two workloads additionally fan out internally.
 //!
-//! `repro scale` runs the rows × workers scaling sweep instead of a
-//! figure: it prints a throughput/speedup table, verifies that every
-//! worker count produced the same trajectory checksum, and writes the
-//! sweep as JSONL to `BENCH_scale.json` (override with
-//! `--scale-out FILE`; render with `ampere-obs report --scale FILE`).
-//! `--hyper` switches the shards from tiny 8-server rows to full
-//! 440-server paper rows and sweeps up to 2273 shards — a
-//! 1,000,120-server fleet; with `--quick` it runs one
-//! hyperscale-representative 64-row point (the CI smoke). Setting
-//! `AMPERE_SCALE_TICKS_PER_SERVER_FLOOR` makes the run exit non-zero
-//! if any point's per-server throughput (server-ticks/sec) falls below
-//! the floor.
+//! `repro scale|profile|watch|hier|sla` each run one benchmark instead
+//! of a figure (see the matching `ampere_bench` module): they print the
+//! benchmark's report section, write its record as JSONL to
+//! `BENCH_<bench>.json` (override with `--<bench>-out FILE`; render
+//! with `report --<bench> FILE`, `--alerts` for watch) and exit
+//! non-zero if any gate of the record failed — the same gate list
+//! `report` applies (`ampere_obs::dump`).
 //!
-//! `repro profile` measures what observing the simulator costs: the
-//! same seeded workload runs once with telemetry disabled and once
-//! fully instrumented (serialization, per-tick batching, deterministic
-//! event sampling, the tick-phase profiler), the per-phase wall-time
-//! breakdown and self-overhead fraction are printed, and the result is
-//! written as JSONL to `BENCH_profile.json` (override with
-//! `--profile-out FILE`; render and gate with `ampere-obs report
-//! --profile FILE`). `--sample-period N` sets the 1-in-N event sampler
-//! period. Both passes must produce the same trajectory checksum.
-//!
-//! `repro hier` runs the hierarchical-control benchmark: the full
-//! grant-loss × arbiter-outage × row-fault grid from
-//! `ampere_experiments::hier` — N per-row controllers under the global
-//! budget arbiter with two-level breakers — and writes the sweep,
-//! per-cell verdicts and the budget-reallocation timeline as JSONL to
-//! `BENCH_hier.json` (override with `--hier-out FILE`; render and gate
-//! with `ampere-obs report --hier FILE`). Exits non-zero if any breaker
-//! tripped at either level, if a healthy sibling's trajectory diverged
-//! under a row fault, or if a substation trip lacked a row-level or
-//! control-plane explanation. The dump (header aside) is byte-identical
-//! at any `--workers` count.
-//!
-//! `repro sla` runs the mixed-fleet SLA benchmark: three arms
-//! (uncontrolled baseline, uniform freezing, class-aware selective
-//! freezing) run the same seed, the same mixed diurnal fleet — a
-//! streaming-service user population split across rows with staggered
-//! evening peaks — and the same power budget, and the client-side
-//! p99.9 GET latency of each arm is measured through the interactive
-//! queueing model. Results are written as JSONL to `BENCH_sla.json`
-//! (override with `--sla-out FILE`; render and gate with `ampere-obs
-//! report --sla FILE`). Exits non-zero if selective freezing fails to
-//! hold p99.9 within 1.2x of the baseline, if uniform freezing fails
-//! to exceed that bar (the comparison must discriminate), or if the
-//! budget never bound. The dump (header aside) is byte-identical at
-//! any `--workers` count.
-//!
-//! `repro watch` runs the live-observability benchmark: a clean
-//! light-workload pass and a chaos-injected heavy pass execute twice —
-//! bare, then with the `ampere-watch` tap attached to the global
-//! pipeline — and the streaming rollups, risk gauges, alert stream and
-//! incident ledger are written as JSONL to `BENCH_watch.json`
-//! (override with `--watch-out FILE`; render and gate with
-//! `ampere-obs report --alerts FILE`). Exits non-zero if the tap
-//! perturbed the trajectory checksum, if any alert fired on the clean
-//! pass, or if the chaos pass failed to open a breaker-proximity
-//! incident. The alert stream evaluates on the merged replay stream,
-//! so it is byte-identical at any `--workers` count.
+//! - `scale` sweeps rows × workers on the parallel engine; `--hyper`
+//!   switches to full 440-server rows up to 2273 shards (1,000,120
+//!   servers), and with `--quick` to one 64-row point. Setting
+//!   `AMPERE_SCALE_TICKS_PER_SERVER_FLOOR` adds a per-server
+//!   throughput gate (server-ticks/sec).
+//! - `profile` runs one seeded workload with telemetry off and fully
+//!   instrumented and reports the self-overhead and per-phase wall
+//!   time; `--sample-period N` sets the 1-in-N event sampler period.
+//! - `watch` runs a clean and a chaos pass bare and with the
+//!   `ampere-watch` tap attached: alert stream, incidents, rollups.
+//! - `hier` runs the grant-loss × arbiter-outage × row-fault grid of
+//!   the two-level budget arbiter (`--seed S` overrides the seed).
+//! - `sla` compares uncontrolled, uniform and class-aware selective
+//!   freezing on a mixed interactive/batch fleet by client-side p99.9
+//!   (`--seed S` overrides the seed).
 //!
 //! `--telemetry FILE` installs the global telemetry pipeline before any
 //! testbed is built: every structured event (controller ticks, freezes,
@@ -103,6 +66,7 @@
 
 use ampere_bench::{f3, pct, Output};
 use ampere_experiments as exp;
+use ampere_obs::BenchDump;
 
 /// Deferred printing half of one experiment: everything the compute
 /// phase produced, replayed onto stdout/CSV in serial figure order.
@@ -111,22 +75,9 @@ type Printer = Box<dyn FnOnce(&Output) + Send>;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    let telemetry_path = args
-        .iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-    {
+    let csv_dir: Option<std::path::PathBuf> = flag(&args, "--csv");
+    let telemetry_path: Option<std::path::PathBuf> = flag(&args, "--telemetry");
+    if let Some(n) = flag(&args, "--workers") {
         ampere_par::set_default_workers(n);
     }
     // Install before building any testbed: components capture the
@@ -252,12 +203,7 @@ fn main() {
 }
 
 fn scale(quick: bool, args: &[String]) {
-    let max_workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(ampere_par::available_workers);
+    let max_workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let hyper = args.iter().any(|a| a == "--hyper");
     let config = match (hyper, quick) {
         (true, true) => ampere_bench::scale::ScaleConfig::hyper_quick(max_workers),
@@ -267,37 +213,11 @@ fn scale(quick: bool, args: &[String]) {
     };
     println!("=== Scale: rows x workers — parallel engine throughput ===\n");
     let r = ampere_bench::scale::run(&config);
-    print!("{}", r.render_table());
-    let path = args
-        .iter()
-        .position(|a| a == "--scale-out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_scale.json".to_string(), String::clone);
-    std::fs::write(&path, r.to_jsonl()).expect("write scale sweep");
-    eprintln!("scale sweep written to {path}");
-    if r.thread_invariant() {
-        println!("\nthread-invariant: every worker count reproduced the same trajectory checksum");
-    } else {
-        eprintln!("\nDETERMINISM BROKEN: checksums differ across worker counts");
-        std::process::exit(1);
-    }
-    if !r.clears_floor() {
-        eprintln!(
-            "\nTHROUGHPUT FLOOR MISSED: a point fell below {} server-ticks/sec (${})",
-            r.ticks_per_server_floor,
-            ampere_bench::scale::TICKS_PER_SERVER_FLOOR_ENV
-        );
-        std::process::exit(1);
-    }
+    publish("scale", &r, args, "--scale-out");
 }
 
 fn profile(quick: bool, args: &[String]) {
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(ampere_par::available_workers);
+    let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let mut config = if quick {
         ampere_bench::profile::ProfileConfig::quick(workers)
     } else {
@@ -308,27 +228,11 @@ fn profile(quick: bool, args: &[String]) {
     }
     println!("=== Profile: telemetry self-overhead and tick-phase breakdown ===\n");
     let r = ampere_bench::profile::run(&config);
-    print!("{}", r.render_table());
-    let path = args
-        .iter()
-        .position(|a| a == "--profile-out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_profile.json".to_string(), String::clone);
-    std::fs::write(&path, r.to_jsonl()).expect("write profile run");
-    eprintln!("profile run written to {path}");
-    if !r.digest_clean() {
-        eprintln!("\nDETERMINISM BROKEN: instrumentation changed the trajectory checksum");
-        std::process::exit(1);
-    }
+    publish("profile", &r, args, "--profile-out");
 }
 
 fn watch(quick: bool, args: &[String]) {
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(ampere_par::available_workers);
+    let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let config = if quick {
         ampere_bench::watch::WatchBenchConfig::quick(workers)
     } else {
@@ -336,36 +240,7 @@ fn watch(quick: bool, args: &[String]) {
     };
     println!("=== Watch: streaming rollups, gauges and deterministic alerting ===\n");
     let r = ampere_bench::watch::run(config);
-    print!("{}", r.render_table());
-    let path = args
-        .iter()
-        .position(|a| a == "--watch-out")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| "BENCH_watch.json".to_string(), String::clone);
-    std::fs::write(&path, r.to_jsonl()).expect("write watch run");
-    eprintln!("watch run written to {path}");
-    let mut failed = false;
-    if !r.digest_clean() {
-        eprintln!("\nDETERMINISM BROKEN: attaching the watch tap changed the trajectory checksum");
-        failed = true;
-    }
-    if r.clean_fires() != 0 {
-        eprintln!(
-            "\nALERT NOISE: {} alert(s) fired during the clean pass (want 0)",
-            r.clean_fires()
-        );
-        failed = true;
-    }
-    if r.chaos_proximity_incidents() == 0 {
-        eprintln!(
-            "\nALERT MISS: no {} incident opened during the chaos pass (want >= 1)",
-            ampere_bench::watch::PROXIMITY_RULE
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    publish("watch", &r, args, "--watch-out");
 }
 
 fn hier(quick: bool, args: &[String]) {
@@ -380,28 +255,7 @@ fn hier(quick: bool, args: &[String]) {
     }
     println!("=== Hier: multi-row control under a fault-tolerant budget arbiter ===\n");
     let r = ampere_bench::hier::run(&config);
-    print!("{}", r.render_table());
-    let path: String = flag(args, "--hier-out").unwrap_or_else(|| "BENCH_hier.json".to_string());
-    std::fs::write(&path, r.to_jsonl()).expect("write hier sweep");
-    eprintln!("hier sweep written to {path}");
-    let mut failed = false;
-    if !r.zero_trips() {
-        eprintln!("\nSAFETY BROKEN: a breaker tripped (substation or row) inside the fault grid");
-        failed = true;
-    }
-    if r.has_isolation_axis() && !r.isolation_ok() {
-        eprintln!("\nISOLATION BROKEN: a healthy sibling's trajectory changed under a row fault");
-        failed = true;
-    }
-    if !r.trips_explained() {
-        eprintln!(
-            "\nATTRIBUTION BROKEN: a substation trip had no row-level or control-plane cause"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    publish("hier", &r, args, "--hier-out");
 }
 
 fn sla(quick: bool, args: &[String]) {
@@ -416,27 +270,26 @@ fn sla(quick: bool, args: &[String]) {
     }
     println!("=== SLA: uniform vs selective freezing on a mixed interactive/batch fleet ===\n");
     let r = ampere_bench::sla::run(&config);
-    print!("{}", r.render_table());
-    let path: String = flag(args, "--sla-out").unwrap_or_else(|| "BENCH_sla.json".to_string());
-    std::fs::write(&path, r.to_jsonl()).expect("write sla comparison");
-    eprintln!("sla comparison written to {path}");
-    let mut failed = false;
-    if !r.sla_protected() {
-        eprintln!(
-            "\nSLA GATE FAILED: selective must hold p99.9 within {:.1}x of baseline while uniform exceeds it",
-            r.result.sla_factor
-        );
-        failed = true;
-    }
-    if !r.budget_binding() {
-        eprintln!(
-            "\nVACUOUS COMPARISON: the budget never bound (no freezing or no baseline overrun)"
-        );
-        failed = true;
-    }
-    if failed {
+    publish("sla", &r, args, "--sla-out");
+}
+
+/// Prints a benchmark's report section, writes its dump to
+/// `--<bench>-out FILE` (default `BENCH_<bench>.json`) and exits 1 if
+/// any of its gates failed.
+fn publish(bench: &str, record: &dyn BenchDump, args: &[String], out_flag: &str) {
+    print!("{}", record.to_markdown());
+    if !write_dump(bench, record, args, out_flag) {
         std::process::exit(1);
     }
+}
+
+/// Writes a benchmark's dump and reports whether all its gates passed
+/// (failures are printed to stderr).
+fn write_dump(bench: &str, record: &dyn BenchDump, args: &[String], out_flag: &str) -> bool {
+    let path: String = flag(args, out_flag).unwrap_or_else(|| format!("BENCH_{bench}.json"));
+    std::fs::write(&path, record.encode()).expect("write benchmark dump");
+    eprintln!("{bench} dump written to {path}");
+    ampere_obs::gates_pass(bench, &record.gates())
 }
 
 /// Parses `--name value` anywhere in the argument list.
@@ -515,11 +368,12 @@ fn scenarios(args: &[String]) {
             );
         }
     }
-    let path: String =
-        flag(args, "--scenarios-out").unwrap_or_else(|| "BENCH_scenarios.json".to_string());
-    std::fs::write(&path, report.to_jsonl(bug_env)).expect("write scenario batch");
-    eprintln!("scenario batch written to {path}");
-    if report.failed() == 0 {
+    if write_dump(
+        "scenarios",
+        &report.record(bug_env),
+        args,
+        "--scenarios-out",
+    ) {
         println!("\nverdict: PASS — every invariant held across {count} scenarios");
     } else {
         println!(

@@ -10,13 +10,15 @@
 //!
 //! The checksum column is the point of the exercise: every worker count
 //! at a given row count must produce the same checksum, or the engine
-//! broke its determinism contract. `ampere-obs report --scale` checks
-//! exactly that from the emitted `BENCH_scale.json`.
+//! broke its determinism contract. The result is an
+//! [`ampere_obs::ScaleSweep`], whose gates `repro scale` and
+//! `report --scale` both exit on.
 
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
+use ampere_obs::dump::hex;
+use ampere_obs::{ScalePoint, ScaleSweep};
 use ampere_sim::SimDuration;
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Environment variable carrying the per-server throughput soft floor
@@ -103,47 +105,6 @@ impl ScaleConfig {
     }
 }
 
-/// One measured grid point.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Shard (row) count.
-    pub rows: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Wall-clock time for the run, milliseconds.
-    pub wall_ms: f64,
-    /// Simulated domain-minutes (`rows · sim_minutes`).
-    pub sim_mins: u64,
-    /// Throughput: simulated domain-minutes per wall-second.
-    pub sim_mins_per_sec: f64,
-    /// Total servers simulated (`rows · servers-per-row`).
-    pub servers: usize,
-    /// Throughput normalized by fleet size: simulated server-ticks per
-    /// wall-second (`sim_mins · servers-per-row / wall`). The scale
-    /// engine's figure of merit — comparable across row sizes.
-    pub server_ticks_per_sec: f64,
-    /// Wall-clock speedup vs the 1-worker run at the same row count.
-    pub speedup: f64,
-    /// Deterministic trajectory checksum ([`ShardedTestbed::checksum`]).
-    pub checksum: u64,
-}
-
-/// The whole sweep.
-#[derive(Debug, Clone)]
-pub struct ScaleResult {
-    /// All measured points, row-major (rows outer, workers inner).
-    pub points: Vec<ScalePoint>,
-    /// Simulated minutes per point.
-    pub sim_minutes: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Servers per row shard (8 tiny-row, 440 hyperscale).
-    pub servers_per_row: usize,
-    /// Per-server throughput soft floor (server-ticks per wall-second)
-    /// from [`TICKS_PER_SERVER_FLOOR_ENV`]; `0` disables the gate.
-    pub ticks_per_server_floor: f64,
-}
-
 /// The configured soft floor, `0.0` when unset or unparseable.
 pub fn ticks_per_server_floor() -> f64 {
     std::env::var(TICKS_PER_SERVER_FLOOR_ENV)
@@ -154,7 +115,7 @@ pub fn ticks_per_server_floor() -> f64 {
 
 /// Runs the sweep. Wall-clock numbers vary run to run (this is a
 /// benchmark); the checksums must not.
-pub fn run(config: &ScaleConfig) -> ScaleResult {
+pub fn run(config: &ScaleConfig) -> ScaleSweep {
     let shard_config = |rows, workers| {
         if config.hyper {
             ShardedTestbedConfig::hyper(rows, workers, config.seed)
@@ -162,7 +123,7 @@ pub fn run(config: &ScaleConfig) -> ScaleResult {
             ShardedTestbedConfig::quick(rows, workers, config.seed)
         }
     };
-    let servers_per_row = shard_config(1, 1).spec.server_count();
+    let servers_per_row = shard_config(1, 1).spec.server_count() as u64;
     let mut points = Vec::new();
     for &rows in &config.rows {
         let mut serial_ms = None;
@@ -179,126 +140,33 @@ pub fn run(config: &ScaleConfig) -> ScaleResult {
                 serial_ms = Some(wall_ms);
             }
             let sim_mins = rows as u64 * config.sim_minutes;
-            let server_ticks = (sim_mins * servers_per_row as u64) as f64;
+            let server_ticks = (sim_mins * servers_per_row) as f64;
             points.push(ScalePoint {
-                rows,
-                workers,
+                rows: rows as u64,
+                workers: workers as u64,
                 wall_ms,
                 sim_mins,
                 sim_mins_per_sec: sim_mins as f64 / (wall_ms / 1e3),
-                servers: rows * servers_per_row,
+                servers: rows as u64 * servers_per_row,
                 server_ticks_per_sec: server_ticks / (wall_ms / 1e3),
                 speedup: serial_ms.map_or(1.0, |s| s / wall_ms),
-                checksum: sharded.checksum(),
+                checksum: hex(sharded.checksum()),
             });
         }
     }
-    ScaleResult {
-        points,
+    ScaleSweep {
         sim_minutes: config.sim_minutes,
         seed: config.seed,
         servers_per_row,
         ticks_per_server_floor: ticks_per_server_floor(),
-    }
-}
-
-impl ScaleResult {
-    /// Serializes the sweep as JSONL: a header line, then one line per
-    /// point. Checksums are hex strings (u64 does not survive a float
-    /// roundtrip).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"bench\":\"scale\",\"sim_minutes\":{},\"seed\":{},\"points\":{},\
-             \"servers_per_row\":{},\"ticks_per_server_floor\":{:.3}}}",
-            self.sim_minutes,
-            self.seed,
-            self.points.len(),
-            self.servers_per_row,
-            self.ticks_per_server_floor
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{{\"rows\":{},\"workers\":{},\"wall_ms\":{:.3},\"sim_mins\":{},\
-                 \"sim_mins_per_sec\":{:.3},\"servers\":{},\"server_ticks_per_sec\":{:.3},\
-                 \"speedup\":{:.3},\"checksum\":\"{:016x}\"}}",
-                p.rows,
-                p.workers,
-                p.wall_ms,
-                p.sim_mins,
-                p.sim_mins_per_sec,
-                p.servers,
-                p.server_ticks_per_sec,
-                p.speedup,
-                p.checksum
-            );
-        }
-        out
-    }
-
-    /// Whether every point clears the per-server throughput floor (true
-    /// when the floor is disabled).
-    pub fn clears_floor(&self) -> bool {
-        self.ticks_per_server_floor <= 0.0
-            || self
-                .points
-                .iter()
-                .all(|p| p.server_ticks_per_sec >= self.ticks_per_server_floor)
-    }
-
-    /// Whether every worker count produced the same checksum at every
-    /// row count (the determinism gate).
-    pub fn thread_invariant(&self) -> bool {
-        self.rows_counts().iter().all(|&rows| {
-            let mut sums = self
-                .points
-                .iter()
-                .filter(|p| p.rows == rows)
-                .map(|p| p.checksum);
-            match sums.next() {
-                Some(first) => sums.all(|c| c == first),
-                None => true,
-            }
-        })
-    }
-
-    fn rows_counts(&self) -> Vec<usize> {
-        let mut rows: Vec<usize> = self.points.iter().map(|p| p.rows).collect();
-        rows.dedup();
-        rows
-    }
-
-    /// Renders the sweep as a fixed-width table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>5} {:>8} {:>8} {:>11} {:>16} {:>16} {:>8}  checksum",
-            "rows", "servers", "workers", "wall ms", "sim-mins/sec", "srv-ticks/sec", "speedup"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>5} {:>8} {:>8} {:>11.1} {:>16.1} {:>16.0} {:>7.2}x  {:016x}",
-                p.rows,
-                p.servers,
-                p.workers,
-                p.wall_ms,
-                p.sim_mins_per_sec,
-                p.server_ticks_per_sec,
-                p.speedup,
-                p.checksum
-            );
-        }
-        out
+        points,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampere_obs::BenchDump;
     use ampere_telemetry::Capture;
 
     #[test]
@@ -311,7 +179,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_thread_invariant() {
-        let result = Capture::standalone().with(|| {
+        let sweep = Capture::standalone().with(|| {
             run(&ScaleConfig {
                 rows: vec![1, 3],
                 workers: vec![1, 2],
@@ -321,28 +189,32 @@ mod tests {
             })
         });
         // rows=1 skips workers=2: 1 + 2 points.
-        assert_eq!(result.points.len(), 3);
-        assert!(result.thread_invariant());
-        assert!(result.points.iter().all(|p| p.wall_ms > 0.0));
-        assert!(result.points.iter().all(|p| p.sim_mins_per_sec > 0.0));
-        assert_eq!(result.servers_per_row, 8);
-        assert!(result
+        assert_eq!(sweep.points.len(), 3);
+        assert!(sweep.invariance_violations().is_empty());
+        assert!(sweep.points.iter().all(|p| p.wall_ms > 0.0));
+        assert!(sweep.points.iter().all(|p| p.sim_mins_per_sec > 0.0));
+        assert_eq!(sweep.servers_per_row, 8);
+        assert!(sweep
             .points
             .iter()
             .all(|p| p.servers == p.rows * 8 && p.server_ticks_per_sec > 0.0));
-        // No floor set in tests: the gate is open.
-        assert!(result.clears_floor());
-        let jsonl = result.to_jsonl();
+        // No floor set in tests: only the invariance gate, and it holds.
+        let gates = sweep.gates();
+        assert_eq!(gates.len(), 1);
+        assert!(gates[0].pass);
+        let jsonl = sweep.encode();
         assert_eq!(jsonl.lines().count(), 4);
         assert!(jsonl.contains("\"bench\":\"scale\""));
         assert!(jsonl.contains("\"servers_per_row\":8"));
-        assert!(jsonl.contains("\"server_ticks_per_sec\""));
-        assert!(result.render_table().contains("srv-ticks/sec"));
+        let decoded = ScaleSweep::decode(&jsonl).unwrap();
+        assert_eq!(decoded.gates(), gates);
+        assert_eq!(decoded.encode(), jsonl);
+        assert!(sweep.to_markdown().contains("srv-ticks/sec"));
     }
 
     #[test]
     fn floor_gate_flags_slow_points() {
-        let mut result = Capture::standalone().with(|| {
+        let mut sweep = Capture::standalone().with(|| {
             run(&ScaleConfig {
                 rows: vec![1],
                 workers: vec![1],
@@ -351,9 +223,9 @@ mod tests {
                 hyper: false,
             })
         });
-        result.ticks_per_server_floor = f64::MAX;
-        assert!(!result.clears_floor());
-        result.ticks_per_server_floor = 0.0;
-        assert!(result.clears_floor());
+        sweep.ticks_per_server_floor = f64::MAX;
+        assert!(!sweep.gates()[1].pass);
+        sweep.ticks_per_server_floor = 0.0;
+        assert!(sweep.gates().iter().all(|g| g.pass));
     }
 }

@@ -4,7 +4,8 @@
 //! attached — so the rollup/alerting overhead is measured against the
 //! same workload it monitors.
 //!
-//! The gates encoded here are the PR's acceptance criteria:
+//! The result is an [`ampere_obs::WatchRun`] (`BENCH_watch.json`,
+//! `report --alerts`). What it checks:
 //!
 //! - **Determinism** — the simulated trajectories must be bit-identical
 //!   with and without the tap (the tap is a passive sink; if attaching
@@ -15,25 +16,20 @@
 //! - **Signal on chaos** — the chaos pass must open at least one
 //!   breaker-proximity incident, linked to the violating control span.
 //! - **Overhead** — the watch pass may cost at most the profiling bar
-//!   (10 %) over the bare pass; gated by `ampere-obs report --alerts
-//!   --max-overhead`, reported here.
+//!   (10 %) over the bare pass; gated by `report --alerts
+//!   --max-overhead`, recorded here.
 
 use ampere_experiments as exp;
 use ampere_faults::{FaultPlan, OutageWindow};
+use ampere_obs::alerts::{CHAOS_PASS, CLEAN_PASS, PROXIMITY_RULE};
+use ampere_obs::dump::{hex, Fields};
+use ampere_obs::WatchRun;
 use ampere_sim::{Fnv, SimTime};
 use ampere_telemetry::{install_global, reset_global, JsonlSink, Telemetry};
-use ampere_watch::{pass_marker, WatchReport};
+use ampere_watch::pass_marker;
 use exp::fig10::{Fig10Config, Fig10Result, WorkloadKind};
 
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Pass label of the fault-free light-workload task.
-pub const CLEAN_PASS: &str = "clean";
-/// Pass label of the fault-injected heavy-workload task.
-pub const CHAOS_PASS: &str = "chaos";
-/// Rule expected to page during the chaos pass.
-pub const PROXIMITY_RULE: &str = "breaker-proximity";
 
 /// Configuration of the watch benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -103,191 +99,6 @@ impl WatchBenchConfig {
     }
 }
 
-/// The benchmark's outcome: timings, trajectory checksums and the full
-/// watch report from the tapped pass.
-#[derive(Debug)]
-pub struct WatchBenchResult {
-    /// Workers the fan-out ran with.
-    pub workers: usize,
-    /// Seed used.
-    pub seed: u64,
-    /// Measured hours per task.
-    pub hours: u64,
-    /// Wall time of the bare pass (ms).
-    pub wall_plain_ms: f64,
-    /// Wall time of the tapped pass (ms).
-    pub wall_watch_ms: f64,
-    /// FNV-1a checksum over both tasks' trajectories, bare pass.
-    pub checksum_plain: u64,
-    /// Same checksum, tapped pass — must equal `checksum_plain`.
-    pub checksum_watch: u64,
-    /// Everything the engine derived from the tapped pass.
-    pub report: WatchReport,
-}
-
-impl WatchBenchResult {
-    /// Fraction of the tapped pass spent on observability.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.wall_watch_ms <= 0.0 {
-            return 0.0;
-        }
-        ((self.wall_watch_ms - self.wall_plain_ms) / self.wall_watch_ms).max(0.0)
-    }
-
-    /// Whether attaching the tap left the simulation untouched.
-    pub fn digest_clean(&self) -> bool {
-        self.checksum_plain == self.checksum_watch
-    }
-
-    /// Alert firings attributed to the clean pass (must be zero).
-    pub fn clean_fires(&self) -> usize {
-        self.report.fires_in_pass(CLEAN_PASS)
-    }
-
-    /// Alert firings attributed to the chaos pass.
-    pub fn chaos_fires(&self) -> usize {
-        self.report.fires_in_pass(CHAOS_PASS)
-    }
-
-    /// Breaker-proximity incidents opened during the chaos pass
-    /// (must be ≥ 1).
-    pub fn chaos_proximity_incidents(&self) -> usize {
-        self.report.incidents_for(CHAOS_PASS, PROXIMITY_RULE)
-    }
-
-    /// All acceptance gates except the overhead bar (which is noisy on
-    /// shared CI runners and gated separately via `report --alerts`).
-    pub fn gates_pass(&self) -> bool {
-        self.digest_clean() && self.clean_fires() == 0 && self.chaos_proximity_incidents() >= 1
-    }
-
-    /// Serializes as JSONL: one header line, then the rule table, the
-    /// alert stream, the incident ledger and the window rollups — the
-    /// exact layout `ampere-obs report --alerts` consumes.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            concat!(
-                "{{\"bench\":\"watch\",\"workers\":{},\"seed\":{},\"hours\":{},",
-                "\"wall_plain_ms\":{:.3},\"wall_watch_ms\":{:.3},\"overhead_fraction\":{:.6},",
-                "\"checksum_plain\":\"{:016x}\",\"checksum_watch\":\"{:016x}\",",
-                "\"rule_digest\":\"{:016x}\",\"alert_digest\":\"{:016x}\",",
-                "\"rules\":{},\"alerts\":{},\"incidents\":{},\"windows\":{},\"events\":{},",
-                "\"clean_fires\":{},\"chaos_fires\":{},\"chaos_proximity_incidents\":{}}}"
-            ),
-            self.workers,
-            self.seed,
-            self.hours,
-            self.wall_plain_ms,
-            self.wall_watch_ms,
-            self.overhead_fraction(),
-            self.checksum_plain,
-            self.checksum_watch,
-            self.report.rule_digest(),
-            self.report.alert_digest(),
-            self.report.rules.len(),
-            self.report.alerts.len(),
-            self.report.incidents.len(),
-            self.report.windows.len(),
-            self.report.events_seen,
-            self.clean_fires(),
-            self.chaos_fires(),
-            self.chaos_proximity_incidents(),
-        );
-        out.push('\n');
-        for rule in &self.report.rules {
-            out.push_str(&rule.to_json_line());
-            out.push('\n');
-        }
-        for alert in &self.report.alerts {
-            out.push_str(&alert.to_json_line());
-            out.push('\n');
-        }
-        for incident in &self.report.incidents {
-            out.push_str(&incident.to_json_line());
-            out.push('\n');
-        }
-        for window in &self.report.windows {
-            out.push_str(&window.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Human-readable summary table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "watch benchmark (workers = {})", self.workers);
-        let _ = writeln!(out, "  {:<28} {:>12} {:>12}", "pass", "wall ms", "checksum");
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>12.1} {:>12}",
-            "bare",
-            self.wall_plain_ms,
-            format!("{:012x}", self.checksum_plain & 0xffff_ffff_ffff)
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>12.1} {:>12}",
-            "watch-tapped",
-            self.wall_watch_ms,
-            format!("{:012x}", self.checksum_watch & 0xffff_ffff_ffff)
-        );
-        let _ = writeln!(
-            out,
-            "  overhead {:.2} %   trajectory digest {}",
-            self.overhead_fraction() * 100.0,
-            if self.digest_clean() {
-                "CLEAN"
-            } else {
-                "DIRTY"
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  events {}   windows {}   alerts {}   incidents {}",
-            self.report.events_seen,
-            self.report.windows.len(),
-            self.report.alerts.len(),
-            self.report.incidents.len()
-        );
-        let _ = writeln!(
-            out,
-            "  clean-pass fires {} (want 0)   chaos-pass fires {}   chaos {} incidents {} (want >= 1)",
-            self.clean_fires(),
-            self.chaos_fires(),
-            PROXIMITY_RULE,
-            self.chaos_proximity_incidents()
-        );
-        if !self.report.incidents.is_empty() {
-            let _ = writeln!(
-                out,
-                "  {:<4} {:<10} {:<24} {:>10} {:>10} {:>10}  trace",
-                "id", "pass", "rule", "opened", "acked", "resolved"
-            );
-            for i in &self.report.incidents {
-                let fmt_at = |at: Option<SimTime>| match at {
-                    Some(t) => format!("{}m", t.as_mins()),
-                    None => "-".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<4} {:<10} {:<24} {:>10} {:>10} {:>10}  {:x}",
-                    i.id,
-                    i.pass,
-                    i.rule,
-                    format!("{}m", i.opened_at.as_mins()),
-                    fmt_at(i.acked_at),
-                    fmt_at(i.resolved_at),
-                    i.span.trace.raw()
-                );
-            }
-        }
-        out
-    }
-}
-
 fn checksum_results(results: &[Fig10Result]) -> u64 {
     let mut f = Fnv::new();
     for r in results {
@@ -337,7 +148,7 @@ fn run_tasks(config: &WatchBenchConfig) -> Vec<Fig10Result> {
 }
 
 /// Runs the full benchmark: bare pass, tapped pass, gates.
-pub fn run(config: WatchBenchConfig) -> WatchBenchResult {
+pub fn run(config: WatchBenchConfig) -> WatchRun {
     // Bare pass: events are serialized and discarded, matching the
     // instrumented profile baseline, but no watch tap is attached.
     reset_global();
@@ -371,21 +182,45 @@ pub fn run(config: WatchBenchConfig) -> WatchBenchResult {
     let report = handle.finish();
     reset_global();
 
-    WatchBenchResult {
-        workers: config.workers,
+    let mut run = WatchRun {
+        workers: config.workers as u64,
         seed: config.seed,
         hours: config.hours,
         wall_plain_ms,
         wall_watch_ms,
-        checksum_plain,
-        checksum_watch,
-        report,
+        overhead_fraction: if wall_watch_ms > 0.0 {
+            ((wall_watch_ms - wall_plain_ms) / wall_watch_ms).max(0.0)
+        } else {
+            0.0
+        },
+        checksum_plain: hex(checksum_plain),
+        checksum_watch: hex(checksum_watch),
+        rule_digest: hex(report.rule_digest()),
+        alert_digest: hex(report.alert_digest()),
+        events: report.events_seen,
+        clean_fires: report.fires_in_pass(CLEAN_PASS) as u64,
+        chaos_fires: report.fires_in_pass(CHAOS_PASS) as u64,
+        chaos_proximity_incidents: report.incidents_for(CHAOS_PASS, PROXIMITY_RULE) as u64,
+        rule_lines: Vec::new(),
+        alerts: Vec::new(),
+        incidents: Vec::new(),
+        window_lines: Vec::new(),
+    };
+    let lines = report.rules.iter().map(|r| r.to_json_line());
+    let lines = lines.chain(report.alerts.iter().map(|a| a.to_json_line()));
+    let lines = lines.chain(report.incidents.iter().map(|i| i.to_json_line()));
+    for line in lines.chain(report.windows.iter().map(|w| w.to_json_line())) {
+        let fields = Fields::parse(0, &line).expect("the engine writes JSON lines");
+        run.push_line(&line, &fields)
+            .expect("the engine writes well-typed lines");
     }
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampere_obs::BenchDump;
 
     #[test]
     fn tiny_bench_is_deterministic_and_serializes() {
@@ -400,25 +235,26 @@ mod tests {
             calibration_hours: 2,
         };
         let r = run(config);
-        assert!(r.digest_clean(), "tap perturbed the simulation");
-        assert!(r.report.events_seen > 0);
-        assert!(!r.report.windows.is_empty());
+        assert!(r.trajectory_clean(), "tap perturbed the simulation");
+        assert!(
+            r.streams_verified(),
+            "online digests disagree with the lines"
+        );
+        assert!(r.events > 0);
+        assert!(!r.window_lines.is_empty());
 
         // Rerun: the tapped pass must reproduce the same alert digest.
         let r2 = run(config);
         assert_eq!(r.checksum_watch, r2.checksum_watch);
-        assert_eq!(r.report.alert_digest(), r2.report.alert_digest());
+        assert_eq!(r.alert_digest, r2.alert_digest);
 
-        let jsonl = r.to_jsonl();
-        let header = jsonl.lines().next().expect("header line");
-        let fields = ampere_telemetry::json::parse_object(header).expect("valid header");
-        assert!(fields.iter().any(|(k, _)| k == "alert_digest"));
+        let jsonl = r.encode();
         assert_eq!(
             jsonl.lines().count(),
-            1 + r.report.rules.len()
-                + r.report.alerts.len()
-                + r.report.incidents.len()
-                + r.report.windows.len()
+            1 + r.rule_lines.len() + r.alerts.len() + r.incidents.len() + r.window_lines.len()
         );
+        let decoded = WatchRun::decode(&jsonl).expect("dump decodes");
+        assert_eq!(decoded.gates(), r.gates());
+        assert_eq!(decoded.encode(), jsonl);
     }
 }

@@ -1,10 +1,11 @@
-//! Watch-run analysis: the report section behind `report --alerts`.
+//! The `repro watch` record: the report section behind `report
+//! --alerts`.
 //!
 //! `repro watch` emits `BENCH_watch.json` — a JSONL header describing
 //! one two-pass observability benchmark, then the alert-rule table, the
 //! alert stream, the incident ledger and the window rollups the online
-//! engine produced. This module parses that dump and renders a Markdown
-//! section with the verdicts CI gates on:
+//! engine produced. [`WatchRun`] is that dump as a record
+//! ([`BenchDump`]) with the verdicts CI gates on:
 //!
 //! - **trajectory digest** — the tapped pass must reproduce the bare
 //!   pass's trajectory checksum exactly (a tap that steers the run it
@@ -20,13 +21,19 @@
 //!   `--max-overhead` where the environment opts in (wall-clock noise
 //!   makes it a soft gate by default).
 
-use ampere_telemetry::json;
-use ampere_telemetry::Value;
+use crate::dump::{expect_count, hex, read, BenchDump, Fields, Gate};
 use ampere_watch::digest_lines;
 
 use std::fmt::Write as _;
 
-/// One parsed alert-stream line.
+/// Pass label of the fault-free light-workload task.
+pub const CLEAN_PASS: &str = "clean";
+/// Pass label of the fault-injected heavy-workload task.
+pub const CHAOS_PASS: &str = "chaos";
+/// Rule expected to page during the chaos pass.
+pub const PROXIMITY_RULE: &str = "breaker-proximity";
+
+/// One alert-stream line.
 #[derive(Debug, Clone)]
 pub struct AlertLine {
     /// Sim-time milliseconds of the evaluation.
@@ -43,9 +50,11 @@ pub struct AlertLine {
     pub trace: Option<u64>,
     /// Incident id the transition belongs to.
     pub incident: u64,
+    /// The line as the engine serialized it (the digest input).
+    pub raw: String,
 }
 
-/// One parsed incident-ledger line.
+/// One incident-ledger line.
 #[derive(Debug, Clone)]
 pub struct IncidentLine {
     /// Incident id (open order).
@@ -66,9 +75,11 @@ pub struct IncidentLine {
     pub peak: f64,
     /// Linked causal trace id.
     pub trace: Option<u64>,
+    /// The line as the engine serialized it.
+    pub raw: String,
 }
 
-/// A parsed `BENCH_watch.json` dump.
+/// The `repro watch` run (`BENCH_watch.json`).
 #[derive(Debug, Clone)]
 pub struct WatchRun {
     /// Worker threads the fan-out ran with.
@@ -99,163 +110,50 @@ pub struct WatchRun {
     pub chaos_fires: u64,
     /// Breaker-proximity incidents opened in the chaos pass.
     pub chaos_proximity_incidents: u64,
-    /// Raw rule-table lines (digest input, in table order).
+    /// Rule-table lines (digest input, in table order).
     pub rule_lines: Vec<String>,
-    /// Parsed alert stream, in evaluation order.
+    /// The alert stream, in evaluation order.
     pub alerts: Vec<AlertLine>,
-    /// Raw alert lines (digest input).
-    pub alert_raw: Vec<String>,
-    /// Parsed incident ledger, in open order.
+    /// The incident ledger, in open order.
     pub incidents: Vec<IncidentLine>,
-    /// Window rollup lines in the dump.
-    pub window_count: u64,
-}
-
-fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(pairs: &[(String, Value)], key: &str) -> Result<f64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v as f64),
-        Value::I64(v) => Ok(*v as f64),
-        Value::F64(v) => Ok(*v),
-        other => Err(format!("field {key:?} is not a number: {other:?}")),
-    }
-}
-
-fn uint(pairs: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v),
-        other => Err(format!(
-            "field {key:?} is not an unsigned integer: {other:?}"
-        )),
-    }
-}
-
-/// `null` (parsed as a non-finite float) or absent reads as `None`.
-fn opt_uint(pairs: &[(String, Value)], key: &str) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-        None => Ok(None),
-        Some(Value::U64(v)) => Ok(Some(*v)),
-        Some(Value::F64(v)) if !v.is_finite() => Ok(None),
-        Some(other) => Err(format!("field {key:?} is not an integer: {other:?}")),
-    }
-}
-
-fn string(pairs: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(pairs, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
-    }
+    /// Window rollup lines.
+    pub window_lines: Vec<String>,
 }
 
 impl WatchRun {
-    /// Parses the JSONL dump written by `repro watch`. Line kind is
-    /// keyed by each line's leading field, so section order does not
-    /// matter beyond the header coming first.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty watch dump")?;
-        let pairs = json::parse_object(header).map_err(|e| format!("header: {e}"))?;
-        match field(&pairs, "bench")? {
-            Value::Str(s) if s == "watch" => {}
-            other => return Err(format!("not a watch dump: bench = {other:?}")),
+    /// Adds one body line, keyed by its leading field: a rule, an
+    /// alert (`t_ms`), an incident or a window rollup. Section order
+    /// does not matter; [`encode`](BenchDump::encode) writes rules,
+    /// alerts, incidents, then windows.
+    pub fn push_line(&mut self, raw: &str, f: &Fields) -> Result<(), String> {
+        match f.first_key() {
+            "rule" => self.rule_lines.push(raw.to_string()),
+            "t_ms" => self.alerts.push(AlertLine {
+                t_ms: f.uint("t_ms")?,
+                pass: f.string("pass")?,
+                rule: f.string("alert")?,
+                state: f.string("state")?,
+                value: f.num("value")?,
+                trace: f.opt_uint("trace")?,
+                incident: f.uint("incident")?,
+                raw: raw.to_string(),
+            }),
+            "incident" => self.incidents.push(IncidentLine {
+                id: f.uint("incident")?,
+                pass: f.string("pass")?,
+                rule: f.string("rule")?,
+                severity: f.string("severity")?,
+                opened_ms: f.uint("opened_ms")?,
+                acked_ms: f.opt_uint("acked_ms")?,
+                resolved_ms: f.opt_uint("resolved_ms")?,
+                peak: f.num("peak")?,
+                trace: f.opt_uint("trace")?,
+                raw: raw.to_string(),
+            }),
+            "window" => self.window_lines.push(raw.to_string()),
+            other => return Err(format!("unknown line kind {other:?}: {raw}")),
         }
-
-        let mut rule_lines = Vec::new();
-        let mut alerts = Vec::new();
-        let mut alert_raw = Vec::new();
-        let mut incidents = Vec::new();
-        let mut window_count = 0u64;
-        for (no, line) in lines {
-            let key = line
-                .trim_start_matches('{')
-                .split(':')
-                .next()
-                .unwrap_or("")
-                .trim_matches('"');
-            let parsed = json::parse_object(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            match key {
-                "rule" => rule_lines.push(line.to_string()),
-                "t_ms" => {
-                    alerts.push(AlertLine {
-                        t_ms: uint(&parsed, "t_ms")?,
-                        pass: string(&parsed, "pass")?,
-                        rule: string(&parsed, "alert")?,
-                        state: string(&parsed, "state")?,
-                        value: num(&parsed, "value")?,
-                        trace: opt_uint(&parsed, "trace")?,
-                        incident: uint(&parsed, "incident")?,
-                    });
-                    alert_raw.push(line.to_string());
-                }
-                "incident" => incidents.push(IncidentLine {
-                    id: uint(&parsed, "incident")?,
-                    pass: string(&parsed, "pass")?,
-                    rule: string(&parsed, "rule")?,
-                    severity: string(&parsed, "severity")?,
-                    opened_ms: uint(&parsed, "opened_ms")?,
-                    acked_ms: opt_uint(&parsed, "acked_ms")?,
-                    resolved_ms: opt_uint(&parsed, "resolved_ms")?,
-                    peak: num(&parsed, "peak")?,
-                    trace: opt_uint(&parsed, "trace")?,
-                }),
-                "window" => window_count += 1,
-                other => return Err(format!("line {}: unknown line kind {other:?}", no + 1)),
-            }
-        }
-
-        let run = WatchRun {
-            workers: uint(&pairs, "workers")?,
-            seed: uint(&pairs, "seed")?,
-            hours: uint(&pairs, "hours")?,
-            wall_plain_ms: num(&pairs, "wall_plain_ms")?,
-            wall_watch_ms: num(&pairs, "wall_watch_ms")?,
-            overhead_fraction: num(&pairs, "overhead_fraction")?,
-            checksum_plain: string(&pairs, "checksum_plain")?,
-            checksum_watch: string(&pairs, "checksum_watch")?,
-            rule_digest: string(&pairs, "rule_digest")?,
-            alert_digest: string(&pairs, "alert_digest")?,
-            events: uint(&pairs, "events")?,
-            clean_fires: uint(&pairs, "clean_fires")?,
-            chaos_fires: uint(&pairs, "chaos_fires")?,
-            chaos_proximity_incidents: uint(&pairs, "chaos_proximity_incidents")?,
-            rule_lines,
-            alerts,
-            alert_raw,
-            incidents,
-            window_count,
-        };
-        let declared = uint(&pairs, "rules")?;
-        if run.rule_lines.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} rules, dump has {}",
-                run.rule_lines.len()
-            ));
-        }
-        let declared = uint(&pairs, "alerts")?;
-        if run.alerts.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} alerts, dump has {}",
-                run.alerts.len()
-            ));
-        }
-        let declared = uint(&pairs, "incidents")?;
-        if run.incidents.len() as u64 != declared {
-            return Err(format!(
-                "header declares {declared} incidents, dump has {}",
-                run.incidents.len()
-            ));
-        }
-        Ok(run)
+        Ok(())
     }
 
     /// Whether the tapped pass reproduced the bare pass's trajectory.
@@ -265,12 +163,13 @@ impl WatchRun {
 
     /// Re-hashes the raw alert lines; must match the header digest.
     pub fn alert_digest_recomputed(&self) -> String {
-        format!("{:016x}", digest_lines(&self.alert_raw))
+        let raw: Vec<&str> = self.alerts.iter().map(|a| a.raw.as_str()).collect();
+        hex(digest_lines(&raw))
     }
 
     /// Re-hashes the raw rule-table lines; must match the header digest.
     pub fn rule_digest_recomputed(&self) -> String {
-        format!("{:016x}", digest_lines(&self.rule_lines))
+        hex(digest_lines(&self.rule_lines))
     }
 
     /// Whether both recomputed stream digests match the engine's.
@@ -303,9 +202,135 @@ impl WatchRun {
                 .map(|resolved| resolved.saturating_sub(i.opened_ms))
         }))
     }
+}
 
-    /// Renders the Markdown report section.
-    pub fn to_markdown(&self) -> String {
+fn mean_mins(deltas_ms: impl Iterator<Item = u64>) -> Option<f64> {
+    let (mut sum, mut n) = (0u64, 0u64);
+    for d in deltas_ms {
+        sum += d;
+        n += 1;
+    }
+    (n > 0).then(|| sum as f64 / n as f64 / 60_000.0)
+}
+
+impl BenchDump for WatchRun {
+    fn decode(text: &str) -> Result<Self, String> {
+        let (h, body) = read(text, "watch")?;
+        let mut run = WatchRun {
+            workers: h.uint("workers")?,
+            seed: h.uint("seed")?,
+            hours: h.uint("hours")?,
+            wall_plain_ms: h.num("wall_plain_ms")?,
+            wall_watch_ms: h.num("wall_watch_ms")?,
+            overhead_fraction: h.num("overhead_fraction")?,
+            checksum_plain: h.string("checksum_plain")?,
+            checksum_watch: h.string("checksum_watch")?,
+            rule_digest: h.string("rule_digest")?,
+            alert_digest: h.string("alert_digest")?,
+            events: h.uint("events")?,
+            clean_fires: h.uint("clean_fires")?,
+            chaos_fires: h.uint("chaos_fires")?,
+            chaos_proximity_incidents: h.uint("chaos_proximity_incidents")?,
+            rule_lines: Vec::new(),
+            alerts: Vec::new(),
+            incidents: Vec::new(),
+            window_lines: Vec::new(),
+        };
+        for (raw, f) in &body {
+            run.push_line(raw, f)?;
+        }
+        expect_count(h.uint("rules")?, run.rule_lines.len(), "rules")?;
+        expect_count(h.uint("alerts")?, run.alerts.len(), "alerts")?;
+        expect_count(h.uint("incidents")?, run.incidents.len(), "incidents")?;
+        expect_count(h.uint("windows")?, run.window_lines.len(), "windows")?;
+        Ok(run)
+    }
+
+    /// One header line, then the rule table, the alert stream, the
+    /// incident ledger and the window rollups.
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            concat!(
+                "{{\"bench\":\"watch\",\"workers\":{},\"seed\":{},\"hours\":{},",
+                "\"wall_plain_ms\":{:.3},\"wall_watch_ms\":{:.3},\"overhead_fraction\":{:.6},",
+                "\"checksum_plain\":\"{}\",\"checksum_watch\":\"{}\",",
+                "\"rule_digest\":\"{}\",\"alert_digest\":\"{}\",",
+                "\"rules\":{},\"alerts\":{},\"incidents\":{},\"windows\":{},\"events\":{},",
+                "\"clean_fires\":{},\"chaos_fires\":{},\"chaos_proximity_incidents\":{}}}"
+            ),
+            self.workers,
+            self.seed,
+            self.hours,
+            self.wall_plain_ms,
+            self.wall_watch_ms,
+            self.overhead_fraction,
+            self.checksum_plain,
+            self.checksum_watch,
+            self.rule_digest,
+            self.alert_digest,
+            self.rule_lines.len(),
+            self.alerts.len(),
+            self.incidents.len(),
+            self.window_lines.len(),
+            self.events,
+            self.clean_fires,
+            self.chaos_fires,
+            self.chaos_proximity_incidents,
+        );
+        let lines = self
+            .rule_lines
+            .iter()
+            .chain(self.alerts.iter().map(|a| &a.raw));
+        let lines = lines.chain(self.incidents.iter().map(|i| &i.raw));
+        for line in lines.chain(&self.window_lines) {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let clean = self.fires_in_pass(CLEAN_PASS);
+        vec![
+            Gate::new(
+                "trajectory-digest",
+                self.trajectory_clean(),
+                format!(
+                    "attaching the watch tap changed the trajectory ({} vs {})",
+                    self.checksum_plain, self.checksum_watch
+                ),
+            ),
+            Gate::new(
+                "stream-digests",
+                self.streams_verified(),
+                format!(
+                    "alert {} vs {}, rules {} vs {}",
+                    self.alert_digest_recomputed(),
+                    self.alert_digest,
+                    self.rule_digest_recomputed(),
+                    self.rule_digest
+                ),
+            ),
+            Gate::new(
+                "clean-pass-silence",
+                clean == 0,
+                format!("{clean} alert(s) fired during the clean pass (want 0)"),
+            ),
+            Gate::new(
+                "chaos-pass-signal",
+                self.chaos_proximity_incidents >= 1,
+                format!("no {PROXIMITY_RULE} incident opened during the chaos pass (want >= 1)"),
+            ),
+        ]
+    }
+
+    fn overhead_fraction(&self) -> Option<f64> {
+        Some(self.overhead_fraction)
+    }
+
+    fn to_markdown(&self) -> String {
         let mut md = String::new();
         let _ = writeln!(md, "## Watch run\n");
         let _ = writeln!(
@@ -317,7 +342,7 @@ impl WatchRun {
             self.seed,
             self.hours,
             self.events,
-            self.window_count,
+            self.window_lines.len(),
             self.wall_plain_ms,
             self.wall_watch_ms,
             self.overhead_fraction * 100.0
@@ -327,9 +352,8 @@ impl WatchRun {
         let _ = writeln!(md, "| rule | fires | incidents | open at end |");
         let _ = writeln!(md, "|:-----|------:|----------:|------------:|");
         for rule_line in &self.rule_lines {
-            let name = json::parse_object(rule_line)
-                .ok()
-                .and_then(|pairs| string(&pairs, "rule").ok())
+            let name = Fields::parse(0, rule_line)
+                .and_then(|f| f.string("rule"))
                 .unwrap_or_default();
             let fires = self
                 .alerts
@@ -428,7 +452,7 @@ impl WatchRun {
             self.alert_digest,
             self.rule_digest
         );
-        let clean = self.fires_in_pass("clean");
+        let clean = self.fires_in_pass(CLEAN_PASS);
         let _ = writeln!(
             md,
             "Clean pass: **{}** ({clean} firings, want 0). Chaos pass: \
@@ -445,69 +469,25 @@ impl WatchRun {
     }
 }
 
-fn mean_mins(deltas_ms: impl Iterator<Item = u64>) -> Option<f64> {
-    let (mut sum, mut n) = (0u64, 0u64);
-    for d in deltas_ms {
-        sum += d;
-        n += 1;
-    }
-    (n > 0).then(|| sum as f64 / n as f64 / 60_000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn dump() -> String {
-        let rule_lines = [
-            r#"{"rule":"breaker-proximity","input":"violation_streak","scope":null,"cmp":"above","threshold":1.5,"clear":0.5,"sustain":2,"severity":"error"}"#,
-        ];
-        let alert_lines = [
-            r#"{"t_ms":2220000,"pass":"chaos","alert":"breaker-proximity","state":"fire","value":3.0,"trace":17,"span":17,"incident":0}"#,
-            r#"{"t_ms":2340000,"pass":"chaos","alert":"breaker-proximity","state":"ack","value":5.0,"incident":0}"#,
-            r#"{"t_ms":5220000,"pass":"chaos","alert":"breaker-proximity","state":"resolve","value":0.0,"trace":41,"span":41,"incident":0}"#,
-        ];
-        let incident_lines = [
-            r#"{"incident":0,"pass":"chaos","rule":"breaker-proximity","severity":"error","opened_ms":2220000,"acked_ms":2340000,"resolved_ms":5220000,"peak":5.0,"trace":17,"span":17}"#,
-        ];
-        let window_lines = [
-            r#"{"window":0,"segment":0,"pass":"chaos","start_ms":0,"end_ms":300000,"ticks":5,"power_ticks":5,"power_mean":0.9,"power_max":0.95,"power_p99":0.95,"sliding_p99":0.95,"churn":0,"sliding_churn":0,"degraded_ticks":0,"backstop_ticks":0,"violations":2,"p_over":0.0,"min_headroom":0.02}"#,
-        ];
-        let rule_digest = digest_lines(&rule_lines);
-        let alert_digest = digest_lines(&alert_lines);
-        let mut out = format!(
-            concat!(
-                "{{\"bench\":\"watch\",\"workers\":4,\"seed\":10,\"hours\":8,",
-                "\"wall_plain_ms\":300.0,\"wall_watch_ms\":310.0,\"overhead_fraction\":0.032,",
-                "\"checksum_plain\":\"00000000deadbeef\",\"checksum_watch\":\"00000000deadbeef\",",
-                "\"rule_digest\":\"{:016x}\",\"alert_digest\":\"{:016x}\",",
-                "\"rules\":1,\"alerts\":3,\"incidents\":1,\"windows\":1,\"events\":1000,",
-                "\"clean_fires\":0,\"chaos_fires\":1,\"chaos_proximity_incidents\":1}}\n"
-            ),
-            rule_digest, alert_digest
-        );
-        for line in rule_lines
-            .iter()
-            .chain(&alert_lines)
-            .chain(&incident_lines)
-            .chain(&window_lines)
-        {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        include_str!("../tests/fixtures/watch.jsonl").to_string()
     }
 
     #[test]
     fn parses_verifies_and_reports() {
-        let run = WatchRun::parse(&dump()).unwrap();
+        let run = WatchRun::decode(&dump()).unwrap();
         assert!(run.trajectory_clean());
         assert!(run.streams_verified());
         assert_eq!(run.fires_in_pass("clean"), 0);
         assert_eq!(run.fires_in_pass("chaos"), 1);
         assert_eq!(run.alerts[1].trace, None);
         assert_eq!(run.incidents[0].trace, Some(17));
-        assert_eq!(run.window_count, 1);
+        assert_eq!(run.window_lines.len(), 1);
+        assert_eq!(run.encode(), dump());
         // 2 min to ack, 50 min to resolve.
         assert!((run.mtta_mins().unwrap() - 2.0).abs() < 1e-9);
         assert!((run.mttr_mins().unwrap() - 50.0).abs() < 1e-9);
@@ -522,23 +502,23 @@ mod tests {
     #[test]
     fn detects_tampered_alert_stream() {
         let tampered = dump().replace("\"value\":3.0", "\"value\":4.0");
-        let run = WatchRun::parse(&tampered).unwrap();
+        let run = WatchRun::decode(&tampered).unwrap();
         assert!(!run.streams_verified());
         assert!(run.to_markdown().contains("**MISMATCH**"));
     }
 
     #[test]
     fn rejects_malformed_dumps() {
-        assert!(WatchRun::parse("").is_err());
-        assert!(WatchRun::parse("{\"bench\":\"profile\"}").is_err());
+        assert!(WatchRun::decode("").is_err());
+        assert!(WatchRun::decode("{\"bench\":\"profile\"}").is_err());
         // Truncated alert stream vs header count.
         let full = dump();
         let truncated: Vec<&str> = full.lines().take(3).collect();
-        assert!(WatchRun::parse(&truncated.join("\n"))
+        assert!(WatchRun::decode(&truncated.join("\n"))
             .unwrap_err()
             .contains("declares 3 alerts"));
         // Unknown line kind.
         let unknown = format!("{}{}", full, "{\"mystery\":1}\n");
-        assert!(WatchRun::parse(&unknown).unwrap_err().contains("unknown"));
+        assert!(WatchRun::decode(&unknown).unwrap_err().contains("unknown"));
     }
 }

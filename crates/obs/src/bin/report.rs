@@ -3,80 +3,60 @@
 //! ```text
 //! report [--telemetry FILE] [--scale FILE] [--scenarios FILE] [--profile FILE]
 //!        [--alerts FILE] [--hier FILE] [--sla FILE] [--max-overhead F]
-//!        [--min-ticks-per-sec F] [--md FILE] [--json FILE]
-//!        [--write-baseline FILE] [--baseline FILE --check]
+//!        [--md FILE] [--json FILE] [--write-baseline FILE]
+//!        [--baseline FILE --check]
 //! ```
 //!
 //! Reads the dump produced by `repro … --telemetry FILE`, prints the
 //! Markdown report to stdout (or `--md FILE`), and optionally:
 //!
-//! - `--scale FILE` appends the scale-sweep section (throughput,
-//!   speedup, thread-invariance verdict) parsed from the
-//!   `BENCH_scale.json` written by `repro scale`; a checksum mismatch
-//!   across worker counts fails the run. May be used without
-//!   `--telemetry` to report on the sweep alone;
-//! - `--scenarios FILE` appends the scenario-sweep section (invariant
-//!   tally, worst breaker margin, per-failure shrink summary and repro
-//!   command) parsed from the `BENCH_scenarios.json` written by
-//!   `repro scenarios`; any failing scenario fails the run. Also usable
-//!   without `--telemetry`;
-//! - `--profile FILE` appends the profile section (telemetry
-//!   self-overhead, per-phase tick breakdown, instrumentation-digest
-//!   verdict) parsed from the `BENCH_profile.json` written by
-//!   `repro profile`. A checksum mismatch between the no-op and
-//!   instrumented passes always fails the run; `--max-overhead F`
-//!   (fraction, e.g. `0.10`) and `--min-ticks-per-sec F` additionally
-//!   gate the wall-clock-dependent numbers where the environment opts
-//!   in. Also usable without `--telemetry`;
-//! - `--alerts FILE` appends the watch section (incident timeline,
-//!   MTTA/MTTR, per-rule firing counts, digest verdicts) parsed from
-//!   the `BENCH_watch.json` written by `repro watch`. A perturbed
-//!   trajectory checksum, a stream-digest mismatch, a noisy clean pass
-//!   or a chaos pass with no breaker-proximity incident always fails
-//!   the run; `--max-overhead F` additionally gates the observability
-//!   overhead fraction. Also usable without `--telemetry`;
-//! - `--hier FILE` appends the hierarchical-sweep section (per-cell
-//!   safety table, budget-reallocation timeline, degraded/fallback
-//!   epochs) parsed from the `BENCH_hier.json` written by `repro hier`.
-//!   A breaker trip at either level, a broken sibling-isolation
-//!   checksum or an unexplained substation trip always fails the run.
-//!   Also usable without `--telemetry`;
-//! - `--sla FILE` appends the SLA-comparison section (three-arm
-//!   uniform-vs-selective table, recomputed SLA-protection and
-//!   budget-binding verdicts) parsed from the `BENCH_sla.json` written
-//!   by `repro sla`. A busted SLA bar, a vacuous comparison or a
-//!   disagreement with the producer's declared verdicts always fails
-//!   the run. Also usable without `--telemetry`;
+//! - `--scale`, `--scenarios`, `--profile`, `--alerts`, `--hier` and
+//!   `--sla FILE` each decode the dump the matching `repro` benchmark
+//!   wrote (`BENCH_<bench>.json`), append its Markdown section (fixed
+//!   order, whatever the flag order) and fail the run on any of its
+//!   gates — the same gate list `repro` exits on (see
+//!   `ampere_obs::dump`). They work with or without `--telemetry`;
+//! - `--max-overhead F` (fraction, e.g. `0.10`) additionally gates the
+//!   wall-clock-dependent observability overhead of the `--profile`
+//!   and `--alerts` runs;
 //! - `--json FILE` writes the machine-readable report;
 //! - `--write-baseline FILE` snapshots the run summary with default
 //!   per-metric tolerances (commit this as the known-good baseline);
 //! - `--baseline FILE --check` compares the summary against a baseline
 //!   and exits 1 when any metric drifts outside tolerance.
 //!
-//! Exit codes: 0 success, 1 baseline regression or broken thread
-//! invariance, 2 usage or schema error.
+//! Exit codes: 0 success, 1 baseline regression or failed gate, 2
+//! usage or schema error.
 
-use ampere_obs::alerts::WatchRun;
-use ampere_obs::hier::HierRun;
-use ampere_obs::profile::ProfileRun;
 use ampere_obs::reader::read_run;
 use ampere_obs::report::{check, parse_baseline, render_check, write_baseline, RunReport};
-use ampere_obs::scale::ScaleSweep;
-use ampere_obs::scenario::ScenarioBatch;
-use ampere_obs::sla::SlaRun;
+use ampere_obs::{
+    gates_pass, BenchDump, Gate, HierRun, ProfileRun, ScaleSweep, ScenarioBatch, SlaRun, WatchRun,
+};
 
 use std::process::ExitCode;
 
+type Decoder = fn(&str) -> Result<Box<dyn BenchDump>, String>;
+
+fn decode<R: BenchDump + 'static>(text: &str) -> Result<Box<dyn BenchDump>, String> {
+    Ok(Box::new(R::decode(text)?))
+}
+
+/// The benchmark-dump flags, in the order their sections render.
+const DUMPS: [(&str, Decoder); 6] = [
+    ("--scale", decode::<ScaleSweep>),
+    ("--scenarios", decode::<ScenarioBatch>),
+    ("--profile", decode::<ProfileRun>),
+    ("--alerts", decode::<WatchRun>),
+    ("--hier", decode::<HierRun>),
+    ("--sla", decode::<SlaRun>),
+];
+
 struct Args {
     telemetry: Option<String>,
-    scale: Option<String>,
-    scenarios: Option<String>,
-    profile: Option<String>,
-    alerts: Option<String>,
-    hier: Option<String>,
-    sla: Option<String>,
+    /// One optional path per [`DUMPS`] entry.
+    dumps: [Option<String>; 6],
     max_overhead: Option<f64>,
-    min_ticks_per_sec: Option<f64>,
     md: Option<String>,
     json: Option<String>,
     baseline: Option<String>,
@@ -86,19 +66,13 @@ struct Args {
 
 const USAGE: &str = "usage: report [--telemetry FILE] [--scale FILE] [--scenarios FILE] \
                      [--profile FILE] [--alerts FILE] [--hier FILE] [--sla FILE] \
-                     [--max-overhead F] [--min-ticks-per-sec F] [--md FILE] [--json FILE] \
+                     [--max-overhead F] [--md FILE] [--json FILE] \
                      [--write-baseline FILE] [--baseline FILE --check]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut telemetry = None;
-    let mut scale = None;
-    let mut scenarios = None;
-    let mut profile = None;
-    let mut alerts = None;
-    let mut hier = None;
-    let mut sla = None;
+    let mut dumps: [Option<String>; 6] = Default::default();
     let mut max_overhead = None;
-    let mut min_ticks_per_sec = None;
     let mut md = None;
     let mut json = None;
     let mut baseline = None;
@@ -111,26 +85,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        let fractional = |flag: &str, raw: String| {
-            raw.parse::<f64>()
-                .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
-        };
+        if let Some(i) = DUMPS.iter().position(|(flag, _)| flag == arg) {
+            dumps[i] = Some(value(arg)?);
+            continue;
+        }
         match arg.as_str() {
             "--telemetry" => telemetry = Some(value("--telemetry")?),
-            "--scale" => scale = Some(value("--scale")?),
-            "--scenarios" => scenarios = Some(value("--scenarios")?),
-            "--profile" => profile = Some(value("--profile")?),
-            "--alerts" => alerts = Some(value("--alerts")?),
-            "--hier" => hier = Some(value("--hier")?),
-            "--sla" => sla = Some(value("--sla")?),
             "--max-overhead" => {
-                max_overhead = Some(fractional("--max-overhead", value("--max-overhead")?)?)
-            }
-            "--min-ticks-per-sec" => {
-                min_ticks_per_sec = Some(fractional(
-                    "--min-ticks-per-sec",
-                    value("--min-ticks-per-sec")?,
-                )?)
+                let raw = value("--max-overhead")?;
+                max_overhead = Some(
+                    raw.parse::<f64>()
+                        .map_err(|_| format!("--max-overhead needs a number, got {raw:?}"))?,
+                )
             }
             "--md" => md = Some(value("--md")?),
             "--json" => json = Some(value("--json")?),
@@ -141,25 +107,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
     }
+    let given = |flag: &str| {
+        DUMPS
+            .iter()
+            .zip(&dumps)
+            .any(|((f, _), path)| *f == flag && path.is_some())
+    };
     if do_check && baseline.is_none() {
         return Err(format!("--check needs --baseline FILE\n{USAGE}"));
     }
-    if profile.is_none() && alerts.is_none() && max_overhead.is_some() {
+    if !given("--profile") && !given("--alerts") && max_overhead.is_some() {
         return Err(format!(
             "--max-overhead needs --profile or --alerts FILE\n{USAGE}"
         ));
     }
-    if profile.is_none() && min_ticks_per_sec.is_some() {
-        return Err(format!("--min-ticks-per-sec needs --profile FILE\n{USAGE}"));
-    }
-    if telemetry.is_none()
-        && scale.is_none()
-        && scenarios.is_none()
-        && profile.is_none()
-        && alerts.is_none()
-        && hier.is_none()
-        && sla.is_none()
-    {
+    if telemetry.is_none() && dumps.iter().all(Option::is_none) {
         return Err(format!(
             "--telemetry, --scale, --scenarios, --profile, --alerts, --hier or --sla FILE is \
              required\n{USAGE}"
@@ -172,14 +134,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     Ok(Args {
         telemetry,
-        scale,
-        scenarios,
-        profile,
-        alerts,
-        hier,
-        sla,
+        dumps,
         max_overhead,
-        min_ticks_per_sec,
         md,
         json,
         baseline,
@@ -196,88 +152,24 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         }
         None => None,
     };
-    let sweep = match &args.scale {
-        Some(path) => {
+    let mut dumps = Vec::new();
+    for ((flag, decode), path) in DUMPS.iter().zip(&args.dumps) {
+        if let Some(path) = path {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(ScaleSweep::parse(&text).map_err(|e| format!("{path}: {e}"))?)
+            let dump = decode(&text).map_err(|e| format!("{path}: {e}"))?;
+            dumps.push((flag.trim_start_matches("--"), dump));
         }
-        None => None,
-    };
-    let batch = match &args.scenarios {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(ScenarioBatch::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let profile = match &args.profile {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(ProfileRun::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let watch = match &args.alerts {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(WatchRun::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let hier = match &args.hier {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(HierRun::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let sla = match &args.sla {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(SlaRun::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
+    }
 
     let mut markdown = report
         .as_ref()
         .map(RunReport::to_markdown)
         .unwrap_or_default();
-    if let Some(sweep) = &sweep {
+    for (_, dump) in &dumps {
         if !markdown.is_empty() && !markdown.ends_with("\n\n") {
             markdown.push('\n');
         }
-        markdown.push_str(&sweep.to_markdown());
-    }
-    if let Some(batch) = &batch {
-        if !markdown.is_empty() && !markdown.ends_with("\n\n") {
-            markdown.push('\n');
-        }
-        markdown.push_str(&batch.to_markdown());
-    }
-    if let Some(profile) = &profile {
-        if !markdown.is_empty() && !markdown.ends_with("\n\n") {
-            markdown.push('\n');
-        }
-        markdown.push_str(&profile.to_markdown());
-    }
-    if let Some(watch) = &watch {
-        if !markdown.is_empty() && !markdown.ends_with("\n\n") {
-            markdown.push('\n');
-        }
-        markdown.push_str(&watch.to_markdown());
-    }
-    if let Some(hier) = &hier {
-        if !markdown.is_empty() && !markdown.ends_with("\n\n") {
-            markdown.push('\n');
-        }
-        markdown.push_str(&hier.to_markdown());
-    }
-    if let Some(sla) = &sla {
-        if !markdown.is_empty() && !markdown.ends_with("\n\n") {
-            markdown.push('\n');
-        }
-        markdown.push_str(&sla.to_markdown());
+        markdown.push_str(&dump.to_markdown());
     }
     match &args.md {
         Some(path) => {
@@ -314,138 +206,12 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             failed = true;
         }
     }
-    if let Some(sweep) = &sweep {
-        let broken = sweep.invariance_violations();
-        if !broken.is_empty() {
-            eprintln!("scale sweep: thread invariance BROKEN at row count(s) {broken:?}");
-            failed = true;
+    for (label, dump) in &dumps {
+        let mut gates = dump.gates();
+        if let (Some(max), Some(fraction)) = (args.max_overhead, dump.overhead_fraction()) {
+            gates.push(Gate::max_overhead(fraction, max));
         }
-        let slow = sweep.floor_violations();
-        if !slow.is_empty() {
-            eprintln!(
-                "scale sweep: {} point(s) below the {:.0} server-ticks/sec floor: {slow:?}",
-                slow.len(),
-                sweep.ticks_per_server_floor
-            );
-            failed = true;
-        }
-    }
-    if let Some(batch) = &batch {
-        if batch.failed > 0 {
-            eprintln!(
-                "scenario sweep: {} of {} scenarios violated invariants",
-                batch.failed, batch.count
-            );
-            failed = true;
-        }
-    }
-    if let Some(profile) = &profile {
-        if !profile.digest_clean() {
-            eprintln!(
-                "profile run: instrumentation PERTURBED the trajectory ({} vs {})",
-                profile.checksum_noop, profile.checksum_instr
-            );
-            failed = true;
-        }
-        if let Some(max) = args.max_overhead {
-            if profile.overhead_fraction > max {
-                eprintln!(
-                    "profile run: telemetry overhead {:.1}% exceeds --max-overhead {:.1}%",
-                    profile.overhead_fraction * 100.0,
-                    max * 100.0
-                );
-                failed = true;
-            }
-        }
-        if let Some(min) = args.min_ticks_per_sec {
-            if profile.ticks_per_sec_instr < min {
-                eprintln!(
-                    "profile run: instrumented throughput {:.1} ticks/sec is below \
-                     --min-ticks-per-sec {min:.1}",
-                    profile.ticks_per_sec_instr
-                );
-                failed = true;
-            }
-        }
-    }
-    if let Some(watch) = &watch {
-        if !watch.trajectory_clean() {
-            eprintln!(
-                "watch run: the tap PERTURBED the trajectory ({} vs {})",
-                watch.checksum_plain, watch.checksum_watch
-            );
-            failed = true;
-        }
-        if !watch.streams_verified() {
-            eprintln!(
-                "watch run: stream digest mismatch (alert {} vs {}, rules {} vs {})",
-                watch.alert_digest_recomputed(),
-                watch.alert_digest,
-                watch.rule_digest_recomputed(),
-                watch.rule_digest
-            );
-            failed = true;
-        }
-        let clean = watch.fires_in_pass("clean");
-        if clean > 0 {
-            eprintln!("watch run: {clean} alert(s) fired during the clean pass (want 0)");
-            failed = true;
-        }
-        if watch.chaos_proximity_incidents == 0 {
-            eprintln!("watch run: no breaker-proximity incident in the chaos pass (want >= 1)");
-            failed = true;
-        }
-        if let Some(max) = args.max_overhead {
-            if watch.overhead_fraction > max {
-                eprintln!(
-                    "watch run: observability overhead {:.1}% exceeds --max-overhead {:.1}%",
-                    watch.overhead_fraction * 100.0,
-                    max * 100.0
-                );
-                failed = true;
-            }
-        }
-    }
-    if let Some(hier) = &hier {
-        if !hier.zero_trips() || !hier.declared_zero_trips {
-            eprintln!("hier sweep: a breaker TRIPPED at the substation or row level");
-            failed = true;
-        }
-        match hier.isolation_recomputed() {
-            Some(ok) if !(ok && hier.declared_isolation_ok) => {
-                eprintln!("hier sweep: sibling isolation BROKEN (healthy-row checksums diverged)");
-                failed = true;
-            }
-            None if hier.has_isolation_axis => {
-                eprintln!("hier sweep: isolation axis declared but clean/row-fault cells missing");
-                failed = true;
-            }
-            _ => {}
-        }
-        if !hier.trips_explained() {
-            eprintln!("hier sweep: a substation trip had no row-level or control-plane cause");
-            failed = true;
-        }
-    }
-    if let Some(sla) = &sla {
-        if !sla.sla_recomputed() || !sla.declared_sla_protected {
-            eprintln!(
-                "sla comparison: SLA protection FAILED (selective {:.3}x / uniform {:.3}x \
-                 vs bar {:.1}x, declared {})",
-                sla.arm("selective").map_or(f64::NAN, |a| a.p999_ratio),
-                sla.arm("uniform").map_or(f64::NAN, |a| a.p999_ratio),
-                sla.sla_factor,
-                sla.declared_sla_protected
-            );
-            failed = true;
-        }
-        if !sla.budget_binding_recomputed() || !sla.declared_budget_binding {
-            eprintln!(
-                "sla comparison: VACUOUS — the budget never bound or a controlled arm \
-                 never froze"
-            );
-            failed = true;
-        }
+        failed |= !gates_pass(label, &gates);
     }
     Ok(if failed {
         ExitCode::from(1)

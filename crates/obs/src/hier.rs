@@ -1,11 +1,11 @@
-//! Hierarchical-sweep analysis: the report section behind `report
+//! The `repro hier` record: the report section behind `report
 //! --hier`.
 //!
 //! `repro hier` emits `BENCH_hier.json` — a JSONL header line carrying
 //! the static partition (feed, floors, ceilings, oversubscription) and
 //! the sweep verdicts, one line per grid cell and one line per grant
-//! round (the budget-reallocation timeline). This module parses that
-//! dump and renders a Markdown section with three hard gates:
+//! round (the budget-reallocation timeline). [`HierRun`] is that dump
+//! as a record ([`BenchDump`]) with three hard gates:
 //!
 //! - **zero trips** — no cell may have tripped a breaker at either the
 //!   substation or the row level;
@@ -15,12 +15,11 @@
 //! - **trip attribution** — any substation trip must be preceded by a
 //!   row-level violation or a control-plane fault.
 
-use ampere_telemetry::json::{self, JsonValue};
-use ampere_telemetry::Value;
+use crate::dump::{expect_count, read, BenchDump, Fields, Gate};
 
 use std::fmt::Write as _;
 
-/// One parsed grid cell.
+/// One grid cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct HierCellLine {
     /// Grant-RPC loss probability injected.
@@ -31,34 +30,53 @@ pub struct HierCellLine {
     pub row_fault: bool,
     /// Whether the substation breaker tripped.
     pub substation_tripped: bool,
+    /// Minute of the substation trip, if it tripped.
+    pub substation_trip_min: Option<u64>,
+    /// Substation over-feed minutes.
+    pub substation_violations: u64,
     /// Rows whose own breaker tripped.
     pub row_trips: u64,
     /// Row-level over-budget minutes in the measured window.
     pub row_violations: u64,
+    /// Ticks some row ran above its granted budget.
+    pub row_over_grant_ticks: u64,
     /// Rounds the arbiter was down.
     pub arbiter_down_rounds: u64,
     /// Grant RPCs lost.
     pub grants_lost: u64,
     /// Row-rounds on a fallback budget.
     pub fallback_rounds: u64,
+    /// Row-rounds on the static-share fallback.
+    pub static_share_rounds: u64,
+    /// Rounds hysteresis held the previous vector.
+    pub held_rounds: u64,
     /// Row-rounds pinned to the floor by health.
     pub pinned_rounds: u64,
     /// Largest passive reserve reported, in watts.
     pub max_reserve_w: f64,
+    /// Lowest monitoring coverage any row saw.
+    pub min_coverage: f64,
+    /// Ticks some row ran degraded.
+    pub degraded_ticks: u64,
+    /// Ticks the capping backstop was armed.
+    pub backstop_ticks: u64,
+    /// Jobs placed.
+    pub placed: u64,
     /// Jobs placed, normalized to the clean cell.
     pub throughput_ratio: f64,
-    /// The producer's own trip-attribution verdict.
+    /// The producer's trip-attribution verdict: any substation trip was
+    /// preceded by a row-level violation or a control-plane fault.
     pub trip_explained: bool,
     /// Per-row trajectory checksums (hex strings, comma-joined in the
     /// dump).
     pub row_checksums: Vec<String>,
+    /// The cell's grant rounds: its budget-reallocation timeline.
+    pub rounds: Vec<HierRoundLine>,
 }
 
-/// One parsed grant round of a cell's reallocation timeline.
+/// One grant round of a cell's reallocation timeline.
 #[derive(Debug, Clone)]
 pub struct HierRoundLine {
-    /// Index of the cell this round belongs to.
-    pub cell: usize,
     /// Round counter within the cell.
     pub round: u64,
     /// Barrier minute.
@@ -81,9 +99,15 @@ pub struct HierRoundLine {
     pub pinned_rows: Vec<usize>,
 }
 
-/// A parsed `BENCH_hier.json` dump.
+/// The `repro hier` sweep (`BENCH_hier.json`).
 #[derive(Debug, Clone)]
 pub struct HierRun {
+    /// Workers each cell stepped its rows with.
+    pub workers: u64,
+    /// Master seed.
+    pub seed: u64,
+    /// Measured hours per cell.
+    pub hours: u64,
     /// Rows under arbitration.
     pub rows: u64,
     /// Grant cadence, in minutes.
@@ -94,149 +118,100 @@ pub struct HierRun {
     pub allocatable_w: f64,
     /// Σ rated row power / feed.
     pub oversubscription: f64,
-    /// Whether the dump's grid swept the row-fault axis.
-    pub has_isolation_axis: bool,
-    /// The producer's own verdicts, as written in the header.
+    /// Per-row budget floors, in watts.
+    pub floors_w: Vec<f64>,
+    /// Per-row budget ceilings, in watts.
+    pub ceilings_w: Vec<f64>,
+    /// Jobs the clean cell placed (the throughput-ratio denominator).
+    pub baseline_placed: u64,
+    /// Wall time of the whole sweep (ms).
+    pub wall_ms: f64,
+    /// The producer's zero-trips verdict, as written in the header.
     pub declared_zero_trips: bool,
-    /// Declared isolation verdict.
+    /// Declared isolation verdict (`false` without the row-fault axis).
     pub declared_isolation_ok: bool,
+    /// Whether the producer's grid swept the row-fault axis.
+    pub has_isolation_axis: bool,
+    /// Declared trip-attribution verdict.
+    pub declared_trips_explained: bool,
     /// All grid cells, in sweep order.
     pub cells: Vec<HierCellLine>,
-    /// The reallocation timeline across all cells.
-    pub rounds: Vec<HierRoundLine>,
 }
 
-fn field<'a>(pairs: &'a [(String, JsonValue)], key: &str) -> Result<&'a JsonValue, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
+fn join<T: ToString>(v: &[T]) -> String {
+    v.iter().map(T::to_string).collect::<Vec<_>>().join(",")
 }
 
-fn num(pairs: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::U64(v)) => Ok(*v as f64),
-        JsonValue::Scalar(Value::I64(v)) => Ok(*v as f64),
-        JsonValue::Scalar(Value::F64(v)) => Ok(*v),
-        other => Err(format!("field {key:?} is not a number: {other:?}")),
+fn join_w(v: &[f64]) -> String {
+    v.iter()
+        .map(|x| format!("{x:.3}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+impl HierCellLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        let trip_min = f.int("substation_trip_min")?;
+        Ok(HierCellLine {
+            grant_loss: f.num("grant_loss")?,
+            outage_mins: f.uint("outage_mins")?,
+            row_fault: f.boolean("row_fault")?,
+            substation_tripped: f.boolean("substation_tripped")?,
+            substation_trip_min: u64::try_from(trip_min).ok(),
+            substation_violations: f.uint("substation_violations")?,
+            row_trips: f.uint("row_trips")?,
+            row_violations: f.uint("row_violations")?,
+            row_over_grant_ticks: f.uint("row_over_grant_ticks")?,
+            arbiter_down_rounds: f.uint("arbiter_down_rounds")?,
+            grants_lost: f.uint("grants_lost")?,
+            fallback_rounds: f.uint("fallback_rounds")?,
+            static_share_rounds: f.uint("static_share_rounds")?,
+            held_rounds: f.uint("held_rounds")?,
+            pinned_rounds: f.uint("pinned_rounds")?,
+            max_reserve_w: f.num("max_reserve_w")?,
+            min_coverage: f.num("min_coverage")?,
+            degraded_ticks: f.uint("degraded_ticks")?,
+            backstop_ticks: f.uint("backstop_ticks")?,
+            placed: f.uint("placed")?,
+            throughput_ratio: f.num("throughput_ratio")?,
+            trip_explained: f.boolean("trip_explained")?,
+            row_checksums: f
+                .string("row_checksums")?
+                .split(',')
+                .map(str::to_string)
+                .collect(),
+            rounds: Vec::new(),
+        })
     }
 }
 
-fn uint(pairs: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::U64(v)) => Ok(*v),
-        other => Err(format!(
-            "field {key:?} is not an unsigned integer: {other:?}"
-        )),
+impl HierRoundLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(HierRoundLine {
+            round: f.uint("round")?,
+            at_min: f.uint("at_min")?,
+            arbiter_up: f.boolean("arbiter_up")?,
+            held: f.boolean("held")?,
+            backstop: f.boolean("backstop")?,
+            reserve_w: f.num("reserve_w")?,
+            applied_w: f.floats("applied_w")?,
+            lost_rows: f.indices("lost_rows")?,
+            fallback_rows: f.indices("fallback_rows")?,
+            pinned_rows: f.indices("pinned_rows")?,
+        })
     }
-}
-
-fn boolean(pairs: &[(String, JsonValue)], key: &str) -> Result<bool, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::Bool(v)) => Ok(*v),
-        other => Err(format!("field {key:?} is not a boolean: {other:?}")),
-    }
-}
-
-fn string(pairs: &[(String, JsonValue)], key: &str) -> Result<String, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::Str(s)) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
-    }
-}
-
-fn floats(pairs: &[(String, JsonValue)], key: &str) -> Result<Vec<f64>, String> {
-    match field(pairs, key)? {
-        JsonValue::Array(v) => Ok(v.clone()),
-        other => Err(format!("field {key:?} is not an array: {other:?}")),
-    }
-}
-
-fn indices(pairs: &[(String, JsonValue)], key: &str) -> Result<Vec<usize>, String> {
-    Ok(floats(pairs, key)?
-        .into_iter()
-        .map(|v| v as usize)
-        .collect())
 }
 
 impl HierRun {
-    /// Parses the JSONL dump written by `repro hier`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty hier dump")?;
-        let pairs = json::parse_object_full(header).map_err(|e| format!("header: {e}"))?;
-        match field(&pairs, "bench")? {
-            JsonValue::Scalar(Value::Str(s)) if s == "hier" => {}
-            other => return Err(format!("not a hier dump: bench = {other:?}")),
-        }
-        let declared_cells = uint(&pairs, "cells")? as usize;
-        let mut run = HierRun {
-            rows: uint(&pairs, "rows")?,
-            grant_period_mins: uint(&pairs, "grant_period_mins")?,
-            feed_w: num(&pairs, "feed_w")?,
-            allocatable_w: num(&pairs, "allocatable_w")?,
-            oversubscription: num(&pairs, "oversubscription")?,
-            has_isolation_axis: boolean(&pairs, "has_isolation_axis")?,
-            declared_zero_trips: boolean(&pairs, "zero_trips")?,
-            declared_isolation_ok: boolean(&pairs, "isolation_ok")?,
-            cells: Vec::new(),
-            rounds: Vec::new(),
-        };
-        for (no, line) in lines {
-            let pairs =
-                json::parse_object_full(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            if pairs.iter().any(|(k, _)| k == "round") {
-                run.rounds.push(HierRoundLine {
-                    cell: uint(&pairs, "cell")? as usize,
-                    round: uint(&pairs, "round")?,
-                    at_min: uint(&pairs, "at_min")?,
-                    arbiter_up: boolean(&pairs, "arbiter_up")?,
-                    held: boolean(&pairs, "held")?,
-                    backstop: boolean(&pairs, "backstop")?,
-                    reserve_w: num(&pairs, "reserve_w")?,
-                    applied_w: floats(&pairs, "applied_w")?,
-                    lost_rows: indices(&pairs, "lost_rows")?,
-                    fallback_rows: indices(&pairs, "fallback_rows")?,
-                    pinned_rows: indices(&pairs, "pinned_rows")?,
-                });
-            } else {
-                run.cells.push(HierCellLine {
-                    grant_loss: num(&pairs, "grant_loss")?,
-                    outage_mins: uint(&pairs, "outage_mins")?,
-                    row_fault: boolean(&pairs, "row_fault")?,
-                    substation_tripped: boolean(&pairs, "substation_tripped")?,
-                    row_trips: uint(&pairs, "row_trips")?,
-                    row_violations: uint(&pairs, "row_violations")?,
-                    arbiter_down_rounds: uint(&pairs, "arbiter_down_rounds")?,
-                    grants_lost: uint(&pairs, "grants_lost")?,
-                    fallback_rounds: uint(&pairs, "fallback_rounds")?,
-                    pinned_rounds: uint(&pairs, "pinned_rounds")?,
-                    max_reserve_w: num(&pairs, "max_reserve_w")?,
-                    throughput_ratio: num(&pairs, "throughput_ratio")?,
-                    trip_explained: boolean(&pairs, "trip_explained")?,
-                    row_checksums: string(&pairs, "row_checksums")?
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                });
-            }
-        }
-        if run.cells.len() != declared_cells {
-            return Err(format!(
-                "header declares {declared_cells} cells, dump has {}",
-                run.cells.len()
-            ));
-        }
-        for r in &run.rounds {
-            if r.cell >= run.cells.len() {
-                return Err(format!("round line references unknown cell {}", r.cell));
-            }
-        }
-        Ok(run)
+    /// Sets the header's declared verdicts to the recomputed ones: what
+    /// the producer of a freshly measured sweep declares.
+    pub fn with_declared_verdicts(mut self) -> Self {
+        let isolation = self.isolation_recomputed();
+        self.declared_zero_trips = self.zero_trips();
+        self.declared_isolation_ok = isolation.unwrap_or(false);
+        self.has_isolation_axis = isolation.is_some();
+        self.declared_trips_explained = self.trips_explained();
+        self
     }
 
     fn cell(&self, grant_loss: f64, outage_mins: u64, row_fault: bool) -> Option<&HierCellLine> {
@@ -245,17 +220,16 @@ impl HierRun {
         })
     }
 
-    /// Gate 1: whether every cell kept both breaker levels trip-free.
+    /// Whether every cell kept both breaker levels trip-free.
     pub fn zero_trips(&self) -> bool {
         self.cells
             .iter()
             .all(|c| !c.substation_tripped && c.row_trips == 0)
     }
 
-    /// Gate 2: the isolation verdict, recomputed from the per-row
-    /// checksums in the dump (healthy rows 1..N bit-identical between
-    /// the clean and row-fault cells). `None` when the grid lacks
-    /// either cell.
+    /// The isolation verdict, recomputed from the per-row checksums
+    /// (healthy rows 1..N bit-identical between the clean and
+    /// row-fault cells). `None` when the grid lacks either cell.
     pub fn isolation_recomputed(&self) -> Option<bool> {
         let clean = self.cell(0.0, 0, false)?;
         let faulted = self.cell(0.0, 0, true)?;
@@ -268,55 +242,215 @@ impl HierRun {
         )
     }
 
-    /// Gate 3: whether every cell's trip-attribution verdict held.
+    /// Whether every cell's trip-attribution verdict held.
     pub fn trips_explained(&self) -> bool {
         self.cells.iter().all(|c| c.trip_explained)
     }
+}
 
-    /// Every hard gate together, including agreement between the
-    /// declared and recomputed isolation verdicts.
-    pub fn gates_pass(&self) -> bool {
-        let isolation = match self.isolation_recomputed() {
-            Some(v) => v && self.declared_isolation_ok,
-            None => !self.has_isolation_axis,
-        };
-        self.zero_trips() && self.declared_zero_trips && isolation && self.trips_explained()
+/// Renders a compact epoch string (e.g. `"3-7, 12"`) from the round
+/// indices where `pick` selected the row.
+fn epochs(rounds: &[&HierRoundLine], pick: impl Fn(&HierRoundLine) -> bool) -> String {
+    let hits: Vec<u64> = rounds.iter().filter(|r| pick(r)).map(|r| r.round).collect();
+    if hits.is_empty() {
+        return "-".into();
     }
-
-    /// Rounds of a given cell, in order.
-    fn rounds_of(&self, cell: usize) -> impl Iterator<Item = &HierRoundLine> {
-        self.rounds.iter().filter(move |r| r.cell == cell)
-    }
-
-    /// Renders a compact epoch string (e.g. `"3-7, 12"`) from the round
-    /// indices where `pick` selected the row.
-    fn epochs(rounds: &[&HierRoundLine], pick: impl Fn(&HierRoundLine) -> bool) -> String {
-        let hits: Vec<u64> = rounds.iter().filter(|r| pick(r)).map(|r| r.round).collect();
-        if hits.is_empty() {
-            return "-".into();
+    let mut spans: Vec<(u64, u64)> = Vec::new();
+    for h in hits {
+        match spans.last_mut() {
+            Some((_, end)) if *end + 1 == h => *end = h,
+            _ => spans.push((h, h)),
         }
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for h in hits {
-            match spans.last_mut() {
-                Some((_, end)) if *end + 1 == h => *end = h,
-                _ => spans.push((h, h)),
+    }
+    spans
+        .iter()
+        .map(|(a, b)| {
+            if a == b {
+                a.to_string()
+            } else {
+                format!("{a}-{b}")
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+impl BenchDump for HierRun {
+    fn decode(text: &str) -> Result<Self, String> {
+        let (h, body) = read(text, "hier")?;
+        let mut run = HierRun {
+            workers: h.uint("workers")?,
+            seed: h.uint("seed")?,
+            hours: h.uint("hours")?,
+            rows: h.uint("rows")?,
+            grant_period_mins: h.uint("grant_period_mins")?,
+            feed_w: h.num("feed_w")?,
+            allocatable_w: h.num("allocatable_w")?,
+            oversubscription: h.num("oversubscription")?,
+            floors_w: h.floats("floors_w")?,
+            ceilings_w: h.floats("ceilings_w")?,
+            baseline_placed: h.uint("baseline_placed")?,
+            wall_ms: h.num("wall_ms")?,
+            declared_zero_trips: h.boolean("zero_trips")?,
+            declared_isolation_ok: h.boolean("isolation_ok")?,
+            has_isolation_axis: h.boolean("has_isolation_axis")?,
+            declared_trips_explained: h.boolean("trips_explained")?,
+            cells: Vec::new(),
+        };
+        let mut rounds = Vec::new();
+        for (_, f) in &body {
+            if f.has("round") {
+                rounds.push((f.uint("cell")? as usize, HierRoundLine::decode(f)?));
+            } else {
+                run.cells.push(HierCellLine::decode(f)?);
             }
         }
-        spans
-            .iter()
-            .map(|(a, b)| {
-                if a == b {
-                    a.to_string()
-                } else {
-                    format!("{a}-{b}")
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
+        expect_count(h.uint("cells")?, run.cells.len(), "cells")?;
+        for (cell, round) in rounds {
+            run.cells
+                .get_mut(cell)
+                .ok_or_else(|| format!("round line references unknown cell {cell}"))?
+                .rounds
+                .push(round);
+        }
+        Ok(run)
     }
 
-    /// Renders the Markdown report section.
-    pub fn to_markdown(&self) -> String {
+    /// One header line carrying the partition and the declared
+    /// verdicts, then each grid cell followed by its grant rounds.
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            concat!(
+                "{{\"bench\":\"hier\",\"workers\":{},\"seed\":{},\"hours\":{},",
+                "\"rows\":{},\"cells\":{},\"grant_period_mins\":{},",
+                "\"feed_w\":{:.3},\"allocatable_w\":{:.3},\"oversubscription\":{:.6},",
+                "\"floors_w\":[{}],\"ceilings_w\":[{}],",
+                "\"baseline_placed\":{},\"wall_ms\":{:.3},",
+                "\"zero_trips\":{},\"isolation_ok\":{},\"has_isolation_axis\":{},",
+                "\"trips_explained\":{}}}"
+            ),
+            self.workers,
+            self.seed,
+            self.hours,
+            self.rows,
+            self.cells.len(),
+            self.grant_period_mins,
+            self.feed_w,
+            self.allocatable_w,
+            self.oversubscription,
+            join_w(&self.floors_w),
+            join_w(&self.ceilings_w),
+            self.baseline_placed,
+            self.wall_ms,
+            self.declared_zero_trips,
+            self.declared_isolation_ok,
+            self.has_isolation_axis,
+            self.declared_trips_explained,
+        );
+        for (i, c) in self.cells.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                concat!(
+                    "{{\"cell\":{},\"grant_loss\":{},\"outage_mins\":{},\"row_fault\":{},",
+                    "\"substation_tripped\":{},\"substation_trip_min\":{},",
+                    "\"substation_violations\":{},\"row_trips\":{},\"row_violations\":{},",
+                    "\"row_over_grant_ticks\":{},\"arbiter_down_rounds\":{},\"grants_lost\":{},",
+                    "\"fallback_rounds\":{},\"static_share_rounds\":{},\"held_rounds\":{},",
+                    "\"pinned_rounds\":{},\"max_reserve_w\":{:.3},\"min_coverage\":{:.6},",
+                    "\"degraded_ticks\":{},\"backstop_ticks\":{},\"placed\":{},",
+                    "\"throughput_ratio\":{:.6},\"trip_explained\":{},",
+                    "\"row_checksums\":\"{}\"}}"
+                ),
+                i,
+                c.grant_loss,
+                c.outage_mins,
+                c.row_fault,
+                c.substation_tripped,
+                c.substation_trip_min.map_or(-1i64, |m| m as i64),
+                c.substation_violations,
+                c.row_trips,
+                c.row_violations,
+                c.row_over_grant_ticks,
+                c.arbiter_down_rounds,
+                c.grants_lost,
+                c.fallback_rounds,
+                c.static_share_rounds,
+                c.held_rounds,
+                c.pinned_rounds,
+                c.max_reserve_w,
+                c.min_coverage,
+                c.degraded_ticks,
+                c.backstop_ticks,
+                c.placed,
+                c.throughput_ratio,
+                c.trip_explained,
+                c.row_checksums.join(","),
+            );
+            for r in &c.rounds {
+                let _ = writeln!(
+                    out,
+                    concat!(
+                        "{{\"cell\":{},\"round\":{},\"at_min\":{},\"arbiter_up\":{},",
+                        "\"held\":{},\"backstop\":{},\"reserve_w\":{:.3},\"applied_w\":[{}],",
+                        "\"lost_rows\":[{}],\"fallback_rows\":[{}],\"pinned_rows\":[{}]}}"
+                    ),
+                    i,
+                    r.round,
+                    r.at_min,
+                    r.arbiter_up,
+                    r.held,
+                    r.backstop,
+                    r.reserve_w,
+                    join_w(&r.applied_w),
+                    join(&r.lost_rows),
+                    join(&r.fallback_rows),
+                    join(&r.pinned_rows),
+                );
+            }
+        }
+        out
+    }
+
+    /// Zero trips and trip attribution always; sibling isolation when
+    /// the grid swept the row-fault axis.
+    fn gates(&self) -> Vec<Gate> {
+        let isolation = match self.isolation_recomputed() {
+            Some(ok) => Gate::new(
+                "sibling-isolation",
+                ok && self.declared_isolation_ok,
+                format!(
+                    "a healthy sibling's trajectory changed under a row fault (recomputed \
+                     {ok}, declared {})",
+                    self.declared_isolation_ok
+                ),
+            ),
+            None => Gate::new(
+                "sibling-isolation",
+                !self.has_isolation_axis,
+                "isolation axis declared but the clean/row-fault cells are missing",
+            ),
+        };
+        vec![
+            Gate::new(
+                "zero-trips",
+                self.zero_trips() && self.declared_zero_trips,
+                format!(
+                    "a breaker tripped at the substation or row level (declared zero trips: {})",
+                    self.declared_zero_trips
+                ),
+            ),
+            isolation,
+            Gate::new(
+                "trip-attribution",
+                self.trips_explained(),
+                "a substation trip had no row-level or control-plane cause",
+            ),
+        ]
+    }
+
+    fn to_markdown(&self) -> String {
         let mut md = String::new();
         let _ = writeln!(md, "## Hierarchical sweep\n");
         let _ = writeln!(
@@ -367,7 +501,11 @@ impl HierRun {
             .iter()
             .rposition(|c| c.grants_lost > 0 || c.arbiter_down_rounds > 0 || c.row_fault)
             .unwrap_or(0);
-        let rounds: Vec<&HierRoundLine> = self.rounds_of(focus).collect();
+        let rounds: Vec<&HierRoundLine> = self
+            .cells
+            .get(focus)
+            .map(|c| c.rounds.iter().collect())
+            .unwrap_or_default();
         if !rounds.is_empty() {
             let c = &self.cells[focus];
             let _ = writeln!(
@@ -419,9 +557,9 @@ impl HierRun {
                 md,
                 "Degraded epochs (rounds): arbiter down {}; any row on fallback {}; \
                  any row pinned {}.\n",
-                Self::epochs(&rounds, |r| !r.arbiter_up && !r.backstop),
-                Self::epochs(&rounds, |r| !r.fallback_rows.is_empty()),
-                Self::epochs(&rounds, |r| !r.pinned_rows.is_empty()),
+                epochs(&rounds, |r| !r.arbiter_up && !r.backstop),
+                epochs(&rounds, |r| !r.fallback_rows.is_empty()),
+                epochs(&rounds, |r| !r.pinned_rows.is_empty()),
             );
         }
 
@@ -478,46 +616,18 @@ mod tests {
     use super::*;
 
     fn dump() -> String {
-        concat!(
-            "{\"bench\":\"hier\",\"workers\":1,\"seed\":23,\"hours\":1,\"rows\":2,\"cells\":2,",
-            "\"grant_period_mins\":5,\"feed_w\":18400.0,\"allocatable_w\":17480.0,",
-            "\"oversubscription\":1.087,\"floors_w\":[7200.0,7200.0],\"ceilings_w\":[8800.0,8800.0],",
-            "\"baseline_placed\":100,\"wall_ms\":1.0,\"zero_trips\":true,\"isolation_ok\":true,",
-            "\"has_isolation_axis\":true,\"trips_explained\":true}\n",
-            "{\"cell\":0,\"grant_loss\":0,\"outage_mins\":0,\"row_fault\":false,",
-            "\"substation_tripped\":false,\"substation_trip_min\":-1,\"substation_violations\":0,",
-            "\"row_trips\":0,\"row_violations\":0,\"row_over_grant_ticks\":0,",
-            "\"arbiter_down_rounds\":0,\"grants_lost\":0,\"fallback_rounds\":0,",
-            "\"static_share_rounds\":0,\"held_rounds\":1,\"pinned_rounds\":0,",
-            "\"max_reserve_w\":0.0,\"min_coverage\":1.0,\"degraded_ticks\":0,\"backstop_ticks\":0,",
-            "\"placed\":100,\"throughput_ratio\":1.0,\"trip_explained\":true,",
-            "\"row_checksums\":\"00aa,00bb\"}\n",
-            "{\"cell\":0,\"round\":0,\"at_min\":0,\"arbiter_up\":true,\"held\":false,",
-            "\"backstop\":false,\"reserve_w\":0.0,\"applied_w\":[8740.0,8740.0],",
-            "\"lost_rows\":[],\"fallback_rows\":[],\"pinned_rows\":[]}\n",
-            "{\"cell\":1,\"grant_loss\":0,\"outage_mins\":0,\"row_fault\":true,",
-            "\"substation_tripped\":false,\"substation_trip_min\":-1,\"substation_violations\":0,",
-            "\"row_trips\":0,\"row_violations\":0,\"row_over_grant_ticks\":0,",
-            "\"arbiter_down_rounds\":0,\"grants_lost\":0,\"fallback_rounds\":0,",
-            "\"static_share_rounds\":0,\"held_rounds\":1,\"pinned_rounds\":2,",
-            "\"max_reserve_w\":400.0,\"min_coverage\":0.7,\"degraded_ticks\":5,\"backstop_ticks\":0,",
-            "\"placed\":90,\"throughput_ratio\":0.9,\"trip_explained\":true,",
-            "\"row_checksums\":\"00cc,00bb\"}\n",
-            "{\"cell\":1,\"round\":0,\"at_min\":0,\"arbiter_up\":true,\"held\":false,",
-            "\"backstop\":false,\"reserve_w\":400.0,\"applied_w\":[7200.0,8740.0],",
-            "\"lost_rows\":[],\"fallback_rows\":[],\"pinned_rows\":[0]}\n",
-        )
-        .to_string()
+        include_str!("../tests/fixtures/hier.jsonl").to_string()
     }
 
     #[test]
     fn parses_and_gates_a_clean_dump() {
-        let run = HierRun::parse(&dump()).unwrap();
+        let run = HierRun::decode(&dump()).unwrap();
         assert_eq!(run.cells.len(), 2);
-        assert_eq!(run.rounds.len(), 2);
+        assert_eq!(run.cells.iter().map(|c| c.rounds.len()).sum::<usize>(), 2);
+        assert_eq!(run.encode(), dump());
         assert!(run.zero_trips());
         assert_eq!(run.isolation_recomputed(), Some(true));
-        assert!(run.gates_pass());
+        assert!(run.gates().iter().all(|g| g.pass));
         let md = run.to_markdown();
         assert!(md.contains("## Hierarchical sweep"));
         assert!(md.contains("Zero trips: **PASS**"));
@@ -528,27 +638,27 @@ mod tests {
     #[test]
     fn detects_broken_isolation_and_trips() {
         let broken = dump().replace("\"00cc,00bb\"", "\"00cc,00dd\"");
-        let run = HierRun::parse(&broken).unwrap();
+        let run = HierRun::decode(&broken).unwrap();
         assert_eq!(run.isolation_recomputed(), Some(false));
-        assert!(!run.gates_pass());
+        assert!(!run.gates()[1].pass);
         assert!(run.to_markdown().contains("Sibling isolation: **FAIL**"));
 
         let tripped = dump().replace(
             "{\"cell\":1,\"grant_loss\":0,\"outage_mins\":0,\"row_fault\":true,\"substation_tripped\":false",
             "{\"cell\":1,\"grant_loss\":0,\"outage_mins\":0,\"row_fault\":true,\"substation_tripped\":true",
         );
-        let run = HierRun::parse(&tripped).unwrap();
+        let run = HierRun::decode(&tripped).unwrap();
         assert!(!run.zero_trips());
-        assert!(!run.gates_pass());
+        assert!(!run.gates()[0].pass);
         assert!(run.to_markdown().contains("Zero trips: **FAIL**"));
     }
 
     #[test]
     fn rejects_malformed_dumps() {
-        assert!(HierRun::parse("").is_err());
-        assert!(HierRun::parse("{\"bench\":\"scale\"}").is_err());
+        assert!(HierRun::decode("").is_err());
+        assert!(HierRun::decode("{\"bench\":\"scale\"}").is_err());
         let short = dump().lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(HierRun::parse(&short).unwrap_err().contains("declares 2"));
+        assert!(HierRun::decode(&short).unwrap_err().contains("declares 2"));
         let dangling = format!(
             "{}{}",
             dump(),
@@ -556,7 +666,7 @@ mod tests {
              \"backstop\":false,\"reserve_w\":0.0,\"applied_w\":[1.0],\
              \"lost_rows\":[],\"fallback_rows\":[],\"pinned_rows\":[]}\n"
         );
-        assert!(HierRun::parse(&dangling)
+        assert!(HierRun::decode(&dangling)
             .unwrap_err()
             .contains("unknown cell"));
     }

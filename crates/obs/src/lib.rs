@@ -16,25 +16,20 @@
 //!   implements the baseline gate behind `report --check`: a committed
 //!   known-good summary with per-metric tolerances that CI compares
 //!   every smoke run against.
-//! - **Did it scale?** [`scale`] parses the `repro scale` sweep
-//!   (`BENCH_scale.json`) and renders throughput, speedup and the
-//!   thread-invariance verdict behind `report --scale`.
-//! - **What does observing cost?** [`profile`] parses the
-//!   `repro profile` run (`BENCH_profile.json`) and renders the
-//!   telemetry self-overhead, per-phase wall-time breakdown and the
-//!   instrumentation-digest verdict behind `report --profile`.
-//! - **What paged, and why?** [`alerts`] parses the `repro watch` run
-//!   (`BENCH_watch.json`) and renders the incident timeline, MTTA/MTTR,
-//!   per-rule firing counts and the digest/silence/signal verdicts
-//!   behind `report --alerts`.
-//! - **Did the hierarchy hold?** [`hier`] parses the `repro hier` sweep
-//!   (`BENCH_hier.json`) and renders the budget-reallocation timeline,
-//!   per-row degraded/fallback epochs and the zero-trip / sibling-
-//!   isolation / trip-attribution verdicts behind `report --hier`.
-//! - **Did freezing respect the SLA?** [`sla`] parses the `repro sla`
-//!   comparison (`BENCH_sla.json`) and renders the three-arm
-//!   uniform-vs-selective table with the recomputed SLA-protection and
-//!   budget-binding verdicts behind `report --sla`.
+//! - **Did the benchmarks pass?** Every `repro` benchmark has one
+//!   record here, implementing [`BenchDump`] ([`dump`]): `encode` and
+//!   `decode` are the only writer and reader of its
+//!   `BENCH_<bench>.json`, `gates()` is the one list of verdicts both
+//!   `repro` and `report` exit on, and `to_markdown` is its report
+//!   section. [`scale`] — throughput, speedup and thread invariance of
+//!   the `repro scale` sweep; [`profile`] — telemetry self-overhead,
+//!   per-phase wall time and the instrumentation digest; [`alerts`] —
+//!   the `repro watch` incident timeline, MTTA/MTTR and digest,
+//!   silence and signal verdicts; [`hier`] — budget reallocation and
+//!   the zero-trip, sibling-isolation and trip-attribution verdicts;
+//!   [`sla`] — the three-arm uniform-vs-selective table with the
+//!   SLA-protection and budget-binding verdicts; [`scenario`] — the
+//!   invariant tally and minimal repro per failing scenario.
 //!
 //! Everything is offline and dependency-free: the dump is the only
 //! input, and seeded runs produce byte-identical dumps, so summaries —
@@ -44,6 +39,7 @@
 
 pub mod alerts;
 pub mod analysis;
+pub mod dump;
 pub mod hier;
 pub mod profile;
 pub mod reader;
@@ -53,10 +49,12 @@ pub mod scenario;
 pub mod sla;
 pub mod trace;
 
+pub use alerts::WatchRun;
 pub use analysis::{
     decision_latency, freeze_durations, segments, violation_epochs, DecisionLatency, DegradedOps,
     Distribution, RunSummary, ViolationAttribution, ViolationEpoch, ET_BINS,
 };
+pub use dump::{gates_pass, BenchDump, Gate};
 pub use hier::{HierCellLine, HierRoundLine, HierRun};
 pub use profile::{ProfilePhase, ProfileRun};
 pub use reader::{read_run, MetricLine, MetricValue, ReadError, Run, RunLine, RunReader};
@@ -64,5 +62,6 @@ pub use report::{
     check, parse_baseline, render_check, write_baseline, BaselineMetric, CheckResult, RunReport,
 };
 pub use scale::{ScalePoint, ScaleSweep};
+pub use scenario::ScenarioBatch;
 pub use sla::{SlaArmLine, SlaRun};
 pub use trace::{LinkReport, TraceIndex};

@@ -1,27 +1,25 @@
-//! Profile-run analysis: the report section behind `report --profile`.
+//! The `repro profile` record: the report section behind `report
+//! --profile`.
 //!
 //! `repro profile` emits `BENCH_profile.json` — a JSONL header line
 //! describing one two-pass overhead measurement (the same seeded
 //! workload with telemetry disabled and fully instrumented), plus one
-//! line per tick phase with the profiler's wall-time breakdown. This
-//! module parses that dump and renders a Markdown section with the
+//! line per tick phase with the profiler's wall-time breakdown.
+//! [`ProfileRun`] is that dump as a record ([`BenchDump`]) with the
 //! verdicts CI gates on:
 //!
 //! - **digest** — the instrumented pass must reproduce the no-op
 //!   pass's trajectory checksum exactly. Telemetry that perturbs the
 //!   run it observes is a correctness bug and always fails the report;
-//! - **overhead** — the self-overhead fraction and instrumented
-//!   throughput are compared against optional thresholds
-//!   (`--max-overhead`, `--min-ticks-per-sec`), soft by default so the
-//!   wall-clock-dependent numbers only gate where the environment
-//!   opts in.
+//! - **overhead** — the self-overhead fraction is compared against
+//!   `report --max-overhead` when given, soft by default so the
+//!   wall-clock-dependent number only gates where CI opts in.
 
-use ampere_telemetry::json;
-use ampere_telemetry::Value;
+use crate::dump::{expect_count, read, BenchDump, Gate};
 
 use std::fmt::Write as _;
 
-/// One tick phase's parsed wall-time aggregate.
+/// One tick phase's wall-time aggregate.
 #[derive(Debug, Clone)]
 pub struct ProfilePhase {
     /// Phase label (`predict`, `decide`, …).
@@ -34,7 +32,7 @@ pub struct ProfilePhase {
     pub mean_us: f64,
 }
 
-/// A parsed `BENCH_profile.json` dump.
+/// The `repro profile` run (`BENCH_profile.json`).
 #[derive(Debug, Clone)]
 pub struct ProfileRun {
     /// Shard (row) count.
@@ -79,102 +77,112 @@ pub struct ProfileRun {
     pub phases: Vec<ProfilePhase>,
 }
 
-fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(pairs: &[(String, Value)], key: &str) -> Result<f64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v as f64),
-        Value::I64(v) => Ok(*v as f64),
-        Value::F64(v) => Ok(*v),
-        other => Err(format!("field {key:?} is not a number: {other:?}")),
-    }
-}
-
-fn uint(pairs: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v),
-        other => Err(format!(
-            "field {key:?} is not an unsigned integer: {other:?}"
-        )),
-    }
-}
-
-fn string(pairs: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(pairs, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
-    }
-}
-
 impl ProfileRun {
-    /// Parses the JSONL dump written by `repro profile`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty profile dump")?;
-        let pairs = json::parse_object(header).map_err(|e| format!("header: {e}"))?;
-        match field(&pairs, "bench")? {
-            Value::Str(s) if s == "profile" => {}
-            other => return Err(format!("not a profile dump: bench = {other:?}")),
-        }
-        let declared = uint(&pairs, "phases")? as usize;
-
-        let mut phases = Vec::new();
-        for (no, line) in lines {
-            let pairs = json::parse_object(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            phases.push(ProfilePhase {
-                phase: string(&pairs, "phase")?,
-                calls: uint(&pairs, "calls")?,
-                total_us: num(&pairs, "total_us")?,
-                mean_us: num(&pairs, "mean_us")?,
-            });
-        }
-        if phases.len() != declared {
-            return Err(format!(
-                "header declares {declared} phases, dump has {}",
-                phases.len()
-            ));
-        }
-        Ok(ProfileRun {
-            rows: uint(&pairs, "rows")?,
-            workers: uint(&pairs, "workers")?,
-            sim_minutes: uint(&pairs, "sim_minutes")?,
-            seed: uint(&pairs, "seed")?,
-            sample_period: uint(&pairs, "sample_period")?,
-            ticks: uint(&pairs, "ticks")?,
-            wall_noop_ms: num(&pairs, "wall_noop_ms")?,
-            wall_instr_ms: num(&pairs, "wall_instr_ms")?,
-            ticks_per_sec_noop: num(&pairs, "ticks_per_sec_noop")?,
-            ticks_per_sec_instr: num(&pairs, "ticks_per_sec_instr")?,
-            overhead_fraction: num(&pairs, "overhead_fraction")?,
-            checksum_noop: string(&pairs, "checksum_noop")?,
-            checksum_instr: string(&pairs, "checksum_instr")?,
-            events_total: uint(&pairs, "events_total")?,
-            events_sampled_out: uint(&pairs, "events_sampled_out")?,
-            events_per_tick_pre_sample: num(&pairs, "events_per_tick_pre_sample")?,
-            events_per_tick_post_sample: num(&pairs, "events_per_tick_post_sample")?,
-            mutex_ns_per_op: num(&pairs, "mutex_ns_per_op")?,
-            handle_ns_per_op: num(&pairs, "handle_ns_per_op")?,
-            phases,
-        })
-    }
-
     /// Whether instrumentation left the trajectory untouched — the
     /// hard gate.
     pub fn digest_clean(&self) -> bool {
         self.checksum_noop == self.checksum_instr
     }
+}
 
-    /// Renders the Markdown report section.
-    pub fn to_markdown(&self) -> String {
+impl BenchDump for ProfileRun {
+    fn decode(text: &str) -> Result<Self, String> {
+        let (h, body) = read(text, "profile")?;
+        let phases = body
+            .iter()
+            .map(|(_, f)| {
+                Ok(ProfilePhase {
+                    phase: f.string("phase")?,
+                    calls: f.uint("calls")?,
+                    total_us: f.num("total_us")?,
+                    mean_us: f.num("mean_us")?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        expect_count(h.uint("phases")?, phases.len(), "phases")?;
+        Ok(ProfileRun {
+            rows: h.uint("rows")?,
+            workers: h.uint("workers")?,
+            sim_minutes: h.uint("sim_minutes")?,
+            seed: h.uint("seed")?,
+            sample_period: h.uint("sample_period")?,
+            ticks: h.uint("ticks")?,
+            wall_noop_ms: h.num("wall_noop_ms")?,
+            wall_instr_ms: h.num("wall_instr_ms")?,
+            ticks_per_sec_noop: h.num("ticks_per_sec_noop")?,
+            ticks_per_sec_instr: h.num("ticks_per_sec_instr")?,
+            overhead_fraction: h.num("overhead_fraction")?,
+            checksum_noop: h.string("checksum_noop")?,
+            checksum_instr: h.string("checksum_instr")?,
+            events_total: h.uint("events_total")?,
+            events_sampled_out: h.uint("events_sampled_out")?,
+            events_per_tick_pre_sample: h.num("events_per_tick_pre_sample")?,
+            events_per_tick_post_sample: h.num("events_per_tick_post_sample")?,
+            mutex_ns_per_op: h.num("mutex_ns_per_op")?,
+            handle_ns_per_op: h.num("handle_ns_per_op")?,
+            phases,
+        })
+    }
+
+    /// A header line, then one line per phase.
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{{\"bench\":\"profile\",\"rows\":{},\"workers\":{},\"sim_minutes\":{},\"seed\":{},\
+             \"sample_period\":{},\"ticks\":{},\"wall_noop_ms\":{:.3},\"wall_instr_ms\":{:.3},\
+             \"ticks_per_sec_noop\":{:.3},\"ticks_per_sec_instr\":{:.3},\
+             \"overhead_fraction\":{:.4},\"checksum_noop\":\"{}\",\
+             \"checksum_instr\":\"{}\",\"events_total\":{},\"events_sampled_out\":{},\
+             \"events_per_tick_pre_sample\":{:.3},\"events_per_tick_post_sample\":{:.3},\
+             \"mutex_ns_per_op\":{:.1},\"handle_ns_per_op\":{:.1},\"phases\":{}}}",
+            self.rows,
+            self.workers,
+            self.sim_minutes,
+            self.seed,
+            self.sample_period,
+            self.ticks,
+            self.wall_noop_ms,
+            self.wall_instr_ms,
+            self.ticks_per_sec_noop,
+            self.ticks_per_sec_instr,
+            self.overhead_fraction,
+            self.checksum_noop,
+            self.checksum_instr,
+            self.events_total,
+            self.events_sampled_out,
+            self.events_per_tick_pre_sample,
+            self.events_per_tick_post_sample,
+            self.mutex_ns_per_op,
+            self.handle_ns_per_op,
+            self.phases.len()
+        );
+        for p in &self.phases {
+            let _ = writeln!(
+                out,
+                "{{\"phase\":\"{}\",\"calls\":{},\"total_us\":{:.1},\"mean_us\":{:.2}}}",
+                p.phase, p.calls, p.total_us, p.mean_us
+            );
+        }
+        out
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        vec![Gate::new(
+            "instrumentation-digest",
+            self.digest_clean(),
+            format!(
+                "instrumentation changed the trajectory checksum ({} vs {})",
+                self.checksum_noop, self.checksum_instr
+            ),
+        )]
+    }
+
+    fn overhead_fraction(&self) -> Option<f64> {
+        Some(self.overhead_fraction)
+    }
+
+    fn to_markdown(&self) -> String {
         let mut md = String::new();
         let _ = writeln!(md, "## Profile run\n");
         let _ = writeln!(
@@ -250,7 +258,7 @@ mod tests {
 
     #[test]
     fn parses_and_reports_clean_run() {
-        let run = ProfileRun::parse(DUMP).unwrap();
+        let run = ProfileRun::decode(DUMP).unwrap();
         assert_eq!(run.ticks, 180);
         assert_eq!(run.phases.len(), 2);
         assert_eq!(run.phases[1].phase, "decide");
@@ -267,17 +275,17 @@ mod tests {
             "\"checksum_instr\":\"00000000deadbeef\"",
             "\"checksum_instr\":\"00000000cafef00d\"",
         );
-        let run = ProfileRun::parse(&broken).unwrap();
+        let run = ProfileRun::decode(&broken).unwrap();
         assert!(!run.digest_clean());
         assert!(run.to_markdown().contains("**PERTURBED**"));
     }
 
     #[test]
     fn rejects_malformed_dumps() {
-        assert!(ProfileRun::parse("").is_err());
-        assert!(ProfileRun::parse("{\"bench\":\"scale\"}").is_err());
+        assert!(ProfileRun::decode("").is_err());
+        assert!(ProfileRun::decode("{\"bench\":\"scale\"}").is_err());
         let short = DUMP.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(ProfileRun::parse(&short)
+        assert!(ProfileRun::decode(&short)
             .unwrap_err()
             .contains("declares 2"));
     }

@@ -1,20 +1,34 @@
-//! Scenario-sweep analysis: the report section behind `report
+//! The `repro scenarios` record: the report section behind `report
 //! --scenarios`.
 //!
 //! `repro scenarios` emits `BENCH_scenarios.json` — a JSONL header line
 //! plus one line per scenario, each carrying the invariant verdict, the
 //! smallest breaker margin seen, the run digest, and (on failures) the
-//! shrink summary with the copy-paste repro command. This module parses
-//! that dump and renders a Markdown section: the pass/fail tally per
-//! invariant, the worst breaker margins, and a block per failure with
-//! its minimal reproduction. Any failed row fails the report gate.
+//! shrink summary with the copy-paste repro command. [`ScenarioBatch`]
+//! is that dump as a record ([`BenchDump`]); its Markdown section holds
+//! the pass/fail tally per invariant, the worst breaker margins, and a
+//! block per failure with its minimal reproduction. Any failed row
+//! fails the `invariants` gate.
 
-use ampere_telemetry::json;
-use ampere_telemetry::Value;
+use crate::dump::{expect_count, read, BenchDump, Fields, Gate};
+use ampere_telemetry::json::write_json_string;
 
 use std::fmt::Write as _;
 
-/// One scenario's parsed row.
+/// The shrinker's summary on a failing row.
+#[derive(Debug, Clone)]
+pub struct Shrink {
+    /// Accepted shrink steps.
+    pub level: u64,
+    /// Axes the shrinker reduced, comma-joined.
+    pub axes: String,
+    /// Runs spent searching.
+    pub runs: u64,
+    /// The self-contained repro command.
+    pub repro: String,
+}
+
+/// One scenario's row.
 #[derive(Debug, Clone)]
 pub struct ScenarioRow {
     /// Index within the batch.
@@ -25,32 +39,28 @@ pub struct ScenarioRow {
     pub ticks: u64,
     /// Fleet size.
     pub servers: u64,
-    /// `"pass"` or `"fail"`.
-    pub status: String,
+    /// Whether every invariant held (`"status":"pass"`).
+    pub passed: bool,
     /// Smallest normalized breaker headroom seen (negative = over).
     pub min_margin: f64,
     /// Violated invariant names (empty on pass).
     pub violations: Vec<String>,
     /// Run digest, as the emitted hex string.
     pub digest: String,
-    /// Accepted shrink steps (failures only).
-    pub shrink_level: Option<u64>,
-    /// Axes the shrinker reduced (failures only).
-    pub shrink_axes: Option<String>,
-    /// The self-contained repro command (failures only).
-    pub repro: Option<String>,
+    /// Shrink summary (failures, when shrinking was on).
+    pub shrink: Option<Shrink>,
 }
 
-/// A parsed `BENCH_scenarios.json` dump.
+/// The `repro scenarios` batch (`BENCH_scenarios.json`).
 #[derive(Debug, Clone)]
 pub struct ScenarioBatch {
     /// Master seed of the batch.
     pub seed: u64,
-    /// Scenarios the header declares.
+    /// Scenarios in the batch.
     pub count: u64,
-    /// Passing scenarios per the header.
+    /// Passing scenarios.
     pub passed: u64,
-    /// Failing scenarios per the header.
+    /// Failing scenarios.
     pub failed: u64,
     /// Combined batch digest, as the emitted hex string.
     pub digest: String,
@@ -58,112 +68,46 @@ pub struct ScenarioBatch {
     pub rows: Vec<ScenarioRow>,
 }
 
-fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn uint(pairs: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v),
-        other => Err(format!(
-            "field {key:?} is not an unsigned integer: {other:?}"
-        )),
-    }
-}
-
-fn float(pairs: &[(String, Value)], key: &str) -> Result<f64, String> {
-    match field(pairs, key)? {
-        Value::U64(v) => Ok(*v as f64),
-        Value::I64(v) => Ok(*v as f64),
-        Value::F64(v) => Ok(*v),
-        other => Err(format!("field {key:?} is not a number: {other:?}")),
-    }
-}
-
-fn string(pairs: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(pairs, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
-    }
-}
-
-fn opt_string(pairs: &[(String, Value)], key: &str) -> Option<String> {
-    match pairs.iter().find(|(k, _)| k == key) {
-        Some((_, Value::Str(s))) => Some(s.clone()),
-        _ => None,
+impl ScenarioRow {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        let passed = match f.string("status")?.as_str() {
+            "pass" => true,
+            "fail" => false,
+            other => return Err(format!("unknown scenario status {other:?}")),
+        };
+        let shrink = if f.has("shrink_level") {
+            Some(Shrink {
+                level: f.uint("shrink_level")?,
+                axes: f.string("shrink_axes")?,
+                runs: f.uint("shrink_runs")?,
+                repro: f.string("repro")?,
+            })
+        } else {
+            None
+        };
+        Ok(ScenarioRow {
+            index: f.uint("index")?,
+            seed: f.uint("seed")?,
+            ticks: f.uint("ticks")?,
+            servers: f.uint("servers")?,
+            passed,
+            min_margin: f.num("min_margin")?,
+            violations: f
+                .string("violations")?
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+                .collect(),
+            digest: f.string("digest")?,
+            shrink,
+        })
     }
 }
 
 impl ScenarioBatch {
-    /// Parses the JSONL dump written by `repro scenarios`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty scenario dump")?;
-        let pairs = json::parse_object(header).map_err(|e| format!("header: {e}"))?;
-        match field(&pairs, "bench")? {
-            Value::Str(s) if s == "scenarios" => {}
-            other => return Err(format!("not a scenarios dump: bench = {other:?}")),
-        }
-        let seed = uint(&pairs, "seed")?;
-        let count = uint(&pairs, "count")?;
-        let passed = uint(&pairs, "passed")?;
-        let failed = uint(&pairs, "failed")?;
-        let digest = string(&pairs, "digest")?;
-
-        let mut rows = Vec::new();
-        for (no, line) in lines {
-            let pairs = json::parse_object(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            let violations = string(&pairs, "violations")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            rows.push(ScenarioRow {
-                index: uint(&pairs, "index")?,
-                seed: uint(&pairs, "seed")?,
-                ticks: uint(&pairs, "ticks")?,
-                servers: uint(&pairs, "servers")?,
-                status: string(&pairs, "status")?,
-                min_margin: float(&pairs, "min_margin")?,
-                violations,
-                digest: string(&pairs, "digest")?,
-                shrink_level: uint(&pairs, "shrink_level").ok(),
-                shrink_axes: opt_string(&pairs, "shrink_axes"),
-                repro: opt_string(&pairs, "repro"),
-            });
-        }
-        if rows.len() != count as usize {
-            return Err(format!(
-                "header declares {count} scenarios, dump has {}",
-                rows.len()
-            ));
-        }
-        let observed_failed = rows.iter().filter(|r| r.status != "pass").count() as u64;
-        if observed_failed != failed {
-            return Err(format!(
-                "header declares {failed} failures, rows show {observed_failed}"
-            ));
-        }
-        Ok(ScenarioBatch {
-            seed,
-            count,
-            passed,
-            failed,
-            digest,
-            rows,
-        })
-    }
-
     /// The failing rows, in index order.
     pub fn failures(&self) -> Vec<&ScenarioRow> {
-        self.rows.iter().filter(|r| r.status != "pass").collect()
+        self.rows.iter().filter(|r| !r.passed).collect()
     }
 
     /// How many scenarios violated each invariant name seen in the
@@ -189,9 +133,81 @@ impl ScenarioBatch {
             .map(|r| (r.index, r.min_margin))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
+}
 
-    /// Renders the Markdown report section.
-    pub fn to_markdown(&self) -> String {
+impl BenchDump for ScenarioBatch {
+    fn decode(text: &str) -> Result<Self, String> {
+        let (h, body) = read(text, "scenarios")?;
+        let batch = ScenarioBatch {
+            seed: h.uint("seed")?,
+            count: h.uint("count")?,
+            passed: h.uint("passed")?,
+            failed: h.uint("failed")?,
+            digest: h.string("digest")?,
+            rows: body
+                .iter()
+                .map(|(_, f)| ScenarioRow::decode(f))
+                .collect::<Result<_, _>>()?,
+        };
+        expect_count(batch.count, batch.rows.len(), "scenarios")?;
+        let failed = batch.failures().len() as u64;
+        let passed = batch.count - failed;
+        if (batch.passed, batch.failed) != (passed, failed) {
+            return Err(format!(
+                "header declares {} passed and {} failed, rows show {passed} and {failed}",
+                batch.passed, batch.failed
+            ));
+        }
+        Ok(batch)
+    }
+
+    /// One header line, then one line per scenario; failing rows carry
+    /// the shrink summary and repro command.
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{{\"bench\":\"scenarios\",\"seed\":{},\"count\":{},\"passed\":{},\"failed\":{},\"digest\":\"{}\"}}",
+            self.seed, self.count, self.passed, self.failed, self.digest
+        );
+        for row in &self.rows {
+            let _ = write!(
+                out,
+                "{{\"index\":{},\"seed\":{},\"ticks\":{},\"servers\":{},\"status\":\"{}\",\"min_margin\":{:.6},\"violations\":\"{}\",\"digest\":\"{}\"",
+                row.index,
+                row.seed,
+                row.ticks,
+                row.servers,
+                if row.passed { "pass" } else { "fail" },
+                row.min_margin,
+                row.violations.join(","),
+                row.digest
+            );
+            if let Some(s) = &row.shrink {
+                let _ = write!(
+                    out,
+                    ",\"shrink_level\":{},\"shrink_axes\":\"{}\",\"shrink_runs\":{},\"repro\":",
+                    s.level, s.axes, s.runs
+                );
+                write_json_string(&s.repro, &mut out);
+            }
+            out.push_str("}\n");
+        }
+        out
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        vec![Gate::new(
+            "invariants",
+            self.failed == 0,
+            format!(
+                "{} of {} scenarios violated invariants",
+                self.failed, self.count
+            ),
+        )]
+    }
+
+    fn to_markdown(&self) -> String {
         let mut md = String::new();
         let _ = writeln!(md, "## Scenario sweep\n");
         let _ = writeln!(
@@ -228,11 +244,13 @@ impl ScenarioBatch {
                 "Seed {}, {} ticks, {} servers, digest `{}`.",
                 row.seed, row.ticks, row.servers, row.digest
             );
-            if let (Some(level), Some(axes)) = (row.shrink_level, &row.shrink_axes) {
-                let _ = writeln!(md, "Shrunk {level} levels along [{axes}].");
-            }
-            if let Some(repro) = &row.repro {
-                let _ = writeln!(md, "\n```sh\n{repro}\n```");
+            if let Some(shrink) = &row.shrink {
+                let _ = writeln!(
+                    md,
+                    "Shrunk {} levels along [{}].",
+                    shrink.level, shrink.axes
+                );
+                let _ = writeln!(md, "\n```sh\n{}\n```", shrink.repro);
             }
             let _ = writeln!(md);
         }
@@ -258,27 +276,19 @@ impl ScenarioBatch {
 mod tests {
     use super::*;
 
-    const GREEN: &str = concat!(
-        "{\"bench\":\"scenarios\",\"seed\":2026,\"count\":2,\"passed\":2,\"failed\":0,\"digest\":\"00ff\"}\n",
-        "{\"index\":0,\"seed\":11,\"ticks\":60,\"servers\":8,\"status\":\"pass\",\"min_margin\":0.1,\"violations\":\"\",\"digest\":\"aa\"}\n",
-        "{\"index\":1,\"seed\":12,\"ticks\":90,\"servers\":16,\"status\":\"pass\",\"min_margin\":0.05,\"violations\":\"\",\"digest\":\"bb\"}\n",
-    );
-
-    const RED: &str = concat!(
-        "{\"bench\":\"scenarios\",\"seed\":1,\"count\":2,\"passed\":1,\"failed\":1,\"digest\":\"00ff\"}\n",
-        "{\"index\":0,\"seed\":11,\"ticks\":60,\"servers\":8,\"status\":\"pass\",\"min_margin\":0.1,\"violations\":\"\",\"digest\":\"aa\"}\n",
-        "{\"index\":1,\"seed\":12,\"ticks\":90,\"servers\":16,\"status\":\"fail\",\"min_margin\":-0.06,\"violations\":\"breaker-safety\",\"digest\":\"bb\",\
-\"shrink_level\":3,\"shrink_axes\":\"ticks,faults\",\"shrink_runs\":9,\"repro\":\"repro scenario --seed 12 --shrink-level 3 --workers 1\"}\n",
-    );
+    const GREEN: &str = include_str!("../tests/fixtures/scenarios_green.jsonl");
+    const RED: &str = include_str!("../tests/fixtures/scenarios_red.jsonl");
 
     #[test]
     fn parses_a_green_dump() {
-        let batch = ScenarioBatch::parse(GREEN).unwrap();
+        let batch = ScenarioBatch::decode(GREEN).unwrap();
         assert_eq!(batch.count, 2);
         assert_eq!(batch.failed, 0);
         assert!(batch.failures().is_empty());
         assert!(batch.tally().is_empty());
         assert_eq!(batch.worst_margin(), Some((1, 0.05)));
+        assert!(batch.gates()[0].pass);
+        assert_eq!(batch.encode(), GREEN);
         let md = batch.to_markdown();
         assert!(md.contains("## Scenario sweep"));
         assert!(md.contains("**OK**"));
@@ -286,28 +296,60 @@ mod tests {
 
     #[test]
     fn parses_failures_with_repro() {
-        let batch = ScenarioBatch::parse(RED).unwrap();
+        let batch = ScenarioBatch::decode(RED).unwrap();
         assert_eq!(batch.failed, 1);
+        assert!(!batch.gates()[0].pass);
         let failures = batch.failures();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shrink_level, Some(3));
+        assert_eq!(failures[0].shrink.as_ref().map(|s| s.level), Some(3));
         assert_eq!(batch.tally(), vec![("breaker-safety".to_string(), 1)]);
         assert_eq!(batch.worst_margin(), Some((1, -0.06)));
+        assert_eq!(batch.encode(), RED);
         let md = batch.to_markdown();
         assert!(md.contains("### Scenario 1 failed: breaker-safety"));
+        assert!(md.contains("Shrunk 3 levels along [ticks,faults]."));
         assert!(md.contains("```sh\nrepro scenario --seed 12"));
         assert!(md.contains("**VIOLATED**"));
     }
 
     #[test]
     fn rejects_inconsistent_dumps() {
-        assert!(ScenarioBatch::parse("").is_err());
-        assert!(ScenarioBatch::parse("{\"bench\":\"scale\",\"seed\":1}").is_err());
+        assert!(ScenarioBatch::decode("").is_err());
+        assert!(ScenarioBatch::decode("{\"bench\":\"scale\",\"seed\":1}").is_err());
         // Row count disagrees with the header.
         let short = GREEN.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(ScenarioBatch::parse(&short).is_err());
+        assert!(ScenarioBatch::decode(&short).is_err());
         // Failure tally disagrees with the header.
         let lying = RED.replace("\"failed\":1", "\"failed\":0");
-        assert!(ScenarioBatch::parse(&lying).is_err());
+        assert!(ScenarioBatch::decode(&lying).is_err());
+    }
+
+    #[test]
+    fn malformed_shrink_summary_is_a_schema_error() {
+        let bad = RED.replace("\"shrink_level\":3", "\"shrink_level\":\"eight\"");
+        let err = ScenarioBatch::decode(&bad).unwrap_err();
+        assert!(err.contains("shrink_level"), "{err}");
+        let bad = RED.replace("\"shrink_axes\":\"ticks,faults\"", "\"shrink_axes\":7");
+        assert!(ScenarioBatch::decode(&bad).is_err());
+        let bad = RED.replace("\"repro\":\"repro scenario", "\"repro\":false,\"x\":\"");
+        assert!(ScenarioBatch::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn header_pass_count_must_match_the_rows() {
+        let lying = GREEN.replace("\"passed\":2", "\"passed\":999");
+        let err = ScenarioBatch::decode(&lying).unwrap_err();
+        assert!(err.contains("999 passed"), "{err}");
+    }
+
+    #[test]
+    fn repro_commands_are_fully_escaped() {
+        let mut batch = ScenarioBatch::decode(RED).unwrap();
+        let tricky = "AMPERE_SCENARIO_BUG='a\"b\\c\td' repro";
+        batch.rows[1].shrink.as_mut().unwrap().repro = tricky.to_string();
+        let text = batch.encode();
+        assert!(text.contains(r#""repro":"AMPERE_SCENARIO_BUG='a\"b\\c\td' repro""#));
+        let back = ScenarioBatch::decode(&text).unwrap();
+        assert_eq!(back.rows[1].shrink.as_ref().unwrap().repro, tricky);
     }
 }

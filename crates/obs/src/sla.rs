@@ -1,10 +1,10 @@
-//! SLA-comparison analysis: the report section behind `report --sla`.
+//! The `repro sla` record: the report section behind `report --sla`.
 //!
 //! `repro sla` emits `BENCH_sla.json` — a JSONL header line carrying
 //! the mixed fleet's shape (rows, class split, budget, simulated user
 //! population) and the producer's verdicts, then one line per arm
-//! (baseline / uniform / selective). This module parses that dump and
-//! renders a Markdown section with two hard gates:
+//! (baseline / uniform / selective). [`SlaRun`] is that dump as a
+//! record ([`BenchDump`]) with two hard gates:
 //!
 //! - **SLA protection** — selective freezing must hold client-side
 //!   p99.9 within the declared `sla_factor` of the uncontrolled
@@ -14,12 +14,11 @@
 //!   budget and both controlled arms must actually freeze, else the
 //!   comparison is vacuous.
 
-use ampere_telemetry::json::{self, JsonValue};
-use ampere_telemetry::Value;
+use crate::dump::{read, BenchDump, Fields, Gate};
 
 use std::fmt::Write as _;
 
-/// One parsed arm line.
+/// One arm of the comparison.
 #[derive(Debug, Clone)]
 pub struct SlaArmLine {
     /// Freeze policy (`baseline` / `uniform` / `selective`).
@@ -38,6 +37,8 @@ pub struct SlaArmLine {
     pub placed: u64,
     /// Freeze actions actuated (whole run).
     pub froze: u64,
+    /// Unfreeze actions actuated (whole run).
+    pub unfroze: u64,
     /// Mean frozen servers per measured tick.
     pub mean_frozen: f64,
     /// Peak frozen interactive servers at any measured tick.
@@ -50,9 +51,15 @@ pub struct SlaArmLine {
     pub checksum: String,
 }
 
-/// A parsed `BENCH_sla.json` dump.
+/// The `repro sla` comparison (`BENCH_sla.json`).
 #[derive(Debug, Clone)]
 pub struct SlaRun {
+    /// Workers the arm x row shards were stepped with.
+    pub workers: u64,
+    /// Master seed.
+    pub seed: u64,
+    /// Measured hours per arm.
+    pub hours: u64,
     /// Rows in the mixed fleet.
     pub rows: u64,
     /// Servers per row.
@@ -69,105 +76,44 @@ pub struct SlaRun {
     pub users: f64,
     /// The SLA bar: controlled p99.9 within this factor of baseline.
     pub sla_factor: f64,
+    /// Wall time of the whole comparison (ms).
+    pub wall_ms: f64,
     /// The producer's own SLA verdict, as written in the header.
     pub declared_sla_protected: bool,
     /// The producer's own budget-binding verdict.
     pub declared_budget_binding: bool,
-    /// Arm lines in dump order (baseline, uniform, selective).
+    /// Arms in dump order (baseline, uniform, selective).
     pub arms: Vec<SlaArmLine>,
 }
 
-fn field<'a>(pairs: &'a [(String, JsonValue)], key: &str) -> Result<&'a JsonValue, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(pairs: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::U64(v)) => Ok(*v as f64),
-        JsonValue::Scalar(Value::I64(v)) => Ok(*v as f64),
-        JsonValue::Scalar(Value::F64(v)) => Ok(*v),
-        other => Err(format!("field {key:?} is not a number: {other:?}")),
-    }
-}
-
-fn uint(pairs: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::U64(v)) => Ok(*v),
-        other => Err(format!(
-            "field {key:?} is not an unsigned integer: {other:?}"
-        )),
-    }
-}
-
-fn boolean(pairs: &[(String, JsonValue)], key: &str) -> Result<bool, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::Bool(v)) => Ok(*v),
-        other => Err(format!("field {key:?} is not a boolean: {other:?}")),
-    }
-}
-
-fn string(pairs: &[(String, JsonValue)], key: &str) -> Result<String, String> {
-    match field(pairs, key)? {
-        JsonValue::Scalar(Value::Str(s)) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
+impl SlaArmLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(SlaArmLine {
+            policy: f.string("policy")?,
+            p999_us: f.num("p999_us")?,
+            p999_ratio: f.num("p999_ratio")?,
+            peak_power_w: f.num("peak_power_w")?,
+            mean_power_w: f.num("mean_power_w")?,
+            over_budget_ticks: f.uint("over_budget_ticks")?,
+            placed: f.uint("placed")?,
+            froze: f.uint("froze")?,
+            unfroze: f.uint("unfroze")?,
+            mean_frozen: f.num("mean_frozen")?,
+            interactive_frozen_peak: f.uint("interactive_frozen_peak")?,
+            batch_frozen_peak: f.uint("batch_frozen_peak")?,
+            min_capacity: f.num("min_capacity")?,
+            checksum: f.string("checksum")?,
+        })
     }
 }
 
 impl SlaRun {
-    /// Parses the JSONL dump written by `repro sla`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty sla dump")?;
-        let pairs = json::parse_object_full(header).map_err(|e| format!("header: {e}"))?;
-        match field(&pairs, "bench")? {
-            JsonValue::Scalar(Value::Str(s)) if s == "sla" => {}
-            other => return Err(format!("not an sla dump: bench = {other:?}")),
-        }
-        let mut run = SlaRun {
-            rows: uint(&pairs, "rows")?,
-            servers_per_row: uint(&pairs, "servers_per_row")?,
-            interactive_total: uint(&pairs, "interactive_total")?,
-            batch_total: uint(&pairs, "batch_total")?,
-            budget_w: num(&pairs, "budget_w")?,
-            rated_w: num(&pairs, "rated_w")?,
-            users: num(&pairs, "users")?,
-            sla_factor: num(&pairs, "sla_factor")?,
-            declared_sla_protected: boolean(&pairs, "sla_protected")?,
-            declared_budget_binding: boolean(&pairs, "budget_binding")?,
-            arms: Vec::new(),
-        };
-        for (no, line) in lines {
-            let pairs =
-                json::parse_object_full(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-            run.arms.push(SlaArmLine {
-                policy: string(&pairs, "policy")?,
-                p999_us: num(&pairs, "p999_us")?,
-                p999_ratio: num(&pairs, "p999_ratio")?,
-                peak_power_w: num(&pairs, "peak_power_w")?,
-                mean_power_w: num(&pairs, "mean_power_w")?,
-                over_budget_ticks: uint(&pairs, "over_budget_ticks")?,
-                placed: uint(&pairs, "placed")?,
-                froze: uint(&pairs, "froze")?,
-                mean_frozen: num(&pairs, "mean_frozen")?,
-                interactive_frozen_peak: uint(&pairs, "interactive_frozen_peak")?,
-                batch_frozen_peak: uint(&pairs, "batch_frozen_peak")?,
-                min_capacity: num(&pairs, "min_capacity")?,
-                checksum: string(&pairs, "checksum")?,
-            });
-        }
-        for policy in ["baseline", "uniform", "selective"] {
-            if run.arm(policy).is_none() {
-                return Err(format!("dump is missing the {policy:?} arm"));
-            }
-        }
-        Ok(run)
+    /// Sets the header's declared verdicts to the recomputed ones: what
+    /// the producer of a freshly measured comparison declares.
+    pub fn with_declared_verdicts(mut self) -> Self {
+        self.declared_sla_protected = self.sla_recomputed();
+        self.declared_budget_binding = self.budget_binding_recomputed();
+        self
     }
 
     /// The arm named `policy`, if present.
@@ -175,8 +121,8 @@ impl SlaRun {
         self.arms.iter().find(|a| a.policy == policy)
     }
 
-    /// Gate 1, recomputed from the per-arm ratios: selective within
-    /// the bar, uniform above it.
+    /// Selective within the bar and uniform above it, recomputed from
+    /// the per-arm ratios.
     pub fn sla_recomputed(&self) -> bool {
         let (Some(s), Some(u)) = (self.arm("selective"), self.arm("uniform")) else {
             return false;
@@ -184,8 +130,8 @@ impl SlaRun {
         s.p999_ratio <= self.sla_factor && u.p999_ratio > self.sla_factor
     }
 
-    /// Gate 2, recomputed: the baseline over-ran the budget and both
-    /// controlled arms froze.
+    /// The baseline over-ran the budget and both controlled arms froze,
+    /// recomputed from the arm lines.
     pub fn budget_binding_recomputed(&self) -> bool {
         let (Some(b), Some(u), Some(s)) = (
             self.arm("baseline"),
@@ -197,17 +143,132 @@ impl SlaRun {
         b.over_budget_ticks > 0 && u.froze > 0 && s.froze > 0
     }
 
-    /// Every hard gate together, including agreement with the
-    /// producer's declared verdicts.
-    pub fn gates_pass(&self) -> bool {
-        self.sla_recomputed()
-            && self.declared_sla_protected
-            && self.budget_binding_recomputed()
-            && self.declared_budget_binding
+    fn ratio(&self, policy: &str) -> f64 {
+        self.arm(policy).map_or(f64::NAN, |a| a.p999_ratio)
     }
 
-    /// Renders the Markdown report section.
-    pub fn to_markdown(&self) -> String {
+    fn sla_gate(&self) -> Gate {
+        Gate::new(
+            "sla-protection",
+            self.sla_recomputed() && self.declared_sla_protected,
+            format!(
+                "selective must hold p99.9 within {:.1}x of baseline while uniform exceeds \
+                 it: selective {:.3}x, uniform {:.3}x, declared {}",
+                self.sla_factor,
+                self.ratio("selective"),
+                self.ratio("uniform"),
+                self.declared_sla_protected
+            ),
+        )
+    }
+
+    fn binding_gate(&self) -> Gate {
+        Gate::new(
+            "budget-binding",
+            self.budget_binding_recomputed() && self.declared_budget_binding,
+            format!(
+                "vacuous comparison: the budget must bind (baseline over-runs it) and both \
+                 controlled arms must freeze; declared {}",
+                self.declared_budget_binding
+            ),
+        )
+    }
+}
+
+impl BenchDump for SlaRun {
+    fn decode(text: &str) -> Result<Self, String> {
+        let (h, body) = read(text, "sla")?;
+        let run = SlaRun {
+            workers: h.uint("workers")?,
+            seed: h.uint("seed")?,
+            hours: h.uint("hours")?,
+            rows: h.uint("rows")?,
+            servers_per_row: h.uint("servers_per_row")?,
+            interactive_total: h.uint("interactive_total")?,
+            batch_total: h.uint("batch_total")?,
+            budget_w: h.num("budget_w")?,
+            rated_w: h.num("rated_w")?,
+            users: h.num("users")?,
+            sla_factor: h.num("sla_factor")?,
+            wall_ms: h.num("wall_ms")?,
+            declared_sla_protected: h.boolean("sla_protected")?,
+            declared_budget_binding: h.boolean("budget_binding")?,
+            arms: body
+                .iter()
+                .map(|(_, f)| SlaArmLine::decode(f))
+                .collect::<Result<_, _>>()?,
+        };
+        for policy in ["baseline", "uniform", "selective"] {
+            if run.arm(policy).is_none() {
+                return Err(format!("dump is missing the {policy:?} arm"));
+            }
+        }
+        Ok(run)
+    }
+
+    /// One header line carrying the fleet shape and the declared
+    /// verdicts, then one line per arm.
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            concat!(
+                "{{\"bench\":\"sla\",\"workers\":{},\"seed\":{},\"hours\":{},",
+                "\"rows\":{},\"servers_per_row\":{},\"interactive_total\":{},",
+                "\"batch_total\":{},\"budget_w\":{:.3},\"rated_w\":{:.3},",
+                "\"users\":{},\"sla_factor\":{},\"wall_ms\":{:.3},",
+                "\"sla_protected\":{},\"budget_binding\":{}}}"
+            ),
+            self.workers,
+            self.seed,
+            self.hours,
+            self.rows,
+            self.servers_per_row,
+            self.interactive_total,
+            self.batch_total,
+            self.budget_w,
+            self.rated_w,
+            self.users,
+            self.sla_factor,
+            self.wall_ms,
+            self.declared_sla_protected,
+            self.declared_budget_binding,
+        );
+        for a in &self.arms {
+            let _ = writeln!(
+                out,
+                concat!(
+                    "{{\"policy\":\"{}\",\"p999_us\":{:.6},\"p999_ratio\":{:.6},",
+                    "\"peak_power_w\":{:.3},\"mean_power_w\":{:.3},",
+                    "\"over_budget_ticks\":{},\"placed\":{},\"froze\":{},",
+                    "\"unfroze\":{},\"mean_frozen\":{:.6},",
+                    "\"interactive_frozen_peak\":{},\"batch_frozen_peak\":{},",
+                    "\"min_capacity\":{:.6},\"checksum\":\"{}\"}}"
+                ),
+                a.policy,
+                a.p999_us,
+                a.p999_ratio,
+                a.peak_power_w,
+                a.mean_power_w,
+                a.over_budget_ticks,
+                a.placed,
+                a.froze,
+                a.unfroze,
+                a.mean_frozen,
+                a.interactive_frozen_peak,
+                a.batch_frozen_peak,
+                a.min_capacity,
+                a.checksum,
+            );
+        }
+        out
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        vec![self.sla_gate(), self.binding_gate()]
+    }
+
+    fn to_markdown(&self) -> String {
         let mut md = String::new();
         let _ = writeln!(md, "## SLA comparison (mixed fleet)\n");
         let _ = writeln!(
@@ -247,27 +308,29 @@ impl SlaRun {
             );
         }
         let _ = writeln!(md);
-        let sla_ok = self.sla_recomputed() && self.declared_sla_protected;
         let _ = writeln!(
             md,
             "SLA protection: **{}** — selective p99.9 at {:.3}x baseline (bar {:.1}x), \
              uniform at {:.3}x{}.",
-            if sla_ok { "PASS" } else { "FAIL" },
-            self.arm("selective").map_or(f64::NAN, |a| a.p999_ratio),
+            if self.sla_gate().pass { "PASS" } else { "FAIL" },
+            self.ratio("selective"),
             self.sla_factor,
-            self.arm("uniform").map_or(f64::NAN, |a| a.p999_ratio),
+            self.ratio("uniform"),
             if self.sla_recomputed() == self.declared_sla_protected {
                 ""
             } else {
                 "; DISAGREES with the declared verdict"
             },
         );
-        let binding_ok = self.budget_binding_recomputed() && self.declared_budget_binding;
         let _ = writeln!(
             md,
             "Budget binding: **{}** — the uncontrolled baseline over-ran the budget and \
              both controlled arms exercised their freezing authority.",
-            if binding_ok { "PASS" } else { "FAIL" },
+            if self.binding_gate().pass {
+                "PASS"
+            } else {
+                "FAIL"
+            },
         );
         md
     }
@@ -304,11 +367,11 @@ mod tests {
 
     #[test]
     fn parses_and_gates_a_clean_dump() {
-        let run = SlaRun::parse(&dump()).unwrap();
+        let run = SlaRun::decode(&dump()).unwrap();
         assert_eq!(run.arms.len(), 3);
         assert!(run.sla_recomputed());
         assert!(run.budget_binding_recomputed());
-        assert!(run.gates_pass());
+        assert!(run.gates().iter().all(|g| g.pass));
         let md = run.to_markdown();
         assert!(md.contains("## SLA comparison"));
         assert!(md.contains("SLA protection: **PASS**"));
@@ -324,24 +387,24 @@ mod tests {
             "{\"policy\":\"selective\",\"p999_us\":464.8,\"p999_ratio\":1.0,",
             "{\"policy\":\"selective\",\"p999_us\":929.6,\"p999_ratio\":2.0,",
         );
-        let run = SlaRun::parse(&busted).unwrap();
+        let run = SlaRun::decode(&busted).unwrap();
         assert!(!run.sla_recomputed());
-        assert!(!run.gates_pass());
+        assert!(!run.gates()[0].pass);
         assert!(run.to_markdown().contains("SLA protection: **FAIL**"));
 
         let vacuous = dump().replace("\"over_budget_ticks\":69", "\"over_budget_ticks\":0");
-        let run = SlaRun::parse(&vacuous).unwrap();
+        let run = SlaRun::decode(&vacuous).unwrap();
         assert!(!run.budget_binding_recomputed());
-        assert!(!run.gates_pass());
+        assert!(!run.gates()[1].pass);
         assert!(run.to_markdown().contains("Budget binding: **FAIL**"));
     }
 
     #[test]
     fn rejects_malformed_dumps() {
-        assert!(SlaRun::parse("").is_err());
-        assert!(SlaRun::parse("{\"bench\":\"hier\"}").is_err());
+        assert!(SlaRun::decode("").is_err());
+        assert!(SlaRun::decode("{\"bench\":\"hier\"}").is_err());
         let short = dump().lines().take(3).collect::<Vec<_>>().join("\n");
-        assert!(SlaRun::parse(&short)
+        assert!(SlaRun::decode(&short)
             .unwrap_err()
             .contains("missing the \"selective\" arm"));
     }

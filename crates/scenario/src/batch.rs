@@ -1,12 +1,14 @@
 //! Batches: fan a seeded family of scenarios out across the worker
-//! pool, tally invariants, shrink the failures and render a JSONL
-//! report the `obs` crate can check in CI.
+//! pool, tally invariants, shrink the failures and record the batch as
+//! the `ampere-obs` [`ScenarioBatch`] that `repro` writes and CI gates.
 //!
 //! Scenario `i` of a batch runs on seed `derive_subseed(batch_seed,
 //! streams::SCENARIO, i)` — scenarios are mutually independent and any
 //! one of them is reconstructible outside the batch from its own seed,
 //! which is what the printed repro command relies on.
 
+use ampere_obs::dump::hex;
+use ampere_obs::scenario::{ScenarioBatch, ScenarioRow, Shrink};
 use ampere_par::{run_captured, Task, WorkerPool};
 use ampere_sim::{derive_subseed, rng::streams, Fnv};
 
@@ -116,47 +118,44 @@ impl BatchReport {
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Renders the report as JSONL: one header line, then one line per
-    /// scenario. This is the interchange format `ampere-obs` parses.
-    pub fn to_jsonl(&self, bug: Option<&str>) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"bench\":\"scenarios\",\"seed\":{},\"count\":{},\"passed\":{},\"failed\":{},\"digest\":\"{:016x}\"}}\n",
-            self.seed,
-            self.count,
-            self.passed(),
-            self.failed(),
-            self.digest
-        ));
-        for row in &self.rows {
-            let o = &row.outcome;
-            out.push_str(&format!(
-                "{{\"index\":{},\"seed\":{},\"ticks\":{},\"servers\":{},\"status\":\"{}\",\"min_margin\":{:.6},\"violations\":\"{}\",\"digest\":\"{:016x}\"",
-                row.index,
-                row.seed,
-                o.stats.ticks,
-                o.stats.servers,
-                if o.passed() { "pass" } else { "fail" },
-                o.stats.min_margin,
-                o.violated_kinds()
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                o.digest
-            ));
-            if let Some(s) = &row.shrink {
-                out.push_str(&format!(
-                    ",\"shrink_level\":{},\"shrink_axes\":\"{}\",\"shrink_runs\":{},\"repro\":\"{}\"",
-                    s.level,
-                    s.axes.join(","),
-                    s.runs,
-                    escape_json(&repro_command("repro", bug, row.seed, s.level, 1))
-                ));
-            }
-            out.push_str("}\n");
+    /// The batch as the `repro scenarios` record (`BENCH_scenarios.json`);
+    /// failing rows carry a repro command that re-arms `bug`.
+    pub fn record(&self, bug: Option<&str>) -> ScenarioBatch {
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| {
+                let o = &row.outcome;
+                ScenarioRow {
+                    index: row.index as u64,
+                    seed: row.seed,
+                    ticks: o.stats.ticks,
+                    servers: o.stats.servers as u64,
+                    passed: o.passed(),
+                    min_margin: o.stats.min_margin,
+                    violations: o
+                        .violated_kinds()
+                        .iter()
+                        .map(|k| k.name().to_string())
+                        .collect(),
+                    digest: hex(o.digest),
+                    shrink: row.shrink.as_ref().map(|s| Shrink {
+                        level: u64::from(s.level),
+                        axes: s.axes.join(","),
+                        runs: u64::from(s.runs),
+                        repro: repro_command("repro", bug, row.seed, s.level, 1),
+                    }),
+                }
+            })
+            .collect();
+        ScenarioBatch {
+            seed: self.seed,
+            count: self.count as u64,
+            passed: self.passed() as u64,
+            failed: self.failed() as u64,
+            digest: hex(self.digest),
+            rows,
         }
-        out
     }
 }
 
@@ -246,11 +245,6 @@ pub fn repro_command(
     parts.push("--workers".to_string());
     parts.push(workers.to_string());
     parts.join(" ")
-}
-
-/// Minimal JSON string escaping for embedding the repro command.
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! the green batch (a fixed seed family passes every invariant and is
 //! byte-identical at any worker count).
 
+use ampere_obs::{BenchDump, ScenarioBatch};
 use ampere_scenario::{
     run_batch, run_scenario, shrink, shrink_to_level, BatchConfig, InjectedBug, InvariantKind,
     RunOptions, Scenario,
@@ -146,6 +147,14 @@ fn sla_ordering_canary_is_detected_and_shrunk_by_the_batch() {
         let shrink = row.shrink.as_ref().expect("failures are shrunk");
         assert!(!shrink.axes.contains(&"service-mix"));
     }
+    // The batch's record, shrink summaries included, survives its own
+    // dump: the same bytes and the same (failing) gate.
+    let record = report.record(Some(InjectedBug::SlaOrderingInversion.env_value()));
+    assert!(!record.gates()[0].pass);
+    let text = record.encode();
+    let decoded = ScenarioBatch::decode(&text).expect("dump decodes");
+    assert_eq!(decoded.gates(), record.gates());
+    assert_eq!(decoded.encode(), text);
     // The failure is the bug's doing: the first failing scenario passes
     // with the selector correctly ordered.
     let healthy = run_scenario(
@@ -206,8 +215,8 @@ fn batch_of_fifty_is_green_and_worker_count_invariant() {
         "batch digest differs between workers=1 and workers=4"
     );
     assert_eq!(
-        serial.to_jsonl(None),
-        fanned.to_jsonl(None),
+        serial.record(None).encode(),
+        fanned.record(None).encode(),
         "JSONL report differs between workers=1 and workers=4"
     );
 }

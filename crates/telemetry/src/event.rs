@@ -9,6 +9,7 @@
 
 use ampere_sim::SimTime;
 
+use crate::json::write_json_string;
 use crate::trace::{SpanCtx, SpanId, TraceId};
 
 use std::fmt;
@@ -384,25 +385,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// Writes `s` as a JSON string literal with the required escapes.
-pub(crate) fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Writes an `f64` so that it parses back as a float (always keeps a
 /// decimal point or exponent); non-finite values become `null`.

@@ -1,4 +1,5 @@
-//! A minimal JSON parser for reading telemetry dumps back.
+//! A minimal JSON parser for reading telemetry dumps back, and the one
+//! string escaper every JSON writer in the workspace shares.
 //!
 //! Handles exactly the subset [`Event::to_json`](crate::Event::to_json)
 //! and the metrics snapshot emit: one flat object per line whose values
@@ -18,6 +19,25 @@ pub enum JsonValue {
     Array(Vec<f64>),
     /// A one-level object of scalar values (e.g. a label map).
     Object(Vec<(String, Value)>),
+}
+
+/// Writes `s` as a JSON string literal with the required escapes.
+pub fn write_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a flat JSON object into its key/value pairs, scalars only
@@ -301,6 +321,15 @@ mod tests {
             parse_object(r#"{"a":[1]}"#).is_err(),
             "arrays rejected for events"
         );
+    }
+
+    #[test]
+    fn strings_escape_and_parse_back() {
+        let mut out = String::new();
+        write_json_string("a\"b\\c\nd\u{1}é", &mut out);
+        assert_eq!(out, r#""a\"b\\c\nd\u0001é""#);
+        let pairs = parse_object(&format!("{{\"k\":{out}}}")).unwrap();
+        assert_eq!(pairs[0].1, Value::Str("a\"b\\c\nd\u{1}é".into()));
     }
 
     #[test]

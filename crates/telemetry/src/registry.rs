@@ -7,7 +7,8 @@
 //! hands out no-op handles, so instrumented code never branches on
 //! "is telemetry on" itself.
 
-use crate::event::{write_json_f64, write_json_string};
+use crate::event::write_json_f64;
+use crate::json::write_json_string;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

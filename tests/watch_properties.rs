@@ -9,7 +9,8 @@
 //! re-fires nor resolves while the gauge oscillates inside the
 //! threshold/clear band.
 
-use ampere_bench::watch::{run, WatchBenchConfig, WatchBenchResult};
+use ampere_bench::watch::{run, WatchBenchConfig};
+use ampere_obs::WatchRun;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{Event, Severity};
 use ampere_watch::{AlertRule, Cmp, RuleInput, WatchConfig, WatchEngine};
@@ -24,13 +25,13 @@ fn tiny(workers: usize) -> WatchBenchConfig {
     }
 }
 
-/// Every serialized stream the report carries, in order: alerts, then
+/// Every serialized stream the run carries, in order: alerts, then
 /// incidents, then window rollups.
-fn serialized_streams(r: &WatchBenchResult) -> Vec<String> {
+fn serialized_streams(r: &WatchRun) -> Vec<String> {
     let mut lines = Vec::new();
-    lines.extend(r.report.alerts.iter().map(|a| a.to_json_line()));
-    lines.extend(r.report.incidents.iter().map(|i| i.to_json_line()));
-    lines.extend(r.report.windows.iter().map(|w| w.to_json_line()));
+    lines.extend(r.alerts.iter().map(|a| a.raw.clone()));
+    lines.extend(r.incidents.iter().map(|i| i.raw.clone()));
+    lines.extend(r.window_lines.iter().cloned());
     lines
 }
 
@@ -42,10 +43,10 @@ fn alert_stream_is_worker_invariant_and_reproducible() {
     // The merged replay stream is identical at any worker count, so
     // every derived stream is byte-identical — not merely "equivalent".
     assert_eq!(serialized_streams(&r1), serialized_streams(&r4));
-    assert_eq!(r1.report.alert_digest(), r4.report.alert_digest());
-    assert_eq!(r1.report.rule_digest(), r4.report.rule_digest());
+    assert_eq!(r1.alert_digest, r4.alert_digest);
+    assert_eq!(r1.rule_digest, r4.rule_digest);
     assert_eq!(r1.checksum_watch, r4.checksum_watch);
-    assert!(r1.digest_clean() && r4.digest_clean());
+    assert!(r1.trajectory_clean() && r4.trajectory_clean());
 
     // A rerun at the same worker count reproduces the streams exactly.
     let r1b = run(tiny(1));
