@@ -22,6 +22,26 @@ fn jobs(n: usize) -> Vec<JobRequest> {
         .collect()
 }
 
+/// An 8-server row filled by day-long whole-server jobs, with a
+/// 50,000-job backlog queued behind it.
+fn saturated_row() -> (Cluster, Scheduler) {
+    let mut cluster = Cluster::new(ClusterSpec {
+        rows: 1,
+        racks_per_row: 1,
+        servers_per_rack: 8,
+        ..ClusterSpec::paper_row()
+    });
+    let mut sched = Scheduler::new(Box::new(RandomFit::default()), 1);
+    sched.submit((0..8).map(|i| JobRequest {
+        id: JobId::new(1_000_000 + i),
+        resources: Resources::cores_gb(32, 128),
+        duration: SimDuration::from_hours(24),
+    }));
+    assert_eq!(sched.dispatch(&mut cluster, &[]).placed.len(), 8);
+    sched.submit(jobs(50_000));
+    (cluster, sched)
+}
+
 fn main() {
     let r = Runner::from_args("substrate");
 
@@ -36,27 +56,26 @@ fn main() {
         |(mut cluster, mut sched)| sched.dispatch(&mut cluster, &[]),
     );
 
-    // A standing backlog on a full row: every examined job fits nowhere,
-    // so this times the skip path (bound check, RNG jump, requeue).
-    {
-        let mut cluster = Cluster::new(ClusterSpec {
-            rows: 1,
-            racks_per_row: 1,
-            servers_per_rack: 8,
-            ..ClusterSpec::paper_row()
-        });
-        let mut sched = Scheduler::new(Box::new(RandomFit::default()), 1);
-        sched.submit((0..8).map(|i| JobRequest {
-            id: JobId::new(1_000_000 + i),
-            resources: Resources::cores_gb(32, 128),
-            duration: SimDuration::from_hours(24),
-        }));
-        assert_eq!(sched.dispatch(&mut cluster, &[]).placed.len(), 8);
-        sched.submit(jobs(50_000));
-        r.bench("dispatch_saturated_backlog_8_servers", || {
-            sched.dispatch(&mut cluster, &[])
-        });
-    }
+    // A standing backlog on a full row: every examined job fits nowhere.
+    // The first one ends the walk, because the row's free bound is below
+    // the smallest queued demand, so this times the one-step skip.
+    let (mut cluster, mut sched) = saturated_row();
+    r.bench("dispatch_saturated_backlog_8_servers", || {
+        sched.dispatch(&mut cluster, &[])
+    });
+
+    // The same backlog plus one zero-demand job at the back: the queue's
+    // demand floor stays zero, so every job is still walked one by one
+    // (bound check, RNG jump, requeue).
+    let (mut cluster, mut sched) = saturated_row();
+    sched.submit([JobRequest {
+        id: JobId::new(2_000_000),
+        resources: Resources::ZERO,
+        duration: SimDuration::from_mins(5),
+    }]);
+    r.bench("dispatch_saturated_backlog_walk_8_servers", || {
+        sched.dispatch(&mut cluster, &[])
+    });
 
     r.bench_with_setup(
         "cluster_advance_440_servers_5k_jobs",

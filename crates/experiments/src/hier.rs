@@ -244,15 +244,15 @@ impl HierResult {
     /// The sibling-isolation verdict: healthy rows (1..N) must be
     /// bit-identical between the clean cell and the cell where only row
     /// 0 is faulted (both with a clean control plane). `None` when the
-    /// grid lacks either cell.
+    /// grid lacks either cell; `Some(false)` when the two cells report
+    /// different row counts or no rows at all.
     pub fn isolation_ok(&self) -> Option<bool> {
         let clean = self.cell(0.0, 0, false)?;
         let faulted = self.cell(0.0, 0, true)?;
         Some(
-            clean.row_checksums[1..]
-                .iter()
-                .zip(&faulted.row_checksums[1..])
-                .all(|(a, b)| a == b),
+            !clean.row_checksums.is_empty()
+                && clean.row_checksums.len() == faulted.row_checksums.len()
+                && clean.row_checksums[1..] == faulted.row_checksums[1..],
         )
     }
 
@@ -735,6 +735,27 @@ mod tests {
         assert!(faulted.pinned_rounds > 0, "row fault never pinned row 0");
         assert!(faulted.min_coverage < 0.9);
         assert!(faulted.max_reserve_w > 0.0, "pinned surplus not reserved");
+    }
+
+    #[test]
+    fn isolation_fails_on_mismatched_or_missing_rows() {
+        let mut r = run(&HierConfig {
+            grant_loss: vec![0.0],
+            outage_mins: vec![0],
+            row_faults: vec![false, true],
+            ..tiny()
+        });
+        assert_eq!(r.isolation_ok(), Some(true));
+        // A faulted cell that lost a healthy row must not pass as
+        // isolated, even though the rows both cells report agree.
+        let faulted = r.cells.iter_mut().find(|c| c.row_fault).unwrap();
+        faulted.row_checksums.pop();
+        assert_eq!(r.isolation_ok(), Some(false));
+        // Neither cell reporting any row is no evidence of isolation.
+        for c in &mut r.cells {
+            c.row_checksums.clear();
+        }
+        assert_eq!(r.isolation_ok(), Some(false));
     }
 
     #[test]

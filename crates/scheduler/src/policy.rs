@@ -77,8 +77,10 @@ pub trait PlacementPolicy: Send {
     /// Dispatch skips a job that provably fits nowhere by jumping its RNG
     /// ahead by this count instead of calling `place`, so the count is
     /// part of the determinism contract (DESIGN §9): a wrong value
-    /// changes every later placement. The default, `None`, means "always
-    /// call `place`".
+    /// changes every later placement. The count must be a pure function
+    /// of `ctx`: dispatch may ask once and charge that count to a whole
+    /// run of skipped jobs that see the same `ctx`. The default, `None`,
+    /// means "always call `place`".
     fn unplaceable_draws(&self, _ctx: &PlacementContext<'_>) -> Option<u64> {
         None
     }

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::mem;
 
-use ampere_cluster::{Cluster, JobId, ServerId};
+use ampere_cluster::{Cluster, JobId, Resources, ServerId};
 use ampere_sim::{derive_stream, rng::streams, SimRng, SimTime};
 use ampere_stats::Summary;
 use ampere_telemetry::{
@@ -69,10 +69,16 @@ pub struct Scheduler {
     policy: Box<dyn PlacementPolicy>,
     /// Queued jobs with the dispatch round they were submitted before.
     queue: VecDeque<(JobRequest, u64)>,
+    /// Per-dimension minimum demand over the jobs submitted since the
+    /// queue was last empty: a lower bound on every queued job, since
+    /// removals can only raise the true minimum.
+    queue_floor: Resources,
     rng: SimRng,
     stats: SchedStats,
     /// Max queued jobs examined per dispatch round (bounded backfill:
-    /// a huge backlog must not stall the simulation tick).
+    /// a huge backlog must not stall the simulation tick). "Examined"
+    /// means checked against the round's max-free bound, whether one by
+    /// one or, once nothing left can fit, in one step.
     dispatch_budget: usize,
     /// Dispatch rounds run so far (≈ simulation ticks).
     round: u64,
@@ -129,6 +135,7 @@ impl Scheduler {
         Self {
             policy,
             queue: VecDeque::new(),
+            queue_floor: Resources::ZERO,
             rng: derive_stream(seed, streams::PLACEMENT),
             stats: SchedStats::default(),
             dispatch_budget: 50_000,
@@ -210,6 +217,15 @@ impl Scheduler {
         let before = self.stats.submitted;
         for j in jobs {
             self.stats.submitted += 1;
+            let d = j.resources;
+            self.queue_floor = if self.queue.is_empty() {
+                d
+            } else {
+                Resources::new(
+                    self.queue_floor.cpu_millis.min(d.cpu_millis),
+                    self.queue_floor.memory_mb.min(d.memory_mb),
+                )
+            };
             self.queue.push_back((j, self.round));
         }
         self.submitted_counter.inc_by(self.stats.submitted - before);
@@ -328,7 +344,10 @@ impl Scheduler {
     /// dimension is requeued without calling the policy when the policy
     /// declares its miss cost ([`PlacementPolicy::unplaceable_draws`]);
     /// the RNG is jumped ahead by that cost, so the trajectory is the
-    /// same as if `place` had run and missed.
+    /// same as if `place` had run and missed. Once the bound does not
+    /// fit even the queue's demand floor, no job left in the window can
+    /// fit, so the walk ends there and the rest of the window's misses
+    /// are charged in one jump.
     ///
     /// `row_headroom` optionally carries per-row normalized unused power
     /// for headroom-aware policies; pass `&[]` otherwise.
@@ -362,10 +381,13 @@ impl Scheduler {
 
         let mut placed = Vec::new();
         let budget = self.dispatch_budget.min(self.queue.len());
+        let floor = self.queue_floor;
         // The examined window is compacted in place: jobs that stay
         // queued slide down over placed ones, so retries keep their order
         // ahead of the unexamined (over-budget) tail.
         let mut kept = 0;
+        // Where the walk stopped: jobs in `end..budget` stay where they are.
+        let mut end = budget;
         for i in 0..budget {
             let (job, submitted_round) = self.queue[i];
             let ctx = PlacementContext {
@@ -380,6 +402,15 @@ impl Scheduler {
                 self.policy.unplaceable_draws(&ctx)
             };
             let pick = match skip {
+                // Every queued job dominates the floor, and no placement
+                // (so no change to `max_free` or `ctx`) happens before
+                // the next `place`: each job in `i..budget` would skip
+                // here too, owing the same draws.
+                Some(draws) if !max_free.fits(&floor) => {
+                    pending_draws += draws * (budget - i) as u64;
+                    end = i;
+                    break;
+                }
                 Some(draws) => {
                     pending_draws += draws;
                     None
@@ -419,7 +450,7 @@ impl Scheduler {
             placed.push((job.id, target));
         }
         self.rng.advance(pending_draws);
-        self.queue.drain(kept..budget);
+        self.queue.drain(kept..end);
         self.cand_scratch = candidates;
         self.by_row_scratch = by_row;
         self.round += 1;
@@ -457,8 +488,11 @@ impl std::fmt::Debug for Scheduler {
 mod tests {
     use super::*;
     use crate::policy::RandomFit;
-    use ampere_cluster::{ClusterSpec, Resources, RowId};
+    use ampere_cluster::{ClusterSpec, RowId};
     use ampere_sim::SimDuration;
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn scheduler() -> Scheduler {
         Scheduler::new(Box::new(RandomFit::default()), 11)
@@ -744,21 +778,156 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skipping_unplaceable_jobs_keeps_the_trajectory() {
-        let spec = ClusterSpec {
+    /// `RandomFit` that counts the jobs dispatch hands it one by one:
+    /// every `place` call and every miss-cost query.
+    struct Counted(RandomFit, Arc<AtomicU64>);
+
+    impl PlacementPolicy for Counted {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+
+        fn place(
+            &mut self,
+            job: &JobRequest,
+            ctx: &PlacementContext<'_>,
+            rng: &mut SimRng,
+        ) -> Option<usize> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.place(job, ctx, rng)
+        }
+
+        fn unplaceable_draws(&self, ctx: &PlacementContext<'_>) -> Option<u64> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.unplaceable_draws(ctx)
+        }
+    }
+
+    /// One row of eight 32-core servers.
+    fn one_row() -> ClusterSpec {
+        ClusterSpec {
             rows: 1,
             racks_per_row: 2,
             servers_per_rack: 4,
             ..ClusterSpec::tiny()
-        };
-        let mut fast_cluster = Cluster::new(spec);
-        let mut slow_cluster = Cluster::new(spec);
-        let mut fast = scheduler();
-        let mut slow = Scheduler::new(Box::new(AlwaysPlace(RandomFit::default())), 11);
-        fast.dispatch_budget = 300;
-        slow.dispatch_budget = 300;
-        let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
+        }
+    }
+
+    /// The skip path (`fast`) and the plain `place` path (`slow`) on twin
+    /// clusters, dispatched in lockstep: every round must agree on
+    /// placements, queue contents and order, RNG state and queue waits.
+    struct Lockstep {
+        fast: Scheduler,
+        slow: Scheduler,
+        fast_cluster: Cluster,
+        slow_cluster: Cluster,
+        /// Jobs the fast side's policy saw one by one.
+        walked: Arc<AtomicU64>,
+        /// Jobs examined (checked against the bound), summed over rounds.
+        examined: u64,
+    }
+
+    impl Lockstep {
+        fn new(spec: ClusterSpec, budget: usize) -> Self {
+            let walked = Arc::new(AtomicU64::new(0));
+            let policy = Counted(RandomFit::default(), Arc::clone(&walked));
+            let mut fast = Scheduler::new(Box::new(policy), 11);
+            let mut slow = Scheduler::new(Box::new(AlwaysPlace(RandomFit::default())), 11);
+            fast.dispatch_budget = budget;
+            slow.dispatch_budget = budget;
+            Self {
+                fast,
+                slow,
+                fast_cluster: Cluster::new(spec),
+                slow_cluster: Cluster::new(spec),
+                walked,
+                examined: 0,
+            }
+        }
+
+        fn submit(&mut self, jobs: &[JobRequest]) {
+            self.fast.submit(jobs.iter().copied());
+            self.slow.submit(jobs.iter().copied());
+        }
+
+        fn set_frozen(&mut self, id: ServerId, frozen: bool) {
+            for (sched, cluster) in [
+                (&mut self.fast, &mut self.fast_cluster),
+                (&mut self.slow, &mut self.slow_cluster),
+            ] {
+                if frozen {
+                    sched.freeze(cluster, id);
+                } else {
+                    sched.unfreeze(cluster, id);
+                }
+            }
+        }
+
+        /// One dispatch round on both sides, compared, then one simulated
+        /// minute on both clusters.
+        fn round(&mut self, round: usize) -> DispatchOutcome {
+            self.examined += self.fast.dispatch_budget.min(self.fast.queue_len()) as u64;
+            let a = self.fast.dispatch(&mut self.fast_cluster, &[]);
+            let b = self.slow.dispatch(&mut self.slow_cluster, &[]);
+            assert_eq!(a.placed, b.placed, "round {round}");
+            assert_eq!(a.queued, b.queued, "round {round}");
+            assert_eq!(self.fast.queue, self.slow.queue, "round {round}");
+            assert_eq!(self.fast.rng, self.slow.rng, "round {round}");
+            assert_eq!(
+                format!("{:?}", self.fast.wait_rounds()),
+                format!("{:?}", self.slow.wait_rounds()),
+                "round {round}"
+            );
+            let floor = self.fast.queue_floor;
+            assert!(
+                self.fast
+                    .queue
+                    .iter()
+                    .all(|(j, _)| j.resources.cpu_millis >= floor.cpu_millis
+                        && j.resources.memory_mb >= floor.memory_mb),
+                "round {round}: floor {floor:?} above a queued job"
+            );
+            for (sched, cluster) in [
+                (&mut self.fast, &mut self.fast_cluster),
+                (&mut self.slow, &mut self.slow_cluster),
+            ] {
+                let done = cluster.advance(SimDuration::from_mins(1));
+                sched.on_completed(done.len() as u64);
+            }
+            a
+        }
+
+        /// Jobs handed to the policy one by one and jobs examined, since
+        /// the last call. Without the one-step skip the two are equal.
+        fn take_walk(&mut self) -> (u64, u64) {
+            (
+                self.walked.swap(0, Ordering::Relaxed),
+                mem::take(&mut self.examined),
+            )
+        }
+    }
+
+    /// `n` jobs of `cores` whole cores, 1–16 GB and 2–7 minutes.
+    fn batch(gen: &mut SimRng, next_id: &mut u64, n: u64, cores: Range<u64>) -> Vec<JobRequest> {
+        (0..n)
+            .map(|_| {
+                *next_id += 1;
+                JobRequest {
+                    id: JobId::new(*next_id),
+                    resources: Resources::cores_gb(
+                        gen.gen_range(cores.clone()),
+                        gen.gen_range(1..17u64),
+                    ),
+                    duration: SimDuration::from_mins(gen.gen_range(2..8u64)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skipping_unplaceable_jobs_keeps_the_trajectory() {
+        let spec = one_row();
+        let mut pair = Lockstep::new(spec, 300);
         let mut gen = derive_stream(77, 1);
         let mut next_id = 0;
         for round in 0..30 {
@@ -777,49 +946,118 @@ mod tests {
                     }
                 })
                 .collect();
-            fast.submit(batch.iter().copied());
-            slow.submit(batch);
+            pair.submit(&batch);
             let all_frozen = round == 17;
-            for &id in &servers {
+            for id in (0..8).map(ServerId::new) {
                 let freeze = all_frozen || gen.gen_bool(0.25);
-                for (sched, cluster) in [
-                    (&mut fast, &mut fast_cluster),
-                    (&mut slow, &mut slow_cluster),
-                ] {
-                    if freeze {
-                        sched.freeze(cluster, id);
-                    } else {
-                        sched.unfreeze(cluster, id);
-                    }
-                }
+                pair.set_frozen(id, freeze);
             }
-            let a = fast.dispatch(&mut fast_cluster, &[]);
-            let b = slow.dispatch(&mut slow_cluster, &[]);
-            assert_eq!(a.placed, b.placed, "round {round}");
-            assert_eq!(a.queued, b.queued, "round {round}");
-            assert_eq!(fast.queue, slow.queue, "round {round}");
-            assert_eq!(fast.rng, slow.rng, "round {round}");
-            assert_eq!(
-                format!("{:?}", fast.wait_rounds()),
-                format!("{:?}", slow.wait_rounds()),
-                "round {round}"
-            );
-            for (sched, cluster) in [
-                (&mut fast, &mut fast_cluster),
-                (&mut slow, &mut slow_cluster),
-            ] {
-                let done = cluster.advance(SimDuration::from_mins(1));
-                sched.on_completed(done.len() as u64);
-            }
+            pair.round(round);
         }
         // The backlog exceeds the budget and holds jobs no server can
         // ever fit, so the skip path ran every round.
-        assert!(fast.queue_len() > 300);
-        assert!(fast.stats().placed > 50);
-        assert!(fast
+        assert!(pair.fast.queue_len() > 300);
+        assert!(pair.fast.stats().placed > 50);
+        assert!(pair
+            .fast
             .queue
             .iter()
             .any(|(j, _)| j.resources.cpu_millis > spec.capacity.cpu_millis));
+    }
+
+    /// The one-step skip against the plain path, at a budget below the
+    /// backlog (the unexamined tail must keep its order) and one above
+    /// it: rounds that end on a full row, the all-frozen round, a
+    /// zero-demand job behind a saturated backlog (the floor drops to
+    /// zero, so the walk must still reach and place it) and a queue
+    /// drained to empty, then refilled with larger jobs (the floor
+    /// resets upwards).
+    #[test]
+    fn one_step_skip_keeps_the_trajectory_at_the_floor_edges() {
+        for budget in [40, 100_000] {
+            let mut pair = Lockstep::new(one_row(), budget);
+            let mut gen = derive_stream(78, 1);
+            let mut next_id = 0;
+            let mut round = 0;
+            let mut placed = Vec::new();
+            let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
+
+            // Jobs of 9–32 cores arriving faster than the row drains
+            // them: most rounds fill every unfrozen server past the floor,
+            // so after a stale-bound miss the bound falls below it.
+            for _ in 0..12 {
+                let n = gen.gen_range(15..35u64);
+                pair.submit(&batch(&mut gen, &mut next_id, n, 9..33));
+                for &id in &servers {
+                    let freeze = gen.gen_bool(0.25);
+                    pair.set_frozen(id, freeze);
+                }
+                placed.extend(pair.round(round).placed);
+                round += 1;
+            }
+            assert!(pair.fast.queue_len() > 100, "budget {budget}");
+
+            // No candidates at all: the bound is zero.
+            for &id in &servers {
+                pair.set_frozen(id, true);
+            }
+            assert!(pair.round(round).placed.is_empty());
+            round += 1;
+            for &id in &servers {
+                pair.set_frozen(id, false);
+            }
+            let (walked, examined) = pair.take_walk();
+            assert!(
+                walked * 2 < examined,
+                "budget {budget}: {walked} of {examined}"
+            );
+
+            // A zero-demand job behind the saturated backlog.
+            let zero = JobRequest {
+                id: JobId::new(u64::MAX),
+                resources: Resources::ZERO,
+                duration: SimDuration::from_mins(3),
+            };
+            let ahead = pair.fast.queue_len();
+            pair.submit(&[zero]);
+            assert_eq!(pair.fast.queue_floor, Resources::ZERO);
+            let out = pair.round(round);
+            round += 1;
+            if ahead < budget {
+                assert!(out.placed.iter().any(|&(id, _)| id == zero.id));
+            }
+            placed.extend(out.placed);
+
+            // Drain to empty, then refill with larger jobs while the row
+            // is still busy: the floor resets to the new jobs' minimum.
+            while pair.fast.queue_len() > 0 {
+                assert!(round < 500, "budget {budget}: queue never drained");
+                placed.extend(pair.round(round).placed);
+                round += 1;
+            }
+            assert!(placed.iter().any(|&(id, _)| id == zero.id));
+            // Until the queue emptied the floor stayed zero: every
+            // examined job was walked.
+            let (walked, examined) = pair.take_walk();
+            assert_eq!(walked, examined, "budget {budget}");
+            let refill = batch(&mut gen, &mut next_id, 40, 20..33);
+            pair.submit(&refill);
+            let min = |f: fn(&Resources) -> u64| refill.iter().map(|j| f(&j.resources)).min();
+            assert_eq!(
+                Some(pair.fast.queue_floor.cpu_millis),
+                min(|r| r.cpu_millis)
+            );
+            assert_eq!(Some(pair.fast.queue_floor.memory_mb), min(|r| r.memory_mb));
+            for _ in 0..6 {
+                pair.round(round);
+                round += 1;
+            }
+            let (walked, examined) = pair.take_walk();
+            assert!(
+                walked * 2 < examined,
+                "budget {budget}: {walked} of {examined}"
+            );
+        }
     }
 
     #[test]
