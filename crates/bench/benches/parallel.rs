@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the parallel engine: worker-pool dispatch
-//! overhead, barrier-stepped sharding at several worker counts, and
+//! overhead, sharded stepping at several worker counts, and
 //! captured telemetry fan-out. These bound what `repro scale` can show
 //! on a given box — if the pool itself is slow, no experiment fans out
 //! well.
@@ -45,4 +45,17 @@ fn main() {
             },
         );
     }
+
+    // The shape `repro sla --quick` steps: 9 shards (3 arms x 3 rows)
+    // through 180 ticks on 2 workers in one `run` call, so what it costs
+    // to coordinate the workers shows against the stepping itself.
+    r.bench_with_setup(
+        "sharded_step_9rows_180min_2w",
+        || ShardedTestbed::new(ShardedTestbedConfig::quick(9, 2, 42)),
+        |mut sharded| {
+            sharded.run_for(SimDuration::from_mins(180));
+            sharded.finish();
+            sharded.checksum()
+        },
+    );
 }

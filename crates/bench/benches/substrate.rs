@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the substrates: scheduler dispatch (including a
 //! saturated backlog that fits nowhere), power
-//! monitoring/aggregation, time-series queries, capping decisions and
-//! the full testbed tick. These bound the simulation's own throughput
-//! (simulated minutes per wall-clock second).
+//! monitoring/aggregation, time-series queries, capping decisions, the
+//! full testbed tick and the interactive latency model. These bound the
+//! simulation's own throughput (simulated minutes per wall-clock
+//! second).
 
 use ampere_bench::harness::Runner;
 use ampere_cluster::{Cluster, ClusterSpec, JobId, Resources, ServerId};
@@ -146,6 +147,17 @@ fn main() {
             },
             |mut tb| tb.step(),
         );
+    }
+
+    // One p99.9 model run as `repro sla --quick` makes it per distinct
+    // capacity trace: about 550,000 GET requests, then their percentiles.
+    {
+        use ampere_workload::interactive::{InteractiveSim, OpType};
+        let sim = InteractiveSim {
+            run_secs: 30.0,
+            ..InteractiveSim::default()
+        };
+        r.bench("interactive_get_30s", || sim.run(OpType::Get, &|_| 1.0));
     }
 
     // Freezing half the row must not change dispatch asymptotics.

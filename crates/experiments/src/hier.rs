@@ -23,10 +23,10 @@
 //!    stay safe on haircut budgets.
 //!
 //! Determinism: rows are independent testbeds on sub-seeded streams,
-//! stepped in lockstep by the worker pool; the arbiter, the
-//! control-plane fault injector and the substation breaker run serially
-//! at grant-period barriers. Results are byte-identical at any worker
-//! count.
+//! stepped independently by the worker pool within a grant period; the
+//! arbiter, the control-plane fault injector and the substation breaker
+//! run serially at grant-period barriers. Results are byte-identical at
+//! any worker count.
 
 use ampere_arbiter::{
     ArbiterConfig, BudgetArbiter, FallbackState, GrantLink, GrantLinkConfig, RowHealth,

@@ -1069,7 +1069,7 @@ impl Testbed {
 }
 
 /// Configuration of a [`ShardedTestbed`]: `shards` independent
-/// single-row testbeds advanced in lockstep.
+/// single-row testbeds advanced on the worker pool.
 pub struct ShardedTestbedConfig {
     /// Number of row shards.
     pub shards: usize,
@@ -1135,8 +1135,8 @@ struct TestbedShard {
 }
 
 /// Row-parallel simulation: each row domain is an independent
-/// [`Testbed`] shard with its own seed sub-stream, advanced in lockstep
-/// by a [`ShardSet`] with a barrier at every control tick.
+/// [`Testbed`] shard with its own seed sub-stream, advanced by a
+/// [`ShardSet`].
 ///
 /// Determinism contract (DESIGN §9): shard `i`'s entire draw sequence
 /// depends only on `(seed, streams::SHARD, i)`, shards share no mutable
@@ -1202,10 +1202,11 @@ impl ShardedTestbed {
         self.ticks_run
     }
 
-    /// Advances every shard by `duration` (a whole number of ticks),
-    /// with a barrier between ticks: no shard starts tick `k + 1`
-    /// before every shard finished tick `k`, mirroring the serial
-    /// testbed's per-tick measurement alignment.
+    /// Advances every shard by `duration` (a whole number of ticks).
+    /// Shards are independent, so there is no barrier between ticks:
+    /// each shard is stepped through the whole duration by whichever
+    /// worker claims it, and every shard has completed the duration
+    /// when this returns.
     pub fn run_for(&mut self, duration: SimDuration) {
         let ticks = duration.as_millis() / self.tick.as_millis();
         assert!(

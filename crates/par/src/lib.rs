@@ -9,7 +9,8 @@
 //!   worker finished first;
 //! - [`WorkerPool::step_ticks`] — advance a set of mutable shards (row
 //!   domains) in lockstep, with a [`std::sync::Barrier`] between control
-//!   ticks so no shard runs ahead of the measurement interval;
+//!   ticks so no shard runs ahead of the measurement interval, for
+//!   callers that need tick-aligned shards;
 //! - [`run_captured`] — [`WorkerPool::run`] plus telemetry capture +
 //!   replay: each task records into a private pipeline
 //!   ([`ampere_telemetry::fanin`]) and the buffers are merged into the
@@ -17,9 +18,10 @@
 //!   span allocation byte-for-byte;
 //! - [`ShardSet`] — the shard driver behind every row-parallel
 //!   experiment: builds shard `i` under its own capture of a parent
-//!   pipeline bound once, steps the shards with
-//!   [`WorkerPool::step_ticks`], gives serial mutable access between
-//!   runs, and replays into that parent in shard order.
+//!   pipeline bound once, steps the shards with no per-tick barrier
+//!   (workers claim whole shards through [`WorkerPool::map`] and step
+//!   each through the call's ticks), gives serial mutable access
+//!   between runs, and replays into that parent in shard order.
 //!
 //! Determinism therefore does not come from scheduling (which is racy by
 //! nature) but from *structure*: tasks share nothing while running, and

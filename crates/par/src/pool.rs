@@ -1,4 +1,4 @@
-//! The scoped worker pool and barrier-stepped shard loop.
+//! The scoped worker pool and its lockstep shard loop.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -1,18 +1,21 @@
-//! Independent shards stepped in lockstep under per-shard telemetry
-//! captures, replayed in shard order.
+//! Independent shards stepped under per-shard telemetry captures,
+//! replayed in shard order.
 
 use crate::pool::WorkerPool;
 
 use ampere_telemetry::{fanin, Capture, Telemetry};
 
-/// A set of independent shards (row domains) advanced in lockstep on a
+/// A set of independent shards (row domains) advanced on a
 /// [`WorkerPool`].
 ///
 /// The set binds a parent [`Telemetry`] once, at construction. Shard
 /// `i` is built by a closure that receives `i` (and derives the shard's
 /// seed from it) under a private [`Capture`] of that parent, so every
 /// component the shard constructs reports into the capture. Stepping
-/// and serial mutable access run under the same capture. [`finish`]
+/// and serial mutable access run under the same capture. Shards share
+/// nothing while [`run`] steps them, so it has no per-tick barrier;
+/// coupling between shards runs serially between two `run` calls, in
+/// [`for_each_mut`]. [`finish`]
 /// replays the captures once, in shard order, into the bound parent —
 /// never into whatever pipeline is global at that moment — so the
 /// merged event stream is byte-identical at any worker count and a
@@ -21,6 +24,8 @@ use ampere_telemetry::{fanin, Capture, Telemetry};
 /// With a disabled parent there are no captures: shards build and step
 /// on the default no-op handle and nothing replays.
 ///
+/// [`run`]: ShardSet::run
+/// [`for_each_mut`]: ShardSet::for_each_mut
 /// [`finish`]: ShardSet::finish
 pub struct ShardSet<S> {
     shards: Vec<S>,
@@ -62,20 +67,26 @@ impl<S: Send> ShardSet<S> {
         &self.shards
     }
 
-    /// Advances every shard `ticks` times on the pool, each step under
-    /// the shard's capture, with a barrier between ticks (see
-    /// [`WorkerPool::step_ticks`]).
+    /// Advances every shard `ticks` times on the pool, under the
+    /// shard's capture. Shards share nothing while stepping, so there is
+    /// no barrier between ticks: workers claim whole shards as they
+    /// free up ([`WorkerPool::map`]) and step each through all `ticks`.
+    /// Coupling between shards belongs between two `run` calls (see
+    /// [`ShardSet::for_each_mut`]).
+    ///
+    /// # Panics
+    /// Re-raises the first panic of `step` once every worker stopped.
     pub fn run(&mut self, ticks: u64, step: impl Fn(&mut S) + Sync) {
-        let mut slots: Vec<(&mut S, Option<&Capture>)> = self
+        let slots: Vec<(&mut S, Option<&Capture>)> = self
             .shards
             .iter_mut()
             .zip(self.captures.iter().map(Option::as_ref))
             .collect();
-        self.pool
-            .step_ticks(&mut slots, ticks, |_, (shard, capture)| match capture {
-                Some(c) => c.with(|| step(shard)),
-                None => step(shard),
-            });
+        let steps = |shard: &mut S| (0..ticks).for_each(|_| step(shard));
+        self.pool.map(slots, |_, (shard, capture)| match capture {
+            Some(c) => c.with(|| steps(shard)),
+            None => steps(shard),
+        });
     }
 
     /// Serial mutable access to every shard in index order, each under
@@ -111,12 +122,18 @@ mod tests {
     struct Toy {
         id: usize,
         ticks: u64,
+        /// Folds in every step, so a lost or repeated step shows.
+        state: u64,
         telemetry: Telemetry,
     }
 
     impl Toy {
         fn step(&mut self) {
             self.ticks += 1;
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(self.ticks ^ self.id as u64);
             self.telemetry.emit(
                 Event::new(
                     SimTime::from_mins(self.ticks),
@@ -133,6 +150,7 @@ mod tests {
         Toy {
             id,
             ticks: 0,
+            state: 0,
             telemetry: ampere_telemetry::global(),
         }
     }
@@ -164,6 +182,63 @@ mod tests {
         for workers in [2, 3, 8] {
             assert_eq!(serial, run_with(workers), "workers={workers} diverged");
         }
+    }
+
+    /// Steps `count` shards whose step costs grow with the shard index,
+    /// so fast workers claim several shards while a slow one is still on
+    /// its first. Returns each shard's (ticks, state) and the replayed
+    /// event lines.
+    fn run_uneven(count: usize, workers: usize) -> (Vec<(u64, u64)>, Vec<String>) {
+        let (sink, events) = RingBufferSink::new(1024);
+        let parent = Telemetry::builder().sink(sink).build();
+        let mut set = ShardSet::new(&parent, count, workers, toy);
+        let step = |s: &mut Toy| {
+            for _ in 0..s.id * 2_000 {
+                s.state = std::hint::black_box(s.state.rotate_left(7) ^ 0x9e37);
+            }
+            s.step();
+        };
+        set.run(7, step);
+        set.for_each_mut(|i, s| s.state ^= i as u64);
+        set.run(4, step);
+        set.finish();
+        let states = set.shards().iter().map(|s| (s.ticks, s.state)).collect();
+        (
+            states,
+            events.events().iter().map(|e| e.to_json()).collect(),
+        )
+    }
+
+    #[test]
+    fn uneven_shards_on_any_worker_count_match_serial() {
+        // 9 shards on 2 workers and 7 on 4 leave a partial last round.
+        for count in [9, 7] {
+            let serial = run_uneven(count, 1);
+            assert!(serial.0.iter().all(|&(ticks, _)| ticks == 11));
+            assert_eq!(serial.1.len(), count * 11);
+            for workers in [2, 3, 4, 8] {
+                assert_eq!(
+                    serial,
+                    run_uneven(count, workers),
+                    "{count} shards on {workers} workers diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_shard_propagates_without_deadlock() {
+        let mut set = ShardSet::new(&Telemetry::disabled(), 6, 3, toy);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            set.run(10, |s| {
+                if s.id == 4 && s.ticks == 3 {
+                    panic!("shard 4 died at tick 3");
+                }
+                s.step();
+            })
+        }))
+        .expect_err("the shard's panic must reach the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"shard 4 died at tick 3"));
     }
 
     #[test]

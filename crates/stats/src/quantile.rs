@@ -92,16 +92,53 @@ impl Cdf {
 /// `q` is clamped to `[0, 1]`. Panics on an empty slice.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty sample");
-    let q = q.clamp(0.0, 1.0);
     let n = sorted.len();
     if n == 1 {
         return sorted[0];
     }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
+    let (lo, hi, frac) = bracket(q, n);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
+
+/// The 0-based ranks of the two order statistics that bracket quantile
+/// `q` (clamped to `[0, 1]`) of `n > 1` points, and the interpolation
+/// weight of the upper one.
+fn bracket(q: f64, n: usize) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// The quantiles `qs` of an *unsorted* sample, by selection instead of
+/// a full sort: each value equals [`quantile_sorted`] on the sorted
+/// sample bit for bit (values that compare equal are interchangeable,
+/// so of `-0.0` and `0.0` either sign may surface).
+///
+/// Only the order statistics the quantiles need are placed, by
+/// successive `select_nth_unstable_by` calls in rank order, each over
+/// the part of `sample` above the previous rank; `sample` is left
+/// partially reordered.
+///
+/// # Panics
+/// On an empty sample, or on a NaN the selection compares.
+pub fn select_quantiles<const N: usize>(sample: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    assert!(!sample.is_empty(), "quantile of empty sample");
+    let n = sample.len();
+    if n == 1 {
+        return [sample[0]; N];
+    }
+    let brackets = qs.map(|q| bracket(q, n));
+    let mut ranks: Vec<usize> = brackets.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut start = 0;
+    for &rank in &ranks {
+        sample[start..].select_nth_unstable_by(rank - start, |a, b| {
+            a.partial_cmp(b).expect("quantile sample holds no NaN")
+        });
+        start = rank + 1;
+    }
+    brackets.map(|(lo, hi, frac)| sample[lo] + (sample[hi] - sample[lo]) * frac)
 }
 
 /// Percentile (`p` in `[0, 100]`) of an arbitrary sample.

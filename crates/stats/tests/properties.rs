@@ -2,7 +2,7 @@
 
 use ampere_sim::check::{cases, Gen};
 
-use ampere_stats::quantile::quantile_sorted;
+use ampere_stats::quantile::{quantile_sorted, select_quantiles};
 use ampere_stats::timeseries::rolling_max;
 use ampere_stats::{
     cdf_points, ewma, first_differences, linear_fit, linear_fit_through_origin, pearson,
@@ -86,6 +86,31 @@ fn percentile_agrees_with_min_max() {
             percentile(&sample, 50.0).unwrap()
         );
     });
+}
+
+#[test]
+fn selected_quantiles_equal_sorted_quantiles_bit_for_bit() {
+    const QS: [f64; 5] = [0.0, 0.5, 0.99, 0.999, 1.0];
+    let check = |sample: Vec<f64>| {
+        let mut sorted = sample.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut scratch = sample;
+        let got = select_quantiles(&mut scratch, QS);
+        for (q, v) in QS.into_iter().zip(got) {
+            let want = quantile_sorted(&sorted, q);
+            assert_eq!(v.to_bits(), want.to_bits(), "q={q}: {v} vs {want}");
+        }
+    };
+    cases(96, |g| {
+        // Few distinct values over many points: long runs of ties
+        // straddle every bracketing rank.
+        let distinct = g.usize(1..8);
+        check(g.vec_with(1..3000, |g| g.usize(0..distinct) as f64 * 0.25));
+        check(finite_vec(g, 1..3000));
+    });
+    check(vec![3.5]);
+    check(vec![2.0, -1.0]);
+    check(vec![4.0, 4.0]);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use ampere_cluster::ServiceClass;
 use ampere_sim::{derive_stream, rng::streams, Distribution, Exp};
-use ampere_stats::Cdf;
+use ampere_stats::quantile::select_quantiles;
 
 /// The redis-benchmark operations reported in Fig 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,6 +134,9 @@ impl InteractiveSim {
     /// Runs one open-loop benchmark of `op` with Poisson arrivals and
     /// exponential service times, where the server's DVFS frequency at
     /// absolute time `t` (µs since run start) is `freq_at(t)`.
+    ///
+    /// # Panics
+    /// If `freq_at` returns a non-finite frequency.
     pub fn run(&self, op: OpType, freq_at: &dyn Fn(f64) -> f64) -> LatencyStats {
         let mut rng = derive_stream(self.seed, streams::REQUESTS);
         let mean_s = op.base_service_us();
@@ -144,23 +147,33 @@ impl InteractiveSim {
 
         let mut arrival = 0.0f64;
         let mut server_free = 0.0f64;
-        let mut latencies = Vec::new();
+        // Sized for the expected request count plus a margin of several
+        // standard deviations of the Poisson count, so it does not regrow.
+        let expected = (horizon_us * lambda_per_us) as usize;
+        let mut latencies = Vec::with_capacity(expected + expected / 32 + 64);
         while arrival < horizon_us {
             arrival += inter.sample(&mut rng);
             let start = arrival.max(server_free);
-            let freq = freq_at(start).clamp(0.05, 1.0);
-            let work = service.sample(&mut rng) / freq;
+            let freq = freq_at(start);
+            assert!(
+                freq.is_finite(),
+                "freq_at({start} us) returned {freq}, not a finite frequency"
+            );
+            let work = service.sample(&mut rng) / freq.clamp(0.05, 1.0);
             server_free = start + work;
             latencies.push(server_free - arrival);
         }
-        let cdf = Cdf::new(latencies).expect("non-empty run");
+        let count = latencies.len();
+        let mean_us = latencies.iter().sum::<f64>() / count as f64;
+        let [p50_us, p99_us, p999_us, max_us] =
+            select_quantiles(&mut latencies, [0.50, 0.99, 0.999, 1.0]);
         LatencyStats {
-            count: cdf.len(),
-            mean_us: cdf.mean(),
-            p50_us: cdf.quantile(0.50),
-            p99_us: cdf.quantile(0.99),
-            p999_us: cdf.quantile(0.999),
-            max_us: cdf.max(),
+            count,
+            mean_us,
+            p50_us,
+            p99_us,
+            p999_us,
+            max_us,
         }
     }
 
@@ -309,6 +322,48 @@ mod tests {
         let b = sim.run(OpType::Set, &|_| 1.0);
         assert_eq!(a.p999_us, b.p999_us);
         assert_eq!(a.count, b.count);
+    }
+
+    #[test]
+    fn selected_percentiles_equal_a_sorted_cdf() {
+        // The same arrival and service draws as `run`, kept here with
+        // the sorted-sample `Cdf` as the reference.
+        let sim = quick_sim();
+        let trace = episodic_capping(0.15, 0.63, 10e6);
+        let op = OpType::Get;
+        let mut rng = derive_stream(sim.seed, streams::REQUESTS);
+        let inter = Exp::new(sim.target_utilization / op.base_service_us()).unwrap();
+        let service = Exp::new(1.0 / op.base_service_us()).unwrap();
+        let (mut arrival, mut server_free) = (0.0f64, 0.0f64);
+        let mut latencies = Vec::new();
+        while arrival < sim.run_secs * 1e6 {
+            arrival += inter.sample(&mut rng);
+            let start = arrival.max(server_free);
+            server_free = start + service.sample(&mut rng) / trace(start).clamp(0.05, 1.0);
+            latencies.push(server_free - arrival);
+        }
+        let cdf = ampere_stats::Cdf::new(latencies).unwrap();
+        let stats = sim.run(op, &trace);
+        assert_eq!(stats.count, cdf.len());
+        for (got, want) in [
+            (stats.p50_us, cdf.quantile(0.50)),
+            (stats.p99_us, cdf.quantile(0.99)),
+            (stats.p999_us, cdf.quantile(0.999)),
+            (stats.max_us, cdf.max()),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
+        assert!((stats.mean_us - cdf.mean()).abs() <= 1e-9 * cdf.mean());
+    }
+
+    #[test]
+    #[should_panic(expected = "freq_at")]
+    fn non_finite_frequency_is_rejected() {
+        let sim = InteractiveSim {
+            run_secs: 1.0,
+            ..quick_sim()
+        };
+        let _ = sim.run(OpType::Get, &|t| if t > 5e5 { f64::NAN } else { 1.0 });
     }
 
     #[test]
