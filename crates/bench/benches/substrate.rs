@@ -152,12 +152,31 @@ fn main() {
     // One p99.9 model run as `repro sla --quick` makes it per distinct
     // capacity trace: about 550,000 GET requests, then their percentiles.
     {
-        use ampere_workload::interactive::{InteractiveSim, OpType};
+        use ampere_workload::interactive::{InteractiveSim, OpType, StepTrace};
         let sim = InteractiveSim {
             run_secs: 30.0,
             ..InteractiveSim::default()
         };
         r.bench("interactive_get_30s", || sim.run(OpType::Get, &|_| 1.0));
+
+        // The same run under a 120-slice capacity trace shaped like the
+        // quick uniform arm's (down to 37 of 60 interactive servers at
+        // peak), read per request through an index closure and by slice.
+        let capacity: Vec<f64> = (0..120)
+            .map(|k| {
+                let frozen = (23.0 * (std::f64::consts::PI * k as f64 / 120.0).sin()).round();
+                (60.0 - frozen) / 60.0
+            })
+            .collect();
+        let horizon_us = sim.run_secs * 1e6;
+        let freq_at = |t: f64| capacity[(((t / horizon_us) * 120.0) as usize).min(119)];
+        r.bench("interactive_get_30s_sla_trace_closure", || {
+            sim.run(OpType::Get, &freq_at)
+        });
+        let trace = StepTrace::new(&capacity);
+        r.bench("interactive_get_30s_sla_trace_steps", || {
+            sim.run_steps(OpType::Get, &trace)
+        });
     }
 
     // Freezing half the row must not change dispatch asymptotics.

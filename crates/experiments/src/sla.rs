@@ -47,7 +47,7 @@ use ampere_par::ShardSet;
 use ampere_power::CappingConfig;
 use ampere_sched::{FreezePolicy, RandomFit};
 use ampere_sim::{derive_subseed, rng::streams, Fnv, SimDuration};
-use ampere_workload::interactive::{InteractiveSim, OpType};
+use ampere_workload::interactive::{InteractiveSim, OpType, StepTrace};
 use ampere_workload::{RateProfile, UserPopulation};
 
 use crate::calibrate::default_controller;
@@ -191,9 +191,12 @@ impl SlaResult {
         self.arms.iter().find(|a| a.policy == policy)
     }
 
-    /// The headline verdict: selective holds the SLA bar, uniform
-    /// busts it, and both controlled arms hold the budget better than
-    /// the uncontrolled baseline.
+    /// The headline verdict on the client-side tail: selective's p99.9
+    /// stays within `sla_factor` of the baseline's and uniform's does
+    /// not. Only those two p99.9 ratios are checked. Whether the
+    /// controlled arms exceed the budget less often than the
+    /// uncontrolled baseline is not: on the committed quick run they
+    /// exceed it more often (ROADMAP.md, open item 1).
     pub fn sla_protected(&self) -> bool {
         let (Some(s), Some(u)) = (self.arm("selective"), self.arm("uniform")) else {
             return false;
@@ -310,8 +313,8 @@ fn shard_checksum(recs: &[DomainTickRecord], class_frozen: &[(u32, u32)]) -> u64
 /// distinct capacity trace) are computed serially afterwards.
 ///
 /// # Panics
-/// If `config` has no rows, no measured hours or a batch fraction
-/// outside `[0, 1]`.
+/// If `config` has no rows, no measured hours, a batch fraction
+/// outside `[0, 1]` or one that leaves a row no interactive server.
 pub fn run(config: &SlaConfig) -> SlaResult {
     assert!(config.rows > 0, "need at least one row");
     assert!(config.hours > 0, "need at least one measured hour");
@@ -325,6 +328,10 @@ pub fn run(config: &SlaConfig) -> SlaResult {
     let budget_w = rated * config.budget_scale;
     let batch_per_row = (per_row as f64 * config.batch_fraction).round() as usize;
     let interactive_per_row = per_row - batch_per_row;
+    assert!(
+        interactive_per_row > 0,
+        "need at least one interactive server per row"
+    );
     let total_mins = config.warmup_mins + config.hours * 60;
     let warm = config.warmup_mins as usize;
 
@@ -388,7 +395,6 @@ pub fn run(config: &SlaConfig) -> SlaResult {
 
     let interactive_total = interactive_per_row * config.rows;
     let ticks = (config.hours * 60) as usize;
-    let horizon_us = config.sim.run_secs * 1e6;
     // (capacity trace bits, p99.9) of every model run so far.
     let mut models: Vec<(Vec<u64>, f64)> = Vec::new();
 
@@ -412,11 +418,10 @@ pub fn run(config: &SlaConfig) -> SlaResult {
         let p999_us = match models.iter().find(|(seen, _)| *seen == trace) {
             Some(&(_, p999_us)) => p999_us,
             None => {
-                let freq_at = |t: f64| {
-                    let idx = ((t / horizon_us) * ticks as f64) as usize;
-                    capacity[idx.min(ticks - 1)]
-                };
-                let p999_us = config.sim.run(OpType::Get, &freq_at).p999_us;
+                let p999_us = config
+                    .sim
+                    .run_steps(OpType::Get, &StepTrace::new(&capacity))
+                    .p999_us;
                 models.push((trace, p999_us));
                 p999_us
             }
@@ -583,6 +588,15 @@ mod tests {
     fn zero_hours_is_rejected() {
         let _ = run(&SlaConfig {
             hours: 0,
+            ..tiny(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one interactive server per row")]
+    fn all_batch_rows_are_rejected() {
+        let _ = run(&SlaConfig {
+            batch_fraction: 0.99,
             ..tiny(1)
         });
     }

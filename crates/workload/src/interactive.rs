@@ -11,6 +11,15 @@
 //! The simulation uses the exact Lindley recurrence for a FIFO queue
 //! (start = max(arrival, previous finish)), which is faster and more
 //! precise than event juggling for a single-server queue.
+//!
+//! A frequency trace that is constant over equal slices of the run
+//! ([`StepTrace`], such as a per-tick capacity trace) is read by slice,
+//! not by request: [`InteractiveSim::run_steps`] finds each slice
+//! boundary once per run, and since service starts never decrease, a
+//! cursor walks past the boundaries with one compare per request. The
+//! frequency lookup then stays off the recurrence's loop-carried chain,
+//! and the results are bit-identical to [`InteractiveSim::run`] with a
+//! per-request lookup of the same trace.
 
 use ampere_cluster::ServiceClass;
 use ampere_sim::{derive_stream, rng::streams, Distribution, Exp};
@@ -133,17 +142,70 @@ impl Default for InteractiveSim {
 impl InteractiveSim {
     /// Runs one open-loop benchmark of `op` with Poisson arrivals and
     /// exponential service times, where the server's DVFS frequency at
-    /// absolute time `t` (µs since run start) is `freq_at(t)`.
+    /// absolute time `t` (µs since run start) is `freq_at(t)`, called
+    /// once per request at its service start. A trace that is constant
+    /// over equal slices of the run is cheaper through
+    /// [`InteractiveSim::run_steps`], with bit-identical results.
     ///
     /// # Panics
-    /// If `freq_at` returns a non-finite frequency.
+    /// If `freq_at` returns a non-finite frequency, or `run_secs` or
+    /// `target_utilization` is not finite and positive.
     pub fn run(&self, op: OpType, freq_at: &dyn Fn(f64) -> f64) -> LatencyStats {
+        self.simulate(op, self.horizon_us(), |start| {
+            let freq = freq_at(start);
+            assert!(
+                freq.is_finite(),
+                "freq_at({start} us) returned {freq}, not a finite frequency"
+            );
+            freq
+        })
+    }
+
+    /// Like [`InteractiveSim::run`] with `freq_at` reading `trace`, but
+    /// the model reads the trace by slice, not by request: each slice
+    /// boundary is found once per run, and service starts (which never
+    /// decrease) walk past them with one compare.
+    ///
+    /// # Panics
+    /// If `run_secs` or `target_utilization` is not finite and positive.
+    pub fn run_steps(&self, op: OpType, trace: &StepTrace<'_>) -> LatencyStats {
+        let horizon_us = self.horizon_us();
+        let mut cursor = trace.cursor(horizon_us);
+        self.simulate(op, horizon_us, |start| cursor.at(start))
+    }
+
+    /// The run's length in µs.
+    ///
+    /// # Panics
+    /// If `run_secs` or `target_utilization` is not finite and positive:
+    /// an empty run has no percentiles.
+    fn horizon_us(&self) -> f64 {
+        assert!(
+            self.run_secs.is_finite() && self.run_secs > 0.0,
+            "run_secs must be finite and positive, not {}",
+            self.run_secs
+        );
+        assert!(
+            self.target_utilization.is_finite() && self.target_utilization > 0.0,
+            "target_utilization must be finite and positive, not {}",
+            self.target_utilization
+        );
+        self.run_secs * 1e6
+    }
+
+    /// The Lindley recurrence behind every run. `freq_at` is called once
+    /// per request with its service start, which never decreases.
+    fn simulate(
+        &self,
+        op: OpType,
+        horizon_us: f64,
+        mut freq_at: impl FnMut(f64) -> f64,
+    ) -> LatencyStats {
         let mut rng = derive_stream(self.seed, streams::REQUESTS);
         let mean_s = op.base_service_us();
         let lambda_per_us = self.target_utilization / mean_s;
         let inter = Exp::new(lambda_per_us).expect("positive rate");
         let service = Exp::new(1.0 / mean_s).expect("positive rate");
-        let horizon_us = self.run_secs * 1e6;
 
         let mut arrival = 0.0f64;
         let mut server_free = 0.0f64;
@@ -155,10 +217,6 @@ impl InteractiveSim {
             arrival += inter.sample(&mut rng);
             let start = arrival.max(server_free);
             let freq = freq_at(start);
-            assert!(
-                freq.is_finite(),
-                "freq_at({start} us) returned {freq}, not a finite frequency"
-            );
             let work = service.sample(&mut rng) / freq.clamp(0.05, 1.0);
             server_free = start + work;
             latencies.push(server_free - arrival);
@@ -223,6 +281,96 @@ impl InteractiveSim {
     }
 }
 
+/// A frequency trace that is constant over each of `n` equal slices of a
+/// run: time `t` (µs since the start of a run `horizon_us` long) falls in
+/// slice `((t / horizon_us) * n) as usize`, clamped to `n - 1`, so a
+/// request that starts past the horizon reads the last level.
+#[derive(Debug, Clone, Copy)]
+pub struct StepTrace<'a> {
+    levels: &'a [f64],
+}
+
+impl<'a> StepTrace<'a> {
+    /// The trace whose slice `k` runs at frequency `levels[k]`.
+    ///
+    /// # Panics
+    /// If `levels` is empty or holds a non-finite level.
+    pub fn new(levels: &'a [f64]) -> Self {
+        assert!(!levels.is_empty(), "a step trace needs at least one level");
+        if let Some(k) = levels.iter().position(|l| !l.is_finite()) {
+            panic!("step level {k} is {}, not a finite frequency", levels[k]);
+        }
+        Self { levels }
+    }
+
+    /// The slice time `t` falls in, in a run `horizon_us` long.
+    fn slice_at(&self, t: f64, horizon_us: f64) -> usize {
+        let n = self.levels.len();
+        (((t / horizon_us) * n as f64) as usize).min(n - 1)
+    }
+
+    /// A reader of this trace at non-decreasing times in a run
+    /// `horizon_us` long.
+    fn cursor(&self, horizon_us: f64) -> SliceCursor<'a> {
+        SliceCursor {
+            levels: self.levels,
+            until: self.boundaries(horizon_us),
+            k: 0,
+        }
+    }
+
+    /// Where each slice ends in a run `horizon_us` long: `until[k]` is
+    /// the least non-negative `f64` `t` with `slice_at(t) > k`, and the
+    /// last slice never ends (`+inf`).
+    ///
+    /// Correctly rounded `/` and `*` and the truncating cast are all
+    /// monotone in `t`, and the bit patterns of non-negative `f64`s are
+    /// ordered like their values, so bisection over the bits finds each
+    /// boundary exactly.
+    fn boundaries(&self, horizon_us: f64) -> Vec<f64> {
+        let inf = f64::INFINITY.to_bits();
+        let mut until: Vec<f64> = (0..self.levels.len() - 1)
+            .map(|k| {
+                // slice_at(lo) <= k < slice_at(hi): slice_at(0) is 0 and
+                // slice_at(+inf) saturates to the last slice.
+                let (mut lo, mut hi) = (0u64, inf);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if self.slice_at(f64::from_bits(mid), horizon_us) > k {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                f64::from_bits(hi)
+            })
+            .collect();
+        until.push(f64::INFINITY);
+        until
+    }
+}
+
+/// Reads a [`StepTrace`] at non-decreasing times, one compare per read.
+struct SliceCursor<'a> {
+    levels: &'a [f64],
+    /// Where each slice ends ([`StepTrace::boundaries`]).
+    until: Vec<f64>,
+    /// The current slice.
+    k: usize,
+}
+
+impl SliceCursor<'_> {
+    /// The level at `t`, which is no earlier than any `t` read before.
+    fn at(&mut self, t: f64) -> f64 {
+        // One long request can carry the next start across several
+        // slices.
+        while t >= self.until[self.k] {
+            self.k += 1;
+        }
+        self.levels[self.k]
+    }
+}
+
 /// A frequency trace alternating capped and uncapped episodes, modeled
 /// on the §4.3 measurement that capped rows spend roughly 15 % of time
 /// slowed down. `period_us` is the cycle length; the first
@@ -244,6 +392,7 @@ pub fn episodic_capping(duty: f64, capped_freq: f64, period_us: f64) -> impl Fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampere_sim::SimRng;
 
     fn quick_sim() -> InteractiveSim {
         InteractiveSim {
@@ -364,6 +513,145 @@ mod tests {
             ..quick_sim()
         };
         let _ = sim.run(OpType::Get, &|t| if t > 5e5 { f64::NAN } else { 1.0 });
+    }
+
+    /// The slice `t` falls in, written out as a per-request index
+    /// closure over a per-tick trace computes it.
+    fn idx(t: f64, horizon_us: f64, n: usize) -> usize {
+        (((t / horizon_us) * n as f64) as usize).min(n - 1)
+    }
+
+    fn index_closure(levels: &[f64], run_secs: f64) -> impl Fn(f64) -> f64 + '_ {
+        move |t| levels[idx(t, run_secs * 1e6, levels.len())]
+    }
+
+    fn assert_bit_equal(got: &LatencyStats, want: &LatencyStats) {
+        assert_eq!(got.count, want.count);
+        for (g, w) in [
+            (got.mean_us, want.mean_us),
+            (got.p50_us, want.p50_us),
+            (got.p99_us, want.p99_us),
+            (got.p999_us, want.p999_us),
+            (got.max_us, want.max_us),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn step_trace_equals_the_index_closure() {
+        let mut rng = SimRng::seed_from_u64(17);
+        let mut cases = Vec::new();
+        for n in [1, 2, 7, 120, 1440] {
+            for run_secs in [0.37, 2.5] {
+                // Levels from 0 to 1.2 reach past both ends of the
+                // 0.05..=1.0 clamp.
+                let levels: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.2)).collect();
+                cases.push((levels, run_secs));
+            }
+        }
+        // The quick uniform arm's shape: 120 measured minutes, down to
+        // 37 of 60 interactive servers at the peak.
+        let uniform_arm = (0..120)
+            .map(|k| {
+                (60.0 - (23.0 * (std::f64::consts::PI * k as f64 / 120.0).sin()).round()) / 60.0
+            })
+            .collect();
+        cases.push((uniform_arm, 30.0));
+        for (levels, run_secs) in &cases {
+            let sim = InteractiveSim {
+                run_secs: *run_secs,
+                seed: rng.next_u64(),
+                ..quick_sim()
+            };
+            let got = sim.run_steps(OpType::Get, &StepTrace::new(levels));
+            let want = sim.run(OpType::Get, &index_closure(levels, *run_secs));
+            assert_bit_equal(&got, &want);
+        }
+    }
+
+    #[test]
+    fn slice_boundaries_are_exact() {
+        for (n, run_secs) in [
+            (1, 30.0),
+            (2, 0.37),
+            (7, 2.5),
+            (120, 30.0),
+            (1440, 86_400.0),
+        ] {
+            let levels = vec![1.0; n];
+            let horizon_us = run_secs * 1e6;
+            let until = StepTrace::new(&levels).boundaries(horizon_us);
+            assert_eq!(until.len(), n);
+            assert_eq!(until[n - 1], f64::INFINITY);
+            // Slice k + 1 starts exactly where slice k ends.
+            for (k, b) in until[..n - 1].iter().enumerate() {
+                assert!(idx(*b, horizon_us, n) > k, "slice {k} ends after {b}");
+                assert!(
+                    idx(b.next_down(), horizon_us, n) <= k,
+                    "slice {k} ends before {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_reads_exact_boundaries_and_crosses_several_slices() {
+        let levels: Vec<f64> = (0..120).map(|k| k as f64 / 120.0).collect();
+        let trace = StepTrace::new(&levels);
+        let run_secs = 30.0;
+        let closure = index_closure(&levels, run_secs);
+        let until = trace.boundaries(run_secs * 1e6);
+        // Every slice boundary, and the time just before it.
+        let mut cursor = trace.cursor(run_secs * 1e6);
+        for &b in &until[..119] {
+            for t in [b.next_down(), b] {
+                assert_eq!(cursor.at(t), closure(t), "at {t} us");
+            }
+        }
+        // Reads five slices apart: one long request carries the next
+        // service start across several slices at once.
+        let mut cursor = trace.cursor(run_secs * 1e6);
+        for &b in until[..119].iter().step_by(5) {
+            assert_eq!(cursor.at(b), closure(b), "at {b} us");
+        }
+        assert_eq!(cursor.at(1e12), levels[119], "past the horizon");
+    }
+
+    #[test]
+    #[should_panic(expected = "step level 1 is NaN, not a finite frequency")]
+    fn non_finite_step_level_is_rejected() {
+        let _ = StepTrace::new(&[1.0, f64::NAN, 0.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_secs must be finite and positive")]
+    fn empty_run_is_rejected() {
+        let sim = InteractiveSim {
+            run_secs: 0.0,
+            ..quick_sim()
+        };
+        let _ = sim.run(OpType::Get, &|_| 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_secs must be finite and positive")]
+    fn endless_run_is_rejected() {
+        let sim = InteractiveSim {
+            run_secs: f64::INFINITY,
+            ..quick_sim()
+        };
+        let _ = sim.run_steps(OpType::Get, &StepTrace::new(&[1.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "target_utilization must be finite and positive")]
+    fn non_finite_utilization_is_rejected() {
+        let sim = InteractiveSim {
+            target_utilization: f64::NAN,
+            ..quick_sim()
+        };
+        let _ = sim.run(OpType::Get, &|_| 1.0);
     }
 
     #[test]
