@@ -5,6 +5,7 @@
 //! well.
 
 use ampere_bench::harness::Runner;
+use ampere_experiments::sla::{self, SlaConfig};
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
 use ampere_par::{run_captured, Task, WorkerPool};
 use ampere_sim::SimDuration;
@@ -58,4 +59,9 @@ fn main() {
             sharded.checksum()
         },
     );
+
+    // One whole `repro sla --quick` call on 2 workers: the shape above
+    // plus each arm's statistics and p99.9 model, which run on the
+    // calling thread while the later arms still step.
+    r.bench("sla_quick_2w", || sla::run(&SlaConfig::quick(2)));
 }

@@ -115,6 +115,9 @@ fn main() {
         })
         .unwrap_or("all");
 
+    // Check the dump path up front, so a bad one fails before the run.
+    let _: Option<String> = flag(&args, &format!("--{what}-out"));
+
     if what == "scale" {
         scale(quick, &args);
     } else if what == "profile" {
@@ -292,12 +295,25 @@ fn write_dump(bench: &str, record: &dyn BenchDump, args: &[String], out_flag: &s
     ampere_obs::gates_pass(bench, &record.gates())
 }
 
-/// Parses `--name value` anywhere in the argument list.
+/// Parses `--name value` anywhere in the argument list: `None` when
+/// the flag is absent. A flag with no value (the end of the line or
+/// another `--flag` follows it) or with one that does not parse exits 2.
 fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
+    let i = args.iter().position(|a| a == name)?;
+    let Some(value) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
+        usage_error(&format!("{name} needs a value"));
+    };
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage_error(&format!("{name}: cannot parse {value:?}")),
+    }
+}
+
+/// Reports a bad command line on stderr and exits 2, before anything
+/// runs or is written.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}");
+    std::process::exit(2);
 }
 
 /// This binary's own invocation path, quoted into repro commands so

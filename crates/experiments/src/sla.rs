@@ -36,6 +36,15 @@
 //! telemetry capture that replays in construction order. Results are
 //! byte-identical at any worker count.
 //!
+//! Shards are arm-major, and finished shards come back to the calling
+//! thread in shard order, so an arm is complete as soon as its last
+//! row arrives. Its statistics and p99.9 model then run on the calling
+//! thread while the workers still step the later arms — still in arm
+//! order, so the result does not depend on which arm finished first.
+//! The model stays on the calling thread: on a spawned thread its
+//! latency buffer would come from that thread's allocator arena, which
+//! glibc retains, and peak RSS would grow.
+//!
 //! The p99.9 model runs once per distinct capacity trace: an arm whose
 //! trace is bit-equal to an earlier arm's (the baseline's is all ones,
 //! and a selective arm that never freezes an interactive server
@@ -309,8 +318,10 @@ fn shard_checksum(recs: &[DomainTickRecord], class_frozen: &[(u32, u32)]) -> u64
 }
 
 /// Runs the comparison: the arm x row shards advance independently on
-/// the worker pool; statistics and the client-side benchmark (once per
-/// distinct capacity trace) are computed serially afterwards.
+/// the worker pool. Each arm's statistics and client-side benchmark
+/// (once per distinct capacity trace) are computed on the calling
+/// thread as soon as that arm's rows have finished, overlapped with
+/// the stepping of the later arms.
 ///
 /// # Panics
 /// If `config` has no rows, no measured hours, a batch fraction
@@ -387,20 +398,22 @@ pub fn run(config: &SlaConfig) -> SlaResult {
             class_frozen: Vec::with_capacity(total_mins as usize),
         }
     });
-    set.run(total_mins, SlaShard::step);
-    // Replay per-shard telemetry into the parent pipeline in
-    // construction order — byte-identical at any worker count.
-    set.finish();
-    let shards = set.shards();
-
     let interactive_total = interactive_per_row * config.rows;
     let ticks = (config.hours * 60) as usize;
     // (capacity trace bits, p99.9) of every model run so far.
     let mut models: Vec<(Vec<u64>, f64)> = Vec::new();
 
     let mut arms = Vec::with_capacity(ARMS.len());
-    for (a, arm) in ARMS.iter().enumerate() {
-        let rows = &shards[a * config.rows..(a + 1) * config.rows];
+    let mut rows: Vec<&SlaShard> = Vec::with_capacity(config.rows);
+    // Shards arrive in index order, so arm `a` is complete with its
+    // last row: its statistics and p99.9 model run here, on the calling
+    // thread, while the workers step the later arms.
+    set.run_each(total_mins, SlaShard::step, |i, shard| {
+        rows.push(shard);
+        if rows.len() < config.rows {
+            return;
+        }
+        let arm = &ARMS[i / config.rows];
 
         // Fleet-wide unfrozen-interactive capacity per measured tick.
         // A frozen interactive server's request load concentrates on
@@ -494,13 +507,17 @@ pub fn run(config: &SlaConfig) -> SlaResult {
             min_capacity,
             checksum: {
                 let mut h = Fnv::new();
-                for s in rows {
+                for s in &rows {
                     h.word(shard_checksum(s.tb.records(s.domain), &s.class_frozen));
                 }
                 h.finish()
             },
         });
-    }
+        rows.clear();
+    });
+    // Replay per-shard telemetry into the parent pipeline in
+    // construction order — byte-identical at any worker count.
+    set.finish();
 
     let baseline_p999 = arms[0].p999_us;
     for arm in &mut arms {
@@ -604,9 +621,11 @@ mod tests {
     #[test]
     fn workers_do_not_change_results() {
         let a = run(&tiny(1));
-        let b = run(&tiny(4));
-        for (x, y) in a.arms.iter().zip(&b.arms) {
-            assert_eq!(x, y);
+        // 2 is the caller plus one spawned thread; 3 leaves a partial
+        // last round of the 9 shards.
+        for workers in [2, 3, 4] {
+            let b = run(&tiny(workers));
+            assert_eq!(a.arms, b.arms, "workers={workers}");
         }
     }
 }

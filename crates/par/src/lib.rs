@@ -4,9 +4,12 @@
 //! built around one contract: **results are byte-identical at any worker
 //! count**. Four primitives:
 //!
-//! - [`WorkerPool::run`] — execute a batch of independent tasks on up to
-//!   N workers, returning results **in task order** regardless of which
-//!   worker finished first;
+//! - [`WorkerPool::run_each`] — execute a batch of independent tasks on
+//!   up to N workers, the calling thread among them, and hand each
+//!   result to a callback **on the calling thread, in task order**, as
+//!   soon as it and every earlier result are ready, while later tasks
+//!   still run ([`WorkerPool::run`] and [`WorkerPool::map`] collect the
+//!   results into a `Vec` through the same loop);
 //! - [`WorkerPool::step_ticks`] — advance a set of mutable shards (row
 //!   domains) in lockstep, with a [`std::sync::Barrier`] between control
 //!   ticks so no shard runs ahead of the measurement interval, for
@@ -19,9 +22,11 @@
 //! - [`ShardSet`] — the shard driver behind every row-parallel
 //!   experiment: builds shard `i` under its own capture of a parent
 //!   pipeline bound once, steps the shards with no per-tick barrier
-//!   (workers claim whole shards through [`WorkerPool::map`] and step
-//!   each through the call's ticks), gives serial mutable access
-//!   between runs, and replays into that parent in shard order.
+//!   (workers claim whole shards through [`WorkerPool::run_each`] and
+//!   step each through the call's ticks), hands each finished shard to
+//!   the calling thread in shard order while later shards still step,
+//!   gives serial mutable access between runs, and replays into that
+//!   parent in shard order.
 //!
 //! Determinism therefore does not come from scheduling (which is racy by
 //! nature) but from *structure*: tasks share nothing while running, and

@@ -1,9 +1,10 @@
-//! The scoped worker pool and its lockstep shard loop.
+//! The scoped worker pool: one claim loop with the caller as a
+//! worker, and the lockstep shard loop.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// The first panic payload captured across a fleet of workers. Workers
@@ -60,9 +61,10 @@ pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A fixed-width pool of scoped workers. Creating one is free — threads
-/// are spawned per call and joined before the call returns, so borrowed
-/// data may flow into tasks.
+/// A fixed-width pool of scoped workers, the calling thread among them.
+/// Creating one is free — the other `workers - 1` threads are spawned
+/// per call and joined before the call returns, so borrowed data may
+/// flow into tasks.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     workers: usize,
@@ -86,71 +88,102 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Runs every task, returning results **in task order**. Workers
-    /// claim tasks from a shared index, so long tasks overlap short
-    /// ones; with one worker the tasks run inline on the calling thread.
+    /// Runs every task, returning results **in task order**. A thin
+    /// collector over [`WorkerPool::run_each`].
     ///
     /// # Panics
     /// Re-raises the first task panic after all workers have stopped.
     pub fn run<'a, T: Send>(&self, tasks: Vec<Task<'a, T>>) -> Vec<T> {
+        let mut out = Vec::with_capacity(tasks.len());
+        self.run_each(tasks, |_, result| out.push(result));
+        out
+    }
+
+    /// Runs every task and hands each result to `each` **on the
+    /// calling thread, in task order**, while later tasks may still be
+    /// running. The calling thread is one of the workers: it spawns
+    /// `workers - 1` threads and claims tasks from the same queue as
+    /// they do, in task order, so with one worker every task runs
+    /// inline.
+    /// Between two claims it hands over every result that is ready —
+    /// result `i` once task `i` is done and results `0..i` have been
+    /// handed over — and once nothing is left to claim it waits for
+    /// the next result in order. Work done in `each` therefore
+    /// overlaps the tasks still running on the spawned threads.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of a task or of `each` once every
+    /// worker has stopped. Either stops the workers from claiming more
+    /// tasks, and no result is handed over after it.
+    pub fn run_each<'a, T: Send>(&self, tasks: Vec<Task<'a, T>>, mut each: impl FnMut(usize, T)) {
         let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
-        if workers == 1 {
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        let slots: Vec<Mutex<Option<Task<'a, T>>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let first_panic = FirstPanic::new();
+        let spawned = self.workers.min(n).saturating_sub(1);
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let done = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<T>>>());
+        let ready = Condvar::new();
         let poisoned = AtomicBool::new(false);
-        let slots_ref = &slots;
-        let results_ref = &results;
-        let next = &next;
+        let first_panic = FirstPanic::new();
+        let fail = |panic| {
+            first_panic.store(panic);
+            poisoned.store(true, Ordering::SeqCst);
+            // Taking the lock orders the flag before a waiting caller's
+            // next check, so the wake-up cannot be lost.
+            let _done = done.lock().unwrap_or_else(PoisonError::into_inner);
+            ready.notify_one();
+        };
+        // Claims and runs one task; false once none is left or a
+        // worker failed.
+        let claim = || {
+            if poisoned.load(Ordering::SeqCst) {
+                return false;
+            }
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, task)) = next else {
+                return false;
+            };
+            match catch_unwind(AssertUnwindSafe(task)) {
+                Ok(out) => {
+                    done.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
+                    ready.notify_one();
+                    true
+                }
+                Err(panic) => {
+                    fail(panic);
+                    false
+                }
+            }
+        };
         thread::scope(|scope| {
-            for _ in 0..workers {
-                let first_panic = &first_panic;
-                let poisoned = &poisoned;
-                scope.spawn(move || loop {
-                    if poisoned.load(Ordering::SeqCst) {
-                        break;
+            for _ in 0..spawned {
+                scope.spawn(|| while claim() {});
+            }
+            let mut handed = 0;
+            let mut claiming = true;
+            while handed < n && !poisoned.load(Ordering::SeqCst) {
+                let mut slots = done.lock().unwrap_or_else(PoisonError::into_inner);
+                if slots[handed].is_none() {
+                    if claiming {
+                        drop(slots);
+                        claiming = claim();
+                        continue;
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let task = slots_ref[i]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .expect("task claimed twice");
-                    match catch_unwind(AssertUnwindSafe(task)) {
-                        Ok(out) => {
-                            *results_ref[i]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner) = Some(out);
-                        }
-                        Err(panic) => {
-                            poisoned.store(true, Ordering::SeqCst);
-                            first_panic.store(panic);
-                            break;
-                        }
-                    }
-                });
+                    slots = ready
+                        .wait_while(slots, |slots| {
+                            slots[handed].is_none() && !poisoned.load(Ordering::SeqCst)
+                        })
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                let Some(out) = slots[handed].take() else {
+                    continue;
+                };
+                drop(slots);
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| each(handed, out))) {
+                    fail(panic);
+                }
+                handed += 1;
             }
         });
         first_panic.rethrow();
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("worker finished without storing a result")
-            })
-            .collect()
     }
 
     /// Maps `f` over `items` on the pool; results in item order.
@@ -290,6 +323,127 @@ mod tests {
         let out = pool.map(vec![1], |_, v: i32| v + 1);
         assert_eq!(out, vec![2]);
         assert_eq!(WorkerPool::new(0).workers(), 1);
+    }
+
+    /// Runs `f` on a fresh thread and fails the test if it has not
+    /// returned within 30 s, so a deadlock fails instead of hanging.
+    fn within_deadline<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(f))));
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(Ok(out)) => out,
+            Ok(Err(panic)) => resume_unwind(panic),
+            Err(_) => panic!("pool deadlocked"),
+        }
+    }
+
+    #[test]
+    fn run_each_hands_results_over_in_order_on_the_caller() {
+        use std::collections::HashSet;
+        for workers in [1, 2, 3, 8] {
+            let n = 24;
+            let caller = thread::current().id();
+            let finished: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            let threads = Mutex::new(HashSet::new());
+            let (finished_ref, threads_ref) = (&finished, &threads);
+            let tasks: Vec<Task<'_, usize>> = (0..n)
+                .map(|i| {
+                    Box::new(move || {
+                        threads_ref.lock().unwrap().insert(thread::current().id());
+                        // Staggered costs: later tasks often finish first.
+                        thread::sleep(std::time::Duration::from_micros(((n - i) % 5) as u64 * 300));
+                        finished_ref[i].store(true, Ordering::SeqCst);
+                        i * 3
+                    }) as Task<'_, usize>
+                })
+                .collect();
+            let mut handed = Vec::new();
+            WorkerPool::new(workers).run_each(tasks, |i, out| {
+                assert_eq!(thread::current().id(), caller, "workers={workers}");
+                assert_eq!(i, handed.len(), "out of order at workers={workers}");
+                assert_eq!(out, i * 3);
+                assert!(
+                    finished[..=i].iter().all(|f| f.load(Ordering::SeqCst)),
+                    "result {i} handed over before an earlier task finished"
+                );
+                handed.push(i);
+            });
+            assert_eq!(handed.len(), n);
+            let threads = threads.into_inner().unwrap();
+            assert!(
+                threads.len() <= workers,
+                "{} threads ran tasks",
+                threads.len()
+            );
+            if workers == 1 {
+                assert!(threads.contains(&caller));
+            }
+        }
+    }
+
+    #[test]
+    fn task_panic_while_the_caller_waits_is_reraised() {
+        let err = within_deadline(|| {
+            let caller = thread::current().id();
+            let both_running = Barrier::new(2);
+            let both_running = &both_running;
+            // Two tasks on two workers: each holds its worker until the
+            // other has started, so one runs on the caller and one on
+            // the spawned thread. The caller's returns at once; the
+            // spawned thread's panics 20 ms later, by when the caller is
+            // almost surely waiting for it. Should the caller be slower,
+            // it sees the panic before waiting, which must re-raise too.
+            let tasks: Vec<Task<'_, ()>> = (0..2)
+                .map(|_| {
+                    Box::new(move || {
+                        both_running.wait();
+                        if thread::current().id() != caller {
+                            thread::sleep(std::time::Duration::from_millis(20));
+                            panic!("spawned task failed");
+                        }
+                    }) as Task<'_, ()>
+                })
+                .collect();
+            catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(2).run_each(tasks, |_, ()| {})
+            }))
+            .map_err(|e| e.downcast_ref::<&str>().copied())
+        });
+        assert_eq!(err, Err(Some("spawned task failed")));
+    }
+
+    #[test]
+    fn callback_panic_stops_claiming_and_is_reraised() {
+        // The first callback runs a few ms in; the spawned worker alone
+        // would need about 800 ms for every task.
+        let n = 400;
+        let (started, handed) = within_deadline(move || {
+            let started = AtomicUsize::new(0);
+            let started_ref = &started;
+            let tasks: Vec<Task<'_, ()>> = (0..n)
+                .map(|_| {
+                    Box::new(move || {
+                        started_ref.fetch_add(1, Ordering::SeqCst);
+                        thread::sleep(std::time::Duration::from_millis(2));
+                    }) as Task<'_, ()>
+                })
+                .collect();
+            let mut handed = 0;
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(2).run_each(tasks, |_, ()| {
+                    handed += 1;
+                    panic!("callback failed");
+                })
+            }))
+            .expect_err("the callback's panic must reach the caller");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"callback failed"));
+            (started.into_inner(), handed)
+        });
+        assert_eq!(handed, 1, "no result is handed over after the panic");
+        assert!(
+            started < n,
+            "workers kept claiming: {started} of {n} tasks ran"
+        );
     }
 
     #[test]

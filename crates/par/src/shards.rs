@@ -1,7 +1,7 @@
 //! Independent shards stepped under per-shard telemetry captures,
 //! replayed in shard order.
 
-use crate::pool::WorkerPool;
+use crate::pool::{Task, WorkerPool};
 
 use ampere_telemetry::{fanin, Capture, Telemetry};
 
@@ -14,7 +14,9 @@ use ampere_telemetry::{fanin, Capture, Telemetry};
 /// component the shard constructs reports into the capture. Stepping
 /// and serial mutable access run under the same capture. Shards share
 /// nothing while [`run`] steps them, so it has no per-tick barrier;
-/// coupling between shards runs serially between two `run` calls, in
+/// [`run_each`] also hands each finished shard back to the calling
+/// thread, in shard order, while later shards still step. Coupling
+/// between shards runs serially between two `run` calls, in
 /// [`for_each_mut`]. [`finish`]
 /// replays the captures once, in shard order, into the bound parent —
 /// never into whatever pipeline is global at that moment — so the
@@ -25,6 +27,7 @@ use ampere_telemetry::{fanin, Capture, Telemetry};
 /// on the default no-op handle and nothing replays.
 ///
 /// [`run`]: ShardSet::run
+/// [`run_each`]: ShardSet::run_each
 /// [`for_each_mut`]: ShardSet::for_each_mut
 /// [`finish`]: ShardSet::finish
 pub struct ShardSet<S> {
@@ -68,25 +71,52 @@ impl<S: Send> ShardSet<S> {
     }
 
     /// Advances every shard `ticks` times on the pool, under the
-    /// shard's capture. Shards share nothing while stepping, so there is
-    /// no barrier between ticks: workers claim whole shards as they
-    /// free up ([`WorkerPool::map`]) and step each through all `ticks`.
-    /// Coupling between shards belongs between two `run` calls (see
-    /// [`ShardSet::for_each_mut`]).
+    /// shard's capture; [`ShardSet::run_each`] with nothing to do per
+    /// finished shard.
     ///
     /// # Panics
     /// Re-raises the first panic of `step` once every worker stopped.
     pub fn run(&mut self, ticks: u64, step: impl Fn(&mut S) + Sync) {
-        let slots: Vec<(&mut S, Option<&Capture>)> = self
+        self.run_each(ticks, step, |_, _| {});
+    }
+
+    /// Advances every shard `ticks` times on the pool, under the
+    /// shard's capture, and hands each shard to `finished` on the
+    /// calling thread, in shard order, once it has run all `ticks`.
+    /// Shards share nothing while stepping, so there is no barrier
+    /// between ticks: workers — the calling thread among them — claim
+    /// whole shards as they free up and step each through all `ticks`
+    /// ([`WorkerPool::run_each`]). `finished` runs between the calling
+    /// thread's claims, so reading the shards that are done overlaps
+    /// the stepping of later ones. Coupling between shards belongs
+    /// between two `run` calls (see [`ShardSet::for_each_mut`]).
+    ///
+    /// # Panics
+    /// Re-raises the first panic of `step` or `finished` once every
+    /// worker stopped.
+    pub fn run_each<'s>(
+        &'s mut self,
+        ticks: u64,
+        step: impl Fn(&mut S) + Sync,
+        mut finished: impl FnMut(usize, &'s S),
+    ) {
+        let steps = |shard: &mut S| (0..ticks).for_each(|_| step(shard));
+        let steps = &steps;
+        let tasks = self
             .shards
             .iter_mut()
             .zip(self.captures.iter().map(Option::as_ref))
+            .map(|(shard, capture)| {
+                Box::new(move || {
+                    match capture {
+                        Some(c) => c.with(|| steps(shard)),
+                        None => steps(shard),
+                    }
+                    shard
+                }) as Task<'_, &mut S>
+            })
             .collect();
-        let steps = |shard: &mut S| (0..ticks).for_each(|_| step(shard));
-        self.pool.map(slots, |_, (shard, capture)| match capture {
-            Some(c) => c.with(|| steps(shard)),
-            None => steps(shard),
-        });
+        self.pool.run_each(tasks, |i, shard| finished(i, shard));
     }
 
     /// Serial mutable access to every shard in index order, each under
@@ -184,11 +214,15 @@ mod tests {
         }
     }
 
+    /// What one uneven run leaves: each shard's (ticks, state), the
+    /// replayed event lines and every (index, ticks) the finished-shard
+    /// callback saw, in call order.
+    type Uneven = (Vec<(u64, u64)>, Vec<String>, Vec<(usize, u64)>);
+
     /// Steps `count` shards whose step costs grow with the shard index,
     /// so fast workers claim several shards while a slow one is still on
-    /// its first. Returns each shard's (ticks, state) and the replayed
-    /// event lines.
-    fn run_uneven(count: usize, workers: usize) -> (Vec<(u64, u64)>, Vec<String>) {
+    /// its first.
+    fn run_uneven(count: usize, workers: usize) -> Uneven {
         let (sink, events) = RingBufferSink::new(1024);
         let parent = Telemetry::builder().sink(sink).build();
         let mut set = ShardSet::new(&parent, count, workers, toy);
@@ -198,14 +232,16 @@ mod tests {
             }
             s.step();
         };
-        set.run(7, step);
+        let mut seen = Vec::new();
+        set.run_each(7, step, |i, s| seen.push((i, s.ticks)));
         set.for_each_mut(|i, s| s.state ^= i as u64);
-        set.run(4, step);
+        set.run_each(4, step, |i, s| seen.push((i, s.ticks)));
         set.finish();
         let states = set.shards().iter().map(|s| (s.ticks, s.state)).collect();
         (
             states,
             events.events().iter().map(|e| e.to_json()).collect(),
+            seen,
         )
     }
 
@@ -216,6 +252,13 @@ mod tests {
             let serial = run_uneven(count, 1);
             assert!(serial.0.iter().all(|&(ticks, _)| ticks == 11));
             assert_eq!(serial.1.len(), count * 11);
+            // Each shard once per run, in index order, with every tick
+            // of that run done.
+            let seen: Vec<(usize, u64)> = [7, 11]
+                .into_iter()
+                .flat_map(|ticks| (0..count).map(move |i| (i, ticks)))
+                .collect();
+            assert_eq!(serial.2, seen);
             for workers in [2, 3, 4, 8] {
                 assert_eq!(
                     serial,
