@@ -22,12 +22,13 @@
 //! and Fig 10's two workloads additionally fan out internally.
 //!
 //! `repro scale|profile|watch|hier|sla` each run one benchmark instead
-//! of a figure (see the matching `ampere_bench` module): they print the
-//! benchmark's report section, write its record as JSONL to
-//! `BENCH_<bench>.json` (override with `--<bench>-out FILE`; render
-//! with `report --<bench> FILE`, `--alerts` for watch) and exit
-//! non-zero if any gate of the record failed — the same gate list
-//! `report` applies (`ampere_obs::dump`).
+//! of a figure (see the matching `ampere_bench` module, or the
+//! `ampere_experiments` one for `hier` and `sla`, whose results build
+//! their own records): they print the benchmark's report section, write
+//! its record as JSONL to `BENCH_<bench>.json` (override with
+//! `--<bench>-out FILE`; render with `report --<bench> FILE`,
+//! `--alerts` for watch) and exit non-zero if any gate of the record
+//! failed — the same gate list `report` applies (`ampere_obs::dump`).
 //!
 //! - `scale` sweeps rows × workers on the parallel engine; `--hyper`
 //!   switches to full 440-server rows up to 2273 shards (1,000,120
@@ -67,6 +68,8 @@
 use ampere_bench::{f3, pct, Output};
 use ampere_experiments as exp;
 use ampere_obs::BenchDump;
+
+use std::time::Instant;
 
 /// Deferred printing half of one experiment: everything the compute
 /// phase produced, replayed onto stdout/CSV in serial figure order.
@@ -247,33 +250,41 @@ fn watch(quick: bool, args: &[String]) {
 }
 
 fn hier(quick: bool, args: &[String]) {
-    let workers = flag(args, "--workers").unwrap_or(1);
-    let mut config = if quick {
-        ampere_bench::hier::quick(workers)
-    } else {
-        ampere_bench::hier::paper(workers)
+    use exp::hier::HierConfig;
+    let mut config = HierConfig {
+        workers: flag(args, "--workers").unwrap_or(1),
+        ..if quick {
+            HierConfig::quick()
+        } else {
+            HierConfig::paper()
+        }
     };
     if let Some(seed) = flag(args, "--seed") {
         config.seed = seed;
     }
     println!("=== Hier: multi-row control under a fault-tolerant budget arbiter ===\n");
-    let r = ampere_bench::hier::run(&config);
-    publish("hier", &r, args, "--hier-out");
+    let t0 = Instant::now();
+    let r = exp::hier::run(&config);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    publish("hier", &r.record(&config, wall_ms), args, "--hier-out");
 }
 
 fn sla(quick: bool, args: &[String]) {
+    use exp::sla::SlaConfig;
     let workers = flag(args, "--workers").unwrap_or(1);
     let mut config = if quick {
-        ampere_bench::sla::quick(workers)
+        SlaConfig::quick(workers)
     } else {
-        ampere_bench::sla::paper(workers)
+        SlaConfig::paper(workers)
     };
     if let Some(seed) = flag(args, "--seed") {
         config.seed = seed;
     }
     println!("=== SLA: uniform vs selective freezing on a mixed interactive/batch fleet ===\n");
-    let r = ampere_bench::sla::run(&config);
-    publish("sla", &r, args, "--sla-out");
+    let t0 = Instant::now();
+    let r = exp::sla::run(&config);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    publish("sla", &r.record(&config, wall_ms), args, "--sla-out");
 }
 
 /// Prints a benchmark's report section, writes its dump to

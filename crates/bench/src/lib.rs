@@ -5,15 +5,24 @@
 //! `EXPERIMENTS.md` is meaningful. An [`Output`] additionally mirrors
 //! every series and table into CSV files (`repro --csv <dir>`) for
 //! plotting.
+//!
+//! Modules:
+//!
+//! - [`harness`] — the in-repo micro-benchmark harness the benches run on;
+//! - [`scale`], [`profile`], [`watch`] — the `repro` benchmarks that
+//!   measure wall time around a run, each returning its `ampere-obs`
+//!   record.
+//!
+//! `repro sla` and `repro hier` have no module here: `repro` times
+//! `ampere_experiments::{sla, hier}::run` and the results build their
+//! own records (`SlaResult::record`, `HierResult::record`).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
 pub mod harness;
-pub mod hier;
 pub mod profile;
 pub mod scale;
-pub mod sla;
 pub mod watch;
 
 /// Serializes the unit tests that install the process-global telemetry

@@ -33,6 +33,8 @@ use ampere_arbiter::{
 };
 use ampere_cluster::{ClusterSpec, RowId};
 use ampere_faults::{FaultInjector, FaultPlan, OutageWindow};
+use ampere_obs::dump::hex;
+use ampere_obs::{HierCellLine, HierRoundLine, HierRun};
 use ampere_par::ShardSet;
 use ampere_power::{hierarchy::PowerNode, CappingConfig, CircuitBreaker};
 use ampere_sched::{FreezePolicy, RandomFit};
@@ -128,31 +130,6 @@ impl HierConfig {
     }
 }
 
-/// One grant round as the driver saw it (the reallocation timeline).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundLog {
-    /// Round counter.
-    pub round: u64,
-    /// Barrier minute the round ran at.
-    pub at_min: u64,
-    /// Whether the arbiter was up this round.
-    pub arbiter_up: bool,
-    /// Whether hysteresis held the previous nominal vector.
-    pub held: bool,
-    /// Passive reserve reported by the arbiter (0 when down).
-    pub reserve_w: f64,
-    /// Budgets each row actually actuated (post-fallback), in watts.
-    pub applied_w: Vec<f64>,
-    /// Rows whose grant RPC was lost this round.
-    pub lost_rows: Vec<usize>,
-    /// Rows running on a fallback budget after this round.
-    pub fallback_rows: Vec<usize>,
-    /// Rows pinned to their floor by health this round.
-    pub pinned_rows: Vec<usize>,
-    /// Whether the substation backstop (post-trip) forced floors.
-    pub backstop: bool,
-}
-
 /// One cell of the grant-loss × arbiter-outage × row-fault grid.
 #[derive(Debug, Clone)]
 pub struct HierCell {
@@ -205,7 +182,7 @@ pub struct HierCell {
     /// the currency of the sibling-isolation check).
     pub row_checksums: Vec<u64>,
     /// The reallocation timeline.
-    pub rounds: Vec<RoundLog>,
+    pub rounds: Vec<HierRoundLine>,
 }
 
 /// The swept grid plus the static partition it ran under.
@@ -241,26 +218,60 @@ impl HierResult {
         })
     }
 
-    /// The sibling-isolation verdict: healthy rows (1..N) must be
-    /// bit-identical between the clean cell and the cell where only row
-    /// 0 is faulted (both with a clean control plane). `None` when the
-    /// grid lacks either cell; `Some(false)` when the two cells report
-    /// different row counts or no rows at all.
-    pub fn isolation_ok(&self) -> Option<bool> {
-        let clean = self.cell(0.0, 0, false)?;
-        let faulted = self.cell(0.0, 0, true)?;
-        Some(
-            !clean.row_checksums.is_empty()
-                && clean.row_checksums.len() == faulted.row_checksums.len()
-                && clean.row_checksums[1..] == faulted.row_checksums[1..],
-        )
-    }
-
-    /// Whether every cell kept both breaker levels trip-free.
-    pub fn zero_trips(&self) -> bool {
-        self.cells
+    /// The sweep as its `BENCH_hier.json` record, with the verdicts it
+    /// recomputes declared in the header. `wall_ms` is the caller's
+    /// timing of [`run`].
+    pub fn record(&self, config: &HierConfig, wall_ms: f64) -> HierRun {
+        let cells = self
+            .cells
             .iter()
-            .all(|c| !c.substation_tripped && c.row_trips == 0)
+            .map(|c| HierCellLine {
+                grant_loss: c.grant_loss,
+                outage_mins: c.outage_mins,
+                row_fault: c.row_fault,
+                substation_tripped: c.substation_tripped,
+                substation_violations: c.substation_violations,
+                row_trips: c.row_trips,
+                row_violations: c.row_violations,
+                row_over_grant_ticks: c.row_over_grant_ticks,
+                arbiter_down_rounds: c.arbiter_down_rounds,
+                grants_lost: c.grants_lost,
+                fallback_rounds: c.fallback_rounds,
+                static_share_rounds: c.static_share_rounds,
+                held_rounds: c.held_rounds,
+                pinned_rounds: c.pinned_rounds,
+                max_reserve_w: c.max_reserve_w,
+                min_coverage: c.min_coverage,
+                degraded_ticks: c.degraded_ticks,
+                backstop_ticks: c.backstop_ticks,
+                placed: c.placed,
+                throughput_ratio: c.throughput_ratio,
+                trip_explained: substation_trip_explained(c),
+                substation_trip_min: c.substation_trip_min,
+                row_checksums: c.row_checksums.iter().map(|&x| hex(x)).collect(),
+                rounds: c.rounds.clone(),
+            })
+            .collect();
+        HierRun {
+            workers: config.workers as u64,
+            seed: config.seed,
+            hours: config.hours,
+            rows: self.rows as u64,
+            grant_period_mins: self.grant_period_mins,
+            feed_w: self.feed_w,
+            allocatable_w: self.allocatable_w,
+            oversubscription: self.oversubscription,
+            floors_w: self.floors_w.clone(),
+            ceilings_w: self.ceilings_w.clone(),
+            baseline_placed: self.baseline_placed,
+            wall_ms,
+            zero_trips: false,
+            isolation_ok: false,
+            has_isolation_axis: false,
+            trips_explained: false,
+            cells,
+        }
+        .with_declared_verdicts()
     }
 }
 
@@ -436,7 +447,7 @@ fn run_cell(
     });
 
     let period = config.grant_period_mins;
-    let mut rounds_log: Vec<RoundLog> = Vec::new();
+    let mut rounds_log: Vec<HierRoundLine> = Vec::new();
     let mut substation_violations = 0u64;
     let mut row_over_grant_ticks = 0u64;
     let mut static_share_rounds = 0u64;
@@ -492,17 +503,17 @@ fn run_cell(
             .iter()
             .filter(|s| matches!(s.link.state(), FallbackState::StaticShare { .. }))
             .count() as u64;
-        rounds_log.push(RoundLog {
+        rounds_log.push(HierRoundLine {
             round,
             at_min: done_mins,
             arbiter_up,
             held,
+            backstop,
             reserve_w,
             applied_w: shards.iter().map(|s| s.applied_w).collect(),
             lost_rows,
             fallback_rows: (0..rows).filter(|&i| shards[i].link.degraded()).collect(),
             pinned_rows: (0..rows).filter(|&i| health[i].pinned()).collect(),
-            backstop,
         });
 
         // --- Parallel stepping phase. ---
@@ -720,13 +731,14 @@ mod tests {
 
     #[test]
     fn sibling_isolation_is_bit_exact() {
-        let r = run(&HierConfig {
+        let config = HierConfig {
             grant_loss: vec![0.0],
             outage_mins: vec![0],
             row_faults: vec![false, true],
             ..tiny()
-        });
-        assert_eq!(r.isolation_ok(), Some(true));
+        };
+        let r = run(&config);
+        assert_eq!(r.record(&config, 0.0).isolation_recomputed(), Some(true));
         let faulted = r.cell(0.0, 0, true).unwrap();
         // The faulted row itself must have diverged (pinned rounds and
         // degraded ticks prove the fault actually landed).
@@ -739,35 +751,38 @@ mod tests {
 
     #[test]
     fn isolation_fails_on_mismatched_or_missing_rows() {
-        let mut r = run(&HierConfig {
+        let config = HierConfig {
             grant_loss: vec![0.0],
             outage_mins: vec![0],
             row_faults: vec![false, true],
             ..tiny()
-        });
-        assert_eq!(r.isolation_ok(), Some(true));
+        };
+        let mut r = run(&config);
+        let isolated = |r: &HierResult| r.record(&config, 0.0).isolation_recomputed();
+        assert_eq!(isolated(&r), Some(true));
         // A faulted cell that lost a healthy row must not pass as
         // isolated, even though the rows both cells report agree.
         let faulted = r.cells.iter_mut().find(|c| c.row_fault).unwrap();
         faulted.row_checksums.pop();
-        assert_eq!(r.isolation_ok(), Some(false));
+        assert_eq!(isolated(&r), Some(false));
         // Neither cell reporting any row is no evidence of isolation.
         for c in &mut r.cells {
             c.row_checksums.clear();
         }
-        assert_eq!(r.isolation_ok(), Some(false));
+        assert_eq!(isolated(&r), Some(false));
     }
 
     #[test]
     fn arbiter_faults_ride_the_fallback_ladder() {
-        let r = run(&HierConfig {
+        let config = HierConfig {
             grant_loss: vec![0.0, 0.4],
             outage_mins: vec![0, 20],
             row_faults: vec![false],
             ..tiny()
-        });
+        };
+        let r = run(&config);
         assert!(
-            r.zero_trips(),
+            r.record(&config, 0.0).zero_trips_recomputed(),
             "a breaker tripped under control-plane faults"
         );
         let lossy = r.cell(0.4, 0, false).unwrap();
@@ -785,6 +800,49 @@ mod tests {
         for c in &r.cells {
             assert!(substation_trip_explained(c));
         }
+    }
+
+    #[test]
+    fn tiny_bench_serializes_and_gates() {
+        use ampere_obs::BenchDump;
+        use ampere_telemetry::Capture;
+
+        let config = HierConfig {
+            rows: 3,
+            hours: 1,
+            warmup_mins: 30,
+            grant_loss: vec![0.0, 0.3],
+            outage_mins: vec![0],
+            row_faults: vec![false, true],
+            workers: 2,
+            ..HierConfig::quick()
+        };
+        let r = Capture::standalone().with(|| run(&config).record(&config, 0.0));
+        assert!(r.has_isolation_axis);
+        assert!(
+            r.gates().iter().all(|g| g.pass),
+            "tiny grid failed a gate:\n{}",
+            r.to_markdown()
+        );
+        assert_eq!(r.cells.len(), 4);
+        assert!(r.cells.iter().all(|c| !c.rounds.is_empty()));
+
+        let jsonl = r.encode();
+        let rounds: usize = r.cells.iter().map(|c| c.rounds.len()).sum();
+        assert_eq!(jsonl.lines().count(), 1 + r.cells.len() + rounds);
+        let decoded = HierRun::decode(&jsonl).expect("dump decodes");
+        assert_eq!(decoded.gates(), r.gates());
+        assert_eq!(decoded.encode(), jsonl);
+
+        // The dump must be byte-identical at a different worker count,
+        // header aside.
+        let serial_config = HierConfig {
+            workers: 1,
+            ..config
+        };
+        let serial = Capture::standalone().with(|| run(&serial_config).record(&serial_config, 0.0));
+        let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
+        assert_eq!(body(&jsonl), body(&serial.encode()));
     }
 
     #[test]

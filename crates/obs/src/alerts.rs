@@ -21,7 +21,7 @@
 //!   `--max-overhead` where the environment opts in (wall-clock noise
 //!   makes it a soft gate by default).
 
-use crate::dump::{expect_count, hex, read, BenchDump, Fields, Gate};
+use crate::dump::{dump_line, expect_count, hex, read, BenchDump, DumpLine, Fields, Gate, Line};
 use ampere_watch::digest_lines;
 
 use std::fmt::Write as _;
@@ -33,91 +33,100 @@ pub const CHAOS_PASS: &str = "chaos";
 /// Rule expected to page during the chaos pass.
 pub const PROXIMITY_RULE: &str = "breaker-proximity";
 
-/// One alert-stream line.
-#[derive(Debug, Clone)]
-pub struct AlertLine {
-    /// Sim-time milliseconds of the evaluation.
-    pub t_ms: u64,
-    /// Pass label the firing is attributed to.
-    pub pass: String,
-    /// Rule name.
-    pub rule: String,
-    /// `fire`, `ack` or `resolve`.
-    pub state: String,
-    /// Gauge value at the transition.
-    pub value: f64,
-    /// Linked trace id (absent when the stream had no span to link).
-    pub trace: Option<u64>,
-    /// Incident id the transition belongs to.
-    pub incident: u64,
-    /// The line as the engine serialized it (the digest input).
-    pub raw: String,
+dump_line! {
+    /// One alert-stream line.
+    pub struct AlertLine {
+        /// Sim-time milliseconds of the evaluation.
+        t_ms: u64,
+        /// Pass label the firing is attributed to.
+        pass: String,
+        /// Rule name.
+        alert: String,
+        /// `fire`, `ack` or `resolve`.
+        state: String,
+        /// Gauge value at the transition.
+        value: f64,
+        /// Incident id the transition belongs to.
+        incident: u64,
+    }
+    extra {
+        /// Linked trace id (absent when the stream had no span to link).
+        trace: Option<u64>,
+        /// The line as the engine serialized it (the digest input).
+        raw: String,
+    }
 }
 
-/// One incident-ledger line.
-#[derive(Debug, Clone)]
-pub struct IncidentLine {
-    /// Incident id (open order).
-    pub id: u64,
-    /// Pass label.
-    pub pass: String,
-    /// Rule that opened it.
-    pub rule: String,
-    /// Rule severity.
-    pub severity: String,
-    /// Opened at (sim ms).
-    pub opened_ms: u64,
-    /// Auto-acknowledged at (sim ms), if it was.
-    pub acked_ms: Option<u64>,
-    /// Resolved at (sim ms); `None` means still open at stream end.
-    pub resolved_ms: Option<u64>,
-    /// Worst gauge value while active.
-    pub peak: f64,
-    /// Linked causal trace id.
-    pub trace: Option<u64>,
-    /// The line as the engine serialized it.
-    pub raw: String,
+dump_line! {
+    /// One incident-ledger line.
+    pub struct IncidentLine {
+        /// Incident id (open order).
+        incident: u64,
+        /// Pass label.
+        pass: String,
+        /// Rule that opened it.
+        rule: String,
+        /// Rule severity.
+        severity: String,
+        /// Opened at (sim ms).
+        opened_ms: u64,
+        /// Worst gauge value while active.
+        peak: f64,
+    }
+    extra {
+        /// Auto-acknowledged at (sim ms), if it was.
+        acked_ms: Option<u64>,
+        /// Resolved at (sim ms); `None` means still open at stream end.
+        resolved_ms: Option<u64>,
+        /// Linked causal trace id.
+        trace: Option<u64>,
+        /// The line as the engine serialized it.
+        raw: String,
+    }
 }
 
-/// The `repro watch` run (`BENCH_watch.json`).
-#[derive(Debug, Clone)]
-pub struct WatchRun {
-    /// Worker threads the fan-out ran with.
-    pub workers: u64,
-    /// Seed.
-    pub seed: u64,
-    /// Measured hours per task.
-    pub hours: u64,
-    /// Wall ms of the bare pass.
-    pub wall_plain_ms: f64,
-    /// Wall ms of the tapped pass.
-    pub wall_watch_ms: f64,
-    /// Observability overhead fraction of the tapped pass.
-    pub overhead_fraction: f64,
-    /// Trajectory checksum, bare pass (hex).
-    pub checksum_plain: String,
-    /// Trajectory checksum, tapped pass (hex).
-    pub checksum_watch: String,
-    /// Rule-table digest the engine computed online (hex).
-    pub rule_digest: String,
-    /// Alert-stream digest the engine computed online (hex).
-    pub alert_digest: String,
-    /// Events the tap observed.
-    pub events: u64,
-    /// Alert firings attributed to the clean pass (header claim).
-    pub clean_fires: u64,
-    /// Alert firings attributed to the chaos pass.
-    pub chaos_fires: u64,
-    /// Breaker-proximity incidents opened in the chaos pass.
-    pub chaos_proximity_incidents: u64,
-    /// Rule-table lines (digest input, in table order).
-    pub rule_lines: Vec<String>,
-    /// The alert stream, in evaluation order.
-    pub alerts: Vec<AlertLine>,
-    /// The incident ledger, in open order.
-    pub incidents: Vec<IncidentLine>,
-    /// Window rollup lines.
-    pub window_lines: Vec<String>,
+dump_line! {
+    /// The `repro watch` run (`BENCH_watch.json`).
+    pub struct WatchRun {
+        /// Worker threads the fan-out ran with.
+        workers: u64,
+        /// Seed.
+        seed: u64,
+        /// Measured hours per task.
+        hours: u64,
+        /// Wall ms of the bare pass.
+        wall_plain_ms: f64 => 3,
+        /// Wall ms of the tapped pass.
+        wall_watch_ms: f64 => 3,
+        /// Observability overhead fraction of the tapped pass.
+        overhead_fraction: f64 => 6,
+        /// Trajectory checksum, bare pass (hex).
+        checksum_plain: String,
+        /// Trajectory checksum, tapped pass (hex).
+        checksum_watch: String,
+        /// Rule-table digest the engine computed online (hex).
+        rule_digest: String,
+        /// Alert-stream digest the engine computed online (hex).
+        alert_digest: String,
+        /// Events the tap observed.
+        events: u64,
+        /// Alert firings attributed to the clean pass (header claim).
+        clean_fires: u64,
+        /// Alert firings attributed to the chaos pass.
+        chaos_fires: u64,
+        /// Breaker-proximity incidents opened in the chaos pass.
+        chaos_proximity_incidents: u64,
+    }
+    extra {
+        /// Rule-table lines (digest input, in table order).
+        rule_lines: Vec<String>,
+        /// The alert stream, in evaluation order.
+        alerts: Vec<AlertLine>,
+        /// The incident ledger, in open order.
+        incidents: Vec<IncidentLine>,
+        /// Window rollup lines.
+        window_lines: Vec<String>,
+    }
 }
 
 impl WatchRun {
@@ -129,26 +138,16 @@ impl WatchRun {
         match f.first_key() {
             "rule" => self.rule_lines.push(raw.to_string()),
             "t_ms" => self.alerts.push(AlertLine {
-                t_ms: f.uint("t_ms")?,
-                pass: f.string("pass")?,
-                rule: f.string("alert")?,
-                state: f.string("state")?,
-                value: f.num("value")?,
-                trace: f.opt_uint("trace")?,
-                incident: f.uint("incident")?,
+                trace: f.opt("trace")?,
                 raw: raw.to_string(),
+                ..AlertLine::read(f)?
             }),
             "incident" => self.incidents.push(IncidentLine {
-                id: f.uint("incident")?,
-                pass: f.string("pass")?,
-                rule: f.string("rule")?,
-                severity: f.string("severity")?,
-                opened_ms: f.uint("opened_ms")?,
-                acked_ms: f.opt_uint("acked_ms")?,
-                resolved_ms: f.opt_uint("resolved_ms")?,
-                peak: f.num("peak")?,
-                trace: f.opt_uint("trace")?,
+                acked_ms: f.opt("acked_ms")?,
+                resolved_ms: f.opt("resolved_ms")?,
+                trace: f.opt("trace")?,
                 raw: raw.to_string(),
+                ..IncidentLine::read(f)?
             }),
             "window" => self.window_lines.push(raw.to_string()),
             other => return Err(format!("unknown line kind {other:?}: {raw}")),
@@ -216,33 +215,14 @@ fn mean_mins(deltas_ms: impl Iterator<Item = u64>) -> Option<f64> {
 impl BenchDump for WatchRun {
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "watch")?;
-        let mut run = WatchRun {
-            workers: h.uint("workers")?,
-            seed: h.uint("seed")?,
-            hours: h.uint("hours")?,
-            wall_plain_ms: h.num("wall_plain_ms")?,
-            wall_watch_ms: h.num("wall_watch_ms")?,
-            overhead_fraction: h.num("overhead_fraction")?,
-            checksum_plain: h.string("checksum_plain")?,
-            checksum_watch: h.string("checksum_watch")?,
-            rule_digest: h.string("rule_digest")?,
-            alert_digest: h.string("alert_digest")?,
-            events: h.uint("events")?,
-            clean_fires: h.uint("clean_fires")?,
-            chaos_fires: h.uint("chaos_fires")?,
-            chaos_proximity_incidents: h.uint("chaos_proximity_incidents")?,
-            rule_lines: Vec::new(),
-            alerts: Vec::new(),
-            incidents: Vec::new(),
-            window_lines: Vec::new(),
-        };
+        let mut run = WatchRun::read(&h)?;
         for (raw, f) in &body {
             run.push_line(raw, f)?;
         }
-        expect_count(h.uint("rules")?, run.rule_lines.len(), "rules")?;
-        expect_count(h.uint("alerts")?, run.alerts.len(), "alerts")?;
-        expect_count(h.uint("incidents")?, run.incidents.len(), "incidents")?;
-        expect_count(h.uint("windows")?, run.window_lines.len(), "windows")?;
+        expect_count(h.get("rules")?, run.rule_lines.len(), "rules")?;
+        expect_count(h.get("alerts")?, run.alerts.len(), "alerts")?;
+        expect_count(h.get("incidents")?, run.incidents.len(), "incidents")?;
+        expect_count(h.get("windows")?, run.window_lines.len(), "windows")?;
         Ok(run)
     }
 
@@ -250,35 +230,12 @@ impl BenchDump for WatchRun {
     /// incident ledger and the window rollups.
     fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            concat!(
-                "{{\"bench\":\"watch\",\"workers\":{},\"seed\":{},\"hours\":{},",
-                "\"wall_plain_ms\":{:.3},\"wall_watch_ms\":{:.3},\"overhead_fraction\":{:.6},",
-                "\"checksum_plain\":\"{}\",\"checksum_watch\":\"{}\",",
-                "\"rule_digest\":\"{}\",\"alert_digest\":\"{}\",",
-                "\"rules\":{},\"alerts\":{},\"incidents\":{},\"windows\":{},\"events\":{},",
-                "\"clean_fires\":{},\"chaos_fires\":{},\"chaos_proximity_incidents\":{}}}"
-            ),
-            self.workers,
-            self.seed,
-            self.hours,
-            self.wall_plain_ms,
-            self.wall_watch_ms,
-            self.overhead_fraction,
-            self.checksum_plain,
-            self.checksum_watch,
-            self.rule_digest,
-            self.alert_digest,
-            self.rule_lines.len(),
-            self.alerts.len(),
-            self.incidents.len(),
-            self.window_lines.len(),
-            self.events,
-            self.clean_fires,
-            self.chaos_fires,
-            self.chaos_proximity_incidents,
-        );
+        let mut header = Line::header("watch", self);
+        header.insert_after("alert_digest", "rules", &(self.rule_lines.len() as u64));
+        header.insert_after("rules", "alerts", &(self.alerts.len() as u64));
+        header.insert_after("alerts", "incidents", &(self.incidents.len() as u64));
+        header.insert_after("incidents", "windows", &(self.window_lines.len() as u64));
+        header.write_to(&mut out);
         let lines = self
             .rule_lines
             .iter()
@@ -353,12 +310,12 @@ impl BenchDump for WatchRun {
         let _ = writeln!(md, "|:-----|------:|----------:|------------:|");
         for rule_line in &self.rule_lines {
             let name = Fields::parse(0, rule_line)
-                .and_then(|f| f.string("rule"))
+                .and_then(|f| f.get::<String>("rule"))
                 .unwrap_or_default();
             let fires = self
                 .alerts
                 .iter()
-                .filter(|a| a.state == "fire" && a.rule == name)
+                .filter(|a| a.state == "fire" && a.alert == name)
                 .count();
             let opened = self.incidents.iter().filter(|i| i.rule == name).count();
             let open = self
@@ -390,7 +347,7 @@ impl BenchDump for WatchRun {
                 let _ = writeln!(
                     md,
                     "| {} | {} | {} | {} | {}m | {} | {} | {:.2} | {} |",
-                    i.id,
+                    i.incident,
                     i.pass,
                     i.rule,
                     i.severity,

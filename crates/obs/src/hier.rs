@@ -15,190 +15,135 @@
 //! - **trip attribution** — any substation trip must be preceded by a
 //!   row-level violation or a control-plane fault.
 
-use crate::dump::{expect_count, read, BenchDump, Fields, Gate};
+use crate::dump::{dump_line, expect_count, read, BenchDump, DumpLine, Gate, Line};
 
 use std::fmt::Write as _;
 
-/// One grid cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct HierCellLine {
-    /// Grant-RPC loss probability injected.
-    pub grant_loss: f64,
-    /// Arbiter-outage length injected, in minutes.
-    pub outage_mins: u64,
-    /// Whether row 0 was fault-injected.
-    pub row_fault: bool,
-    /// Whether the substation breaker tripped.
-    pub substation_tripped: bool,
-    /// Minute of the substation trip, if it tripped.
-    pub substation_trip_min: Option<u64>,
-    /// Substation over-feed minutes.
-    pub substation_violations: u64,
-    /// Rows whose own breaker tripped.
-    pub row_trips: u64,
-    /// Row-level over-budget minutes in the measured window.
-    pub row_violations: u64,
-    /// Ticks some row ran above its granted budget.
-    pub row_over_grant_ticks: u64,
-    /// Rounds the arbiter was down.
-    pub arbiter_down_rounds: u64,
-    /// Grant RPCs lost.
-    pub grants_lost: u64,
-    /// Row-rounds on a fallback budget.
-    pub fallback_rounds: u64,
-    /// Row-rounds on the static-share fallback.
-    pub static_share_rounds: u64,
-    /// Rounds hysteresis held the previous vector.
-    pub held_rounds: u64,
-    /// Row-rounds pinned to the floor by health.
-    pub pinned_rounds: u64,
-    /// Largest passive reserve reported, in watts.
-    pub max_reserve_w: f64,
-    /// Lowest monitoring coverage any row saw.
-    pub min_coverage: f64,
-    /// Ticks some row ran degraded.
-    pub degraded_ticks: u64,
-    /// Ticks the capping backstop was armed.
-    pub backstop_ticks: u64,
-    /// Jobs placed.
-    pub placed: u64,
-    /// Jobs placed, normalized to the clean cell.
-    pub throughput_ratio: f64,
-    /// The producer's trip-attribution verdict: any substation trip was
-    /// preceded by a row-level violation or a control-plane fault.
-    pub trip_explained: bool,
-    /// Per-row trajectory checksums (hex strings, comma-joined in the
-    /// dump).
-    pub row_checksums: Vec<String>,
-    /// The cell's grant rounds: its budget-reallocation timeline.
-    pub rounds: Vec<HierRoundLine>,
-}
-
-/// One grant round of a cell's reallocation timeline.
-#[derive(Debug, Clone)]
-pub struct HierRoundLine {
-    /// Round counter within the cell.
-    pub round: u64,
-    /// Barrier minute.
-    pub at_min: u64,
-    /// Whether the arbiter was up.
-    pub arbiter_up: bool,
-    /// Whether hysteresis held the previous vector.
-    pub held: bool,
-    /// Whether the substation backstop forced floors.
-    pub backstop: bool,
-    /// Passive reserve, in watts.
-    pub reserve_w: f64,
-    /// Budgets each row actuated, in watts.
-    pub applied_w: Vec<f64>,
-    /// Rows whose grant was lost this round.
-    pub lost_rows: Vec<usize>,
-    /// Rows on a fallback budget after this round.
-    pub fallback_rows: Vec<usize>,
-    /// Rows pinned to their floor this round.
-    pub pinned_rows: Vec<usize>,
-}
-
-/// The `repro hier` sweep (`BENCH_hier.json`).
-#[derive(Debug, Clone)]
-pub struct HierRun {
-    /// Workers each cell stepped its rows with.
-    pub workers: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Measured hours per cell.
-    pub hours: u64,
-    /// Rows under arbitration.
-    pub rows: u64,
-    /// Grant cadence, in minutes.
-    pub grant_period_mins: u64,
-    /// Substation feed capacity, in watts.
-    pub feed_w: f64,
-    /// Budget the arbiter allocates, in watts.
-    pub allocatable_w: f64,
-    /// Σ rated row power / feed.
-    pub oversubscription: f64,
-    /// Per-row budget floors, in watts.
-    pub floors_w: Vec<f64>,
-    /// Per-row budget ceilings, in watts.
-    pub ceilings_w: Vec<f64>,
-    /// Jobs the clean cell placed (the throughput-ratio denominator).
-    pub baseline_placed: u64,
-    /// Wall time of the whole sweep (ms).
-    pub wall_ms: f64,
-    /// The producer's zero-trips verdict, as written in the header.
-    pub declared_zero_trips: bool,
-    /// Declared isolation verdict (`false` without the row-fault axis).
-    pub declared_isolation_ok: bool,
-    /// Whether the producer's grid swept the row-fault axis.
-    pub has_isolation_axis: bool,
-    /// Declared trip-attribution verdict.
-    pub declared_trips_explained: bool,
-    /// All grid cells, in sweep order.
-    pub cells: Vec<HierCellLine>,
-}
-
-fn join<T: ToString>(v: &[T]) -> String {
-    v.iter().map(T::to_string).collect::<Vec<_>>().join(",")
-}
-
-fn join_w(v: &[f64]) -> String {
-    v.iter()
-        .map(|x| format!("{x:.3}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-impl HierCellLine {
-    fn decode(f: &Fields) -> Result<Self, String> {
-        let trip_min = f.int("substation_trip_min")?;
-        Ok(HierCellLine {
-            grant_loss: f.num("grant_loss")?,
-            outage_mins: f.uint("outage_mins")?,
-            row_fault: f.boolean("row_fault")?,
-            substation_tripped: f.boolean("substation_tripped")?,
-            substation_trip_min: u64::try_from(trip_min).ok(),
-            substation_violations: f.uint("substation_violations")?,
-            row_trips: f.uint("row_trips")?,
-            row_violations: f.uint("row_violations")?,
-            row_over_grant_ticks: f.uint("row_over_grant_ticks")?,
-            arbiter_down_rounds: f.uint("arbiter_down_rounds")?,
-            grants_lost: f.uint("grants_lost")?,
-            fallback_rounds: f.uint("fallback_rounds")?,
-            static_share_rounds: f.uint("static_share_rounds")?,
-            held_rounds: f.uint("held_rounds")?,
-            pinned_rounds: f.uint("pinned_rounds")?,
-            max_reserve_w: f.num("max_reserve_w")?,
-            min_coverage: f.num("min_coverage")?,
-            degraded_ticks: f.uint("degraded_ticks")?,
-            backstop_ticks: f.uint("backstop_ticks")?,
-            placed: f.uint("placed")?,
-            throughput_ratio: f.num("throughput_ratio")?,
-            trip_explained: f.boolean("trip_explained")?,
-            row_checksums: f
-                .string("row_checksums")?
-                .split(',')
-                .map(str::to_string)
-                .collect(),
-            rounds: Vec::new(),
-        })
+dump_line! {
+    /// One grid cell of the sweep.
+    pub struct HierCellLine {
+        /// Grant-RPC loss probability injected.
+        grant_loss: f64,
+        /// Arbiter-outage length injected, in minutes.
+        outage_mins: u64,
+        /// Whether row 0 was fault-injected.
+        row_fault: bool,
+        /// Whether the substation breaker tripped.
+        substation_tripped: bool,
+        /// Substation over-feed minutes.
+        substation_violations: u64,
+        /// Rows whose own breaker tripped.
+        row_trips: u64,
+        /// Row-level over-budget minutes in the measured window.
+        row_violations: u64,
+        /// Ticks some row ran above its granted budget.
+        row_over_grant_ticks: u64,
+        /// Rounds the arbiter was down.
+        arbiter_down_rounds: u64,
+        /// Grant RPCs lost.
+        grants_lost: u64,
+        /// Row-rounds on a fallback budget.
+        fallback_rounds: u64,
+        /// Row-rounds on the static-share fallback.
+        static_share_rounds: u64,
+        /// Rounds hysteresis held the previous vector.
+        held_rounds: u64,
+        /// Row-rounds pinned to the floor by health.
+        pinned_rounds: u64,
+        /// Largest passive reserve reported, in watts.
+        max_reserve_w: f64 => 3,
+        /// Lowest monitoring coverage any row saw.
+        min_coverage: f64 => 6,
+        /// Ticks some row ran degraded.
+        degraded_ticks: u64,
+        /// Ticks the capping backstop was armed.
+        backstop_ticks: u64,
+        /// Jobs placed.
+        placed: u64,
+        /// Jobs placed, normalized to the clean cell.
+        throughput_ratio: f64 => 6,
+        /// The producer's trip-attribution verdict: any substation trip was
+        /// preceded by a row-level violation or a control-plane fault.
+        trip_explained: bool,
+    }
+    extra {
+        /// Minute of the substation trip, if it tripped (`-1` in the
+        /// dump when it did not).
+        substation_trip_min: Option<u64>,
+        /// Per-row trajectory checksums (hex strings, comma-joined in the
+        /// dump).
+        row_checksums: Vec<String>,
+        /// The cell's grant rounds: its budget-reallocation timeline.
+        rounds: Vec<HierRoundLine>,
     }
 }
 
-impl HierRoundLine {
-    fn decode(f: &Fields) -> Result<Self, String> {
-        Ok(HierRoundLine {
-            round: f.uint("round")?,
-            at_min: f.uint("at_min")?,
-            arbiter_up: f.boolean("arbiter_up")?,
-            held: f.boolean("held")?,
-            backstop: f.boolean("backstop")?,
-            reserve_w: f.num("reserve_w")?,
-            applied_w: f.floats("applied_w")?,
-            lost_rows: f.indices("lost_rows")?,
-            fallback_rows: f.indices("fallback_rows")?,
-            pinned_rows: f.indices("pinned_rows")?,
-        })
+dump_line! {
+    /// One grant round of a cell's reallocation timeline.
+    pub struct HierRoundLine {
+        /// Round counter within the cell.
+        round: u64,
+        /// Barrier minute.
+        at_min: u64,
+        /// Whether the arbiter was up.
+        arbiter_up: bool,
+        /// Whether hysteresis held the previous vector.
+        held: bool,
+        /// Whether the substation backstop (post-trip) forced floors.
+        backstop: bool,
+        /// Passive reserve reported by the arbiter (0 when down), in
+        /// watts.
+        reserve_w: f64 => 3,
+        /// Budgets each row actuated (post-fallback), in watts.
+        applied_w: Vec<f64> => 3,
+        /// Rows whose grant RPC was lost this round.
+        lost_rows: Vec<usize>,
+        /// Rows on a fallback budget after this round.
+        fallback_rows: Vec<usize>,
+        /// Rows pinned to their floor by health this round.
+        pinned_rows: Vec<usize>,
+    }
+}
+
+dump_line! {
+    /// The `repro hier` sweep (`BENCH_hier.json`).
+    pub struct HierRun {
+        /// Workers each cell stepped its rows with.
+        workers: u64,
+        /// Master seed.
+        seed: u64,
+        /// Measured hours per cell.
+        hours: u64,
+        /// Rows under arbitration.
+        rows: u64,
+        /// Grant cadence, in minutes.
+        grant_period_mins: u64,
+        /// Substation feed capacity, in watts.
+        feed_w: f64 => 3,
+        /// Budget the arbiter allocates, in watts.
+        allocatable_w: f64 => 3,
+        /// Σ rated row power / feed.
+        oversubscription: f64 => 6,
+        /// Per-row budget floors, in watts.
+        floors_w: Vec<f64> => 3,
+        /// Per-row budget ceilings, in watts.
+        ceilings_w: Vec<f64> => 3,
+        /// Jobs the clean cell placed (the throughput-ratio denominator).
+        baseline_placed: u64,
+        /// Wall time of the whole sweep (ms).
+        wall_ms: f64 => 3,
+        /// The producer's zero-trips verdict, as written in the header.
+        zero_trips: bool,
+        /// Declared isolation verdict (`false` without the row-fault axis).
+        isolation_ok: bool,
+        /// Whether the producer's grid swept the row-fault axis.
+        has_isolation_axis: bool,
+        /// Declared trip-attribution verdict.
+        trips_explained: bool,
+    }
+    extra {
+        /// All grid cells, in sweep order.
+        cells: Vec<HierCellLine>,
     }
 }
 
@@ -207,10 +152,10 @@ impl HierRun {
     /// the producer of a freshly measured sweep declares.
     pub fn with_declared_verdicts(mut self) -> Self {
         let isolation = self.isolation_recomputed();
-        self.declared_zero_trips = self.zero_trips();
-        self.declared_isolation_ok = isolation.unwrap_or(false);
+        self.zero_trips = self.zero_trips_recomputed();
+        self.isolation_ok = isolation.unwrap_or(false);
         self.has_isolation_axis = isolation.is_some();
-        self.declared_trips_explained = self.trips_explained();
+        self.trips_explained = self.trips_explained_recomputed();
         self
     }
 
@@ -221,29 +166,26 @@ impl HierRun {
     }
 
     /// Whether every cell kept both breaker levels trip-free.
-    pub fn zero_trips(&self) -> bool {
+    pub fn zero_trips_recomputed(&self) -> bool {
         self.cells
             .iter()
             .all(|c| !c.substation_tripped && c.row_trips == 0)
     }
 
-    /// The isolation verdict, recomputed from the per-row checksums
-    /// (healthy rows 1..N bit-identical between the clean and
-    /// row-fault cells). `None` when the grid lacks either cell.
+    /// The sibling-isolation verdict, recomputed from the per-row
+    /// checksums: healthy rows (1..N) must be bit-identical between the
+    /// clean cell and the cell where only row 0 is faulted (both with a
+    /// clean control plane). `None` when the grid lacks either cell;
+    /// `Some(false)` when the two cells report different row counts or
+    /// no rows at all, since no rows is no evidence.
     pub fn isolation_recomputed(&self) -> Option<bool> {
-        let clean = self.cell(0.0, 0, false)?;
-        let faulted = self.cell(0.0, 0, true)?;
-        Some(
-            clean.row_checksums.len() == faulted.row_checksums.len()
-                && clean.row_checksums[1..]
-                    .iter()
-                    .zip(&faulted.row_checksums[1..])
-                    .all(|(a, b)| a == b),
-        )
+        let clean = &self.cell(0.0, 0, false)?.row_checksums;
+        let faulted = &self.cell(0.0, 0, true)?.row_checksums;
+        Some(!clean.is_empty() && clean.len() == faulted.len() && clean[1..] == faulted[1..])
     }
 
     /// Whether every cell's trip-attribution verdict held.
-    pub fn trips_explained(&self) -> bool {
+    pub fn trips_explained_recomputed(&self) -> bool {
         self.cells.iter().all(|c| c.trip_explained)
     }
 }
@@ -278,41 +220,43 @@ fn epochs(rounds: &[&HierRoundLine], pick: impl Fn(&HierRoundLine) -> bool) -> S
 impl BenchDump for HierRun {
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "hier")?;
-        let mut run = HierRun {
-            workers: h.uint("workers")?,
-            seed: h.uint("seed")?,
-            hours: h.uint("hours")?,
-            rows: h.uint("rows")?,
-            grant_period_mins: h.uint("grant_period_mins")?,
-            feed_w: h.num("feed_w")?,
-            allocatable_w: h.num("allocatable_w")?,
-            oversubscription: h.num("oversubscription")?,
-            floors_w: h.floats("floors_w")?,
-            ceilings_w: h.floats("ceilings_w")?,
-            baseline_placed: h.uint("baseline_placed")?,
-            wall_ms: h.num("wall_ms")?,
-            declared_zero_trips: h.boolean("zero_trips")?,
-            declared_isolation_ok: h.boolean("isolation_ok")?,
-            has_isolation_axis: h.boolean("has_isolation_axis")?,
-            declared_trips_explained: h.boolean("trips_explained")?,
-            cells: Vec::new(),
-        };
-        let mut rounds = Vec::new();
+        let mut run = HierRun::read(&h)?;
         for (_, f) in &body {
+            // Each cell line carries the next index; its round lines
+            // follow it and repeat that index.
+            let cell: u64 = f.get("cell")?;
+            let due = run.cells.len() as u64;
             if f.has("round") {
-                rounds.push((f.uint("cell")? as usize, HierRoundLine::decode(f)?));
-            } else {
-                run.cells.push(HierCellLine::decode(f)?);
+                run.cells
+                    .last_mut()
+                    .filter(|_| due.checked_sub(1) == Some(cell))
+                    .ok_or_else(|| {
+                        f.err(format!("round line for cell {cell} is not in its block"))
+                    })?
+                    .rounds
+                    .push(HierRoundLine::read(f)?);
+                continue;
             }
+            if cell != due {
+                return Err(f.err(format!("cell line {cell} where cell {due} was due")));
+            }
+            let mut line = HierCellLine::read(f)?;
+            line.substation_trip_min = match f.get::<i64>("substation_trip_min")? {
+                -1 => None,
+                m => Some(u64::try_from(m).map_err(|_| {
+                    f.err(format!(
+                        "substation_trip_min {m} is neither a minute nor -1"
+                    ))
+                })?),
+            };
+            // No rows is an empty string, not one empty checksum.
+            let checksums: String = f.get("row_checksums")?;
+            if !checksums.is_empty() {
+                line.row_checksums = checksums.split(',').map(str::to_string).collect();
+            }
+            run.cells.push(line);
         }
-        expect_count(h.uint("cells")?, run.cells.len(), "cells")?;
-        for (cell, round) in rounds {
-            run.cells
-                .get_mut(cell)
-                .ok_or_else(|| format!("round line references unknown cell {cell}"))?
-                .rounds
-                .push(round);
-        }
+        expect_count(h.get("cells")?, run.cells.len(), "cells")?;
         Ok(run)
     }
 
@@ -320,94 +264,22 @@ impl BenchDump for HierRun {
     /// verdicts, then each grid cell followed by its grant rounds.
     fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            concat!(
-                "{{\"bench\":\"hier\",\"workers\":{},\"seed\":{},\"hours\":{},",
-                "\"rows\":{},\"cells\":{},\"grant_period_mins\":{},",
-                "\"feed_w\":{:.3},\"allocatable_w\":{:.3},\"oversubscription\":{:.6},",
-                "\"floors_w\":[{}],\"ceilings_w\":[{}],",
-                "\"baseline_placed\":{},\"wall_ms\":{:.3},",
-                "\"zero_trips\":{},\"isolation_ok\":{},\"has_isolation_axis\":{},",
-                "\"trips_explained\":{}}}"
-            ),
-            self.workers,
-            self.seed,
-            self.hours,
-            self.rows,
-            self.cells.len(),
-            self.grant_period_mins,
-            self.feed_w,
-            self.allocatable_w,
-            self.oversubscription,
-            join_w(&self.floors_w),
-            join_w(&self.ceilings_w),
-            self.baseline_placed,
-            self.wall_ms,
-            self.declared_zero_trips,
-            self.declared_isolation_ok,
-            self.has_isolation_axis,
-            self.declared_trips_explained,
-        );
+        let mut header = Line::header("hier", self);
+        header.insert_after("rows", "cells", &(self.cells.len() as u64));
+        header.write_to(&mut out);
         for (i, c) in self.cells.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                concat!(
-                    "{{\"cell\":{},\"grant_loss\":{},\"outage_mins\":{},\"row_fault\":{},",
-                    "\"substation_tripped\":{},\"substation_trip_min\":{},",
-                    "\"substation_violations\":{},\"row_trips\":{},\"row_violations\":{},",
-                    "\"row_over_grant_ticks\":{},\"arbiter_down_rounds\":{},\"grants_lost\":{},",
-                    "\"fallback_rounds\":{},\"static_share_rounds\":{},\"held_rounds\":{},",
-                    "\"pinned_rounds\":{},\"max_reserve_w\":{:.3},\"min_coverage\":{:.6},",
-                    "\"degraded_ticks\":{},\"backstop_ticks\":{},\"placed\":{},",
-                    "\"throughput_ratio\":{:.6},\"trip_explained\":{},",
-                    "\"row_checksums\":\"{}\"}}"
-                ),
-                i,
-                c.grant_loss,
-                c.outage_mins,
-                c.row_fault,
-                c.substation_tripped,
-                c.substation_trip_min.map_or(-1i64, |m| m as i64),
-                c.substation_violations,
-                c.row_trips,
-                c.row_violations,
-                c.row_over_grant_ticks,
-                c.arbiter_down_rounds,
-                c.grants_lost,
-                c.fallback_rounds,
-                c.static_share_rounds,
-                c.held_rounds,
-                c.pinned_rounds,
-                c.max_reserve_w,
-                c.min_coverage,
-                c.degraded_ticks,
-                c.backstop_ticks,
-                c.placed,
-                c.throughput_ratio,
-                c.trip_explained,
-                c.row_checksums.join(","),
-            );
+            let mut line = Line::default();
+            line.push("cell", &(i as u64));
+            c.write(&mut line);
+            let trip_min = c.substation_trip_min.map_or(-1, |m| m as i64);
+            line.insert_after("substation_tripped", "substation_trip_min", &trip_min);
+            line.push("row_checksums", &c.row_checksums.join(","));
+            line.write_to(&mut out);
             for r in &c.rounds {
-                let _ = writeln!(
-                    out,
-                    concat!(
-                        "{{\"cell\":{},\"round\":{},\"at_min\":{},\"arbiter_up\":{},",
-                        "\"held\":{},\"backstop\":{},\"reserve_w\":{:.3},\"applied_w\":[{}],",
-                        "\"lost_rows\":[{}],\"fallback_rows\":[{}],\"pinned_rows\":[{}]}}"
-                    ),
-                    i,
-                    r.round,
-                    r.at_min,
-                    r.arbiter_up,
-                    r.held,
-                    r.backstop,
-                    r.reserve_w,
-                    join_w(&r.applied_w),
-                    join(&r.lost_rows),
-                    join(&r.fallback_rows),
-                    join(&r.pinned_rows),
-                );
+                let mut line = Line::default();
+                line.push("cell", &(i as u64));
+                r.write(&mut line);
+                line.write_to(&mut out);
             }
         }
         out
@@ -419,11 +291,11 @@ impl BenchDump for HierRun {
         let isolation = match self.isolation_recomputed() {
             Some(ok) => Gate::new(
                 "sibling-isolation",
-                ok && self.declared_isolation_ok,
+                ok && self.isolation_ok,
                 format!(
                     "a healthy sibling's trajectory changed under a row fault (recomputed \
                      {ok}, declared {})",
-                    self.declared_isolation_ok
+                    self.isolation_ok
                 ),
             ),
             None => Gate::new(
@@ -435,16 +307,16 @@ impl BenchDump for HierRun {
         vec![
             Gate::new(
                 "zero-trips",
-                self.zero_trips() && self.declared_zero_trips,
+                self.zero_trips_recomputed() && self.zero_trips,
                 format!(
                     "a breaker tripped at the substation or row level (declared zero trips: {})",
-                    self.declared_zero_trips
+                    self.zero_trips
                 ),
             ),
             isolation,
             Gate::new(
                 "trip-attribution",
-                self.trips_explained(),
+                self.trips_explained_recomputed(),
                 "a substation trip had no row-level or control-plane cause",
             ),
         ]
@@ -566,7 +438,11 @@ impl BenchDump for HierRun {
         let _ = writeln!(
             md,
             "Zero trips: **{}** — {} substation trip(s), {} row trip(s) across {} cells.",
-            if self.zero_trips() { "PASS" } else { "FAIL" },
+            if self.zero_trips_recomputed() {
+                "PASS"
+            } else {
+                "FAIL"
+            },
             self.cells.iter().filter(|c| c.substation_tripped).count(),
             self.cells.iter().map(|c| c.row_trips).sum::<u64>(),
             self.cells.len(),
@@ -577,13 +453,13 @@ impl BenchDump for HierRun {
                     md,
                     "Sibling isolation: **{}** — healthy rows {} bit-identical between the \
                      clean and row-fault cells (recomputed from the dump's checksums{}).",
-                    if ok && self.declared_isolation_ok {
+                    if ok && self.isolation_ok {
                         "PASS"
                     } else {
                         "FAIL"
                     },
                     if ok { "are" } else { "are NOT" },
-                    if ok == self.declared_isolation_ok {
+                    if ok == self.isolation_ok {
                         ""
                     } else {
                         "; DISAGREES with the declared verdict"
@@ -601,7 +477,7 @@ impl BenchDump for HierRun {
             md,
             "Trip attribution: **{}** — every substation trip (if any) was preceded by a \
              row-level violation or a control-plane fault.",
-            if self.trips_explained() {
+            if self.trips_explained_recomputed() {
                 "PASS"
             } else {
                 "FAIL"
@@ -625,7 +501,7 @@ mod tests {
         assert_eq!(run.cells.len(), 2);
         assert_eq!(run.cells.iter().map(|c| c.rounds.len()).sum::<usize>(), 2);
         assert_eq!(run.encode(), dump());
-        assert!(run.zero_trips());
+        assert!(run.zero_trips_recomputed());
         assert_eq!(run.isolation_recomputed(), Some(true));
         assert!(run.gates().iter().all(|g| g.pass));
         let md = run.to_markdown();
@@ -648,9 +524,21 @@ mod tests {
             "{\"cell\":1,\"grant_loss\":0,\"outage_mins\":0,\"row_fault\":true,\"substation_tripped\":true",
         );
         let run = HierRun::decode(&tripped).unwrap();
-        assert!(!run.zero_trips());
+        assert!(!run.zero_trips_recomputed());
         assert!(!run.gates()[0].pass);
         assert!(run.to_markdown().contains("Zero trips: **FAIL**"));
+    }
+
+    #[test]
+    fn no_row_checksums_is_no_isolation_evidence() {
+        let empty = dump()
+            .replace("\"row_checksums\":\"00aa,00bb\"", "\"row_checksums\":\"\"")
+            .replace("\"row_checksums\":\"00cc,00bb\"", "\"row_checksums\":\"\"");
+        let run = HierRun::decode(&empty).unwrap();
+        assert!(run.cells.iter().all(|c| c.row_checksums.is_empty()));
+        assert_eq!(run.isolation_recomputed(), Some(false));
+        assert!(!run.gates()[1].pass);
+        assert_eq!(run.encode(), empty);
     }
 
     #[test]
@@ -668,6 +556,6 @@ mod tests {
         );
         assert!(HierRun::decode(&dangling)
             .unwrap_err()
-            .contains("unknown cell"));
+            .contains("round line for cell 9 is not in its block"));
     }
 }

@@ -21,7 +21,11 @@
 //!   `decode` are the only writer and reader of its
 //!   `BENCH_<bench>.json`, `gates()` is the one list of verdicts both
 //!   `repro` and `report` exit on, and `to_markdown` is its report
-//!   section. [`scale`] — throughput, speedup and thread invariance of
+//!   section. Each line type is declared once, in a field table that
+//!   generates its struct, reader and writer; `encode` and `decode`
+//!   add only what is not a plain field. The producers build the
+//!   records: `ampere-experiments` the `sla` and `hier` ones from its
+//!   own results, `ampere-bench` and `ampere-scenario` the rest. [`scale`] — throughput, speedup and thread invariance of
 //!   the `repro scale` sweep; [`profile`] — telemetry self-overhead,
 //!   per-phase wall time and the instrumentation digest; [`alerts`] —
 //!   the `repro watch` incident timeline, MTTA/MTTR and digest,

@@ -15,66 +15,70 @@
 //!   `report --max-overhead` when given, soft by default so the
 //!   wall-clock-dependent number only gates where CI opts in.
 
-use crate::dump::{expect_count, read, BenchDump, Gate};
+use crate::dump::{dump_line, expect_count, read, BenchDump, DumpLine, Gate, Line};
 
 use std::fmt::Write as _;
 
-/// One tick phase's wall-time aggregate.
-#[derive(Debug, Clone)]
-pub struct ProfilePhase {
-    /// Phase label (`predict`, `decide`, …).
-    pub phase: String,
-    /// Recorded phase scopes.
-    pub calls: u64,
-    /// Total wall microseconds.
-    pub total_us: f64,
-    /// Mean microseconds per scope.
-    pub mean_us: f64,
+dump_line! {
+    /// One tick phase's wall-time aggregate.
+    pub struct ProfilePhase {
+        /// Phase label (`predict`, `decide`, …).
+        phase: String,
+        /// Recorded phase scopes.
+        calls: u64,
+        /// Total wall microseconds.
+        total_us: f64 => 1,
+        /// Mean microseconds per scope.
+        mean_us: f64 => 2,
+    }
 }
 
-/// The `repro profile` run (`BENCH_profile.json`).
-#[derive(Debug, Clone)]
-pub struct ProfileRun {
-    /// Shard (row) count.
-    pub rows: u64,
-    /// Worker threads.
-    pub workers: u64,
-    /// Simulated minutes.
-    pub sim_minutes: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Event-sampler period.
-    pub sample_period: u64,
-    /// Simulated domain-ticks.
-    pub ticks: u64,
-    /// Wall milliseconds, telemetry disabled.
-    pub wall_noop_ms: f64,
-    /// Wall milliseconds, fully instrumented.
-    pub wall_instr_ms: f64,
-    /// Domain-ticks per wall-second, telemetry disabled.
-    pub ticks_per_sec_noop: f64,
-    /// Domain-ticks per wall-second, fully instrumented.
-    pub ticks_per_sec_instr: f64,
-    /// Self-overhead fraction of instrumented wall time.
-    pub overhead_fraction: f64,
-    /// Trajectory checksum of the no-op pass (hex string).
-    pub checksum_noop: String,
-    /// Trajectory checksum of the instrumented pass (hex string).
-    pub checksum_instr: String,
-    /// Events that reached the sinks.
-    pub events_total: u64,
-    /// Events dropped by the deterministic sampler.
-    pub events_sampled_out: u64,
-    /// Events per tick before sampling.
-    pub events_per_tick_pre_sample: f64,
-    /// Events per tick after sampling.
-    pub events_per_tick_post_sample: f64,
-    /// String-keyed (registry mutex) counter cost, ns/op.
-    pub mutex_ns_per_op: f64,
-    /// Pre-registered handle counter cost, ns/op.
-    pub handle_ns_per_op: f64,
-    /// Per-phase breakdown, in tick order.
-    pub phases: Vec<ProfilePhase>,
+dump_line! {
+    /// The `repro profile` run (`BENCH_profile.json`).
+    pub struct ProfileRun {
+        /// Shard (row) count.
+        rows: u64,
+        /// Worker threads.
+        workers: u64,
+        /// Simulated minutes.
+        sim_minutes: u64,
+        /// Master seed.
+        seed: u64,
+        /// Event-sampler period.
+        sample_period: u64,
+        /// Simulated domain-ticks.
+        ticks: u64,
+        /// Wall milliseconds, telemetry disabled.
+        wall_noop_ms: f64 => 3,
+        /// Wall milliseconds, fully instrumented.
+        wall_instr_ms: f64 => 3,
+        /// Domain-ticks per wall-second, telemetry disabled.
+        ticks_per_sec_noop: f64 => 3,
+        /// Domain-ticks per wall-second, fully instrumented.
+        ticks_per_sec_instr: f64 => 3,
+        /// Self-overhead fraction of instrumented wall time.
+        overhead_fraction: f64 => 4,
+        /// Trajectory checksum of the no-op pass (hex string).
+        checksum_noop: String,
+        /// Trajectory checksum of the instrumented pass (hex string).
+        checksum_instr: String,
+        /// Events that reached the sinks.
+        events_total: u64,
+        /// Events dropped by the deterministic sampler.
+        events_sampled_out: u64,
+        /// Events per tick before sampling.
+        events_per_tick_pre_sample: f64 => 3,
+        /// Events per tick after sampling.
+        events_per_tick_post_sample: f64 => 3,
+        /// String-keyed (registry mutex) counter cost, ns/op.
+        mutex_ns_per_op: f64 => 1,
+        /// Pre-registered handle counter cost, ns/op.
+        handle_ns_per_op: f64 => 1,
+    }
+    extra {
+        /// Per-phase breakdown, in tick order.
+        phases: Vec<ProfilePhase>,
+    }
 }
 
 impl ProfileRun {
@@ -88,81 +92,23 @@ impl ProfileRun {
 impl BenchDump for ProfileRun {
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "profile")?;
-        let phases = body
+        let mut run = ProfileRun::read(&h)?;
+        run.phases = body
             .iter()
-            .map(|(_, f)| {
-                Ok(ProfilePhase {
-                    phase: f.string("phase")?,
-                    calls: f.uint("calls")?,
-                    total_us: f.num("total_us")?,
-                    mean_us: f.num("mean_us")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        expect_count(h.uint("phases")?, phases.len(), "phases")?;
-        Ok(ProfileRun {
-            rows: h.uint("rows")?,
-            workers: h.uint("workers")?,
-            sim_minutes: h.uint("sim_minutes")?,
-            seed: h.uint("seed")?,
-            sample_period: h.uint("sample_period")?,
-            ticks: h.uint("ticks")?,
-            wall_noop_ms: h.num("wall_noop_ms")?,
-            wall_instr_ms: h.num("wall_instr_ms")?,
-            ticks_per_sec_noop: h.num("ticks_per_sec_noop")?,
-            ticks_per_sec_instr: h.num("ticks_per_sec_instr")?,
-            overhead_fraction: h.num("overhead_fraction")?,
-            checksum_noop: h.string("checksum_noop")?,
-            checksum_instr: h.string("checksum_instr")?,
-            events_total: h.uint("events_total")?,
-            events_sampled_out: h.uint("events_sampled_out")?,
-            events_per_tick_pre_sample: h.num("events_per_tick_pre_sample")?,
-            events_per_tick_post_sample: h.num("events_per_tick_post_sample")?,
-            mutex_ns_per_op: h.num("mutex_ns_per_op")?,
-            handle_ns_per_op: h.num("handle_ns_per_op")?,
-            phases,
-        })
+            .map(|(_, f)| ProfilePhase::read(f))
+            .collect::<Result<_, _>>()?;
+        expect_count(h.get("phases")?, run.phases.len(), "phases")?;
+        Ok(run)
     }
 
     /// A header line, then one line per phase.
     fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"bench\":\"profile\",\"rows\":{},\"workers\":{},\"sim_minutes\":{},\"seed\":{},\
-             \"sample_period\":{},\"ticks\":{},\"wall_noop_ms\":{:.3},\"wall_instr_ms\":{:.3},\
-             \"ticks_per_sec_noop\":{:.3},\"ticks_per_sec_instr\":{:.3},\
-             \"overhead_fraction\":{:.4},\"checksum_noop\":\"{}\",\
-             \"checksum_instr\":\"{}\",\"events_total\":{},\"events_sampled_out\":{},\
-             \"events_per_tick_pre_sample\":{:.3},\"events_per_tick_post_sample\":{:.3},\
-             \"mutex_ns_per_op\":{:.1},\"handle_ns_per_op\":{:.1},\"phases\":{}}}",
-            self.rows,
-            self.workers,
-            self.sim_minutes,
-            self.seed,
-            self.sample_period,
-            self.ticks,
-            self.wall_noop_ms,
-            self.wall_instr_ms,
-            self.ticks_per_sec_noop,
-            self.ticks_per_sec_instr,
-            self.overhead_fraction,
-            self.checksum_noop,
-            self.checksum_instr,
-            self.events_total,
-            self.events_sampled_out,
-            self.events_per_tick_pre_sample,
-            self.events_per_tick_post_sample,
-            self.mutex_ns_per_op,
-            self.handle_ns_per_op,
-            self.phases.len()
-        );
+        let mut header = Line::header("profile", self);
+        header.push("phases", &(self.phases.len() as u64));
+        header.write_to(&mut out);
         for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "{{\"phase\":\"{}\",\"calls\":{},\"total_us\":{:.1},\"mean_us\":{:.2}}}",
-                p.phase, p.calls, p.total_us, p.mean_us
-            );
+            Line::of(p).write_to(&mut out);
         }
         out
     }

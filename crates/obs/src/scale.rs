@@ -18,48 +18,52 @@
 //! `repro` read from `AMPERE_SCALE_TICKS_PER_SERVER_FLOOR`; when the
 //! floor is non-zero, any point below it fails the gate too.
 
-use crate::dump::{expect_count, read, BenchDump, Gate};
+use crate::dump::{dump_line, expect_count, read, BenchDump, DumpLine, Gate, Line};
 
 use std::fmt::Write as _;
 
-/// One grid point of the sweep.
-#[derive(Debug, Clone)]
-pub struct ScalePoint {
-    /// Shard (row) count.
-    pub rows: u64,
-    /// Worker threads.
-    pub workers: u64,
-    /// Wall-clock milliseconds for the run.
-    pub wall_ms: f64,
-    /// Simulated domain-minutes (`rows · sim_minutes`).
-    pub sim_mins: u64,
-    /// Throughput: simulated domain-minutes per wall-second.
-    pub sim_mins_per_sec: f64,
-    /// Total servers simulated (`rows · servers_per_row`).
-    pub servers: u64,
-    /// Per-server throughput: simulated server-ticks per wall-second,
-    /// comparable across row sizes.
-    pub server_ticks_per_sec: f64,
-    /// Speedup vs the 1-worker run at the same row count.
-    pub speedup: f64,
-    /// Trajectory checksum, as the emitted hex string.
-    pub checksum: String,
+dump_line! {
+    /// One grid point of the sweep.
+    pub struct ScalePoint {
+        /// Shard (row) count.
+        rows: u64,
+        /// Worker threads.
+        workers: u64,
+        /// Wall-clock milliseconds for the run.
+        wall_ms: f64 => 3,
+        /// Simulated domain-minutes (`rows · sim_minutes`).
+        sim_mins: u64,
+        /// Throughput: simulated domain-minutes per wall-second.
+        sim_mins_per_sec: f64 => 3,
+        /// Total servers simulated (`rows · servers_per_row`).
+        servers: u64,
+        /// Per-server throughput: simulated server-ticks per wall-second,
+        /// comparable across row sizes.
+        server_ticks_per_sec: f64 => 3,
+        /// Speedup vs the 1-worker run at the same row count.
+        speedup: f64 => 3,
+        /// Trajectory checksum, as the emitted hex string.
+        checksum: String,
+    }
 }
 
-/// The `repro scale` sweep (`BENCH_scale.json`).
-#[derive(Debug, Clone)]
-pub struct ScaleSweep {
-    /// Simulated minutes per grid point.
-    pub sim_minutes: u64,
-    /// Master seed of the sweep.
-    pub seed: u64,
-    /// Servers per row shard (8 tiny-row, 440 hyperscale).
-    pub servers_per_row: u64,
-    /// Per-server throughput soft floor recorded by the sweep; `0`
-    /// means the gate was disabled.
-    pub ticks_per_server_floor: f64,
-    /// All grid points, row-major (rows outer, workers inner).
-    pub points: Vec<ScalePoint>,
+dump_line! {
+    /// The `repro scale` sweep (`BENCH_scale.json`).
+    pub struct ScaleSweep {
+        /// Simulated minutes per grid point.
+        sim_minutes: u64,
+        /// Master seed of the sweep.
+        seed: u64,
+        /// Servers per row shard (8 tiny-row, 440 hyperscale).
+        servers_per_row: u64,
+        /// Per-server throughput soft floor recorded by the sweep; `0`
+        /// means the gate was disabled.
+        ticks_per_server_floor: f64 => 3,
+    }
+    extra {
+        /// All grid points, row-major (rows outer, workers inner).
+        points: Vec<ScalePoint>,
+    }
 }
 
 impl ScaleSweep {
@@ -118,62 +122,24 @@ impl ScaleSweep {
 impl BenchDump for ScaleSweep {
     fn decode(text: &str) -> Result<Self, String> {
         let (header, body) = read(text, "scale")?;
-        let points = body
+        let mut sweep = ScaleSweep::read(&header)?;
+        sweep.points = body
             .iter()
-            .map(|(_, f)| {
-                Ok(ScalePoint {
-                    rows: f.uint("rows")?,
-                    workers: f.uint("workers")?,
-                    wall_ms: f.num("wall_ms")?,
-                    sim_mins: f.uint("sim_mins")?,
-                    sim_mins_per_sec: f.num("sim_mins_per_sec")?,
-                    servers: f.uint("servers")?,
-                    server_ticks_per_sec: f.num("server_ticks_per_sec")?,
-                    speedup: f.num("speedup")?,
-                    checksum: f.string("checksum")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        expect_count(header.uint("points")?, points.len(), "points")?;
-        Ok(ScaleSweep {
-            sim_minutes: header.uint("sim_minutes")?,
-            seed: header.uint("seed")?,
-            servers_per_row: header.uint("servers_per_row")?,
-            ticks_per_server_floor: header.num("ticks_per_server_floor")?,
-            points,
-        })
+            .map(|(_, f)| ScalePoint::read(f))
+            .collect::<Result<_, _>>()?;
+        expect_count(header.get("points")?, sweep.points.len(), "points")?;
+        Ok(sweep)
     }
 
     /// A header line, then one line per point. Checksums are hex
     /// strings (u64 does not survive a float roundtrip).
     fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"bench\":\"scale\",\"sim_minutes\":{},\"seed\":{},\"points\":{},\
-             \"servers_per_row\":{},\"ticks_per_server_floor\":{:.3}}}",
-            self.sim_minutes,
-            self.seed,
-            self.points.len(),
-            self.servers_per_row,
-            self.ticks_per_server_floor
-        );
+        let mut header = Line::header("scale", self);
+        header.insert_after("seed", "points", &(self.points.len() as u64));
+        header.write_to(&mut out);
         for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{{\"rows\":{},\"workers\":{},\"wall_ms\":{:.3},\"sim_mins\":{},\
-                 \"sim_mins_per_sec\":{:.3},\"servers\":{},\"server_ticks_per_sec\":{:.3},\
-                 \"speedup\":{:.3},\"checksum\":\"{}\"}}",
-                p.rows,
-                p.workers,
-                p.wall_ms,
-                p.sim_mins,
-                p.sim_mins_per_sec,
-                p.servers,
-                p.server_ticks_per_sec,
-                p.speedup,
-                p.checksum
-            );
+            Line::of(p).write_to(&mut out);
         }
         out
     }

@@ -10,13 +10,12 @@
 //! block per failure with its minimal reproduction. Any failed row
 //! fails the `invariants` gate.
 
-use crate::dump::{expect_count, read, BenchDump, Fields, Gate};
-use ampere_telemetry::json::write_json_string;
+use crate::dump::{dump_line, expect_count, read, BenchDump, DumpLine, Fields, Gate, Line};
 
 use std::fmt::Write as _;
 
 /// The shrinker's summary on a failing row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Shrink {
     /// Accepted shrink steps.
     pub level: u64,
@@ -28,79 +27,90 @@ pub struct Shrink {
     pub repro: String,
 }
 
-/// One scenario's row.
-#[derive(Debug, Clone)]
-pub struct ScenarioRow {
-    /// Index within the batch.
-    pub index: u64,
-    /// The scenario's own seed.
-    pub seed: u64,
-    /// Ticks simulated.
-    pub ticks: u64,
-    /// Fleet size.
-    pub servers: u64,
-    /// Whether every invariant held (`"status":"pass"`).
-    pub passed: bool,
-    /// Smallest normalized breaker headroom seen (negative = over).
-    pub min_margin: f64,
-    /// Violated invariant names (empty on pass).
-    pub violations: Vec<String>,
-    /// Run digest, as the emitted hex string.
-    pub digest: String,
-    /// Shrink summary (failures, when shrinking was on).
-    pub shrink: Option<Shrink>,
+dump_line! {
+    /// One scenario's row.
+    pub struct ScenarioRow {
+        /// Index within the batch.
+        index: u64,
+        /// The scenario's own seed.
+        seed: u64,
+        /// Ticks simulated.
+        ticks: u64,
+        /// Fleet size.
+        servers: u64,
+        /// Smallest normalized breaker headroom seen (negative = over).
+        min_margin: f64 => 6,
+        /// Run digest, as the emitted hex string.
+        digest: String,
+    }
+    extra {
+        /// Whether every invariant held (`"status":"pass"`).
+        passed: bool,
+        /// Violated invariant names (empty on pass; comma-joined in the
+        /// dump).
+        violations: Vec<String>,
+        /// Shrink summary (failures, when shrinking was on).
+        shrink: Option<Shrink>,
+    }
 }
 
-/// The `repro scenarios` batch (`BENCH_scenarios.json`).
-#[derive(Debug, Clone)]
-pub struct ScenarioBatch {
-    /// Master seed of the batch.
-    pub seed: u64,
-    /// Scenarios in the batch.
-    pub count: u64,
-    /// Passing scenarios.
-    pub passed: u64,
-    /// Failing scenarios.
-    pub failed: u64,
-    /// Combined batch digest, as the emitted hex string.
-    pub digest: String,
-    /// Per-scenario rows, in index order.
-    pub rows: Vec<ScenarioRow>,
+dump_line! {
+    /// The `repro scenarios` batch (`BENCH_scenarios.json`).
+    pub struct ScenarioBatch {
+        /// Master seed of the batch.
+        seed: u64,
+        /// Scenarios in the batch.
+        count: u64,
+        /// Passing scenarios.
+        passed: u64,
+        /// Failing scenarios.
+        failed: u64,
+        /// Combined batch digest, as the emitted hex string.
+        digest: String,
+    }
+    extra {
+        /// Per-scenario rows, in index order.
+        rows: Vec<ScenarioRow>,
+    }
 }
 
 impl ScenarioRow {
     fn decode(f: &Fields) -> Result<Self, String> {
-        let passed = match f.string("status")?.as_str() {
+        let mut row = ScenarioRow::read(f)?;
+        row.passed = match f.get::<String>("status")?.as_str() {
             "pass" => true,
             "fail" => false,
             other => return Err(format!("unknown scenario status {other:?}")),
         };
-        let shrink = if f.has("shrink_level") {
-            Some(Shrink {
-                level: f.uint("shrink_level")?,
-                axes: f.string("shrink_axes")?,
-                runs: f.uint("shrink_runs")?,
-                repro: f.string("repro")?,
-            })
-        } else {
-            None
-        };
-        Ok(ScenarioRow {
-            index: f.uint("index")?,
-            seed: f.uint("seed")?,
-            ticks: f.uint("ticks")?,
-            servers: f.uint("servers")?,
-            passed,
-            min_margin: f.num("min_margin")?,
-            violations: f
-                .string("violations")?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect(),
-            digest: f.string("digest")?,
-            shrink,
-        })
+        row.violations = f
+            .get::<String>("violations")?
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
+        if f.has("shrink_level") {
+            row.shrink = Some(Shrink {
+                level: f.get("shrink_level")?,
+                axes: f.get::<String>("shrink_axes")?,
+                runs: f.get("shrink_runs")?,
+                repro: f.get::<String>("repro")?,
+            });
+        }
+        Ok(row)
+    }
+
+    fn encode(&self, out: &mut String) {
+        let mut line = Line::of(self);
+        let status = if self.passed { "pass" } else { "fail" };
+        line.insert_after("servers", "status", &status.to_string());
+        line.insert_after("min_margin", "violations", &self.violations.join(","));
+        if let Some(s) = &self.shrink {
+            line.push("shrink_level", &s.level);
+            line.push("shrink_axes", &s.axes);
+            line.push("shrink_runs", &s.runs);
+            line.push("repro", &s.repro);
+        }
+        line.write_to(out);
     }
 }
 
@@ -138,17 +148,11 @@ impl ScenarioBatch {
 impl BenchDump for ScenarioBatch {
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "scenarios")?;
-        let batch = ScenarioBatch {
-            seed: h.uint("seed")?,
-            count: h.uint("count")?,
-            passed: h.uint("passed")?,
-            failed: h.uint("failed")?,
-            digest: h.string("digest")?,
-            rows: body
-                .iter()
-                .map(|(_, f)| ScenarioRow::decode(f))
-                .collect::<Result<_, _>>()?,
-        };
+        let mut batch = ScenarioBatch::read(&h)?;
+        batch.rows = body
+            .iter()
+            .map(|(_, f)| ScenarioRow::decode(f))
+            .collect::<Result<_, _>>()?;
         expect_count(batch.count, batch.rows.len(), "scenarios")?;
         let failed = batch.failures().len() as u64;
         let passed = batch.count - failed;
@@ -165,33 +169,9 @@ impl BenchDump for ScenarioBatch {
     /// the shrink summary and repro command.
     fn encode(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"bench\":\"scenarios\",\"seed\":{},\"count\":{},\"passed\":{},\"failed\":{},\"digest\":\"{}\"}}",
-            self.seed, self.count, self.passed, self.failed, self.digest
-        );
+        Line::header("scenarios", self).write_to(&mut out);
         for row in &self.rows {
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"seed\":{},\"ticks\":{},\"servers\":{},\"status\":\"{}\",\"min_margin\":{:.6},\"violations\":\"{}\",\"digest\":\"{}\"",
-                row.index,
-                row.seed,
-                row.ticks,
-                row.servers,
-                if row.passed { "pass" } else { "fail" },
-                row.min_margin,
-                row.violations.join(","),
-                row.digest
-            );
-            if let Some(s) = &row.shrink {
-                let _ = write!(
-                    out,
-                    ",\"shrink_level\":{},\"shrink_axes\":\"{}\",\"shrink_runs\":{},\"repro\":",
-                    s.level, s.axes, s.runs
-                );
-                write_json_string(&s.repro, &mut out);
-            }
-            out.push_str("}\n");
+            row.encode(&mut out);
         }
         out
     }
