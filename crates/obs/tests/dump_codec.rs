@@ -38,6 +38,10 @@ fn round_trip<R: BenchDump>(name: &str, text: &str) {
 #[test]
 fn committed_baselines_round_trip_byte_for_byte() {
     round_trip::<ScaleSweep>("BENCH_scale.json", &repo_file("BENCH_scale.json"));
+    round_trip::<ScaleSweep>(
+        "BENCH_scale_quick.json",
+        &repo_file("BENCH_scale_quick.json"),
+    );
     round_trip::<SlaRun>("BENCH_sla.json", &repo_file("BENCH_sla.json"));
     round_trip::<ProfileRun>("BENCH_profile.json", &repo_file("BENCH_profile.json"));
     round_trip::<HierRun>("BENCH_hier.json", &repo_file("BENCH_hier.json"));
