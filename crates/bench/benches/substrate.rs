@@ -149,7 +149,7 @@ fn main() {
         );
     }
 
-    // One p99.9 model run as `repro sla --quick` makes it per distinct
+    // One p99.9 model run as `repro sla --quick` makes it for one
     // capacity trace: about 550,000 GET requests, then their percentiles.
     {
         use ampere_workload::interactive::{InteractiveSim, OpType, StepTrace};
@@ -175,7 +175,14 @@ fn main() {
         });
         let trace = StepTrace::new(&capacity);
         r.bench("interactive_get_30s_sla_trace_steps", || {
-            sim.run_steps(OpType::Get, &trace)
+            sim.run_steps(OpType::Get, &[trace])
+        });
+        // The quick baseline's all-ones trace and the uniform-shaped one
+        // in one pass of request draws, as `repro sla --quick` runs them.
+        let ones = [1.0; 120];
+        let both = [StepTrace::new(&ones), trace];
+        r.bench("interactive_get_30s_two_traces", || {
+            sim.run_steps(OpType::Get, &both)
         });
     }
 

@@ -1,6 +1,6 @@
 //! Flat struct-of-arrays fleet storage — the hyperscale hot path.
 //!
-//! [`FleetState`] holds every per-server field in its own parallel
+//! `FleetState` holds every per-server field in its own parallel
 //! `Vec`, indexed by the dense server id (row-major, as laid out by
 //! [`crate::topology::Cluster`]). The per-tick loops that dominate a
 //! simulation — the measurement sweep, job progression, the scheduler's
@@ -20,10 +20,10 @@
 //!
 //! Row power is additionally tracked *incrementally*: every mutation
 //! applies the signed delta `new_power − old_power` to its row's
-//! accumulator, so [`FleetState::row_power_acc_w`] is O(1) instead of
+//! accumulator, so `FleetState::row_power_acc_w` is O(1) instead of
 //! an O(servers-per-row) re-sum. Floating-point deltas drift, so a
-//! periodic *re-sum epoch* (every [`FleetState::resum_interval`] calls
-//! to [`FleetState::advance_into`]) rebuilds each accumulator from an
+//! periodic *re-sum epoch* (every `FleetState::resum_interval` calls
+//! to `FleetState::advance_into`) rebuilds each accumulator from an
 //! exact ascending-index sum, bounding the drift between epochs.
 //!
 //! Jobs live in a slot arena: one global `Vec<JobSlot>` plus a

@@ -6,7 +6,7 @@
 //! one row per tick at data-center scale.
 //!
 //! A [`Cluster`] stores server state in the flat struct-of-arrays
-//! [`FleetState`], with cached per-server power and incremental per-row
+//! `FleetState`, with cached per-server power and incremental per-row
 //! accumulators — the hyperscale hot path (DESIGN §14). Per-server
 //! access goes through the [`ServerRef`] / [`ServerMut`] proxies.
 

@@ -19,7 +19,7 @@
 //! 3. **Arbiter as a fault domain** — grant RPCs are lost and the
 //!    arbiter itself goes dark ([`FaultPlan::grant_loss`],
 //!    [`FaultPlan::arbiter_outages`]); rows ride the
-//!    [`GrantLink`](ampere_arbiter::GrantLink) fallback ladder and must
+//!    [`GrantLink`] fallback ladder and must
 //!    stay safe on haircut budgets.
 //!
 //! Determinism: rows are independent testbeds on sub-seeded streams,

@@ -38,18 +38,19 @@
 //!
 //! Shards are arm-major, and finished shards come back to the calling
 //! thread in shard order, so an arm is complete as soon as its last
-//! row arrives. Its statistics and p99.9 model then run on the calling
-//! thread while the workers still step the later arms — still in arm
-//! order, so the result does not depend on which arm finished first.
-//! The model stays on the calling thread: on a spawned thread its
-//! latency buffer would come from that thread's allocator arena, which
-//! glibc retains, and peak RSS would grow.
+//! row arrives. Its statistics then run on the calling thread while the
+//! workers still step the later arms — still in arm order, so the
+//! result does not depend on which arm finished first.
 //!
-//! The p99.9 model runs once per distinct capacity trace: an arm whose
-//! trace is bit-equal to an earlier arm's (the baseline's is all ones,
-//! and a selective arm that never freezes an interactive server
-//! matches it) reuses that run's result, which the deterministic model
-//! would reproduce bit for bit.
+//! The p99.9 model is one pass of request draws for any number of
+//! capacity traces ([`InteractiveSim::run_steps`]), so the first arm's
+//! trace waits for the next arm that brings a new one, and the two run
+//! in one pass, overlapped with the stepping of the arms after them;
+//! the last arm runs whatever is still pending. An arm whose trace is
+//! bit-equal to an earlier arm's (the baseline's is all ones, and a
+//! selective arm that never freezes an interactive server matches it)
+//! reuses that trace's result, which the deterministic model would
+//! reproduce bit for bit.
 
 use ampere_cluster::{ClusterSpec, RowId, ServiceClass};
 use ampere_obs::dump::hex;
@@ -358,15 +359,22 @@ fn shard_checksum(recs: &[DomainTickRecord], class_frozen: &[(u32, u32)]) -> u64
 }
 
 /// Runs the comparison: the arm x row shards advance independently on
-/// the worker pool. Each arm's statistics and client-side benchmark
-/// (once per distinct capacity trace) are computed on the calling
-/// thread as soon as that arm's rows have finished, overlapped with
-/// the stepping of the later arms.
+/// the worker pool. Each arm's statistics are computed on the calling
+/// thread as soon as that arm's rows have finished, overlapped with the
+/// stepping of the later arms. The client-side benchmark runs there
+/// too, once per distinct capacity trace, two new traces to a pass of
+/// request draws (the last arm's pass takes what is left).
 ///
 /// # Panics
 /// If `config` has no rows, no measured hours, a batch fraction
 /// outside `[0, 1]` or one that leaves a row no interactive server.
 pub fn run(config: &SlaConfig) -> SlaResult {
+    run_traced(config).0
+}
+
+/// [`run`], plus each arm's capacity trace (the unfrozen-interactive
+/// fraction per measured tick) that the p99.9 model read.
+fn run_traced(config: &SlaConfig) -> (SlaResult, Vec<Vec<f64>>) {
     assert!(config.rows > 0, "need at least one row");
     assert!(config.hours > 0, "need at least one measured hour");
     assert!(
@@ -402,7 +410,8 @@ pub fn run(config: &SlaConfig) -> SlaResult {
     // draws from the same row sub-seed, so the arms see bit-identical
     // workloads.
     let parent = ampere_telemetry::global();
-    let mut set = ShardSet::new(&parent, ARMS.len() * config.rows, config.workers, |i| {
+    let shards = ARMS.len() * config.rows;
+    let mut set = ShardSet::new(&parent, shards, config.workers, |i| {
         let (arm, row) = (&ARMS[i / config.rows], i % config.rows);
         let mut tb = Testbed::new(TestbedConfig {
             spec,
@@ -440,14 +449,18 @@ pub fn run(config: &SlaConfig) -> SlaResult {
     });
     let interactive_total = interactive_per_row * config.rows;
     let ticks = (config.hours * 60) as usize;
-    // (capacity trace bits, p99.9) of every model run so far.
-    let mut models: Vec<(Vec<u64>, f64)> = Vec::new();
+    // Each distinct capacity trace in order of first appearance, and
+    // the p99.9 of each trace modeled so far: `traces[p999.len()..]` is
+    // still pending. `arm_trace[a]` is arm `a`'s trace.
+    let mut traces: Vec<Vec<f64>> = Vec::new();
+    let mut p999: Vec<f64> = Vec::new();
+    let mut arm_trace = Vec::with_capacity(ARMS.len());
 
     let mut arms = Vec::with_capacity(ARMS.len());
     let mut rows: Vec<&SlaShard> = Vec::with_capacity(config.rows);
     // Shards arrive in index order, so arm `a` is complete with its
-    // last row: its statistics and p99.9 model run here, on the calling
-    // thread, while the workers step the later arms.
+    // last row: its statistics run here, on the calling thread, while
+    // the workers step the later arms.
     set.run_each(total_mins, SlaShard::step, |i, shard| {
         rows.push(shard);
         if rows.len() < config.rows {
@@ -467,18 +480,21 @@ pub fn run(config: &SlaConfig) -> SlaResult {
             })
             .collect();
         let min_capacity = capacity.iter().copied().fold(1.0, f64::min);
-        let trace: Vec<u64> = capacity.iter().map(|c| c.to_bits()).collect();
-        let p999_us = match models.iter().find(|(seen, _)| *seen == trace) {
-            Some(&(_, p999_us)) => p999_us,
-            None => {
-                let p999_us = config
-                    .sim
-                    .run_steps(OpType::Get, &StepTrace::new(&capacity))
-                    .p999_us;
-                models.push((trace, p999_us));
-                p999_us
-            }
-        };
+        let bits = |trace: &[f64]| trace.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+        let seen = traces.iter().position(|t| bits(t) == bits(&capacity));
+        arm_trace.push(seen.unwrap_or_else(|| {
+            traces.push(capacity);
+            traces.len() - 1
+        }));
+        // The model is one pass of request draws for any number of
+        // traces: a new trace waits for the next one, and the last arm
+        // runs whatever is still pending.
+        let pending = &traces[p999.len()..];
+        if pending.len() == 2 || (i + 1 == shards && !pending.is_empty()) {
+            let steps: Vec<StepTrace> = pending.iter().map(|t| StepTrace::new(t)).collect();
+            let runs = config.sim.run_steps(OpType::Get, &steps);
+            p999.extend(runs.iter().map(|r| r.p999_us));
+        }
 
         // Fleet power per measured tick (rows are summed in row order).
         let fleet_power: Vec<f64> = (0..ticks)
@@ -494,8 +510,9 @@ pub fn run(config: &SlaConfig) -> SlaResult {
 
         arms.push(SlaArm {
             policy: arm.policy.to_string(),
-            p999_us,
-            p999_ratio: 1.0,
+            // Set once every trace has been modeled.
+            p999_us: f64::NAN,
+            p999_ratio: f64::NAN,
             peak_power_w: fleet_power.iter().copied().fold(0.0, f64::max),
             mean_power_w: fleet_power.iter().sum::<f64>() / ticks.max(1) as f64,
             over_budget_ticks: rows
@@ -559,12 +576,13 @@ pub fn run(config: &SlaConfig) -> SlaResult {
     // construction order — byte-identical at any worker count.
     set.finish();
 
-    let baseline_p999 = arms[0].p999_us;
-    for arm in &mut arms {
-        arm.p999_ratio = arm.p999_us / baseline_p999;
+    let baseline_p999 = p999[arm_trace[0]];
+    for (arm, &t) in arms.iter_mut().zip(&arm_trace) {
+        arm.p999_us = p999[t];
+        arm.p999_ratio = p999[t] / baseline_p999;
     }
 
-    SlaResult {
+    let result = SlaResult {
         arms,
         rows: config.rows,
         servers_per_row: per_row,
@@ -574,7 +592,11 @@ pub fn run(config: &SlaConfig) -> SlaResult {
         rated_w: rated,
         users: config.users,
         sla_factor: 1.2,
-    }
+    };
+    (
+        result,
+        arm_trace.iter().map(|&t| traces[t].clone()).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -640,6 +662,43 @@ mod tests {
         }
     }
 
+    /// Too few batch servers to shed the peak on batch alone: the
+    /// selective arm freezes fewer interactive servers than the uniform
+    /// arm but some, so all three arms' capacity traces differ and the
+    /// last arm's trace runs in a pass of its own.
+    fn three_traces(workers: usize) -> SlaConfig {
+        SlaConfig {
+            batch_fraction: 0.2,
+            ..tiny(workers)
+        }
+    }
+
+    #[test]
+    fn each_arm_p999_equals_a_run_of_its_own_trace() {
+        for config in [tiny(1), three_traces(1)] {
+            let (r, traces) = run_traced(&config);
+            for (arm, trace) in r.arms.iter().zip(&traces) {
+                let alone = config.sim.run_steps(OpType::Get, &[StepTrace::new(trace)]);
+                assert_eq!(
+                    arm.p999_us.to_bits(),
+                    alone[0].p999_us.to_bits(),
+                    "{}",
+                    arm.policy
+                );
+                assert_eq!(arm.min_capacity, trace.iter().copied().fold(1.0, f64::min));
+            }
+        }
+        let (r, traces) = run_traced(&three_traces(1));
+        let distinct = |a: &[f64], b: &[f64]| a.iter().zip(b).any(|(x, y)| x != y);
+        assert!(distinct(&traces[0], &traces[1]) && distinct(&traces[1], &traces[2]));
+        assert!(
+            distinct(&traces[0], &traces[2]),
+            "selective kept the baseline trace"
+        );
+        let [b, u, s] = [0, 1, 2].map(|a| r.arms[a].p999_us);
+        assert!(b < s && s < u, "p99.9 {b} / {u} / {s}");
+    }
+
     #[test]
     #[should_panic(expected = "need at least one measured hour")]
     fn zero_hours_is_rejected() {
@@ -660,12 +719,14 @@ mod tests {
 
     #[test]
     fn workers_do_not_change_results() {
-        let a = run(&tiny(1));
-        // 2 is the caller plus one spawned thread; 3 leaves a partial
-        // last round of the 9 shards.
-        for workers in [2, 3, 4] {
-            let b = run(&tiny(workers));
-            assert_eq!(a.arms, b.arms, "workers={workers}");
+        for config in [tiny, three_traces] {
+            let a = run(&config(1));
+            // 2 is the caller plus one spawned thread; 3 leaves a
+            // partial last round of the 9 shards.
+            for workers in [2, 3, 4] {
+                let b = run(&config(workers));
+                assert_eq!(a.arms, b.arms, "workers={workers}");
+            }
         }
     }
 

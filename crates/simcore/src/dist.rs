@@ -1,4 +1,4 @@
-//! Probability distributions over [`SimRng`](crate::SimRng) draws.
+//! Probability distributions over [`SimRng`] draws.
 //!
 //! In-repo replacements for the handful of `rand_distr` distributions the
 //! workload and measurement models need: [`Normal`], [`LogNormal`],

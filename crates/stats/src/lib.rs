@@ -9,7 +9,8 @@
 //! dependencies so every other crate can share one implementation.
 //!
 //! Modules:
-//! - [`quantile`] — empirical quantiles and CDFs (Fig 1, 7, 9).
+//! - [`quantile`] — empirical quantiles and CDFs (Fig 1, 7, 9), and the
+//!   exact bounded top tail of a sample (the §4.3 p99.9 latency).
 //! - [`summary`] — mean / variance / min / max running summaries.
 //! - [`correlation`] — Pearson correlation (§2.2, §4.1.2 group validation).
 //! - [`regression`] — ordinary least squares, including through-origin fits

@@ -109,36 +109,113 @@ fn bracket(q: f64, n: usize) -> (usize, usize, f64) {
     (lo, pos.ceil() as usize, pos - lo as f64)
 }
 
-/// The quantiles `qs` of an *unsorted* sample, by selection instead of
-/// a full sort: each value equals [`quantile_sorted`] on the sorted
-/// sample bit for bit (values that compare equal are interchangeable,
-/// so of `-0.0` and `0.0` either sign may surface).
+/// The top of a sample, kept exactly in bounded memory: enough of its
+/// largest values to answer the high quantiles of the whole sample bit
+/// for bit like [`quantile_sorted`] on the sorted sample.
 ///
-/// Only the order statistics the quantiles need are placed, by
-/// successive `select_nth_unstable_by` calls in rank order, each over
-/// the part of `sample` above the previous rank; `sample` is left
-/// partially reordered.
-///
-/// # Panics
-/// On an empty sample, or on a NaN the selection compares.
-pub fn select_quantiles<const N: usize>(sample: &mut [f64], qs: [f64; N]) -> [f64; N] {
-    assert!(!sample.is_empty(), "quantile of empty sample");
-    let n = sample.len();
-    if n == 1 {
-        return [sample[0]; N];
+/// [`TopTail::push`] keeps a value only if it is above a floor, and when
+/// the buffer reaches `2 * keep` values it selects down to the top
+/// `keep` and raises the floor to the least of them. Every value kept is
+/// then at or above every value dropped, so the buffer always holds the
+/// top of the sample (values that compare equal are interchangeable, so
+/// of `-0.0` and `0.0` either sign may surface), at least `keep` values
+/// of it once a prune has run, and at most `2 * keep` at any time.
+#[derive(Debug, Clone)]
+pub struct TopTail {
+    keep: usize,
+    /// The top of the sample, in no order.
+    top: Vec<f64>,
+    /// Values at or below this are dropped; `-inf` before the first
+    /// prune.
+    floor: f64,
+}
+
+impl TopTail {
+    /// A tail that keeps at least the top `keep` values.
+    ///
+    /// # Panics
+    /// If `keep` is 0.
+    pub fn new(keep: usize) -> Self {
+        assert!(keep > 0, "a tail must keep at least one value");
+        Self {
+            keep,
+            top: Vec::with_capacity(2 * keep),
+            floor: f64::NEG_INFINITY,
+        }
     }
-    let brackets = qs.map(|q| bracket(q, n));
-    let mut ranks: Vec<usize> = brackets.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    let mut start = 0;
-    for &rank in &ranks {
-        sample[start..].select_nth_unstable_by(rank - start, |a, b| {
-            a.partial_cmp(b).expect("quantile sample holds no NaN")
-        });
-        start = rank + 1;
+
+    /// How many of the top values of an `n`-point sample its quantile
+    /// `q` (clamped to `[0, 1]`) reads: a tail that keeps this many
+    /// answers every quantile at or above `q`.
+    pub fn keep_for(q: f64, n: usize) -> usize {
+        if n <= 1 {
+            return 1;
+        }
+        n - bracket(q, n).0
     }
-    brackets.map(|(lo, hi, frac)| sample[lo] + (sample[hi] - sample[lo]) * frac)
+
+    /// Adds one value of the sample. A NaN is never above the floor and
+    /// is dropped, so the caller must not count it.
+    pub fn push(&mut self, v: f64) {
+        if v > self.floor {
+            self.top.push(v);
+            if self.top.len() == 2 * self.keep {
+                self.prune();
+            }
+        }
+    }
+
+    /// Selects the buffer down to its top `keep` values.
+    fn prune(&mut self) {
+        let least = self.keep - 1;
+        self.top
+            .select_nth_unstable_by(least, |a, b| b.partial_cmp(a).expect("a tail holds no NaN"));
+        self.floor = self.top[least];
+        self.top.truncate(self.keep);
+    }
+
+    /// The quantiles `qs` of the whole sample, which had `n` values
+    /// pushed, each equal to [`quantile_sorted`] on the sorted sample;
+    /// `None` if a quantile reads a rank below the tail.
+    ///
+    /// Only the order statistics the quantiles need are placed, by
+    /// successive `select_nth_unstable_by` calls in rank order, each over
+    /// the part of the tail above the previous rank.
+    ///
+    /// # Panics
+    /// If `n` is 0 or less than the number of values kept.
+    pub fn quantiles<const N: usize>(&mut self, n: usize, qs: [f64; N]) -> Option<[f64; N]> {
+        assert!(n > 0, "quantile of empty sample");
+        let kept = self.top.len();
+        assert!(kept <= n, "{kept} values kept of a {n}-point sample");
+        if n == 1 {
+            return Some([self.top[0]; N]);
+        }
+        // Rank `r` of the sample is rank `r - below` of the tail.
+        let below = n - kept;
+        let brackets = qs.map(|q| bracket(q, n));
+        if brackets.iter().any(|&(lo, _, _)| lo < below) {
+            return None;
+        }
+        let mut ranks: Vec<usize> = brackets
+            .iter()
+            .flat_map(|&(lo, hi, _)| [lo - below, hi - below])
+            .collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        let tail = &mut self.top[..];
+        let mut start = 0;
+        for &rank in &ranks {
+            tail[start..].select_nth_unstable_by(rank - start, |a, b| {
+                a.partial_cmp(b).expect("a tail holds no NaN")
+            });
+            start = rank + 1;
+        }
+        Some(brackets.map(|(lo, hi, frac)| {
+            let (lo, hi) = (tail[lo - below], tail[hi - below]);
+            lo + (hi - lo) * frac
+        }))
+    }
 }
 
 /// Percentile (`p` in `[0, 100]`) of an arbitrary sample.

@@ -2,7 +2,7 @@
 
 use ampere_sim::check::{cases, Gen};
 
-use ampere_stats::quantile::{quantile_sorted, select_quantiles};
+use ampere_stats::quantile::{quantile_sorted, TopTail};
 use ampere_stats::timeseries::rolling_max;
 use ampere_stats::{
     cdf_points, ewma, first_differences, linear_fit, linear_fit_through_origin, pearson,
@@ -88,29 +88,90 @@ fn percentile_agrees_with_min_max() {
     });
 }
 
+/// The quantiles a bounded tail answers in the p99.9 latency model.
+const TAIL_QS: [f64; 3] = [0.99, 0.999, 1.0];
+
+/// `sample` pushed through a tail that keeps `keep`, then read at
+/// [`TAIL_QS`]; `None` if the tail is too short.
+fn tail_quantiles(sample: &[f64], keep: usize) -> Option<[f64; 3]> {
+    let mut tail = TopTail::new(keep);
+    for &v in sample {
+        tail.push(v);
+    }
+    tail.quantiles(sample.len(), TAIL_QS)
+}
+
+fn assert_sorted_quantiles(sample: &[f64], got: [f64; 3]) {
+    let mut sorted = sample.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    for (q, v) in TAIL_QS.into_iter().zip(got) {
+        let want = quantile_sorted(&sorted, q);
+        assert_eq!(v.to_bits(), want.to_bits(), "q={q}: {v} vs {want}");
+    }
+}
+
 #[test]
 fn selected_quantiles_equal_sorted_quantiles_bit_for_bit() {
-    const QS: [f64; 5] = [0.0, 0.5, 0.99, 0.999, 1.0];
-    let check = |sample: Vec<f64>| {
-        let mut sorted = sample.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut scratch = sample;
-        let got = select_quantiles(&mut scratch, QS);
-        for (q, v) in QS.into_iter().zip(got) {
-            let want = quantile_sorted(&sorted, q);
-            assert_eq!(v.to_bits(), want.to_bits(), "q={q}: {v} vs {want}");
+    let check = |sample: Vec<f64>, keep: usize| {
+        let n = sample.len();
+        match tail_quantiles(&sample, keep) {
+            Some(got) => assert_sorted_quantiles(&sample, got),
+            // Below `2 * keep` points nothing is pruned, and a tail kept
+            // for the quantile's rank reaches it.
+            None => assert!(
+                n >= 2 * keep && keep < TopTail::keep_for(TAIL_QS[0], n),
+                "no answer from a tail keeping {keep} of {n}"
+            ),
         }
     };
     cases(96, |g| {
         // Few distinct values over many points: long runs of ties
-        // straddle every bracketing rank.
+        // straddle every bracketing rank and the floor.
         let distinct = g.usize(1..8);
-        check(g.vec_with(1..3000, |g| g.usize(0..distinct) as f64 * 0.25));
-        check(finite_vec(g, 1..3000));
+        let ties = g.vec_with(1..3000, |g| g.usize(0..distinct) as f64 * 0.25);
+        for sample in [ties, finite_vec(g, 1..3000)] {
+            let n = sample.len();
+            let keep = g.usize(1..64);
+            check(sample.clone(), keep);
+            check(sample.clone(), TopTail::keep_for(TAIL_QS[0], n));
+            if n >= 2 * keep {
+                // The last push prunes to exactly `keep` values.
+                check(sample[..2 * keep].to_vec(), keep);
+            }
+            check(sample, n);
+        }
     });
-    check(vec![3.5]);
-    check(vec![2.0, -1.0]);
-    check(vec![4.0, 4.0]);
+    check(vec![3.5], 1);
+    check(vec![2.0, -1.0], 1);
+    check(vec![4.0, 4.0], 1);
+}
+
+#[test]
+fn tail_edges_prune_exactly_and_report_a_short_tail() {
+    let ascending: Vec<f64> = (0..300).map(f64::from).collect();
+    // Fewer than `2 * keep` points: nothing is pruned, so any keep
+    // answers.
+    for keep in [6, 10, 299] {
+        assert_sorted_quantiles(
+            &ascending[..10],
+            tail_quantiles(&ascending[..10], keep).unwrap(),
+        );
+    }
+    // Exactly `2 * keep` points: the last push prunes to `keep`, which
+    // answers p99 from 4 points on.
+    for keep in 2..40 {
+        let sample = &ascending[..2 * keep];
+        assert_sorted_quantiles(sample, tail_quantiles(sample, keep).unwrap());
+    }
+    // Two points pruned to one: p99 interpolates between both.
+    assert_eq!(tail_quantiles(&ascending[..2], 1), None);
+    // Pruned to 3 on the 300th push; p99 reads the 4th-largest.
+    assert_eq!(TopTail::keep_for(0.99, 300), 4);
+    assert_eq!(tail_quantiles(&ascending, 3), None);
+    assert_sorted_quantiles(&ascending, tail_quantiles(&ascending, 4).unwrap());
+    // A descending sample is pruned once and then drops every push.
+    let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+    assert_sorted_quantiles(&descending, tail_quantiles(&descending, 4).unwrap());
 }
 
 #[test]

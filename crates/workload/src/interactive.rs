@@ -12,6 +12,16 @@
 //! (start = max(arrival, previous finish)), which is faster and more
 //! precise than event juggling for a single-server queue.
 //!
+//! Runs that differ only in their frequency trace make the same request
+//! draws (same seed, same count), so one pass of draws serves them all:
+//! each trace advances its own Lindley chain over the shared arrivals
+//! and service demands, bit for bit as a run of that trace alone
+//! would. A run keeps no per-request latencies: only a running sum for
+//! the mean and an exact top tail ([`TopTail`]) sized for p99 of the
+//! expected request count. If the Poisson count overshoots that size
+//! and the tail comes up short, the pass is rerun once with the count
+//! it found; both passes are deterministic, so the answer is the same.
+//!
 //! A frequency trace that is constant over equal slices of the run
 //! ([`StepTrace`], such as a per-tick capacity trace) is read by slice,
 //! not by request: [`InteractiveSim::run_steps`] finds each slice
@@ -23,7 +33,11 @@
 
 use ampere_cluster::ServiceClass;
 use ampere_sim::{derive_stream, rng::streams, Distribution, Exp};
-use ampere_stats::quantile::select_quantiles;
+use ampere_stats::quantile::TopTail;
+
+/// The quantiles every run reports; a tail long enough for the first
+/// answers them all.
+const TAIL_QS: [f64; 3] = [0.99, 0.999, 1.0];
 
 /// The redis-benchmark operations reported in Fig 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,8 +101,6 @@ pub struct LatencyStats {
     pub count: usize,
     /// Mean latency in microseconds.
     pub mean_us: f64,
-    /// Median latency in microseconds.
-    pub p50_us: f64,
     /// 99th percentile latency in microseconds.
     pub p99_us: f64,
     /// 99.9th percentile latency in microseconds — the paper's metric.
@@ -151,27 +163,32 @@ impl InteractiveSim {
     /// If `freq_at` returns a non-finite frequency, or `run_secs` or
     /// `target_utilization` is not finite and positive.
     pub fn run(&self, op: OpType, freq_at: &dyn Fn(f64) -> f64) -> LatencyStats {
-        self.simulate(op, self.horizon_us(), |start| {
-            let freq = freq_at(start);
-            assert!(
-                freq.is_finite(),
-                "freq_at({start} us) returned {freq}, not a finite frequency"
-            );
-            freq
-        })
+        let horizon_us = self.horizon_us();
+        let keep = self.keep(op, horizon_us);
+        let mut runs = self.simulate(op, horizon_us, || vec![checked(freq_at)], keep);
+        runs.pop().expect("one trace, one run")
     }
 
-    /// Like [`InteractiveSim::run`] with `freq_at` reading `trace`, but
-    /// the model reads the trace by slice, not by request: each slice
-    /// boundary is found once per run, and service starts (which never
-    /// decrease) walk past them with one compare.
+    /// One run per trace in `traces`, each like [`InteractiveSim::run`]
+    /// with `freq_at` reading that trace, from one pass of request
+    /// draws. The model reads each trace by slice, not by request: each
+    /// slice boundary is found once per run, and service starts (which
+    /// never decrease) walk past them with one compare.
     ///
     /// # Panics
     /// If `run_secs` or `target_utilization` is not finite and positive.
-    pub fn run_steps(&self, op: OpType, trace: &StepTrace<'_>) -> LatencyStats {
+    pub fn run_steps(&self, op: OpType, traces: &[StepTrace<'_>]) -> Vec<LatencyStats> {
         let horizon_us = self.horizon_us();
-        let mut cursor = trace.cursor(horizon_us);
-        self.simulate(op, horizon_us, |start| cursor.at(start))
+        let readers = || {
+            traces
+                .iter()
+                .map(|trace| {
+                    let mut cursor = trace.cursor(horizon_us);
+                    move |start| cursor.at(start)
+                })
+                .collect::<Vec<_>>()
+        };
+        self.simulate(op, horizon_us, readers, self.keep(op, horizon_us))
     }
 
     /// The run's length in µs.
@@ -193,46 +210,89 @@ impl InteractiveSim {
         self.run_secs * 1e6
     }
 
-    /// The Lindley recurrence behind every run. `freq_at` is called once
-    /// per request with its service start, which never decreases.
-    fn simulate(
+    /// How many of the highest latencies a run keeps: enough for p99
+    /// of the expected request count plus a margin of several standard
+    /// deviations of the Poisson count, so the rerun is rare.
+    fn keep(&self, op: OpType, horizon_us: f64) -> usize {
+        let expected = (horizon_us * self.target_utilization / op.base_service_us()) as usize;
+        TopTail::keep_for(TAIL_QS[0], expected + expected / 32 + 64)
+    }
+
+    /// The runs of every trace that `readers` makes a frequency reader
+    /// for, in order, from one pass of request draws that keeps `keep`
+    /// of the highest latencies per trace, or, if that is too short for
+    /// p99, from a second pass that keeps as many as the first pass's
+    /// request count needs. `readers` makes fresh readers for each pass.
+    fn simulate<F: FnMut(f64) -> f64>(
         &self,
         op: OpType,
         horizon_us: f64,
-        mut freq_at: impl FnMut(f64) -> f64,
-    ) -> LatencyStats {
+        readers: impl Fn() -> Vec<F>,
+        keep: usize,
+    ) -> Vec<LatencyStats> {
+        self.pass(op, horizon_us, readers(), keep)
+            .unwrap_or_else(|count| {
+                let keep = TopTail::keep_for(TAIL_QS[0], count);
+                self.pass(op, horizon_us, readers(), keep)
+                    .expect("a tail kept for the first pass's count reaches p99")
+            })
+    }
+
+    /// One pass of the Lindley recurrence: the requests' arrivals and
+    /// service demands are drawn once, and each reader's FIFO queue
+    /// serves them at its own frequency. A reader is called once per
+    /// request with its queue's service start, which never decreases.
+    /// `Err` carries the request count when a tail of `keep` latencies
+    /// is too short for p99.
+    fn pass<F: FnMut(f64) -> f64>(
+        &self,
+        op: OpType,
+        horizon_us: f64,
+        readers: Vec<F>,
+        keep: usize,
+    ) -> Result<Vec<LatencyStats>, usize> {
         let mut rng = derive_stream(self.seed, streams::REQUESTS);
         let mean_s = op.base_service_us();
-        let lambda_per_us = self.target_utilization / mean_s;
-        let inter = Exp::new(lambda_per_us).expect("positive rate");
+        let inter = Exp::new(self.target_utilization / mean_s).expect("positive rate");
         let service = Exp::new(1.0 / mean_s).expect("positive rate");
 
+        let mut queues: Vec<Queue<F>> = readers
+            .into_iter()
+            .map(|freq_at| Queue {
+                freq_at,
+                server_free: 0.0,
+                sum_us: 0.0,
+                tail: TopTail::new(keep),
+            })
+            .collect();
         let mut arrival = 0.0f64;
-        let mut server_free = 0.0f64;
-        // Sized for the expected request count plus a margin of several
-        // standard deviations of the Poisson count, so it does not regrow.
-        let expected = (horizon_us * lambda_per_us) as usize;
-        let mut latencies = Vec::with_capacity(expected + expected / 32 + 64);
+        let mut count = 0usize;
         while arrival < horizon_us {
             arrival += inter.sample(&mut rng);
-            let start = arrival.max(server_free);
-            let freq = freq_at(start);
-            let work = service.sample(&mut rng) / freq.clamp(0.05, 1.0);
-            server_free = start + work;
-            latencies.push(server_free - arrival);
+            let demand = service.sample(&mut rng);
+            for q in &mut queues {
+                let start = arrival.max(q.server_free);
+                let freq = (q.freq_at)(start);
+                q.server_free = start + demand / freq.clamp(0.05, 1.0);
+                let latency = q.server_free - arrival;
+                q.sum_us += latency;
+                q.tail.push(latency);
+            }
+            count += 1;
         }
-        let count = latencies.len();
-        let mean_us = latencies.iter().sum::<f64>() / count as f64;
-        let [p50_us, p99_us, p999_us, max_us] =
-            select_quantiles(&mut latencies, [0.50, 0.99, 0.999, 1.0]);
-        LatencyStats {
-            count,
-            mean_us,
-            p50_us,
-            p99_us,
-            p999_us,
-            max_us,
-        }
+        queues
+            .into_iter()
+            .map(|mut q| {
+                let [p99_us, p999_us, max_us] = q.tail.quantiles(count, TAIL_QS).ok_or(count)?;
+                Ok(LatencyStats {
+                    count,
+                    mean_us: q.sum_us / count as f64,
+                    p99_us,
+                    p999_us,
+                    max_us,
+                })
+            })
+            .collect()
     }
 
     /// Like [`InteractiveSim::run`], for a server of a given
@@ -264,20 +324,43 @@ impl InteractiveSim {
 
     /// Runs the full Fig 11 comparison: every op, once under a capping
     /// frequency trace and once at nominal frequency (Ampere never slows
-    /// running work).
+    /// running work), both from one pass of request draws.
     pub fn fig11_comparison(&self, capped_freq_at: &dyn Fn(f64) -> f64) -> Vec<RedisBenchReport> {
+        let horizon_us = self.horizon_us();
         OpType::ALL
             .iter()
             .map(|&op| {
-                let capped = self.run(op, capped_freq_at);
-                let ampere = self.run(op, &|_| 1.0);
+                let readers = || vec![checked(capped_freq_at), checked(&|_| 1.0)];
+                let runs = self.simulate(op, horizon_us, readers, self.keep(op, horizon_us));
                 RedisBenchReport {
                     op,
-                    capped_p999_us: capped.p999_us,
-                    ampere_p999_us: ampere.p999_us,
+                    capped_p999_us: runs[0].p999_us,
+                    ampere_p999_us: runs[1].p999_us,
                 }
             })
             .collect()
+    }
+}
+
+/// One trace's FIFO queue in a pass of [`InteractiveSim::simulate`].
+struct Queue<F> {
+    freq_at: F,
+    /// When the server finishes its last request, µs.
+    server_free: f64,
+    /// The sum of latencies so far, in arrival order.
+    sum_us: f64,
+    tail: TopTail,
+}
+
+/// `freq_at` as a reader that rejects a non-finite frequency.
+fn checked(freq_at: &dyn Fn(f64) -> f64) -> impl FnMut(f64) -> f64 + '_ {
+    move |start| {
+        let freq = freq_at(start);
+        assert!(
+            freq.is_finite(),
+            "freq_at({start} us) returned {freq}, not a finite frequency"
+        );
+        freq
     }
 }
 
@@ -415,7 +498,7 @@ mod tests {
             stats.mean_us
         );
         assert!(stats.p999_us > stats.p99_us);
-        assert!(stats.p99_us > stats.p50_us);
+        assert!(stats.p99_us > stats.mean_us);
     }
 
     #[test]
@@ -435,7 +518,7 @@ mod tests {
         let sim = quick_sim();
         let get = sim.run(OpType::Get, &|_| 1.0);
         let lrange = sim.run(OpType::LRange600, &|_| 1.0);
-        assert!(lrange.p50_us > get.p50_us * 5.0);
+        assert!(lrange.mean_us > get.mean_us * 5.0);
     }
 
     #[test]
@@ -449,6 +532,11 @@ mod tests {
         assert_eq!(reports.len(), 6);
         for r in &reports {
             assert!(r.inflation() > 1.0, "{} not inflated", r.op.name());
+            // One pass over both traces, bit for bit two runs.
+            let capped = sim.run(r.op, &trace).p999_us;
+            let ampere = sim.run(r.op, &|_| 1.0).p999_us;
+            assert_eq!(r.capped_p999_us.to_bits(), capped.to_bits());
+            assert_eq!(r.ampere_p999_us.to_bits(), ampere.to_bits());
         }
     }
 
@@ -495,7 +583,6 @@ mod tests {
         let stats = sim.run(op, &trace);
         assert_eq!(stats.count, cdf.len());
         for (got, want) in [
-            (stats.p50_us, cdf.quantile(0.50)),
             (stats.p99_us, cdf.quantile(0.99)),
             (stats.p999_us, cdf.quantile(0.999)),
             (stats.max_us, cdf.max()),
@@ -503,6 +590,44 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
         }
         assert!((stats.mean_us - cdf.mean()).abs() <= 1e-9 * cdf.mean());
+    }
+
+    #[test]
+    fn a_short_tail_reruns_with_the_request_count() {
+        let sim = InteractiveSim {
+            run_secs: 2.0,
+            ..quick_sim()
+        };
+        let trace = episodic_capping(0.15, 0.63, 1e6);
+        let (op, horizon_us) = (OpType::Get, sim.horizon_us());
+        let readers = || vec![checked(&trace)];
+        // One latency cannot reach p99 of some 37,000 requests.
+        let count = sim.pass(op, horizon_us, readers(), 1).unwrap_err();
+        assert!(count > 30_000, "{count} requests");
+        let rerun = sim.simulate(op, horizon_us, readers, 1);
+        assert_eq!(rerun.len(), 1);
+        assert_bit_equal(&rerun[0], &sim.run(op, &trace));
+    }
+
+    #[test]
+    fn one_pass_over_several_traces_equals_each_alone() {
+        let sim = InteractiveSim {
+            run_secs: 2.5,
+            ..quick_sim()
+        };
+        let mut rng = SimRng::seed_from_u64(23);
+        let ones = vec![1.0; 120];
+        let dip: Vec<f64> = (0..120)
+            .map(|k| 1.0 - 0.5 * (std::f64::consts::PI * k as f64 / 120.0).sin())
+            .collect();
+        let noise: Vec<f64> = (0..7).map(|_| rng.gen_range(0.0..1.2)).collect();
+        let traces = [&ones, &dip, &noise, &ones].map(|l| StepTrace::new(l));
+        let together = sim.run_steps(OpType::Get, &traces);
+        assert_eq!(together.len(), traces.len());
+        for (trace, got) in traces.iter().zip(&together) {
+            assert_bit_equal(got, &sim.run_steps(OpType::Get, &[*trace])[0]);
+        }
+        assert!(together[1].p999_us > together[0].p999_us);
     }
 
     #[test]
@@ -529,7 +654,6 @@ mod tests {
         assert_eq!(got.count, want.count);
         for (g, w) in [
             (got.mean_us, want.mean_us),
-            (got.p50_us, want.p50_us),
             (got.p99_us, want.p99_us),
             (got.p999_us, want.p999_us),
             (got.max_us, want.max_us),
@@ -564,9 +688,9 @@ mod tests {
                 seed: rng.next_u64(),
                 ..quick_sim()
             };
-            let got = sim.run_steps(OpType::Get, &StepTrace::new(levels));
+            let got = &sim.run_steps(OpType::Get, &[StepTrace::new(levels)])[0];
             let want = sim.run(OpType::Get, &index_closure(levels, *run_secs));
-            assert_bit_equal(&got, &want);
+            assert_bit_equal(got, &want);
         }
     }
 
@@ -641,7 +765,7 @@ mod tests {
             run_secs: f64::INFINITY,
             ..quick_sim()
         };
-        let _ = sim.run_steps(OpType::Get, &StepTrace::new(&[1.0]));
+        let _ = sim.run_steps(OpType::Get, &[StepTrace::new(&[1.0])]);
     }
 
     #[test]
