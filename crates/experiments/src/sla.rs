@@ -93,7 +93,9 @@ pub struct SlaConfig {
     pub peak_hour: f64,
     /// Diurnal swing of user activity, in `[0, 1)`.
     pub amplitude: f64,
-    /// The client-side benchmark model measuring p99.9.
+    /// The client-side benchmark model measuring p99.9. Its requests
+    /// draw under `derive_subseed(seed, streams::REQUESTS, sim.seed)`,
+    /// so each master seed draws its own.
     pub sim: InteractiveSim,
     /// Worker threads stepping the arm x row shards (1 = serial).
     pub workers: usize,
@@ -333,6 +335,15 @@ impl SlaShard {
     }
 }
 
+/// The client-side benchmark model of a run of `config`: `config.sim`,
+/// with its seed derived from the master seed as the rows' are.
+fn model(config: &SlaConfig) -> InteractiveSim {
+    InteractiveSim {
+        seed: derive_subseed(config.seed, streams::REQUESTS, config.sim.seed),
+        ..config.sim.clone()
+    }
+}
+
 /// Order-sensitive FNV-1a over one row's trajectory plus its
 /// class-frozen trace.
 fn shard_checksum(recs: &[DomainTickRecord], class_frozen: &[(u32, u32)]) -> u64 {
@@ -449,6 +460,7 @@ fn run_traced(config: &SlaConfig) -> (SlaResult, Vec<Vec<f64>>) {
     });
     let interactive_total = interactive_per_row * config.rows;
     let ticks = (config.hours * 60) as usize;
+    let sim = model(config);
     // Each distinct capacity trace in order of first appearance, and
     // the p99.9 of each trace modeled so far: `traces[p999.len()..]` is
     // still pending. `arm_trace[a]` is arm `a`'s trace.
@@ -492,7 +504,7 @@ fn run_traced(config: &SlaConfig) -> (SlaResult, Vec<Vec<f64>>) {
         let pending = &traces[p999.len()..];
         if pending.len() == 2 || (i + 1 == shards && !pending.is_empty()) {
             let steps: Vec<StepTrace> = pending.iter().map(|t| StepTrace::new(t)).collect();
-            let runs = config.sim.run_steps(OpType::Get, &steps);
+            let runs = sim.run_steps(OpType::Get, &steps);
             p999.extend(runs.iter().map(|r| r.p999_us));
         }
 
@@ -678,7 +690,7 @@ mod tests {
         for config in [tiny(1), three_traces(1)] {
             let (r, traces) = run_traced(&config);
             for (arm, trace) in r.arms.iter().zip(&traces) {
-                let alone = config.sim.run_steps(OpType::Get, &[StepTrace::new(trace)]);
+                let alone = model(&config).run_steps(OpType::Get, &[StepTrace::new(trace)]);
                 assert_eq!(
                     arm.p999_us.to_bits(),
                     alone[0].p999_us.to_bits(),
@@ -697,6 +709,17 @@ mod tests {
         );
         let [b, u, s] = [0, 1, 2].map(|a| r.arms[a].p999_us);
         assert!(b < s && s < u, "p99.9 {b} / {u} / {s}");
+    }
+
+    #[test]
+    fn the_model_draws_from_the_run_seed() {
+        // The baseline's trace is all ones on every seed, so only the
+        // request draws can tell two seeds' p99.9 apart.
+        let [a, b] = [29, 30].map(|seed| {
+            let r = run(&SlaConfig { seed, ..tiny(1) });
+            r.arm("baseline").unwrap().p999_us
+        });
+        assert_ne!(a.to_bits(), b.to_bits(), "p99.9 {a} on both seeds");
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! and the tail comes up short, the pass is rerun once with the count
 //! it found; both passes are deterministic, so the answer is the same.
 //!
+//! The interarrival and service draws are standard exponentials times
+//! their means, from a private 256-layer Marsaglia–Tsang (2000)
+//! ziggurat: most draws cost one `next_u64` and no `ln`. The
+//! workspace's [`Exp`](ampere_sim::Exp) samples by inverse transform
+//! and stays as it is, because job durations draw from it and every
+//! fleet trajectory depends on those draws; the model's draws feed only
+//! its latency statistics.
+//!
 //! A frequency trace that is constant over equal slices of the run
 //! ([`StepTrace`], such as a per-tick capacity trace) is read by slice,
 //! not by request: [`InteractiveSim::run_steps`] finds each slice
@@ -32,7 +40,7 @@
 //! per-request lookup of the same trace.
 
 use ampere_cluster::ServiceClass;
-use ampere_sim::{derive_stream, rng::streams, Distribution, Exp};
+use ampere_sim::{derive_stream, rng::streams, SimRng};
 use ampere_stats::quantile::TopTail;
 
 /// The quantiles every run reports; a tail long enough for the first
@@ -252,9 +260,9 @@ impl InteractiveSim {
         keep: usize,
     ) -> Result<Vec<LatencyStats>, usize> {
         let mut rng = derive_stream(self.seed, streams::REQUESTS);
+        let zig = Ziggurat::new();
         let mean_s = op.base_service_us();
-        let inter = Exp::new(self.target_utilization / mean_s).expect("positive rate");
-        let service = Exp::new(1.0 / mean_s).expect("positive rate");
+        let mean_inter = mean_s / self.target_utilization;
 
         let mut queues: Vec<Queue<F>> = readers
             .into_iter()
@@ -268,8 +276,8 @@ impl InteractiveSim {
         let mut arrival = 0.0f64;
         let mut count = 0usize;
         while arrival < horizon_us {
-            arrival += inter.sample(&mut rng);
-            let demand = service.sample(&mut rng);
+            arrival += zig.sample(&mut rng) * mean_inter;
+            let demand = zig.sample(&mut rng) * mean_s;
             for q in &mut queues {
                 let start = arrival.max(q.server_free);
                 let freq = (q.freq_at)(start);
@@ -350,6 +358,85 @@ struct Queue<F> {
     /// The sum of latencies so far, in arrival order.
     sum_us: f64,
     tail: TopTail,
+}
+
+/// `2^-53`: turns the top 53 bits of a draw into a uniform in `[0, 1)`.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// A standard exponential sampler: the 256-layer ziggurat of Marsaglia
+/// and Tsang (2000), for the model's request draws.
+///
+/// The region under `f(x) = e^{-x}` is covered by 256 layers of equal
+/// area `V`. Layer `i ≥ 1` is the rectangle `[0, x[i]) × [f(x[i]),
+/// f(x[i+1]))`; the base layer 0 is `[0, x[0]) × [0, f(R))` with
+/// `x[0] = V / f(R)`, whose part past `x[1] = R` stands for the tail. A
+/// uniform point in a uniform layer is a uniform point under `f`, so its
+/// abscissa is exponential. A point left of `x[i+1]` lies under `f` at
+/// once: about 97.8% of draws take that path, one `next_u64` and no
+/// `ln`. The rest test the wedge against `f`, or, past `R` in the base
+/// layer, draw the tail as `R` plus a fresh exponential.
+struct Ziggurat {
+    /// Layer edges: `x[0] = V / f(R)`, `x[1] = R`, strictly decreasing
+    /// to `x[256] = 0`.
+    x: [f64; 257],
+    /// `f(x[i])`.
+    f: [f64; 257],
+}
+
+impl Ziggurat {
+    /// Where the tail starts.
+    const R: f64 = 7.697117470131487;
+    /// The area of each layer: `(R + 1)·e^{-R}`, the base layer with its
+    /// tail.
+    const V: f64 = 3.949659822581572e-3;
+
+    /// The layer table, from `x[i+1] = -ln(V / x[i] + f(x[i]))`: each
+    /// layer's top edge is where a rectangle of area `V` on its bottom
+    /// edge ends.
+    fn new() -> Self {
+        let mut x = [0.0; 257];
+        x[0] = Self::V / (-Self::R).exp();
+        x[1] = Self::R;
+        for i in 1..255 {
+            x[i + 1] = -(Self::V / x[i] + (-x[i]).exp()).ln();
+        }
+        // x[256] stays 0 exactly: the recurrence lands there only to
+        // within rounding.
+        Self {
+            x,
+            f: x.map(|x| (-x).exp()),
+        }
+    }
+
+    /// One standard exponential draw (mean 1).
+    #[inline]
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        loop {
+            // The low 8 bits pick the layer, the top 53 the point in it.
+            let bits = rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            let x = (bits >> 11) as f64 * UNIT * self.x[i];
+            if x < self.x[i + 1] {
+                return x;
+            }
+            if let Some(x) = self.fallback(rng, i, x) {
+                return x;
+            }
+        }
+    }
+
+    /// A point of layer `i` at `x`, right of `x[i+1]`: in the base
+    /// layer, a tail draw; otherwise `x` if a uniform height in the
+    /// layer falls under `f(x)`, or `None` to draw again.
+    #[cold]
+    fn fallback(&self, rng: &mut SimRng, i: usize, x: f64) -> Option<f64> {
+        if i == 0 {
+            // The exponential's tail past R is R plus an exponential.
+            return Some(Self::R - (1.0 - rng.gen::<f64>()).ln());
+        }
+        let y = self.f[i] + (self.f[i + 1] - self.f[i]) * rng.gen::<f64>();
+        (y < (-x).exp()).then_some(x)
+    }
 }
 
 /// `freq_at` as a reader that rejects a non-finite frequency.
@@ -569,14 +656,15 @@ mod tests {
         let trace = episodic_capping(0.15, 0.63, 10e6);
         let op = OpType::Get;
         let mut rng = derive_stream(sim.seed, streams::REQUESTS);
-        let inter = Exp::new(sim.target_utilization / op.base_service_us()).unwrap();
-        let service = Exp::new(1.0 / op.base_service_us()).unwrap();
+        let zig = Ziggurat::new();
+        let mean_s = op.base_service_us();
+        let mean_inter = mean_s / sim.target_utilization;
         let (mut arrival, mut server_free) = (0.0f64, 0.0f64);
         let mut latencies = Vec::new();
         while arrival < sim.run_secs * 1e6 {
-            arrival += inter.sample(&mut rng);
+            arrival += zig.sample(&mut rng) * mean_inter;
             let start = arrival.max(server_free);
-            server_free = start + service.sample(&mut rng) / trace(start).clamp(0.05, 1.0);
+            server_free = start + zig.sample(&mut rng) * mean_s / trace(start).clamp(0.05, 1.0);
             latencies.push(server_free - arrival);
         }
         let cdf = ampere_stats::Cdf::new(latencies).unwrap();
@@ -782,5 +870,97 @@ mod tests {
     #[should_panic(expected = "bad duty cycle")]
     fn episodic_rejects_bad_duty() {
         let _ = episodic_capping(1.5, 0.5, 1e6);
+    }
+
+    #[test]
+    fn ziggurat_table_has_equal_area_layers() {
+        let Ziggurat { x, f } = Ziggurat::new();
+        assert_eq!(x[1], Ziggurat::R);
+        assert_eq!(x[256], 0.0);
+        assert!(x.windows(2).all(|w| w[0] > w[1]), "edges not decreasing");
+        assert!(f.iter().zip(&x).all(|(&f, &x)| f == (-x).exp()));
+        // The base layer's rectangle, and its true area with the tail.
+        let (r, v) = (Ziggurat::R, Ziggurat::V);
+        assert!((x[0] * f[1] - v).abs() < 1e-12 * v);
+        assert!(((r + 1.0) * (-r).exp() - v).abs() < 1e-12 * v);
+        // Every layer above it, the top one up to f(0) = 1 included.
+        for i in 1..256 {
+            let area = x[i] * (f[i + 1] - f[i]);
+            assert!((area - v).abs() < 1e-12 * v, "layer {i}: area {area}");
+        }
+    }
+
+    #[test]
+    fn ziggurat_draws_are_standard_exponential() {
+        let n = 1usize << 20;
+        let zig = Ziggurat::new();
+        let mut rng = SimRng::seed_from_u64(2000);
+        let draws: Vec<f64> = (0..n).map(|_| zig.sample(&mut rng)).collect();
+        assert!(draws.iter().all(|&z| z.is_finite() && z >= 0.0));
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        let var = draws.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+        // Standard errors: 1/√n for the mean, √((μ₄ − σ⁴)/n) = √(8/n)
+        // for the variance.
+        let se = (n as f64).sqrt().recip();
+        assert!((mean - 1.0).abs() < 4.0 * se, "mean {mean}");
+        assert!((var - 1.0).abs() < 4.0 * 8f64.sqrt() * se, "variance {var}");
+        // The number of draws at or below the exact q-quantile −ln(1−q)
+        // is Binomial(n, q).
+        for q in [0.5f64, 0.9, 0.99, 0.999, 0.9999] {
+            let below = draws.iter().filter(|&&z| z <= -(1.0 - q).ln()).count() as f64;
+            let (expected, sd) = (n as f64 * q, (n as f64 * q * (1.0 - q)).sqrt());
+            assert!(
+                (below - expected).abs() < 4.0 * sd,
+                "q = {q}: {below} draws below, expected {expected} ± {sd}"
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_takes_every_path() {
+        let zig = Ziggurat::new();
+        let mut rng = SimRng::seed_from_u64(2000);
+        let (mut fast, mut wedge_kept, mut wedge_redrawn, mut tail) = (0, 0, 0, 0);
+        let n = 1 << 20;
+        for _ in 0..n {
+            // The first attempt's layer and point, read from a copy of
+            // the stream.
+            let bits = rng.clone().next_u64();
+            let i = (bits & 0xff) as usize;
+            let x = (bits >> 11) as f64 * UNIT * zig.x[i];
+            let z = zig.sample(&mut rng);
+            if x < zig.x[i + 1] {
+                assert_eq!(z, x);
+                fast += 1;
+            } else if i == 0 {
+                assert!(z >= Ziggurat::R, "tail draw {z}");
+                tail += 1;
+            } else if z == x {
+                wedge_kept += 1;
+            } else {
+                wedge_redrawn += 1;
+            }
+        }
+        // A layer's first point is accepted at once with probability
+        // x[i+1] / x[i]: about 97.8% over the 256 layers.
+        let p: f64 = zig.x.windows(2).map(|w| w[1] / w[0]).sum::<f64>() / 256.0;
+        let sd = (n as f64 * p * (1.0 - p)).sqrt();
+        assert!(
+            (fast as f64 - n as f64 * p).abs() < 4.0 * sd,
+            "{fast} fast of {n}"
+        );
+        assert!(wedge_kept > 0 && wedge_redrawn > 0 && tail > 0);
+    }
+
+    #[test]
+    fn ziggurat_stream_is_deterministic() {
+        let draw = || {
+            let zig = Ziggurat::new();
+            let mut rng = derive_stream(7, streams::REQUESTS);
+            (0..10_000)
+                .map(|_| zig.sample(&mut rng).to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(), draw());
     }
 }
