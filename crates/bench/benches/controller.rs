@@ -57,6 +57,6 @@ fn main() {
     r.bench_with_setup(
         "control_model_fit_1000_samples",
         || samples.clone(),
-        |s| ampere_core::ControlModel::fit(&s),
+        |s| ampere_core::ControlModel::fit(s),
     );
 }

@@ -39,7 +39,7 @@ fn main() {
         r.bench_with_setup(
             &format!("sharded_step_8rows_10min_{workers}w"),
             move || ShardedTestbed::new(ShardedTestbedConfig::quick(8, workers, 42)),
-            |mut sharded| {
+            |sharded| {
                 sharded.run_for(SimDuration::from_mins(10));
                 sharded.finish();
                 sharded.checksum()
@@ -53,7 +53,7 @@ fn main() {
     r.bench_with_setup(
         "sharded_step_9rows_180min_2w",
         || ShardedTestbed::new(ShardedTestbedConfig::quick(9, 2, 42)),
-        |mut sharded| {
+        |sharded| {
             sharded.run_for(SimDuration::from_mins(180));
             sharded.finish();
             sharded.checksum()

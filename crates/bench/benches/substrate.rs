@@ -43,6 +43,15 @@ fn saturated_row() -> (Cluster, Scheduler) {
     (cluster, sched)
 }
 
+/// A 440-server paper row running the first 5,000 of [`jobs`].
+fn busy_row() -> Cluster {
+    let mut cluster = Cluster::new(ClusterSpec::paper_row());
+    let mut sched = Scheduler::new(Box::new(RandomFit::default()), 1);
+    sched.submit(jobs(5_000));
+    sched.dispatch(&mut cluster, &[]);
+    cluster
+}
+
 fn main() {
     let r = Runner::from_args("substrate");
 
@@ -54,7 +63,7 @@ fn main() {
             sched.submit(jobs(500));
             (cluster, sched)
         },
-        |(mut cluster, mut sched)| sched.dispatch(&mut cluster, &[]),
+        |(cluster, sched)| sched.dispatch(cluster, &[]),
     );
 
     // A standing backlog on a full row: every examined job fits nowhere.
@@ -78,16 +87,29 @@ fn main() {
         sched.dispatch(&mut cluster, &[])
     });
 
+    r.bench_with_setup("cluster_advance_440_servers_5k_jobs", busy_row, |cluster| {
+        cluster.advance(SimDuration::MINUTE)
+    });
+
+    // 500 fresh ids onto the same busy row, spread over its servers, each
+    // above every id already running there.
     r.bench_with_setup(
-        "cluster_advance_440_servers_5k_jobs",
-        || {
-            let mut cluster = Cluster::new(ClusterSpec::paper_row());
-            let mut sched = Scheduler::new(Box::new(RandomFit::default()), 1);
-            sched.submit(jobs(5_000));
-            sched.dispatch(&mut cluster, &[]);
-            cluster
+        "cluster_place_500_jobs_busy_440_servers",
+        busy_row,
+        |cluster| {
+            (0..500u64)
+                .filter(|&k| {
+                    cluster
+                        .server_mut(ServerId::new(k * 7 % 440))
+                        .place(
+                            JobId::new(5_000 + k),
+                            Resources::new(500, 2_048),
+                            SimDuration::from_mins(5),
+                        )
+                        .is_ok()
+                })
+                .count()
         },
-        |mut cluster| cluster.advance(SimDuration::MINUTE),
     );
 
     let samples: Vec<ServerSample> = (0..3200)
@@ -101,7 +123,7 @@ fn main() {
     r.bench_with_setup(
         "monitor_ingest_3200_servers",
         PowerMonitor::paper_default,
-        |mut mon| mon.ingest(SimTime::from_mins(1), &samples),
+        |mon| mon.ingest(SimTime::from_mins(1), &samples),
     );
 
     {
@@ -145,7 +167,7 @@ fn main() {
                 tb.run_for(SimDuration::from_mins(30));
                 tb
             },
-            |mut tb| tb.step(),
+            |tb| tb.step(),
         );
     }
 
@@ -198,6 +220,6 @@ fn main() {
             sched.submit(jobs(500));
             (cluster, sched)
         },
-        |(mut cluster, mut sched)| sched.dispatch(&mut cluster, &[]),
+        |(cluster, sched)| sched.dispatch(cluster, &[]),
     );
 }

@@ -63,18 +63,21 @@ impl Runner {
     }
 
     /// Like [`bench`](Self::bench), but re-creates the input with
-    /// `setup` before every iteration; only `routine` is timed.
+    /// `setup` before every iteration; only `routine` is timed, not
+    /// dropping the input or the result.
     pub fn bench_with_setup<S, R>(
         &self,
         name: &str,
         mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> R,
+        mut routine: impl FnMut(&mut S) -> R,
     ) {
         self.run(name, |_| {
-            let input = setup();
+            let mut input = setup();
             let t = Instant::now();
-            black_box(routine(input));
-            t.elapsed()
+            let out = black_box(routine(&mut input));
+            let elapsed = t.elapsed();
+            drop((out, input));
+            elapsed
         });
     }
 

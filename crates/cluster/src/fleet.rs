@@ -26,11 +26,19 @@
 //! to `FleetState::advance_into`) rebuilds each accumulator from an
 //! exact ascending-index sum, bounding the drift between epochs.
 //!
-//! Jobs live in a slot arena: one global `Vec<JobSlot>` plus a
-//! singly-linked free list, with each server holding the head of its
-//! job list. Slot indices are stable `u32` handles while a job runs;
-//! completed slots recycle through the free list, so a steady-state
-//! run allocates nothing on the job path.
+//! Each server keeps its running jobs in one contiguous `Vec<JobSlot>`,
+//! so progressing a server's jobs is a linear walk over adjacent
+//! memory. Completions and terminations `swap_remove`, and a vector's
+//! capacity is kept once grown, so a steady-state run allocates nothing
+//! on the job path. The order of jobs within a server, and hence of a
+//! server's completions in one tick, is unspecified: no trajectory
+//! reads it (resources are integral, each job progresses on its own,
+//! and power is re-derived once per server after its completions).
+//!
+//! Each server also keeps `max_job`, the largest raw id ever placed on
+//! it. An id above it cannot be running there, so `place` scans for a
+//! duplicate only for ids at or below it; monotone workload ids never
+//! scan.
 
 use ampere_power::monitor::ServerSample;
 use ampere_power::{DvfsState, ServerPowerModel};
@@ -41,24 +49,18 @@ use crate::resources::Resources;
 use crate::server::{PlacementError, RunningJob};
 use crate::topology::{ClusterSpec, ServiceClass};
 
-/// Sentinel for "no slot" in the intrusive job lists.
-const NIL: u32 = u32::MAX;
-
 /// Ticks between accumulator re-sum epochs by default. Each delta op
 /// adds at most a couple of ULPs of the row sum, so at one-minute ticks
 /// this keeps the relative drift orders of magnitude under the 1e-9
 /// contract the property suite enforces.
 pub const DEFAULT_RESUM_INTERVAL: u32 = 64;
 
-/// One running job in the slot arena.
+/// One running job on a server.
 #[derive(Debug, Clone, Copy)]
 struct JobSlot {
     job: JobId,
     resources: Resources,
     remaining_ms: f64,
-    /// Next slot of the same server's job list, or the next free slot
-    /// while recycled; `NIL` terminates either list.
-    next: u32,
 }
 
 /// Struct-of-arrays state for every server in the cluster.
@@ -82,12 +84,11 @@ pub(crate) struct FleetState {
     /// unless the builder assigns a mix) — static after construction
     /// apart from explicit retags, so it never touches the hot path.
     class: Vec<ServiceClass>,
-    /// Head slot of each server's job list (`NIL` when idle).
-    job_head: Vec<u32>,
-    job_count: Vec<u32>,
-    // --- job slot arena ---
-    slots: Vec<JobSlot>,
-    free_head: u32,
+    /// Running jobs of each server, in unspecified order.
+    jobs: Vec<Vec<JobSlot>>,
+    /// Largest raw job id ever placed on each server (0 before any):
+    /// every running job's id is at or below it.
+    max_job: Vec<u64>,
     // --- incremental row aggregation ---
     servers_per_row: usize,
     /// Per-row power accumulator maintained by signed deltas.
@@ -137,10 +138,8 @@ impl FleetState {
             dvfs: vec![DvfsState::nominal(); n],
             frozen: vec![false; n],
             class: vec![ServiceClass::default(); n],
-            job_head: vec![NIL; n],
-            job_count: vec![0; n],
-            slots: Vec::new(),
-            free_head: NIL,
+            jobs: vec![Vec::new(); n],
+            max_job: vec![0; n],
             servers_per_row: spec.servers_per_row(),
             row_power_acc: vec![0.0; spec.rows],
             row_frozen: vec![0; spec.rows],
@@ -205,24 +204,18 @@ impl FleetState {
     }
 
     pub(crate) fn job_count(&self, i: usize) -> usize {
-        self.job_count[i] as usize
+        self.jobs[i].len()
     }
 
     pub(crate) fn jobs(&self, i: usize) -> impl Iterator<Item = (JobId, RunningJob)> + '_ {
-        let mut cur = self.job_head[i];
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let slot = &self.slots[cur as usize];
-            cur = slot.next;
-            Some((
+        self.jobs[i].iter().map(|slot| {
+            (
                 slot.job,
                 RunningJob {
                     resources: slot.resources,
                     remaining_ms: slot.remaining_ms,
                 },
-            ))
+            )
         })
     }
 
@@ -236,19 +229,6 @@ impl FleetState {
         self.power[i] = p;
     }
 
-    fn alloc_slot(&mut self, slot: JobSlot) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            self.slots[idx as usize] = slot;
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("job arena overflow");
-            self.slots.push(slot);
-            idx
-        }
-    }
-
     // --- per-server mutations ---
 
     pub(crate) fn place(
@@ -258,53 +238,30 @@ impl FleetState {
         resources: Resources,
         duration: SimDuration,
     ) -> Result<(), PlacementError> {
-        let mut cur = self.job_head[i];
-        while cur != NIL {
-            let slot = &self.slots[cur as usize];
-            if slot.job == job {
-                return Err(PlacementError::DuplicateJob);
-            }
-            cur = slot.next;
+        if job.raw() <= self.max_job[i] && self.jobs[i].iter().any(|slot| slot.job == job) {
+            return Err(PlacementError::DuplicateJob);
         }
         if !(self.capacity[i] - self.allocated[i]).fits(&resources) {
             return Err(PlacementError::InsufficientResources);
         }
         self.allocated[i] += resources;
-        let head = self.job_head[i];
-        let idx = self.alloc_slot(JobSlot {
+        self.jobs[i].push(JobSlot {
             job,
             resources,
             remaining_ms: duration.as_millis() as f64,
-            next: head,
         });
-        self.job_head[i] = idx;
-        self.job_count[i] += 1;
+        self.max_job[i] = self.max_job[i].max(job.raw());
         self.refresh_power(i);
         Ok(())
     }
 
     pub(crate) fn terminate(&mut self, i: usize, job: JobId) -> bool {
-        let mut prev = NIL;
-        let mut cur = self.job_head[i];
-        while cur != NIL {
-            let next = self.slots[cur as usize].next;
-            if self.slots[cur as usize].job == job {
-                self.allocated[i] -= self.slots[cur as usize].resources;
-                if prev == NIL {
-                    self.job_head[i] = next;
-                } else {
-                    self.slots[prev as usize].next = next;
-                }
-                self.slots[cur as usize].next = self.free_head;
-                self.free_head = cur;
-                self.job_count[i] -= 1;
-                self.refresh_power(i);
-                return true;
-            }
-            prev = cur;
-            cur = next;
-        }
-        false
+        let Some(k) = self.jobs[i].iter().position(|slot| slot.job == job) else {
+            return false;
+        };
+        self.allocated[i] -= self.jobs[i].swap_remove(k).resources;
+        self.refresh_power(i);
+        true
     }
 
     pub(crate) fn set_dvfs(&mut self, i: usize, state: DvfsState) {
@@ -388,34 +345,27 @@ impl FleetState {
     pub(crate) fn advance_into(&mut self, tick: SimDuration, out: &mut Vec<(ServerId, JobId)>) {
         let tick_ms = tick.as_millis() as f64;
         for i in 0..self.len() {
-            if self.job_count[i] == 0 {
+            let jobs = &mut self.jobs[i];
+            if jobs.is_empty() {
                 continue;
             }
             let progress = tick_ms * self.dvfs[i].freq();
-            let mut prev = NIL;
-            let mut cur = self.job_head[i];
-            let mut completed = false;
-            while cur != NIL {
-                let next = self.slots[cur as usize].next;
-                self.slots[cur as usize].remaining_ms -= progress;
-                if self.slots[cur as usize].remaining_ms <= 0.0 {
-                    out.push((ServerId::new(i as u64), self.slots[cur as usize].job));
-                    self.allocated[i] -= self.slots[cur as usize].resources;
-                    if prev == NIL {
-                        self.job_head[i] = next;
-                    } else {
-                        self.slots[prev as usize].next = next;
-                    }
-                    self.slots[cur as usize].next = self.free_head;
-                    self.free_head = cur;
-                    self.job_count[i] -= 1;
-                    completed = true;
+            let before = jobs.len();
+            let mut k = 0;
+            // A `swap_remove` moves the last job into slot `k`, which the
+            // next pass then progresses: each job advances exactly once.
+            while k < jobs.len() {
+                let slot = &mut jobs[k];
+                slot.remaining_ms -= progress;
+                if slot.remaining_ms <= 0.0 {
+                    out.push((ServerId::new(i as u64), slot.job));
+                    self.allocated[i] -= slot.resources;
+                    jobs.swap_remove(k);
                 } else {
-                    prev = cur;
+                    k += 1;
                 }
-                cur = next;
             }
-            if completed {
+            if jobs.len() < before {
                 self.refresh_power(i);
             }
         }
@@ -473,14 +423,14 @@ impl FleetState {
         self.resum_epochs
     }
 
-    /// Live job slots (arena occupancy minus the free list) — exposed
-    /// for arena-recycling tests.
     pub(crate) fn live_jobs(&self) -> usize {
-        self.job_count.iter().map(|&c| c as usize).sum()
+        self.jobs.iter().map(Vec::len).sum()
     }
 
-    /// Total arena capacity ever allocated, recycled slots included.
-    pub(crate) fn arena_slots(&self) -> usize {
-        self.slots.len()
+    /// Job slots allocated across every server's job vector, used or
+    /// not.
+    #[cfg(test)]
+    pub(crate) fn job_capacity(&self) -> usize {
+        self.jobs.iter().map(Vec::capacity).sum()
     }
 }

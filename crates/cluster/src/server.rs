@@ -89,6 +89,64 @@ mod tests {
         );
     }
 
+    /// Places `j` on server 0 and checks the verdict against a scan of
+    /// the server's live jobs, whichever path `place` took.
+    fn place_checked(
+        c: &mut Cluster,
+        j: u64,
+        r: Resources,
+        mins: u64,
+    ) -> Result<(), PlacementError> {
+        let live = c.server(ID).jobs().any(|(id, _)| id == job(j));
+        let got = c
+            .server_mut(ID)
+            .place(job(j), r, SimDuration::from_mins(mins));
+        assert_eq!(got == Err(PlacementError::DuplicateJob), live, "job {j}");
+        got
+    }
+
+    #[test]
+    fn duplicate_check_agrees_with_a_full_scan() {
+        let mut c = cluster_with(&[]);
+        let small = Resources::cores_gb(1, 1);
+        // Descending ids: every one after the first is below the
+        // server's largest id so far. Even ids finish in one minute.
+        for j in (10..20).rev() {
+            place_checked(&mut c, j, small, if j % 2 == 0 { 1 } else { 5 }).unwrap();
+        }
+        for j in 10..20 {
+            assert_eq!(
+                place_checked(&mut c, j, small, 1),
+                Err(PlacementError::DuplicateJob)
+            );
+        }
+        assert_eq!(c.advance(SimDuration::MINUTE).len(), 5);
+        // A completed id may run again on the same server.
+        place_checked(&mut c, 12, small, 1).unwrap();
+        // So may an id below the server's largest that never ran here.
+        place_checked(&mut c, 5, small, 1).unwrap();
+        // A live id is a duplicate even when it also would not fit:
+        // the duplicate check comes first.
+        let huge = Resources::cores_gb(64, 1);
+        assert_eq!(
+            place_checked(&mut c, 11, huge, 1),
+            Err(PlacementError::DuplicateJob)
+        );
+        assert_eq!(
+            place_checked(&mut c, 13, huge, 1),
+            Err(PlacementError::DuplicateJob)
+        );
+        assert_eq!(
+            place_checked(&mut c, 14, huge, 1),
+            Err(PlacementError::InsufficientResources)
+        );
+        assert_eq!(
+            place_checked(&mut c, 21, huge, 1),
+            Err(PlacementError::InsufficientResources)
+        );
+        assert_eq!(c.server(ID).job_count(), 7);
+    }
+
     #[test]
     fn jobs_complete_after_duration() {
         let mut c = cluster_with(&[(1, 3)]);

@@ -357,15 +357,9 @@ impl Cluster {
         self.fleet.resum();
     }
 
-    /// Live job count across the fleet (arena occupancy).
+    /// Live job count across the fleet.
     pub fn total_jobs(&self) -> usize {
         self.fleet.live_jobs()
-    }
-
-    /// Job-slot arena capacity (recycled slots included). Exposed for
-    /// arena-recycling tests.
-    pub fn arena_slots(&self) -> usize {
-        self.fleet.arena_slots()
     }
 }
 
@@ -647,10 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn job_arena_recycles_slots() {
+    fn steady_state_churn_allocates_nothing() {
         let mut c = Cluster::new(ClusterSpec::tiny());
         let r = Resources::cores_gb(1, 1);
         // Steady-state churn: place/complete the same load repeatedly.
+        let mut after_first = 0;
         for round in 0..10u64 {
             for i in 0..8u64 {
                 c.server_mut(ServerId::new(i))
@@ -658,10 +653,14 @@ mod tests {
                     .unwrap();
             }
             c.advance(SimDuration::from_mins(1));
+            if round == 0 {
+                after_first = c.fleet.job_capacity();
+            }
         }
         assert_eq!(c.total_jobs(), 0);
-        // The arena never grew past one round's worth of slots.
-        assert_eq!(c.arena_slots(), 8);
+        // Job storage never grew past what the first round allocated.
+        assert!(after_first > 0);
+        assert_eq!(c.fleet.job_capacity(), after_first);
     }
 
     #[test]
