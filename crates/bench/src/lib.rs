@@ -47,11 +47,6 @@ impl Output {
         Ok(Self { csv_dir })
     }
 
-    /// A stdout-only sink.
-    pub fn stdout_only() -> Self {
-        Self { csv_dir: None }
-    }
-
     fn save(&self, name: &str, content: &str) {
         let Some(dir) = &self.csv_dir else { return };
         let path = dir.join(format!("{}.csv", slug(name)));

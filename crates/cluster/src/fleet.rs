@@ -18,13 +18,10 @@
 //!   (millicores / MB), so `allocated` never depends on the order jobs
 //!   start or stop.
 //!
-//! Row power is additionally tracked *incrementally*: every mutation
-//! applies the signed delta `new_power − old_power` to its row's
-//! accumulator, so `FleetState::row_power_acc_w` is O(1) instead of
-//! an O(servers-per-row) re-sum. Floating-point deltas drift, so a
-//! periodic *re-sum epoch* (every `FleetState::resum_interval` calls
-//! to `FleetState::advance_into`) rebuilds each accumulator from an
-//! exact ascending-index sum, bounding the drift between epochs.
+//! Row power is not stored: `FleetState::row_power_w` sums the cached
+//! per-server power of the row in ascending id order, the same sum the
+//! power monitor takes over a sweep. Only the per-row frozen count is
+//! kept alongside, and `freeze`/`unfreeze` keep it exact.
 //!
 //! Each server keeps its running jobs in one contiguous `Vec<JobSlot>`,
 //! so progressing a server's jobs is a linear walk over adjacent
@@ -48,12 +45,6 @@ use crate::ids::{JobId, RackId, RowId, ServerId};
 use crate::resources::Resources;
 use crate::server::{PlacementError, RunningJob};
 use crate::topology::{ClusterSpec, ServiceClass};
-
-/// Ticks between accumulator re-sum epochs by default. Each delta op
-/// adds at most a couple of ULPs of the row sum, so at one-minute ticks
-/// this keeps the relative drift orders of magnitude under the 1e-9
-/// contract the property suite enforces.
-pub const DEFAULT_RESUM_INTERVAL: u32 = 64;
 
 /// One running job on a server.
 #[derive(Debug, Clone, Copy)]
@@ -89,18 +80,13 @@ pub(crate) struct FleetState {
     /// Largest raw job id ever placed on each server (0 before any):
     /// every running job's id is at or below it.
     max_job: Vec<u64>,
-    // --- incremental row aggregation ---
+    // --- row aggregation ---
     servers_per_row: usize,
-    /// Per-row power accumulator maintained by signed deltas.
-    row_power_acc: Vec<f64>,
     /// Per-row frozen-server counts (integral, hence always exact).
     row_frozen: Vec<u32>,
     /// Whether any server may be below nominal frequency — lets the
     /// per-tick bulk DVFS reset short-circuit on uncapped fleets.
     any_non_nominal: bool,
-    resum_interval: u32,
-    ticks_since_resum: u32,
-    resum_epochs: u64,
 }
 
 impl FleetState {
@@ -127,7 +113,7 @@ impl FleetState {
                 }
             }
         }
-        let mut fleet = Self {
+        Self {
             rack,
             row,
             model,
@@ -141,16 +127,9 @@ impl FleetState {
             jobs: vec![Vec::new(); n],
             max_job: vec![0; n],
             servers_per_row: spec.servers_per_row(),
-            row_power_acc: vec![0.0; spec.rows],
             row_frozen: vec![0; spec.rows],
             any_non_nominal: false,
-            resum_interval: DEFAULT_RESUM_INTERVAL,
-            ticks_since_resum: 0,
-            resum_epochs: 0,
-        };
-        fleet.resum();
-        fleet.resum_epochs = 0;
-        fleet
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -220,13 +199,11 @@ impl FleetState {
     }
 
     /// Re-derives the cached utilization and power of server `i` after
-    /// a mutation, pushing the power delta into its row accumulator.
+    /// a mutation.
     fn refresh_power(&mut self, i: usize) {
         let u = self.allocated[i].cpu_fraction_of(&self.capacity[i]);
-        let p = self.model[i].power_w(u, self.dvfs[i]);
-        self.row_power_acc[self.row[i] as usize] += p - self.power[i];
         self.util[i] = u;
-        self.power[i] = p;
+        self.power[i] = self.model[i].power_w(u, self.dvfs[i]);
     }
 
     // --- per-server mutations ---
@@ -340,8 +317,7 @@ impl FleetState {
     }
 
     /// Advances every running job by one tick (work scaled by the DVFS
-    /// frequency), appending `(server, job)` completions to `out` and
-    /// ticking the re-sum epoch counter.
+    /// frequency), appending `(server, job)` completions to `out`.
     pub(crate) fn advance_into(&mut self, tick: SimDuration, out: &mut Vec<(ServerId, JobId)>) {
         let tick_ms = tick.as_millis() as f64;
         for i in 0..self.len() {
@@ -369,23 +345,12 @@ impl FleetState {
                 self.refresh_power(i);
             }
         }
-        self.ticks_since_resum += 1;
-        if self.ticks_since_resum >= self.resum_interval {
-            self.resum();
-        }
     }
 
     // --- row aggregation ---
 
-    /// O(1) incremental row power (delta-maintained; exact at every
-    /// re-sum epoch, drift-bounded between them).
-    pub(crate) fn row_power_acc_w(&self, row: usize) -> f64 {
-        self.row_power_acc[row]
-    }
-
-    /// Exact row power: ascending-index sum over the cached per-server
-    /// values — the reference the accumulator is measured against.
-    pub(crate) fn exact_row_power_w(&self, row: usize) -> f64 {
+    /// Row power: ascending-index sum over the cached per-server values.
+    pub(crate) fn row_power_w(&self, row: usize) -> f64 {
         let start = row * self.servers_per_row;
         self.power[start..start + self.servers_per_row].iter().sum()
     }
@@ -396,31 +361,6 @@ impl FleetState {
 
     pub(crate) fn all_nominal_dvfs(&self) -> bool {
         !self.any_non_nominal
-    }
-
-    /// Rebuilds every row accumulator from an exact sum and recounts
-    /// frozen servers, opening a new drift epoch.
-    pub(crate) fn resum(&mut self) {
-        for row in 0..self.row_power_acc.len() {
-            self.row_power_acc[row] = self.exact_row_power_w(row);
-        }
-        self.row_frozen.iter_mut().for_each(|c| *c = 0);
-        for i in 0..self.len() {
-            if self.frozen[i] {
-                self.row_frozen[self.row[i] as usize] += 1;
-            }
-        }
-        self.ticks_since_resum = 0;
-        self.resum_epochs += 1;
-    }
-
-    pub(crate) fn set_resum_interval(&mut self, ticks: u32) {
-        assert!(ticks > 0, "re-sum interval must be positive");
-        self.resum_interval = ticks;
-    }
-
-    pub(crate) fn resum_epochs(&self) -> u64 {
-        self.resum_epochs
     }
 
     pub(crate) fn live_jobs(&self) -> usize {

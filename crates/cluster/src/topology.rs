@@ -6,9 +6,9 @@
 //! one row per tick at data-center scale.
 //!
 //! A [`Cluster`] stores server state in the flat struct-of-arrays
-//! `FleetState`, with cached per-server power and incremental per-row
-//! accumulators — the hyperscale hot path (DESIGN §14). Per-server
-//! access goes through the [`ServerRef`] / [`ServerMut`] proxies.
+//! `FleetState`, with cached per-server power — the hyperscale hot
+//! path (DESIGN §14). Per-server access goes through the [`ServerRef`]
+//! / [`ServerMut`] proxies.
 
 use ampere_power::monitor::ServerSample;
 use ampere_power::{DvfsState, ServerPowerModel};
@@ -234,19 +234,10 @@ impl Cluster {
         self.fleet.each_candidate(f);
     }
 
-    /// Instantaneous power of one row in watts.
-    ///
-    /// Reads the delta-maintained accumulator: O(1), exact at every
-    /// re-sum epoch and drift-bounded (≤ 1e-9 relative) between epochs.
-    /// Use [`Cluster::exact_row_power_w`] when bit-exact sums are
-    /// required.
+    /// Instantaneous power of one row in watts: the ascending-id sum of
+    /// its servers' cached power.
     pub fn row_power_w(&self, row: RowId) -> f64 {
-        self.fleet.row_power_acc_w(row.index())
-    }
-
-    /// Instantaneous power of one row as an exact ascending-id sum.
-    pub fn exact_row_power_w(&self, row: RowId) -> f64 {
-        self.fleet.exact_row_power_w(row.index())
+        self.fleet.row_power_w(row.index())
     }
 
     /// Instantaneous power of one rack in watts.
@@ -257,11 +248,10 @@ impl Cluster {
             .sum()
     }
 
-    /// Instantaneous total power in watts.
+    /// Instantaneous total power in watts: the sum of the row powers in
+    /// ascending row order.
     pub fn total_power_w(&self) -> f64 {
-        (0..self.spec.rows)
-            .map(|r| self.fleet.row_power_acc_w(r))
-            .sum()
+        (0..self.spec.rows).map(|r| self.fleet.row_power_w(r)).sum()
     }
 
     /// Service class of one server.
@@ -335,26 +325,9 @@ impl Cluster {
     }
 
     /// Allocation-free variant of [`Cluster::advance`]: appends
-    /// completions to `done`. Also ticks the row-power re-sum epoch
-    /// counter.
+    /// completions to `done`.
     pub fn advance_into(&mut self, tick: SimDuration, done: &mut Vec<(ServerId, JobId)>) {
         self.fleet.advance_into(tick, done);
-    }
-
-    /// Sets how many [`Cluster::advance`] ticks pass between row-power
-    /// accumulator re-sum epochs.
-    pub fn set_power_resum_interval(&mut self, ticks: u32) {
-        self.fleet.set_resum_interval(ticks);
-    }
-
-    /// Number of re-sum epochs completed so far.
-    pub fn power_resum_epochs(&self) -> u64 {
-        self.fleet.resum_epochs()
-    }
-
-    /// Forces an immediate row-power re-sum epoch.
-    pub fn force_power_resum(&mut self) {
-        self.fleet.resum();
     }
 
     /// Live job count across the fleet.
@@ -661,35 +634,6 @@ mod tests {
         // Job storage never grew past what the first round allocated.
         assert!(after_first > 0);
         assert_eq!(c.fleet.job_capacity(), after_first);
-    }
-
-    #[test]
-    fn incremental_row_power_tracks_exact_sum() {
-        let mut c = Cluster::new(ClusterSpec::tiny());
-        c.set_power_resum_interval(4);
-        let r = Resources::cores_gb(4, 8);
-        for i in 0..16u64 {
-            c.server_mut(ServerId::new(i))
-                .place(JobId::new(i), r, SimDuration::from_mins(i % 5 + 1))
-                .unwrap();
-        }
-        for tick in 0..12 {
-            c.advance(SimDuration::MINUTE);
-            for row in 0..2 {
-                let acc = c.row_power_w(RowId::new(row));
-                let exact = c.exact_row_power_w(RowId::new(row));
-                let rel = (acc - exact).abs() / exact.max(1.0);
-                assert!(rel < 1e-9, "tick {tick} row {row}: acc {acc} vs {exact}");
-            }
-        }
-        // A forced epoch snaps the accumulator to the exact bits.
-        c.force_power_resum();
-        for row in 0..2 {
-            let acc = c.row_power_w(RowId::new(row));
-            let exact = c.exact_row_power_w(RowId::new(row));
-            assert_eq!(acc.to_bits(), exact.to_bits());
-        }
-        assert!(c.power_resum_epochs() >= 3);
     }
 
     #[test]

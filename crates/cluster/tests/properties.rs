@@ -1,8 +1,11 @@
 //! Property-based tests for cluster resource accounting: under any
 //! random sequence of placements, terminations and time advances, the
-//! books must balance and power must stay within the physical envelope.
+//! books must balance and power must stay within the physical envelope;
+//! under any sequence that also changes DVFS states and frozen flags,
+//! the row aggregates must match the servers they sum.
 
-use ampere_cluster::{Cluster, ClusterSpec, JobId, PlacementError, Resources, ServerId};
+use ampere_cluster::{Cluster, ClusterSpec, JobId, PlacementError, Resources, RowId, ServerId};
+use ampere_power::DvfsState;
 use ampere_sim::check::{cases, Gen};
 use ampere_sim::SimDuration;
 
@@ -115,27 +118,128 @@ fn accounting_invariants_hold_under_random_ops() {
     });
 }
 
-/// Cluster power aggregates are consistent at all levels.
+/// A randomized mutation that can move a server's power or its frozen
+/// flag.
+#[derive(Debug, Clone)]
+enum PowerOp {
+    Place {
+        server: u8,
+        job: u16,
+        cores: u8,
+        mins: u8,
+    },
+    Terminate {
+        server: u8,
+        job: u16,
+    },
+    SetDvfs {
+        server: u8,
+        freq_pct: u8,
+    },
+    Freeze {
+        server: u8,
+    },
+    Unfreeze {
+        server: u8,
+    },
+    Advance {
+        mins: u8,
+    },
+}
+
+fn gen_power_op(g: &mut Gen) -> PowerOp {
+    let server = g.range(0u32..16) as u8;
+    match g.usize(0..8) {
+        0 | 1 => PowerOp::Place {
+            server,
+            job: g.range(0u32..48) as u16,
+            cores: g.range(1u32..33) as u8,
+            mins: g.range(1u32..20) as u8,
+        },
+        2 => PowerOp::Terminate {
+            server,
+            job: g.range(0u32..48) as u16,
+        },
+        3 => PowerOp::SetDvfs {
+            // Stay comfortably above DvfsState::MIN_FREQ (0.4).
+            server,
+            freq_pct: g.range(50u32..101) as u8,
+        },
+        4 => PowerOp::Freeze { server },
+        5 => PowerOp::Unfreeze { server },
+        _ => PowerOp::Advance {
+            mins: g.range(1u32..6) as u8,
+        },
+    }
+}
+
+/// Row power is the ascending-id sum of the cached per-server power,
+/// the fleet total is the sum over rows, and each row's frozen count
+/// matches its frozen flags — bit for bit, after every operation.
+fn check_rows(cluster: &Cluster) {
+    let mut by_row = 0.0;
+    for r in 0..cluster.row_count() {
+        let row = RowId::new(r as u64);
+        let sum: f64 = cluster.iter_row(row).map(|s| s.power_w()).sum();
+        let got = cluster.row_power_w(row);
+        assert_eq!(
+            got.to_bits(),
+            sum.to_bits(),
+            "row {r}: row_power_w {got:.17e} vs ascending sum {sum:.17e}"
+        );
+        by_row += got;
+        let frozen = cluster.iter_row(row).filter(|s| s.is_frozen()).count();
+        assert_eq!(cluster.frozen_count(row), frozen, "row {r} frozen count");
+    }
+    assert_eq!(cluster.total_power_w().to_bits(), by_row.to_bits());
+}
+
 #[test]
-fn power_aggregation_consistent() {
-    cases(96, |g| {
-        let loads = g.vec_with(16..16, |g| g.u32(0..33));
+fn row_aggregates_match_servers_under_random_ops() {
+    cases(256, |g| {
+        let ops = g.vec_with(1..200, gen_power_op);
         let mut cluster = Cluster::new(ClusterSpec::tiny());
-        for (i, &cores) in loads.iter().enumerate() {
-            if cores > 0 {
-                let _ = cluster.server_mut(ServerId::new(i as u64)).place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(cores as u64, 1),
-                    SimDuration::from_mins(5),
-                );
+        check_rows(&cluster);
+        for op in ops {
+            match op {
+                PowerOp::Place {
+                    server,
+                    job,
+                    cores,
+                    mins,
+                } => {
+                    let _ = cluster.server_mut(ServerId::new(server as u64)).place(
+                        JobId::new(job as u64),
+                        Resources::cores_gb(cores as u64, 1),
+                        SimDuration::from_mins(mins as u64),
+                    );
+                }
+                PowerOp::Terminate { server, job } => {
+                    cluster
+                        .server_mut(ServerId::new(server as u64))
+                        .terminate(JobId::new(job as u64));
+                }
+                PowerOp::SetDvfs { server, freq_pct } => {
+                    cluster
+                        .server_mut(ServerId::new(server as u64))
+                        .set_dvfs(DvfsState::at(freq_pct as f64 / 100.0));
+                }
+                PowerOp::Freeze { server } => {
+                    cluster.server_mut(ServerId::new(server as u64)).freeze();
+                }
+                PowerOp::Unfreeze { server } => {
+                    cluster.server_mut(ServerId::new(server as u64)).unfreeze();
+                }
+                PowerOp::Advance { mins } => {
+                    for _ in 0..mins {
+                        cluster.advance(SimDuration::MINUTE);
+                        check_rows(&cluster);
+                    }
+                    continue;
+                }
             }
+            check_rows(&cluster);
         }
-        let by_row: f64 = (0..cluster.row_count())
-            .map(|r| cluster.row_power_w(ampere_cluster::RowId::new(r as u64)))
-            .sum();
-        let by_server: f64 = cluster.iter().map(|s| s.power_w()).sum();
-        assert!((by_row - by_server).abs() < 1e-9);
-        assert!((cluster.total_power_w() - by_server).abs() < 1e-9);
     });
 }
 

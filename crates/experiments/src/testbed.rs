@@ -293,11 +293,6 @@ pub struct Testbed {
     /// profiler report here.
     telemetry: Telemetry,
     profiler: PhaseProfiler,
-    /// Called at the end of every tick with the post-step sim time
-    /// (after the event-batch flush). The live-watch layer uses this to
-    /// close its in-flight window as soon as the tick completes instead
-    /// of waiting for the next tick's first event.
-    tick_observer: Option<Box<dyn FnMut(SimTime) + Send>>,
     /// Which freeze-target policy controlled domains drive.
     freeze_policy: FreezePolicy,
     /// The stateless SLA-aware target selector (only consulted under
@@ -369,7 +364,6 @@ impl Testbed {
             row_domain_registered: vec![false; config.spec.rows],
             profiler: PhaseProfiler::new(&ampere_telemetry::global()),
             telemetry: ampere_telemetry::global(),
-            tick_observer: None,
             freeze_policy: config.freeze_policy,
             selector: FreezeSelector::new(),
         }
@@ -380,29 +374,10 @@ impl Testbed {
         self.freeze_policy
     }
 
-    /// Switches the freeze-target policy (A/B harnesses flip this
-    /// between otherwise-identical runs).
-    pub fn set_freeze_policy(&mut self, policy: FreezePolicy) {
-        self.freeze_policy = policy;
-    }
-
     /// Inverts (or restores) the selector's class priority. Only the
     /// scenario harness's planted `sla-ordering` canary sets this.
     pub fn set_selector_inverted(&mut self, invert: bool) {
         self.selector.invert_priority = invert;
-    }
-
-    /// Installs (or clears) the per-tick observer: called at the end of
-    /// every [`Testbed::step`] with the post-step sim time, after the
-    /// batched telemetry flush. One observer at a time; installing
-    /// replaces the previous one.
-    ///
-    /// Note on parallel runs: inside a capture task the event stream
-    /// only reaches parent sinks at replay, so an observer that drives
-    /// a shared consumer must be installed on serial testbeds only (the
-    /// `ampere-watch` tap is replay-driven for exactly this reason).
-    pub fn set_tick_observer(&mut self, observer: Option<Box<dyn FnMut(SimTime) + Send>>) {
-        self.tick_observer = observer;
     }
 
     /// Registers a power domain; returns its id. Panics on an invalid
@@ -509,11 +484,6 @@ impl Testbed {
     /// A domain's tick records.
     pub fn records(&self, id: DomainId) -> &[DomainTickRecord] {
         &self.domains[id].records
-    }
-
-    /// A domain's name.
-    pub fn domain_name(&self, id: DomainId) -> &str {
-        &self.domains[id].name
     }
 
     /// The servers belonging to a domain.
@@ -999,11 +969,6 @@ impl Testbed {
         // make this a no-op, so the cadence is a pipeline choice, not a
         // testbed one.
         self.telemetry.flush_events();
-        // The observer runs after the flush so a live consumer has seen
-        // every event of this tick before being told the tick is over.
-        if let Some(observer) = &mut self.tick_observer {
-            observer(self.now);
-        }
     }
 
     /// Whether a freeze/unfreeze RPC gets through the fault plan.
@@ -1226,15 +1191,6 @@ impl ShardedTestbed {
     /// A shard's underlying testbed (read access).
     pub fn testbed(&self, shard: usize) -> &Testbed {
         &self.set.shards()[shard].tb
-    }
-
-    /// Total breaker violations across all shards.
-    pub fn total_violations(&self) -> u64 {
-        self.set
-            .shards()
-            .iter()
-            .map(|s| s.tb.violations(s.domain))
-            .sum()
     }
 
     /// Replays every shard's captured telemetry into the pipeline bound

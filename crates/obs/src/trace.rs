@@ -58,19 +58,6 @@ impl TraceIndex {
         root.span.is_root().then_some(root)
     }
 
-    /// All events of one trace, in file order.
-    pub fn trace_events<'a>(
-        &'a self,
-        events: &'a [ParsedEvent],
-        trace_id: u64,
-    ) -> impl Iterator<Item = &'a ParsedEvent> + 'a {
-        self.by_trace
-            .get(&trace_id)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &events[i])
-    }
-
     /// Number of distinct traces seen.
     pub fn trace_count(&self) -> usize {
         self.by_trace.len()

@@ -2,12 +2,8 @@
 //!
 //! A data center's budget is partitioned top-down: the utility feed and
 //! UPS capacity split into dozens of row-level PDUs (~200 kW each),
-//! each feeding ~20 rack PDUs of 8–10 kW. Servers are provisioned
-//! against the leaf budgets using the *rated* power. This module models
-//! that hierarchy, validates that every partition fits its parent, and
-//! computes provisioning plans — the baseline ("sum of rated power must
-//! not exceed the budget") and Ampere's over-provisioned variant
-//! (Eq. 16).
+//! each feeding ~20 rack PDUs of 8–10 kW. This module models that tree
+//! and validates that every partition fits its parent.
 
 /// One node in the power-delivery tree.
 #[derive(Debug, Clone)]
@@ -64,23 +60,6 @@ impl PowerNode {
         }
     }
 
-    /// The paper's reference data center: `rows` rows of `racks` racks,
-    /// 10 kW per rack, with row and DC feeds sized exactly to the sum
-    /// (fully static partitioning).
-    pub fn reference_dc(rows: usize, racks_per_row: usize) -> Self {
-        let rack_w = 10_000.0;
-        let row_w = rack_w * racks_per_row as f64;
-        let children = (0..rows)
-            .map(|r| {
-                let racks = (0..racks_per_row)
-                    .map(|k| PowerNode::leaf(format!("rack{r}.{k}"), rack_w))
-                    .collect();
-                PowerNode::over(format!("row{r}"), row_w, racks)
-            })
-            .collect();
-        PowerNode::over("dc", row_w * rows as f64, children)
-    }
-
     /// Checks that every node's children fit within its capacity;
     /// returns every violation found (empty = valid).
     pub fn validate(&self) -> Vec<PartitionError> {
@@ -104,90 +83,11 @@ impl PowerNode {
             }
         }
     }
-
-    /// Leaf capacities in tree order.
-    pub fn leaf_capacities_w(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.collect_leaves(&mut out);
-        out
-    }
-
-    fn collect_leaves(&self, out: &mut Vec<f64>) {
-        if self.children.is_empty() {
-            out.push(self.capacity_w);
-        } else {
-            for c in &self.children {
-                c.collect_leaves(out);
-            }
-        }
-    }
-
-    /// Total leaf capacity (the schedulable power).
-    pub fn total_leaf_w(&self) -> f64 {
-        self.leaf_capacities_w().iter().sum()
-    }
-}
-
-/// How servers are provisioned against a leaf budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProvisioningScheme {
-    /// The conservative baseline: `⌊budget / rated⌋` servers, so the
-    /// worst-case draw can never violate (§1's "sum of the rated power
-    /// … does not exceed the power budget").
-    Rated,
-    /// Ampere's over-provisioning: `⌊budget · (1 + r_O) / rated⌋`
-    /// servers, relying on statistical control to stay under budget.
-    OverProvisioned {
-        /// The over-provisioning ratio `r_O`.
-        r_o: f64,
-    },
-}
-
-/// A provisioning plan for one hierarchy.
-#[derive(Debug, Clone)]
-pub struct ProvisionPlan {
-    /// Servers per leaf (rack), in tree order.
-    pub per_leaf: Vec<usize>,
-    /// Total servers across the data center.
-    pub total_servers: usize,
-    /// The scheme that produced the plan.
-    pub scheme: ProvisioningScheme,
-}
-
-/// Computes a provisioning plan for `tree` with servers of the given
-/// rated power.
-pub fn provision(tree: &PowerNode, rated_w: f64, scheme: ProvisioningScheme) -> ProvisionPlan {
-    assert!(rated_w > 0.0 && rated_w.is_finite(), "bad rated power");
-    let factor = match scheme {
-        ProvisioningScheme::Rated => 1.0,
-        ProvisioningScheme::OverProvisioned { r_o } => {
-            assert!(r_o >= 0.0 && r_o.is_finite(), "bad r_O");
-            1.0 + r_o
-        }
-    };
-    let per_leaf: Vec<usize> = tree
-        .leaf_capacities_w()
-        .iter()
-        .map(|&budget| (budget * factor / rated_w).floor() as usize)
-        .collect();
-    ProvisionPlan {
-        total_servers: per_leaf.iter().sum(),
-        per_leaf,
-        scheme,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reference_dc_is_valid() {
-        let dc = PowerNode::reference_dc(8, 20);
-        assert!(dc.validate().is_empty());
-        assert_eq!(dc.leaf_capacities_w().len(), 160);
-        assert!((dc.total_leaf_w() - 1_600_000.0).abs() < 1e-6);
-    }
 
     #[test]
     fn overcommit_is_detected_at_every_level() {
@@ -206,40 +106,6 @@ mod tests {
         assert_eq!(errors[0].node, "row0");
         assert_eq!(errors[0].children_w, 20_000.0);
         assert!(errors[0].to_string().contains("row0"));
-    }
-
-    #[test]
-    fn rated_provisioning_matches_paper_arithmetic() {
-        // §2.1: 40 servers of 250 W per 10 kW rack, 800 per 20-rack row.
-        let dc = PowerNode::reference_dc(1, 20);
-        let plan = provision(&dc, 250.0, ProvisioningScheme::Rated);
-        assert!(plan.per_leaf.iter().all(|&n| n == 40));
-        assert_eq!(plan.total_servers, 800);
-    }
-
-    #[test]
-    fn over_provisioning_adds_the_expected_servers() {
-        let dc = PowerNode::reference_dc(1, 20);
-        let plan = provision(
-            &dc,
-            250.0,
-            ProvisioningScheme::OverProvisioned { r_o: 0.17 },
-        );
-        // 40 · 1.17 = 46.8 → 46 per rack.
-        assert!(plan.per_leaf.iter().all(|&n| n == 46));
-        assert_eq!(plan.total_servers, 920);
-        // 15 % more servers in the same footprint.
-        let base = provision(&dc, 250.0, ProvisioningScheme::Rated);
-        let gain = plan.total_servers as f64 / base.total_servers as f64 - 1.0;
-        assert!((0.14..=0.17).contains(&gain), "gain = {gain}");
-    }
-
-    #[test]
-    fn zero_ro_equals_rated() {
-        let dc = PowerNode::reference_dc(2, 5);
-        let a = provision(&dc, 250.0, ProvisioningScheme::Rated);
-        let b = provision(&dc, 250.0, ProvisioningScheme::OverProvisioned { r_o: 0.0 });
-        assert_eq!(a.per_leaf, b.per_leaf);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod tsdb;
 pub use breaker::CircuitBreaker;
 pub use capping::{CappingConfig, CappingMode, CappingOutcome, RaplCapper};
 pub use error::PowerConfigError;
-pub use hierarchy::{provision, PowerNode, ProvisionPlan, ProvisioningScheme};
+pub use hierarchy::PowerNode;
 pub use model::{DvfsState, ServerPowerModel};
 pub use monitor::{DomainReading, PowerMonitor, SeriesKey, TopologyLevel};
 pub use tsdb::{OutOfOrderSample, TimeSeriesDb};

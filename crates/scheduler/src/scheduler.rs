@@ -207,11 +207,6 @@ impl Scheduler {
         }
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Accepts new jobs into the queue.
     pub fn submit(&mut self, jobs: impl IntoIterator<Item = JobRequest>) {
         let before = self.stats.submitted;

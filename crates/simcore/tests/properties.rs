@@ -1,51 +1,7 @@
 //! Property-based tests for the simulation engine.
 
 use ampere_sim::check::{cases, Gen};
-use ampere_sim::{
-    derive_stream, derive_subseed, derive_substream, EventQueue, SimDuration, SimTime,
-};
-
-/// Events come out sorted by time, FIFO within equal times.
-#[test]
-fn queue_is_stable_priority_order() {
-    cases(64, |g: &mut Gen| {
-        let times = g.vec_with(1..200, |g| g.u64(0..100));
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(t), (t, i));
-        }
-        let mut out = Vec::new();
-        while let Some((at, (t, i))) = q.pop() {
-            assert_eq!(at, SimTime::from_secs(t));
-            out.push((t, i));
-        }
-        assert_eq!(out.len(), times.len());
-        for w in out.windows(2) {
-            let (t0, i0) = w[0];
-            let (t1, i1) = w[1];
-            assert!(t0 < t1 || (t0 == t1 && i0 < i1), "order broken: {w:?}");
-        }
-    });
-}
-
-/// The clock equals the timestamp of the last popped event and never
-/// moves backwards.
-#[test]
-fn queue_clock_is_monotone() {
-    cases(64, |g: &mut Gen| {
-        let times = g.vec_with(1..100, |g| g.u64(0..1_000));
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.schedule(SimTime::from_millis(t), ());
-        }
-        let mut prev = SimTime::ZERO;
-        while let Some((at, ())) = q.pop() {
-            assert!(at >= prev);
-            assert_eq!(q.now(), at);
-            prev = at;
-        }
-    });
-}
+use ampere_sim::{derive_stream, derive_subseed, derive_substream, SimDuration, SimTime};
 
 /// Time arithmetic round-trips: (t + d) − t == d.
 #[test]

@@ -334,14 +334,6 @@ impl WatchEngine {
         }
     }
 
-    /// Closes the in-flight tick if `now` has moved past it (see
-    /// [`crate::WatchHandle::advance_to`]).
-    pub fn advance_to(&mut self, now: SimTime) {
-        if self.tick.as_ref().is_some_and(|t| now > t.time) {
-            self.close_tick();
-        }
-    }
-
     /// Flushes pending tick/window state and snapshots the report. The
     /// trailing partial window produces a rollup but no evaluations;
     /// incidents still active stay open (`resolved_at: None`).

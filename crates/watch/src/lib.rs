@@ -117,16 +117,6 @@ pub struct WatchHandle {
 }
 
 impl WatchHandle {
-    /// Closes the in-flight tick if `now` has moved past it (testbed
-    /// per-tick hook; purely an earlier flush — the engine also closes
-    /// ticks lazily as later events arrive).
-    pub fn advance_to(&self, now: SimTime) {
-        self.engine
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .advance_to(now);
-    }
-
     /// Flushes pending state and snapshots the final report.
     pub fn finish(&self) -> WatchReport {
         self.engine

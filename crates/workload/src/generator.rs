@@ -84,18 +84,6 @@ impl BatchWorkload {
         self
     }
 
-    /// Replaces the duration distribution.
-    pub fn with_durations(mut self, durations: JobDurationDist) -> Self {
-        self.durations = durations;
-        self
-    }
-
-    /// Replaces the noise process.
-    pub fn with_noise(mut self, noise: OuNoise) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// The configured rate profile.
     pub fn profile(&self) -> &RateProfile {
         &self.profile
