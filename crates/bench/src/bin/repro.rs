@@ -1,11 +1,13 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [all|fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|table3|ablations|chaos|scale|profile|watch|hier|sla]
-//!       [--quick] [--csv DIR] [--telemetry FILE] [--workers N] [--scale-out FILE]
-//!       [--profile-out FILE] [--sample-period N] [--watch-out FILE] [--hier-out FILE]
-//!       [--sla-out FILE]
-//! repro scenarios --count N --seed S [--workers W] [--scenarios-out FILE]
+//! repro [all|fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|table3|ablations|chaos]
+//!       [--quick] [--csv DIR] [--telemetry FILE] [--workers N]
+//! repro scale --scale-out FILE [--quick] [--hyper] [--workers N]
+//! repro profile --profile-out FILE [--quick] [--sample-period N] [--workers N]
+//! repro watch --watch-out FILE [--quick] [--workers N]
+//! repro hier|sla --<bench>-out FILE [--quick] [--seed S] [--workers N]
+//! repro scenarios --scenarios-out FILE --count N --seed S [--workers W]
 //! repro scenario --seed S [--shrink-level K] [--workers W]
 //! ```
 //!
@@ -25,10 +27,13 @@
 //! of a figure (see the matching `ampere_bench` module, or the
 //! `ampere_experiments` one for `hier` and `sla`, whose results build
 //! their own records): they print the benchmark's report section, write
-//! its record as JSONL to `BENCH_<bench>.json` (override with
-//! `--<bench>-out FILE`; render with `report --<bench> FILE`,
-//! `--alerts` for watch) and exit non-zero if any gate of the record
-//! failed — the same gate list `report` applies (`ampere_obs::dump`).
+//! its record as JSONL to the required `--<bench>-out FILE` (render with
+//! `report --<bench> FILE`, `--alerts` for watch) and exit non-zero if
+//! any gate of the record failed — the same gate list `report` applies
+//! (`ampere_obs::dump`). Without `--<bench>-out` they exit 2 before
+//! running: there is no default path, so no run can overwrite a
+//! committed `BENCH_<bench>.json` by accident. To regenerate one, name
+//! it, e.g. `repro sla --quick --sla-out BENCH_sla.json`.
 //!
 //! - `scale` sweeps rows × workers on the parallel engine; `--hyper`
 //!   switches to full 440-server rows up to 2273 shards (1,000,120
@@ -57,11 +62,11 @@
 //! scenarios through the invariant registry (see `ampere-scenario`),
 //! shrinks every failure to a minimal reproduction, prints a
 //! copy-paste-runnable `repro:` command per failure, writes the batch
-//! as JSONL to `BENCH_scenarios.json` (override with
-//! `--scenarios-out FILE`; render with `ampere-obs report --scenarios
-//! FILE`) and exits non-zero if any invariant was violated. `repro
-//! scenario` replays one scenario — optionally at a shrink level a
-//! failure printed — and reports a per-invariant verdict. Both honor
+//! as JSONL to the required `--scenarios-out FILE` (render with
+//! `ampere-obs report --scenarios FILE`) and exits non-zero if any
+//! invariant was violated. `repro scenario` replays one scenario —
+//! optionally at a shrink level a failure printed — and reports a
+//! per-invariant verdict. Both honor
 //! the `AMPERE_SCENARIO_BUG` environment variable so a repro command
 //! can re-arm the planted bug that produced the failure.
 
@@ -75,6 +80,11 @@ use std::time::Instant;
 /// phase produced, replayed onto stdout/CSV in serial figure order.
 type Printer = Box<dyn FnOnce(&Output) + Send>;
 
+/// A fully parsed command, ready to run. Building one reads every flag
+/// and creates no file, so a bad command line exits 2 having written
+/// nothing.
+type Run = Box<dyn FnOnce()>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -83,21 +93,6 @@ fn main() {
     if let Some(n) = flag(&args, "--workers") {
         ampere_par::set_default_workers(n);
     }
-    // Install before building any testbed: components capture the
-    // global handle at construction time.
-    if let Some(path) = &telemetry_path {
-        let sink = ampere_telemetry::JsonlSink::create(path).expect("create telemetry file");
-        // Batched emission: events buffer per task and flush per tick
-        // through the capture fan-in; order (and bytes) match the
-        // unbatched path.
-        ampere_telemetry::install_global(
-            ampere_telemetry::Telemetry::builder()
-                .sink(sink)
-                .batched(true)
-                .build(),
-        );
-    }
-    let out = Output::new(csv_dir).expect("create csv directory");
     let what = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -118,24 +113,56 @@ fn main() {
         })
         .unwrap_or("all");
 
-    // Check the dump path up front, so a bad one fails before the run.
-    let _: Option<String> = flag(&args, &format!("--{what}-out"));
+    let run: Run = match what {
+        "scale" => scale(quick, &args),
+        "profile" => profile(quick, &args),
+        "watch" => watch(quick, &args),
+        "hier" => hier(quick, &args),
+        "sla" => sla(quick, &args),
+        "scenarios" => scenarios(&args),
+        "scenario" => scenario(&args),
+        _ => figures(what, quick, csv_dir),
+    };
+    // Install before building any testbed: components capture the
+    // global handle at construction time.
+    if let Some(path) = &telemetry_path {
+        let sink = ampere_telemetry::JsonlSink::create(path).expect("create telemetry file");
+        // Batched emission: events buffer per task and flush per tick
+        // through the capture fan-in; order (and bytes) match the
+        // unbatched path.
+        ampere_telemetry::install_global(
+            ampere_telemetry::Telemetry::builder()
+                .sink(sink)
+                .batched(true)
+                .build(),
+        );
+    }
+    run();
 
-    if what == "scale" {
-        scale(quick, &args);
-    } else if what == "profile" {
-        profile(quick, &args);
-    } else if what == "watch" {
-        watch(quick, &args);
-    } else if what == "hier" {
-        hier(quick, &args);
-    } else if what == "sla" {
-        sla(quick, &args);
-    } else if what == "scenarios" {
-        scenarios(&args);
-    } else if what == "scenario" {
-        scenario(&args);
-    } else {
+    if let Some(path) = &telemetry_path {
+        let tel = ampere_telemetry::global();
+        tel.flush();
+        if let Some(snapshot) = tel.snapshot() {
+            use std::io::Write as _;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .expect("reopen telemetry file");
+            f.write_all(snapshot.to_jsonl().as_bytes())
+                .expect("append metrics snapshot");
+            eprintln!("\n{}", snapshot.render_table());
+            eprintln!("telemetry written to {}", path.display());
+        }
+    }
+}
+
+/// The figures and tables `what` selects (`all` for every one),
+/// computed on the worker pool and printed in figure order, with CSV
+/// series under `csv_dir` when given.
+fn figures(what: &str, quick: bool, csv_dir: Option<std::path::PathBuf>) -> Run {
+    let what = what.to_owned();
+    Box::new(move || {
+        let out = Output::new(csv_dir).expect("create csv directory");
         let all = what == "all";
         // Compute phase: every selected experiment becomes one task on
         // the worker pool, returning its printer. Telemetry is captured
@@ -189,26 +216,10 @@ fn main() {
         for printer in ampere_par::run_captured(&pool, jobs) {
             printer(&out);
         }
-    }
-
-    if let Some(path) = &telemetry_path {
-        let tel = ampere_telemetry::global();
-        tel.flush();
-        if let Some(snapshot) = tel.snapshot() {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .expect("reopen telemetry file");
-            f.write_all(snapshot.to_jsonl().as_bytes())
-                .expect("append metrics snapshot");
-            eprintln!("\n{}", snapshot.render_table());
-            eprintln!("telemetry written to {}", path.display());
-        }
-    }
+    })
 }
 
-fn scale(quick: bool, args: &[String]) {
+fn scale(quick: bool, args: &[String]) -> Run {
     let max_workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let hyper = args.iter().any(|a| a == "--hyper");
     let config = match (hyper, quick) {
@@ -217,12 +228,15 @@ fn scale(quick: bool, args: &[String]) {
         (false, true) => ampere_bench::scale::ScaleConfig::quick(max_workers),
         (false, false) => ampere_bench::scale::ScaleConfig::paper(max_workers),
     };
-    println!("=== Scale: rows x workers — parallel engine throughput ===\n");
-    let r = ampere_bench::scale::run(&config);
-    publish("scale", &r, args, "--scale-out");
+    let out = dump_path(args, "--scale-out");
+    Box::new(move || {
+        println!("=== Scale: rows x workers — parallel engine throughput ===\n");
+        let r = ampere_bench::scale::run(&config);
+        publish("scale", &r, &out);
+    })
 }
 
-fn profile(quick: bool, args: &[String]) {
+fn profile(quick: bool, args: &[String]) -> Run {
     let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let mut config = if quick {
         ampere_bench::profile::ProfileConfig::quick(workers)
@@ -232,24 +246,30 @@ fn profile(quick: bool, args: &[String]) {
     if let Some(period) = flag(args, "--sample-period") {
         config.sample_period = period;
     }
-    println!("=== Profile: telemetry self-overhead and tick-phase breakdown ===\n");
-    let r = ampere_bench::profile::run(&config);
-    publish("profile", &r, args, "--profile-out");
+    let out = dump_path(args, "--profile-out");
+    Box::new(move || {
+        println!("=== Profile: telemetry self-overhead and tick-phase breakdown ===\n");
+        let r = ampere_bench::profile::run(&config);
+        publish("profile", &r, &out);
+    })
 }
 
-fn watch(quick: bool, args: &[String]) {
+fn watch(quick: bool, args: &[String]) -> Run {
     let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
     let config = if quick {
         ampere_bench::watch::WatchBenchConfig::quick(workers)
     } else {
         ampere_bench::watch::WatchBenchConfig::paper(workers)
     };
-    println!("=== Watch: streaming rollups, gauges and deterministic alerting ===\n");
-    let r = ampere_bench::watch::run(config);
-    publish("watch", &r, args, "--watch-out");
+    let out = dump_path(args, "--watch-out");
+    Box::new(move || {
+        println!("=== Watch: streaming rollups, gauges and deterministic alerting ===\n");
+        let r = ampere_bench::watch::run(config);
+        publish("watch", &r, &out);
+    })
 }
 
-fn hier(quick: bool, args: &[String]) {
+fn hier(quick: bool, args: &[String]) -> Run {
     use exp::hier::HierConfig;
     let mut config = HierConfig {
         workers: flag(args, "--workers").unwrap_or(1),
@@ -262,14 +282,17 @@ fn hier(quick: bool, args: &[String]) {
     if let Some(seed) = flag(args, "--seed") {
         config.seed = seed;
     }
-    println!("=== Hier: multi-row control under a fault-tolerant budget arbiter ===\n");
-    let t0 = Instant::now();
-    let r = exp::hier::run(&config);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    publish("hier", &r.record(&config, wall_ms), args, "--hier-out");
+    let out = dump_path(args, "--hier-out");
+    Box::new(move || {
+        println!("=== Hier: multi-row control under a fault-tolerant budget arbiter ===\n");
+        let t0 = Instant::now();
+        let r = exp::hier::run(&config);
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        publish("hier", &r.record(&config, wall_ms), &out);
+    })
 }
 
-fn sla(quick: bool, args: &[String]) {
+fn sla(quick: bool, args: &[String]) -> Run {
     use exp::sla::SlaConfig;
     let workers = flag(args, "--workers").unwrap_or(1);
     let mut config = if quick {
@@ -280,28 +303,37 @@ fn sla(quick: bool, args: &[String]) {
     if let Some(seed) = flag(args, "--seed") {
         config.seed = seed;
     }
-    println!("=== SLA: uniform vs selective freezing on a mixed interactive/batch fleet ===\n");
-    let t0 = Instant::now();
-    let r = exp::sla::run(&config);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    publish("sla", &r.record(&config, wall_ms), args, "--sla-out");
+    let out = dump_path(args, "--sla-out");
+    Box::new(move || {
+        println!("=== SLA: uniform vs selective freezing on a mixed interactive/batch fleet ===\n");
+        let t0 = Instant::now();
+        let r = exp::sla::run(&config);
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        publish("sla", &r.record(&config, wall_ms), &out);
+    })
 }
 
-/// Prints a benchmark's report section, writes its dump to
-/// `--<bench>-out FILE` (default `BENCH_<bench>.json`) and exits 1 if
-/// any of its gates failed.
-fn publish(bench: &str, record: &dyn BenchDump, args: &[String], out_flag: &str) {
+/// The benchmark dump path given by `out_flag`. The flag is required:
+/// without it the run exits 2 before it starts and writes nothing.
+/// Resolve it after the benchmark's other flags, so a bad value among
+/// those is reported first.
+fn dump_path(args: &[String], out_flag: &str) -> String {
+    flag(args, out_flag).unwrap_or_else(|| usage_error(&format!("{out_flag} FILE is required")))
+}
+
+/// Prints a benchmark's report section, writes its dump to `path` and
+/// exits 1 if any of its gates failed.
+fn publish(bench: &str, record: &dyn BenchDump, path: &str) {
     print!("{}", record.to_markdown());
-    if !write_dump(bench, record, args, out_flag) {
+    if !write_dump(bench, record, path) {
         std::process::exit(1);
     }
 }
 
 /// Writes a benchmark's dump and reports whether all its gates passed
 /// (failures are printed to stderr).
-fn write_dump(bench: &str, record: &dyn BenchDump, args: &[String], out_flag: &str) -> bool {
-    let path: String = flag(args, out_flag).unwrap_or_else(|| format!("BENCH_{bench}.json"));
-    std::fs::write(&path, record.encode()).expect("write benchmark dump");
+fn write_dump(bench: &str, record: &dyn BenchDump, path: &str) -> bool {
+    std::fs::write(path, record.encode()).expect("write benchmark dump");
     eprintln!("{bench} dump written to {path}");
     ampere_obs::gates_pass(bench, &record.gates())
 }
@@ -333,7 +365,7 @@ fn argv0() -> String {
     std::env::args().next().unwrap_or_else(|| "repro".into())
 }
 
-fn scenarios(args: &[String]) {
+fn scenarios(args: &[String]) -> Run {
     use ampere_scenario as sc;
     let seed: u64 = flag(args, "--seed").unwrap_or(2026);
     let count: usize = flag(args, "--count").unwrap_or(50);
@@ -349,137 +381,137 @@ fn scenarios(args: &[String]) {
         },
         shrink_failures: true,
     };
-    println!("=== Scenarios: {count} randomized simulations, seed {seed} ===\n");
-    if let Some(b) = bug {
-        println!("planted bug: {} (from ${})\n", b.env_value(), sc::BUG_ENV);
-    }
-    let report = sc::run_batch(&config);
-    println!(
-        "passed {}/{}  digest {:016x}",
-        report.passed(),
-        report.count,
-        report.digest
-    );
-    for (kind, n) in report.tally() {
-        if n > 0 {
-            println!("  {kind}: {n} scenarios violated");
+    let out = dump_path(args, "--scenarios-out");
+    Box::new(move || {
+        println!("=== Scenarios: {count} randomized simulations, seed {seed} ===\n");
+        if let Some(b) = bug {
+            println!("planted bug: {} (from ${})\n", b.env_value(), sc::BUG_ENV);
         }
-    }
-    if let Some((idx, margin)) = report.worst_margin() {
-        println!("worst breaker margin: {margin:+.4} (scenario {idx})");
-    }
-    let program = argv0();
-    let bug_env = bug.map(sc::InjectedBug::env_value);
-    for row in report.rows.iter().filter(|r| !r.outcome.passed()) {
-        println!("\nFAIL scenario {} seed {}", row.index, row.seed);
-        println!("  {}", row.outcome.scenario.describe());
-        for v in &row.outcome.violations {
-            println!("  {v}");
-        }
-        if let Some(s) = &row.shrink {
-            println!(
-                "  shrunk {} levels along [{}] in {} runs to:",
-                s.level,
-                s.axes.join(", "),
-                s.runs
-            );
-            println!("  {}", s.minimal);
-            println!(
-                "repro: {}",
-                sc::repro_command(&program, bug_env, row.seed, s.level, workers)
-            );
-        } else {
-            println!(
-                "repro: {}",
-                sc::repro_command(&program, bug_env, row.seed, 0, workers)
-            );
-        }
-    }
-    if write_dump(
-        "scenarios",
-        &report.record(bug_env),
-        args,
-        "--scenarios-out",
-    ) {
-        println!("\nverdict: PASS — every invariant held across {count} scenarios");
-    } else {
+        let report = sc::run_batch(&config);
         println!(
-            "\nverdict: FAIL — {} of {count} scenarios violated invariants",
-            report.failed()
+            "passed {}/{}  digest {:016x}",
+            report.passed(),
+            report.count,
+            report.digest
         );
-        std::process::exit(1);
-    }
-}
-
-fn scenario(args: &[String]) {
-    use ampere_scenario as sc;
-    let seed: u64 = flag(args, "--seed").expect("repro scenario requires --seed");
-    let level: u32 = flag(args, "--shrink-level").unwrap_or(0);
-    let bug = sc::InjectedBug::from_env();
-    let opts = sc::RunOptions {
-        check_determinism: true,
-        bug,
-    };
-    let original = sc::Scenario::generate(seed);
-    let target = if level == 0 {
-        original
-    } else {
-        // Reconstruct the shrunk scenario a batch failure printed: the
-        // shrinker is deterministic, so replaying `level` accepted
-        // steps lands on the exact scenario the failure reported.
-        let kinds = sc::run_scenario(&original, &opts).violated_kinds();
-        if kinds.is_empty() {
-            eprintln!(
-                "note: seed {seed} passes unshrunk (is ${} set as it was in CI?); \
-                 replaying the original scenario",
-                sc::BUG_ENV
-            );
-            original
-        } else {
-            sc::shrink_to_level(&original, &kinds, &opts, level).scenario
-        }
-    };
-    println!("=== Scenario replay: seed {seed}, shrink level {level} ===\n");
-    if let Some(b) = bug {
-        println!("planted bug: {} (from ${})", b.env_value(), sc::BUG_ENV);
-    }
-    println!("{}\n", target.describe());
-    let outcome = sc::run_scenario(&target, &opts);
-    for kind in sc::InvariantKind::ALL {
-        let hits: Vec<&sc::Violation> = outcome
-            .violations
-            .iter()
-            .filter(|v| v.invariant == kind)
-            .collect();
-        if hits.is_empty() {
-            println!("invariant {kind}: PASS");
-        } else {
-            println!("invariant {kind}: FAIL ({} violations)", hits.len());
-            for v in hits.iter().take(5) {
-                println!("    {v}");
+        for (kind, n) in report.tally() {
+            if n > 0 {
+                println!("  {kind}: {n} scenarios violated");
             }
         }
-    }
-    let s = &outcome.stats;
-    println!(
-        "\nstats: ticks={} servers={} violation_mins={} min_margin={:+.4} \
-         max_frozen={} placed={} degraded={} backstop={}",
-        s.ticks,
-        s.servers,
-        s.violations,
-        s.min_margin,
-        s.max_frozen,
-        s.placed,
-        s.degraded_ticks,
-        s.backstop_ticks
-    );
-    if outcome.passed() {
-        println!("verdict: PASS");
-    } else {
-        let kinds: Vec<&str> = outcome.violated_kinds().iter().map(|k| k.name()).collect();
-        println!("verdict: FAIL {}", kinds.join(","));
-        std::process::exit(1);
-    }
+        if let Some((idx, margin)) = report.worst_margin() {
+            println!("worst breaker margin: {margin:+.4} (scenario {idx})");
+        }
+        let program = argv0();
+        let bug_env = bug.map(sc::InjectedBug::env_value);
+        for row in report.rows.iter().filter(|r| !r.outcome.passed()) {
+            println!("\nFAIL scenario {} seed {}", row.index, row.seed);
+            println!("  {}", row.outcome.scenario.describe());
+            for v in &row.outcome.violations {
+                println!("  {v}");
+            }
+            if let Some(s) = &row.shrink {
+                println!(
+                    "  shrunk {} levels along [{}] in {} runs to:",
+                    s.level,
+                    s.axes.join(", "),
+                    s.runs
+                );
+                println!("  {}", s.minimal);
+                println!(
+                    "repro: {}",
+                    sc::repro_command(&program, bug_env, row.seed, s.level, workers)
+                );
+            } else {
+                println!(
+                    "repro: {}",
+                    sc::repro_command(&program, bug_env, row.seed, 0, workers)
+                );
+            }
+        }
+        if write_dump("scenarios", &report.record(bug_env), &out) {
+            println!("\nverdict: PASS — every invariant held across {count} scenarios");
+        } else {
+            println!(
+                "\nverdict: FAIL — {} of {count} scenarios violated invariants",
+                report.failed()
+            );
+            std::process::exit(1);
+        }
+    })
+}
+
+fn scenario(args: &[String]) -> Run {
+    use ampere_scenario as sc;
+    let seed: u64 = flag(args, "--seed").unwrap_or_else(|| usage_error("--seed S is required"));
+    let level: u32 = flag(args, "--shrink-level").unwrap_or(0);
+    Box::new(move || {
+        let bug = sc::InjectedBug::from_env();
+        let opts = sc::RunOptions {
+            check_determinism: true,
+            bug,
+        };
+        let original = sc::Scenario::generate(seed);
+        let target = if level == 0 {
+            original
+        } else {
+            // Reconstruct the shrunk scenario a batch failure printed: the
+            // shrinker is deterministic, so replaying `level` accepted
+            // steps lands on the exact scenario the failure reported.
+            let kinds = sc::run_scenario(&original, &opts).violated_kinds();
+            if kinds.is_empty() {
+                eprintln!(
+                    "note: seed {seed} passes unshrunk (is ${} set as it was in CI?); \
+                     replaying the original scenario",
+                    sc::BUG_ENV
+                );
+                original
+            } else {
+                sc::shrink_to_level(&original, &kinds, &opts, level).scenario
+            }
+        };
+        println!("=== Scenario replay: seed {seed}, shrink level {level} ===\n");
+        if let Some(b) = bug {
+            println!("planted bug: {} (from ${})", b.env_value(), sc::BUG_ENV);
+        }
+        println!("{}\n", target.describe());
+        let outcome = sc::run_scenario(&target, &opts);
+        for kind in sc::InvariantKind::ALL {
+            let hits: Vec<&sc::Violation> = outcome
+                .violations
+                .iter()
+                .filter(|v| v.invariant == kind)
+                .collect();
+            if hits.is_empty() {
+                println!("invariant {kind}: PASS");
+            } else {
+                println!("invariant {kind}: FAIL ({} violations)", hits.len());
+                for v in hits.iter().take(5) {
+                    println!("    {v}");
+                }
+            }
+        }
+        let s = &outcome.stats;
+        println!(
+            "\nstats: ticks={} servers={} violation_mins={} min_margin={:+.4} \
+             max_frozen={} placed={} degraded={} backstop={}",
+            s.ticks,
+            s.servers,
+            s.violations,
+            s.min_margin,
+            s.max_frozen,
+            s.placed,
+            s.degraded_ticks,
+            s.backstop_ticks
+        );
+        if outcome.passed() {
+            println!("verdict: PASS");
+        } else {
+            let kinds: Vec<&str> = outcome.violated_kinds().iter().map(|k| k.name()).collect();
+            println!("verdict: FAIL {}", kinds.join(","));
+            std::process::exit(1);
+        }
+    })
 }
 
 fn chaos(quick: bool) -> Printer {

@@ -363,10 +363,6 @@ impl FleetState {
         !self.any_non_nominal
     }
 
-    pub(crate) fn live_jobs(&self) -> usize {
-        self.jobs.iter().map(Vec::len).sum()
-    }
-
     /// Job slots allocated across every server's job vector, used or
     /// not.
     #[cfg(test)]

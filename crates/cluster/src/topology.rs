@@ -240,14 +240,6 @@ impl Cluster {
         self.fleet.row_power_w(row.index())
     }
 
-    /// Instantaneous power of one rack in watts.
-    pub fn rack_power_w(&self, rack: RackId) -> f64 {
-        self.iter()
-            .filter(|s| s.rack() == rack)
-            .map(|s| s.power_w())
-            .sum()
-    }
-
     /// Instantaneous total power in watts: the sum of the row powers in
     /// ascending row order.
     pub fn total_power_w(&self) -> f64 {
@@ -259,25 +251,12 @@ impl Cluster {
         self.fleet.service_class(id.index())
     }
 
-    /// Retags one server's service class.
-    pub fn set_service_class(&mut self, id: ServerId, class: ServiceClass) {
-        assert!(id.index() < self.server_count(), "unknown server {id}");
-        self.fleet.set_service_class(id.index(), class);
-    }
-
     /// Assigns every server's service class from `class_of(index)` —
     /// the bulk path mixed-fleet builders use after construction.
     pub fn set_service_classes(&mut self, class_of: impl Fn(usize) -> ServiceClass) {
         for i in 0..self.fleet.len() {
             self.fleet.set_service_class(i, class_of(i));
         }
-    }
-
-    /// Number of [`ServiceClass::Batch`] servers in a row.
-    pub fn batch_count(&self, row: RowId) -> usize {
-        self.iter_row(row)
-            .filter(|s| s.service_class() == ServiceClass::Batch)
-            .count()
     }
 
     /// Number of frozen servers in a row. O(1).
@@ -328,11 +307,6 @@ impl Cluster {
     /// completions to `done`.
     pub fn advance_into(&mut self, tick: SimDuration, done: &mut Vec<(ServerId, JobId)>) {
         self.fleet.advance_into(tick, done);
-    }
-
-    /// Live job count across the fleet.
-    pub fn total_jobs(&self) -> usize {
-        self.fleet.live_jobs()
     }
 }
 
@@ -483,7 +457,6 @@ mod tests {
         let idle = c.spec().power_model.idle_w();
         assert!((c.total_power_w() - idle * 16.0).abs() < 1e-9);
         assert!((c.row_power_w(RowId::new(0)) - idle * 8.0).abs() < 1e-9);
-        assert!((c.rack_power_w(RackId::new(0)) - idle * 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -550,11 +523,16 @@ mod tests {
     #[test]
     fn service_classes_default_interactive_and_retag() {
         let mut c = Cluster::new(ClusterSpec::tiny());
+        let batch_count = |c: &Cluster, row: u64| {
+            c.iter_row(RowId::new(row))
+                .filter(|s| s.service_class() == ServiceClass::Batch)
+                .count()
+        };
         // Untagged fleets are all-interactive: the legacy behaviour.
         assert!(c
             .iter()
             .all(|s| s.service_class() == ServiceClass::Interactive));
-        assert_eq!(c.batch_count(RowId::new(0)), 0);
+        assert_eq!(batch_count(&c, 0), 0);
         // A bulk retag (every odd server is batch) sticks and is
         // readable through every accessor path.
         c.set_service_classes(|i| {
@@ -569,11 +547,8 @@ mod tests {
             c.server(ServerId::new(2)).service_class(),
             ServiceClass::Interactive
         );
-        assert_eq!(c.batch_count(RowId::new(0)), 4);
-        assert_eq!(c.batch_count(RowId::new(1)), 4);
-        // Single retag.
-        c.set_service_class(ServerId::new(2), ServiceClass::Batch);
-        assert_eq!(c.service_class(ServerId::new(2)), ServiceClass::Batch);
+        assert_eq!(batch_count(&c, 0), 4);
+        assert_eq!(batch_count(&c, 1), 4);
         assert_eq!(ServiceClass::Batch.name(), "batch");
         assert_eq!(ServiceClass::Interactive.name(), "interactive");
     }
@@ -630,7 +605,7 @@ mod tests {
                 after_first = c.fleet.job_capacity();
             }
         }
-        assert_eq!(c.total_jobs(), 0);
+        assert!(c.iter().all(|s| s.job_count() == 0));
         // Job storage never grew past what the first round allocated.
         assert!(after_first > 0);
         assert_eq!(c.fleet.job_capacity(), after_first);

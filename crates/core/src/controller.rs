@@ -15,7 +15,7 @@ use ampere_sched::Scheduler;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{
     buckets, Counter, Event, Gauge, Histogram, PhaseProfiler, Severity, SpanCtx, Telemetry,
-    TickPhase, TimerHandle,
+    TickPhase,
 };
 
 use crate::algorithm::{FreezeActions, FreezePlanner, ServerPowerReading};
@@ -209,9 +209,6 @@ pub struct AmpereController {
     degraded_counter: Counter,
     power_gauge: Gauge,
     et_hist: Histogram,
-    /// Pre-registered `controller_decide` timer pair: `decide` runs per
-    /// tick, so it must not pay registry lookups per call.
-    decide_timer: TimerHandle,
     profiler: PhaseProfiler,
     prediction: PredictionTracker,
 }
@@ -260,7 +257,6 @@ impl AmpereController {
             degraded_counter: telemetry.counter("controller_degraded_ticks", &[]),
             power_gauge: telemetry.gauge("controller_power_norm", &[]),
             et_hist: telemetry.histogram("controller_et", &[], &buckets::ratio()),
-            decide_timer: telemetry.timer_handle("controller_decide", &[]),
             profiler: PhaseProfiler::new(&telemetry),
             prediction: PredictionTracker::new(&telemetry, predictor.name()),
             predictor,
@@ -333,7 +329,6 @@ impl AmpereController {
         mode: ControlMode,
         et_extra: f64,
     ) -> (FreezeActions, f64) {
-        let _timer = self.decide_timer.start();
         // Every tick opens a fresh causal episode: freezes, dispatch
         // suppression and the eventual power response all trace back to
         // this root span. Registering it as the active tick lets

@@ -289,8 +289,8 @@ pub struct Testbed {
     /// Rows already registered as row domains (guards double counting).
     row_domain_registered: Vec<bool>,
     /// The pipeline in effect at construction (a capture under the
-    /// parallel engine): the per-tick event-batch flush and the tick
-    /// profiler report here.
+    /// parallel engine): the per-tick event-batch flush and the
+    /// monitor-sweep phase report here.
     telemetry: Telemetry,
     profiler: PhaseProfiler,
     /// Which freeze-target policy controlled domains drive.
@@ -636,12 +636,6 @@ impl Testbed {
 
     /// Executes one tick.
     pub fn step(&mut self) {
-        // Whole-tick timer (wall µs + sim mins) when profiling: gated so
-        // unprofiled runs skip even the clock read.
-        let tick_timer = self
-            .profiler
-            .enabled()
-            .then(|| self.profiler.tick_timer().at_sim(self.now));
         // 1. Arrivals and placement. Telemetry events emitted by the
         // scheduler this tick carry the interval-start timestamp.
         self.sched.set_clock(self.now);
@@ -962,9 +956,6 @@ impl Testbed {
             }
         }
 
-        if let Some(timer) = tick_timer {
-            timer.finish_at_sim(self.now);
-        }
         // Batched pipelines drain once per tick; unbatched pipelines
         // make this a no-op, so the cadence is a pipeline choice, not a
         // testbed one.

@@ -350,8 +350,9 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Builds the summary from a loaded run. Only event-derived and
-    /// count-derived quantities go in — never wall-clock timers, so the
-    /// summary of a seeded run is deterministic.
+    /// count-derived quantities go in — never the phase profiler's
+    /// wall-clock histograms, so the summary of a seeded run is
+    /// deterministic.
     pub fn build(run: &Run) -> Self {
         let events = &run.events;
         let index = TraceIndex::build(events);

@@ -9,7 +9,7 @@ use ampere_sim::{derive_stream, rng::streams, SimRng, SimTime};
 use ampere_stats::Summary;
 use ampere_telemetry::{
     buckets, Counter, Event, Gauge, Histogram, PhaseProfiler, Severity, SpanCtx, Telemetry,
-    TickPhase, TimerHandle,
+    TickPhase,
 };
 use ampere_workload::JobRequest;
 
@@ -113,9 +113,6 @@ pub struct Scheduler {
     queue_gauge: Gauge,
     wait_hist: Histogram,
     freeze_hist: Histogram,
-    /// Pre-registered `sched_dispatch` timer pair: dispatch runs per
-    /// tick, so it must not pay registry lookups per call.
-    dispatch_timer: TimerHandle,
     profiler: PhaseProfiler,
 }
 
@@ -164,7 +161,6 @@ impl Scheduler {
                 &[],
                 &buckets::exponential(5.0, 2.0, 10),
             ),
-            dispatch_timer: telemetry.timer_handle("sched_dispatch", &[]),
             profiler: PhaseProfiler::new(&telemetry),
             telemetry,
         }
@@ -347,7 +343,6 @@ impl Scheduler {
     /// `row_headroom` optionally carries per-row normalized unused power
     /// for headroom-aware policies; pass `&[]` otherwise.
     pub fn dispatch(&mut self, cluster: &mut Cluster, row_headroom: &[f64]) -> DispatchOutcome {
-        let _timer = self.dispatch_timer.start();
         let _phase = self.profiler.phase(TickPhase::Schedule);
         let (now, unset) = self.stamp();
         let mut candidates = mem::take(&mut self.cand_scratch);

@@ -16,7 +16,6 @@
 //! - [`regression`] — ordinary least squares, including through-origin fits
 //!   used for `f(u) = kr * u` (§3.4, Fig 5).
 //! - [`timeseries`] — resampling and first differences (Fig 9), EWMA.
-//! - [`histogram`] — fixed-bin histograms for distribution reporting.
 //!
 //! # Examples
 //!
@@ -49,14 +48,12 @@
 //! ```
 
 pub mod correlation;
-pub mod histogram;
 pub mod quantile;
 pub mod regression;
 pub mod summary;
 pub mod timeseries;
 
 pub use correlation::pearson;
-pub use histogram::Histogram;
 pub use quantile::{cdf_points, percentile, Cdf};
 pub use regression::{linear_fit, linear_fit_through_origin, LinearFit};
 pub use summary::Summary;

@@ -174,12 +174,6 @@ pub fn capture_into<R>(parent: &Telemetry, f: impl FnOnce() -> R) -> (R, Option<
     }
 }
 
-/// [`capture_into`] under the calling thread's effective
-/// [`global()`](crate::global) handle.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Option<Captured>) {
-    capture_into(&crate::global(), f)
-}
-
 /// Replays a captured buffer into `parent`: reserves a contiguous block
 /// of `spans_used` ids, shifts every captured trace/span/parent id into
 /// it, re-emits each event in order and merges the metrics snapshot.
@@ -209,12 +203,6 @@ pub fn replay_into(parent: &Telemetry, captured: Captured) {
         parent.emit(event);
     }
     pipeline.registry.merge(&captured.snapshot);
-}
-
-/// [`replay_into`] the calling thread's effective
-/// [`global()`](crate::global) handle.
-pub fn replay(captured: Captured) {
-    replay_into(&crate::global(), captured);
 }
 
 #[cfg(test)]
@@ -328,10 +316,10 @@ mod tests {
         let (_, outer) = capture_into(&parent, || {
             // Inner fan-out replays into the *outer* capture, because
             // the outer override is this thread's global().
-            let (_, inner) = capture(|| {
+            let (_, inner) = capture_into(&global(), || {
                 global().counter("deep", &[]).inc();
             });
-            replay(inner.unwrap());
+            replay_into(&global(), inner.unwrap());
         });
         replay_into(&parent, outer.unwrap());
         let snap = parent.snapshot().unwrap();

@@ -1,15 +1,18 @@
 //! Sim-time-aware telemetry for the Ampere control stack.
 //!
-//! Three pieces, one handle:
+//! Two pieces, one handle:
 //!
 //! - a **metrics registry** ([`MetricsRegistry`]) — counters, gauges and
 //!   fixed-bucket histograms keyed by static names plus label sets, with
 //!   snapshot/export to JSONL and a human-readable table;
 //! - **structured events** ([`Event`]) — sim-time-stamped facts
 //!   (`controller/tick`, `scheduler/freeze`, `breaker/trip` …) fanned
-//!   out to pluggable [`sink`]s: ring buffer, JSONL writer, stderr;
-//! - **scoped timers** ([`ScopedTimer`]) recording wall-clock *and*
-//!   sim-time durations into histograms.
+//!   out to pluggable [`sink`]s: ring buffer, JSONL writer, stderr.
+//!
+//! Wall-clock time is measured in one place only: the opt-in tick-phase
+//! profiler ([`profile`], armed by `profiling(true)`). A pipeline built
+//! without it exports a snapshot that is a pure function of the event
+//! stream.
 //!
 //! The [`Telemetry`] handle is a cheap clone (one `Option<Arc>`). The
 //! default handle is *disabled*: every metric handle is a no-op, and
@@ -43,7 +46,6 @@ pub mod json;
 pub mod profile;
 pub mod registry;
 pub mod sink;
-pub mod timer;
 pub mod trace;
 
 pub use event::{Event, ParseError, ParsedEvent, Severity, Value};
@@ -54,7 +56,6 @@ pub use registry::{
     MetricSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use sink::{EventSink, JsonlSink, RingBufferHandle, RingBufferSink, StderrSink};
-pub use timer::{ScopedTimer, TimerHandle, WallGuard};
 pub use trace::{SpanCtx, SpanId, TraceId};
 
 use ampere_sim::SimTime;
@@ -451,35 +452,6 @@ impl Telemetry {
         match &self.pipeline {
             Some(p) => p.registry.histogram(name, labels, bounds),
             None => Histogram::noop(),
-        }
-    }
-
-    /// A scoped timer feeding `<name>_wall_us` / `<name>_sim_mins`
-    /// histograms. Wall time records on drop; mark sim instants with
-    /// [`ScopedTimer::at_sim`] / [`ScopedTimer::finish_at_sim`] to also
-    /// record simulated duration.
-    pub fn timer(&self, name: &'static str, labels: &[(&'static str, &str)]) -> ScopedTimer {
-        match &self.pipeline {
-            Some(p) => ScopedTimer::new(
-                p.registry.wall_hist(name, labels),
-                p.registry.sim_hist(name, labels),
-            ),
-            None => ScopedTimer::new(Histogram::noop(), Histogram::noop()),
-        }
-    }
-
-    /// Pre-registers the `<name>_wall_us` / `<name>_sim_mins` histogram
-    /// pair behind a named timer and returns a [`TimerHandle`]: resolve
-    /// once at wiring time, then [`TimerHandle::start`] on the hot path
-    /// costs two `Arc` clones instead of two registry lookups. No-op
-    /// when disabled.
-    pub fn timer_handle(&self, name: &'static str, labels: &[(&'static str, &str)]) -> TimerHandle {
-        match &self.pipeline {
-            Some(p) => TimerHandle::new(
-                p.registry.wall_hist(name, labels),
-                p.registry.sim_hist(name, labels),
-            ),
-            None => TimerHandle::noop(),
         }
     }
 

@@ -4,11 +4,8 @@
 //! prediction, the capping decision, scheduler dispatch, the monitor
 //! sweep, fan-in merge, scenario invariant checks. [`PhaseProfiler`]
 //! times each phase with a scoped [`PhaseGuard`] and aggregates the
-//! samples into per-phase `profile_phase_wall_us{phase=…}` histograms;
-//! whole ticks are timed by the pre-registered [`PhaseProfiler::tick_timer`]
-//! pair (`timer_wall_us`/`timer_sim_mins` with `span=profile_tick`), so
-//! a profile reports both dimensions: wall µs per phase and sim minutes
-//! per tick.
+//! samples into per-phase `profile_phase_wall_us{phase=…}` histograms.
+//! It is the workspace's only wall-clock instrument.
 //!
 //! Profiling is **opt-in** per pipeline
 //! ([`TelemetryBuilder::profiling`](crate::TelemetryBuilder::profiling)):
@@ -25,7 +22,6 @@
 //! this module's per-phase breakdown.
 
 use crate::registry::{buckets, Histogram};
-use crate::timer::{ScopedTimer, TimerHandle};
 use crate::Telemetry;
 
 use std::time::Instant;
@@ -76,7 +72,6 @@ impl TickPhase {
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     phases: [Histogram; 6],
-    tick: TimerHandle,
     enabled: bool,
 }
 
@@ -94,7 +89,6 @@ impl PhaseProfiler {
         });
         PhaseProfiler {
             phases,
-            tick: telemetry.timer_handle("profile_tick", &[]),
             enabled: true,
         }
     }
@@ -127,13 +121,6 @@ impl PhaseProfiler {
                 start: None,
             }
         }
-    }
-
-    /// A whole-tick timer against the pre-registered `profile_tick`
-    /// span pair. Callers should gate on [`PhaseProfiler::enabled`] to
-    /// skip the clock read entirely when profiling is off.
-    pub fn tick_timer(&self) -> ScopedTimer {
-        self.tick.start()
     }
 }
 

@@ -139,12 +139,6 @@ impl Histogram {
         }
     }
 
-    /// Times a scope and records its wall-clock duration in microseconds
-    /// on drop. See [`crate::timer::WallGuard`].
-    pub fn time_wall_us(&self) -> crate::timer::WallGuard {
-        crate::timer::WallGuard::new(self.clone())
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.core.as_ref().map_or(0, |core| {
@@ -284,29 +278,6 @@ impl MetricsRegistry {
             },
             _ => panic!("metric {name:?} already registered with a different type"),
         }
-    }
-
-    /// Wall-clock histogram backing a named scoped timer: the span name
-    /// becomes a `span` label on the shared `timer_wall_us` metric.
-    pub(crate) fn wall_hist(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Histogram {
-        let mut all: Vec<(&'static str, &str)> = labels.to_vec();
-        all.push(("span", name));
-        self.histogram("timer_wall_us", &all, &buckets::wall_us())
-    }
-
-    /// Sim-time histogram backing a named scoped timer (minutes).
-    pub(crate) fn sim_hist(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Histogram {
-        let mut all: Vec<(&'static str, &str)> = labels.to_vec();
-        all.push(("span", name));
-        self.histogram("timer_sim_mins", &all, &buckets::exponential(0.25, 2.0, 16))
     }
 
     /// Merges a snapshot (from a parallel task's capture registry) into

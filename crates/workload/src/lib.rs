@@ -21,11 +21,9 @@ pub mod generator;
 pub mod interactive;
 pub mod profile;
 pub mod shape;
-pub mod trace;
 
 pub use duration::JobDurationDist;
 pub use generator::{BatchWorkload, JobRequest};
 pub use interactive::{InteractiveSim, OpType, RedisBenchReport};
 pub use profile::{OuNoise, RateProfile, UserPopulation};
 pub use shape::JobShapeDist;
-pub use trace::{JobTrace, TraceWorkload};

@@ -52,8 +52,6 @@ const METRICS: &[&str] = &[
     "watchdog_backstop_arms",
     "profile_phase_wall_us",
     "profile_bench_ops",
-    "timer_wall_us",
-    "timer_sim_mins",
 ];
 
 /// Every `(component, event)` pair the workspace may emit.
@@ -83,9 +81,6 @@ const EVENTS: &[(&str, &str)] = &[
     ("watchdog", "backstop_disarmed"),
 ];
 
-/// Allowed `span` label values on the timer histograms.
-const TIMER_SPANS: &[&str] = &["controller_decide", "sched_dispatch", "profile_tick"];
-
 fn is_snake_case(name: &str) -> bool {
     name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
         && name
@@ -107,9 +102,6 @@ fn declared_names_are_snake_case_with_component_prefix() {
             is_snake_case(component) && is_snake_case(event),
             "event {component}/{event} is not snake_case"
         );
-    }
-    for span in TIMER_SPANS {
-        assert!(is_snake_case(span), "timer span {span:?} is not snake_case");
     }
     // The table is a set — a duplicate row means a stale audit.
     assert_eq!(METRICS.len(), METRICS.iter().collect::<BTreeSet<_>>().len());
@@ -190,8 +182,8 @@ fn exported_names_match_the_audit_table() {
     let snapshot = tel.snapshot().expect("pipeline installed");
     ampere_telemetry::reset_global();
 
-    // Metrics: every exported name is declared, spans are declared,
-    // names are snake_case even if the table drifted.
+    // Metrics: every exported name is declared, label keys are
+    // snake_case even if the table drifted.
     let declared: BTreeSet<&str> = METRICS.iter().copied().collect();
     let mut seen_metrics = BTreeSet::new();
     for entry in &snapshot.entries {
@@ -200,14 +192,8 @@ fn exported_names_match_the_audit_table() {
             "metric {:?} is exported but missing from the DESIGN.md §11 audit table",
             entry.name
         );
-        for (key, value) in &entry.labels {
+        for (key, _) in &entry.labels {
             assert!(is_snake_case(key), "label key {key:?} is not snake_case");
-            if *key == "span" {
-                assert!(
-                    TIMER_SPANS.contains(&value.as_str()),
-                    "timer span {value:?} is not in the audit table"
-                );
-            }
         }
         seen_metrics.insert(entry.name);
     }
@@ -245,7 +231,6 @@ fn exported_names_match_the_audit_table() {
         "fault_samples_dropped",
         "profile_phase_wall_us",
         "telemetry_events_sampled_out",
-        "timer_wall_us",
     ] {
         assert!(seen_metrics.contains(metric), "{metric} was never exported");
     }

@@ -46,8 +46,10 @@ fn dump_path(tag: &str) -> std::path::PathBuf {
 
 /// Runs a 6-shard, 30-simulated-minute sharded testbed on `workers`
 /// threads with the global pipeline streaming to a JSONL file, and
-/// returns the dump contents.
-fn sharded_dump(workers: usize, tag: &str) -> String {
+/// returns the dump contents and the final metrics snapshot as JSONL.
+/// The pipeline has no phase profiler, so nothing in either reads the
+/// wall clock.
+fn sharded_dump(workers: usize, tag: &str) -> (String, String) {
     let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let path = dump_path(tag);
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
@@ -57,23 +59,35 @@ fn sharded_dump(workers: usize, tag: &str) -> String {
     sharded.run_for(SimDuration::from_mins(30));
     sharded.finish();
 
-    ampere_telemetry::global().flush();
+    let tel = ampere_telemetry::global();
+    tel.flush();
+    let snapshot = tel.snapshot().expect("pipeline installed");
     ampere_telemetry::reset_global();
-    std::fs::read_to_string(&path).expect("read dump")
+    (
+        std::fs::read_to_string(&path).expect("read dump"),
+        snapshot.to_jsonl(),
+    )
 }
 
 #[test]
 fn telemetry_dump_is_byte_identical_across_worker_counts() {
+    // Events and the whole metrics snapshot, with no line filtered out.
     let serial = sharded_dump(1, "w1");
-    let parallel = sharded_dump(4, "w4");
     assert!(
-        serial.lines().count() > 10,
+        serial.0.lines().count() > 10,
         "scenario emitted too little telemetry to be a meaningful check"
     );
-    assert_eq!(
-        serial, parallel,
-        "workers=1 and workers=4 must produce byte-identical telemetry"
+    assert!(
+        serial.1.contains("\"controller_ticks\"") && serial.1.contains("\"sched_jobs_placed\""),
+        "snapshot must carry the controller and scheduler metrics"
     );
+    for (workers, tag) in [(2, "w2"), (4, "w4")] {
+        assert_eq!(
+            serial,
+            sharded_dump(workers, tag),
+            "workers=1 and workers={workers} must produce byte-identical telemetry"
+        );
+    }
 }
 
 #[test]
@@ -103,8 +117,8 @@ fn analyzer_report_is_identical_across_worker_counts() {
 
 /// Like [`sharded_dump`] but with the full hot-path pipeline armed:
 /// per-tick batching, the deterministic 1-in-3 event sampler and the
-/// tick-phase profiler. Returns the event dump and the non-wall-clock
-/// metric lines of the final snapshot (wall-time histograms are the
+/// tick-phase profiler. Returns the event dump and the final snapshot's
+/// metric lines minus the profiler's (its wall-time histograms are the
 /// one legitimately nondeterministic export).
 fn sharded_dump_full(workers: usize, tag: &str) -> (String, String) {
     let _guard = GLOBAL_PIPELINE.lock().unwrap();
@@ -130,7 +144,7 @@ fn sharded_dump_full(workers: usize, tag: &str) -> (String, String) {
     let metrics: String = snapshot
         .to_jsonl()
         .lines()
-        .filter(|l| !l.contains("\"timer_wall_us\"") && !l.contains("\"profile_phase_wall_us\""))
+        .filter(|l| !l.contains("\"profile_phase_wall_us\""))
         .collect::<Vec<_>>()
         .join("\n");
     (std::fs::read_to_string(&path).expect("read dump"), metrics)
@@ -155,14 +169,14 @@ fn batched_sampled_profiled_dump_is_worker_count_invariant() {
     );
     assert_eq!(
         serial_metrics, parallel_metrics,
-        "merged per-shard metric cells (everything but wall-clock timings) must not \
+        "merged per-shard metric cells (everything but the phase profiler's) must not \
          see worker count"
     );
 }
 
 #[test]
 fn batching_preserves_event_bytes() {
-    let unbatched = sharded_dump(2, "plain-w2");
+    let (unbatched, _) = sharded_dump(2, "plain-w2");
     let (batched, _) = sharded_dump_full(2, "batched-w2");
     // The full pipeline also samples per-server events, so compare the
     // unsampled classes only: batching may never reorder or reformat.

@@ -1,13 +1,15 @@
 //! `repro`'s valued flags: a flag given without its value, or with one
 //! that does not parse, must stop the run with exit code 2 and a
-//! message naming the flag, before any benchmark dump is written.
+//! message naming the flag, before any file is written. So must a run
+//! without a required flag: a benchmark's `--<bench>-out FILE` or
+//! `scenario`'s `--seed S`.
 
 use std::path::Path;
 use std::process::Command;
 
 /// Runs `repro` with `args` in a fresh directory, so a dump written to
-/// the default `BENCH_<bench>.json` would land there; returns the exit
-/// code, stderr and the dump files the run left behind.
+/// a relative `BENCH_<bench>.json` would land there; returns the exit
+/// code, stderr and every file the run left behind.
 fn run_in_empty_dir(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<String>) {
     let dir = std::env::temp_dir().join(format!("repro_flags_{}_{case}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -16,16 +18,16 @@ fn run_in_empty_dir(case: &str, args: &[&str]) -> (Option<i32>, String, Vec<Stri
         .current_dir(&dir)
         .output()
         .expect("run repro");
-    let dumps = dumps_in(&dir);
+    let files = files_in(&dir);
     std::fs::remove_dir_all(&dir).ok();
     (
         out.status.code(),
         String::from_utf8(out.stderr).expect("utf8 stderr"),
-        dumps,
+        files,
     )
 }
 
-fn dumps_in(dir: &Path) -> Vec<String> {
+fn files_in(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)
         .expect("list scratch dir")
         .map(|e| {
@@ -34,20 +36,19 @@ fn dumps_in(dir: &Path) -> Vec<String> {
                 .to_string_lossy()
                 .into_owned()
         })
-        .filter(|name| name.starts_with("BENCH_"))
         .collect()
 }
 
 #[test]
 fn unparseable_flag_value_exits_2_without_a_dump() {
     for (case, flag, value) in [("workers", "--workers", "abc"), ("seed", "--seed", "x")] {
-        let (code, stderr, dumps) = run_in_empty_dir(case, &["sla", "--quick", flag, value]);
+        let (code, stderr, files) = run_in_empty_dir(case, &["sla", "--quick", flag, value]);
         assert_eq!(code, Some(2), "{flag} {value}: stderr:\n{stderr}");
         assert!(
             stderr.contains(flag) && stderr.contains(value),
             "message must name {flag} and {value:?}: {stderr}"
         );
-        assert!(dumps.is_empty(), "{flag} {value} wrote {dumps:?}");
+        assert!(files.is_empty(), "{flag} {value} wrote {files:?}");
     }
 }
 
@@ -70,9 +71,27 @@ fn missing_flag_value_exits_2_without_a_dump() {
             &["sla", "--quick", "--workers"][..],
         ),
     ] {
-        let (code, stderr, dumps) = run_in_empty_dir(case, args);
+        let (code, stderr, files) = run_in_empty_dir(case, args);
         assert_eq!(code, Some(2), "{args:?}: stderr:\n{stderr}");
         assert!(stderr.contains(flag), "message must name {flag}: {stderr}");
-        assert!(dumps.is_empty(), "{args:?} wrote {dumps:?}");
+        assert!(files.is_empty(), "{args:?} wrote {files:?}");
+    }
+}
+
+#[test]
+fn missing_required_flag_exits_2_without_a_file() {
+    for (case, flag, args) in [
+        ("no_out", "--sla-out", &["sla", "--quick"][..]),
+        (
+            "no_out_telemetry",
+            "--sla-out",
+            &["sla", "--quick", "--telemetry", "tel.jsonl"][..],
+        ),
+        ("no_seed", "--seed", &["scenario"][..]),
+    ] {
+        let (code, stderr, files) = run_in_empty_dir(case, args);
+        assert_eq!(code, Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(flag), "message must name {flag}: {stderr}");
+        assert!(files.is_empty(), "{args:?} wrote {files:?}");
     }
 }
