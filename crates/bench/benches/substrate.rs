@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the substrates: scheduler dispatch (including a
-//! saturated backlog that fits nowhere), power
-//! monitoring/aggregation, time-series queries, capping decisions, the
-//! full testbed tick and the interactive latency model. These bound the
-//! simulation's own throughput (simulated minutes per wall-clock
-//! second).
+//! saturated backlog that fits nowhere) and submission onto a growing
+//! backlog, power monitoring/aggregation, time-series queries, capping
+//! decisions, the full testbed tick and the interactive latency model.
+//! These bound the simulation's own throughput (simulated minutes per
+//! wall-clock second).
 
 use ampere_bench::harness::Runner;
 use ampere_cluster::{Cluster, ClusterSpec, JobId, Resources, ServerId};
@@ -86,6 +86,19 @@ fn main() {
     r.bench("dispatch_saturated_backlog_walk_8_servers", || {
         sched.dispatch(&mut cluster, &[])
     });
+
+    // Arrivals onto a growing backlog: a fresh scheduler takes 300-job
+    // batches until 100,000 jobs wait, with no dispatch in between.
+    r.bench_with_setup(
+        "submit_300_job_batches_to_100k_backlog",
+        || (Scheduler::new(Box::new(RandomFit::default()), 1), jobs(300)),
+        |(sched, batch)| {
+            while sched.queue_len() < 100_000 {
+                sched.submit(batch.iter().copied());
+            }
+            sched.queue_len()
+        },
+    );
 
     r.bench_with_setup("cluster_advance_440_servers_5k_jobs", busy_row, |cluster| {
         cluster.advance(SimDuration::MINUTE)

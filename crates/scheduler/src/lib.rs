@@ -43,6 +43,7 @@
 //! ```
 
 pub mod policy;
+mod queue;
 pub mod scheduler;
 pub mod selector;
 

@@ -1,7 +1,7 @@
 //! The scheduler's low level: queueing, candidate tracking, dispatch,
 //! and the freeze/unfreeze interface Ampere controls power through.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::mem;
 
 use ampere_cluster::{Cluster, JobId, Resources, ServerId};
@@ -14,6 +14,7 @@ use ampere_telemetry::{
 use ampere_workload::JobRequest;
 
 use crate::policy::{self, Candidate, PlacementContext, PlacementPolicy};
+use crate::queue::BlockQueue;
 
 /// Counters the evaluation reads after a run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,8 +68,10 @@ struct FreezeRecord {
 /// The low-level scheduler.
 pub struct Scheduler {
     policy: Box<dyn PlacementPolicy>,
-    /// Queued jobs with the dispatch round they were submitted before.
-    queue: VecDeque<(JobRequest, u64)>,
+    /// Queued jobs with the dispatch round they were submitted before,
+    /// in fixed-size blocks: a growing backlog never copies itself, and
+    /// compaction closes a gap from its shorter side.
+    queue: BlockQueue<(JobRequest, u64)>,
     /// Per-dimension minimum demand over the jobs submitted since the
     /// queue was last empty: a lower bound on every queued job, since
     /// removals can only raise the true minimum.
@@ -131,7 +134,7 @@ impl Scheduler {
     ) -> Self {
         Self {
             policy,
-            queue: VecDeque::new(),
+            queue: BlockQueue::new(),
             queue_floor: Resources::ZERO,
             rng: derive_stream(seed, streams::PLACEMENT),
             stats: SchedStats::default(),
@@ -205,21 +208,23 @@ impl Scheduler {
 
     /// Accepts new jobs into the queue.
     pub fn submit(&mut self, jobs: impl IntoIterator<Item = JobRequest>) {
-        let before = self.stats.submitted;
-        for j in jobs {
-            self.stats.submitted += 1;
+        let before = self.queue.len();
+        let round = self.round;
+        // A push onto an empty queue resets the floor.
+        let mut floor = (before > 0).then_some(self.queue_floor);
+        self.queue.extend(jobs.into_iter().map(|j| {
             let d = j.resources;
-            self.queue_floor = if self.queue.is_empty() {
-                d
-            } else {
-                Resources::new(
-                    self.queue_floor.cpu_millis.min(d.cpu_millis),
-                    self.queue_floor.memory_mb.min(d.memory_mb),
-                )
-            };
-            self.queue.push_back((j, self.round));
+            floor = Some(floor.map_or(d, |f| {
+                Resources::new(f.cpu_millis.min(d.cpu_millis), f.memory_mb.min(d.memory_mb))
+            }));
+            (j, round)
+        }));
+        if let Some(floor) = floor {
+            self.queue_floor = floor;
         }
-        self.submitted_counter.inc_by(self.stats.submitted - before);
+        let added = (self.queue.len() - before) as u64;
+        self.stats.submitted += added;
+        self.submitted_counter.inc_by(added);
         self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
     }
 
@@ -379,7 +384,7 @@ impl Scheduler {
         // Where the walk stopped: jobs in `end..budget` stay where they are.
         let mut end = budget;
         for i in 0..budget {
-            let (job, submitted_round) = self.queue[i];
+            let (job, submitted_round) = self.queue.get(i);
             let ctx = PlacementContext {
                 candidates: &candidates,
                 by_row: &by_row,
@@ -422,7 +427,10 @@ impl Scheduler {
                 }
             };
             let Some(idx) = pick else {
-                self.queue[kept] = (job, submitted_round);
+                // Until the first placement every job is already in place.
+                if kept < i {
+                    self.queue.set(kept, (job, submitted_round));
+                }
                 kept += 1;
                 continue;
             };
@@ -440,7 +448,7 @@ impl Scheduler {
             placed.push((job.id, target));
         }
         self.rng.advance(pending_draws);
-        self.queue.drain(kept..end);
+        self.queue.remove_range(kept..end);
         self.cand_scratch = candidates;
         self.by_row_scratch = by_row;
         self.round += 1;

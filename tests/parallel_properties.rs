@@ -319,3 +319,22 @@ fn faulted_fleet_is_invariant() {
     let clean = isolated_run(ShardedTestbedConfig::quick(6, 4, 99)).0;
     assert_ne!(checksum, clean, "fault plan had no effect");
 }
+
+#[test]
+fn deep_backlog_trajectory_is_pinned() {
+    // The `queue_saturated` benchmark fleet over its warm-up and window:
+    // every row's backlog passes the 50,000-job dispatch budget, so this
+    // pins the trajectory of dispatch windows that end early and of
+    // queues tens of thousands of jobs deep.
+    let (checksum, queued) = Capture::standalone().with(|| {
+        let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(6, 1, 42));
+        sharded.run_for(SimDuration::from_mins(250));
+        let queued: usize = (0..sharded.shard_count())
+            .map(|s| sharded.testbed(s).sched().queue_len())
+            .sum();
+        sharded.finish();
+        (sharded.checksum(), queued)
+    });
+    assert_eq!(checksum, 0x572416b5122a65c3);
+    assert_eq!(queued, 459_645);
+}
