@@ -497,12 +497,12 @@ fn scenario(args: &[String]) -> Run {
              max_frozen={} placed={} degraded={} backstop={}",
             s.ticks,
             s.servers,
-            s.violations,
+            s.window.breaker_violations,
             s.min_margin,
             s.max_frozen,
-            s.placed,
-            s.degraded_ticks,
-            s.backstop_ticks
+            s.window.placed,
+            s.window.degraded_ticks,
+            s.window.backstop_ticks
         );
         if outcome.passed() {
             println!("verdict: PASS");
@@ -530,12 +530,12 @@ fn chaos(quick: bool) -> Printer {
                 vec![
                     pct(c.dropout),
                     c.outage_mins.to_string(),
-                    c.violations.to_string(),
+                    c.window.breaker_violations.to_string(),
                     if c.tripped { "YES" } else { "no" }.to_string(),
-                    c.degraded_ticks.to_string(),
-                    c.backstop_ticks.to_string(),
+                    c.window.degraded_ticks.to_string(),
+                    c.window.backstop_ticks.to_string(),
                     c.failovers.to_string(),
-                    f3(c.min_coverage),
+                    f3(c.window.min_coverage),
                     f3(c.throughput_ratio),
                 ]
             })
@@ -580,11 +580,11 @@ fn ablations(quick: bool) -> Printer {
                 .map(|r| {
                     vec![
                         r.setting.clone(),
-                        r.violations.to_string(),
-                        f3(r.u_mean),
+                        r.window.breaker_violations.to_string(),
+                        f3(r.window.u_mean()),
                         format!("{:.0}", r.churn_per_hour),
                         f3(r.r_thru),
-                        f3(r.p_mean),
+                        f3(r.window.p_mean()),
                         f3(r.wait_mean_mins),
                     ]
                 })
@@ -1012,12 +1012,12 @@ fn table3(quick: bool) -> Printer {
                 vec![
                     format!("{}{}", i + 1, if row.case.typical { "*" } else { "" }),
                     format!("{:.2}", row.case.r_o),
-                    f3(row.p_mean),
-                    f3(row.p_max),
-                    f3(row.u_mean),
+                    f3(row.ctl.p_mean()),
+                    f3(row.ctl.p_max),
+                    f3(row.exp.u_mean()),
                     f3(row.r_thru),
                     pct(row.gtpw),
-                    row.violations.to_string(),
+                    row.exp.breaker_violations.to_string(),
                 ]
             })
             .collect();

@@ -16,34 +16,31 @@
 //! - control granularity: row-level vs rack-level budgets (§3.1
 //!   choice #1 — rack-level has less statistical room).
 
-use ampere_cluster::{ClusterSpec, ServerId};
 use ampere_core::{
-    scaled_budget_w, AmpereController, ArPredictor, ControllerConfig, EwmaPredictor,
-    HistoricalPercentile, ParitySplit, PowerChangePredictor,
+    AmpereController, ArPredictor, ControllerConfig, EwmaPredictor, HistoricalPercentile,
+    PowerChangePredictor,
 };
-use ampere_power::CappingConfig;
-use ampere_sched::RandomFit;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
-use crate::calibrate::{DEFAULT_ET, DEFAULT_KR, ET_FLOOR};
-use crate::testbed::{DomainId, DomainSpec, Testbed, TestbedConfig};
+use crate::calibrate::{controller_with, DEFAULT_ET, DEFAULT_KR, ET_FLOOR};
+use crate::fig10::ParityRow;
+use crate::testbed::{DomainId, DomainSpec, DomainTickRecord, Testbed};
+use crate::window::WindowStats;
 
 /// Measured outcome of one ablation run.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Human-readable setting label ("interval=5min", "u_max=0.3", …).
     pub setting: String,
-    /// Controlled-group violations over the window.
-    pub violations: u64,
-    /// Mean freezing ratio (capacity cost).
-    pub u_mean: f64,
+    /// The controlled group's measured window (rack domains merged tick
+    /// by tick): its breaker violations, mean freezing ratio (the
+    /// capacity cost) and mean power normalized to the budget.
+    pub window: WindowStats,
     /// Total freeze + unfreeze actions per hour (churn).
     pub churn_per_hour: f64,
-    /// Throughput ratio vs the uncontrolled twin group.
+    /// Throughput ratio vs the same run's uncontrolled control group.
     pub r_thru: f64,
-    /// Mean controlled-group power normalized to the budget.
-    pub p_mean: f64,
     /// Mean queue wait of placed jobs across the whole pool, in
     /// dispatch rounds (minutes) — the latency cost of making jobs
     /// "wait in the scheduler queue" instead of capping.
@@ -77,49 +74,54 @@ impl Default for AblationConfig {
 /// Runs one parity-split heavy run with the given controller and
 /// returns its ablation metrics.
 fn run_one(config: &AblationConfig, setting: String, controller: AmpereController) -> AblationRow {
-    let (mut tb, exp, ctl) = crate::fig10::parity_testbed(
+    let (tb, exp, ctl) = crate::fig10::parity_testbed(
         RateProfile::heavy_row(),
         config.seed,
         config.r_o,
         Some(controller),
     );
-    tb.run_for(SimDuration::from_mins(config.warmup_mins));
-    let skip = tb.records(exp).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
-    let wait = tb.sched().wait_rounds().mean().unwrap_or(0.0);
-    let e = &tb.records(exp)[skip..];
-    let c = &tb.records(ctl)[skip..];
-    let mut row = summarize(setting, e, c, config.hours);
-    row.wait_mean_mins = wait;
-    row
+    measure(config, setting, tb, &[exp], ctl)
 }
 
-fn summarize(
+/// Runs the measured window and summarizes it: the experiment group's
+/// domains merged tick by tick into one record (a single domain merges
+/// to its own records), against the uncontrolled control group.
+fn measure(
+    config: &AblationConfig,
     setting: String,
-    e: &[crate::testbed::DomainTickRecord],
-    c: &[crate::testbed::DomainTickRecord],
-    hours: u64,
+    mut tb: Testbed,
+    exp: &[DomainId],
+    ctl: DomainId,
 ) -> AblationRow {
-    let n = e.len().max(1) as f64;
-    let thru_e: u64 = e.iter().map(|r| r.placed_jobs).sum();
-    let thru_c: u64 = c.iter().map(|r| r.placed_jobs).sum();
+    tb.run_window(
+        SimDuration::from_mins(config.warmup_mins),
+        SimDuration::from_hours(config.hours),
+    );
+    let slices: Vec<&[DomainTickRecord]> = exp.iter().map(|&d| tb.window(d)).collect();
+    let merged: Vec<DomainTickRecord> = (0..tb.window(ctl).len())
+        .map(|t| {
+            let mut acc = slices[0][t];
+            acc.violation = slices.iter().any(|s| s[t].violation);
+            acc.freezing_ratio =
+                slices.iter().map(|s| s[t].freezing_ratio).sum::<f64>() / slices.len() as f64;
+            acc.power_norm =
+                slices.iter().map(|s| s[t].power_norm).sum::<f64>() / slices.len() as f64;
+            acc.placed_jobs = slices.iter().map(|s| s[t].placed_jobs).sum();
+            acc.froze = slices.iter().map(|s| s[t].froze).sum();
+            acc.unfroze = slices.iter().map(|s| s[t].unfroze).sum();
+            acc
+        })
+        .collect();
+    let budget_w = tb.domain_budget_w(ctl);
+    let e = WindowStats::of(&merged, budget_w);
+    let c = WindowStats::of(tb.window(ctl), budget_w);
     AblationRow {
         setting,
-        violations: e.iter().filter(|r| r.violation).count() as u64,
-        u_mean: e.iter().map(|r| r.freezing_ratio).sum::<f64>() / n,
-        churn_per_hour: e.iter().map(|r| (r.froze + r.unfroze) as f64).sum::<f64>()
-            / hours.max(1) as f64,
-        r_thru: thru_e as f64 / thru_c.max(1) as f64,
-        p_mean: e.iter().map(|r| r.power_norm).sum::<f64>() / n,
-        wait_mean_mins: 0.0,
+        window: e,
+        churn_per_hour: (e.froze + e.unfroze) as f64 / config.hours.max(1) as f64,
+        r_thru: e.placed as f64 / c.placed.max(1) as f64,
+        wait_mean_mins: tb.sched().wait_rounds().mean().unwrap_or(0.0),
     }
-}
-
-fn controller(
-    config: ControllerConfig,
-    predictor: Box<dyn PowerChangePredictor>,
-) -> AmpereController {
-    AmpereController::new(config, predictor)
 }
 
 fn default_config() -> ControllerConfig {
@@ -153,7 +155,7 @@ pub fn control_interval(config: &AblationConfig) -> Vec<AblationRow> {
             run_one(
                 config,
                 format!("interval={mins}min"),
-                controller(cc, flat_et()),
+                AmpereController::new(cc, flat_et()),
             )
         })
         .collect()
@@ -168,7 +170,11 @@ pub fn r_stable(config: &AblationConfig) -> Vec<AblationRow> {
                 r_stable: rs,
                 ..default_config()
             };
-            run_one(config, format!("r_stable={rs}"), controller(cc, flat_et()))
+            run_one(
+                config,
+                format!("r_stable={rs}"),
+                AmpereController::new(cc, flat_et()),
+            )
         })
         .collect()
 }
@@ -182,7 +188,11 @@ pub fn u_max(config: &AblationConfig) -> Vec<AblationRow> {
                 u_max: um,
                 ..default_config()
             };
-            run_one(config, format!("u_max={um}"), controller(cc, flat_et()))
+            run_one(
+                config,
+                format!("u_max={um}"),
+                AmpereController::new(cc, flat_et()),
+            )
         })
         .collect()
 }
@@ -197,7 +207,11 @@ pub fn kr_sensitivity(config: &AblationConfig) -> Vec<AblationRow> {
                 kr,
                 ..default_config()
             };
-            run_one(config, format!("kr={kr}"), controller(cc, flat_et()))
+            run_one(
+                config,
+                format!("kr={kr}"),
+                AmpereController::new(cc, flat_et()),
+            )
         })
         .collect()
 }
@@ -206,10 +220,12 @@ pub fn kr_sensitivity(config: &AblationConfig) -> Vec<AblationRow> {
 /// historical percentile, and the §6 online EWMA / AR(1) extensions.
 pub fn predictors(config: &AblationConfig) -> Vec<AblationRow> {
     // The historical predictor needs a calibration pass.
-    let (mut cal, cal_exp, _) =
-        crate::fig10::parity_testbed(RateProfile::heavy_row(), config.seed, config.r_o, None);
-    cal.run_for(SimDuration::from_hours(config.hours.min(12)));
-    let fitted = crate::calibrate::et_from_records(cal.records(cal_exp));
+    let fitted = crate::calibrate::parity_et(
+        RateProfile::heavy_row(),
+        config.seed,
+        config.r_o,
+        config.hours.min(12),
+    );
 
     let predictors: Vec<(String, Box<dyn PowerChangePredictor>)> = vec![
         ("flat-thin".into(), thin_et()),
@@ -226,7 +242,7 @@ pub fn predictors(config: &AblationConfig) -> Vec<AblationRow> {
     ];
     predictors
         .into_iter()
-        .map(|(name, p)| run_one(config, name, controller(default_config(), p)))
+        .map(|(name, p)| run_one(config, name, controller_with(p)))
         .collect()
 }
 
@@ -238,82 +254,58 @@ pub fn predictors(config: &AblationConfig) -> Vec<AblationRow> {
 pub fn row_vs_rack(config: &AblationConfig) -> Vec<AblationRow> {
     let mut out = Vec::new();
     for (label, per_rack) in [("row-level", false), ("rack-level", true)] {
-        let tb_config = TestbedConfig {
-            spec: ClusterSpec::paper_row(),
-            capping: CappingConfig {
-                enabled: false,
-                ..CappingConfig::default()
-            },
-            policy: Box::new(RandomFit::default()),
-            ..TestbedConfig::paper_row(RateProfile::heavy_row(), config.seed)
-        };
-        let mut tb = Testbed::new(tb_config);
-        let spec = *tb.cluster().spec();
-        let all: Vec<ServerId> = (0..spec.server_count() as u64).map(ServerId::new).collect();
-        let (exp, ctl) = ParitySplit::split(all);
-        let group_rated = exp.len() as f64 * spec.power_model.rated_w;
-        let budget = scaled_budget_w(group_rated, config.r_o);
+        let ParityRow {
+            mut tb,
+            exp,
+            ctl,
+            budget_w,
+        } = ParityRow::new(
+            RateProfile::heavy_row(),
+            config.seed,
+            config.r_o,
+            false,
+            None,
+        );
 
         let mut exp_domains: Vec<DomainId> = Vec::new();
         if per_rack {
             // Eleven rack-sized slices of the experiment group, each
             // with a proportional share of the scaled budget.
-            let racks = spec.racks_per_row;
+            let racks = tb.cluster().spec().racks_per_row;
             let per = exp.len() / racks;
             for chunk in exp.chunks(per) {
-                let share = budget * chunk.len() as f64 / exp.len() as f64;
+                let share = budget_w * chunk.len() as f64 / exp.len() as f64;
                 exp_domains.push(tb.add_domain(DomainSpec {
                     name: format!("rack{}", exp_domains.len()),
                     servers: chunk.to_vec(),
                     budget_w: share,
-                    controller: Some(controller(default_config(), flat_et())),
+                    controller: Some(controller_with(flat_et())),
                     capped: false,
                 }));
             }
         } else {
             exp_domains.push(tb.add_domain(DomainSpec {
                 name: "row".into(),
-                servers: exp.clone(),
-                budget_w: budget,
-                controller: Some(controller(default_config(), flat_et())),
+                servers: exp,
+                budget_w,
+                controller: Some(controller_with(flat_et())),
                 capped: false,
             }));
         }
         let ctl_dom = tb.add_domain(DomainSpec {
             name: "control".into(),
             servers: ctl,
-            budget_w: budget,
+            budget_w,
             controller: None,
             capped: false,
         });
-
-        tb.run_for(SimDuration::from_mins(config.warmup_mins));
-        let skip = tb.records(ctl_dom).len();
-        tb.run_for(SimDuration::from_hours(config.hours));
-
-        // Merge the experiment slices into aggregate metrics.
-        let c = tb.records(ctl_dom)[skip..].to_vec();
-        let slices: Vec<&[crate::testbed::DomainTickRecord]> = exp_domains
-            .iter()
-            .map(|&d| &tb.records(d)[skip..])
-            .collect();
-        let ticks = c.len();
-        let mut merged: Vec<crate::testbed::DomainTickRecord> = Vec::with_capacity(ticks);
-        for t in 0..ticks {
-            let mut acc = slices[0][t];
-            acc.violation = slices.iter().any(|s| s[t].violation);
-            acc.freezing_ratio =
-                slices.iter().map(|s| s[t].freezing_ratio).sum::<f64>() / slices.len() as f64;
-            acc.power_norm =
-                slices.iter().map(|s| s[t].power_norm).sum::<f64>() / slices.len() as f64;
-            acc.placed_jobs = slices.iter().map(|s| s[t].placed_jobs).sum();
-            acc.froze = slices.iter().map(|s| s[t].froze).sum();
-            acc.unfroze = slices.iter().map(|s| s[t].unfroze).sum();
-            merged.push(acc);
-        }
-        let mut row = summarize(label.to_string(), &merged, &c, config.hours);
-        row.wait_mean_mins = tb.sched().wait_rounds().mean().unwrap_or(0.0);
-        out.push(row);
+        out.push(measure(
+            config,
+            label.to_string(),
+            tb,
+            &exp_domains,
+            ctl_dom,
+        ));
     }
     out
 }
@@ -367,10 +359,10 @@ mod tests {
         let fast = &rows[0];
         let slow = &rows[3];
         assert!(
-            slow.violations >= fast.violations,
+            slow.window.breaker_violations >= fast.window.breaker_violations,
             "10-min control should not beat 1-min: {} vs {}",
-            slow.violations,
-            fast.violations
+            slow.window.breaker_violations,
+            fast.window.breaker_violations
         );
     }
 
@@ -379,8 +371,8 @@ mod tests {
         let rows = r_stable(&quick());
         // Paper: "the value of r_stable does not affect the performance
         // much" — violations stay in the same ballpark across settings.
-        let max_v = rows.iter().map(|r| r.violations).max().unwrap();
-        let min_v = rows.iter().map(|r| r.violations).min().unwrap();
+        let violations = rows.iter().map(|r| r.window.breaker_violations);
+        let (max_v, min_v) = (violations.clone().max().unwrap(), violations.min().unwrap());
         assert!(max_v <= min_v + 6, "r_stable changed safety: {rows:?}");
     }
 
@@ -389,21 +381,15 @@ mod tests {
         let rows = u_max(&quick());
         let tight = &rows[0]; // 0.3
         let loose = &rows[3]; // 1.0
-        assert!(tight.violations >= loose.violations);
+        assert!(tight.window.breaker_violations >= loose.window.breaker_violations);
     }
 
     #[test]
     fn rack_control_freezes_more_than_row_control() {
         let rows = row_vs_rack(&quick());
-        let row = &rows[0];
-        let rack = &rows[1];
+        let (row, rack) = (rows[0].window.u_mean(), rows[1].window.u_mean());
         // Less statistical room at rack scale → more freezing for the
         // same demand (the §3.1 argument for row-level control).
-        assert!(
-            rack.u_mean > row.u_mean,
-            "rack u_mean {} !> row u_mean {}",
-            rack.u_mean,
-            row.u_mean
-        );
+        assert!(rack > row, "rack u_mean {rack} !> row u_mean {row}");
     }
 }

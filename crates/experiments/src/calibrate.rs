@@ -7,8 +7,10 @@
 //! constants used when an experiment does not run its own fit.
 
 use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile, PowerChangePredictor};
-use ampere_sim::SimTime;
+use ampere_sim::{SimDuration, SimTime};
+use ampere_workload::RateProfile;
 
+use crate::fig10::parity_testbed;
 use crate::testbed::DomainTickRecord;
 
 /// Default control-model slope in budget-normalized units, at the
@@ -43,6 +45,15 @@ pub fn et_from_records(records: &[DomainTickRecord]) -> HistoricalPercentile {
     HistoricalPercentile::fit(&history, ET_PERCENTILE, DEFAULT_ET).with_floor(ET_FLOOR)
 }
 
+/// Steps 1–2 for a parity experiment: fits the `Et` table from the
+/// experiment group of an uncontrolled parity-split row run for
+/// `hours` under `profile` and `seed`, with budgets scaled by `r_o`.
+pub fn parity_et(profile: RateProfile, seed: u64, r_o: f64, hours: u64) -> HistoricalPercentile {
+    let (mut cal, exp, _) = parity_testbed(profile, seed, r_o, None);
+    cal.run_for(SimDuration::from_hours(hours));
+    et_from_records(cal.records(exp))
+}
+
 /// A controller with the default configuration and the given predictor.
 pub fn controller_with(predictor: Box<dyn PowerChangePredictor>) -> AmpereController {
     AmpereController::new(
@@ -62,25 +73,13 @@ pub fn default_controller() -> AmpereController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_sim::SimDuration;
 
     fn record(min: u64, p: f64) -> DomainTickRecord {
         DomainTickRecord {
             time: SimTime::ZERO + SimDuration::from_mins(min),
             power_w: p * 1_000.0,
             power_norm: p,
-            frozen: 0,
-            freezing_ratio: 0.0,
-            u_target: 0.0,
-            violation: false,
-            capped_servers: 0,
-            mean_freq: 1.0,
-            placed_jobs: 0,
-            froze: 0,
-            unfroze: 0,
-            coverage: 1.0,
-            degraded: false,
-            backstop_armed: false,
+            ..DomainTickRecord::default()
         }
     }
 

@@ -16,16 +16,14 @@
 //!    with? Each cell's placed-job count is normalized against the
 //!    fault-free cell of the same seed.
 
-use ampere_cluster::ServerId;
-use ampere_core::{scaled_budget_w, ParitySplit};
 use ampere_faults::{FaultPlan, OutageWindow};
-use ampere_power::CappingConfig;
-use ampere_sched::RandomFit;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_workload::RateProfile;
 
 use crate::calibrate::{controller_with, et_from_records};
-use crate::testbed::{DomainId, DomainSpec, Testbed, TestbedConfig};
+use crate::fig10::ParityRow;
+use crate::testbed::{DomainId, DomainSpec, Testbed};
+use crate::window::WindowStats;
 
 /// Configuration of the chaos sweep.
 pub struct ChaosConfig {
@@ -90,23 +88,17 @@ pub struct ChaosCell {
     pub dropout: f64,
     /// Controller-outage length injected, in minutes.
     pub outage_mins: u64,
-    /// Breaker violations in the measured window (minutes over budget).
-    pub violations: u64,
+    /// The measured window of the controlled domain: breaker
+    /// violations, degraded and backstop ticks, lowest sample coverage
+    /// and jobs placed.
+    pub window: WindowStats,
     /// Whether the breaker tripped (5 consecutive violations) — the
     /// failure the whole stack exists to prevent.
     pub tripped: bool,
-    /// Ticks the controller spent in degraded mode.
-    pub degraded_ticks: u64,
-    /// Ticks with the watchdog's capping backstop armed.
-    pub backstop_ticks: u64,
     /// Replacement controllers cold-started from the time-series DB.
     pub failovers: u64,
-    /// Lowest per-tick sample coverage seen.
-    pub min_coverage: f64,
-    /// Jobs placed on the controlled domain in the measured window.
-    pub placed: u64,
-    /// `placed` normalized to the fault-free cell (the throughput cost
-    /// of degradation; 1.0 = free).
+    /// `window.placed` normalized to the fault-free cell (the throughput
+    /// cost of degradation; 1.0 = free).
     pub throughput_ratio: f64,
 }
 
@@ -128,36 +120,29 @@ impl ChaosResult {
     }
 }
 
+/// The chaos row: the parity row's experiment group as the one domain,
+/// with RAPL armed so that only the watchdog's backstop can engage it
+/// (which is exactly what the sweep is probing).
 fn faulted_testbed(
     config: &ChaosConfig,
     controller: Option<ampere_core::AmpereController>,
     faults: Option<FaultPlan>,
 ) -> (Testbed, DomainId) {
-    let tb_config = TestbedConfig {
-        capping: CappingConfig {
-            // Not armed up front: only the watchdog backstop may engage
-            // it, which is exactly what the sweep is probing.
-            enabled: true,
-            ..CappingConfig::default()
-        },
-        policy: Box::new(RandomFit::default()),
+    let mut row = ParityRow::new(
+        RateProfile::heavy_row(),
+        config.seed,
+        config.r_o,
+        true,
         faults,
-        ..TestbedConfig::paper_row(RateProfile::heavy_row(), config.seed)
-    };
-    let mut tb = Testbed::new(tb_config);
-    let spec = *tb.cluster().spec();
-    let all: Vec<ServerId> = (0..spec.server_count() as u64).map(ServerId::new).collect();
-    let (exp, _rest) = ParitySplit::split(all);
-    let group_rated = exp.len() as f64 * spec.power_model.rated_w;
-    let budget = scaled_budget_w(group_rated, config.r_o);
-    let dom = tb.add_domain(DomainSpec {
+    );
+    let dom = row.tb.add_domain(DomainSpec {
         name: "chaos".into(),
-        servers: exp,
-        budget_w: budget,
+        servers: row.exp,
+        budget_w: row.budget_w,
         controller,
         capped: false,
     });
-    (tb, dom)
+    (row.tb, dom)
 }
 
 /// Runs one cell of the grid against a pre-fitted `Et` table.
@@ -189,21 +174,17 @@ fn run_cell(
     });
     let controller = controller_with(Box::new(et.clone()));
     let (mut tb, dom) = faulted_testbed(config, Some(controller), plan);
-    tb.run_for(SimDuration::from_mins(config.warmup_mins));
-    let skip = tb.records(dom).len();
-    tb.run_for(SimDuration::from_mins(measured_mins));
+    tb.run_window(
+        SimDuration::from_mins(config.warmup_mins),
+        SimDuration::from_mins(measured_mins),
+    );
 
-    let recs = &tb.records(dom)[skip..];
     ChaosCell {
         dropout,
         outage_mins: outage,
-        violations: recs.iter().filter(|r| r.violation).count() as u64,
+        window: WindowStats::of(tb.window(dom), tb.domain_budget_w(dom)),
         tripped: tb.breaker(dom).tripped_at().is_some(),
-        degraded_ticks: recs.iter().filter(|r| r.degraded).count() as u64,
-        backstop_ticks: recs.iter().filter(|r| r.backstop_armed).count() as u64,
         failovers: tb.failovers(dom),
-        min_coverage: recs.iter().map(|r| r.coverage).fold(1.0, f64::min),
-        placed: recs.iter().map(|r| r.placed_jobs).sum(),
         // Filled in after the whole grid is back: the denominator is
         // the fault-free cell, which may run on any worker.
         throughput_ratio: 1.0,
@@ -242,10 +223,10 @@ pub fn run(config: &ChaosConfig) -> ChaosResult {
     let baseline_placed = cells
         .iter()
         .find(|c| c.dropout == 0.0 && c.outage_mins == 0)
-        .map_or(0, |c| c.placed);
+        .map_or(0, |c| c.window.placed);
     for cell in &mut cells {
         if baseline_placed > 0 {
-            cell.throughput_ratio = cell.placed as f64 / baseline_placed as f64;
+            cell.throughput_ratio = cell.window.placed as f64 / baseline_placed as f64;
         }
     }
     ChaosResult {
@@ -276,11 +257,14 @@ mod tests {
         // The acceptance cell: ≥ 20 % dropout + a 10-minute outage.
         let worst = r.cell(0.25, 10).expect("acceptance cell swept");
         assert!(
-            worst.backstop_ticks > 0,
+            worst.window.backstop_ticks > 0,
             "watchdog never armed the backstop through a 10-minute outage"
         );
         assert_eq!(worst.failovers, 1, "recovery must cold-start exactly once");
-        assert!(worst.min_coverage < 0.9, "dropout not visible in coverage");
+        assert!(
+            worst.window.min_coverage < 0.9,
+            "dropout not visible in coverage"
+        );
     }
 
     #[test]
@@ -305,9 +289,12 @@ mod tests {
         let r = quick();
         let clean = r.cell(0.0, 0).unwrap();
         let noisy = r.cell(0.25, 0).unwrap();
-        assert_eq!(clean.degraded_ticks, 0, "fault-free run must stay nominal");
+        assert_eq!(
+            clean.window.degraded_ticks, 0,
+            "fault-free run must stay nominal"
+        );
         assert_eq!(clean.failovers, 0);
-        assert!(noisy.min_coverage < clean.min_coverage);
+        assert!(noisy.window.min_coverage < clean.window.min_coverage);
     }
 
     #[test]
@@ -316,10 +303,7 @@ mod tests {
         let a = run(&config);
         let b = run(&config);
         for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(x.violations, y.violations);
-            assert_eq!(x.placed, y.placed);
-            assert_eq!(x.degraded_ticks, y.degraded_ticks);
-            assert_eq!(x.backstop_ticks, y.backstop_ticks);
+            assert_eq!(x.window, y.window);
         }
     }
 }

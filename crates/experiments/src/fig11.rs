@@ -120,10 +120,11 @@ pub fn run(config: Fig11Config) -> Fig11Result {
         controller: None,
         capped: true,
     });
-    tb.run_for(SimDuration::from_mins(config.warmup_mins));
-    let skip = tb.records(capped_dom).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
-    let recs = &tb.records(capped_dom)[skip..];
+    tb.run_window(
+        SimDuration::from_mins(config.warmup_mins),
+        SimDuration::from_hours(config.hours),
+    );
+    let recs = tb.window(capped_dom);
 
     // Capping statistics.
     let capped: Vec<_> = recs.iter().filter(|r| r.capped_servers > 0).collect();

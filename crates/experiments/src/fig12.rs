@@ -12,8 +12,10 @@ use ampere_core::ThroughputComparison;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
-use crate::calibrate::{controller_with, et_from_records};
+use crate::calibrate::{controller_with, parity_et};
 use crate::fig10::parity_testbed;
+use crate::testbed::DomainTickRecord;
+use crate::window::WindowStats;
 
 /// Configuration of the Fig 12 reproduction.
 pub struct Fig12Config {
@@ -76,10 +78,12 @@ pub struct Fig12Result {
 /// Runs the reproduction.
 pub fn run(config: Fig12Config) -> Fig12Result {
     // Calibration pass for the Et table.
-    let (mut cal, cal_exp, _) =
-        parity_testbed(config.profile.clone(), config.seed, config.r_o, None);
-    cal.run_for(SimDuration::from_hours(config.calibration_hours));
-    let et = et_from_records(cal.records(cal_exp));
+    let et = parity_et(
+        config.profile.clone(),
+        config.seed,
+        config.r_o,
+        config.calibration_hours,
+    );
     let threshold = {
         use ampere_core::PowerChangePredictor;
         1.0 - et.estimate(ampere_sim::SimTime::from_hours(1))
@@ -88,12 +92,13 @@ pub fn run(config: Fig12Config) -> Fig12Result {
     let controller = controller_with(Box::new(et));
     let (mut tb, exp_dom, ctl_dom) =
         parity_testbed(config.profile, config.seed, config.r_o, Some(controller));
-    tb.run_for(SimDuration::from_mins(config.warmup_mins));
-    let skip = tb.records(exp_dom).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
-
-    let exp_recs = &tb.records(exp_dom)[skip..];
-    let ctl_recs = &tb.records(ctl_dom)[skip..];
+    tb.run_window(
+        SimDuration::from_mins(config.warmup_mins),
+        SimDuration::from_hours(config.hours),
+    );
+    let (exp_recs, ctl_recs) = (tb.window(exp_dom), tb.window(ctl_dom));
+    let budget_w = tb.domain_budget_w(exp_dom);
+    let placed = |recs: &[DomainTickRecord]| WindowStats::of(recs, budget_w).placed;
 
     // The control group is measured against the *unscaled* group rated
     // power here; to compare demand against the experiment group's
@@ -111,26 +116,31 @@ pub fn run(config: Fig12Config) -> Fig12Result {
     let throughput_ratio: Vec<(u64, f64)> = (0..exp_recs.len())
         .map(|i| {
             let lo = i.saturating_sub(w - 1);
-            let e: u64 = exp_recs[lo..=i].iter().map(|r| r.placed_jobs).sum();
-            let c: u64 = ctl_recs[lo..=i].iter().map(|r| r.placed_jobs).sum();
+            let e = placed(&exp_recs[lo..=i]);
+            let c = placed(&ctl_recs[lo..=i]);
             let ratio = if c == 0 { 1.0 } else { e as f64 / c as f64 };
             (i as u64, ratio)
         })
         .collect();
 
     let overall = ThroughputComparison {
-        experiment_jobs: exp_recs.iter().map(|r| r.placed_jobs).sum(),
-        control_jobs: ctl_recs.iter().map(|r| r.placed_jobs).sum(),
+        experiment_jobs: placed(exp_recs),
+        control_jobs: placed(ctl_recs),
     };
-    let boxed_idx: Vec<usize> = ctl_recs
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.power_norm > threshold)
-        .map(|(i, _)| i)
-        .collect();
+    // The boxed period: the ticks where the control group's demand is
+    // above the threshold.
+    let boxed = |recs: &[DomainTickRecord]| {
+        let picked: Vec<DomainTickRecord> = recs
+            .iter()
+            .zip(ctl_recs)
+            .filter(|(_, c)| c.power_norm > threshold)
+            .map(|(r, _)| *r)
+            .collect();
+        placed(&picked)
+    };
     let boxed_period = ThroughputComparison {
-        experiment_jobs: boxed_idx.iter().map(|&i| exp_recs[i].placed_jobs).sum(),
-        control_jobs: boxed_idx.iter().map(|&i| ctl_recs[i].placed_jobs).sum(),
+        experiment_jobs: boxed(exp_recs),
+        control_jobs: boxed(ctl_recs),
     };
 
     Fig12Result {

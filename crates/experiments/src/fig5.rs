@@ -10,11 +10,11 @@
 //! percentile curves.
 
 use ampere_cluster::ServerId;
-use ampere_core::{scaled_budget_w, ControlModel, ParitySplit};
+use ampere_core::ControlModel;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
-use crate::testbed::{DomainSpec, Testbed, TestbedConfig};
+use crate::fig10::ParityRow;
 
 /// Configuration of the Fig 5 reproduction.
 pub struct Fig5Config {
@@ -69,26 +69,10 @@ pub struct Fig5Result {
 
 /// Runs the reproduction.
 pub fn run(config: Fig5Config) -> Fig5Result {
-    let mut tb = Testbed::new(TestbedConfig::paper_row(config.profile, config.seed));
-    let spec = *tb.cluster().spec();
-    let all: Vec<ServerId> = (0..spec.server_count() as u64).map(ServerId::new).collect();
-    let (exp, ctl) = ParitySplit::split(all);
-    let group_rated = exp.len() as f64 * spec.power_model.rated_w;
-    let budget = scaled_budget_w(group_rated, config.r_o);
-    let exp_dom = tb.add_domain(DomainSpec {
-        name: "experiment".into(),
-        servers: exp.clone(),
-        budget_w: budget,
-        controller: None,
-        capped: false,
-    });
-    let ctl_dom = tb.add_domain(DomainSpec {
-        name: "control".into(),
-        servers: ctl,
-        budget_w: budget,
-        controller: None,
-        capped: false,
-    });
+    // Both groups uncontrolled; RAPL stays armed, but no domain is capped.
+    let row = ParityRow::new(config.profile, config.seed, config.r_o, true, None);
+    let exp = row.exp.clone();
+    let (mut tb, exp_dom, ctl_dom) = row.with_groups(None);
 
     // Warm the row to steady state.
     tb.run_for(SimDuration::from_mins(120));

@@ -45,14 +45,12 @@ pub struct Fig8Result {
 pub fn run(config: Fig8Config) -> Fig8Result {
     let mut tb = Testbed::new(TestbedConfig::paper_row(config.profile, config.seed));
     let rows = tb.add_row_domains(1.0).expect("rows registered once");
-    tb.run_for(SimDuration::from_hours(config.warmup_hours));
-    let skip = tb.records(rows[0]).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
+    tb.run_window(
+        SimDuration::from_hours(config.warmup_hours),
+        SimDuration::from_hours(config.hours),
+    );
 
-    let watts: Vec<f64> = tb.records(rows[0])[skip..]
-        .iter()
-        .map(|r| r.power_w)
-        .collect();
+    let watts: Vec<f64> = tb.window(rows[0]).iter().map(|r| r.power_w).collect();
     let max = watts.iter().cloned().fold(f64::MIN, f64::max);
     let series: Vec<(u64, f64)> = watts
         .iter()

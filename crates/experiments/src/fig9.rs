@@ -62,12 +62,14 @@ pub struct Fig9Result {
 pub fn run(config: Fig9Config) -> Fig9Result {
     let mut tb = Testbed::new(TestbedConfig::paper_row(config.profile, config.seed));
     let rows = tb.add_row_domains(1.0).expect("rows registered once");
-    tb.run_for(SimDuration::from_hours(config.warmup_hours));
-    let skip = tb.records(rows[0]).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
+    tb.run_window(
+        SimDuration::from_hours(config.warmup_hours),
+        SimDuration::from_hours(config.hours),
+    );
 
     let budget = tb.rated_row_power_w(ampere_cluster::RowId::new(0));
-    let norm: Vec<f64> = tb.records(rows[0])[skip..]
+    let norm: Vec<f64> = tb
+        .window(rows[0])
         .iter()
         .map(|r| r.power_w / budget)
         .collect();

@@ -36,8 +36,7 @@ use ampere_faults::{FaultInjector, FaultPlan, OutageWindow};
 use ampere_obs::dump::hex;
 use ampere_obs::{HierCellLine, HierRoundLine, HierRun};
 use ampere_par::ShardSet;
-use ampere_power::{hierarchy::PowerNode, CappingConfig, CircuitBreaker};
-use ampere_sched::{FreezePolicy, RandomFit};
+use ampere_power::{hierarchy::PowerNode, CircuitBreaker};
 use ampere_sim::{derive_subseed, rng::streams, Fnv, SimDuration, SimTime};
 use ampere_workload::RateProfile;
 
@@ -45,6 +44,7 @@ use crate::calibrate::default_controller;
 use crate::testbed::{
     digest_records, DomainId, DomainSpec, DomainTickRecord, Testbed, TestbedConfig,
 };
+use crate::window::WindowStats;
 
 /// Configuration of the hierarchical sweep.
 pub struct HierConfig {
@@ -147,12 +147,11 @@ pub struct HierCell {
     pub substation_violations: u64,
     /// Rows whose own breaker tripped.
     pub row_trips: u64,
-    /// Row-level over-budget minutes in the measured window, summed.
-    pub row_violations: u64,
     /// First minute any row exceeded its breaker limit (whole run).
     pub first_row_violation_min: Option<u64>,
-    /// Measured-window ticks where some row's power exceeded its
-    /// currently-applied grant (transient overshoot, not a violation).
+    /// Fleet ticks of the measured window on which some row's power
+    /// exceeded its currently-applied grant (transient overshoot, not a
+    /// violation). A tick counts once however many rows exceed.
     pub row_over_grant_ticks: u64,
     /// Rounds the arbiter was down.
     pub arbiter_down_rounds: u64,
@@ -168,15 +167,11 @@ pub struct HierCell {
     pub pinned_rounds: u64,
     /// Largest passive reserve reported, in watts.
     pub max_reserve_w: f64,
-    /// Lowest per-tick sample coverage across rows.
-    pub min_coverage: f64,
-    /// Ticks with some row's controller degraded (measured window).
-    pub degraded_ticks: u64,
-    /// Ticks with some row's capping backstop armed (measured window).
-    pub backstop_ticks: u64,
-    /// Jobs placed across all rows in the measured window.
-    pub placed: u64,
-    /// `placed` normalized to the clean cell.
+    /// The rows' measured windows as one: breaker violations, degraded
+    /// and backstop ticks (row-ticks, summed over rows), the lowest
+    /// sample coverage and the jobs placed.
+    pub measured: WindowStats,
+    /// `measured.placed` normalized to the clean cell.
     pub throughput_ratio: f64,
     /// Per-row FNV digests over the full tick trajectory (bit-exact;
     /// the currency of the sibling-isolation check).
@@ -232,7 +227,7 @@ impl HierResult {
                 substation_tripped: c.substation_tripped,
                 substation_violations: c.substation_violations,
                 row_trips: c.row_trips,
-                row_violations: c.row_violations,
+                row_violations: c.measured.breaker_violations,
                 row_over_grant_ticks: c.row_over_grant_ticks,
                 arbiter_down_rounds: c.arbiter_down_rounds,
                 grants_lost: c.grants_lost,
@@ -241,10 +236,10 @@ impl HierResult {
                 held_rounds: c.held_rounds,
                 pinned_rounds: c.pinned_rounds,
                 max_reserve_w: c.max_reserve_w,
-                min_coverage: c.min_coverage,
-                degraded_ticks: c.degraded_ticks,
-                backstop_ticks: c.backstop_ticks,
-                placed: c.placed,
+                min_coverage: c.measured.min_coverage,
+                degraded_ticks: c.measured.degraded_ticks,
+                backstop_ticks: c.measured.backstop_ticks,
+                placed: c.measured.placed,
                 throughput_ratio: c.throughput_ratio,
                 trip_explained: substation_trip_explained(c),
                 substation_trip_min: c.substation_trip_min,
@@ -297,11 +292,11 @@ fn classify(recs: &[DomainTickRecord]) -> RowHealth {
     if recs.is_empty() {
         return RowHealth::Healthy;
     }
-    let degraded = recs.iter().filter(|r| r.degraded).count();
-    let min_cov = recs.iter().map(|r| r.coverage).fold(1.0, f64::min);
-    if degraded == recs.len() || recs.iter().any(|r| r.backstop_armed) {
+    // Health reads no budget: nothing here is counted against one.
+    let w = WindowStats::of(recs, f64::INFINITY);
+    if w.degraded_ticks == w.ticks || w.backstop_ticks > 0 {
         RowHealth::Dark
-    } else if degraded > 0 || min_cov < 0.9 {
+    } else if w.degraded_ticks > 0 || w.min_coverage < 0.9 {
         RowHealth::Degraded
     } else {
         RowHealth::Healthy
@@ -327,8 +322,8 @@ struct RowShard {
 
 /// The per-row cluster shape: one row of 4 racks × 10 servers — large
 /// enough that the controller's freezing authority moves row power,
-/// small enough for a CI-sized grid.
-fn row_spec() -> ClusterSpec {
+/// small enough for a CI-sized grid. The SLA comparison's rows share it.
+pub(crate) fn row_spec() -> ClusterSpec {
     ClusterSpec {
         rows: 1,
         racks_per_row: 4,
@@ -403,24 +398,12 @@ fn run_cell(
                 .collect(),
             ..FaultPlan::seeded(sub_seed)
         });
+        // RAPL is armed but backstop-only: the row watchdog may engage
+        // it for a dark controller, exactly as in the chaos sweep.
         let mut tb = Testbed::new(TestbedConfig {
             spec,
-            profile: profile.clone(),
-            seed: sub_seed,
-            tick: SimDuration::MINUTE,
-            measurement_noise: 0.003,
-            capping: CappingConfig {
-                // Backstop-armable only: the row watchdog may
-                // engage capping for a dark controller, exactly
-                // as in the single-row chaos sweep.
-                enabled: true,
-                ..CappingConfig::default()
-            },
-            policy: Box::new(RandomFit::default()),
-            server_classes: None,
-            service_classes: None,
-            freeze_policy: FreezePolicy::Uniform,
             faults,
+            ..TestbedConfig::paper_row(profile.clone(), sub_seed)
         });
         let servers = tb.cluster().row_server_ids(RowId::new(0)).collect();
         let domain = tb.add_domain(DomainSpec {
@@ -552,10 +535,14 @@ fn run_cell(
     set.finish();
     let shards = set.shards();
 
+    // The rows' measured windows, added up in row order. Each row
+    // counts against its own breaker; no fixed budget applies, since
+    // the grants change every round (`row_over_grant_ticks` above).
     let warm = config.warmup_mins as usize;
-    fn measured(s: &RowShard, warm: usize) -> &[DomainTickRecord] {
-        &s.tb.records(s.domain)[warm..]
-    }
+    let measured = WindowStats::of_all(
+        shards.iter().map(|s| &s.tb.records(s.domain)[warm..]),
+        f64::INFINITY,
+    );
     let first_row_violation_min = shards
         .iter()
         .flat_map(|s| {
@@ -576,10 +563,6 @@ fn run_cell(
             .iter()
             .filter(|s| s.tb.breaker(s.domain).tripped_at().is_some())
             .count() as u64,
-        row_violations: shards
-            .iter()
-            .map(|s| measured(s, warm).iter().filter(|r| r.violation).count() as u64)
-            .sum(),
         first_row_violation_min,
         row_over_grant_ticks,
         arbiter_down_rounds: rounds_log
@@ -595,27 +578,7 @@ fn run_cell(
         held_rounds: rounds_log.iter().filter(|r| r.held).count() as u64,
         pinned_rounds: rounds_log.iter().map(|r| r.pinned_rows.len() as u64).sum(),
         max_reserve_w: rounds_log.iter().map(|r| r.reserve_w).fold(0.0, f64::max),
-        min_coverage: shards
-            .iter()
-            .flat_map(|s| measured(s, warm).iter().map(|r| r.coverage))
-            .fold(1.0, f64::min),
-        degraded_ticks: shards
-            .iter()
-            .map(|s| measured(s, warm).iter().filter(|r| r.degraded).count() as u64)
-            .sum(),
-        backstop_ticks: shards
-            .iter()
-            .map(|s| {
-                measured(s, warm)
-                    .iter()
-                    .filter(|r| r.backstop_armed)
-                    .count() as u64
-            })
-            .sum(),
-        placed: shards
-            .iter()
-            .map(|s| measured(s, warm).iter().map(|r| r.placed_jobs).sum::<u64>())
-            .sum(),
+        measured,
         throughput_ratio: 1.0,
         row_checksums: shards
             .iter()
@@ -663,10 +626,10 @@ pub fn run(config: &HierConfig) -> HierResult {
     let baseline_placed = cells
         .iter()
         .find(|c| c.grant_loss == 0.0 && c.outage_mins == 0 && !c.row_fault)
-        .map_or(0, |c| c.placed);
+        .map_or(0, |c| c.measured.placed);
     for cell in &mut cells {
         if baseline_placed > 0 {
-            cell.throughput_ratio = cell.placed as f64 / baseline_placed as f64;
+            cell.throughput_ratio = cell.measured.placed as f64 / baseline_placed as f64;
         }
     }
     HierResult {
@@ -745,7 +708,7 @@ mod tests {
         let clean = r.cell(0.0, 0, false).unwrap();
         assert_ne!(clean.row_checksums[0], faulted.row_checksums[0]);
         assert!(faulted.pinned_rounds > 0, "row fault never pinned row 0");
-        assert!(faulted.min_coverage < 0.9);
+        assert!(faulted.measured.min_coverage < 0.9);
         assert!(faulted.max_reserve_w > 0.0, "pinned surplus not reserved");
     }
 
@@ -861,7 +824,7 @@ mod tests {
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.row_checksums, b.row_checksums);
             assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.placed, b.placed);
+            assert_eq!(a.measured.placed, b.measured.placed);
             assert_eq!(a.substation_violations, b.substation_violations);
         }
     }

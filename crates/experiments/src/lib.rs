@@ -6,7 +6,8 @@
 //! tests assert shape properties on. The [`testbed`] module provides
 //! the shared simulation engine that wires the cluster, scheduler,
 //! workload, power monitor, RAPL capper and Ampere controllers into a
-//! one-minute tick loop.
+//! one-minute tick loop, and [`window`] the one summary of a measured
+//! window of its tick records.
 //!
 //! | Module | Reproduces |
 //! |--------|------------|
@@ -25,6 +26,7 @@
 //! | [`chaos`] | Fault-injection sweep: dropout × outage, breaker safety + throughput cost |
 //! | [`hier`]  | Hierarchical multi-row control: budget arbiter, fault isolation, two-level breakers |
 //! | [`sla`]   | Mixed-fleet SLA comparison: uniform vs selective freezing, client-side p99.9 |
+//! | [`window`] | (shared) The summary of a measured window: breaker violations, over-budget row-ticks, placements |
 
 pub mod ablation;
 pub mod calibrate;
@@ -44,8 +46,10 @@ pub mod hier;
 pub mod sla;
 pub mod table3;
 pub mod testbed;
+pub mod window;
 
 pub use testbed::{
     DomainId, DomainSpec, DomainTickRecord, ShardedTestbed, ShardedTestbedConfig, Testbed,
     TestbedConfig, TestbedError,
 };
+pub use window::WindowStats;

@@ -12,8 +12,9 @@
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
-use crate::calibrate::{controller_with, et_from_records};
+use crate::calibrate::{controller_with, parity_et};
 use crate::fig10::parity_testbed;
+use crate::window::WindowStats;
 
 /// One Table 3 row request: an over-provisioning ratio and a demand
 /// level expressed as a scale on the heavy-row arrival rate.
@@ -131,19 +132,17 @@ pub fn paper_cases() -> Vec<CaseSpec> {
 pub struct Table3Row {
     /// The case that produced this row.
     pub case: CaseSpec,
-    /// Mean control-group power, normalized to the scaled budget (the
-    /// paper's demand indicator, its footnote 2).
-    pub p_mean: f64,
-    /// Max control-group power, normalized likewise (may exceed 1).
-    pub p_max: f64,
-    /// Mean freezing ratio of the experiment group.
-    pub u_mean: f64,
+    /// The experiment group's measured window: its mean freezing ratio
+    /// and its violations.
+    pub exp: WindowStats,
+    /// The control group's window: its mean and peak power, normalized
+    /// to the scaled budget, are the paper's demand indicator (its
+    /// footnote 2; the peak may exceed 1).
+    pub ctl: WindowStats,
     /// Throughput ratio `r_T = thru_E / thru_C`.
     pub r_thru: f64,
     /// The TPW gain `G_TPW = r_T (1 + r_O) − 1`.
     pub gtpw: f64,
-    /// Experiment-group violations over the window.
-    pub violations: u64,
 }
 
 /// The reproduced table.
@@ -176,34 +175,28 @@ pub fn run_case(case: CaseSpec, config: &Table3Config, seed_offset: u64) -> Tabl
     let profile = RateProfile::heavy_row().scaled(case.rate_scale);
     let seed = config.seed + seed_offset;
 
-    let (mut cal, cal_exp, _) = parity_testbed(profile.clone(), seed, case.r_o, None);
-    cal.run_for(SimDuration::from_hours(config.calibration_hours));
-    let et = et_from_records(cal.records(cal_exp));
-
+    let et = parity_et(profile.clone(), seed, case.r_o, config.calibration_hours);
     let controller = controller_with(Box::new(et));
     let (mut tb, exp_dom, ctl_dom) = parity_testbed(profile, seed, case.r_o, Some(controller));
-    tb.run_for(SimDuration::from_mins(config.warmup_mins));
-    let skip = tb.records(exp_dom).len();
-    tb.run_for(SimDuration::from_hours(config.hours));
+    tb.run_window(
+        SimDuration::from_mins(config.warmup_mins),
+        SimDuration::from_hours(config.hours),
+    );
 
-    let exp = &tb.records(exp_dom)[skip..];
-    let ctl = &tb.records(ctl_dom)[skip..];
-    let n = exp.len().max(1) as f64;
-    let thru_e: u64 = exp.iter().map(|r| r.placed_jobs).sum();
-    let thru_c: u64 = ctl.iter().map(|r| r.placed_jobs).sum();
-    let r_thru = if thru_c == 0 {
+    let budget_w = tb.domain_budget_w(exp_dom);
+    let exp = WindowStats::of(tb.window(exp_dom), budget_w);
+    let ctl = WindowStats::of(tb.window(ctl_dom), budget_w);
+    let r_thru = if ctl.placed == 0 {
         1.0
     } else {
-        (thru_e as f64 / thru_c as f64).min(1.0)
+        (exp.placed as f64 / ctl.placed as f64).min(1.0)
     };
     Table3Row {
         case,
-        p_mean: ctl.iter().map(|r| r.power_norm).sum::<f64>() / n,
-        p_max: ctl.iter().map(|r| r.power_norm).fold(0.0, f64::max),
-        u_mean: exp.iter().map(|r| r.freezing_ratio).sum::<f64>() / n,
+        exp,
+        ctl,
         r_thru,
         gtpw: ampere_core::gtpw(r_thru, case.r_o),
-        violations: exp.iter().filter(|r| r.violation).count() as u64,
     }
 }
 
@@ -232,15 +225,19 @@ pub fn run(config: Table3Config) -> Table3Result {
 mod tests {
     use super::*;
 
-    #[test]
-    fn gtpw_degrades_with_demand_at_high_ro() {
-        // Two r_O = 0.25 runs: light demand vs overload.
-        let config = Table3Config {
+    fn quick() -> Table3Config {
+        Table3Config {
             hours: 6,
             warmup_mins: 90,
             calibration_hours: 6,
             ..Table3Config::default()
-        };
+        }
+    }
+
+    #[test]
+    fn gtpw_degrades_with_demand_at_high_ro() {
+        // Two r_O = 0.25 runs: light demand vs overload.
+        let config = quick();
         let light = run_case(
             CaseSpec {
                 r_o: 0.25,
@@ -259,8 +256,8 @@ mod tests {
             &config,
             1,
         );
-        assert!(heavy.p_mean > light.p_mean);
-        assert!(heavy.u_mean > light.u_mean);
+        assert!(heavy.ctl.p_mean() > light.ctl.p_mean());
+        assert!(heavy.exp.u_mean() > light.exp.u_mean());
         assert!(
             heavy.gtpw < light.gtpw,
             "heavy {} !< light {}",
@@ -273,12 +270,7 @@ mod tests {
 
     #[test]
     fn moderate_ro_keeps_full_gain_under_heavy_demand() {
-        let config = Table3Config {
-            hours: 6,
-            warmup_mins: 90,
-            calibration_hours: 6,
-            ..Table3Config::default()
-        };
+        let config = quick();
         let row = run_case(
             CaseSpec {
                 r_o: 0.17,

@@ -41,6 +41,8 @@ use ampere_sim::{
 use ampere_telemetry::{Event, PhaseProfiler, Severity, Telemetry, TickPhase};
 use ampere_workload::{BatchWorkload, RateProfile};
 
+use crate::window::WindowStats;
+
 use std::fmt;
 use std::mem;
 
@@ -99,7 +101,7 @@ pub struct DomainSpec {
 }
 
 /// One per-tick observation of a domain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DomainTickRecord {
     /// Measurement time.
     pub time: SimTime,
@@ -166,6 +168,9 @@ struct DomainState {
     watchdog: TickWatchdog,
     failovers: u64,
     records: Vec<DomainTickRecord>,
+    /// Index of the first record of the measured window (0 until
+    /// [`Testbed::run_window`] discards a warm-up).
+    window_start: usize,
 }
 
 /// Configuration of a testbed run.
@@ -427,6 +432,7 @@ impl Testbed {
             watchdog: TickWatchdog::new(WatchdogConfig::default()),
             failovers: 0,
             records: Vec::new(),
+            window_start: 0,
         });
         Ok(id)
     }
@@ -530,14 +536,10 @@ impl Testbed {
         &self.domains[id].breaker
     }
 
-    /// Total violations recorded for a domain.
-    pub fn violations(&self, id: DomainId) -> u64 {
-        self.domains[id].breaker.violations()
-    }
-
     /// Sum of jobs placed on a domain across all recorded ticks.
     pub fn placed_jobs(&self, id: DomainId) -> u64 {
-        self.domains[id].records.iter().map(|r| r.placed_jobs).sum()
+        let d = &self.domains[id];
+        WindowStats::of(&d.records, d.budget_w).placed
     }
 
     /// Whether the domain's capping backstop is currently armed by the
@@ -632,6 +634,25 @@ impl Testbed {
         for _ in 0..ticks {
             self.step();
         }
+    }
+
+    /// Runs `warmup`, discards it, then runs the measured `window`:
+    /// from here on [`Testbed::window`] returns each domain's records
+    /// from the end of the warm-up.
+    pub fn run_window(&mut self, warmup: SimDuration, window: SimDuration) {
+        self.run_for(warmup);
+        for d in &mut self.domains {
+            d.window_start = d.records.len();
+        }
+        self.run_for(window);
+    }
+
+    /// A domain's records in the measured window: every record since
+    /// the last [`Testbed::run_window`] discarded its warm-up, or all of
+    /// them if none did.
+    pub fn window(&self, id: DomainId) -> &[DomainTickRecord] {
+        let d = &self.domains[id];
+        &d.records[d.window_start..]
     }
 
     /// Executes one tick.
@@ -1231,19 +1252,11 @@ mod tests {
     fn quick_config(profile: RateProfile) -> TestbedConfig {
         TestbedConfig {
             spec: ClusterSpec::tiny(),
-            profile: profile.scaled(16.0 / 440.0),
-            seed: 1,
-            tick: SimDuration::MINUTE,
-            measurement_noise: 0.003,
             capping: CappingConfig {
                 enabled: false,
                 ..CappingConfig::default()
             },
-            policy: Box::new(RandomFit::default()),
-            server_classes: None,
-            service_classes: None,
-            freeze_policy: FreezePolicy::Uniform,
-            faults: None,
+            ..TestbedConfig::paper_row(profile.scaled(16.0 / 440.0), 1)
         }
     }
 

@@ -34,9 +34,10 @@ dump_line! {
         substation_violations: u64,
         /// Rows whose own breaker tripped.
         row_trips: u64,
-        /// Row-level over-budget minutes in the measured window.
+        /// Row breaker violations in the measured window, summed over
+        /// rows (row-ticks).
         row_violations: u64,
-        /// Ticks some row ran above its granted budget.
+        /// Fleet ticks on which some row ran above its granted budget.
         row_over_grant_ticks: u64,
         /// Rounds the arbiter was down.
         arbiter_down_rounds: u64,
@@ -54,9 +55,9 @@ dump_line! {
         max_reserve_w: f64 => 3,
         /// Lowest monitoring coverage any row saw.
         min_coverage: f64 => 6,
-        /// Ticks some row ran degraded.
+        /// Row-ticks a row's controller ran degraded.
         degraded_ticks: u64,
-        /// Ticks the capping backstop was armed.
+        /// Row-ticks a row's capping backstop was armed.
         backstop_ticks: u64,
         /// Jobs placed.
         placed: u64,

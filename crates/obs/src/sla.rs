@@ -31,7 +31,8 @@ dump_line! {
         peak_power_w: f64 => 3,
         /// Mean fleet power over the measured window, in watts.
         mean_power_w: f64 => 3,
-        /// Measured ticks where some row exceeded its control budget.
+        /// Measured row-ticks over the control budget, summed over rows:
+        /// a tick on which two rows exceed counts twice.
         over_budget_ticks: u64,
         /// Jobs placed across the fleet in the measured window.
         placed: u64,

@@ -11,9 +11,8 @@
 use ampere_arbiter::{ArbiterConfig, BudgetArbiter, RowHealth};
 use ampere_cluster::{RowId, ServiceClass};
 use ampere_experiments::testbed::{DomainTickRecord, Testbed, TestbedConfig};
-use ampere_experiments::DomainSpec;
-use ampere_power::CappingConfig;
-use ampere_sched::{FreezePolicy, RandomFit};
+use ampere_experiments::{DomainSpec, WindowStats};
+use ampere_sched::FreezePolicy;
 use ampere_sim::{Fnv, SimDuration};
 use ampere_telemetry::fanin::{replay_into, Capture};
 use ampere_telemetry::Event;
@@ -93,19 +92,14 @@ pub struct RunStats {
     pub ticks: u64,
     /// Fleet size.
     pub servers: usize,
-    /// Breaker violation minutes summed over domains.
-    pub violations: u64,
+    /// The domains' records as one window: breaker violations,
+    /// degraded and backstop ticks (domain-ticks) and jobs placed.
+    pub window: WindowStats,
     /// Smallest normalized breaker headroom seen on any domain tick:
     /// `1 − power/budget` (negative while over budget).
     pub min_margin: f64,
     /// Largest frozen-server count seen fleet-wide in one tick.
     pub max_frozen: usize,
-    /// Jobs placed across the run.
-    pub placed: u64,
-    /// Ticks any controller spent degraded.
-    pub degraded_ticks: u64,
-    /// Ticks any backstop was armed.
-    pub backstop_ticks: u64,
 }
 
 /// The verdict on one scenario.
@@ -241,20 +235,11 @@ fn simulate(
     bug: Option<InjectedBug>,
 ) -> (Vec<Vec<DomainTickRecord>>, Vec<f64>) {
     let spec = scenario.cluster_spec();
+    // RAPL is present but not armed up front: only the watchdog
+    // backstop may engage it (the §3.2 last line of defense).
     let config = TestbedConfig {
         spec,
-        profile: scenario.profile(),
-        seed: scenario.seed,
         tick: scenario.tick(),
-        measurement_noise: 0.003,
-        capping: CappingConfig {
-            // Present but not armed up front: only the watchdog
-            // backstop may engage it (the §3.2 last line of defense).
-            enabled: true,
-            ..CappingConfig::default()
-        },
-        policy: Box::new(RandomFit::default()),
-        server_classes: None,
         service_classes: scenario.service_classes(),
         freeze_policy: if scenario.service_mix.is_some() {
             FreezePolicy::Selective
@@ -262,6 +247,7 @@ fn simulate(
             FreezePolicy::Uniform
         },
         faults: scenario.fault_plan(),
+        ..TestbedConfig::paper_row(scenario.profile(), scenario.seed)
     };
     let mut tb = Testbed::new(config);
     if bug == Some(InjectedBug::SlaOrderingInversion) {
@@ -676,9 +662,9 @@ pub fn provably_quiet(scenario: &Scenario, stats: &RunStats) -> bool {
     // the quiet proof rests on does not hold under arbitration.
     scenario.budget.is_none()
         && scenario.faults.is_noop()
-        && stats.violations == 0
-        && stats.degraded_ticks == 0
-        && stats.backstop_ticks == 0
+        && stats.window.breaker_violations == 0
+        && stats.window.degraded_ticks == 0
+        && stats.window.backstop_ticks == 0
         && stats.min_margin >= scenario.control.et + DEFAULT_HEADROOM_MIN + QUIET_MARGIN_SLACK
 }
 
@@ -713,39 +699,23 @@ fn alert_quiet(scenario: &Scenario, run: &RawRun, stats: &RunStats) -> Vec<Viola
 
 fn stats_of(scenario: &Scenario, run: &RawRun) -> RunStats {
     let budget_w = scenario.domain_budget_w();
-    let mut violations = 0;
-    let mut min_margin = f64::INFINITY;
-    let mut max_frozen = 0;
-    let mut placed = 0;
-    let mut degraded_ticks = 0;
-    let mut backstop_ticks = 0;
     let ticks = run.records.first().map_or(0, |r| r.len() as u64);
-    for t in 0..ticks as usize {
-        let frozen: usize = run.records.iter().map(|rs| rs[t].frozen).sum();
-        max_frozen = max_frozen.max(frozen);
-    }
-    for records in &run.records {
-        for r in records {
-            violations += u64::from(r.violation);
-            min_margin = min_margin.min(1.0 - r.power_w / budget_w);
-            placed += r.placed_jobs;
-            degraded_ticks += u64::from(r.degraded);
-            backstop_ticks += u64::from(r.backstop_armed);
-        }
-    }
+    let max_frozen = (0..ticks as usize)
+        .map(|t| run.records.iter().map(|rs| rs[t].frozen).sum())
+        .max()
+        .unwrap_or(0);
+    let w = WindowStats::of_all(run.records.iter().map(Vec::as_slice), budget_w);
     RunStats {
         ticks,
         servers: scenario.server_count(),
-        violations,
-        min_margin: if min_margin.is_finite() {
-            min_margin
-        } else {
+        // The margin of the peak tick; 1.0 when nothing was measured.
+        min_margin: if w.ticks == 0 {
             1.0
+        } else {
+            1.0 - w.peak_w / budget_w
         },
         max_frozen,
-        placed,
-        degraded_ticks,
-        backstop_ticks,
+        window: w,
     }
 }
 

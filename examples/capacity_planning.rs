@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release --example capacity_planning [rate_scale]`
 
-use ampere_experiments::calibrate::{controller_with, et_from_records, DEFAULT_ET};
+use ampere_experiments::calibrate::{controller_with, parity_et};
 use ampere_experiments::fig10::parity_testbed;
+use ampere_experiments::WindowStats;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
@@ -24,32 +25,22 @@ fn main() {
     let mut best: Option<(f64, f64)> = None;
     for r_o in [0.13, 0.17, 0.21, 0.25, 0.29] {
         // Calibrate Et for this budget scaling, then run controlled.
-        let (mut cal, cal_exp, _) = parity_testbed(profile.clone(), 77, r_o, None);
-        cal.run_for(SimDuration::from_hours(6));
-        let et = et_from_records(cal.records(cal_exp));
-        let _ = DEFAULT_ET;
-
+        let et = parity_et(profile.clone(), 77, r_o, 6);
         let (mut tb, exp, ctl) = parity_testbed(
             profile.clone(),
             77,
             r_o,
             Some(controller_with(Box::new(et))),
         );
-        tb.run_for(SimDuration::from_mins(90));
-        let skip = tb.records(exp).len();
-        tb.run_for(SimDuration::from_hours(8));
+        tb.run_window(SimDuration::from_mins(90), SimDuration::from_hours(8));
 
-        let e = &tb.records(exp)[skip..];
-        let c = &tb.records(ctl)[skip..];
-        let n = e.len() as f64;
-        let p_mean = c.iter().map(|r| r.power_norm).sum::<f64>() / n;
-        let p_max = c.iter().map(|r| r.power_norm).fold(0.0f64, f64::max);
-        let u_mean = e.iter().map(|r| r.freezing_ratio).sum::<f64>() / n;
-        let thru_e: u64 = e.iter().map(|r| r.placed_jobs).sum();
-        let thru_c: u64 = c.iter().map(|r| r.placed_jobs).sum();
-        let r_t = (thru_e as f64 / thru_c.max(1) as f64).min(1.0);
+        let budget_w = tb.domain_budget_w(exp);
+        let e = WindowStats::of(tb.window(exp), budget_w);
+        let c = WindowStats::of(tb.window(ctl), budget_w);
+        let (p_mean, p_max, u_mean) = (c.p_mean(), c.p_max, e.u_mean());
+        let r_t = (e.placed as f64 / c.placed.max(1) as f64).min(1.0);
         let gtpw = ampere_core::gtpw(r_t, r_o);
-        let violations = e.iter().filter(|r| r.violation).count();
+        let violations = e.breaker_violations;
         println!(
             "  {r_o:.2}  {p_mean:6.3}  {p_max:6.3}  {u_mean:6.3}  {r_t:5.3}  {:6.1}%  {violations:6}",
             gtpw * 100.0

@@ -31,12 +31,12 @@ fn main() {
             "{:>6.0}%  {:>5}m  {:>10}  {:>7}  {:>8}  {:>8}  {:>9}  {:>7.2}  {:>6.3}",
             c.dropout * 100.0,
             c.outage_mins,
-            c.violations,
+            c.window.breaker_violations,
             if c.tripped { "YES" } else { "no" },
-            c.degraded_ticks,
-            c.backstop_ticks,
+            c.window.degraded_ticks,
+            c.window.backstop_ticks,
             c.failovers,
-            c.min_coverage,
+            c.window.min_coverage,
             c.throughput_ratio,
         );
     }
@@ -57,7 +57,7 @@ fn main() {
          baseline throughput.",
         worst_cell.dropout * 100.0,
         worst_cell.outage_mins,
-        worst_cell.backstop_ticks,
+        worst_cell.window.backstop_ticks,
         worst_cell.failovers,
         cost.max(0.0),
     );

@@ -16,7 +16,7 @@ use std::time::Instant;
 use ampere_cluster::{ClusterSpec, RowId};
 use ampere_core::{scaled_budget_w, CostModel};
 use ampere_experiments::calibrate::default_controller;
-use ampere_experiments::{DomainSpec, Testbed, TestbedConfig};
+use ampere_experiments::{DomainSpec, Testbed, TestbedConfig, WindowStats};
 use ampere_power::CappingConfig;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
@@ -74,18 +74,9 @@ fn main() {
     tb.run_for(SimDuration::from_hours(hours));
     let wall = start.elapsed();
 
-    let mut violations = 0usize;
-    let mut u_sum = 0.0;
-    let mut p_max = 0.0f64;
-    let mut ticks = 0usize;
-    for &d in &domains {
-        for r in tb.records(d) {
-            violations += r.violation as usize;
-            u_sum += r.freezing_ratio;
-            p_max = p_max.max(r.power_norm);
-            ticks += 1;
-        }
-    }
+    let windows = domains.iter().map(|&d| tb.records(d));
+    let w = WindowStats::of_all(windows, tb.domain_budget_w(domains[0]));
+    let (violations, ticks) = (w.breaker_violations, w.ticks);
     let stats = tb.sched().stats();
     println!(
         "jobs submitted: {}  placed: {}  completed: {}",
@@ -93,8 +84,8 @@ fn main() {
     );
     println!(
         "fleet control: violations={violations} / {ticks} row-minutes; mean u={:.3}; worst row P={:.3}",
-        u_sum / ticks as f64,
-        p_max
+        w.u_mean(),
+        w.p_max
     );
 
     let sim_minutes = (hours * 60) as f64;

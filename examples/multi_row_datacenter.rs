@@ -15,7 +15,7 @@
 use ampere_cluster::{ClusterSpec, RowId};
 use ampere_core::scaled_budget_w;
 use ampere_experiments::calibrate::default_controller;
-use ampere_experiments::{DomainSpec, Testbed, TestbedConfig};
+use ampere_experiments::{DomainSpec, Testbed, TestbedConfig, WindowStats};
 use ampere_power::CappingConfig;
 use ampere_sched::{PlacementPolicy, PowerSpread, RandomFit};
 use ampere_sim::SimDuration;
@@ -63,16 +63,12 @@ fn run_with(policy: Box<dyn PlacementPolicy>, label: &str) -> Vec<f64> {
     println!("policy = {label}");
     let mut u_means = Vec::new();
     for (r, &d) in domains.iter().enumerate() {
-        let recs = tb.records(d);
-        let n = recs.len() as f64;
-        let p_mean = recs.iter().map(|x| x.power_norm).sum::<f64>() / n;
-        let u_mean = recs.iter().map(|x| x.freezing_ratio).sum::<f64>() / n;
-        let viol = recs.iter().filter(|x| x.violation).count();
+        let w = WindowStats::of(tb.records(d), tb.domain_budget_w(d));
+        let (p_mean, u_mean, viol) = (w.p_mean(), w.u_mean(), w.breaker_violations);
         println!(
             "  row{r} (r_O={:.2}): P_mean={p_mean:.3} u_mean={u_mean:.3} \
              violations={viol} jobs={}",
-            ROW_RO[r],
-            tb.placed_jobs(d)
+            ROW_RO[r], w.placed
         );
         u_means.push(u_mean);
     }

@@ -10,6 +10,7 @@
 
 use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile};
 use ampere_experiments::fig10::parity_testbed;
+use ampere_experiments::WindowStats;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
@@ -36,22 +37,15 @@ fn main() {
     // 3. Warm the row to steady state, then run four hours of
     //    simulated production workload.
     println!("running 4 hours of heavy workload on 440 servers…");
-    tb.run_for(SimDuration::from_hours(1));
-    let skip = tb.records(exp).len();
-    tb.run_for(SimDuration::from_hours(4));
+    tb.run_window(SimDuration::from_hours(1), SimDuration::from_hours(4));
 
     // 4. Report.
-    let stats = |recs: &[ampere_experiments::DomainTickRecord]| {
-        let recs = &recs[skip..];
-        let n = recs.len() as f64;
-        let p_mean = recs.iter().map(|r| r.power_norm).sum::<f64>() / n;
-        let p_max = recs.iter().map(|r| r.power_norm).fold(0.0f64, f64::max);
-        let u_mean = recs.iter().map(|r| r.freezing_ratio).sum::<f64>() / n;
-        let violations = recs.iter().filter(|r| r.violation).count();
-        (p_mean, p_max, u_mean, violations)
+    let stats = |d| {
+        let w = WindowStats::of(tb.window(d), tb.domain_budget_w(d));
+        (w.p_mean(), w.p_max, w.u_mean(), w.breaker_violations)
     };
-    let (ep, epm, eu, ev) = stats(tb.records(exp));
-    let (cp, cpm, _, cv) = stats(tb.records(ctl));
+    let (ep, epm, eu, ev) = stats(exp);
+    let (cp, cpm, _, cv) = stats(ctl);
 
     println!("\n                    controlled   uncontrolled");
     println!("mean power / budget   {ep:10.3}   {cp:12.3}");

@@ -4,8 +4,9 @@
 //! controller.
 
 use ampere_core::PowerChangePredictor;
-use ampere_experiments::calibrate::et_from_records;
+use ampere_experiments::calibrate::{controller_with, et_from_records};
 use ampere_experiments::fig10::parity_testbed;
+use ampere_experiments::WindowStats;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_stats::pearson;
 use ampere_workload::RateProfile;
@@ -86,17 +87,9 @@ fn fig5_fit_feeds_a_working_controller() {
         Box::new(ampere_core::HistoricalPercentile::flat(0.03)),
     );
     let (mut tb, exp, ctl) = parity_testbed(RateProfile::heavy_row(), 314, 0.25, Some(controller));
-    tb.run_for(SimDuration::from_mins(90));
-    let skip = tb.records(exp).len();
-    tb.run_for(SimDuration::from_hours(4));
-    let exp_viol = tb.records(exp)[skip..]
-        .iter()
-        .filter(|r| r.violation)
-        .count();
-    let ctl_viol = tb.records(ctl)[skip..]
-        .iter()
-        .filter(|r| r.violation)
-        .count();
+    tb.run_window(SimDuration::from_mins(90), SimDuration::from_hours(4));
+    let viol = |d| WindowStats::of(tb.window(d), tb.domain_budget_w(d)).breaker_violations;
+    let (exp_viol, ctl_viol) = (viol(exp), viol(ctl));
     assert!(
         exp_viol * 5 <= ctl_viol.max(1),
         "fitted controller ineffective: {exp_viol} vs {ctl_viol}"
@@ -113,26 +106,12 @@ fn online_predictors_also_control() {
     ];
     for predictor in predictors {
         let name = predictor.name();
-        let controller = ampere_core::AmpereController::new(
-            ampere_core::ControllerConfig {
-                kr: 0.05,
-                ..ampere_core::ControllerConfig::default()
-            },
-            predictor,
-        );
+        let controller = controller_with(predictor);
         let (mut tb, exp, ctl) =
             parity_testbed(RateProfile::heavy_row(), 271, 0.25, Some(controller));
-        tb.run_for(SimDuration::from_mins(90));
-        let skip = tb.records(exp).len();
-        tb.run_for(SimDuration::from_hours(4));
-        let exp_viol = tb.records(exp)[skip..]
-            .iter()
-            .filter(|r| r.violation)
-            .count();
-        let ctl_viol = tb.records(ctl)[skip..]
-            .iter()
-            .filter(|r| r.violation)
-            .count();
+        tb.run_window(SimDuration::from_mins(90), SimDuration::from_hours(4));
+        let viol = |d| WindowStats::of(tb.window(d), tb.domain_budget_w(d)).breaker_violations;
+        let (exp_viol, ctl_viol) = (viol(exp), viol(ctl));
         assert!(
             ctl_viol > 0,
             "{name}: no uncontrolled violations to prevent"

@@ -4,39 +4,31 @@
 //! paper claims.
 
 use ampere_cluster::ServerId;
-use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile};
+use ampere_experiments::calibrate::default_controller;
 use ampere_experiments::fig10::parity_testbed;
-use ampere_experiments::{DomainSpec, Testbed, TestbedConfig};
+use ampere_experiments::{DomainId, DomainSpec, Testbed, TestbedConfig, WindowStats};
 use ampere_power::monitor::SeriesKey;
 use ampere_power::CappingConfig;
 use ampere_sched::RandomFit;
 use ampere_sim::SimDuration;
 use ampere_workload::RateProfile;
 
-fn controller() -> AmpereController {
-    AmpereController::new(
-        ControllerConfig {
-            kr: 0.05,
-            ..ControllerConfig::default()
-        },
-        Box::new(HistoricalPercentile::flat(0.03)),
-    )
+/// The summary of a domain's measured window, against its own budget.
+fn window(tb: &Testbed, d: DomainId) -> WindowStats {
+    WindowStats::of(tb.window(d), tb.domain_budget_w(d))
 }
 
 #[test]
 fn controlled_run_reduces_violations_end_to_end() {
-    let (mut tb, exp, ctl) = parity_testbed(RateProfile::heavy_row(), 99, 0.25, Some(controller()));
-    tb.run_for(SimDuration::from_mins(90));
-    let skip = tb.records(exp).len();
-    tb.run_for(SimDuration::from_hours(6));
-    let exp_viol = tb.records(exp)[skip..]
-        .iter()
-        .filter(|r| r.violation)
-        .count();
-    let ctl_viol = tb.records(ctl)[skip..]
-        .iter()
-        .filter(|r| r.violation)
-        .count();
+    let (mut tb, exp, ctl) = parity_testbed(
+        RateProfile::heavy_row(),
+        99,
+        0.25,
+        Some(default_controller()),
+    );
+    tb.run_window(SimDuration::from_mins(90), SimDuration::from_hours(6));
+    let exp_viol = window(&tb, exp).breaker_violations;
+    let ctl_viol = window(&tb, ctl).breaker_violations;
     assert!(ctl_viol >= 20, "uncontrolled violations = {ctl_viol}");
     assert!(
         exp_viol * 10 <= ctl_viol,
@@ -49,7 +41,12 @@ fn controlled_run_reduces_violations_end_to_end() {
 
 #[test]
 fn frozen_servers_never_receive_new_jobs_but_keep_running_ones() {
-    let (mut tb, exp, _) = parity_testbed(RateProfile::heavy_row(), 5, 0.25, Some(controller()));
+    let (mut tb, exp, _) = parity_testbed(
+        RateProfile::heavy_row(),
+        5,
+        0.25,
+        Some(default_controller()),
+    );
     tb.run_for(SimDuration::from_hours(2));
     // Find a currently frozen server with running jobs.
     let frozen: Vec<ServerId> = (0..tb.cluster().server_count() as u64)
@@ -76,8 +73,12 @@ fn frozen_servers_never_receive_new_jobs_but_keep_running_ones() {
 #[test]
 fn same_seed_same_trajectory() {
     let run = |seed: u64| {
-        let (mut tb, exp, _) =
-            parity_testbed(RateProfile::heavy_row(), seed, 0.25, Some(controller()));
+        let (mut tb, exp, _) = parity_testbed(
+            RateProfile::heavy_row(),
+            seed,
+            0.25,
+            Some(default_controller()),
+        );
         tb.run_for(SimDuration::from_hours(2));
         tb.records(exp)
             .iter()
@@ -129,10 +130,8 @@ fn capping_respects_budget_but_slows_throughput() {
             controller: None,
             capped,
         });
-        tb.run_for(SimDuration::from_hours(4));
-        let recs = &tb.records(d)[60..];
-        let p_max = recs.iter().map(|r| r.power_norm).fold(0.0f64, f64::max);
-        (p_max, tb.sched().stats().completed)
+        tb.run_window(SimDuration::from_mins(60), SimDuration::from_hours(3));
+        (window(&tb, d).p_max, tb.sched().stats().completed)
     };
     let (capped_pmax, capped_done) = run(true);
     let (free_pmax, free_done) = run(false);
@@ -150,8 +149,12 @@ fn long_run_conserves_jobs_and_resources() {
     // job must be accounted for (completed, running, or queued), and
     // resource books must balance at the end — no leaks across two
     // million scheduling decisions.
-    let (mut tb, _exp, _ctl) =
-        parity_testbed(RateProfile::heavy_row(), 31, 0.25, Some(controller()));
+    let (mut tb, _exp, _ctl) = parity_testbed(
+        RateProfile::heavy_row(),
+        31,
+        0.25,
+        Some(default_controller()),
+    );
     tb.run_for(SimDuration::from_hours(12));
     let stats = tb.sched().stats();
     let running: usize = tb.cluster().iter().map(|s| s.job_count()).sum();
@@ -213,19 +216,21 @@ fn heterogeneous_fleet_is_controlled_too() {
         name: "hetero-row".into(),
         servers,
         budget_w: budget,
-        controller: Some(controller()),
+        controller: Some(default_controller()),
         capped: false,
     });
-    tb.run_for(SimDuration::from_hours(4));
-    let recs = &tb.records(d)[60..];
-    let viol = recs.iter().filter(|r| r.violation).count();
-    let u_max = recs.iter().map(|r| r.freezing_ratio).fold(0.0f64, f64::max);
+    tb.run_window(SimDuration::from_mins(60), SimDuration::from_hours(3));
+    let w = window(&tb, d);
+    let viol = w.breaker_violations;
     // The row saw enough demand to exercise control, and control held.
-    assert!(u_max > 0.0, "no control activity on the heterogeneous row");
     assert!(
-        viol <= recs.len() / 20,
+        w.u_max > 0.0,
+        "no control activity on the heterogeneous row"
+    );
+    assert!(
+        viol <= w.ticks / 20,
         "{viol} violations in {} minutes",
-        recs.len()
+        w.ticks
     );
 }
 
@@ -238,20 +243,19 @@ fn controller_failover_is_seamless() {
     // frozen set lives in the cluster, so the replacement inherits it
     // through its next reading sweep.
     let run = |fail_over: bool| {
-        let (mut tb, exp, _ctl) =
-            parity_testbed(RateProfile::heavy_row(), 2024, 0.25, Some(controller()));
-        tb.run_for(SimDuration::from_mins(90));
-        let skip = tb.records(exp).len();
-        tb.run_for(SimDuration::from_hours(2));
+        let (mut tb, exp, _ctl) = parity_testbed(
+            RateProfile::heavy_row(),
+            2024,
+            0.25,
+            Some(default_controller()),
+        );
+        tb.run_window(SimDuration::from_mins(90), SimDuration::from_hours(2));
         if fail_over {
-            tb.set_controller(exp, Some(controller()));
+            tb.set_controller(exp, Some(default_controller()));
         }
         tb.run_for(SimDuration::from_hours(2));
-        let recs = &tb.records(exp)[skip..];
-        (
-            recs.iter().filter(|r| r.violation).count(),
-            recs.iter().map(|r| r.freezing_ratio).sum::<f64>() / recs.len() as f64,
-        )
+        let w = window(&tb, exp);
+        (w.breaker_violations, w.u_mean())
     };
     let (viol_stable, u_stable) = run(false);
     let (viol_failover, u_failover) = run(true);
@@ -302,18 +306,18 @@ fn scheduler_policies_all_work_under_control() {
             name: name.into(),
             servers,
             budget_w: budget,
-            controller: Some(controller()),
+            controller: Some(default_controller()),
             capped: false,
         });
-        tb.run_for(SimDuration::from_hours(3));
-        let recs = &tb.records(d)[60..];
-        let viol = recs.iter().filter(|r| r.violation).count();
+        tb.run_window(SimDuration::from_mins(60), SimDuration::from_hours(2));
+        let w = window(&tb, d);
+        let viol = w.breaker_violations;
         let placed = tb.sched().stats().placed;
         assert!(placed > 10_000, "{name}: placed only {placed}");
         assert!(
-            viol <= recs.len() / 20,
+            viol <= w.ticks / 20,
             "{name}: {viol} violations in {} minutes",
-            recs.len()
+            w.ticks
         );
     }
 }
