@@ -1,17 +1,17 @@
-//! The per-minute Ampere control loop (§3.5).
+//! The per-minute Ampere control decision (§3.5).
 //!
-//! Each [`ControlDomain`] — a physical row, or a virtual group in a
-//! §4.1.2 controlled experiment — gets its own controller instance.
-//! Every interval the controller reads the domain's power, updates its
-//! `Et` predictor, evaluates the control function and applies
-//! Algorithm 1's actions through the scheduler's freeze/unfreeze API.
-//! The controller keeps no state beyond the predictor and a trace
-//! buffer, matching the paper's "the controller is stateless, and thus
-//! if the controller fails, we can easily switch to a replacement".
+//! Each power domain — a physical row, or a virtual group in a §4.1.2
+//! controlled experiment — gets its own controller instance. Every
+//! interval the host reads the domain's power from the monitor and
+//! hands it to [`AmpereController::decide_on_reading`]; the controller
+//! updates its `Et` predictor, evaluates the control function and
+//! returns Algorithm 1's freeze/unfreeze actions, which the host
+//! applies through the scheduler's two-call API. The controller keeps
+//! no state beyond the predictor, matching the paper's "the controller
+//! is stateless, and thus if the controller fails, we can easily switch
+//! to a replacement".
 
-use ampere_cluster::{Cluster, ServerId};
 use ampere_power::DomainReading;
-use ampere_sched::Scheduler;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{
     buckets, Counter, Event, Gauge, Histogram, PhaseProfiler, Severity, SpanCtx, Telemetry,
@@ -127,76 +127,11 @@ impl ControllerConfig {
     }
 }
 
-/// A set of servers controlled against one power budget.
-#[derive(Debug, Clone)]
-pub struct ControlDomain {
-    /// Servers in the domain.
-    pub servers: Vec<ServerId>,
-    /// The provisioned power budget `PM` in watts (possibly scaled for
-    /// over-provisioning emulation).
-    pub budget_w: f64,
-}
-
-impl ControlDomain {
-    /// Creates a domain, validating the budget. A non-positive or
-    /// non-finite budget is a configuration error the embedding host
-    /// must handle, not a programming invariant — hence the `Result`.
-    pub fn new(servers: Vec<ServerId>, budget_w: f64) -> Result<Self, ControlConfigError> {
-        if !(budget_w > 0.0 && budget_w.is_finite()) {
-            return Err(ControlConfigError::BadBudget(budget_w));
-        }
-        Ok(Self { servers, budget_w })
-    }
-
-    /// Current domain power in watts, summed from the cluster.
-    pub fn power_w(&self, cluster: &Cluster) -> f64 {
-        self.servers
-            .iter()
-            .map(|&id| cluster.server(id).power_w())
-            .sum()
-    }
-
-    /// Per-server readings for the planner.
-    pub fn readings(&self, cluster: &Cluster) -> Vec<ServerPowerReading> {
-        self.servers
-            .iter()
-            .map(|&id| {
-                let s = cluster.server(id);
-                ServerPowerReading {
-                    id,
-                    power_w: s.power_w(),
-                    frozen: s.is_frozen(),
-                }
-            })
-            .collect()
-    }
-}
-
-/// What the controller did in one interval (one Fig 10 data point).
-#[derive(Debug, Clone, Copy)]
-pub struct ControlRecord {
-    /// Interval start.
-    pub time: SimTime,
-    /// Domain power normalized to the budget.
-    pub power_norm: f64,
-    /// The `Et` margin used.
-    pub et: f64,
-    /// Target freezing ratio `u_t`.
-    pub u_target: f64,
-    /// Frozen servers after applying the actions.
-    pub frozen_after: usize,
-    /// Servers newly frozen this interval.
-    pub froze: usize,
-    /// Servers newly unfrozen this interval.
-    pub unfroze: usize,
-}
-
 /// The Ampere controller for one domain.
 pub struct AmpereController {
     config: ControllerConfig,
     predictor: Box<dyn PowerChangePredictor>,
     planner: FreezePlanner,
-    trace: Vec<ControlRecord>,
     last_decision: Option<SimTime>,
     /// Root span of the most recent [`Self::decide`] call. Everything
     /// that decision causes (freezes, dispatch suppression, the power
@@ -249,7 +184,6 @@ impl AmpereController {
         Ok(Self {
             planner: FreezePlanner::new(config.r_stable),
             config,
-            trace: Vec::new(),
             last_decision: None,
             last_span: SpanCtx::NONE,
             mode: ControlMode::Nominal,
@@ -269,14 +203,9 @@ impl AmpereController {
         &self.config
     }
 
-    /// The control trace accumulated so far.
-    pub fn trace(&self) -> &[ControlRecord] {
-        &self.trace
-    }
-
-    /// Pure decision step: given the domain's power reading and server
-    /// states, produce the freeze/unfreeze actions. Separated from
-    /// [`Self::tick`] so it can be driven with synthetic readings.
+    /// Pure decision step: given the domain's normalized power and
+    /// server states, produce the freeze/unfreeze actions and the `Et`
+    /// margin used. The host applies the actions.
     ///
     /// Power observations always feed the predictor; a *control action*
     /// is only computed when the configured interval has elapsed since
@@ -335,7 +264,7 @@ impl AmpereController {
         // measurement-side components (power monitor) join too.
         let span = self.telemetry.root_span();
         self.last_span = span;
-        self.telemetry.set_active_tick(now, span);
+        self.telemetry.set_active_tick(span);
         self.set_mode(now, mode);
         let et = {
             let _phase = self.profiler.phase(TickPhase::Predict);
@@ -421,45 +350,6 @@ impl AmpereController {
     pub fn last_tick_span(&self) -> SpanCtx {
         self.last_span
     }
-
-    /// One full control interval: read the domain power from the
-    /// cluster (the monitor's IPMI sweep), decide, and apply actions
-    /// through the scheduler's freeze/unfreeze API.
-    pub fn tick(
-        &mut self,
-        now: SimTime,
-        domain: &ControlDomain,
-        cluster: &mut Cluster,
-        sched: &mut Scheduler,
-    ) -> ControlRecord {
-        let readings = domain.readings(cluster);
-        let power_norm = readings.iter().map(|r| r.power_w).sum::<f64>() / domain.budget_w;
-        let (actions, et) = self.decide(now, power_norm, &readings);
-        sched.set_clock(now);
-        sched.set_tick_span(self.last_span);
-        for &id in &actions.unfreeze {
-            sched.unfreeze(cluster, id);
-        }
-        for &id in &actions.freeze {
-            sched.freeze(cluster, id);
-        }
-        let frozen_after = domain
-            .servers
-            .iter()
-            .filter(|&&id| cluster.server(id).is_frozen())
-            .count();
-        let record = ControlRecord {
-            time: now,
-            power_norm,
-            et,
-            u_target: actions.target_ratio,
-            frozen_after,
-            froze: actions.freeze.len(),
-            unfroze: actions.unfreeze.len(),
-        };
-        self.trace.push(record);
-        record
-    }
 }
 
 impl std::fmt::Debug for AmpereController {
@@ -467,7 +357,6 @@ impl std::fmt::Debug for AmpereController {
         f.debug_struct("AmpereController")
             .field("config", &self.config)
             .field("predictor", &self.predictor.name())
-            .field("trace_len", &self.trace.len())
             .finish()
     }
 }
@@ -476,43 +365,48 @@ impl std::fmt::Debug for AmpereController {
 mod tests {
     use super::*;
     use crate::predict::HistoricalPercentile;
-    use ampere_cluster::{ClusterSpec, JobId, Resources, RowId};
-    use ampere_sched::{RandomFit, Scheduler};
+    use ampere_cluster::ServerId;
 
-    fn setup() -> (Cluster, Scheduler, AmpereController, ControlDomain) {
-        let cluster = Cluster::new(ClusterSpec::tiny());
-        let sched = Scheduler::new(Box::new(RandomFit::default()), 5);
-        let controller = AmpereController::new(
+    fn controller() -> AmpereController {
+        AmpereController::new(
             ControllerConfig::default(),
             Box::new(HistoricalPercentile::flat(0.02)),
-        );
-        let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
-        // Budget chosen so idle power (8 × 170 W) is ~0.85 of budget.
-        let domain = ControlDomain::new(servers, 1_600.0).expect("valid budget");
-        (cluster, sched, controller, domain)
+        )
+    }
+
+    /// Servers `ids` at the given per-server power, none frozen.
+    fn readings_at(ids: std::ops::Range<u64>, power_w: f64) -> Vec<ServerPowerReading> {
+        ids.map(|i| ServerPowerReading {
+            id: ServerId::new(i),
+            power_w,
+            frozen: false,
+        })
+        .collect()
     }
 
     fn hot_readings(n: u64) -> Vec<ServerPowerReading> {
-        (0..n)
-            .map(|i| ServerPowerReading {
-                id: ServerId::new(i),
-                power_w: 240.0,
-                frozen: false,
+        readings_at(0..n, 240.0)
+    }
+
+    /// The readings after `actions` were applied.
+    fn applied(
+        readings: &[ServerPowerReading],
+        actions: &FreezeActions,
+    ) -> Vec<ServerPowerReading> {
+        readings
+            .iter()
+            .map(|r| ServerPowerReading {
+                frozen: (r.frozen || actions.freeze.contains(&r.id))
+                    && !actions.unfreeze.contains(&r.id),
+                ..*r
             })
             .collect()
     }
 
-    #[test]
-    fn bad_budget_is_a_typed_error() {
-        let servers: Vec<ServerId> = (0..4).map(ServerId::new).collect();
-        assert_eq!(
-            ControlDomain::new(servers.clone(), 0.0).err(),
-            Some(ControlConfigError::BadBudget(0.0))
-        );
-        assert_eq!(
-            ControlDomain::new(servers, f64::INFINITY).err(),
-            Some(ControlConfigError::BadBudget(f64::INFINITY))
-        );
+    /// Normalized power of `readings` against a 1,600 W budget: idle
+    /// (8 × 170 W) is 0.85, fully busy (8 × 250 W) is 1.25.
+    fn norm(readings: &[ServerPowerReading]) -> f64 {
+        readings.iter().map(|r| r.power_w).sum::<f64>() / 1_600.0
     }
 
     #[test]
@@ -675,84 +569,51 @@ mod tests {
 
     #[test]
     fn no_control_when_under_threshold() {
-        let (mut cluster, mut sched, mut ctl, domain) = setup();
-        let rec = ctl.tick(SimTime::from_mins(1), &domain, &mut cluster, &mut sched);
-        assert_eq!(rec.frozen_after, 0);
-        assert_eq!(rec.u_target, 0.0);
-        assert!(rec.power_norm < 0.9);
+        let mut ctl = controller();
+        let idle = readings_at(0..8, 170.0);
+        let (actions, _) = ctl.decide(SimTime::from_mins(1), norm(&idle), &idle);
+        assert!(actions.is_empty());
+        assert_eq!(actions.target_ratio, 0.0);
     }
 
     #[test]
     fn freezes_when_power_exceeds_threshold() {
-        let (mut cluster, mut sched, mut ctl, domain) = setup();
-        // Load every domain server to full utilization: power 8 × 250 =
-        // 2000 W → 1.25 normalized.
-        for (i, &id) in domain.servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(30),
-                )
-                .unwrap();
-        }
-        let rec = ctl.tick(SimTime::from_mins(1), &domain, &mut cluster, &mut sched);
-        assert!(rec.power_norm > 1.2);
-        // u_max = 0.5 → 4 of 8 frozen.
-        assert_eq!(rec.frozen_after, 4);
-        assert_eq!(rec.froze, 4);
-        assert!((rec.u_target - 0.5).abs() < 1e-12);
-        // Frozen servers are still running their jobs.
-        for &id in &domain.servers {
-            assert_eq!(cluster.server(id).job_count(), 1);
-        }
+        let mut ctl = controller();
+        // 200, 210, …, 270 W: 1,880 W against 1,600 W is 1.175.
+        let readings: Vec<ServerPowerReading> = (0..8)
+            .map(|i| ServerPowerReading {
+                id: ServerId::new(i),
+                power_w: 200.0 + 10.0 * i as f64,
+                frozen: false,
+            })
+            .collect();
+        let (actions, et) = ctl.decide(SimTime::from_mins(1), norm(&readings), &readings);
+        assert_eq!(et, 0.02);
+        // F(1.175) = 3.9 is capped at u_max = 0.5 → ⌊0.5 · 8⌋ = 4
+        // frozen, hottest first.
+        assert!((actions.target_ratio - 0.5).abs() < 1e-12);
+        assert_eq!(actions.n_freeze, 4);
+        let hottest: Vec<ServerId> = (4..8).rev().map(ServerId::new).collect();
+        assert_eq!(actions.freeze, hottest);
+        assert!(actions.unfreeze.is_empty());
     }
 
     #[test]
     fn releases_when_power_drops() {
-        let (mut cluster, mut sched, mut ctl, domain) = setup();
-        for (i, &id) in domain.servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(2),
-                )
-                .unwrap();
-        }
-        ctl.tick(SimTime::from_mins(1), &domain, &mut cluster, &mut sched);
-        // Jobs finish; power returns to idle.
-        cluster.advance(SimDuration::from_mins(2));
-        cluster.advance(SimDuration::from_mins(2));
-        let rec = ctl.tick(SimTime::from_mins(3), &domain, &mut cluster, &mut sched);
-        assert_eq!(rec.frozen_after, 0);
-        assert!(rec.unfroze > 0);
-    }
-
-    #[test]
-    fn domain_power_sums_only_domain_servers() {
-        let (cluster, _, _, domain) = setup();
-        let idle = cluster.spec().power_model.idle_w();
-        assert!((domain.power_w(&cluster) - idle * 8.0).abs() < 1e-9);
-        // The cluster has 16 servers; the domain only 8.
-        assert!((cluster.total_power_w() - idle * 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_accumulates() {
-        let (mut cluster, mut sched, mut ctl, domain) = setup();
-        for m in 1..=5 {
-            ctl.tick(SimTime::from_mins(m), &domain, &mut cluster, &mut sched);
-        }
-        assert_eq!(ctl.trace().len(), 5);
-        assert_eq!(ctl.trace()[0].time, SimTime::from_mins(1));
+        let mut ctl = controller();
+        let busy = readings_at(0..8, 250.0);
+        let (first, _) = ctl.decide(SimTime::from_mins(1), norm(&busy), &busy);
+        assert_eq!(first.freeze.len(), 4);
+        // Jobs finish; power returns to idle with four servers frozen.
+        let idle = applied(&readings_at(0..8, 170.0), &first);
+        let (actions, _) = ctl.decide(SimTime::from_mins(3), norm(&idle), &idle);
+        assert_eq!(actions.target_ratio, 0.0);
+        assert_eq!(actions.unfreeze.len(), 4);
+        assert!(applied(&idle, &actions).iter().all(|r| !r.frozen));
     }
 
     #[test]
     fn slower_interval_skips_intermediate_decisions() {
-        let (mut cluster, mut sched, _, domain) = setup();
         let mut ctl = AmpereController::new(
             ControllerConfig {
                 interval: SimDuration::from_mins(5),
@@ -760,48 +621,34 @@ mod tests {
             },
             Box::new(HistoricalPercentile::flat(0.02)),
         );
-        // Load the domain so control is warranted every minute.
-        for (i, &id) in domain.servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(60),
-                )
-                .unwrap();
-        }
-        let r1 = ctl.tick(SimTime::from_mins(1), &domain, &mut cluster, &mut sched);
-        assert!(r1.froze > 0, "first decision must act");
+        // The domain stays loaded, so control is warranted every minute.
+        let mut readings = readings_at(0..8, 250.0);
+        let (first, _) = ctl.decide(SimTime::from_mins(1), norm(&readings), &readings);
+        assert!(!first.freeze.is_empty(), "first decision must act");
+        readings = applied(&readings, &first);
         // Minutes 2–5: observations only, no new actions.
         for m in 2..=5 {
-            let r = ctl.tick(SimTime::from_mins(m), &domain, &mut cluster, &mut sched);
-            assert_eq!(r.froze + r.unfroze, 0, "acted at minute {m}");
+            let (actions, _) = ctl.decide(SimTime::from_mins(m), norm(&readings), &readings);
+            assert!(actions.is_empty(), "acted at minute {m}");
+            assert_eq!(actions.target_ratio, 0.0);
         }
         // Minute 6: a full interval elapsed, decisions resume (the
         // frozen set is already correct, so the plan may be empty, but
         // the target ratio is computed again).
-        let r6 = ctl.tick(SimTime::from_mins(6), &domain, &mut cluster, &mut sched);
-        assert!(r6.u_target > 0.0);
+        let (sixth, _) = ctl.decide(SimTime::from_mins(6), norm(&readings), &readings);
+        assert!(sixth.target_ratio > 0.0);
     }
 
     #[test]
     fn controller_only_touches_its_domain() {
-        let (mut cluster, mut sched, mut ctl, domain) = setup();
-        for (i, &id) in domain.servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(30),
-                )
-                .unwrap();
-        }
-        ctl.tick(SimTime::from_mins(1), &domain, &mut cluster, &mut sched);
-        // Row 1 servers (ids 8..16) must be untouched.
-        for s in cluster.iter_row(RowId::new(1)) {
-            assert!(!s.is_frozen());
+        let mut ctl = controller();
+        // A domain of servers 8..16, loaded: every action names one of
+        // them, whatever else the fleet holds.
+        let readings = readings_at(8..16, 250.0);
+        let (actions, _) = ctl.decide(SimTime::from_mins(1), norm(&readings), &readings);
+        assert!(!actions.freeze.is_empty());
+        for id in actions.freeze.iter().chain(&actions.unfreeze) {
+            assert!((8..16).contains(&id.raw()), "{id:?} is outside the domain");
         }
     }
 }

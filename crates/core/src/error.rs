@@ -9,8 +9,6 @@
 /// Why a core-crate constructor rejected its input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlConfigError {
-    /// [`crate::ControlDomain`] requires a positive, finite budget.
-    BadBudget(f64),
     /// [`crate::ControllerConfig`] requires a positive, finite `kr`.
     BadKr(f64),
     /// [`crate::ControllerConfig`] requires `0 < u_max <= 1`.
@@ -45,7 +43,6 @@ pub enum ControlConfigError {
 impl std::fmt::Display for ControlConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::BadBudget(v) => write!(f, "bad budget: {v}"),
             Self::BadKr(v) => write!(f, "bad kr: {v}"),
             Self::BadUMax(v) => write!(f, "bad u_max: {v}"),
             Self::BadRStable(v) => write!(f, "bad r_stable: {v}"),
@@ -71,9 +68,6 @@ mod tests {
 
     #[test]
     fn display_keeps_historical_messages() {
-        assert!(ControlConfigError::BadBudget(-1.0)
-            .to_string()
-            .contains("bad budget"));
         assert!(ControlConfigError::BadKr(0.0)
             .to_string()
             .contains("bad kr"));

@@ -22,9 +22,11 @@
 //!   sequence solves the full-horizon PCP).
 //! - [`algorithm`] — Algorithm 1: turning a target freezing ratio into
 //!   concrete freeze/unfreeze actions with the `r_stable` hysteresis.
-//! - [`controller`] — the per-minute control loop over one or more
-//!   control domains (rows, or virtual groups in controlled
-//!   experiments).
+//! - [`controller`] — the per-minute control decision for one control
+//!   domain (a row, or a virtual group in a controlled experiment): a
+//!   power reading in, freeze/unfreeze actions out. The host — the
+//!   testbed in `ampere-experiments` — applies the actions through the
+//!   scheduler.
 //! - [`metrics`] — TPW / GTPW / over-provisioning arithmetic
 //!   (Eq. 16–18).
 //! - [`experiment`] — the §4.1.2 controlled-experiment scaffolding:
@@ -78,9 +80,7 @@ pub mod rhc;
 pub mod watchdog;
 
 pub use algorithm::{FreezeActions, FreezePlanner, ServerPowerReading};
-pub use controller::{
-    AmpereController, ControlDomain, ControlMode, ControlRecord, ControllerConfig, DegradedPolicy,
-};
+pub use controller::{AmpereController, ControlMode, ControllerConfig, DegradedPolicy};
 pub use economics::{CapacityGain, CostModel};
 pub use error::ControlConfigError;
 pub use experiment::{scaled_budget_w, ParitySplit};

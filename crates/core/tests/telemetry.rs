@@ -1,113 +1,61 @@
-//! Integration: one controller tick produces the expected telemetry —
-//! a `controller/tick` event followed by the scheduler's freeze events,
-//! all stamped with the tick's sim time, plus consistent metrics.
+//! Integration: the controller's decisions and their telemetry. The
+//! decision is driven with synthetic readings here; the span contract
+//! of a whole control interval, scheduler events included, is pinned
+//! against the testbed in `ampere-experiments`.
 
-use ampere_cluster::{Cluster, ClusterSpec, JobId, Resources, ServerId};
-use ampere_core::{AmpereController, ControlDomain, ControllerConfig, HistoricalPercentile};
-use ampere_sched::{RandomFit, Scheduler};
-use ampere_sim::{SimDuration, SimTime};
+use ampere_cluster::ServerId;
+use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile, ServerPowerReading};
+use ampere_sim::SimTime;
 use ampere_telemetry::{Event, MetricKind, RingBufferSink, Severity, Telemetry};
 
-fn counter(snap: &ampere_telemetry::MetricsSnapshot, name: &str) -> u64 {
-    match snap.get(name, &[]).expect(name).kind {
-        MetricKind::Counter(n) => n,
-        ref other => panic!("{name} has unexpected kind {other:?}"),
-    }
-}
-
-#[test]
-fn one_tick_emits_expected_event_sequence() {
-    let (sink, events) = RingBufferSink::new(64);
-    let tel = Telemetry::builder().sink(sink).build();
-
-    let mut cluster = Cluster::new(ClusterSpec::tiny());
-    let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 5, tel.clone());
-    let mut ctl = AmpereController::with_telemetry(
+fn controller(tel: Telemetry) -> AmpereController {
+    AmpereController::with_telemetry(
         ControllerConfig::default(),
         Box::new(HistoricalPercentile::flat(0.02)),
-        tel.clone(),
-    );
-    let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
-    let domain = ControlDomain::new(servers.clone(), 1_600.0).expect("valid budget");
+        tel,
+    )
+}
 
-    // Load every domain server to full utilization (8 × 250 W = 2000 W
-    // against a 1600 W budget → 1.25 normalized, control must act).
-    for (i, &id) in servers.iter().enumerate() {
-        cluster
-            .server_mut(id)
-            .place(
-                JobId::new(i as u64),
-                Resources::cores_gb(32, 64),
-                SimDuration::from_mins(30),
+/// Eight servers at `power_w` each, the first `frozen` of them frozen.
+fn readings(power_w: f64, frozen: usize) -> Vec<ServerPowerReading> {
+    (0..8)
+        .map(|i| ServerPowerReading {
+            id: ServerId::new(i),
+            power_w,
+            frozen: (i as usize) < frozen,
+        })
+        .collect()
+}
+
+/// Six one-minute decisions against a 1,600 W budget: two loaded
+/// minutes, then idle. Each minute sees the freezes the previous one
+/// decided; returns `(power_norm, u_target, froze, unfroze)` per minute.
+fn six_minutes(ctl: &mut AmpereController) -> Vec<(f64, f64, usize, usize)> {
+    let mut frozen = 0;
+    (1..=6)
+        .map(|m| {
+            let power_w = if m <= 2 { 250.0 } else { 170.0 };
+            let view = readings(power_w, frozen);
+            let power_norm = 8.0 * power_w / 1_600.0;
+            let (actions, _) = ctl.decide(SimTime::from_mins(m), power_norm, &view);
+            frozen = frozen + actions.freeze.len() - actions.unfreeze.len();
+            (
+                power_norm,
+                actions.target_ratio,
+                actions.freeze.len(),
+                actions.unfreeze.len(),
             )
-            .unwrap();
-    }
-
-    let now = SimTime::from_mins(1);
-    let rec = ctl.tick(now, &domain, &mut cluster, &mut sched);
-    assert_eq!(rec.froze, 4, "u_max=0.5 over 8 servers freezes 4");
-
-    let evs: Vec<Event> = events.events();
-    assert!(!evs.is_empty(), "tick emitted no events");
-
-    // First the controller's decision record …
-    let tick = &evs[0];
-    assert_eq!((tick.component, tick.name), ("controller", "tick"));
-    assert_eq!(tick.sim_time, now);
-    assert_eq!(tick.severity, Severity::Info);
-    assert!(tick.field("power_norm").unwrap().as_f64().unwrap() > 1.2);
-    assert!((tick.field("et").unwrap().as_f64().unwrap() - 0.02).abs() < 1e-12);
-    assert!((tick.field("u_target").unwrap().as_f64().unwrap() - 0.5).abs() < 1e-12);
-    assert_eq!(tick.field("froze").unwrap().as_u64(), Some(4));
-    assert_eq!(tick.field("unfroze").unwrap().as_u64(), Some(0));
-
-    // The tick opens a root span: its own trace, no parent.
-    assert!(tick.span.is_root(), "tick span: {:?}", tick.span);
-    assert_eq!(tick.span.trace.raw(), tick.span.span.raw());
-
-    // … then one scheduler freeze event per frozen server, same
-    // instant, each a child span of the tick that decided it.
-    let freezes: Vec<&Event> = evs[1..].iter().collect();
-    assert_eq!(freezes.len(), 4, "events: {evs:?}");
-    for f in &freezes {
-        assert_eq!((f.component, f.name), ("scheduler", "freeze"));
-        assert_eq!(f.sim_time, now);
-        assert!(f.field("server").unwrap().as_u64().is_some());
-        assert_eq!(f.span.trace, tick.span.trace, "freeze in another trace");
-        assert_eq!(f.span.parent, Some(tick.span.span));
-    }
-    // Span ids are unique across the dump.
-    let mut ids: Vec<u64> = evs.iter().map(|e| e.span.span.raw()).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), evs.len());
-
-    // Metrics agree with the events.
-    let snap = tel.snapshot().unwrap();
-    assert_eq!(counter(&snap, "controller_ticks"), 1);
-    assert_eq!(counter(&snap, "sched_servers_frozen"), 4);
-    // Every event JSONL-round-trips.
-    for e in &evs {
-        let parsed = Event::parse_json(&e.to_json()).expect("round trip");
-        assert_eq!(parsed.sim_time, e.sim_time);
-        assert_eq!(parsed.component, e.component);
-    }
+        })
+        .collect()
 }
 
 #[test]
 fn prediction_error_histogram_fills_after_two_ticks() {
     let tel = Telemetry::builder().build();
-    let mut cluster = Cluster::new(ClusterSpec::tiny());
-    let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 5, tel.clone());
-    let mut ctl = AmpereController::with_telemetry(
-        ControllerConfig::default(),
-        Box::new(HistoricalPercentile::flat(0.02)),
-        tel.clone(),
-    );
-    let domain =
-        ControlDomain::new((0..8).map(ServerId::new).collect(), 1_600.0).expect("valid budget");
+    let mut ctl = controller(tel.clone());
+    let idle = readings(170.0, 0);
     for m in 1..=3 {
-        ctl.tick(SimTime::from_mins(m), &domain, &mut cluster, &mut sched);
+        ctl.decide(SimTime::from_mins(m), 0.85, &idle);
     }
     let snap = tel.snapshot().unwrap();
     let hist = snap
@@ -129,36 +77,10 @@ fn prediction_error_histogram_fills_after_two_ticks() {
 
 #[test]
 fn disabled_telemetry_changes_no_behavior() {
-    let run = |tel: Telemetry| {
-        let mut cluster = Cluster::new(ClusterSpec::tiny());
-        let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 5, tel.clone());
-        let mut ctl = AmpereController::with_telemetry(
-            ControllerConfig::default(),
-            Box::new(HistoricalPercentile::flat(0.02)),
-            tel,
-        );
-        let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
-        let domain = ControlDomain::new(servers.clone(), 1_600.0).expect("valid budget");
-        for (i, &id) in servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(5),
-                )
-                .unwrap();
-        }
-        (1..=6)
-            .map(|m| {
-                let r = ctl.tick(SimTime::from_mins(m), &domain, &mut cluster, &mut sched);
-                (r.power_norm, r.u_target, r.froze, r.unfroze, r.frozen_after)
-            })
-            .collect::<Vec<_>>()
-    };
-    let disabled = run(Telemetry::disabled());
-    let enabled = run(Telemetry::builder().build());
+    let disabled = six_minutes(&mut controller(Telemetry::disabled()));
+    let enabled = six_minutes(&mut controller(Telemetry::builder().build()));
     assert_eq!(disabled, enabled);
+    assert!(enabled.iter().any(|&(_, _, froze, _)| froze > 0));
 }
 
 #[test]
@@ -172,29 +94,7 @@ fn repeated_ticks_produce_identical_traced_dumps() {
             .min_severity(Severity::Debug)
             .sink(sink)
             .build();
-        let mut cluster = Cluster::new(ClusterSpec::tiny());
-        let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 5, tel.clone());
-        let mut ctl = AmpereController::with_telemetry(
-            ControllerConfig::default(),
-            Box::new(HistoricalPercentile::flat(0.02)),
-            tel,
-        );
-        let servers: Vec<ServerId> = (0..8).map(ServerId::new).collect();
-        let domain = ControlDomain::new(servers.clone(), 1_600.0).expect("valid budget");
-        for (i, &id) in servers.iter().enumerate() {
-            cluster
-                .server_mut(id)
-                .place(
-                    JobId::new(i as u64),
-                    Resources::cores_gb(32, 64),
-                    SimDuration::from_mins(3),
-                )
-                .unwrap();
-        }
-        for m in 1..=6 {
-            ctl.tick(SimTime::from_mins(m), &domain, &mut cluster, &mut sched);
-            cluster.advance(SimDuration::from_mins(1));
-        }
+        six_minutes(&mut controller(tel));
         events
             .events()
             .iter()
@@ -203,6 +103,10 @@ fn repeated_ticks_produce_identical_traced_dumps() {
     };
     let a = run();
     let b = run();
-    assert!(a.iter().any(|l| l.contains("\"unfreeze\"")), "no unfreezes");
+    assert_eq!(a.len(), 6, "one tick event per decision: {a:?}");
+    assert!(
+        a.iter().any(|l| l.contains("\"unfroze\":4")),
+        "no unfreezes"
+    );
     assert_eq!(a, b, "traced dumps differ across identical runs");
 }

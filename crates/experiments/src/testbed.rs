@@ -41,8 +41,6 @@ use ampere_sim::{
 use ampere_telemetry::{Event, PhaseProfiler, Severity, Telemetry, TickPhase};
 use ampere_workload::{BatchWorkload, RateProfile};
 
-use crate::window::WindowStats;
-
 use std::fmt;
 use std::mem;
 
@@ -294,8 +292,8 @@ pub struct Testbed {
     /// Rows already registered as row domains (guards double counting).
     row_domain_registered: Vec<bool>,
     /// The pipeline in effect at construction (a capture under the
-    /// parallel engine): the per-tick event-batch flush and the
-    /// monitor-sweep phase report here.
+    /// parallel engine): every component the testbed builds, including
+    /// failover replacement controllers, reports here.
     telemetry: Telemetry,
     profiler: PhaseProfiler,
     /// Which freeze-target policy controlled domains drive.
@@ -322,7 +320,10 @@ impl Testbed {
             );
             cluster.set_service_classes(|i| classes[i]);
         }
-        let sched = Scheduler::new(config.policy, config.seed);
+        // The pipeline in effect now (a capture under the parallel
+        // engine) is read once and handed to every component.
+        let telemetry = ampere_telemetry::global();
+        let sched = Scheduler::with_telemetry(config.policy, config.seed, telemetry.clone());
         let workload = BatchWorkload::new(config.profile, config.seed, 0);
         let row_budgets_w = (0..config.spec.rows)
             .map(|_| config.spec.rated_row_power_w())
@@ -335,7 +336,7 @@ impl Testbed {
             cluster,
             sched,
             workload,
-            monitor: PowerMonitor::paper_default(),
+            monitor: PowerMonitor::with_telemetry(telemetry.clone()),
             capper: RaplCapper::new(config.capping),
             domains: Vec::new(),
             tick: config.tick,
@@ -346,7 +347,10 @@ impl Testbed {
             row_budgets_w,
             last_measurement: vec![0.0; n],
             last_telemetry: vec![0.0; n],
-            injector: config.faults.map(FaultInjector::new),
+            injector: config.faults.map(|plan| {
+                FaultInjector::try_with_telemetry(plan, telemetry.clone())
+                    .unwrap_or_else(|e| panic!("{e}"))
+            }),
             controller_was_up: true,
             rated_row_w,
             has_custom_domains: false,
@@ -367,8 +371,8 @@ impl Testbed {
             sweep_faults: SweepFaults::default(),
             sweeps_lost: 0,
             row_domain_registered: vec![false; config.spec.rows],
-            profiler: PhaseProfiler::new(&ampere_telemetry::global()),
-            telemetry: ampere_telemetry::global(),
+            profiler: PhaseProfiler::new(&telemetry),
+            telemetry,
             freeze_policy: config.freeze_policy,
             selector: FreezeSelector::new(),
         }
@@ -421,7 +425,9 @@ impl Testbed {
             self.has_custom_domains = true;
         }
         self.domains.push(DomainState {
-            breaker: CircuitBreaker::new(spec.budget_w, 5).with_label(spec.name.clone()),
+            breaker: CircuitBreaker::new(spec.budget_w, 5)
+                .with_telemetry(self.telemetry.clone())
+                .with_label(spec.name.clone()),
             name: spec.name,
             servers: spec.servers,
             shape,
@@ -429,7 +435,11 @@ impl Testbed {
             control_budget_w: None,
             controller: spec.controller,
             capped: spec.capped,
-            watchdog: TickWatchdog::new(WatchdogConfig::default()),
+            watchdog: TickWatchdog::try_with_telemetry(
+                WatchdogConfig::default(),
+                self.telemetry.clone(),
+            )
+            .expect("default watchdog thresholds are positive"),
             failovers: 0,
             records: Vec::new(),
             window_start: 0,
@@ -534,12 +544,6 @@ impl Testbed {
     /// A domain's breaker (violations, trip state).
     pub fn breaker(&self, id: DomainId) -> &CircuitBreaker {
         &self.domains[id].breaker
-    }
-
-    /// Sum of jobs placed on a domain across all recorded ticks.
-    pub fn placed_jobs(&self, id: DomainId) -> u64 {
-        let d = &self.domains[id];
-        WindowStats::of(&d.records, d.budget_w).placed
     }
 
     /// Whether the domain's capping backstop is currently armed by the
@@ -1017,12 +1021,16 @@ impl Testbed {
                 crate::calibrate::DEFAULT_ET,
             )
             .with_floor(crate::calibrate::ET_FLOOR);
-            self.domains[d].controller = Some(AmpereController::new(config, Box::new(predictor)));
+            self.domains[d].controller = Some(AmpereController::with_telemetry(
+                config,
+                Box::new(predictor),
+                self.telemetry.clone(),
+            ));
             self.domains[d].failovers += 1;
             let name = self.domains[d].name.clone();
             let points = history.len();
             let now = self.now;
-            ampere_telemetry::global().emit_with(move || {
+            self.telemetry.emit_with(move || {
                 Event::new(now, Severity::Info, "controller", "failover")
                     .with("domain", name)
                     .with("history_points", points)
@@ -1247,7 +1255,8 @@ pub(crate) fn digest_records(h: &mut Fnv, records: &[DomainTickRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampere_core::{ControlDomain, ControllerConfig, HistoricalPercentile, ParitySplit};
+    use crate::window::WindowStats;
+    use ampere_core::{ControllerConfig, HistoricalPercentile, ParitySplit};
 
     fn quick_config(profile: RateProfile) -> TestbedConfig {
         TestbedConfig {
@@ -1334,7 +1343,6 @@ mod tests {
             .map(|r| r.freezing_ratio)
             .fold(0.0f64, f64::max);
         assert!(max_u > 0.0, "controller never froze anything");
-        let _ = ControlDomain::new(vec![ServerId::new(0)], 1.0);
     }
 
     #[test]
@@ -1376,8 +1384,9 @@ mod tests {
             tb.freeze(ServerId::new(id));
         }
         tb.run_for(SimDuration::from_mins(15));
-        let row0_placed = tb.placed_jobs(d_all[0]);
-        let row1_placed = tb.placed_jobs(d_all[1]);
+        let placed = |d: DomainId| WindowStats::of(tb.records(d), tb.domain_budget_w(d)).placed;
+        let row0_placed = placed(d_all[0]);
+        let row1_placed = placed(d_all[1]);
         assert_eq!(row0_placed, 0);
         assert!(row1_placed > 0);
     }

@@ -6,13 +6,9 @@
 //! form returning this error. The panicking forms remain as thin
 //! wrappers whose messages are the error's `Display` output.
 
-use ampere_sim::SimDuration;
-
 /// Why a power-crate constructor rejected its input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PowerConfigError {
-    /// [`crate::PowerMonitor`] requires a positive sampling interval.
-    NonPositiveInterval(SimDuration),
     /// [`crate::CircuitBreaker`] requires a positive, finite limit.
     BadBreakerLimit(f64),
     /// [`crate::CircuitBreaker`] requires `trip_after > 0`.
@@ -28,9 +24,6 @@ impl std::fmt::Display for PowerConfigError {
         match self {
             // The panicking constructors surface these strings, so they
             // keep the historical assert messages callers match on.
-            Self::NonPositiveInterval(d) => {
-                write!(f, "interval must be positive (got {} ms)", d.as_millis())
-            }
             Self::BadBreakerLimit(v) => write!(f, "bad breaker limit: {v}"),
             Self::BadTripAfter => write!(f, "trip_after must be positive"),
             Self::BadMinFreq(v) => write!(f, "bad min_freq: {v}"),
@@ -47,9 +40,6 @@ mod tests {
 
     #[test]
     fn display_keeps_historical_messages() {
-        assert!(PowerConfigError::NonPositiveInterval(SimDuration::ZERO)
-            .to_string()
-            .contains("interval must be positive"));
         assert!(PowerConfigError::BadBreakerLimit(0.0)
             .to_string()
             .contains("bad breaker limit"));

@@ -14,8 +14,9 @@
 //!   violation* is a one-minute sample above the provisioned budget.
 //! - [`tsdb`] — an in-memory time-series database standing in for the
 //!   paper's MySQL-backed store (§3.3).
-//! - [`monitor`] — the sampling power monitor that aggregates server
-//!   power to rack/row/data-center series at a one-minute interval.
+//! - [`monitor`] — the power monitor that aggregates each one-minute
+//!   sweep of server power to rack/row/data-center series and qualifies
+//!   per-domain readings with coverage and age.
 //!
 //! # Examples
 //!

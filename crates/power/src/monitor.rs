@@ -1,11 +1,14 @@
-//! The sampling power monitor.
+//! The aggregating power monitor.
 //!
 //! The paper's monitor reads per-server power through IPMI once a minute
 //! and aggregates it to rack / row / data-center series through a
-//! streaming framework (§3.3). Here the simulation pushes per-server
-//! samples into [`PowerMonitor::ingest`], which performs the same
-//! aggregation and persists everything in the [`TimeSeriesDb`]. The
-//! monitor itself is stateless apart from the database, matching the
+//! streaming framework (§3.3). Here the host pushes each one-minute
+//! sweep of per-server samples into [`PowerMonitor::ingest`], which
+//! performs the same aggregation and persists the rack, row and
+//! data-center series in the [`TimeSeriesDb`]; per-domain partial sums
+//! arrive through [`PowerMonitor::ingest_domain`] and come back as
+//! qualified [`DomainReading`]s. The monitor itself is stateless apart
+//! from the database and the latest reading's metadata, matching the
 //! paper's easy-failover design.
 
 use std::collections::BTreeMap;
@@ -13,14 +16,11 @@ use std::collections::BTreeMap;
 use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{Counter, Event, Gauge, Severity, Telemetry};
 
-use crate::error::PowerConfigError;
 use crate::tsdb::TimeSeriesDb;
 
 /// Aggregation level of a power series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TopologyLevel {
-    /// A single server.
-    Server,
     /// A rack (≈ 40 servers, 8–10 kW budget).
     Rack,
     /// A row / PDU (≈ 20 racks); the control domain.
@@ -44,11 +44,6 @@ impl SeriesKey {
     /// Builds a key.
     pub const fn new(level: TopologyLevel, index: u64) -> Self {
         Self { level, index }
-    }
-
-    /// Key of a server series.
-    pub const fn server(index: u64) -> Self {
-        Self::new(TopologyLevel::Server, index)
     }
 
     /// Key of a rack series.
@@ -125,27 +120,18 @@ impl DomainReading {
     }
 }
 
-/// Per-tracked-entity metadata backing [`DomainReading`]: when the
-/// latest stored point was measured and how many servers it covered.
+/// Per-domain metadata backing [`DomainReading`]: when the latest
+/// stored point was measured and how many servers it covered.
 #[derive(Debug, Clone, Copy)]
 struct ReadingMeta {
     at: SimTime,
     reported: usize,
 }
 
-/// The sampling and aggregating power monitor.
+/// The aggregating power monitor.
 #[derive(Debug)]
 pub struct PowerMonitor {
-    interval: SimDuration,
-    store_server_series: bool,
     db: TimeSeriesDb,
-    last_sample_at: Option<SimTime>,
-    /// Expected server count per row (set via
-    /// [`PowerMonitor::set_row_population`]); rows not present report
-    /// coverage 1.0.
-    row_expected: BTreeMap<u64, usize>,
-    /// Latest row sweep metadata, keyed by row index.
-    row_meta: BTreeMap<u64, ReadingMeta>,
     /// Expected server count per tracked virtual domain.
     domain_expected: BTreeMap<u64, usize>,
     /// Latest domain ingest metadata, keyed by domain index.
@@ -166,51 +152,20 @@ pub struct PowerMonitor {
 }
 
 impl PowerMonitor {
-    /// Creates a monitor sampling at `interval` (the paper uses one
-    /// minute as "a good tradeoff between measurement accuracy and
-    /// monitoring overhead"). `store_server_series` controls whether
-    /// per-server history is kept (needed for Fig 4 but expensive at
-    /// data-center scale).
-    pub fn new(interval: SimDuration, store_server_series: bool) -> Self {
-        Self::try_new(interval, store_server_series).unwrap_or_else(|e| panic!("{e}"))
+    /// The paper's monitor, reporting into the global telemetry
+    /// pipeline (no-op unless installed): rack, row, data-center and
+    /// tracked-domain series, sampled by the host once a minute (the
+    /// paper's "good tradeoff between measurement accuracy and
+    /// monitoring overhead").
+    pub fn paper_default() -> Self {
+        Self::with_telemetry(ampere_telemetry::global())
     }
 
-    /// Like [`PowerMonitor::new`] but returns a typed error instead of
-    /// panicking on a non-positive interval.
-    pub fn try_new(
-        interval: SimDuration,
-        store_server_series: bool,
-    ) -> Result<Self, PowerConfigError> {
-        Self::try_with_telemetry(interval, store_server_series, ampere_telemetry::global())
-    }
-
-    /// Like [`PowerMonitor::new`] with an explicit telemetry pipeline
-    /// (also handed to the underlying [`TimeSeriesDb`]).
-    pub fn with_telemetry(
-        interval: SimDuration,
-        store_server_series: bool,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::try_with_telemetry(interval, store_server_series, telemetry)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`PowerMonitor::with_telemetry`] with a typed error.
-    pub fn try_with_telemetry(
-        interval: SimDuration,
-        store_server_series: bool,
-        telemetry: Telemetry,
-    ) -> Result<Self, PowerConfigError> {
-        if interval <= SimDuration::ZERO {
-            return Err(PowerConfigError::NonPositiveInterval(interval));
-        }
-        Ok(Self {
-            interval,
-            store_server_series,
+    /// Like [`PowerMonitor::paper_default`] with an explicit telemetry
+    /// pipeline (also handed to the underlying [`TimeSeriesDb`]).
+    pub fn with_telemetry(telemetry: Telemetry) -> Self {
+        Self {
             db: TimeSeriesDb::new().with_telemetry(telemetry.clone()),
-            last_sample_at: None,
-            row_expected: BTreeMap::new(),
-            row_meta: BTreeMap::new(),
             domain_expected: BTreeMap::new(),
             domain_meta: BTreeMap::new(),
             rack_acc: Vec::new(),
@@ -223,24 +178,6 @@ impl PowerMonitor {
             sweeps_ingested: telemetry.counter("monitor_sweeps_ingested", &[]),
             dc_power_gauge: telemetry.gauge("monitor_dc_power_w", &[]),
             telemetry,
-        })
-    }
-
-    /// Monitor with the paper's one-minute interval, row/rack/DC only.
-    pub fn paper_default() -> Self {
-        Self::new(SimDuration::MINUTE, false)
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Time the next sample is due (first sample at `interval`).
-    pub fn next_sample_at(&self) -> SimTime {
-        match self.last_sample_at {
-            None => SimTime::ZERO + self.interval,
-            Some(t) => t + self.interval,
         }
     }
 
@@ -254,7 +191,6 @@ impl PowerMonitor {
     /// byte-identical to the map-based aggregation while steady-state
     /// ingestion stays allocation-free.
     pub fn ingest(&mut self, at: SimTime, samples: &[ServerSample]) {
-        self.last_sample_at = Some(at);
         let mut total = 0.0;
         for s in samples {
             if s.rack as usize >= self.rack_acc.len() {
@@ -276,9 +212,6 @@ impl PowerMonitor {
             self.row_acc[s.row as usize] += s.watts;
             self.row_cnt[s.row as usize] += 1;
             total += s.watts;
-            if self.store_server_series {
-                self.db.append(SeriesKey::server(s.server), at, s.watts);
-            }
         }
         let mut rack_touched = std::mem::take(&mut self.rack_touched);
         rack_touched.sort_unstable();
@@ -295,13 +228,6 @@ impl PowerMonitor {
         for &row in &row_touched {
             self.db
                 .append(SeriesKey::row(row), at, self.row_acc[row as usize]);
-            self.row_meta.insert(
-                row,
-                ReadingMeta {
-                    at,
-                    reported: self.row_cnt[row as usize],
-                },
-            );
             self.row_acc[row as usize] = 0.0;
             self.row_cnt[row as usize] = 0;
         }
@@ -338,26 +264,6 @@ impl PowerMonitor {
         self.db.values(SeriesKey::row(row))
     }
 
-    /// Declares how many servers a row is expected to report, enabling
-    /// coverage accounting in [`PowerMonitor::row_reading`]. Without
-    /// this, coverage is reported as 1.0 (population unknown).
-    pub fn set_row_population(&mut self, row: u64, servers: usize) {
-        self.row_expected.insert(row, servers);
-    }
-
-    /// Latest row power as a qualified [`DomainReading`]: the partial
-    /// sum, the fraction of the row that reported it, and its age at
-    /// `now`. `None` until the row's first sample arrives.
-    pub fn row_reading(&self, row: u64, now: SimTime) -> Option<DomainReading> {
-        let (_, power_w) = self.db.latest(SeriesKey::row(row))?;
-        let meta = self.row_meta.get(&row)?;
-        Some(DomainReading {
-            power_w,
-            coverage: coverage(meta.reported, self.row_expected.get(&row).copied()),
-            age: now.since(meta.at),
-        })
-    }
-
     /// Registers a virtual control domain (a §4.1.2 experiment group,
     /// or any server set controlled against one budget) of
     /// `servers` members, so its series and coverage are tracked.
@@ -378,10 +284,12 @@ impl PowerMonitor {
             .insert(domain, ReadingMeta { at, reported });
     }
 
-    /// Latest domain power as a qualified [`DomainReading`] (see
-    /// [`PowerMonitor::row_reading`]). This is the controller's query
-    /// surface under degraded telemetry: `coverage < 1` flags partial
-    /// sweeps, a growing `age` flags lost ones.
+    /// Latest domain power as a qualified [`DomainReading`]: the
+    /// partial sum, the fraction of the domain that reported it, and
+    /// its age at `now`; `None` until the domain's first report. This
+    /// is the controller's query surface under degraded telemetry:
+    /// `coverage < 1` flags partial sweeps, a growing `age` flags lost
+    /// ones.
     pub fn domain_reading(&self, domain: u64, now: SimTime) -> Option<DomainReading> {
         let (_, power_w) = self.db.latest(SeriesKey::domain(domain))?;
         let meta = self.domain_meta.get(&domain)?;
@@ -460,25 +368,6 @@ mod tests {
             mon.db().latest(SeriesKey::data_center()).map(|(_, v)| v),
             Some(700.0)
         );
-        // Server series disabled by default.
-        assert_eq!(mon.db().len(SeriesKey::server(0)), 0);
-    }
-
-    #[test]
-    fn server_series_optional() {
-        let mut mon = PowerMonitor::new(SimDuration::MINUTE, true);
-        let (at, samples) = sweep(1);
-        mon.ingest(at, &samples);
-        assert_eq!(mon.db().len(SeriesKey::server(2)), 1);
-    }
-
-    #[test]
-    fn next_sample_schedule() {
-        let mut mon = PowerMonitor::paper_default();
-        assert_eq!(mon.next_sample_at(), SimTime::from_mins(1));
-        let (at, samples) = sweep(1);
-        mon.ingest(at, &samples);
-        assert_eq!(mon.next_sample_at(), SimTime::from_mins(2));
     }
 
     #[test]
@@ -490,56 +379,6 @@ mod tests {
         }
         assert_eq!(mon.row_history(0), vec![450.0; 5]);
         assert_eq!(mon.db().len(SeriesKey::data_center()), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn rejects_zero_interval() {
-        let _ = PowerMonitor::new(SimDuration::ZERO, false);
-    }
-
-    #[test]
-    fn try_new_reports_typed_error() {
-        use crate::error::PowerConfigError;
-        assert_eq!(
-            PowerMonitor::try_new(SimDuration::ZERO, false).err(),
-            Some(PowerConfigError::NonPositiveInterval(SimDuration::ZERO))
-        );
-        assert!(PowerMonitor::try_new(SimDuration::MINUTE, false).is_ok());
-    }
-
-    #[test]
-    fn row_reading_reports_coverage_and_age() {
-        let mut mon = PowerMonitor::paper_default();
-        mon.set_row_population(0, 3);
-        let (at, samples) = sweep(1);
-        mon.ingest(at, &samples);
-        // Row 0 has 3 reporting servers out of a declared 3.
-        let r = mon.row_reading(0, SimTime::from_mins(1)).unwrap();
-        assert_eq!(r.power_w, 450.0);
-        assert_eq!(r.coverage, 1.0);
-        assert_eq!(r.age, SimDuration::ZERO);
-
-        // A partial sweep: only one of row 0's servers reports.
-        let partial = vec![ServerSample {
-            server: 0,
-            rack: 0,
-            row: 0,
-            watts: 100.0,
-        }];
-        mon.ingest(SimTime::from_mins(2), &partial);
-        let r = mon.row_reading(0, SimTime::from_mins(2)).unwrap();
-        assert_eq!(r.power_w, 100.0);
-        assert!((r.coverage - 1.0 / 3.0).abs() < 1e-12);
-        assert!((r.estimate_w() - 300.0).abs() < 1e-9);
-
-        // Two sweeps later with nothing new, the reading has aged.
-        let r = mon.row_reading(0, SimTime::from_mins(4)).unwrap();
-        assert_eq!(r.age, SimDuration::from_mins(2));
-
-        // Undeclared rows report full coverage.
-        let r1 = mon.row_reading(1, SimTime::from_mins(2)).unwrap();
-        assert_eq!(r1.coverage, 1.0);
     }
 
     #[test]
@@ -576,7 +415,7 @@ mod tests {
             .min_severity(Severity::Debug)
             .sink(sink)
             .build();
-        let mut mon = PowerMonitor::with_telemetry(SimDuration::MINUTE, false, tel.clone());
+        let mut mon = PowerMonitor::with_telemetry(tel.clone());
 
         // No controller tick registered yet: the sweep is untraced.
         let (at, samples) = sweep(1);
@@ -588,7 +427,7 @@ mod tests {
 
         // With an active tick, the sweep joins its trace.
         let tick = tel.root_span();
-        tel.set_active_tick(SimTime::from_mins(2), tick);
+        tel.set_active_tick(tick);
         let (at, samples) = sweep(2);
         mon.ingest(at, &samples);
         assert_eq!(events.events().pop().unwrap().span, tick);

@@ -122,14 +122,6 @@ impl TimeSeriesDb {
         &s[lo..hi]
     }
 
-    /// Values (without timestamps) of a range query.
-    pub fn values_in(&self, key: SeriesKey, start: SimTime, end: SimTime) -> Vec<f64> {
-        self.range(key, start, end)
-            .iter()
-            .map(|&(_, v)| v)
-            .collect()
-    }
-
     /// All values of a series.
     pub fn values(&self, key: SeriesKey) -> Vec<f64> {
         self.series(key).iter().map(|&(_, v)| v).collect()
@@ -184,7 +176,6 @@ mod tests {
         let r = db.range(key(0), t(2), t(5));
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], (t(2), 2.0));
-        assert_eq!(db.values_in(key(0), t(8), t(100)), vec![8.0, 9.0]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ampere_power::{
     ServerPowerModel, TimeSeriesDb,
 };
 use ampere_sim::check::cases;
-use ampere_sim::{SimDuration, SimTime};
+use ampere_sim::SimTime;
 
 /// Power is always within [idle, rated] and monotone in both
 /// utilization and frequency.
@@ -157,7 +157,7 @@ fn monitor_aggregation_exact() {
     cases(96, |g| {
         let watts = g.vec_f64(50.0..300.0, 1..60);
         let racks = g.vec_with(60..60, |g| g.u64(0..5));
-        let mut mon = PowerMonitor::new(SimDuration::MINUTE, false);
+        let mut mon = PowerMonitor::paper_default();
         let samples: Vec<ServerSample> = watts
             .iter()
             .enumerate()

@@ -58,8 +58,6 @@ pub use registry::{
 pub use sink::{EventSink, JsonlSink, RingBufferHandle, RingBufferSink, StderrSink};
 pub use trace::{SpanCtx, SpanId, TraceId};
 
-use ampere_sim::SimTime;
-
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,10 +99,10 @@ struct Pipeline {
     /// runs replay identically (see [`trace`] module docs). `0` is the
     /// reserved "no span" id; the first allocation returns 1.
     next_span: AtomicU64,
-    /// The most recent controller-tick root span and its sim time: the
-    /// decision interval currently in effect, which measurement-side
-    /// events (monitor sweeps) join.
-    active_tick: Mutex<(SimTime, SpanCtx)>,
+    /// The most recent controller-tick root span: the decision interval
+    /// currently in effect, which measurement-side events (monitor
+    /// sweeps) join.
+    active_tick: Mutex<SpanCtx>,
 }
 
 /// Handle to a telemetry pipeline; disabled (all no-op) by default.
@@ -145,12 +143,6 @@ impl TelemetryBuilder {
         let (sink, handle) = RingBufferSink::new(capacity);
         self.sinks.push(Box::new(sink));
         (self, handle)
-    }
-
-    /// [`TelemetryBuilder::ring_buffer`] at
-    /// [`RingBufferSink::DEFAULT_CAPACITY`].
-    pub fn ring_buffer_default(self) -> (Self, RingBufferHandle) {
-        self.ring_buffer(RingBufferSink::DEFAULT_CAPACITY)
     }
 
     /// Drops events below `severity` (default: keep everything).
@@ -228,7 +220,7 @@ impl TelemetryBuilder {
                 sampler,
                 profiling: self.profiling,
                 next_span: AtomicU64::new(1),
-                active_tick: Mutex::new((SimTime::ZERO, SpanCtx::NONE)),
+                active_tick: Mutex::new(SpanCtx::NONE),
             })),
         }
     }
@@ -387,41 +379,19 @@ impl Telemetry {
         }
     }
 
-    /// Registers `ctx` as the decision interval in effect from sim time
-    /// `now` (called by the controller when it opens a tick root span).
-    pub fn set_active_tick(&self, now: SimTime, ctx: SpanCtx) {
+    /// Registers `ctx` as the decision interval in effect (called by
+    /// the controller when it opens a tick root span).
+    pub fn set_active_tick(&self, ctx: SpanCtx) {
         if let Some(p) = &self.pipeline {
-            *p.active_tick.lock().unwrap_or_else(PoisonError::into_inner) = (now, ctx);
+            *p.active_tick.lock().unwrap_or_else(PoisonError::into_inner) = ctx;
         }
     }
 
     /// The most recently registered tick span — the decision interval
-    /// still in effect — regardless of the current sim time.
+    /// still in effect.
     pub fn active_tick(&self) -> SpanCtx {
         match &self.pipeline {
-            Some(p) => {
-                p.active_tick
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .1
-            }
-            None => SpanCtx::NONE,
-        }
-    }
-
-    /// The tick span registered exactly at sim time `now`, or
-    /// [`SpanCtx::NONE`] if the active tick was opened at another
-    /// instant.
-    pub fn active_tick_at(&self, now: SimTime) -> SpanCtx {
-        match &self.pipeline {
-            Some(p) => {
-                let (at, ctx) = *p.active_tick.lock().unwrap_or_else(PoisonError::into_inner);
-                if at == now {
-                    ctx
-                } else {
-                    SpanCtx::NONE
-                }
-            }
+            Some(p) => *p.active_tick.lock().unwrap_or_else(PoisonError::into_inner),
             None => SpanCtx::NONE,
         }
     }

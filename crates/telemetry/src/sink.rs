@@ -66,10 +66,9 @@ pub struct RingBufferHandle {
 }
 
 impl RingBufferSink {
-    /// Default capacity used by [`RingBufferSink::with_default_capacity`]
-    /// and [`crate::TelemetryBuilder::ring_buffer_default`]. Sized for a
-    /// quick fig10 run (~3.5k events); longer runs must pass an explicit
-    /// capacity or accept oldest-first eviction.
+    /// Default capacity used by [`RingBufferSink::with_default_capacity`].
+    /// Sized for a quick fig10 run (~3.5k events); longer runs must pass
+    /// an explicit capacity or accept oldest-first eviction.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates a sink holding at most `capacity` events plus its reader.

@@ -142,16 +142,13 @@ mod tests {
 
     #[test]
     fn active_tick_tracks_latest_root() {
-        use ampere_sim::SimTime;
         let tel = Telemetry::builder().build();
         assert_eq!(tel.active_tick(), SpanCtx::NONE);
         let t1 = tel.root_span();
-        tel.set_active_tick(SimTime::from_mins(1), t1);
+        tel.set_active_tick(t1);
         assert_eq!(tel.active_tick(), t1);
-        assert_eq!(tel.active_tick_at(SimTime::from_mins(1)), t1);
-        assert_eq!(tel.active_tick_at(SimTime::from_mins(2)), SpanCtx::NONE);
         let t2 = tel.root_span();
-        tel.set_active_tick(SimTime::from_mins(2), t2);
+        tel.set_active_tick(t2);
         assert_eq!(tel.active_tick(), t2);
     }
 }

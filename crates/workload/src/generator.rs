@@ -115,11 +115,6 @@ impl BatchWorkload {
             })
             .collect()
     }
-
-    /// Raw id the next generated job will get.
-    pub fn next_job_id(&self) -> u64 {
-        self.next_job_raw
-    }
 }
 
 /// Draws from Poisson(`rate`), tolerating a zero rate.
@@ -161,7 +156,6 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
         assert_eq!(ids.first().copied(), Some(1_000));
-        assert_eq!(w.next_job_id(), 1_000 + ids.len() as u64);
     }
 
     #[test]

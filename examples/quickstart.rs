@@ -42,21 +42,23 @@ fn main() {
     // 4. Report.
     let stats = |d| {
         let w = WindowStats::of(tb.window(d), tb.domain_budget_w(d));
-        (w.p_mean(), w.p_max, w.u_mean(), w.breaker_violations)
+        (
+            w.p_mean(),
+            w.p_max,
+            w.u_mean(),
+            w.breaker_violations,
+            w.placed,
+        )
     };
-    let (ep, epm, eu, ev) = stats(exp);
-    let (cp, cpm, _, cv) = stats(ctl);
+    let (ep, epm, eu, ev, ej) = stats(exp);
+    let (cp, cpm, _, cv, cj) = stats(ctl);
 
     println!("\n                    controlled   uncontrolled");
     println!("mean power / budget   {ep:10.3}   {cp:12.3}");
     println!("max  power / budget   {epm:10.3}   {cpm:12.3}");
     println!("power violations      {ev:10}   {cv:12}");
     println!("mean freezing ratio   {eu:10.3}   {:12.3}", 0.0);
-    println!(
-        "jobs accepted         {:10}   {:12}",
-        tb.placed_jobs(exp),
-        tb.placed_jobs(ctl)
-    );
+    println!("jobs accepted         {ej:10}   {cj:12}");
     println!(
         "\nWith 25% more servers than the budget strictly allows, Ampere kept the \
          controlled group under its budget ({ev} violations vs {cv}) by freezing \
