@@ -18,10 +18,10 @@
 //!   (millicores / MB), so `allocated` never depends on the order jobs
 //!   start or stop.
 //!
-//! Row power is not stored: `FleetState::row_power_w` sums the cached
+//! Nothing is stored per row: `FleetState::row_power_w` sums the cached
 //! per-server power of the row in ascending id order, the same sum the
-//! power monitor takes over a sweep. Only the per-row frozen count is
-//! kept alongside, and `freeze`/`unfreeze` keep it exact.
+//! power monitor takes over a sweep, and a row's frozen count is a scan
+//! of its frozen flags.
 //!
 //! Each server keeps its running jobs in one contiguous `Vec<JobSlot>`,
 //! so progressing a server's jobs is a linear walk over adjacent
@@ -82,8 +82,6 @@ pub(crate) struct FleetState {
     max_job: Vec<u64>,
     // --- row aggregation ---
     servers_per_row: usize,
-    /// Per-row frozen-server counts (integral, hence always exact).
-    row_frozen: Vec<u32>,
     /// Whether any server may be below nominal frequency — lets the
     /// per-tick bulk DVFS reset short-circuit on uncapped fleets.
     any_non_nominal: bool,
@@ -127,7 +125,6 @@ impl FleetState {
             jobs: vec![Vec::new(); n],
             max_job: vec![0; n],
             servers_per_row: spec.servers_per_row(),
-            row_frozen: vec![0; spec.rows],
             any_non_nominal: false,
         }
     }
@@ -253,17 +250,11 @@ impl FleetState {
     }
 
     pub(crate) fn freeze(&mut self, i: usize) {
-        if !self.frozen[i] {
-            self.frozen[i] = true;
-            self.row_frozen[self.row[i] as usize] += 1;
-        }
+        self.frozen[i] = true;
     }
 
     pub(crate) fn unfreeze(&mut self, i: usize) {
-        if self.frozen[i] {
-            self.frozen[i] = false;
-            self.row_frozen[self.row[i] as usize] -= 1;
-        }
+        self.frozen[i] = false;
     }
 
     // --- bulk hot-path operations ---
@@ -353,10 +344,6 @@ impl FleetState {
     pub(crate) fn row_power_w(&self, row: usize) -> f64 {
         let start = row * self.servers_per_row;
         self.power[start..start + self.servers_per_row].iter().sum()
-    }
-
-    pub(crate) fn frozen_in_row(&self, row: usize) -> usize {
-        self.row_frozen[row] as usize
     }
 
     pub(crate) fn all_nominal_dvfs(&self) -> bool {

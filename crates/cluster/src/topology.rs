@@ -259,13 +259,13 @@ impl Cluster {
         }
     }
 
-    /// Number of frozen servers in a row. O(1).
+    /// Number of frozen servers in a row: a scan of its frozen flags.
     pub fn frozen_count(&self, row: RowId) -> usize {
-        self.fleet.frozen_in_row(row.index())
+        self.iter_row(row).filter(|s| s.is_frozen()).count()
     }
 
     /// Whether every server runs at nominal frequency — lets per-tick
-    /// DVFS resets and frequency rollups short-circuit.
+    /// DVFS resets and frequency sums short-circuit.
     pub fn all_nominal_dvfs(&self) -> bool {
         self.fleet.all_nominal_dvfs()
     }
@@ -562,7 +562,7 @@ mod tests {
         c.server_mut(ServerId::new(9)).freeze(); // Other row.
         assert_eq!(c.frozen_count(RowId::new(0)), 2);
         assert_eq!(c.frozen_count(RowId::new(1)), 1);
-        // Freezing is idempotent on the counters.
+        // Freezing twice counts once.
         c.server_mut(ServerId::new(1)).freeze();
         assert_eq!(c.frozen_count(RowId::new(0)), 2);
         c.server_mut(ServerId::new(1)).unfreeze();

@@ -104,11 +104,6 @@ impl InvariantKind {
             InvariantKind::SlaProtection => "sla-protection",
         }
     }
-
-    /// Parses a registry name back to the kind.
-    pub fn from_name(name: &str) -> Option<InvariantKind> {
-        InvariantKind::ALL.into_iter().find(|k| k.name() == name)
-    }
 }
 
 impl fmt::Display for InvariantKind {
@@ -140,14 +135,6 @@ impl fmt::Display for Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for kind in InvariantKind::ALL {
-            assert_eq!(InvariantKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(InvariantKind::from_name("nope"), None);
-    }
 
     #[test]
     fn display_includes_tick_when_localized() {

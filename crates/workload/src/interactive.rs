@@ -39,7 +39,6 @@
 //! and the results are bit-identical to [`InteractiveSim::run`] with a
 //! per-request lookup of the same trace.
 
-use ampere_cluster::ServiceClass;
 use ampere_sim::{derive_stream, rng::streams, SimRng};
 use ampere_stats::quantile::TopTail;
 
@@ -301,33 +300,6 @@ impl InteractiveSim {
                 })
             })
             .collect()
-    }
-
-    /// Like [`InteractiveSim::run`], for a server of a given
-    /// [`ServiceClass`]. Interactive servers delegate to `run`
-    /// unchanged — same derived stream, bit-identical percentiles — so
-    /// every legacy caller is the all-interactive special case. Batch
-    /// servers carry side-task traffic on a class-separated stream
-    /// (offset seed) so adding batch servers to a mixed fleet never
-    /// perturbs the interactive draw sequence.
-    pub fn run_classed(
-        &self,
-        op: OpType,
-        class: ServiceClass,
-        freq_at: &dyn Fn(f64) -> f64,
-    ) -> LatencyStats {
-        match class {
-            ServiceClass::Interactive => self.run(op, freq_at),
-            ServiceClass::Batch => {
-                let side = InteractiveSim {
-                    // Splitmix-style offset keeps the batch stream
-                    // disjoint from the interactive one for any seed.
-                    seed: self.seed ^ 0x9e37_79b9_7f4a_7c15,
-                    ..self.clone()
-                };
-                side.run(op, freq_at)
-            }
-        }
     }
 
     /// Runs the full Fig 11 comparison: every op, once under a capping
@@ -625,18 +597,6 @@ mod tests {
             assert_eq!(r.capped_p999_us.to_bits(), capped.to_bits());
             assert_eq!(r.ampere_p999_us.to_bits(), ampere.to_bits());
         }
-    }
-
-    #[test]
-    fn classed_run_is_bit_identical_for_interactive() {
-        let sim = quick_sim();
-        let legacy = sim.run(OpType::Get, &|_| 1.0);
-        let classed = sim.run_classed(OpType::Get, ServiceClass::Interactive, &|_| 1.0);
-        assert_eq!(legacy.p999_us.to_bits(), classed.p999_us.to_bits());
-        assert_eq!(legacy.count, classed.count);
-        // Batch side traffic draws from a disjoint stream.
-        let batch = sim.run_classed(OpType::Get, ServiceClass::Batch, &|_| 1.0);
-        assert_ne!(legacy.p999_us.to_bits(), batch.p999_us.to_bits());
     }
 
     #[test]

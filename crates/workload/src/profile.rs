@@ -122,29 +122,6 @@ impl RateProfile {
         }
     }
 
-    /// The streaming-service preset (after cloudsim_eec's Test1 mix):
-    /// an evening-peak, high-amplitude request stream carrying the
-    /// high-SLA streaming traffic, superposed with off-hour batch side
-    /// tasks (transcodes, re-indexing) that peak in anti-phase and
-    /// backfill the overnight trough. Calibrated for the 440-server
-    /// evaluation row like the other presets.
-    pub fn streaming_service() -> Self {
-        RateProfile::Mix {
-            components: vec![
-                RateProfile::Diurnal {
-                    base_per_min: 320.0,
-                    amplitude: 0.85,
-                    peak_hour: 20.0,
-                },
-                RateProfile::Diurnal {
-                    base_per_min: 140.0,
-                    amplitude: 0.70,
-                    peak_hour: 8.0,
-                },
-            ],
-        }
-    }
-
     /// Scales the profile's rate by `factor` (e.g. to adapt a 440-server
     /// preset to a different row size).
     pub fn scaled(self, factor: f64) -> Self {
@@ -329,28 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_preset_superposes_and_scales() {
-        let p = RateProfile::streaming_service();
-        // Evening peak dominates; the off-hour side tasks keep the
-        // overnight trough well above the streaming component alone.
-        let evening = p.rate_per_min(SimTime::from_hours(20));
-        let morning = p.rate_per_min(SimTime::from_hours(8));
-        let night = p.rate_per_min(SimTime::from_hours(2));
-        assert!(evening > morning, "evening {evening} vs morning {morning}");
-        assert!(night > 0.0);
-        let streaming_only = RateProfile::Diurnal {
-            base_per_min: 320.0,
-            amplitude: 0.85,
-            peak_hour: 20.0,
-        };
-        assert!(night > streaming_only.rate_per_min(SimTime::from_hours(2)));
-        // Mix scaling distributes over components.
-        let half = RateProfile::streaming_service().scaled(0.5);
-        let t = SimTime::from_hours(17);
-        assert!((half.rate_per_min(t) - p.rate_per_min(t) * 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn user_population_converts_to_rate() {
         let pop = UserPopulation::streaming(2.0e6);
         // 2M users · 1.8 req/user-h / 60 / 600 req/job = 100 jobs/min.
@@ -372,6 +327,14 @@ mod tests {
         let full = RateProfile::light_row();
         let t = SimTime::from_hours(10);
         assert!((p.rate_per_min(t) - full.rate_per_min(t) * 0.5).abs() < 1e-9);
+        // Mix scaling distributes over components.
+        let mix = || RateProfile::Mix {
+            components: vec![
+                RateProfile::light_row(),
+                RateProfile::Constant { per_min: 40.0 },
+            ],
+        };
+        assert!((mix().scaled(0.5).rate_per_min(t) - mix().rate_per_min(t) * 0.5).abs() < 1e-9);
     }
 
     #[test]

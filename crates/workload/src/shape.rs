@@ -60,12 +60,6 @@ impl JobShapeDist {
         let mem = (cpu as f64 / 1_000.0 * self.mb_per_core * jitter).round() as u64;
         Resources::new(cpu, mem.max(64))
     }
-
-    /// Expected CPU demand in millicores.
-    pub fn mean_cpu_millis(&self) -> f64 {
-        let total: f64 = self.sizes.iter().map(|&(_, w)| w).sum();
-        self.sizes.iter().map(|&(c, w)| c as f64 * w / total).sum()
-    }
 }
 
 #[cfg(test)]
@@ -97,12 +91,6 @@ mod tests {
             .count();
         let frac = small as f64 / n as f64;
         assert!((0.32..=0.38).contains(&frac), "frac = {frac}");
-    }
-
-    #[test]
-    fn mean_cpu_matches_weights() {
-        let dist = JobShapeDist::new(vec![(1_000, 1.0), (3_000, 1.0)], 1_024.0);
-        assert!((dist.mean_cpu_millis() - 2_000.0).abs() < 1e-9);
     }
 
     #[test]
