@@ -32,8 +32,10 @@ pub struct CircuitBreaker {
     /// tick's span here — violation and trip events then join that
     /// tick's trace.
     control_span: SpanCtx,
-    violation_counter: Counter,
-    run_hist: Histogram,
+    /// Violation counter and run-length histogram, registered at the
+    /// first observation under the pipeline and label then in effect,
+    /// so the builder steps before it register nothing.
+    metrics: Option<(Counter, Histogram)>,
 }
 
 impl CircuitBreaker {
@@ -46,7 +48,9 @@ impl CircuitBreaker {
     /// Telemetry (violation/trip events, the violation-run-length
     /// histogram) reports into the global pipeline; see
     /// [`CircuitBreaker::with_telemetry`] and
-    /// [`CircuitBreaker::with_label`].
+    /// [`CircuitBreaker::with_label`]. Its metrics are registered once,
+    /// at the first [`CircuitBreaker::observe`], under the pipeline and
+    /// label set by then.
     pub fn new(limit_w: f64, trip_after: u32) -> Self {
         Self::try_new(limit_w, trip_after).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -60,7 +64,7 @@ impl CircuitBreaker {
         if trip_after == 0 {
             return Err(PowerConfigError::BadTripAfter);
         }
-        let mut breaker = Self {
+        Ok(Self {
             limit_w,
             trip_after,
             consecutive_over: 0,
@@ -70,36 +74,20 @@ impl CircuitBreaker {
             telemetry: ampere_telemetry::global(),
             label: String::new(),
             control_span: SpanCtx::NONE,
-            violation_counter: Counter::noop(),
-            run_hist: Histogram::noop(),
-        };
-        breaker.rebind_metrics();
-        Ok(breaker)
+            metrics: None,
+        })
     }
 
     /// Replaces the telemetry pipeline (builder style).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self.rebind_metrics();
         self
     }
 
     /// Names this breaker's row in telemetry labels (builder style).
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
-        self.rebind_metrics();
         self
-    }
-
-    fn rebind_metrics(&mut self) {
-        let labels = [("row", self.label.as_str())];
-        self.violation_counter = self.telemetry.counter("breaker_violations", &labels);
-        // Run lengths in one-minute samples: 1, 2, 4, … 512.
-        self.run_hist = self.telemetry.histogram(
-            "breaker_violation_run_mins",
-            &labels,
-            &buckets::exponential(1.0, 2.0, 10),
-        );
     }
 
     /// The breaker limit in watts.
@@ -117,12 +105,24 @@ impl CircuitBreaker {
     /// Records one power sample; returns `true` if this sample is a
     /// violation (over the limit).
     pub fn observe(&mut self, at: SimTime, power_w: f64) -> bool {
+        let (violation_counter, run_hist) = self.metrics.get_or_insert_with(|| {
+            let labels = [("row", self.label.as_str())];
+            (
+                self.telemetry.counter("breaker_violations", &labels),
+                // Run lengths in one-minute samples: 1, 2, 4, … 512.
+                self.telemetry.histogram(
+                    "breaker_violation_run_mins",
+                    &labels,
+                    &buckets::exponential(1.0, 2.0, 10),
+                ),
+            )
+        });
         let over = power_w > self.limit_w;
         if over {
             self.violations += 1;
             self.consecutive_over += 1;
             self.worst_overload_w = self.worst_overload_w.max(power_w - self.limit_w);
-            self.violation_counter.inc();
+            violation_counter.inc();
             self.telemetry.emit_with(|| {
                 Event::new(at, Severity::Warn, "breaker", "violation")
                     .in_span(self.control_span)
@@ -146,7 +146,7 @@ impl CircuitBreaker {
         } else {
             if self.consecutive_over > 0 {
                 // A violation run just ended; record its duration.
-                self.run_hist.record(f64::from(self.consecutive_over));
+                run_hist.record(f64::from(self.consecutive_over));
             }
             self.consecutive_over = 0;
         }
@@ -300,6 +300,12 @@ mod tests {
         assert_eq!(trips[0].field("row").unwrap().as_str(), Some("row0"));
 
         let snap = tel.snapshot().unwrap();
+        // Registered once, under the final label: no unlabeled series.
+        let mut series = snap
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with("breaker_"));
+        assert!(series.all(|e| e.labels == [("row", "row0".to_string())]));
         let counter = snap.get("breaker_violations", &[("row", "row0")]).unwrap();
         assert_eq!(counter.kind, MetricKind::Counter(5));
         // Only the completed (recovered) run is in the histogram so far.

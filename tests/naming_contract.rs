@@ -183,7 +183,9 @@ fn exported_names_match_the_audit_table() {
     ampere_telemetry::reset_global();
 
     // Metrics: every exported name is declared, label keys are
-    // snake_case even if the table drifted.
+    // snake_case even if the table drifted, and no label value is
+    // empty (an empty one is a series registered before its owner knew
+    // what it measures).
     let declared: BTreeSet<&str> = METRICS.iter().copied().collect();
     let mut seen_metrics = BTreeSet::new();
     for entry in &snapshot.entries {
@@ -192,8 +194,13 @@ fn exported_names_match_the_audit_table() {
             "metric {:?} is exported but missing from the DESIGN.md §11 audit table",
             entry.name
         );
-        for (key, _) in &entry.labels {
+        for (key, value) in &entry.labels {
             assert!(is_snake_case(key), "label key {key:?} is not snake_case");
+            assert!(
+                !value.is_empty(),
+                "metric {:?} exports an empty {key:?} label",
+                entry.name
+            );
         }
         seen_metrics.insert(entry.name);
     }
