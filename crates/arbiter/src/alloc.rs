@@ -344,10 +344,7 @@ mod tests {
     fn rounds_emit_reallocate_and_grant_events() {
         use ampere_telemetry::{RingBufferSink, Telemetry};
         let (sink, events) = RingBufferSink::new(16);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut arb = BudgetArbiter::try_with_telemetry(config(2, 80_000.0), tel).unwrap();
         arb.reallocate(SimTime::from_mins(5), &[1.0, 1.0], &healthy(2));
         let evs = events.events();

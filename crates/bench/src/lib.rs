@@ -25,13 +25,6 @@ pub mod profile;
 pub mod scale;
 pub mod watch;
 
-/// Serializes the unit tests that install the process-global telemetry
-/// pipeline (the profile and watch benchmarks). Tests that only run
-/// experiments wrap them in `Capture::standalone()` instead, so their
-/// events never reach whichever pipeline is installed.
-#[cfg(test)]
-static GLOBAL_PIPELINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Print-and-optionally-save sink for the repro binary.
 pub struct Output {
     csv_dir: Option<PathBuf>,

@@ -4,8 +4,8 @@
 //! The same seeded [`ShardedTestbed`] workload runs twice in one
 //! process:
 //!
-//! 1. **no-op pass** — no global pipeline installed; every telemetry
-//!    call site hits the disabled-handle fast path;
+//! 1. **no-op pass** — run in the disabled handle's scope; every
+//!    telemetry call site hits the disabled-handle fast path;
 //! 2. **instrumented pass** — full pipeline: JSONL serialization (to a
 //!    null writer, so the cost measured is serialization, not disk),
 //!    per-tick event batching, the deterministic 1-in-N sampler and the
@@ -113,36 +113,27 @@ fn run_pass(config: &ProfileConfig) -> (f64, u64) {
 }
 
 /// Runs the two passes plus the per-op micro-benchmark.
-///
-/// Installs (and afterwards resets) the process-global telemetry
-/// pipeline for the instrumented pass, so callers must not hold a
-/// pipeline they care about across this call.
 pub fn run(config: &ProfileConfig) -> ProfileRun {
     // Pass 1: telemetry disabled — the no-op baseline.
-    ampere_telemetry::reset_global();
-    let (wall_noop_ms, checksum_noop) = run_pass(config);
+    let (wall_noop_ms, checksum_noop) = Telemetry::disabled().scope(|| run_pass(config));
 
     // Pass 2: fully instrumented — serialization to a null writer,
     // batching, sampling, profiling.
     let count = Arc::new(AtomicU64::new(0));
-    ampere_telemetry::install_global(
-        Telemetry::builder()
-            .sink(JsonlSink::new(std::io::sink()))
-            .sink(CountingSink {
-                count: Arc::clone(&count),
-            })
-            .batched(true)
-            .sample_events(config.sample_period, config.seed)
-            .profiling(true)
-            .build(),
-    );
-    let (wall_instr_ms, checksum_instr) = run_pass(config);
-    let tel = ampere_telemetry::global();
+    let tel = Telemetry::builder()
+        .sink(JsonlSink::new(std::io::sink()))
+        .sink(CountingSink {
+            count: Arc::clone(&count),
+        })
+        .batched(true)
+        .sample_events(config.sample_period, config.seed)
+        .profiling(true)
+        .build();
+    let (wall_instr_ms, checksum_instr) = tel.scope(|| run_pass(config));
     tel.flush();
     let snapshot = tel
         .snapshot()
         .expect("instrumented pipeline has a registry");
-    ampere_telemetry::reset_global();
 
     let events_total = count.load(Ordering::Relaxed);
     let events_sampled_out = match snapshot.get("telemetry_events_sampled_out", &[]) {
@@ -211,9 +202,6 @@ mod tests {
 
     #[test]
     fn quick_profile_is_digest_clean_and_serializes() {
-        let _guard = crate::GLOBAL_PIPELINE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let result = run(&ProfileConfig {
             rows: 3,
             workers: 2,

@@ -25,7 +25,7 @@ use ampere_obs::alerts::{CHAOS_PASS, CLEAN_PASS, PROXIMITY_RULE};
 use ampere_obs::dump::{hex, Fields};
 use ampere_obs::WatchRun;
 use ampere_sim::{Fnv, SimTime};
-use ampere_telemetry::{install_global, reset_global, JsonlSink, Telemetry};
+use ampere_telemetry::{JsonlSink, Telemetry};
 use ampere_watch::pass_marker;
 use exp::fig10::{Fig10Config, Fig10Result, WorkloadKind};
 
@@ -122,10 +122,10 @@ fn checksum_results(results: &[Fig10Result]) -> u64 {
     f.finish()
 }
 
-/// Runs both tasks once under the current global pipeline; the
-/// per-task captures replay into it in task order, so any attached
-/// tap sees the clean stream strictly before the chaos stream.
-fn run_tasks(config: &WatchBenchConfig) -> Vec<Fig10Result> {
+/// Runs both tasks once in `tel`'s scope; the per-task captures
+/// replay into it in task order, so any attached tap sees the clean
+/// stream strictly before the chaos stream.
+fn run_tasks(config: &WatchBenchConfig, tel: &Telemetry) -> Vec<Fig10Result> {
     let clean_cfg = config.fig10(WorkloadKind::Light);
     let chaos_cfg = config.fig10(WorkloadKind::Heavy);
     let faults = config.fault_plan();
@@ -140,10 +140,10 @@ fn run_tasks(config: &WatchBenchConfig) -> Vec<Fig10Result> {
         }),
     ];
     let pool = ampere_par::WorkerPool::new(config.workers.max(1));
-    let results = ampere_par::run_captured(&pool, tasks);
+    let results = tel.scope(|| ampere_par::run_captured(&pool, tasks));
     // The replay lands in the parent's per-tick batch; drain it so the
     // sinks (and the tap) see the tail before the pass is timed off.
-    ampere_telemetry::global().flush_events();
+    tel.flush_events();
     results
 }
 
@@ -151,36 +151,29 @@ fn run_tasks(config: &WatchBenchConfig) -> Vec<Fig10Result> {
 pub fn run(config: WatchBenchConfig) -> WatchRun {
     // Bare pass: events are serialized and discarded, matching the
     // instrumented profile baseline, but no watch tap is attached.
-    reset_global();
-    install_global(
-        Telemetry::builder()
-            .sink(JsonlSink::new(std::io::sink()))
-            .batched(true)
-            .build(),
-    );
+    let bare = Telemetry::builder()
+        .sink(JsonlSink::new(std::io::sink()))
+        .batched(true)
+        .build();
     let t0 = Instant::now();
-    let plain = run_tasks(&config);
+    let plain = run_tasks(&config, &bare);
     let wall_plain_ms = t0.elapsed().as_secs_f64() * 1e3;
     let checksum_plain = checksum_results(&plain);
-    reset_global();
 
     // Tapped pass: same pipeline plus the watch tap. The tap observes
     // the merged replay stream, so its view — and therefore the alert
     // stream — is identical at any worker count.
     let (tap, handle) = ampere_watch::tap(ampere_watch::WatchConfig::default());
-    install_global(
-        Telemetry::builder()
-            .sink(JsonlSink::new(std::io::sink()))
-            .sink(tap)
-            .batched(true)
-            .build(),
-    );
+    let tapped = Telemetry::builder()
+        .sink(JsonlSink::new(std::io::sink()))
+        .sink(tap)
+        .batched(true)
+        .build();
     let t1 = Instant::now();
-    let watched = run_tasks(&config);
+    let watched = run_tasks(&config, &tapped);
     let wall_watch_ms = t1.elapsed().as_secs_f64() * 1e3;
     let checksum_watch = checksum_results(&watched);
     let report = handle.finish();
-    reset_global();
 
     let mut run = WatchRun {
         workers: config.workers as u64,
@@ -224,9 +217,6 @@ mod tests {
 
     #[test]
     fn tiny_bench_is_deterministic_and_serializes() {
-        let _guard = crate::GLOBAL_PIPELINE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let config = WatchBenchConfig {
             workers: 2,
             seed: 10,

@@ -6,7 +6,7 @@
 use ampere_cluster::ServerId;
 use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile, ServerPowerReading};
 use ampere_sim::SimTime;
-use ampere_telemetry::{Event, MetricKind, RingBufferSink, Severity, Telemetry};
+use ampere_telemetry::{Event, MetricKind, RingBufferSink, Telemetry};
 
 fn controller(tel: Telemetry) -> AmpereController {
     AmpereController::with_telemetry(
@@ -90,10 +90,7 @@ fn repeated_ticks_produce_identical_traced_dumps() {
     // runs must keep.
     let run = || {
         let (sink, events) = RingBufferSink::new(256);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         six_minutes(&mut controller(tel));
         events
             .events()

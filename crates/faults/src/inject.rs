@@ -331,10 +331,7 @@ mod tests {
     fn outage_transitions_emit_events() {
         use ampere_telemetry::{RingBufferSink, Telemetry};
         let (sink, events) = RingBufferSink::new(16);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut inj = FaultInjector::try_with_telemetry(
             FaultPlan {
                 outages: vec![OutageWindow {
@@ -408,10 +405,7 @@ mod tests {
     fn arbiter_outage_windows_down_the_arbiter() {
         use ampere_telemetry::{RingBufferSink, Telemetry};
         let (sink, events) = RingBufferSink::new(16);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut inj = FaultInjector::try_with_telemetry(
             FaultPlan {
                 arbiter_outages: vec![OutageWindow {

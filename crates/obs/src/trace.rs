@@ -48,8 +48,8 @@ impl TraceIndex {
 
     /// The root event of the trace `ctx` belongs to — for control-stack
     /// dumps, the controller tick that started the causal episode.
-    /// `None` for untraced events or when the root was filtered out of
-    /// the dump (severity threshold, truncation).
+    /// `None` for untraced events or when the root is missing from the
+    /// dump (a truncated or filtered file).
     pub fn root_of<'a>(&self, events: &'a [ParsedEvent], ctx: SpanCtx) -> Option<&'a ParsedEvent> {
         if ctx.is_none() {
             return None;

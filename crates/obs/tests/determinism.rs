@@ -36,39 +36,38 @@ impl Write for SharedBuf {
 fn traced_run() -> Vec<u8> {
     let buf = SharedBuf::default();
     let sink = ampere_telemetry::JsonlSink::new(buf.clone());
-    ampere_telemetry::install_global(ampere_telemetry::Telemetry::builder().sink(sink).build());
-
-    let mut tb = Testbed::new(TestbedConfig {
-        spec: ClusterSpec::tiny(),
-        profile: RateProfile::Constant { per_min: 800.0 }.scaled(16.0 / 440.0),
-        seed: 42,
-        tick: SimDuration::MINUTE,
-        measurement_noise: 0.003,
-        capping: CappingConfig {
-            enabled: false,
-            ..CappingConfig::default()
-        },
-        policy: Box::new(RandomFit::default()),
-        server_classes: None,
-        service_classes: None,
-        freeze_policy: FreezePolicy::Uniform,
-        faults: None,
+    let tel = ampere_telemetry::Telemetry::builder().sink(sink).build();
+    tel.scope(|| {
+        let mut tb = Testbed::new(TestbedConfig {
+            spec: ClusterSpec::tiny(),
+            profile: RateProfile::Constant { per_min: 800.0 }.scaled(16.0 / 440.0),
+            seed: 42,
+            tick: SimDuration::MINUTE,
+            measurement_noise: 0.003,
+            capping: CappingConfig {
+                enabled: false,
+                ..CappingConfig::default()
+            },
+            policy: Box::new(RandomFit::default()),
+            server_classes: None,
+            service_classes: None,
+            freeze_policy: FreezePolicy::Uniform,
+            faults: None,
+        });
+        let (exp, _ctl) = ParitySplit::split((0..16).map(ServerId::new));
+        tb.add_domain(DomainSpec {
+            name: "experiment".into(),
+            servers: exp,
+            budget_w: 8.0 * 250.0 / 1.25,
+            controller: Some(AmpereController::new(
+                ControllerConfig::default(),
+                Box::new(HistoricalPercentile::flat(0.02)),
+            )),
+            capped: false,
+        });
+        tb.run_for(SimDuration::from_mins(90));
     });
-    let (exp, _ctl) = ParitySplit::split((0..16).map(ServerId::new));
-    tb.add_domain(DomainSpec {
-        name: "experiment".into(),
-        servers: exp,
-        budget_w: 8.0 * 250.0 / 1.25,
-        controller: Some(AmpereController::new(
-            ControllerConfig::default(),
-            Box::new(HistoricalPercentile::flat(0.02)),
-        )),
-        capped: false,
-    });
-    tb.run_for(SimDuration::from_mins(90));
-
-    ampere_telemetry::global().flush();
-    ampere_telemetry::reset_global();
+    tel.flush();
     let bytes = buf.0.lock().unwrap().clone();
     bytes
 }

@@ -21,43 +21,43 @@ use std::io::Write as _;
 
 fn smoke_run(path: &std::path::Path) {
     let sink = ampere_telemetry::JsonlSink::create(path).expect("create dump");
-    ampere_telemetry::install_global(ampere_telemetry::Telemetry::builder().sink(sink).build());
-
-    let mut tb = Testbed::new(TestbedConfig {
-        spec: ClusterSpec::tiny(),
-        profile: RateProfile::Constant { per_min: 800.0 }.scaled(16.0 / 440.0),
-        seed: 1,
-        tick: SimDuration::MINUTE,
-        measurement_noise: 0.003,
-        capping: CappingConfig {
-            enabled: false,
-            ..CappingConfig::default()
-        },
-        policy: Box::new(RandomFit::default()),
-        server_classes: None,
-        service_classes: None,
-        freeze_policy: FreezePolicy::Uniform,
-        faults: None,
+    let tel = ampere_telemetry::Telemetry::builder().sink(sink).build();
+    tel.scope(|| {
+        let mut tb = Testbed::new(TestbedConfig {
+            spec: ClusterSpec::tiny(),
+            profile: RateProfile::Constant { per_min: 800.0 }.scaled(16.0 / 440.0),
+            seed: 1,
+            tick: SimDuration::MINUTE,
+            measurement_noise: 0.003,
+            capping: CappingConfig {
+                enabled: false,
+                ..CappingConfig::default()
+            },
+            policy: Box::new(RandomFit::default()),
+            server_classes: None,
+            service_classes: None,
+            freeze_policy: FreezePolicy::Uniform,
+            faults: None,
+        });
+        let (exp, _ctl) = ParitySplit::split((0..16).map(ServerId::new));
+        let budget = 8.0 * 250.0 / 1.25;
+        tb.add_domain(DomainSpec {
+            name: "experiment".into(),
+            servers: exp,
+            budget_w: budget,
+            controller: Some(AmpereController::new(
+                ControllerConfig::default(),
+                Box::new(HistoricalPercentile::flat(0.02)),
+            )),
+            capped: false,
+        });
+        tb.run_for(SimDuration::from_mins(120));
     });
-    let (exp, _ctl) = ParitySplit::split((0..16).map(ServerId::new));
-    let budget = 8.0 * 250.0 / 1.25;
-    tb.add_domain(DomainSpec {
-        name: "experiment".into(),
-        servers: exp,
-        budget_w: budget,
-        controller: Some(AmpereController::new(
-            ControllerConfig::default(),
-            Box::new(HistoricalPercentile::flat(0.02)),
-        )),
-        capped: false,
-    });
-    tb.run_for(SimDuration::from_mins(120));
 
     // Same epilogue as `repro --telemetry`: flush events, append the
     // metrics snapshot.
-    let tel = ampere_telemetry::global();
     tel.flush();
-    let snapshot = tel.snapshot().expect("pipeline installed");
+    let snapshot = tel.snapshot().expect("pipeline is enabled");
     let mut f = std::fs::OpenOptions::new()
         .append(true)
         .open(path)

@@ -15,7 +15,7 @@ use ampere_telemetry::fanin;
 ///
 /// The merged event stream, span ids and metrics are therefore identical
 /// to running the tasks serially — at any worker count. With a disabled
-/// parent, tasks run with the default no-op handle and nothing replays.
+/// parent, tasks run in its (disabled) scope and nothing replays.
 pub fn run_captured<'a, T: Send + 'a>(pool: &WorkerPool, tasks: Vec<Task<'a, T>>) -> Vec<T> {
     let parent = ampere_telemetry::global();
     let wrapped: Vec<Task<'a, (T, Option<fanin::Captured>)>> = tasks
@@ -93,11 +93,12 @@ mod tests {
 
     #[test]
     fn disabled_parent_still_runs_tasks() {
-        ampere_telemetry::reset_global();
         let pool = WorkerPool::new(4);
-        let tasks: Vec<Task<'_, usize>> = (0..4usize)
-            .map(|i| Box::new(move || i) as Task<'_, usize>)
+        let tasks: Vec<Task<'_, bool>> = (0..4)
+            .map(|_| Box::new(|| ampere_telemetry::global().enabled()) as Task<'_, bool>)
             .collect();
-        assert_eq!(run_captured(&pool, tasks), vec![0, 1, 2, 3]);
+        let enabled = Telemetry::disabled().scope(|| run_captured(&pool, tasks));
+        // Every task, on whichever worker, sees the caller's scope.
+        assert_eq!(enabled, vec![false; 4]);
     }
 }

@@ -408,13 +408,10 @@ mod tests {
 
     #[test]
     fn sweep_events_join_the_active_tick() {
-        use ampere_telemetry::{RingBufferSink, Severity, Telemetry};
+        use ampere_telemetry::{RingBufferSink, Telemetry};
 
         let (sink, events) = RingBufferSink::new(8);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut mon = PowerMonitor::with_telemetry(tel.clone());
 
         // No controller tick registered yet: the sweep is untraced.

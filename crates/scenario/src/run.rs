@@ -199,9 +199,10 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ScenarioOutcome {
 /// One simulation pass under a telemetry capture.
 fn run_once(scenario: &Scenario, bug: Option<InjectedBug>, replay: bool) -> RawRun {
     // Always a standalone capture, never one inheriting the ambient
-    // pipeline's severity filter: the digest must cover the same bytes
-    // whether the process installed telemetry or not, or the same seed
-    // would "diverge" between the CLI and the test harness.
+    // pipeline's settings (an ambient sampler would drop events): the
+    // digest must cover the same bytes whatever pipeline is in scope,
+    // or none, or the same seed would "diverge" between the CLI and the
+    // test harness.
     let parent = ampere_telemetry::global();
     let capture = Capture::standalone();
     let (records, final_measured_w) = capture.with(|| simulate(scenario, bug));

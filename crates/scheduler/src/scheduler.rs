@@ -509,10 +509,7 @@ mod tests {
         use ampere_telemetry::{MetricKind, RingBufferSink};
 
         let (sink, events) = RingBufferSink::new(64);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut cluster = Cluster::new(ClusterSpec::tiny());
         let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 11, tel.clone());
         sched.set_clock(SimTime::from_mins(7));
@@ -592,10 +589,7 @@ mod tests {
         use ampere_telemetry::RingBufferSink;
 
         let (sink, events) = RingBufferSink::new(64);
-        let tel = Telemetry::builder()
-            .min_severity(Severity::Debug)
-            .sink(sink)
-            .build();
+        let tel = Telemetry::builder().sink(sink).build();
         let mut cluster = Cluster::new(ClusterSpec::tiny());
         let mut sched = Scheduler::with_telemetry(Box::new(RandomFit::default()), 11, tel.clone());
 

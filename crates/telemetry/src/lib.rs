@@ -7,7 +7,7 @@
 //!   snapshot/export to JSONL and a human-readable table;
 //! - **structured events** ([`Event`]) — sim-time-stamped facts
 //!   (`controller/tick`, `scheduler/freeze`, `breaker/trip` …) fanned
-//!   out to pluggable [`sink`]s: ring buffer, JSONL writer, stderr.
+//!   out to pluggable [`sink`]s: ring buffer, JSONL writer.
 //!
 //! Wall-clock time is measured in one place only: the opt-in tick-phase
 //! profiler ([`profile`], armed by `profiling(true)`). A pipeline built
@@ -18,8 +18,9 @@
 //! default handle is *disabled*: every metric handle is a no-op, and
 //! [`Telemetry::emit_with`] never even builds the event, so
 //! uninstrumented runs pay one branch per call site. Components capture
-//! [`global()`] at construction; a driver that wants a dump installs a
-//! pipeline once via [`install_global`] before building the testbed.
+//! [`global()`] at construction; code that wants a run to report into a
+//! pipeline builds the run inside [`Telemetry::scope`]. Only a process
+//! entry point installs a pipeline with [`install_global`].
 //!
 //! ```
 //! use ampere_sim::SimTime;
@@ -55,7 +56,7 @@ pub use registry::{
     buckets, Counter, CounterHandle, Gauge, GaugeHandle, Histogram, HistogramHandle, MetricKind,
     MetricSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::{EventSink, JsonlSink, RingBufferHandle, RingBufferSink, StderrSink};
+pub use sink::{EventSink, JsonlSink, RingBufferHandle, RingBufferSink};
 pub use trace::{SpanCtx, SpanId, TraceId};
 
 use std::cell::RefCell;
@@ -81,7 +82,6 @@ struct Sampler {
 struct Pipeline {
     registry: MetricsRegistry,
     sinks: Mutex<Vec<Box<dyn EventSink>>>,
-    min_severity: Severity,
     /// Per-task event buffer (see [`Telemetry::flush_events`]). Empty
     /// and unused when `batched` is false.
     batch: Mutex<Vec<Event>>,
@@ -123,7 +123,6 @@ impl fmt::Debug for Telemetry {
 #[derive(Default)]
 pub struct TelemetryBuilder {
     sinks: Vec<Box<dyn EventSink>>,
-    min_severity: Option<Severity>,
     batched: bool,
     sample: Option<(u64, u64)>,
     profiling: bool,
@@ -133,21 +132,6 @@ impl TelemetryBuilder {
     /// Attaches an event sink.
     pub fn sink(mut self, sink: impl EventSink + 'static) -> Self {
         self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Attaches a [`RingBufferSink`] holding the last `capacity` events
-    /// and returns its read handle alongside the builder, so callers
-    /// keep live access after the sink moves into the pipeline.
-    pub fn ring_buffer(mut self, capacity: usize) -> (Self, RingBufferHandle) {
-        let (sink, handle) = RingBufferSink::new(capacity);
-        self.sinks.push(Box::new(sink));
-        (self, handle)
-    }
-
-    /// Drops events below `severity` (default: keep everything).
-    pub fn min_severity(mut self, severity: Severity) -> Self {
-        self.min_severity = Some(severity);
         self
     }
 
@@ -214,7 +198,6 @@ impl TelemetryBuilder {
             pipeline: Some(Arc::new(Pipeline {
                 registry,
                 sinks: Mutex::new(sinks),
-                min_severity: self.min_severity.unwrap_or(Severity::Debug),
                 batch: Mutex::new(Vec::new()),
                 batched: self.batched,
                 sampler,
@@ -243,34 +226,30 @@ impl Telemetry {
         self.pipeline.is_some()
     }
 
-    /// Emits an event, building it lazily: with a disabled pipeline (or
-    /// one filtering everything) `build` is never called, so the hot
-    /// path allocates nothing.
+    /// Emits an event, building it lazily: with a disabled pipeline
+    /// `build` is never called, so the hot path allocates nothing.
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if let Some(pipeline) = &self.pipeline {
             let event = build();
-            if event.severity >= pipeline.min_severity {
-                if pipeline.batched {
-                    // Batched hot path: one buffer push now, sinks see
-                    // the event at the next flush_events() in exactly
-                    // this order.
-                    pipeline
-                        .batch
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(event);
-                    return;
-                }
-                // The emit path must never take the simulation down:
-                // recover a poisoned sink list instead of panicking.
-                let mut sinks = pipeline
-                    .sinks
+            if pipeline.batched {
+                // Batched hot path: one buffer push now, sinks see the
+                // event at the next flush_events() in exactly this order.
+                pipeline
+                    .batch
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                for sink in sinks.iter_mut() {
-                    sink.record(&event);
-                }
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(event);
+                return;
+            }
+            // The emit path must never take the simulation down: recover
+            // a poisoned sink list instead of panicking.
+            let mut sinks = pipeline
+                .sinks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for sink in sinks.iter_mut() {
+                sink.record(&event);
             }
         }
     }
@@ -444,6 +423,17 @@ impl Telemetry {
         self.pipeline.as_ref().map(|p| p.registry.snapshot())
     }
 
+    /// Runs `f` with this handle as the calling thread's [`global()`],
+    /// so every component `f` constructs reports here. Scopes nest (the
+    /// innermost wins) and end when `f` returns or panics. Threads that
+    /// `f` spawns do not inherit the scope; the parallel engine carries
+    /// it to its workers explicitly.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        OVERRIDE.with(|stack| stack.borrow_mut().push(self.clone()));
+        let _pop = PopOnDrop;
+        f()
+    }
+
     /// Flushes every sink (draining the batched event buffer first).
     pub fn flush(&self) {
         self.flush_events();
@@ -463,29 +453,29 @@ static GLOBAL: RwLock<Option<Telemetry>> = RwLock::new(None);
 
 thread_local! {
     /// Per-thread override stack consulted by [`global()`] before the
-    /// process-wide handle. Pushed/popped by [`fanin::Capture::with`] so
-    /// parallel tasks record into private capture pipelines; a stack so
-    /// captures nest (fan-out inside fan-out).
+    /// process-wide handle; [`Telemetry::scope`] pushes and pops it. A
+    /// stack, so scopes nest (a capture inside a capture).
     static OVERRIDE: RefCell<Vec<Telemetry>> = const { RefCell::new(Vec::new()) };
 }
 
-pub(crate) fn push_thread_override(telemetry: Telemetry) {
-    OVERRIDE.with(|stack| stack.borrow_mut().push(telemetry));
+/// Pops the innermost [`Telemetry::scope`] override, also on unwind.
+struct PopOnDrop;
+
+impl Drop for PopOnDrop {
+    fn drop(&mut self) {
+        OVERRIDE.with(|stack| {
+            stack.borrow_mut().pop();
+        });
+    }
 }
 
-pub(crate) fn pop_thread_override() {
-    OVERRIDE.with(|stack| {
-        stack.borrow_mut().pop();
-    });
-}
-
-/// The process-wide telemetry handle; disabled until [`install_global`].
+/// The calling thread's telemetry handle: the innermost
+/// [`Telemetry::scope`] if one is active, else the process-wide handle
+/// (disabled until [`install_global`]).
 ///
-/// Components capture this at construction time, so install the pipeline
-/// *before* building the testbed/controllers that should report into it.
-/// A thread-local override installed by [`fanin::Capture::with`] takes
-/// precedence, so tasks running under the parallel engine resolve to
-/// their private capture pipeline instead.
+/// Components capture this at construction time, so build them inside
+/// the scope of the pipeline that should hear from them. Tasks under the
+/// parallel engine run inside their private capture's scope.
 pub fn global() -> Telemetry {
     if let Some(telemetry) = OVERRIDE.with(|stack| stack.borrow().last().cloned()) {
         return telemetry;
@@ -493,7 +483,8 @@ pub fn global() -> Telemetry {
     GLOBAL.read().unwrap().clone().unwrap_or_default()
 }
 
-/// Installs `telemetry` as the process-wide handle.
+/// Installs `telemetry` as the process-wide handle. For process entry
+/// points only; library code and tests use [`Telemetry::scope`].
 pub fn install_global(telemetry: Telemetry) {
     *GLOBAL.write().unwrap() = Some(telemetry);
 }
@@ -526,19 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_filter_applies_after_build() {
-        let (sink, events) = RingBufferSink::new(8);
-        let tel = Telemetry::builder()
-            .sink(sink)
-            .min_severity(Severity::Warn)
-            .build();
-        tel.emit(ev(Severity::Info));
-        tel.emit(ev(Severity::Warn));
-        tel.emit(ev(Severity::Error));
-        assert_eq!(events.len(), 2);
-    }
-
-    #[test]
     fn events_fan_out_to_all_sinks() {
         let (a, ea) = RingBufferSink::new(8);
         let (b, eb) = RingBufferSink::new(8);
@@ -549,19 +527,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_ring_buffer_wires_sink_and_handle() {
-        let (builder, events) = Telemetry::builder().ring_buffer(2);
-        let tel = builder.build();
-        for n in 0..3 {
-            tel.emit(ev(Severity::Info).with("n", n as u64));
-        }
-        // Capacity 2: the first event was evicted, latest two remain.
-        let ns: Vec<u64> = events
-            .events()
-            .iter()
-            .map(|e| e.field("n").unwrap().as_u64().unwrap())
-            .collect();
-        assert_eq!(ns, vec![1, 2]);
+    fn scopes_nest_and_end_with_their_closure() {
+        let outer = Telemetry::builder().build();
+        let enabled = outer.scope(|| {
+            let inner = Telemetry::disabled().scope(|| global().enabled());
+            (global().enabled(), inner)
+        });
+        assert_eq!(enabled, (true, false), "the innermost scope wins");
+        outer.scope(|| global().counter("scoped", &[]).inc());
+        let snap = outer.snapshot().unwrap();
+        assert_eq!(
+            snap.get("scoped", &[]).unwrap().kind,
+            MetricKind::Counter(1)
+        );
     }
 
     #[test]

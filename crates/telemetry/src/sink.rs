@@ -1,8 +1,8 @@
 //! Event sinks: where emitted [`Event`]s go.
 //!
 //! A [`Telemetry`](crate::Telemetry) pipeline fans each event out to
-//! every attached sink. Sinks are deliberately dumb — filtering happens
-//! upstream (severity threshold) so a sink only formats or stores.
+//! every attached sink. Sinks are deliberately dumb: a sink only formats
+//! or stores.
 
 use crate::event::Event;
 use crate::registry::Counter;
@@ -15,25 +15,13 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 thread_local! {
-    /// Scratch buffer reused by the line-oriented sinks: serializing an
-    /// event sits on the flush path, and a fresh `String` per event is
+    /// Scratch buffer reused by [`JsonlSink`]: serializing an event
+    /// sits on the flush path, and a fresh `String` per event is
     /// real allocator traffic at hyperscale event rates.
     static JSON_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Serializes `event` into the thread-local scratch buffer and hands the
-/// resulting line to `f`. The buffer is cleared, not shrunk, so steady
-/// state allocates nothing.
-fn with_event_json<R>(event: &Event, f: impl FnOnce(&str) -> R) -> R {
-    JSON_SCRATCH.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        buf.clear();
-        event.write_json(&mut buf);
-        f(&buf)
-    })
-}
-
-/// Receives every event that passes the pipeline's severity filter.
+/// Receives every event the pipeline emits.
 ///
 /// Sinks sit on the event-emit path and must never panic: a sink that
 /// can fail (file I/O) drops the event and reports through the error
@@ -144,7 +132,14 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
-        let ok = with_event_json(event, |json| writeln!(self.out, "{json}").is_ok());
+        // The scratch buffer is cleared, not shrunk, so steady state
+        // allocates nothing.
+        let ok = JSON_SCRATCH.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            event.write_json(&mut buf);
+            writeln!(self.out, "{buf}").is_ok()
+        });
         if !ok {
             self.errors.inc();
         }
@@ -158,16 +153,6 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 
     fn bind_error_counter(&mut self, errors: Counter) {
         self.errors = errors;
-    }
-}
-
-/// Prints events to stderr as JSON lines (handy for debugging runs).
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl EventSink for StderrSink {
-    fn record(&mut self, event: &Event) {
-        with_event_json(event, |json| eprintln!("{json}"));
     }
 }
 

@@ -153,34 +153,31 @@ fn faulted_testbed(seed: u64) -> (Testbed, DomainId) {
 
 #[test]
 fn exported_names_match_the_audit_table() {
-    // One process-global pipeline for the whole test binary: batched,
-    // sampled and profiling so every export path is live.
+    // One pipeline for both runs: batched, sampled and profiling so
+    // every export path is live.
     let path = std::env::temp_dir().join(format!(
         "ampere-naming-contract-{}.jsonl",
         std::process::id()
     ));
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
-    ampere_telemetry::install_global(
-        ampere_telemetry::Telemetry::builder()
-            .sink(sink)
-            .batched(true)
-            .sample_events(3, 42)
-            .profiling(true)
-            .build(),
-    );
+    let tel = ampere_telemetry::Telemetry::builder()
+        .sink(sink)
+        .batched(true)
+        .sample_events(3, 42)
+        .profiling(true)
+        .build();
 
     // A faulted single-domain run plus a sharded run (fan-in merge,
     // per-shard captures) to cover both emission topologies.
-    let (mut tb, _d) = faulted_testbed(42);
-    tb.run_for(SimDuration::from_mins(120));
-    let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(3, 2, 7));
-    sharded.run_for(SimDuration::from_mins(20));
-    sharded.finish();
-
-    let tel = ampere_telemetry::global();
+    tel.scope(|| {
+        let (mut tb, _d) = faulted_testbed(42);
+        tb.run_for(SimDuration::from_mins(120));
+        let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(3, 2, 7));
+        sharded.run_for(SimDuration::from_mins(20));
+        sharded.finish();
+    });
     tel.flush();
-    let snapshot = tel.snapshot().expect("pipeline installed");
-    ampere_telemetry::reset_global();
+    let snapshot = tel.snapshot().expect("pipeline is enabled");
 
     // Metrics: every exported name is declared, label keys are
     // snake_case even if the table drifted, and no label value is

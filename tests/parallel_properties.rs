@@ -11,16 +11,7 @@
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
 use ampere_faults::FaultPlan;
 use ampere_sim::SimDuration;
-use ampere_telemetry::Capture;
-
-use std::sync::Mutex;
-
-/// Serializes the tests that install the process-global telemetry
-/// pipeline: the dump file is per-scenario, but the global slot is
-/// shared. Checksum-only tests need no lock: they run their fleets
-/// under a standalone capture, so their events never reach the global
-/// pipeline.
-static GLOBAL_PIPELINE: Mutex<()> = Mutex::new(());
+use ampere_telemetry::{Capture, Telemetry};
 
 /// Runs a sharded fleet for 20 simulated minutes under its own
 /// standalone telemetry capture, returning the trajectory checksum and
@@ -45,24 +36,26 @@ fn dump_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Runs a 6-shard, 30-simulated-minute sharded testbed on `workers`
-/// threads with the global pipeline streaming to a JSONL file, and
-/// returns the dump contents and the final metrics snapshot as JSONL.
-/// The pipeline has no phase profiler, so nothing in either reads the
-/// wall clock.
+/// threads in the scope of `tel`, then flushes it.
+fn run_sharded_in(tel: &Telemetry, workers: usize) {
+    tel.scope(|| {
+        let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(6, workers, 99));
+        sharded.run_for(SimDuration::from_mins(30));
+        sharded.finish();
+    });
+    tel.flush();
+}
+
+/// Runs the sharded testbed with a pipeline streaming to a JSONL file,
+/// and returns the dump contents and the final metrics snapshot as
+/// JSONL. The pipeline has no phase profiler, so nothing in either
+/// reads the wall clock.
 fn sharded_dump(workers: usize, tag: &str) -> (String, String) {
-    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let path = dump_path(tag);
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
-    ampere_telemetry::install_global(ampere_telemetry::Telemetry::builder().sink(sink).build());
-
-    let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(6, workers, 99));
-    sharded.run_for(SimDuration::from_mins(30));
-    sharded.finish();
-
-    let tel = ampere_telemetry::global();
-    tel.flush();
-    let snapshot = tel.snapshot().expect("pipeline installed");
-    ampere_telemetry::reset_global();
+    let tel = Telemetry::builder().sink(sink).build();
+    run_sharded_in(&tel, workers);
+    let snapshot = tel.snapshot().expect("pipeline is enabled");
     (
         std::fs::read_to_string(&path).expect("read dump"),
         snapshot.to_jsonl(),
@@ -121,26 +114,16 @@ fn analyzer_report_is_identical_across_worker_counts() {
 /// metric lines minus the profiler's (its wall-time histograms are the
 /// one legitimately nondeterministic export).
 fn sharded_dump_full(workers: usize, tag: &str) -> (String, String) {
-    let _guard = GLOBAL_PIPELINE.lock().unwrap();
     let path = dump_path(tag);
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
-    ampere_telemetry::install_global(
-        ampere_telemetry::Telemetry::builder()
-            .sink(sink)
-            .batched(true)
-            .sample_events(3, 99)
-            .profiling(true)
-            .build(),
-    );
-
-    let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(6, workers, 99));
-    sharded.run_for(SimDuration::from_mins(30));
-    sharded.finish();
-
-    let tel = ampere_telemetry::global();
-    tel.flush();
-    let snapshot = tel.snapshot().expect("pipeline installed");
-    ampere_telemetry::reset_global();
+    let tel = Telemetry::builder()
+        .sink(sink)
+        .batched(true)
+        .sample_events(3, 99)
+        .profiling(true)
+        .build();
+    run_sharded_in(&tel, workers);
+    let snapshot = tel.snapshot().expect("pipeline is enabled");
     let metrics: String = snapshot
         .to_jsonl()
         .lines()
