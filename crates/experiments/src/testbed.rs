@@ -842,17 +842,13 @@ impl Testbed {
             }
 
             let dom = &self.domains[d];
-            let frozen = dom
-                .servers
-                .iter()
-                .filter(|&&id| self.cluster.server(id).is_frozen())
-                .count();
             let record = DomainTickRecord {
                 time: self.now,
                 power_w: s.power_w,
                 power_norm: s.power_w / dom.budget_w,
-                frozen,
-                freezing_ratio: frozen as f64 / dom.servers.len() as f64,
+                // Counted below, once every domain has run control.
+                frozen: 0,
+                freezing_ratio: 0.0,
                 u_target,
                 violation,
                 capped_servers: self.capped_scratch[d],
@@ -867,6 +863,19 @@ impl Testbed {
             self.domains[d].records.push(record);
         }
         self.sums_scratch = sums;
+        // Frozen counts after every domain's control step, so a domain
+        // overlapping a later-registered controlled one sees this tick's
+        // freezes too.
+        for dom in &mut self.domains {
+            let frozen = dom
+                .servers
+                .iter()
+                .filter(|&&id| self.cluster.server(id).is_frozen())
+                .count();
+            let record = dom.records.last_mut().expect("pushed above");
+            record.frozen = frozen;
+            record.freezing_ratio = frozen as f64 / dom.servers.len() as f64;
+        }
 
         // Batched pipelines drain once per tick; unbatched pipelines
         // make this a no-op, so the cadence is a pipeline choice, not a
@@ -1259,47 +1268,53 @@ mod tests {
 
     #[test]
     fn overlapping_domains_share_each_server_once() {
-        let mut tb = Testbed::new(quick_config(RateProfile::Constant { per_min: 800.0 }));
-        // The parity halves of row 0, the first one controlled. They
-        // register before the row because each domain counts its frozen
-        // servers right after its own control step.
-        let (exp, ctl) = ParitySplit::split(tb.cluster().row_server_ids(RowId::new(0)));
-        let controller = AmpereController::new(
-            ControllerConfig::default(),
-            Box::new(HistoricalPercentile::flat(0.02)),
-        );
-        let halves = [(exp, Some(controller)), (ctl, None)].map(|(servers, controller)| {
-            tb.add_domain(DomainSpec {
-                name: format!("half{}", servers[0].index()),
-                budget_w: servers.len() as f64 * 250.0 / 1.25,
-                servers,
-                controller,
-                capped: false,
-            })
-        });
-        let rows = tb.add_row_domains(1.0).unwrap();
-        let row = rows[0];
-        tb.run_for(SimDuration::from_mins(120));
+        for row_first in [true, false] {
+            let mut tb = Testbed::new(quick_config(RateProfile::Constant { per_min: 800.0 }));
+            // Row 0 and its parity halves, the first half controlled,
+            // registered in either order.
+            let add_rows = |tb: &mut Testbed| tb.add_row_domains(1.0).unwrap();
+            let rows = if row_first {
+                add_rows(&mut tb)
+            } else {
+                Vec::new()
+            };
+            let (exp, ctl) = ParitySplit::split(tb.cluster().row_server_ids(RowId::new(0)));
+            let controller = AmpereController::new(
+                ControllerConfig::default(),
+                Box::new(HistoricalPercentile::flat(0.02)),
+            );
+            let halves = [(exp, Some(controller)), (ctl, None)].map(|(servers, controller)| {
+                tb.add_domain(DomainSpec {
+                    name: format!("half{}", servers[0].index()),
+                    budget_w: servers.len() as f64 * 250.0 / 1.25,
+                    servers,
+                    controller,
+                    capped: false,
+                })
+            });
+            let rows = if row_first { rows } else { add_rows(&mut tb) };
+            tb.run_for(SimDuration::from_mins(120));
 
-        // The rows cover the fleet once: each placement counts in the
-        // tick it happened, and in no later one.
-        let placed: u64 = rows
-            .iter()
-            .flat_map(|&d| tb.records(d))
-            .map(|r| r.placed_jobs)
-            .sum();
-        assert!(placed > 0, "nothing was placed");
-        assert_eq!(placed, tb.sched().stats().placed);
+            // The rows cover the fleet once: each placement counts in
+            // the tick it happened, and in no later one.
+            let placed: u64 = rows
+                .iter()
+                .flat_map(|&d| tb.records(d))
+                .map(|r| r.placed_jobs)
+                .sum();
+            assert!(placed > 0, "nothing was placed");
+            assert_eq!(placed, tb.sched().stats().placed);
 
-        let [a, b] = halves.map(|d| tb.records(d));
-        let whole = tb.records(row);
-        for ((a, b), r) in a.iter().zip(b).zip(whole) {
-            assert_eq!(a.placed_jobs + b.placed_jobs, r.placed_jobs);
-            assert_eq!(a.frozen + b.frozen, r.frozen);
-            let power = a.power_w + b.power_w;
-            assert!((power - r.power_w).abs() <= 1e-9 * r.power_w);
+            let [a, b] = halves.map(|d| tb.records(d));
+            let whole = tb.records(rows[0]);
+            for ((a, b), r) in a.iter().zip(b).zip(whole) {
+                assert_eq!(a.placed_jobs + b.placed_jobs, r.placed_jobs);
+                assert_eq!(a.frozen + b.frozen, r.frozen, "row_first={row_first}");
+                let power = a.power_w + b.power_w;
+                assert!((power - r.power_w).abs() <= 1e-9 * r.power_w);
+            }
+            assert!(whole.iter().any(|r| r.frozen > 0), "nothing was frozen");
         }
-        assert!(whole.iter().any(|r| r.frozen > 0), "nothing was frozen");
     }
 
     #[test]
