@@ -9,7 +9,7 @@
 
 use ampere_sim::SimTime;
 
-use crate::json::write_json_string;
+use crate::json::{write_json_f64, write_json_string};
 use crate::trace::{SpanCtx, SpanId, TraceId};
 
 use std::fmt;
@@ -386,24 +386,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Writes an `f64` so that it parses back as a float (always keeps a
-/// decimal point or exponent); non-finite values become `null`.
-///
-/// Formats straight into `out` (no intermediate `to_string`): this sits
-/// on the snapshot-export and event-flush paths, where a per-value heap
-/// allocation is measurable at hyperscale event rates.
-pub(crate) fn write_json_f64(v: f64, out: &mut String) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let start = out.len();
-    let _ = write!(out, "{v}");
-    if !out[start..].contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,9 +413,11 @@ mod tests {
         let mut s = String::new();
         write_json_f64(3.0, &mut s);
         assert_eq!(s, "3.0");
-        let mut s = String::new();
-        write_json_f64(f64::NAN, &mut s);
-        assert_eq!(s, "null");
+        for v in [f64::NAN, f64::INFINITY] {
+            let mut s = String::new();
+            write_json_f64(v, &mut s);
+            assert_eq!(s, "null");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A minimal JSON parser for reading telemetry dumps back, and the one
-//! string escaper every JSON writer in the workspace shares.
+//! string escaper and float writer every JSON writer in the workspace
+//! shares.
 //!
 //! Handles exactly the subset [`Event::to_json`](crate::Event::to_json)
 //! and the metrics snapshot emit: one flat object per line whose values
@@ -8,6 +9,8 @@
 //! supported and not produced.
 
 use crate::event::{ParseError, Value};
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value, extending [`Value`] with the array and
 /// string-map shapes the metrics snapshot emits.
@@ -38,6 +41,24 @@ pub fn write_json_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Writes an `f64` so that it parses back as a float (always keeps a
+/// decimal point or exponent); non-finite values become `null`.
+///
+/// Formats straight into `out` (no intermediate `to_string`): this sits
+/// on the snapshot-export and event-flush paths, where a per-value heap
+/// allocation is measurable at hyperscale event rates.
+pub fn write_json_f64(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
 }
 
 /// Parses a flat JSON object into its key/value pairs, scalars only

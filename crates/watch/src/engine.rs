@@ -3,9 +3,10 @@
 
 use crate::rollup::{PowerHistogram, WindowAccum, WindowRollup};
 use crate::rules::{AlertRule, RuleInput, RuleState, Transition};
-use crate::{digest_lines, fmt, WatchConfig};
+use crate::{digest_lines, WatchConfig};
 
 use ampere_sim::SimTime;
+use ampere_telemetry::json::{write_json_f64, write_json_string};
 use ampere_telemetry::{Event, Severity, SpanCtx};
 
 use std::collections::VecDeque;
@@ -79,11 +80,11 @@ impl AlertRecord {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(160);
         let _ = write!(out, "{{\"t_ms\":{},\"pass\":", self.time.as_millis());
-        fmt::string(&self.pass, &mut out);
+        write_json_string(&self.pass, &mut out);
         out.push_str(",\"alert\":");
-        fmt::string(&self.rule, &mut out);
+        write_json_string(&self.rule, &mut out);
         let _ = write!(out, ",\"state\":\"{}\",\"value\":", self.state);
-        fmt::f64(self.value, &mut out);
+        write_json_f64(self.value, &mut out);
         if self.span.is_some() {
             let _ = write!(
                 out,
@@ -126,9 +127,9 @@ impl Incident {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(200);
         let _ = write!(out, "{{\"incident\":{},\"pass\":", self.id);
-        fmt::string(&self.pass, &mut out);
+        write_json_string(&self.pass, &mut out);
         out.push_str(",\"rule\":");
-        fmt::string(&self.rule, &mut out);
+        write_json_string(&self.rule, &mut out);
         let _ = write!(
             out,
             ",\"severity\":\"{}\",\"opened_ms\":{}",
@@ -150,7 +151,7 @@ impl Incident {
             None => out.push_str("null"),
         }
         out.push_str(",\"peak\":");
-        fmt::f64(self.peak, &mut out);
+        write_json_f64(self.peak, &mut out);
         if self.span.is_some() {
             let _ = write!(
                 out,

@@ -146,43 +146,6 @@ pub fn digest_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
     fnv.finish()
 }
 
-pub(crate) mod fmt {
-    //! Minimal JSON writers matching `ampere-telemetry`'s line format
-    //! (shortest-roundtrip floats, non-finite → `null`).
-
-    use std::fmt::Write as _;
-
-    pub fn string(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    pub fn f64(v: f64, out: &mut String) {
-        if !v.is_finite() {
-            out.push_str("null");
-            return;
-        }
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +158,6 @@ mod tests {
         assert_eq!(a, digest_lines(&["x", "y"]));
         // Line splitting matters: ["xy"] != ["x","y"].
         assert_ne!(digest_lines(&["xy"]), a);
-    }
-
-    #[test]
-    fn fmt_floats_match_telemetry_wire_format() {
-        let mut s = String::new();
-        fmt::f64(3.0, &mut s);
-        assert_eq!(s, "3.0");
-        s.clear();
-        fmt::f64(f64::INFINITY, &mut s);
-        assert_eq!(s, "null");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! is mergeable, so a K-window sliding p99 costs one bucket-wise add at
 //! each window close, never a re-scan of raw samples.
 
-use crate::fmt;
-
 use ampere_sim::SimTime;
+use ampere_telemetry::json::{write_json_f64, write_json_string};
 use ampere_telemetry::SpanCtx;
 
 use std::fmt::Write as _;
@@ -179,7 +178,7 @@ impl WindowRollup {
             "{{\"window\":{},\"segment\":{},\"pass\":",
             self.index, self.segment
         );
-        fmt::string(&self.pass, &mut out);
+        write_json_string(&self.pass, &mut out);
         let _ = write!(
             out,
             ",\"start_ms\":{},\"end_ms\":{},\"ticks\":{},\"power_ticks\":{}",
@@ -189,13 +188,13 @@ impl WindowRollup {
             self.power_ticks
         );
         out.push_str(",\"power_mean\":");
-        fmt::f64(self.power_mean, &mut out);
+        write_json_f64(self.power_mean, &mut out);
         out.push_str(",\"power_max\":");
-        fmt::f64(self.power_max, &mut out);
+        write_json_f64(self.power_max, &mut out);
         out.push_str(",\"power_p99\":");
-        fmt::f64(self.power_p99, &mut out);
+        write_json_f64(self.power_p99, &mut out);
         out.push_str(",\"sliding_p99\":");
-        fmt::f64(self.sliding_p99, &mut out);
+        write_json_f64(self.sliding_p99, &mut out);
         let _ = write!(
             out,
             ",\"churn\":{},\"sliding_churn\":{},\"degraded_ticks\":{},\"backstop_ticks\":{},\"violations\":{},\"arb_rounds\":{},\"starved_rounds\":{}",
@@ -203,9 +202,9 @@ impl WindowRollup {
             self.arb_rounds, self.starved_rounds
         );
         out.push_str(",\"p_over\":");
-        fmt::f64(self.p_over, &mut out);
+        write_json_f64(self.p_over, &mut out);
         out.push_str(",\"min_headroom\":");
-        fmt::f64(self.min_headroom, &mut out);
+        write_json_f64(self.min_headroom, &mut out);
         out.push('}');
         out
     }

@@ -10,8 +10,7 @@
 //! tick, warmup windows) are skipped entirely — they neither extend nor
 //! reset a streak.
 
-use crate::fmt;
-
+use ampere_telemetry::json::{write_json_f64, write_json_string};
 use ampere_telemetry::Severity;
 
 use std::fmt::Write as _;
@@ -139,7 +138,7 @@ impl AlertRule {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(160);
         out.push_str("{\"rule\":");
-        fmt::string(&self.name, &mut out);
+        write_json_string(&self.name, &mut out);
         out.push_str(",\"input\":\"");
         out.push_str(self.input.as_str());
         out.push('"');
@@ -148,15 +147,15 @@ impl AlertRule {
         }
         out.push_str(",\"scope\":");
         match &self.scope {
-            Some(s) => fmt::string(s, &mut out),
+            Some(s) => write_json_string(s, &mut out),
             None => out.push_str("null"),
         }
         out.push_str(",\"cmp\":\"");
         out.push_str(self.cmp.as_str());
         out.push_str("\",\"threshold\":");
-        fmt::f64(self.threshold, &mut out);
+        write_json_f64(self.threshold, &mut out);
         out.push_str(",\"clear\":");
-        fmt::f64(self.clear, &mut out);
+        write_json_f64(self.clear, &mut out);
         let _ = write!(out, ",\"sustain\":{}", self.sustain);
         out.push_str(",\"severity\":\"");
         out.push_str(self.severity.as_str());
