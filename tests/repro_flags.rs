@@ -95,3 +95,35 @@ fn missing_required_flag_exits_2_without_a_file() {
         assert!(files.is_empty(), "{args:?} wrote {files:?}");
     }
 }
+
+#[test]
+fn bench_runs_keep_the_telemetry_file() {
+    // The benchmarks run their passes in their own pipelines' scopes, so
+    // the `--telemetry` pipeline survives them and gets its snapshot.
+    for (bench, out_flag) in [("profile", "--profile-out"), ("watch", "--watch-out")] {
+        let dir = std::env::temp_dir().join(format!(
+            "repro_flags_{}_{bench}_telemetry",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([bench, "--quick", out_flag, "dump.json"])
+            .args(["--telemetry", "tel.jsonl"])
+            .current_dir(&dir)
+            .output()
+            .expect("run repro");
+        let tel = std::fs::read_to_string(dir.join("tel.jsonl")).expect("telemetry file");
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        assert_eq!(out.status.code(), Some(0), "{bench}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("telemetry written to"),
+            "{bench}: no telemetry line on stderr:\n{stderr}"
+        );
+        let last = tel.lines().last();
+        assert!(
+            last.is_some_and(|l| l.starts_with("{\"metric\":")),
+            "{bench}: telemetry file must end with the metrics snapshot: {tel:?}"
+        );
+    }
+}
