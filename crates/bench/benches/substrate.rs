@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrates: scheduler dispatch (including a
 //! saturated backlog that fits nowhere) and submission onto a growing
 //! backlog, power monitoring/aggregation, time-series queries, capping
-//! decisions, the full testbed tick and the interactive latency model.
+//! decisions, the full testbed tick (on a heavy row and on a row with a
+//! standing backlog) and the interactive latency model.
 //! These bound the simulation's own throughput (simulated minutes per
 //! wall-clock second).
 
@@ -182,6 +183,19 @@ fn main() {
             },
             |tb| tb.step(),
         );
+    }
+
+    // One tick of a `queue_saturated` row: a quick sharded row whose
+    // backlog is already past the 50,000-job dispatch budget and grows
+    // by about 300 jobs a minute, so every tick retries a full window.
+    {
+        use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
+        let mut row = ShardedTestbed::new(ShardedTestbedConfig::quick(1, 1, 42));
+        row.run_for(SimDuration::from_mins(250));
+        assert!(row.testbed(0).sched().queue_len() > 50_000);
+        r.bench("testbed_tick_saturated_backlog_8_servers", || {
+            row.run_for(SimDuration::MINUTE)
+        });
     }
 
     // One p99.9 model run as `repro sla --quick` makes it for one

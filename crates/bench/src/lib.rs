@@ -25,6 +25,74 @@ pub mod profile;
 pub mod scale;
 pub mod watch;
 
+/// Timed pass pairs behind each overhead figure of `repro profile` and
+/// `repro watch`.
+const OVERHEAD_PAIRS: usize = 5;
+
+/// One timed pass: wall milliseconds, trajectory checksum and whatever
+/// the pass leaves for the record.
+struct Timed<T> {
+    wall_ms: f64,
+    checksum: u64,
+    value: T,
+}
+
+impl<T> Timed<T> {
+    /// Runs `f` and times it.
+    fn run(f: impl FnOnce() -> (u64, T)) -> Self {
+        let start = std::time::Instant::now();
+        let (checksum, value) = f();
+        Timed {
+            wall_ms: start.elapsed().as_secs_f64() * 1e3,
+            checksum,
+            value,
+        }
+    }
+}
+
+/// The median of [`OVERHEAD_PAIRS`] alternating (bare, observed) pass
+/// pairs, ranked by overhead fraction, so one pass slowed by a noisy
+/// neighbour does not set the figure.
+struct MedianPair<B, O> {
+    bare: Timed<B>,
+    observed: Timed<O>,
+    /// The median pair's `(observed − bare) / observed`, at least 0
+    /// (also when a wall reads 0).
+    overhead_fraction: f64,
+    /// The first bare pass's checksum.
+    checksum_bare: u64,
+    /// The first checksum of any pass that differs from
+    /// `checksum_bare`, or `checksum_bare` when every pass agrees: the
+    /// two are equal exactly when every pass ran the same trajectory.
+    checksum_observed: u64,
+}
+
+/// Runs `bare` then `observed`, [`OVERHEAD_PAIRS`] times.
+fn median_pair<B, O>(
+    mut bare: impl FnMut() -> Timed<B>,
+    mut observed: impl FnMut() -> Timed<O>,
+) -> MedianPair<B, O> {
+    let mut pairs: Vec<(Timed<B>, Timed<O>)> =
+        (0..OVERHEAD_PAIRS).map(|_| (bare(), observed())).collect();
+    let checksum_bare = pairs[0].0.checksum;
+    let checksum_observed = pairs
+        .iter()
+        .flat_map(|(b, o)| [b.checksum, o.checksum])
+        .find(|&c| c != checksum_bare)
+        .unwrap_or(checksum_bare);
+    let overhead = |(b, o): &(Timed<B>, Timed<O>)| (o.wall_ms - b.wall_ms) / o.wall_ms;
+    pairs.sort_by(|x, y| overhead(x).total_cmp(&overhead(y)));
+    let pair = pairs.swap_remove(OVERHEAD_PAIRS / 2);
+    MedianPair {
+        // `max` drops the NaN of two zero walls.
+        overhead_fraction: overhead(&pair).max(0.0),
+        bare: pair.0,
+        observed: pair.1,
+        checksum_bare,
+        checksum_observed,
+    }
+}
+
 /// Print-and-optionally-save sink for the repro binary.
 pub struct Output {
     csv_dir: Option<PathBuf>,
@@ -180,6 +248,51 @@ pub fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scripted passes: pair `k` has the walls `WALLS[k]` and the
+    /// checksums `bare[k]`, `observed[k]`.
+    fn scripted(bare: [u64; 5], observed: [u64; 5]) -> MedianPair<usize, usize> {
+        // Overhead fractions 0.5, -1, 0.2, 0.1 and 0.
+        const WALLS: [(f64, f64); 5] = [
+            (5.0, 10.0),
+            (20.0, 10.0),
+            (8.0, 10.0),
+            (9.0, 10.0),
+            (10.0, 10.0),
+        ];
+        let (mut b, mut o) = (0, 0);
+        median_pair(
+            || {
+                b += 1;
+                Timed {
+                    wall_ms: WALLS[b - 1].0,
+                    checksum: bare[b - 1],
+                    value: b - 1,
+                }
+            },
+            || {
+                o += 1;
+                Timed {
+                    wall_ms: WALLS[o - 1].1,
+                    checksum: observed[o - 1],
+                    value: o - 1,
+                }
+            },
+        )
+    }
+
+    #[test]
+    fn median_pair_reports_the_middle_pair_and_any_disagreeing_pass() {
+        let pair = scripted([7; 5], [7; 5]);
+        assert_eq!((pair.bare.value, pair.observed.value), (3, 3));
+        assert!((pair.overhead_fraction - 0.1).abs() < 1e-12);
+        assert_eq!((pair.checksum_bare, pair.checksum_observed), (7, 7));
+        // One tapped pass or one later bare pass off the trajectory.
+        let pair = scripted([7; 5], [7, 7, 8, 7, 7]);
+        assert_eq!((pair.checksum_bare, pair.checksum_observed), (7, 8));
+        let pair = scripted([7, 7, 7, 7, 9], [7; 5]);
+        assert_eq!((pair.checksum_bare, pair.checksum_observed), (7, 9));
+    }
 
     #[test]
     fn formatting_helpers() {

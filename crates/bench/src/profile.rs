@@ -1,8 +1,8 @@
 //! The `repro profile` benchmark: what does observing the simulator
 //! cost, and where does a tick's wall time go?
 //!
-//! The same seeded [`ShardedTestbed`] workload runs twice in one
-//! process:
+//! The same seeded [`ShardedTestbed`] workload runs in one process as
+//! five alternating pass pairs:
 //!
 //! 1. **no-op pass** — run in the disabled handle's scope; every
 //!    telemetry call site hits the disabled-handle fast path;
@@ -11,11 +11,13 @@
 //!    per-tick event batching, the deterministic 1-in-N sampler and the
 //!    tick-phase profiler.
 //!
-//! The delta is the telemetry self-overhead, reported as a fraction of
-//! instrumented wall time. Both passes must produce the same trajectory
-//! checksum — telemetry that perturbs the run it observes is a bug, and
-//! the [`ampere_obs::ProfileRun`] record's digest gate fails both
-//! `repro profile` and `report --profile` on it. A string-keyed
+//! A pair's delta is the telemetry self-overhead, as a fraction of
+//! instrumented wall time; the record reports the median pair, with
+//! its walls and its instrumented pipeline's events and phases. Every
+//! pass must produce the same trajectory checksum — telemetry that
+//! perturbs the run it observes is a bug, and the
+//! [`ampere_obs::ProfileRun`] record's digest gate fails both `repro
+//! profile` and `report --profile` on it. A string-keyed
 //! (registry mutex per op) vs pre-registered handle micro-benchmark is
 //! included so the hot-path win stays visible in the report.
 
@@ -28,6 +30,8 @@ use ampere_telemetry::{EventSink, JsonlSink, MetricKind, Telemetry, TickPhase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+use crate::{median_pair, Timed};
 
 /// Configuration of one profiling run.
 pub struct ProfileConfig {
@@ -99,38 +103,47 @@ fn per_op_ns() -> (f64, f64) {
     (mutex_ns, handle_ns)
 }
 
-fn run_pass(config: &ProfileConfig) -> (f64, u64) {
-    let start = Instant::now();
-    let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(
-        config.rows,
-        config.workers,
-        config.seed,
-    ));
-    sharded.run_for(SimDuration::from_mins(config.sim_minutes));
-    sharded.finish();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, sharded.checksum())
+/// One pass in `tel`'s scope: its trajectory checksum.
+fn run_pass(config: &ProfileConfig, tel: &Telemetry) -> u64 {
+    tel.scope(|| {
+        let mut sharded = ShardedTestbed::new(ShardedTestbedConfig::quick(
+            config.rows,
+            config.workers,
+            config.seed,
+        ));
+        sharded.run_for(SimDuration::from_mins(config.sim_minutes));
+        sharded.finish();
+        sharded.checksum()
+    })
 }
 
-/// Runs the two passes plus the per-op micro-benchmark.
+/// Runs the pass pairs plus the per-op micro-benchmark.
 pub fn run(config: &ProfileConfig) -> ProfileRun {
-    // Pass 1: telemetry disabled — the no-op baseline.
-    let (wall_noop_ms, checksum_noop) = Telemetry::disabled().scope(|| run_pass(config));
-
-    // Pass 2: fully instrumented — serialization to a null writer,
-    // batching, sampling, profiling.
-    let count = Arc::new(AtomicU64::new(0));
-    let tel = Telemetry::builder()
-        .sink(JsonlSink::new(std::io::sink()))
-        .sink(CountingSink {
-            count: Arc::clone(&count),
-        })
-        .batched(true)
-        .sample_events(config.sample_period, config.seed)
-        .profiling(true)
-        .build();
-    let (wall_instr_ms, checksum_instr) = tel.scope(|| run_pass(config));
-    tel.flush();
+    let pair = median_pair(
+        // Telemetry disabled — the no-op baseline.
+        || Timed::run(|| (run_pass(config, &Telemetry::disabled()), ())),
+        // Fully instrumented — serialization to a null writer,
+        // batching, sampling, profiling.
+        || {
+            let count = Arc::new(AtomicU64::new(0));
+            let tel = Telemetry::builder()
+                .sink(JsonlSink::new(std::io::sink()))
+                .sink(CountingSink {
+                    count: Arc::clone(&count),
+                })
+                .batched(true)
+                .sample_events(config.sample_period, config.seed)
+                .profiling(true)
+                .build();
+            Timed::run(move || {
+                let checksum = run_pass(config, &tel);
+                tel.flush();
+                (checksum, (tel, count))
+            })
+        },
+    );
+    let (wall_noop_ms, wall_instr_ms) = (pair.bare.wall_ms, pair.observed.wall_ms);
+    let (tel, count) = pair.observed.value;
     let snapshot = tel
         .snapshot()
         .expect("instrumented pipeline has a registry");
@@ -182,9 +195,9 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
         wall_instr_ms,
         ticks_per_sec_noop: ticks as f64 / (wall_noop_ms / 1e3),
         ticks_per_sec_instr: ticks as f64 / (wall_instr_ms / 1e3),
-        overhead_fraction: ((wall_instr_ms - wall_noop_ms) / wall_instr_ms).max(0.0),
-        checksum_noop: hex(checksum_noop),
-        checksum_instr: hex(checksum_instr),
+        overhead_fraction: pair.overhead_fraction,
+        checksum_noop: hex(pair.checksum_bare),
+        checksum_instr: hex(pair.checksum_observed),
         events_total,
         events_sampled_out,
         events_per_tick_pre_sample: per_tick(events_total + events_sampled_out),

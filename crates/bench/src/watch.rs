@@ -1,22 +1,24 @@
 //! `repro watch` — the live-observability benchmark: two identical
 //! fan-out runs (a clean light-workload pass and a chaos-injected heavy
-//! pass), executed twice — once bare, once with the `ampere-watch` tap
-//! attached — so the rollup/alerting overhead is measured against the
-//! same workload it monitors.
+//! pass), executed as five alternating pass pairs — bare, then with the
+//! `ampere-watch` tap attached — so the rollup/alerting overhead is
+//! measured against the same workload it monitors. The record reports
+//! the median pair's walls and overhead, and the median pair's tap.
 //!
 //! The result is an [`ampere_obs::WatchRun`] (`BENCH_watch.json`,
 //! `report --alerts`). What it checks:
 //!
 //! - **Determinism** — the simulated trajectories must be bit-identical
-//!   with and without the tap (the tap is a passive sink; if attaching
-//!   it changes the run, something is deeply wrong), and the alert
-//!   stream digest must be worker-invariant (enforced in CI by diffing
-//!   `BENCH_watch.json` across `--workers 1` and `--workers 4`).
+//!   in every pass, with and without the tap (the tap is a passive
+//!   sink; if attaching it changes the run, something is deeply wrong),
+//!   and the alert stream digest must be worker-invariant (enforced in
+//!   CI by diffing `BENCH_watch.json` across `--workers 1` and
+//!   `--workers 4`).
 //! - **Silence on health** — the clean pass must fire zero alerts.
 //! - **Signal on chaos** — the chaos pass must open at least one
 //!   breaker-proximity incident, linked to the violating control span.
-//! - **Overhead** — the watch pass may cost at most the profiling bar
-//!   (10 %) over the bare pass; gated by `report --alerts
+//! - **Overhead** — the median pair's watch pass may cost at most the
+//!   profiling bar (10 %) over its bare pass; gated by `report --alerts
 //!   --max-overhead`, recorded here.
 
 use ampere_experiments as exp;
@@ -29,7 +31,7 @@ use ampere_telemetry::{JsonlSink, Telemetry};
 use ampere_watch::pass_marker;
 use exp::fig10::{Fig10Config, Fig10Result, WorkloadKind};
 
-use std::time::Instant;
+use crate::{median_pair, Timed};
 
 /// Configuration of the watch benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -147,47 +149,42 @@ fn run_tasks(config: &WatchBenchConfig, tel: &Telemetry) -> Vec<Fig10Result> {
     results
 }
 
-/// Runs the full benchmark: bare pass, tapped pass, gates.
+/// Runs the full benchmark: the bare and tapped pass pairs, gates.
 pub fn run(config: WatchBenchConfig) -> WatchRun {
-    // Bare pass: events are serialized and discarded, matching the
-    // instrumented profile baseline, but no watch tap is attached.
-    let bare = Telemetry::builder()
-        .sink(JsonlSink::new(std::io::sink()))
-        .batched(true)
-        .build();
-    let t0 = Instant::now();
-    let plain = run_tasks(&config, &bare);
-    let wall_plain_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let checksum_plain = checksum_results(&plain);
-
-    // Tapped pass: same pipeline plus the watch tap. The tap observes
-    // the merged replay stream, so its view — and therefore the alert
-    // stream — is identical at any worker count.
-    let (tap, handle) = ampere_watch::tap(ampere_watch::WatchConfig::default());
-    let tapped = Telemetry::builder()
-        .sink(JsonlSink::new(std::io::sink()))
-        .sink(tap)
-        .batched(true)
-        .build();
-    let t1 = Instant::now();
-    let watched = run_tasks(&config, &tapped);
-    let wall_watch_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let checksum_watch = checksum_results(&watched);
-    let report = handle.finish();
+    let pair = median_pair(
+        // Bare pass: events are serialized and discarded, matching the
+        // instrumented profile baseline, but no watch tap is attached.
+        || {
+            let bare = Telemetry::builder()
+                .sink(JsonlSink::new(std::io::sink()))
+                .batched(true)
+                .build();
+            Timed::run(|| (checksum_results(&run_tasks(&config, &bare)), ()))
+        },
+        // Tapped pass: same pipeline plus the watch tap. The tap
+        // observes the merged replay stream, so its view — and
+        // therefore the alert stream — is identical at any worker count.
+        || {
+            let (tap, handle) = ampere_watch::tap(ampere_watch::WatchConfig::default());
+            let tapped = Telemetry::builder()
+                .sink(JsonlSink::new(std::io::sink()))
+                .sink(tap)
+                .batched(true)
+                .build();
+            Timed::run(|| (checksum_results(&run_tasks(&config, &tapped)), handle))
+        },
+    );
+    let report = pair.observed.value.finish();
 
     let mut run = WatchRun {
         workers: config.workers as u64,
         seed: config.seed,
         hours: config.hours,
-        wall_plain_ms,
-        wall_watch_ms,
-        overhead_fraction: if wall_watch_ms > 0.0 {
-            ((wall_watch_ms - wall_plain_ms) / wall_watch_ms).max(0.0)
-        } else {
-            0.0
-        },
-        checksum_plain: hex(checksum_plain),
-        checksum_watch: hex(checksum_watch),
+        wall_plain_ms: pair.bare.wall_ms,
+        wall_watch_ms: pair.observed.wall_ms,
+        overhead_fraction: pair.overhead_fraction,
+        checksum_plain: hex(pair.checksum_bare),
+        checksum_watch: hex(pair.checksum_observed),
         rule_digest: hex(report.rule_digest()),
         alert_digest: hex(report.alert_digest()),
         events: report.events_seen,

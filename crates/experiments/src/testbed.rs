@@ -629,10 +629,12 @@ impl Testbed {
     /// Executes one tick.
     pub fn step(&mut self) {
         // 1. Arrivals and placement. Telemetry events emitted by the
-        // scheduler this tick carry the interval-start timestamp.
+        // scheduler this tick carry the interval-start timestamp. The
+        // scheduler draws arriving jobs only when dispatch can reach
+        // them, so a deep backlog queues counts, not jobs.
         self.sched.set_clock(self.now);
-        let arrivals = self.workload.tick(self.now, self.tick);
-        self.sched.submit(arrivals);
+        let arrivals = self.workload.arrivals(self.now, self.tick);
+        self.sched.arrive(arrivals, || self.workload.next_job());
         self.fill_row_headroom();
         let outcome = self
             .sched

@@ -2,12 +2,13 @@
 //! --alerts`.
 //!
 //! `repro watch` emits `BENCH_watch.json` — a JSONL header describing
-//! one two-pass observability benchmark, then the alert-rule table, the
-//! alert stream, the incident ledger and the window rollups the online
-//! engine produced. [`WatchRun`] is that dump as a record
-//! ([`BenchDump`]) with the verdicts CI gates on:
+//! one observability benchmark of alternating bare and tapped pass
+//! pairs, then the alert-rule table, the alert stream, the incident
+//! ledger and the window rollups the online engine produced.
+//! [`WatchRun`] is that dump as a record ([`BenchDump`]) with the
+//! verdicts CI gates on:
 //!
-//! - **trajectory digest** — the tapped pass must reproduce the bare
+//! - **trajectory digest** — every pass must reproduce the first bare
 //!   pass's trajectory checksum exactly (a tap that steers the run it
 //!   observes is a correctness bug);
 //! - **stream digests** — the alert stream and rule table are re-hashed
@@ -94,15 +95,17 @@ dump_line! {
         seed: u64,
         /// Measured hours per task.
         hours: u64,
-        /// Wall ms of the bare pass.
+        /// Wall ms of the median pair's bare pass.
         wall_plain_ms: f64 => 3,
-        /// Wall ms of the tapped pass.
+        /// Wall ms of the median pair's tapped pass.
         wall_watch_ms: f64 => 3,
-        /// Observability overhead fraction of the tapped pass.
+        /// Observability overhead fraction of the tapped pass, of the
+        /// pass pair with the median fraction.
         overhead_fraction: f64 => 6,
-        /// Trajectory checksum, bare pass (hex).
+        /// Trajectory checksum, first bare pass (hex).
         checksum_plain: String,
-        /// Trajectory checksum, tapped pass (hex).
+        /// The first pass's trajectory checksum that differs from
+        /// `checksum_plain`, or that one when every pass agrees (hex).
         checksum_watch: String,
         /// Rule-table digest the engine computed online (hex).
         rule_digest: String,

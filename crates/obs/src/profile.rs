@@ -2,14 +2,15 @@
 //! --profile`.
 //!
 //! `repro profile` emits `BENCH_profile.json` — a JSONL header line
-//! describing one two-pass overhead measurement (the same seeded
-//! workload with telemetry disabled and fully instrumented), plus one
-//! line per tick phase with the profiler's wall-time breakdown.
+//! describing one overhead measurement (the same seeded workload with
+//! telemetry disabled and fully instrumented, in alternating pass
+//! pairs; the median pair is reported), plus one line per tick phase
+//! with the profiler's wall-time breakdown.
 //! [`ProfileRun`] is that dump as a record ([`BenchDump`]) with the
 //! verdicts CI gates on:
 //!
-//! - **digest** — the instrumented pass must reproduce the no-op
-//!   pass's trajectory checksum exactly. Telemetry that perturbs the
+//! - **digest** — every pass must reproduce the first no-op pass's
+//!   trajectory checksum exactly. Telemetry that perturbs the
 //!   run it observes is a correctness bug and always fails the report;
 //! - **overhead** — the self-overhead fraction is compared against
 //!   `report --max-overhead` when given, soft by default so the
@@ -48,19 +49,22 @@ dump_line! {
         sample_period: u64,
         /// Simulated domain-ticks.
         ticks: u64,
-        /// Wall milliseconds, telemetry disabled.
+        /// Wall milliseconds, telemetry disabled (median pair).
         wall_noop_ms: f64 => 3,
-        /// Wall milliseconds, fully instrumented.
+        /// Wall milliseconds, fully instrumented (median pair).
         wall_instr_ms: f64 => 3,
         /// Domain-ticks per wall-second, telemetry disabled.
         ticks_per_sec_noop: f64 => 3,
         /// Domain-ticks per wall-second, fully instrumented.
         ticks_per_sec_instr: f64 => 3,
-        /// Self-overhead fraction of instrumented wall time.
+        /// Self-overhead fraction of instrumented wall time, of the
+        /// pass pair with the median fraction.
         overhead_fraction: f64 => 4,
-        /// Trajectory checksum of the no-op pass (hex string).
+        /// Trajectory checksum of the first no-op pass (hex string).
         checksum_noop: String,
-        /// Trajectory checksum of the instrumented pass (hex string).
+        /// The first pass's trajectory checksum that differs from
+        /// `checksum_noop`, or that one when every pass agrees (hex
+        /// string).
         checksum_instr: String,
         /// Events that reached the sinks.
         events_total: u64,

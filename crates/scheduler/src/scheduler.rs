@@ -1,7 +1,7 @@
 //! The scheduler's low level: queueing, candidate tracking, dispatch,
 //! and the freeze/unfreeze interface Ampere controls power through.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::mem;
 
 use ampere_cluster::{Cluster, JobId, Resources, ServerId};
@@ -17,16 +17,16 @@ use crate::policy::{self, Candidate, PlacementContext, PlacementPolicy};
 use crate::queue::BlockQueue;
 
 /// Counters the evaluation reads after a run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedStats {
-    /// Jobs handed to the scheduler.
+    /// Jobs handed to the scheduler, drawn or not.
     pub submitted: u64,
     /// Jobs placed on a server ("accepted" — the paper's throughput
     /// unit, §4.1.3).
     pub placed: u64,
     /// Jobs that finished running.
     pub completed: u64,
-    /// Largest queue length observed.
+    /// Largest queue length observed, drawn or not.
     pub peak_queue: usize,
 }
 
@@ -35,7 +35,7 @@ pub struct SchedStats {
 pub struct DispatchOutcome {
     /// `(job, server)` pairs placed this round.
     pub placed: Vec<(JobId, ServerId)>,
-    /// Jobs still waiting after the round.
+    /// Jobs still waiting after the round, drawn or not.
     pub queued: usize,
 }
 
@@ -66,15 +66,30 @@ struct FreezeRecord {
 }
 
 /// The low-level scheduler.
+///
+/// Its backlog has two parts. The drawn window holds queued jobs with
+/// their shapes, in arrival order; dispatch only ever reads it. Behind
+/// it, the undrawn tail holds per-round arrival counts whose jobs the
+/// workload has not drawn yet. [`Scheduler::arrive`] draws from the
+/// tail, oldest round first, only until the window holds the dispatch
+/// budget, so a backlog far deeper than dispatch can reach costs a
+/// counter, not a job record per arrival. Everything that reports the
+/// backlog (queue length, [`SchedStats`], metrics, dispatch events)
+/// counts both parts.
 pub struct Scheduler {
     policy: Box<dyn PlacementPolicy>,
-    /// Queued jobs with the dispatch round they were submitted before,
-    /// in fixed-size blocks: a growing backlog never copies itself, and
-    /// compaction closes a gap from its shorter side.
+    /// The drawn window: queued jobs with the dispatch round they
+    /// arrived before, in fixed-size blocks: a growing backlog never
+    /// copies itself, and compaction closes a gap from its shorter side.
     queue: BlockQueue<(JobRequest, u64)>,
-    /// Per-dimension minimum demand over the jobs submitted since the
-    /// queue was last empty: a lower bound on every queued job, since
-    /// removals can only raise the true minimum.
+    /// The undrawn tail: `(round, count)` per dispatch round that had
+    /// arrivals, oldest first, all queued behind the drawn window.
+    undrawn: VecDeque<(u64, usize)>,
+    /// Jobs in the undrawn tail.
+    undrawn_len: usize,
+    /// Per-dimension minimum demand over the jobs drawn since the
+    /// window was last empty: a lower bound on every job in the window,
+    /// since removals can only raise the true minimum.
     queue_floor: Resources,
     rng: SimRng,
     stats: SchedStats,
@@ -135,6 +150,8 @@ impl Scheduler {
         Self {
             policy,
             queue: BlockQueue::new(),
+            undrawn: VecDeque::new(),
+            undrawn_len: 0,
             queue_floor: Resources::ZERO,
             rng: derive_stream(seed, streams::PLACEMENT),
             stats: SchedStats::default(),
@@ -206,26 +223,77 @@ impl Scheduler {
         }
     }
 
-    /// Accepts new jobs into the queue.
+    /// Accepts already-drawn jobs into the queue.
+    ///
+    /// Panics while the undrawn tail holds arrivals: the jobs would
+    /// jump ahead of them. A driver that feeds the scheduler through
+    /// [`Scheduler::arrive`] hands it every arrival that way.
     pub fn submit(&mut self, jobs: impl IntoIterator<Item = JobRequest>) {
+        assert!(
+            self.undrawn.is_empty(),
+            "submit would queue jobs ahead of {} undrawn arrivals",
+            self.undrawn_len
+        );
         let before = self.queue.len();
         let round = self.round;
-        // A push onto an empty queue resets the floor.
-        let mut floor = (before > 0).then_some(self.queue_floor);
-        self.queue.extend(jobs.into_iter().map(|j| {
+        self.push_drawn(jobs.into_iter().map(|j| (j, round)));
+        self.count_arrivals(self.queue.len() - before);
+    }
+
+    /// Accepts `count` jobs arriving this round, drawn from `next_job`
+    /// only when dispatch can reach them.
+    ///
+    /// The count joins the back of the undrawn tail, stamped with the
+    /// current round; then the tail is drawn, oldest round first, until
+    /// the window holds the dispatch budget. The trajectory is the one
+    /// [`Scheduler::submit`] of every job on arrival gives, as long as
+    /// `next_job` yields the same jobs in the same order however late it
+    /// is called (as `BatchWorkload::next_job` does): DESIGN §9 says
+    /// why. Call it before every dispatch, with a zero count when
+    /// nothing arrived, so the window is topped up after the last
+    /// round's placements.
+    pub fn arrive(&mut self, count: u64, mut next_job: impl FnMut() -> JobRequest) {
+        if count > 0 {
+            let count = usize::try_from(count).expect("arrival count fits in memory");
+            self.undrawn.push_back((self.round, count));
+            self.undrawn_len += count;
+            self.count_arrivals(count);
+        }
+        while self.queue.len() < self.dispatch_budget {
+            let Some(front) = self.undrawn.front_mut() else {
+                break;
+            };
+            let round = front.0;
+            let n = front.1.min(self.dispatch_budget - self.queue.len());
+            front.1 -= n;
+            if front.1 == 0 {
+                self.undrawn.pop_front();
+            }
+            self.undrawn_len -= n;
+            self.push_drawn((0..n).map(|_| (next_job(), round)));
+        }
+    }
+
+    /// Appends drawn jobs to the window, keeping the floor. A push onto
+    /// an empty window resets the floor.
+    fn push_drawn(&mut self, jobs: impl Iterator<Item = (JobRequest, u64)>) {
+        let mut floor = (self.queue.len() > 0).then_some(self.queue_floor);
+        self.queue.extend(jobs.inspect(|(j, _)| {
             let d = j.resources;
             floor = Some(floor.map_or(d, |f| {
                 Resources::new(f.cpu_millis.min(d.cpu_millis), f.memory_mb.min(d.memory_mb))
             }));
-            (j, round)
         }));
         if let Some(floor) = floor {
             self.queue_floor = floor;
         }
-        let added = (self.queue.len() - before) as u64;
-        self.stats.submitted += added;
-        self.submitted_counter.inc_by(added);
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
+    }
+
+    /// Counts `added` arrivals in the stats and the metric.
+    fn count_arrivals(&mut self, added: usize) {
+        self.stats.submitted += added as u64;
+        self.submitted_counter.inc_by(added as u64);
+        self.stats.peak_queue = self.stats.peak_queue.max(self.queue_len());
     }
 
     /// Queue-wait statistics of placed jobs, in dispatch rounds (one
@@ -235,9 +303,9 @@ impl Scheduler {
         &self.wait_rounds
     }
 
-    /// Number of queued (not yet placed) jobs.
+    /// Number of queued (not yet placed) jobs, drawn or not.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.undrawn_len
     }
 
     /// Accumulated counters.
@@ -453,22 +521,20 @@ impl Scheduler {
         self.by_row_scratch = by_row;
         self.round += 1;
         self.placed_counter.inc_by(placed.len() as u64);
-        self.queue_gauge.set(self.queue.len() as f64);
+        let queued = self.queue_len();
+        self.queue_gauge.set(queued as f64);
         self.telemetry.emit_with(|| {
             let mut e = Event::new(now, Severity::Debug, "scheduler", "dispatch")
                 .in_span(self.tick_span)
                 .with("placed", placed.len())
-                .with("queued", self.queue.len())
+                .with("queued", queued)
                 .with("examined", budget);
             if unset {
                 e = e.with("t_unset", true);
             }
             e
         });
-        DispatchOutcome {
-            placed,
-            queued: self.queue.len(),
-        }
+        DispatchOutcome { placed, queued }
     }
 }
 
@@ -476,7 +542,7 @@ impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("policy", &self.policy.name())
-            .field("queued", &self.queue.len())
+            .field("queued", &self.queue_len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1050,6 +1116,132 @@ mod tests {
                 "budget {budget}: {walked} of {examined}"
             );
         }
+    }
+
+    /// One `BatchWorkload` stream fed to two schedulers on twin
+    /// clusters: `eager` submits each round's jobs as they arrive,
+    /// `deferred` takes the round's count through `arrive` and draws
+    /// jobs only when dispatch can reach them. The backlog passes the
+    /// dispatch budget while every server is frozen, is retried against
+    /// a quarter of the row that fills up, and falls back under the
+    /// budget once every server thaws. Every round both sides agree on
+    /// placements, backlog, counters, queue waits, events and metrics.
+    #[test]
+    fn drawing_arrivals_on_demand_keeps_the_trajectory() {
+        use ampere_telemetry::{RingBufferHandle, RingBufferSink};
+        use ampere_workload::generator::BurstConfig;
+        use ampere_workload::{BatchWorkload, RateProfile};
+        use std::panic::{self, AssertUnwindSafe};
+
+        const BUDGET: usize = 120;
+        // Every server frozen, then three in four.
+        let frozen = |round: u64, id: ServerId| {
+            (10..40).contains(&round) || (40..60).contains(&round) && !id.raw().is_multiple_of(4)
+        };
+        let spec = ClusterSpec {
+            rows: 4,
+            ..ClusterSpec::tiny()
+        };
+        struct Side {
+            sched: Scheduler,
+            cluster: Cluster,
+            jobs: BatchWorkload,
+            tel: Telemetry,
+            events: RingBufferHandle,
+        }
+        let side = || {
+            let (sink, events) = RingBufferSink::new(1 << 14);
+            let tel = Telemetry::builder().sink(sink).build();
+            let mut sched =
+                Scheduler::with_telemetry(Box::new(RandomFit::default()), 11, tel.clone());
+            sched.dispatch_budget = BUDGET;
+            // No gang bursts: the frozen rounds alone build the backlog.
+            let jobs = BatchWorkload::new(RateProfile::Constant { per_min: 40.0 }, 9, 0)
+                .with_bursts(BurstConfig {
+                    per_min: 0.0,
+                    size: (1, 1),
+                });
+            Side {
+                sched,
+                cluster: Cluster::new(spec),
+                jobs,
+                tel,
+                events,
+            }
+        };
+        let (mut eager, mut deferred) = (side(), side());
+        let servers: Vec<ServerId> = (0..eager.cluster.server_count() as u64)
+            .map(ServerId::new)
+            .collect();
+        let (mut peak, mut tail_rounds, mut retry_rounds) = (0, 0, 0);
+        for round in 0..120 {
+            let now = SimTime::from_mins(round);
+            for s in [&mut eager, &mut deferred] {
+                s.sched.set_clock(now);
+                for &id in &servers {
+                    if frozen(round, id) {
+                        s.sched.freeze(&mut s.cluster, id);
+                    } else {
+                        s.sched.unfreeze(&mut s.cluster, id);
+                    }
+                }
+            }
+            let jobs = eager.jobs.tick(now, SimDuration::MINUTE);
+            eager.sched.submit(jobs);
+            let count = deferred.jobs.arrivals(now, SimDuration::MINUTE);
+            let Side { sched, jobs, .. } = &mut deferred;
+            sched.arrive(count, || jobs.next_job());
+
+            let tail = deferred.sched.undrawn_len > 0;
+            if tail {
+                tail_rounds += 1;
+                assert!(deferred.sched.queue.len() <= BUDGET, "round {round}");
+                // Explicit jobs would jump ahead of the undrawn tail.
+                let sched = &mut deferred.sched;
+                let jumped = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sched.submit([request(u64::MAX, 1, 1)]);
+                }));
+                assert!(jumped.is_err(), "round {round}");
+            }
+            let a = eager.sched.dispatch(&mut eager.cluster, &[]);
+            let b = deferred.sched.dispatch(&mut deferred.cluster, &[]);
+            assert_eq!(a.placed, b.placed, "round {round}");
+            assert_eq!(a.queued, b.queued, "round {round}");
+            assert_eq!(eager.sched.queue_len(), b.queued, "round {round}");
+            assert_eq!(deferred.sched.queue_len(), b.queued, "round {round}");
+            assert_eq!(eager.sched.stats(), deferred.sched.stats(), "round {round}");
+            assert_eq!(
+                format!("{:?}", eager.sched.wait_rounds()),
+                format!("{:?}", deferred.sched.wait_rounds()),
+                "round {round}"
+            );
+            assert_eq!(
+                eager.events.events(),
+                deferred.events.events(),
+                "round {round}"
+            );
+            assert_eq!(
+                eager.tel.snapshot(),
+                deferred.tel.snapshot(),
+                "round {round}"
+            );
+            peak = peak.max(b.queued);
+            if tail && !b.placed.is_empty() && b.placed.len() < BUDGET {
+                retry_rounds += 1;
+            }
+            for s in [&mut eager, &mut deferred] {
+                let done = s.cluster.advance(SimDuration::from_mins(1));
+                s.sched.on_completed(done.len() as u64);
+            }
+        }
+        // The backlog went well past the budget, and back under it.
+        assert!(peak > 5 * BUDGET, "peak {peak}");
+        assert!(tail_rounds > 20, "{tail_rounds} rounds with a tail");
+        // Some of those rounds placed part of the window and requeued
+        // the rest.
+        assert!(retry_rounds > 5, "{retry_rounds} rounds with retries");
+        assert!(deferred.sched.queue_len() < BUDGET);
+        assert_eq!(deferred.sched.undrawn_len, 0);
     }
 
     #[test]

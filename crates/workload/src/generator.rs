@@ -49,6 +49,15 @@ impl Default for BurstConfig {
 }
 
 /// A stateful batch workload generator.
+///
+/// Two independent streams: the arrival stream decides how many jobs
+/// arrive in each tick ([`BatchWorkload::arrivals`]), and the shape
+/// stream decides each job's resources and runtime
+/// ([`BatchWorkload::next_job`]). Only job attributes draw from the
+/// shape stream and ids are handed out in draw order, so a caller may
+/// draw a tick's jobs when they arrive ([`BatchWorkload::tick`]) or any
+/// time later: as long as jobs are drawn in arrival order, job `n` is
+/// the same job either way.
 #[derive(Debug)]
 pub struct BatchWorkload {
     profile: RateProfile,
@@ -89,8 +98,10 @@ impl BatchWorkload {
         &self.profile
     }
 
-    /// Generates the jobs arriving during `[now, now + tick)`.
-    pub fn tick(&mut self, now: SimTime, tick: SimDuration) -> Vec<JobRequest> {
+    /// The number of jobs arriving during `[now, now + tick)`. Draws
+    /// only the arrival stream: the jobs themselves come from
+    /// [`BatchWorkload::next_job`].
+    pub fn arrivals(&mut self, now: SimTime, tick: SimDuration) -> u64 {
         let tick_mins = tick.as_mins_f64();
         let multiplier = self.noise.step(&mut self.arrival_rng);
         let rate = self.profile.rate_per_min(now) * multiplier * tick_mins;
@@ -102,18 +113,27 @@ impl BatchWorkload {
             let (lo, hi) = self.bursts.size;
             count += self.arrival_rng.gen_range(lo..=hi) as u64;
         }
+        count
+    }
 
-        (0..count)
-            .map(|_| {
-                let id = JobId::new(self.next_job_raw);
-                self.next_job_raw += 1;
-                JobRequest {
-                    id,
-                    resources: self.shapes.sample(&mut self.shape_rng),
-                    duration: self.durations.sample(&mut self.shape_rng),
-                }
-            })
-            .collect()
+    /// The next job in arrival order: the next dense id, with a shape
+    /// and runtime from the shape stream.
+    pub fn next_job(&mut self) -> JobRequest {
+        let id = JobId::new(self.next_job_raw);
+        self.next_job_raw += 1;
+        JobRequest {
+            id,
+            resources: self.shapes.sample(&mut self.shape_rng),
+            duration: self.durations.sample(&mut self.shape_rng),
+        }
+    }
+
+    /// Generates the jobs arriving during `[now, now + tick)`:
+    /// [`BatchWorkload::arrivals`], then that many
+    /// [`BatchWorkload::next_job`] calls.
+    pub fn tick(&mut self, now: SimTime, tick: SimDuration) -> Vec<JobRequest> {
+        let count = self.arrivals(now, tick);
+        (0..count).map(|_| self.next_job()).collect()
     }
 }
 
@@ -169,6 +189,28 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn late_draws_match_tick() {
+        let mut eager = BatchWorkload::new(RateProfile::heavy_row(), 5, 10);
+        let mut split = BatchWorkload::new(RateProfile::heavy_row(), 5, 10);
+        let (mut drawn, mut late, mut owed) = (Vec::new(), Vec::new(), 0);
+        for m in 0..60 {
+            let now = SimTime::from_mins(m);
+            let jobs = eager.tick(now, SimDuration::MINUTE);
+            let count = split.arrivals(now, SimDuration::MINUTE);
+            assert_eq!(count, jobs.len() as u64, "minute {m}");
+            drawn.extend(jobs);
+            // The split side draws its jobs late, some minutes none.
+            owed += count;
+            let take = owed.min(m % 7 * 40);
+            owed -= take;
+            late.extend((0..take).map(|_| split.next_job()));
+        }
+        late.extend((0..owed).map(|_| split.next_job()));
+        assert!(drawn.len() > 1_000);
+        assert_eq!(late, drawn);
     }
 
     #[test]
