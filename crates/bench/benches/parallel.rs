@@ -7,32 +7,29 @@
 use ampere_bench::harness::Runner;
 use ampere_experiments::sla::{self, SlaConfig};
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
-use ampere_par::{run_captured, Task, WorkerPool};
+use ampere_par::{fan_out, Task, WorkerPool};
 use ampere_sim::SimDuration;
+use ampere_telemetry::Telemetry;
 
 fn main() {
     let r = Runner::from_args("parallel");
 
     r.bench("pool_dispatch_64_trivial_tasks_4w", || {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Task<'_, usize>> = (0..64usize)
-            .map(|i| {
-                let t: Task<'_, usize> = Box::new(move || i * 2);
-                t
-            })
+        let tasks = (0..64usize)
+            .map(|i| Box::new(move || i * 2) as Task<'_, usize>)
             .collect();
-        pool.run(tasks)
+        let mut sum = 0;
+        WorkerPool::new(4).run_each(tasks, |_, v| sum += v);
+        sum
     });
 
+    // A disabled parent keeps this bench comparable with its history:
+    // it times the fan-out's dispatch, with no capture to build or
+    // replay.
     r.bench("captured_fanout_16_tasks_4w", || {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Task<'_, u64>> = (0..16u64)
-            .map(|i| {
-                let t: Task<'_, u64> = Box::new(move || i.wrapping_mul(0x9E37_79B9));
-                t
-            })
-            .collect();
-        run_captured(&pool, tasks)
+        fan_out(&Telemetry::disabled(), 4, (0..16u64).collect(), |_, i| {
+            i.wrapping_mul(0x9E37_79B9)
+        })
     });
 
     for workers in [1usize, 2, 4] {

@@ -8,20 +8,24 @@
 //! repro watch --watch-out FILE [--quick] [--workers N]
 //! repro hier|sla --<bench>-out FILE [--quick] [--seed S] [--workers N]
 //! repro scenarios --scenarios-out FILE --count N --seed S [--workers W]
-//! repro scenario --seed S [--shrink-level K] [--workers W]
+//! repro scenario --seed S [--shrink-level K]
 //! ```
 //!
 //! `--quick` shrinks run lengths (used by CI); without it each
 //! experiment runs at paper scale. Output is plain text: `# name`
 //! series blocks and markdown tables, recorded in `EXPERIMENTS.md`.
 //!
-//! `--workers N` sets the default worker-pool width. Selected
-//! experiments *compute* concurrently — each on its own captured
-//! telemetry pipeline and its own derived RNG streams — then *print*
-//! serially in the fixed figure order, so stdout, the telemetry JSONL
-//! and every number are byte-identical at any worker count (see
-//! DESIGN.md §9). The chaos grid, the ablation groups, Table 3's cases
-//! and Fig 10's two workloads additionally fan out internally.
+//! `--workers N` sets the worker-pool width. Its default depends on
+//! the command: 1 (serial) for the figures and tables, `hier`, `sla`
+//! and `scenarios`; every core for `scale`, `profile` and `watch`.
+//! `repro scenario` runs its one scenario on the calling thread and
+//! ignores the flag. Selected experiments *compute* concurrently — each
+//! on its own captured telemetry pipeline and its own derived RNG
+//! streams — then *print* serially in the fixed figure order, so
+//! stdout, the telemetry JSONL and every number are byte-identical at
+//! any worker count (see DESIGN.md §9). The chaos grid, the ablation
+//! groups, Table 3's cases and Fig 10's two workloads additionally fan
+//! out internally, each with the pipeline in scope as its parent.
 //!
 //! `repro scale|profile|watch|hier|sla` each run one benchmark instead
 //! of a figure (see the matching `ampere_bench` module, or the
@@ -156,6 +160,28 @@ fn main() {
     }
 }
 
+/// The compute half of one experiment, given `--quick`.
+type Compute = fn(bool) -> Printer;
+
+/// Every figure and table, in print order, with the command names
+/// that select it.
+const FIGURES: [(&[&str], Compute); 14] = [
+    (&["fig1"], fig1),
+    (&["fig2"], fig2),
+    (&["fig4"], fig4),
+    (&["fig5"], fig5),
+    (&["fig6"], |_| fig6()),
+    (&["fig7"], fig7),
+    (&["fig8"], fig8),
+    (&["fig9"], fig9),
+    (&["fig10", "table2"], fig10_table2),
+    (&["fig11"], fig11),
+    (&["fig12"], fig12),
+    (&["table3"], table3),
+    (&["ablations"], ablations),
+    (&["chaos"], chaos),
+];
+
 /// The figures and tables `what` selects (`all` for every one),
 /// computed on the worker pool and printed in figure order, with CSV
 /// series under `csv_dir` when given.
@@ -163,57 +189,22 @@ fn figures(what: &str, quick: bool, csv_dir: Option<std::path::PathBuf>) -> Run 
     let what = what.to_owned();
     Box::new(move || {
         let out = Output::new(csv_dir).expect("create csv directory");
-        let all = what == "all";
-        // Compute phase: every selected experiment becomes one task on
-        // the worker pool, returning its printer. Telemetry is captured
-        // per task and replayed in this (serial) order.
-        let mut jobs: Vec<ampere_par::Task<'static, Printer>> = Vec::new();
-        if all || what == "fig1" {
-            jobs.push(Box::new(move || fig1(quick)));
-        }
-        if all || what == "fig2" {
-            jobs.push(Box::new(move || fig2(quick)));
-        }
-        if all || what == "fig4" {
-            jobs.push(Box::new(move || fig4(quick)));
-        }
-        if all || what == "fig5" {
-            jobs.push(Box::new(move || fig5(quick)));
-        }
-        if all || what == "fig6" {
-            jobs.push(Box::new(move || fig6()));
-        }
-        if all || what == "fig7" {
-            jobs.push(Box::new(move || fig7(quick)));
-        }
-        if all || what == "fig8" {
-            jobs.push(Box::new(move || fig8(quick)));
-        }
-        if all || what == "fig9" {
-            jobs.push(Box::new(move || fig9(quick)));
-        }
-        if all || what == "fig10" || what == "table2" {
-            jobs.push(Box::new(move || fig10_table2(quick)));
-        }
-        if all || what == "fig11" {
-            jobs.push(Box::new(move || fig11(quick)));
-        }
-        if all || what == "fig12" {
-            jobs.push(Box::new(move || fig12(quick)));
-        }
-        if all || what == "table3" {
-            jobs.push(Box::new(move || table3(quick)));
-        }
-        if all || what == "ablations" {
-            jobs.push(Box::new(move || ablations(quick)));
-        }
-        if all || what == "chaos" {
-            jobs.push(Box::new(move || chaos(quick)));
-        }
-        let pool = ampere_par::WorkerPool::with_default_workers();
+        let selected = FIGURES
+            .iter()
+            .filter(|(names, _)| what == "all" || names.contains(&what.as_str()))
+            .map(|&(_, compute)| compute)
+            .collect();
+        // Compute phase: every selected experiment runs under its own
+        // capture of the telemetry pipeline, replayed in figure order.
+        let printers = ampere_par::fan_out(
+            &ampere_telemetry::global(),
+            ampere_par::default_workers(),
+            selected,
+            |_, compute| compute(quick),
+        );
         // Print phase: serial, in figure order, regardless of which
         // worker finished first.
-        for printer in ampere_par::run_captured(&pool, jobs) {
+        for printer in printers {
             printer(&out);
         }
     })
@@ -829,27 +820,24 @@ fn fig10_table2(quick: bool) -> Printer {
         exp::fig10::WorkloadKind::Heavy,
     ];
     // The two workload columns are independent runs: fan them out.
-    let tasks: Vec<ampere_par::Task<'static, exp::fig10::Fig10Result>> = kinds
-        .iter()
-        .map(|&kind| {
-            let task: ampere_par::Task<'static, exp::fig10::Fig10Result> = Box::new(move || {
-                let config = if quick {
-                    exp::fig10::Fig10Config {
-                        hours: 8,
-                        warmup_mins: 90,
-                        calibration_hours: 8,
-                        ..exp::fig10::Fig10Config::paper(kind)
-                    }
-                } else {
-                    exp::fig10::Fig10Config::paper(kind)
-                };
-                exp::fig10::run(config)
-            });
-            task
-        })
-        .collect();
-    let pool = ampere_par::WorkerPool::with_default_workers();
-    let results = ampere_par::run_captured(&pool, tasks);
+    let results = ampere_par::fan_out(
+        &ampere_telemetry::global(),
+        ampere_par::default_workers(),
+        kinds.to_vec(),
+        |_, kind| {
+            let config = if quick {
+                exp::fig10::Fig10Config {
+                    hours: 8,
+                    warmup_mins: 90,
+                    calibration_hours: 8,
+                    ..exp::fig10::Fig10Config::paper(kind)
+                }
+            } else {
+                exp::fig10::Fig10Config::paper(kind)
+            };
+            exp::fig10::run(config)
+        },
+    );
     Box::new(move |out| {
         println!("=== Fig 10 + Table 2: control under light/heavy workload (r_O = 0.25) ===\n");
         let mut rows = Vec::new();

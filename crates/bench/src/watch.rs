@@ -124,25 +124,18 @@ fn checksum_results(results: &[Fig10Result]) -> u64 {
     f.finish()
 }
 
-/// Runs both tasks once in `tel`'s scope; the per-task captures
-/// replay into it in task order, so any attached tap sees the clean
-/// stream strictly before the chaos stream.
+/// Runs both tasks once under captures of `tel`; the captures replay
+/// into it in task order, so any attached tap sees the clean stream
+/// strictly before the chaos stream.
 fn run_tasks(config: &WatchBenchConfig, tel: &Telemetry) -> Vec<Fig10Result> {
-    let clean_cfg = config.fig10(WorkloadKind::Light);
-    let chaos_cfg = config.fig10(WorkloadKind::Heavy);
-    let faults = config.fault_plan();
-    let tasks: Vec<ampere_par::Task<'static, Fig10Result>> = vec![
-        Box::new(move || {
-            ampere_telemetry::global().emit(pass_marker(CLEAN_PASS));
-            exp::fig10::run(clean_cfg)
-        }),
-        Box::new(move || {
-            ampere_telemetry::global().emit(pass_marker(CHAOS_PASS));
-            exp::fig10::run_with_faults(chaos_cfg, Some(faults))
-        }),
+    let passes = vec![
+        (CLEAN_PASS, WorkloadKind::Light, None),
+        (CHAOS_PASS, WorkloadKind::Heavy, Some(config.fault_plan())),
     ];
-    let pool = ampere_par::WorkerPool::new(config.workers.max(1));
-    let results = tel.scope(|| ampere_par::run_captured(&pool, tasks));
+    let results = ampere_par::fan_out(tel, config.workers, passes, |_, (pass, kind, faults)| {
+        ampere_telemetry::global().emit(pass_marker(pass));
+        exp::fig10::run_with_faults(config.fig10(kind), faults)
+    });
     // The replay lands in the parent's per-tick batch; drain it so the
     // sinks (and the tap) see the tail before the pass is timed off.
     tel.flush_events();

@@ -324,20 +324,12 @@ pub fn run_all(config: &AblationConfig) -> Vec<(String, Vec<AblationRow>)> {
         ("Et predictor", predictors),
         ("row vs rack control", row_vs_rack),
     ];
-    let pool = ampere_par::WorkerPool::with_default_workers();
-    let tasks: Vec<ampere_par::Task<'_, Vec<AblationRow>>> = groups
-        .iter()
-        .map(|&(_, f)| {
-            let task: ampere_par::Task<'_, Vec<AblationRow>> = Box::new(move || f(config));
-            task
-        })
-        .collect();
-    let results = ampere_par::run_captured(&pool, tasks);
-    groups
-        .iter()
-        .zip(results)
-        .map(|(&(name, _), rows)| (name.to_string(), rows))
-        .collect()
+    ampere_par::fan_out(
+        &ampere_telemetry::global(),
+        ampere_par::default_workers(),
+        groups.to_vec(),
+        |_, (name, f)| (name.to_string(), f(config)),
+    )
 }
 
 #[cfg(test)]

@@ -208,17 +208,12 @@ pub fn run(config: &ChaosConfig) -> ChaosResult {
         .iter()
         .flat_map(|&outage| config.dropout_rates.iter().map(move |&d| (outage, d)))
         .collect();
-    let pool = ampere_par::WorkerPool::with_default_workers();
-    let tasks: Vec<ampere_par::Task<'_, ChaosCell>> = grid
-        .iter()
-        .map(|&(outage, dropout)| {
-            let et = &et;
-            let task: ampere_par::Task<'_, ChaosCell> =
-                Box::new(move || run_cell(config, et, dropout, outage, measured_mins));
-            task
-        })
-        .collect();
-    let mut cells = ampere_par::run_captured(&pool, tasks);
+    let mut cells = ampere_par::fan_out(
+        &ampere_telemetry::global(),
+        ampere_par::default_workers(),
+        grid,
+        |_, (outage, dropout)| run_cell(config, &et, dropout, outage, measured_mins),
+    );
 
     let baseline_placed = cells
         .iter()

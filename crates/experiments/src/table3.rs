@@ -205,19 +205,12 @@ pub fn run_case(case: CaseSpec, config: &Table3Config, seed_offset: u64) -> Tabl
 /// pool; telemetry is captured per case and replayed in case order,
 /// keeping the event stream byte-identical to a serial run.
 pub fn run(config: Table3Config) -> Table3Result {
-    let pool = ampere_par::WorkerPool::with_default_workers();
-    let tasks: Vec<ampere_par::Task<'_, Table3Row>> = config
-        .cases
-        .iter()
-        .enumerate()
-        .map(|(i, &case)| {
-            let config = &config;
-            let task: ampere_par::Task<'_, Table3Row> =
-                Box::new(move || run_case(case, config, i as u64 * 101));
-            task
-        })
-        .collect();
-    let rows = ampere_par::run_captured(&pool, tasks);
+    let rows = ampere_par::fan_out(
+        &ampere_telemetry::global(),
+        ampere_par::default_workers(),
+        config.cases.clone(),
+        |i, case| run_case(case, &config, i as u64 * 101),
+    );
     Table3Result { rows }
 }
 

@@ -178,7 +178,7 @@ impl RunReport {
                 out.push(',');
             }
             let _ = write!(out, "\"{name}\":");
-            push_json_f64(&mut out, *value);
+            json::write_json_f64(*value, &mut out);
         }
         out.push_str("},\"freeze_hold_cdf\":[");
         for (i, (v, frac)) in self.freeze_holds.cdf_points().iter().enumerate() {
@@ -186,9 +186,9 @@ impl RunReport {
                 out.push(',');
             }
             out.push('[');
-            push_json_f64(&mut out, *v);
+            json::write_json_f64(*v, &mut out);
             out.push(',');
-            push_json_f64(&mut out, *frac);
+            json::write_json_f64(*frac, &mut out);
             out.push(']');
         }
         out.push_str("],\"violations_by_et\":[");
@@ -210,7 +210,7 @@ impl RunReport {
              \"outages\":{},\"backstop_arms\":{},\"backstop_armed_mins\":",
             d.degraded_ticks, d.mode_transitions, d.outages, d.backstop_arms
         );
-        push_json_f64(&mut out, d.backstop_armed_mins);
+        json::write_json_f64(d.backstop_armed_mins, &mut out);
         let _ = write!(
             out,
             ",\"failovers\":{},\"samples_dropped\":{},\"sweeps_lost\":{},\
@@ -222,12 +222,14 @@ impl RunReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"row\":\"{}\",\"start_min\":", ep.row);
-            push_json_f64(&mut out, ep.start_min);
+            out.push_str("{\"row\":");
+            json::write_json_string(&ep.row, &mut out);
+            out.push_str(",\"start_min\":");
+            json::write_json_f64(ep.start_min, &mut out);
             out.push_str(",\"end_min\":");
-            push_json_f64(&mut out, ep.end_min);
+            json::write_json_f64(ep.end_min, &mut out);
             let _ = write!(out, ",\"count\":{},\"worst_over_w\":", ep.count);
-            push_json_f64(&mut out, ep.worst_over_w);
+            json::write_json_f64(ep.worst_over_w, &mut out);
             out.push('}');
         }
         out.push_str("]}");
@@ -273,11 +275,11 @@ pub fn write_baseline(summary: &RunSummary) -> String {
     for (name, value) in &summary.metrics {
         let (tol_rel, tol_abs) = default_tolerance(name);
         let _ = write!(out, "{{\"metric\":\"{name}\",\"value\":");
-        push_json_f64(&mut out, *value);
+        json::write_json_f64(*value, &mut out);
         out.push_str(",\"tol_rel\":");
-        push_json_f64(&mut out, tol_rel);
+        json::write_json_f64(tol_rel, &mut out);
         out.push_str(",\"tol_abs\":");
-        push_json_f64(&mut out, tol_abs);
+        json::write_json_f64(tol_abs, &mut out);
         out.push_str("}\n");
     }
     out
@@ -400,18 +402,6 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn push_json_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let s = v.to_string();
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,5 +464,24 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with("{\"summary\":{"));
         assert!(json.ends_with("]}"));
+    }
+
+    #[test]
+    fn json_escapes_row_labels() {
+        let event = ampere_telemetry::Event::new(
+            ampere_sim::SimTime::from_mins(3),
+            ampere_telemetry::Severity::Warn,
+            "breaker",
+            "violation",
+        )
+        .with("row", "a\"b\\c")
+        .with("over_w", 12.5);
+        let dump = event.to_json() + "\n";
+        let run = Run::collect(crate::reader::RunReader::new(dump.as_bytes())).unwrap();
+        let json = RunReport::build(&run).to_json();
+        assert!(
+            json.contains(r#""epochs":[{"row":"a\"b\\c","start_min":3.0,"#),
+            "{json}"
+        );
     }
 }

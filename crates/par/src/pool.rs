@@ -35,14 +35,14 @@ impl FirstPanic {
     }
 }
 
-/// A boxed one-shot task for [`WorkerPool::run`].
+/// A boxed one-shot task for [`WorkerPool::run_each`].
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default worker count (0 resets to the initial
 /// serial default). Drivers wire this to a `--workers N` flag once;
-/// library code picks it up via [`WorkerPool::with_default_workers`].
+/// library code reads it back with [`default_workers`].
 pub fn set_default_workers(workers: usize) {
     DEFAULT_WORKERS.store(workers, Ordering::Relaxed);
 }
@@ -78,25 +78,9 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized by [`default_workers`].
-    pub fn with_default_workers() -> Self {
-        WorkerPool::new(default_workers())
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs every task, returning results **in task order**. A thin
-    /// collector over [`WorkerPool::run_each`].
-    ///
-    /// # Panics
-    /// Re-raises the first task panic after all workers have stopped.
-    pub fn run<'a, T: Send>(&self, tasks: Vec<Task<'a, T>>) -> Vec<T> {
-        let mut out = Vec::with_capacity(tasks.len());
-        self.run_each(tasks, |_, result| out.push(result));
-        out
     }
 
     /// Runs every task and hands each result to `each` **on the
@@ -184,18 +168,6 @@ impl WorkerPool {
             }
         });
         first_panic.rethrow();
-    }
-
-    /// Maps `f` over `items` on the pool; results in item order.
-    pub fn map<I: Send, T: Send>(&self, items: Vec<I>, f: impl Fn(usize, I) -> T + Sync) -> Vec<T> {
-        let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| Box::new(move || f(i, item)) as Task<'_, T>)
-                .collect(),
-        )
     }
 
     /// Advances every shard by `ticks` steps, with a barrier after each
@@ -290,37 +262,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_preserves_task_order() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<Task<'_, usize>> = (0..32usize)
-            .map(|i| {
-                Box::new(move || {
-                    // Stagger finish times so completion order differs
-                    // from task order.
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        ((32 - i) % 7) as u64 * 50,
-                    ));
-                    i * i
-                }) as Task<'_, usize>
-            })
-            .collect();
-        let out = pool.run(tasks);
-        assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_matches_serial_map() {
-        let serial = WorkerPool::new(1).map((0..20).collect(), |i, v: i32| v * 3 + i as i32);
-        let parallel = WorkerPool::new(8).map((0..20).collect(), |i, v: i32| v * 3 + i as i32);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn empty_and_oversized_pools_are_fine() {
         let pool = WorkerPool::new(16);
-        let out: Vec<i32> = pool.run(Vec::new());
-        assert!(out.is_empty());
-        let out = pool.map(vec![1], |_, v: i32| v + 1);
+        pool.run_each(Vec::<Task<'_, i32>>::new(), |_, _| {
+            panic!("no task, no result")
+        });
+        let mut out = Vec::new();
+        pool.run_each(vec![Box::new(|| 1 + 1) as Task<'_, i32>], |_, v| {
+            out.push(v)
+        });
         assert_eq!(out, vec![2]);
         assert_eq!(WorkerPool::new(0).workers(), 1);
     }
@@ -499,8 +449,11 @@ mod tests {
                 }) as Task<'_, ()>
             })
             .collect();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(tasks)));
-        assert!(err.is_err());
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run_each(tasks, |_, ()| {})));
+        assert_eq!(
+            err.unwrap_err().downcast_ref::<&str>(),
+            Some(&"task 5 failed")
+        );
     }
 
     #[test]
@@ -522,7 +475,6 @@ mod tests {
         assert_eq!(default_workers(), 1);
         set_default_workers(6);
         assert_eq!(default_workers(), 6);
-        assert_eq!(WorkerPool::with_default_workers().workers(), 6);
         set_default_workers(0);
         assert_eq!(default_workers(), 1);
         assert!(available_workers() >= 1);

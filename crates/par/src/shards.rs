@@ -1,9 +1,78 @@
-//! Independent shards stepped under per-shard telemetry captures,
-//! replayed in shard order.
+//! Fan-outs under per-index telemetry captures, replayed in index
+//! order: [`fan_out`] for one-shot tasks, [`ShardSet`] for shards
+//! stepped over several runs.
 
 use crate::pool::{Task, WorkerPool};
 
 use ampere_telemetry::{fanin, Capture, Telemetry};
+
+/// Maps `f` over `items` on `workers` threads, the calling thread among
+/// them, and returns the results in item order.
+///
+/// Each call `f(i, item)` runs in the scope of its own [`Capture`] of
+/// `parent`, so every component it constructs reports there. Once all
+/// calls returned, the captures replay into `parent` in item order, so
+/// the merged event stream, span ids and metrics are those of a serial
+/// run at any worker count. A call may fan out again with the handle in
+/// its scope as the parent: the inner captures then replay into the
+/// outer one. With a disabled parent there are no captures: every call
+/// runs in the parent's scope and nothing replays.
+///
+/// # Panics
+/// Re-raises the first panic of `f` once every worker stopped.
+pub fn fan_out<I: Send, T: Send>(
+    parent: &Telemetry,
+    workers: usize,
+    items: Vec<I>,
+    f: impl Fn(usize, I) -> T + Sync,
+) -> Vec<T> {
+    let mut captures = Captures::new(parent, items.len());
+    let mut out = Vec::with_capacity(items.len());
+    let f = &f;
+    let tasks = items
+        .into_iter()
+        .zip(captures.scopes())
+        .enumerate()
+        .map(|(i, (item, tel))| Box::new(move || tel.scope(|| f(i, item))) as Task<'_, T>)
+        .collect();
+    WorkerPool::new(workers).run_each(tasks, |_, result| out.push(result));
+    captures.replay();
+    out
+}
+
+/// One private [`Capture`] of a parent per index: the single
+/// create/scope/replay path behind [`fan_out`] and [`ShardSet`].
+struct Captures {
+    parent: Telemetry,
+    /// One per index; all `None` under a disabled parent and once
+    /// [`Captures::replay`] ran.
+    captures: Vec<Option<Capture>>,
+}
+
+impl Captures {
+    fn new(parent: &Telemetry, count: usize) -> Self {
+        Captures {
+            parent: parent.clone(),
+            captures: (0..count).map(|_| Capture::new_under(parent)).collect(),
+        }
+    }
+
+    /// The handle each index runs in, in index order: its capture's, or
+    /// the parent's when it has none.
+    fn scopes(&self) -> impl Iterator<Item = &Telemetry> {
+        self.captures
+            .iter()
+            .map(|capture| capture.as_ref().map_or(&self.parent, Capture::telemetry))
+    }
+
+    /// Replays every capture into the parent, in index order.
+    /// Idempotent: later calls replay nothing.
+    fn replay(&mut self) {
+        for capture in self.captures.iter_mut().filter_map(Option::take) {
+            fanin::replay_into(&self.parent, capture.finish());
+        }
+    }
+}
 
 /// A set of independent shards (row domains) advanced on a
 /// [`WorkerPool`].
@@ -33,9 +102,7 @@ use ampere_telemetry::{fanin, Capture, Telemetry};
 /// [`finish`]: ShardSet::finish
 pub struct ShardSet<S> {
     shards: Vec<S>,
-    /// Parallel to `shards`; all `None` once [`ShardSet::finish`] ran.
-    captures: Vec<Option<Capture>>,
-    parent: Telemetry,
+    captures: Captures,
     pool: WorkerPool,
 }
 
@@ -48,17 +115,15 @@ impl<S: Send> ShardSet<S> {
         workers: usize,
         mut build: impl FnMut(usize) -> S,
     ) -> Self {
-        let (shards, captures) = (0..count)
-            .map(|i| {
-                let capture = Capture::new_under(parent);
-                let shard = scope_of(capture.as_ref(), parent).scope(|| build(i));
-                (shard, capture)
-            })
-            .unzip();
+        let captures = Captures::new(parent, count);
+        let shards = captures
+            .scopes()
+            .enumerate()
+            .map(|(i, tel)| tel.scope(|| build(i)))
+            .collect();
         ShardSet {
             shards,
             captures,
-            parent: parent.clone(),
             pool: WorkerPool::new(workers),
         }
     }
@@ -100,14 +165,13 @@ impl<S: Send> ShardSet<S> {
     ) {
         let steps = |shard: &mut S| (0..ticks).for_each(|_| step(shard));
         let steps = &steps;
-        let parent = &self.parent;
         let tasks = self
             .shards
             .iter_mut()
-            .zip(self.captures.iter().map(Option::as_ref))
-            .map(|(shard, capture)| {
+            .zip(self.captures.scopes())
+            .map(|(shard, tel)| {
                 Box::new(move || {
-                    scope_of(capture, parent).scope(|| steps(shard));
+                    tel.scope(|| steps(shard));
                     shard
                 }) as Task<'_, &mut S>
             })
@@ -119,25 +183,17 @@ impl<S: Send> ShardSet<S> {
     /// its capture — for coupling work between two [`ShardSet::run`]
     /// calls, such as applying new budgets.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut S)) {
-        let captures = self.captures.iter().map(Option::as_ref);
-        for (i, (shard, capture)) in self.shards.iter_mut().zip(captures).enumerate() {
-            scope_of(capture, &self.parent).scope(|| f(i, shard));
+        let scopes = self.captures.scopes();
+        for (i, (shard, tel)) in self.shards.iter_mut().zip(scopes).enumerate() {
+            tel.scope(|| f(i, shard));
         }
     }
 
     /// Replays every shard's captured telemetry into the bound parent,
     /// in shard order. Idempotent: later calls replay nothing.
     pub fn finish(&mut self) {
-        for capture in self.captures.iter_mut().filter_map(Option::take) {
-            fanin::replay_into(&self.parent, capture.finish());
-        }
+        self.captures.replay();
     }
-}
-
-/// The handle a shard runs in: its capture's, or the disabled parent
-/// when there is no capture.
-fn scope_of<'a>(capture: Option<&'a Capture>, parent: &'a Telemetry) -> &'a Telemetry {
-    capture.map_or(parent, Capture::telemetry)
 }
 
 #[cfg(test)]
@@ -294,6 +350,86 @@ mod tests {
         later.with(|| set.finish());
         assert_eq!(bound.events().len(), 2);
         assert!(later.finish().events.is_empty());
+    }
+
+    /// One task of a fan-out: allocates a root and a child span, counts
+    /// itself and emits one event, all through the handle in scope.
+    fn toy_task(id: usize) -> usize {
+        let tel = ampere_telemetry::global();
+        let root = tel.root_span();
+        let child = tel.child_span(root);
+        tel.counter("tasks", &[]).inc();
+        tel.gauge("last", &[]).set(id as f64);
+        tel.emit(
+            Event::new(SimTime::from_mins(id as u64), Severity::Info, "toy", "run")
+                .with("id", id as u64)
+                .in_span(child),
+        );
+        id * 2
+    }
+
+    /// The parent's event lines and metrics snapshot after `run` ran in
+    /// its scope, and what `run` returned.
+    fn observed<R>(run: impl FnOnce(&Telemetry) -> R) -> (Vec<String>, String, R) {
+        let (sink, events) = RingBufferSink::new(1024);
+        let parent = Telemetry::builder().sink(sink).build();
+        let out = parent.scope(|| run(&parent));
+        let lines = events.events().iter().map(|e| e.to_json()).collect();
+        (lines, parent.snapshot().unwrap().to_jsonl(), out)
+    }
+
+    #[test]
+    fn fan_out_is_byte_identical_at_any_worker_count() {
+        let run = |workers| {
+            observed(|parent| fan_out(parent, workers, (0..12).collect(), |_, id| toy_task(id)))
+        };
+        let serial = run(1);
+        for workers in [2, 4, 8] {
+            assert_eq!(serial, run(workers), "workers={workers} diverged");
+        }
+        assert_eq!(serial.2, (0..12).map(|i| i * 2).collect::<Vec<_>>());
+        // Span ids are contiguous from 1 in task order: task i uses
+        // root 2i+1, child 2i+2.
+        assert!(serial.0[3].contains("\"trace\":7,\"span\":8,\"parent\":7"));
+    }
+
+    #[test]
+    fn nested_fan_outs_match_a_serial_run() {
+        let serial = observed(|_| {
+            (0..4)
+                .map(|i| toy_task(i) + (0..3).map(|j| toy_task(10 * i + j)).sum::<usize>())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(serial.0.len(), 16);
+        for workers in [1, 2, 4] {
+            // Each outer task does its own work, then fans out again with
+            // the handle in its scope as the parent, as a figure that fans
+            // out its cases does inside the figure fan-out.
+            let outer = |_, i: usize| {
+                let own = toy_task(i);
+                let inner = (0..3).map(|j| 10 * i + j).collect();
+                let parent = ampere_telemetry::global();
+                own + fan_out(&parent, workers, inner, |_, id| toy_task(id))
+                    .iter()
+                    .sum::<usize>()
+            };
+            let nested = observed(|parent| fan_out(parent, workers, (0..4).collect(), outer));
+            assert_eq!(serial, nested, "workers={workers} diverged from serial");
+        }
+    }
+
+    #[test]
+    fn fan_out_under_a_disabled_parent_runs_in_its_scope() {
+        for workers in [1, 4] {
+            // Called from an enabled scope: the tasks on this thread see
+            // the disabled parent, not the caller's pipeline.
+            let (_, _, enabled) = observed(|_| {
+                fan_out(&Telemetry::disabled(), workers, vec![(); 4], |_, ()| {
+                    ampere_telemetry::global().enabled()
+                })
+            });
+            assert_eq!(enabled, vec![false; 4], "workers={workers}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use ampere_obs::dump::hex;
 use ampere_obs::scenario::{ScenarioBatch, ScenarioRow, Shrink};
-use ampere_par::{run_captured, Task, WorkerPool};
 use ampere_sim::{derive_subseed, rng::streams, Fnv};
 
 use crate::invariant::InvariantKind;
@@ -159,40 +158,40 @@ impl BatchReport {
     }
 }
 
-/// Runs a batch. Telemetry per scenario is captured and replayed in
-/// index order (via `run_captured`), so the merged event stream — and
-/// therefore every digest — is byte-identical at any worker count.
+/// Runs a batch. Telemetry per scenario is captured and replayed into
+/// the pipeline in scope in index order (via `ampere_par::fan_out`), so
+/// the merged event stream — and therefore every digest — is
+/// byte-identical at any worker count.
 pub fn run_batch(config: &BatchConfig) -> BatchReport {
-    let pool = WorkerPool::new(config.workers);
-    let options = config.options;
-    let shrink_failures = config.shrink_failures;
-    let tasks: Vec<Task<'_, BatchRow>> = (0..config.count)
-        .map(|index| {
-            let seed = derive_subseed(config.seed, streams::SCENARIO, index as u64);
-            let task: Task<'_, BatchRow> = Box::new(move || {
-                let scenario = Scenario::generate(seed);
-                let outcome = run_scenario(&scenario, &options);
-                let shrink = (shrink_failures && !outcome.passed()).then(|| {
-                    let kinds = outcome.violated_kinds();
-                    let result: ShrinkResult = shrink(&scenario, &kinds, &options);
-                    ShrinkSummary {
-                        level: result.level,
-                        axes: result.shrunk_axes.clone(),
-                        runs: result.runs,
-                        minimal: result.scenario.describe(),
-                    }
-                });
-                BatchRow {
-                    index,
-                    seed,
-                    outcome,
-                    shrink,
+    let options = &config.options;
+    let seeds = (0..config.count)
+        .map(|index| derive_subseed(config.seed, streams::SCENARIO, index as u64))
+        .collect();
+    let rows = ampere_par::fan_out(
+        &ampere_telemetry::global(),
+        config.workers,
+        seeds,
+        |index, seed| {
+            let scenario = Scenario::generate(seed);
+            let outcome = run_scenario(&scenario, options);
+            let shrink = (config.shrink_failures && !outcome.passed()).then(|| {
+                let kinds = outcome.violated_kinds();
+                let result: ShrinkResult = shrink(&scenario, &kinds, options);
+                ShrinkSummary {
+                    level: result.level,
+                    axes: result.shrunk_axes.clone(),
+                    runs: result.runs,
+                    minimal: result.scenario.describe(),
                 }
             });
-            task
-        })
-        .collect();
-    let rows = run_captured(&pool, tasks);
+            BatchRow {
+                index,
+                seed,
+                outcome,
+                shrink,
+            }
+        },
+    );
 
     let mut digest = Fnv::new();
     for row in &rows {

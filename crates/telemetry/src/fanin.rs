@@ -29,6 +29,13 @@
 //! Because workers=1 and workers=N run the *same* capture/replay path
 //! and replay in the same task order, the merged event stream and
 //! metrics snapshot are byte-identical at any worker count.
+//!
+//! `ampere_par` holds that path, once, for the whole workspace: its
+//! `fan_out` (one-shot tasks) and `ShardSet` (shards stepped over
+//! several runs) are handed the parent, build one capture per index,
+//! run each index in its capture's scope and replay in index order.
+//! A task that fans out again passes the handle in its scope — its own
+//! capture — as the parent, so nested fan-outs replay inward first.
 
 use crate::{Event, EventSink, MetricsSnapshot, SpanId, Telemetry, TraceId};
 
@@ -147,19 +154,6 @@ impl Capture {
     }
 }
 
-/// Runs `f` under a fresh capture of `parent`. Returns `f`'s result and
-/// the captured telemetry (`None` when `parent` is disabled, in which
-/// case `f` runs in the disabled `parent`'s scope).
-pub fn capture_into<R>(parent: &Telemetry, f: impl FnOnce() -> R) -> (R, Option<Captured>) {
-    match Capture::new_under(parent) {
-        Some(capture) => {
-            let out = capture.with(f);
-            (out, Some(capture.finish()))
-        }
-        None => (parent.scope(f), None),
-    }
-}
-
 /// Replays a captured buffer into `parent`: reserves a contiguous block
 /// of `spans_used` ids, shifts every captured trace/span/parent id into
 /// it, re-emits each event in order and merges the metrics snapshot.
@@ -201,11 +195,16 @@ mod tests {
         Event::new(SimTime::from_mins(1), Severity::Info, "test", name)
     }
 
+    /// What `f` records in the scope of a fresh capture of `parent`.
+    fn captured(parent: &Telemetry, f: impl FnOnce()) -> Captured {
+        let capture = Capture::new_under(parent).unwrap();
+        capture.with(f);
+        capture.finish()
+    }
+
     #[test]
     fn capture_is_none_under_disabled_parent() {
-        let (out, cap) = capture_into(&Telemetry::disabled(), || 7);
-        assert_eq!(out, 7);
-        assert!(cap.is_none());
+        assert!(Capture::new_under(&Telemetry::disabled()).is_none());
     }
 
     #[test]
@@ -246,19 +245,19 @@ mod tests {
         // Parallel path: two captures, replayed in task order.
         let (sink, events) = RingBufferSink::new(16);
         let parent = Telemetry::builder().sink(sink).build();
-        let mut captured = Vec::new();
-        for _ in 0..2 {
-            let (_, cap) = capture_into(&parent, || {
-                let tel = global();
-                let root = tel.root_span();
-                let child = tel.child_span(root);
-                tel.emit(ev("root").in_span(root));
-                tel.emit(ev("child").in_span(child));
-            });
-            captured.push(cap.unwrap());
-        }
-        for cap in captured {
-            replay_into(&parent, cap);
+        let buffers: Vec<Captured> = (0..2)
+            .map(|_| {
+                captured(&parent, || {
+                    let tel = global();
+                    let root = tel.root_span();
+                    let child = tel.child_span(root);
+                    tel.emit(ev("root").in_span(root));
+                    tel.emit(ev("child").in_span(child));
+                })
+            })
+            .collect();
+        for buffer in buffers {
+            replay_into(&parent, buffer);
         }
         let replayed = events.events();
         assert_eq!(serial.len(), replayed.len());
@@ -276,13 +275,13 @@ mod tests {
         let h = parent.histogram("lat", &[], &[1.0, 2.0]);
         h.record(0.5);
 
-        let (_, cap) = capture_into(&parent, || {
+        let buffer = captured(&parent, || {
             let tel = global();
             tel.counter("ticks", &[]).inc_by(3);
             tel.gauge("power", &[]).set(9.5);
             tel.histogram("lat", &[], &[1.0, 2.0]).record(1.5);
         });
-        replay_into(&parent, cap.unwrap());
+        replay_into(&parent, buffer);
 
         let snap = parent.snapshot().unwrap();
         assert_eq!(snap.get("ticks", &[]).unwrap().kind, MetricKind::Counter(5));
@@ -299,15 +298,15 @@ mod tests {
     #[test]
     fn nested_captures_replay_through_override() {
         let parent = Telemetry::builder().build();
-        let (_, outer) = capture_into(&parent, || {
+        let outer = captured(&parent, || {
             // Inner fan-out replays into the *outer* capture, because
             // the outer override is this thread's global().
-            let (_, inner) = capture_into(&global(), || {
+            let inner = captured(&global(), || {
                 global().counter("deep", &[]).inc();
             });
-            replay_into(&global(), inner.unwrap());
+            replay_into(&global(), inner);
         });
-        replay_into(&parent, outer.unwrap());
+        replay_into(&parent, outer);
         let snap = parent.snapshot().unwrap();
         assert_eq!(snap.get("deep", &[]).unwrap().kind, MetricKind::Counter(1));
     }

@@ -195,12 +195,11 @@ mod tests {
     #[test]
     fn profilers_inherit_into_captures_and_merge() {
         let parent = Telemetry::builder().profiling(true).build();
-        let (_, cap) = crate::fanin::capture_into(&parent, || {
-            let profiler = PhaseProfiler::new(&crate::global());
-            assert!(profiler.enabled(), "capture must inherit profiling");
-            drop(profiler.phase(TickPhase::FanInMerge));
-        });
-        crate::fanin::replay_into(&parent, cap.unwrap());
+        let capture = crate::Capture::new_under(&parent).unwrap();
+        let profiler = PhaseProfiler::new(capture.telemetry());
+        assert!(profiler.enabled(), "capture must inherit profiling");
+        drop(profiler.phase(TickPhase::FanInMerge));
+        crate::fanin::replay_into(&parent, capture.finish());
         let snap = parent.snapshot().unwrap();
         let merged = snap
             .get("profile_phase_wall_us", &[("phase", "fan_in_merge")])
