@@ -32,6 +32,16 @@ fn main() {
         })
     });
 
+    // The same fan-out under an enabled parent: each task also builds
+    // its capture pipeline and replays it, so the gap to the bench
+    // above is what a capture costs per fan-out.
+    let parent = Telemetry::builder().build();
+    r.bench("captured_fanout_16_tasks_4w_enabled", || {
+        fan_out(&parent, 4, (0..16u64).collect(), |_, i| {
+            i.wrapping_mul(0x9E37_79B9)
+        })
+    });
+
     for workers in [1usize, 2, 4] {
         r.bench_with_setup(
             &format!("sharded_step_8rows_10min_{workers}w"),

@@ -4,12 +4,16 @@
 //! repro [all|fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|table3|ablations|chaos]
 //!       [--quick] [--csv DIR] [--telemetry FILE] [--workers N]
 //! repro scale --scale-out FILE [--quick] [--hyper] [--workers N]
-//! repro profile --profile-out FILE [--quick] [--sample-period N] [--workers N]
+//! repro profile --profile-out FILE [--quick] [--workers N]
 //! repro watch --watch-out FILE [--quick] [--workers N]
 //! repro hier|sla --<bench>-out FILE [--quick] [--seed S] [--workers N]
 //! repro scenarios --scenarios-out FILE --count N --seed S [--workers W]
 //! repro scenario --seed S [--shrink-level K]
 //! ```
+//!
+//! A run takes one selection (`all` when none is given); a flag's value
+//! is never taken for it. An unknown selection or flag, or a second
+//! selection, exits 2 before anything runs.
 //!
 //! `--quick` shrinks run lengths (used by CI); without it each
 //! experiment runs at paper scale. Output is plain text: `# name`
@@ -46,7 +50,7 @@
 //!   throughput gate (server-ticks/sec).
 //! - `profile` runs one seeded workload with telemetry off and fully
 //!   instrumented and reports the self-overhead and per-phase wall
-//!   time; `--sample-period N` sets the 1-in-N event sampler period.
+//!   time.
 //! - `watch` runs a clean and a chaos pass bare and with the
 //!   `ampere-watch` tap attached: alert stream, incidents, rollups.
 //! - `hier` runs the grant-loss × arbiter-outage × row-fault grid of
@@ -91,32 +95,13 @@ type Run = Box<dyn FnOnce()>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let what = selection(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let csv_dir: Option<std::path::PathBuf> = flag(&args, "--csv");
     let telemetry_path: Option<std::path::PathBuf> = flag(&args, "--telemetry");
     if let Some(n) = flag(&args, "--workers") {
         ampere_par::set_default_workers(n);
     }
-    let what = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .find(|a| {
-            a.starts_with("fig")
-                || a.starts_with("table")
-                || *a == "all"
-                || *a == "ablations"
-                || *a == "chaos"
-                || *a == "scale"
-                || *a == "profile"
-                || *a == "watch"
-                || *a == "hier"
-                || *a == "sla"
-                || *a == "scenario"
-                || *a == "scenarios"
-        })
-        .unwrap_or("all");
-
     let run: Run = match what {
         "scale" => scale(quick, &args),
         "profile" => profile(quick, &args),
@@ -157,6 +142,70 @@ fn main() {
             eprintln!("\n{}", snapshot.render_table());
             eprintln!("telemetry written to {}", path.display());
         }
+    }
+}
+
+/// Flags that stand alone; the valued ones are [`VALUED_FLAGS`].
+const SWITCHES: [&str; 2] = ["--quick", "--hyper"];
+
+/// Flags that take a value (see [`flag`]).
+const VALUED_FLAGS: [&str; 12] = [
+    "--csv",
+    "--telemetry",
+    "--workers",
+    "--seed",
+    "--count",
+    "--shrink-level",
+    "--scale-out",
+    "--profile-out",
+    "--watch-out",
+    "--hier-out",
+    "--sla-out",
+    "--scenarios-out",
+];
+
+/// Commands that run one benchmark or scenario instead of figures.
+const BENCHES: [&str; 7] = [
+    "scale",
+    "profile",
+    "watch",
+    "hier",
+    "sla",
+    "scenarios",
+    "scenario",
+];
+
+/// The command's selection: its one argument that is neither a flag
+/// nor a flag's value, `all` when there is none. An unknown flag, an
+/// unknown selection or a second selection exits 2.
+fn selection(args: &[String]) -> &str {
+    let mut selected = Vec::new();
+    let mut rest = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = rest.next() {
+        if VALUED_FLAGS.contains(&arg) {
+            // A missing value is `flag`'s error to report.
+            rest.next_if(|v| !v.starts_with("--"));
+        } else if arg.starts_with("--") {
+            if !SWITCHES.contains(&arg) {
+                usage_error(&format!("unknown flag {arg}"));
+            }
+        } else {
+            selected.push(arg);
+        }
+    }
+    let known = |what: &str| {
+        what == "all"
+            || BENCHES.contains(&what)
+            || FIGURES.iter().any(|(names, _)| names.contains(&what))
+    };
+    match selected[..] {
+        [] => "all",
+        [what] if known(what) => what,
+        [what] => usage_error(&format!(
+            "unknown selection {what:?}: expected all, a figure or table name, or {}",
+            BENCHES.join("|")
+        )),
+        [_, extra, ..] => usage_error(&format!("unexpected argument {extra:?}")),
     }
 }
 
@@ -229,14 +278,11 @@ fn scale(quick: bool, args: &[String]) -> Run {
 
 fn profile(quick: bool, args: &[String]) -> Run {
     let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
-    let mut config = if quick {
+    let config = if quick {
         ampere_bench::profile::ProfileConfig::quick(workers)
     } else {
         ampere_bench::profile::ProfileConfig::paper(workers)
     };
-    if let Some(period) = flag(args, "--sample-period") {
-        config.sample_period = period;
-    }
     let out = dump_path(args, "--profile-out");
     Box::new(move || {
         println!("=== Profile: telemetry self-overhead and tick-phase breakdown ===\n");
@@ -277,9 +323,9 @@ fn hier(quick: bool, args: &[String]) -> Run {
     Box::new(move || {
         println!("=== Hier: multi-row control under a fault-tolerant budget arbiter ===\n");
         let t0 = Instant::now();
-        let r = exp::hier::run(&config);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        publish("hier", &r.record(&config, wall_ms), &out);
+        let mut r = exp::hier::run(&config);
+        r.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        publish("hier", &r, &out);
     })
 }
 

@@ -14,8 +14,8 @@
 //!   record.
 //!
 //! `repro sla` and `repro hier` have no module here: `repro` times
-//! `ampere_experiments::{sla, hier}::run` and the results build their
-//! own records (`SlaResult::record`, `HierResult::record`).
+//! `ampere_experiments::{sla, hier}::run`; the SLA result builds its
+//! record (`SlaResult::record`) and the hier run returns its own.
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -8,8 +8,8 @@
 //!    telemetry call site hits the disabled-handle fast path;
 //! 2. **instrumented pass** — full pipeline: JSONL serialization (to a
 //!    null writer, so the cost measured is serialization, not disk),
-//!    per-tick event batching, the deterministic 1-in-N sampler and the
-//!    tick-phase profiler.
+//!    per-tick event batching (the pipeline `repro --telemetry` runs)
+//!    and the tick-phase profiler.
 //!
 //! A pair's delta is the telemetry self-overhead, as a fraction of
 //! instrumented wall time; the record reports the median pair, with
@@ -41,11 +41,8 @@ pub struct ProfileConfig {
     pub workers: usize,
     /// Simulated minutes.
     pub sim_minutes: u64,
-    /// Master seed (also seeds the sampler phase).
+    /// Master seed.
     pub seed: u64,
-    /// Event-sampler period for the per-server event class (1 keeps
-    /// everything).
-    pub sample_period: u64,
 }
 
 impl ProfileConfig {
@@ -56,7 +53,6 @@ impl ProfileConfig {
             workers,
             sim_minutes: 30,
             seed: 42,
-            sample_period: 4,
         }
     }
 
@@ -67,7 +63,6 @@ impl ProfileConfig {
             workers,
             sim_minutes: 120,
             seed: 42,
-            sample_period: 8,
         }
     }
 }
@@ -123,7 +118,7 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
         // Telemetry disabled — the no-op baseline.
         || Timed::run(|| (run_pass(config, &Telemetry::disabled()), ())),
         // Fully instrumented — serialization to a null writer,
-        // batching, sampling, profiling.
+        // batching, profiling.
         || {
             let count = Arc::new(AtomicU64::new(0));
             let tel = Telemetry::builder()
@@ -132,7 +127,6 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
                     count: Arc::clone(&count),
                 })
                 .batched(true)
-                .sample_events(config.sample_period, config.seed)
                 .profiling(true)
                 .build();
             Timed::run(move || {
@@ -149,13 +143,6 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
         .expect("instrumented pipeline has a registry");
 
     let events_total = count.load(Ordering::Relaxed);
-    let events_sampled_out = match snapshot.get("telemetry_events_sampled_out", &[]) {
-        Some(entry) => match entry.kind {
-            MetricKind::Counter(n) => n,
-            _ => 0,
-        },
-        None => 0,
-    };
     let phases = TickPhase::ALL
         .iter()
         .map(|p| {
@@ -183,13 +170,11 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
     let (mutex_ns_per_op, handle_ns_per_op) = per_op_ns();
 
     let ticks = config.rows as u64 * config.sim_minutes;
-    let per_tick = |events: u64| events as f64 / ticks as f64;
     ProfileRun {
         rows: config.rows as u64,
         workers: config.workers as u64,
         sim_minutes: config.sim_minutes,
         seed: config.seed,
-        sample_period: config.sample_period,
         ticks,
         wall_noop_ms,
         wall_instr_ms,
@@ -199,9 +184,7 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
         checksum_noop: hex(pair.checksum_bare),
         checksum_instr: hex(pair.checksum_observed),
         events_total,
-        events_sampled_out,
-        events_per_tick_pre_sample: per_tick(events_total + events_sampled_out),
-        events_per_tick_post_sample: per_tick(events_total),
+        events_per_tick: events_total as f64 / ticks as f64,
         mutex_ns_per_op,
         handle_ns_per_op,
         phases,
@@ -220,17 +203,12 @@ mod tests {
             workers: 2,
             sim_minutes: 10,
             seed: 7,
-            sample_period: 2,
         });
         assert!(
             result.gates().iter().all(|g| g.pass),
             "instrumentation perturbed the run"
         );
         assert!(result.events_total > 0, "instrumented pass saw no events");
-        assert!(
-            result.events_sampled_out > 0,
-            "period-2 sampler never dropped an event"
-        );
         assert_eq!(result.ticks, 30);
         assert_eq!(result.phases.len(), 6);
         // Phases wired through controller/scheduler/testbed must have

@@ -130,162 +130,6 @@ impl HierConfig {
     }
 }
 
-/// One cell of the grant-loss × arbiter-outage × row-fault grid.
-#[derive(Debug, Clone)]
-pub struct HierCell {
-    /// Grant-RPC loss probability injected.
-    pub grant_loss: f64,
-    /// Arbiter-outage length injected, in minutes.
-    pub outage_mins: u64,
-    /// Whether row 0 was fault-injected (dropout + controller outage).
-    pub row_fault: bool,
-    /// Whether the substation breaker tripped — the headline failure.
-    pub substation_tripped: bool,
-    /// Minute of the substation trip, if any.
-    pub substation_trip_min: Option<u64>,
-    /// Substation over-feed minutes in the measured window.
-    pub substation_violations: u64,
-    /// Rows whose own breaker tripped.
-    pub row_trips: u64,
-    /// First minute any row exceeded its breaker limit (whole run).
-    pub first_row_violation_min: Option<u64>,
-    /// Fleet ticks of the measured window on which some row's power
-    /// exceeded its currently-applied grant (transient overshoot, not a
-    /// violation). A tick counts once however many rows exceed.
-    pub row_over_grant_ticks: u64,
-    /// Rounds the arbiter was down.
-    pub arbiter_down_rounds: u64,
-    /// Grant RPCs lost.
-    pub grants_lost: u64,
-    /// Row-rounds spent on a fallback (haircut) budget.
-    pub fallback_rounds: u64,
-    /// Row-rounds spent past grace on the static share.
-    pub static_share_rounds: u64,
-    /// Rounds hysteresis held the previous vector.
-    pub held_rounds: u64,
-    /// Row-rounds pinned to the floor by health.
-    pub pinned_rounds: u64,
-    /// Largest passive reserve reported, in watts.
-    pub max_reserve_w: f64,
-    /// The rows' measured windows as one: breaker violations, degraded
-    /// and backstop ticks (row-ticks, summed over rows), the lowest
-    /// sample coverage and the jobs placed.
-    pub measured: WindowStats,
-    /// `measured.placed` normalized to the clean cell.
-    pub throughput_ratio: f64,
-    /// Per-row FNV digests over the full tick trajectory (bit-exact;
-    /// the currency of the sibling-isolation check).
-    pub row_checksums: Vec<u64>,
-    /// The reallocation timeline.
-    pub rounds: Vec<HierRoundLine>,
-}
-
-/// The swept grid plus the static partition it ran under.
-#[derive(Debug, Clone)]
-pub struct HierResult {
-    /// One entry per grid cell, row-fault-major then outage then loss.
-    pub cells: Vec<HierCell>,
-    /// Placed jobs in the clean cell (the throughput denominator).
-    pub baseline_placed: u64,
-    /// Rows under arbitration.
-    pub rows: usize,
-    /// Substation feed capacity (the breaker limit), in watts.
-    pub feed_w: f64,
-    /// Budget the arbiter allocates (feed × control margin), in watts.
-    pub allocatable_w: f64,
-    /// Per-row floors, in watts.
-    pub floors_w: Vec<f64>,
-    /// Per-row grant ceilings, in watts.
-    pub ceilings_w: Vec<f64>,
-    /// Σ rated row power / feed — how oversubscribed the shared feed
-    /// is relative to nameplate (the headroom statistical control
-    /// reclaims; > 1 whenever `substation_scale < 1`).
-    pub oversubscription: f64,
-    /// Grant cadence, in minutes.
-    pub grant_period_mins: u64,
-}
-
-impl HierResult {
-    /// The cell at a grid coordinate, if swept.
-    pub fn cell(&self, grant_loss: f64, outage_mins: u64, row_fault: bool) -> Option<&HierCell> {
-        self.cells.iter().find(|c| {
-            c.grant_loss == grant_loss && c.outage_mins == outage_mins && c.row_fault == row_fault
-        })
-    }
-
-    /// The sweep as its `BENCH_hier.json` record, with the verdicts it
-    /// recomputes declared in the header. `wall_ms` is the caller's
-    /// timing of [`run`].
-    pub fn record(&self, config: &HierConfig, wall_ms: f64) -> HierRun {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| HierCellLine {
-                grant_loss: c.grant_loss,
-                outage_mins: c.outage_mins,
-                row_fault: c.row_fault,
-                substation_tripped: c.substation_tripped,
-                substation_violations: c.substation_violations,
-                row_trips: c.row_trips,
-                row_violations: c.measured.breaker_violations,
-                row_over_grant_ticks: c.row_over_grant_ticks,
-                arbiter_down_rounds: c.arbiter_down_rounds,
-                grants_lost: c.grants_lost,
-                fallback_rounds: c.fallback_rounds,
-                static_share_rounds: c.static_share_rounds,
-                held_rounds: c.held_rounds,
-                pinned_rounds: c.pinned_rounds,
-                max_reserve_w: c.max_reserve_w,
-                min_coverage: c.measured.min_coverage,
-                degraded_ticks: c.measured.degraded_ticks,
-                backstop_ticks: c.measured.backstop_ticks,
-                placed: c.measured.placed,
-                throughput_ratio: c.throughput_ratio,
-                trip_explained: substation_trip_explained(c),
-                substation_trip_min: c.substation_trip_min,
-                row_checksums: c.row_checksums.iter().map(|&x| hex(x)).collect(),
-                rounds: c.rounds.clone(),
-            })
-            .collect();
-        HierRun {
-            workers: config.workers as u64,
-            seed: config.seed,
-            hours: config.hours,
-            rows: self.rows as u64,
-            grant_period_mins: self.grant_period_mins,
-            feed_w: self.feed_w,
-            allocatable_w: self.allocatable_w,
-            oversubscription: self.oversubscription,
-            floors_w: self.floors_w.clone(),
-            ceilings_w: self.ceilings_w.clone(),
-            baseline_placed: self.baseline_placed,
-            wall_ms,
-            zero_trips: false,
-            isolation_ok: false,
-            has_isolation_axis: false,
-            trips_explained: false,
-            cells,
-        }
-        .with_declared_verdicts()
-    }
-}
-
-/// Safety attribution for the two-level property: a substation trip is
-/// only acceptable when a row-level violation preceded it or the
-/// control plane itself was faulted (lost grants / arbiter outage put
-/// rows on fallback budgets the arbiter never co-signed).
-pub fn substation_trip_explained(cell: &HierCell) -> bool {
-    match cell.substation_trip_min {
-        None => true,
-        Some(t) => {
-            cell.first_row_violation_min.is_some_and(|v| v <= t)
-                || cell.row_over_grant_ticks > 0
-                || cell.arbiter_down_rounds > 0
-                || cell.grants_lost > 0
-        }
-    }
-}
-
 /// Classifies a row's health from its own last-period records — never
 /// from siblings (the isolation contract).
 fn classify(recs: &[DomainTickRecord]) -> RowHealth {
@@ -339,13 +183,15 @@ fn row_profile(i: usize, spec: &ClusterSpec) -> RateProfile {
     RateProfile::product_mix(i as u64).scaled(spec.servers_per_row() as f64 / 440.0)
 }
 
+/// One cell of the grant-loss × arbiter-outage × row-fault grid, its
+/// `throughput_ratio` still 1 (it needs the clean cell, see [`run`]).
 fn run_cell(
     config: &HierConfig,
     rated: f64,
     grant_loss: f64,
     outage_mins: u64,
     row_fault: bool,
-) -> HierCell {
+) -> HierCellLine {
     let spec = row_spec();
     let rows = config.rows;
     let feed_w = rated * rows as f64 * config.substation_scale;
@@ -552,24 +398,36 @@ fn run_cell(
                 .map(|r| r.time.as_mins())
         })
         .min();
-    HierCell {
+    let substation_trip_min = substation.tripped_at().map(|t| t.as_mins());
+    let arbiter_down_rounds = rounds_log
+        .iter()
+        .filter(|r| !r.arbiter_up && !r.backstop)
+        .count() as u64;
+    let grants_lost = rounds_log.iter().map(|r| r.lost_rows.len() as u64).sum();
+    // Safety attribution for the two-level property: a substation trip
+    // is only acceptable when a row-level violation preceded it or the
+    // control plane itself was faulted (lost grants / arbiter outage put
+    // rows on fallback budgets the arbiter never co-signed).
+    let trip_explained = substation_trip_min.is_none_or(|t| {
+        first_row_violation_min.is_some_and(|v| v <= t)
+            || row_over_grant_ticks > 0
+            || arbiter_down_rounds > 0
+            || grants_lost > 0
+    });
+    HierCellLine {
         grant_loss,
         outage_mins,
         row_fault,
-        substation_tripped: substation.tripped_at().is_some(),
-        substation_trip_min: substation.tripped_at().map(|t| t.as_mins()),
+        substation_tripped: substation_trip_min.is_some(),
         substation_violations,
         row_trips: shards
             .iter()
             .filter(|s| s.tb.breaker(s.domain).tripped_at().is_some())
             .count() as u64,
-        first_row_violation_min,
+        row_violations: measured.breaker_violations,
         row_over_grant_ticks,
-        arbiter_down_rounds: rounds_log
-            .iter()
-            .filter(|r| !r.arbiter_up && !r.backstop)
-            .count() as u64,
-        grants_lost: rounds_log.iter().map(|r| r.lost_rows.len() as u64).sum(),
+        arbiter_down_rounds,
+        grants_lost,
         fallback_rounds: rounds_log
             .iter()
             .map(|r| r.fallback_rows.len() as u64)
@@ -578,11 +436,16 @@ fn run_cell(
         held_rounds: rounds_log.iter().filter(|r| r.held).count() as u64,
         pinned_rounds: rounds_log.iter().map(|r| r.pinned_rows.len() as u64).sum(),
         max_reserve_w: rounds_log.iter().map(|r| r.reserve_w).fold(0.0, f64::max),
-        measured,
+        min_coverage: measured.min_coverage,
+        degraded_ticks: measured.degraded_ticks,
+        backstop_ticks: measured.backstop_ticks,
+        placed: measured.placed,
         throughput_ratio: 1.0,
+        trip_explained,
+        substation_trip_min,
         row_checksums: shards
             .iter()
-            .map(|s| row_checksum(s.tb.records(s.domain)))
+            .map(|s| hex(row_checksum(s.tb.records(s.domain))))
             .collect(),
         rounds: rounds_log,
     }
@@ -590,7 +453,10 @@ fn run_cell(
 
 /// Runs the sweep: the full grant-loss × arbiter-outage × row-fault
 /// grid, serially per cell (each cell parallelizes across its rows).
-pub fn run(config: &HierConfig) -> HierResult {
+/// Returns its `BENCH_hier.json` record with the verdicts it recomputes
+/// declared in the header; `wall_ms` is 0, for the caller who timed the
+/// run to set.
+pub fn run(config: &HierConfig) -> HierRun {
     let spec = row_spec();
     let rated = spec.rated_row_power_w();
     let feed_w = rated * config.rows as f64 * config.substation_scale;
@@ -615,7 +481,7 @@ pub fn run(config: &HierConfig) -> HierResult {
         "floor partition over-commits the feed: {errors:?}"
     );
 
-    let mut cells: Vec<HierCell> = Vec::new();
+    let mut cells: Vec<HierCellLine> = Vec::new();
     for &row_fault in &config.row_faults {
         for &outage in &config.outage_mins {
             for &loss in &config.grant_loss {
@@ -626,23 +492,32 @@ pub fn run(config: &HierConfig) -> HierResult {
     let baseline_placed = cells
         .iter()
         .find(|c| c.grant_loss == 0.0 && c.outage_mins == 0 && !c.row_fault)
-        .map_or(0, |c| c.measured.placed);
+        .map_or(0, |c| c.placed);
     for cell in &mut cells {
         if baseline_placed > 0 {
-            cell.throughput_ratio = cell.measured.placed as f64 / baseline_placed as f64;
+            cell.throughput_ratio = cell.placed as f64 / baseline_placed as f64;
         }
     }
-    HierResult {
-        cells,
-        baseline_placed,
-        rows: config.rows,
+    HierRun {
+        workers: config.workers as u64,
+        seed: config.seed,
+        hours: config.hours,
+        rows: config.rows as u64,
+        grant_period_mins: config.grant_period_mins,
         feed_w,
         allocatable_w: feed_w * config.control_margin,
         oversubscription: rated * config.rows as f64 / feed_w,
         floors_w,
         ceilings_w,
-        grant_period_mins: config.grant_period_mins,
+        baseline_placed,
+        wall_ms: 0.0,
+        zero_trips: false,
+        isolation_ok: false,
+        has_isolation_axis: false,
+        trips_explained: false,
+        cells,
     }
+    .with_declared_verdicts()
 }
 
 #[cfg(test)]
@@ -701,14 +576,14 @@ mod tests {
             ..tiny()
         };
         let r = run(&config);
-        assert_eq!(r.record(&config, 0.0).isolation_recomputed(), Some(true));
+        assert_eq!(r.isolation_recomputed(), Some(true));
         let faulted = r.cell(0.0, 0, true).unwrap();
         // The faulted row itself must have diverged (pinned rounds and
         // degraded ticks prove the fault actually landed).
         let clean = r.cell(0.0, 0, false).unwrap();
         assert_ne!(clean.row_checksums[0], faulted.row_checksums[0]);
         assert!(faulted.pinned_rounds > 0, "row fault never pinned row 0");
-        assert!(faulted.measured.min_coverage < 0.9);
+        assert!(faulted.min_coverage < 0.9);
         assert!(faulted.max_reserve_w > 0.0, "pinned surplus not reserved");
     }
 
@@ -721,18 +596,17 @@ mod tests {
             ..tiny()
         };
         let mut r = run(&config);
-        let isolated = |r: &HierResult| r.record(&config, 0.0).isolation_recomputed();
-        assert_eq!(isolated(&r), Some(true));
+        assert_eq!(r.isolation_recomputed(), Some(true));
         // A faulted cell that lost a healthy row must not pass as
         // isolated, even though the rows both cells report agree.
         let faulted = r.cells.iter_mut().find(|c| c.row_fault).unwrap();
         faulted.row_checksums.pop();
-        assert_eq!(isolated(&r), Some(false));
+        assert_eq!(r.isolation_recomputed(), Some(false));
         // Neither cell reporting any row is no evidence of isolation.
         for c in &mut r.cells {
             c.row_checksums.clear();
         }
-        assert_eq!(isolated(&r), Some(false));
+        assert_eq!(r.isolation_recomputed(), Some(false));
     }
 
     #[test]
@@ -745,7 +619,7 @@ mod tests {
         };
         let r = run(&config);
         assert!(
-            r.record(&config, 0.0).zero_trips_recomputed(),
+            r.zero_trips_recomputed(),
             "a breaker tripped under control-plane faults"
         );
         let lossy = r.cell(0.4, 0, false).unwrap();
@@ -760,9 +634,7 @@ mod tests {
             "outage never downed the arbiter"
         );
         assert!(dark.fallback_rounds >= dark.arbiter_down_rounds);
-        for c in &r.cells {
-            assert!(substation_trip_explained(c));
-        }
+        assert!(r.cells.iter().all(|c| c.trip_explained));
     }
 
     #[test]
@@ -780,7 +652,7 @@ mod tests {
             workers: 2,
             ..HierConfig::quick()
         };
-        let r = Capture::standalone().with(|| run(&config).record(&config, 0.0));
+        let r = Capture::standalone().with(|| run(&config));
         assert!(r.has_isolation_axis);
         assert!(
             r.gates().iter().all(|g| g.pass),
@@ -803,7 +675,7 @@ mod tests {
             workers: 1,
             ..config
         };
-        let serial = Capture::standalone().with(|| run(&serial_config).record(&serial_config, 0.0));
+        let serial = Capture::standalone().with(|| run(&serial_config));
         let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(body(&jsonl), body(&serial.encode()));
     }
@@ -824,7 +696,7 @@ mod tests {
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.row_checksums, b.row_checksums);
             assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.measured.placed, b.measured.placed);
+            assert_eq!(a.placed, b.placed);
             assert_eq!(a.substation_violations, b.substation_violations);
         }
     }

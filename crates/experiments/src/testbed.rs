@@ -363,11 +363,6 @@ impl Testbed {
         }
     }
 
-    /// The freeze-target policy in effect.
-    pub fn freeze_policy(&self) -> FreezePolicy {
-        self.freeze_policy
-    }
-
     /// Inverts (or restores) the selector's class priority. Only the
     /// scenario harness's planted `sla-ordering` canary sets this.
     pub fn set_selector_inverted(&mut self, invert: bool) {

@@ -160,7 +160,13 @@ impl HierRun {
         self
     }
 
-    fn cell(&self, grant_loss: f64, outage_mins: u64, row_fault: bool) -> Option<&HierCellLine> {
+    /// The cell at a grid coordinate, if swept.
+    pub fn cell(
+        &self,
+        grant_loss: f64,
+        outage_mins: u64,
+        row_fault: bool,
+    ) -> Option<&HierCellLine> {
         self.cells.iter().find(|c| {
             c.grant_loss == grant_loss && c.outage_mins == outage_mins && c.row_fault == row_fault
         })

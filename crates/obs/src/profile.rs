@@ -45,8 +45,6 @@ dump_line! {
         sim_minutes: u64,
         /// Master seed.
         seed: u64,
-        /// Event-sampler period.
-        sample_period: u64,
         /// Simulated domain-ticks.
         ticks: u64,
         /// Wall milliseconds, telemetry disabled (median pair).
@@ -68,12 +66,8 @@ dump_line! {
         checksum_instr: String,
         /// Events that reached the sinks.
         events_total: u64,
-        /// Events dropped by the deterministic sampler.
-        events_sampled_out: u64,
-        /// Events per tick before sampling.
-        events_per_tick_pre_sample: f64 => 3,
-        /// Events per tick after sampling.
-        events_per_tick_post_sample: f64 => 3,
+        /// Events that reached the sinks per tick.
+        events_per_tick: f64 => 3,
         /// String-keyed (registry mutex) counter cost, ns/op.
         mutex_ns_per_op: f64 => 1,
         /// Pre-registered handle counter cost, ns/op.
@@ -137,9 +131,8 @@ impl BenchDump for ProfileRun {
         let _ = writeln!(md, "## Profile run\n");
         let _ = writeln!(
             md,
-            "{} rows x {} workers, {} simulated minutes ({} ticks), seed {}, \
-             sampler period {}.\n",
-            self.rows, self.workers, self.sim_minutes, self.ticks, self.seed, self.sample_period
+            "{} rows x {} workers, {} simulated minutes ({} ticks), seed {}.\n",
+            self.rows, self.workers, self.sim_minutes, self.ticks, self.seed
         );
         let _ = writeln!(md, "| pass | wall ms | ticks/sec | checksum |");
         let _ = writeln!(md, "|:-----|--------:|----------:|:---------|");
@@ -157,13 +150,12 @@ impl BenchDump for ProfileRun {
         let _ = writeln!(
             md,
             "Telemetry self-overhead: **{:.1}%** of instrumented wall time. \
-             Events/tick: {:.2} before sampling, {:.2} after ({} sampled out). \
+             Events/tick: {:.2} ({} events). \
              Counter op: {:.1} ns string-keyed (registry mutex) vs {:.1} ns \
              pre-registered handle.\n",
             self.overhead_fraction * 100.0,
-            self.events_per_tick_pre_sample,
-            self.events_per_tick_post_sample,
-            self.events_sampled_out,
+            self.events_per_tick,
+            self.events_total,
             self.mutex_ns_per_op,
             self.handle_ns_per_op
         );
@@ -201,7 +193,7 @@ mod tests {
     use super::*;
 
     const DUMP: &str = "\
-{\"bench\":\"profile\",\"rows\":6,\"workers\":2,\"sim_minutes\":30,\"seed\":42,\"sample_period\":4,\"ticks\":180,\"wall_noop_ms\":60.0,\"wall_instr_ms\":63.0,\"ticks_per_sec_noop\":3000.0,\"ticks_per_sec_instr\":2857.1,\"overhead_fraction\":0.0476,\"checksum_noop\":\"00000000deadbeef\",\"checksum_instr\":\"00000000deadbeef\",\"events_total\":760,\"events_sampled_out\":94,\"events_per_tick_pre_sample\":4.744,\"events_per_tick_post_sample\":4.222,\"mutex_ns_per_op\":52.4,\"handle_ns_per_op\":9.7,\"phases\":2}
+{\"bench\":\"profile\",\"rows\":6,\"workers\":2,\"sim_minutes\":30,\"seed\":42,\"ticks\":180,\"wall_noop_ms\":60.0,\"wall_instr_ms\":63.0,\"ticks_per_sec_noop\":3000.0,\"ticks_per_sec_instr\":2857.1,\"overhead_fraction\":0.0476,\"checksum_noop\":\"00000000deadbeef\",\"checksum_instr\":\"00000000deadbeef\",\"events_total\":854,\"events_per_tick\":4.744,\"mutex_ns_per_op\":52.4,\"handle_ns_per_op\":9.7,\"phases\":2}
 {\"phase\":\"predict\",\"calls\":180,\"total_us\":33.8,\"mean_us\":0.19}
 {\"phase\":\"decide\",\"calls\":180,\"total_us\":182.0,\"mean_us\":1.01}
 ";

@@ -198,11 +198,11 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> ScenarioOutcome {
 
 /// One simulation pass under a telemetry capture.
 fn run_once(scenario: &Scenario, bug: Option<InjectedBug>, replay: bool) -> RawRun {
-    // Always a standalone capture, never one inheriting the ambient
-    // pipeline's settings (an ambient sampler would drop events): the
-    // digest must cover the same bytes whatever pipeline is in scope,
-    // or none, or the same seed would "diverge" between the CLI and the
-    // test harness.
+    // Always a standalone capture, never one under the ambient
+    // pipeline (a disabled one gives no capture at all): the digest
+    // must cover the same bytes whatever pipeline is in scope, or none,
+    // or the same seed would "diverge" between the CLI and the test
+    // harness.
     let parent = ampere_telemetry::global();
     let capture = Capture::standalone();
     let (records, final_measured_w) = capture.with(|| simulate(scenario, bug));

@@ -340,10 +340,7 @@ impl Scheduler {
                 at: (!unset).then_some(now),
             },
         );
-        // Per-server event: high-cardinality at hyperscale, so it goes
-        // through the deterministic sampler (a no-op unless the pipeline
-        // configured one). The frozen/unfrozen counters stay exact.
-        self.telemetry.emit_sampled_with(|| {
+        self.telemetry.emit_with(|| {
             let mut e = Event::new(now, Severity::Info, "scheduler", "freeze")
                 .in_span(span)
                 .with("server", server.raw());
@@ -378,7 +375,7 @@ impl Scheduler {
         if let Some(h) = held_mins {
             self.freeze_hist.record(h);
         }
-        self.telemetry.emit_sampled_with(|| {
+        self.telemetry.emit_with(|| {
             let mut e = Event::new(now, Severity::Info, "scheduler", "unfreeze")
                 .in_span(span)
                 .with("server", server.raw());

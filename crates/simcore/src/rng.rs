@@ -342,9 +342,8 @@ pub mod streams {
     /// Scenario harness: per-scenario seed derivation in a batch, and
     /// a scenario's internal sub-streams (fault-plan seed, axis draws).
     pub const SCENARIO: u64 = 13;
-    /// Telemetry: deterministic 1-in-N event-sampler phase
-    /// ([`derive_subseed`](super::derive_subseed) with the sample period).
-    pub const TELEMETRY_SAMPLE: u64 = 14;
+    // 14 is retired. Ids are never reused or renumbered, so every
+    // stream keeps its realization.
     /// Fault injection: lost budget-grant RPCs and arbiter outage
     /// accounting (the two-level controller's fault domain).
     pub const FAULT_GRANT: u64 = 15;

@@ -12,7 +12,7 @@
 //!
 //! 1. [`Capture::new_under`] builds a private pipeline (own event buffer,
 //!    own metrics registry, own span counter starting at 1) inheriting
-//!    the parent's batching, sampler and profiling settings.
+//!    the parent's batching and profiling settings.
 //! 2. The task runs inside [`Capture::with`], the private pipeline's
 //!    [`Telemetry::scope`]: for the closure's duration it is the thread's
 //!    [`global()`](crate::global), so everything the task constructs
@@ -81,22 +81,16 @@ impl Capture {
     pub fn new_under(parent: &Telemetry) -> Option<Capture> {
         let pipeline = parent.pipeline.as_ref()?;
         let shared = Arc::new(Mutex::new(Vec::new()));
-        // Inherit the parent's whole hot-path configuration — batching,
-        // sampler (period+phase, fresh counter) and profiling — so a task
-        // behaves identically whether it reports straight into the parent
-        // or through a capture. A fresh sampler
-        // counter per capture makes the kept subset a function of shard
-        // contents alone: worker-count invariant by construction.
-        let mut builder = Telemetry::builder()
+        // Inherit the parent's whole hot-path configuration — batching
+        // and profiling — so a task behaves identically whether it
+        // reports straight into the parent or through a capture.
+        let telemetry = Telemetry::builder()
             .sink(CaptureSink {
                 shared: Arc::clone(&shared),
             })
             .batched(pipeline.batched)
-            .profiling(pipeline.profiling);
-        if let Some(sampler) = &pipeline.sampler {
-            builder = builder.sample_raw(sampler.period, sampler.phase);
-        }
-        let telemetry = builder.build();
+            .profiling(pipeline.profiling)
+            .build();
         Some(Capture {
             telemetry,
             events: shared,

@@ -64,21 +64,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Deterministic 1-in-N event sampler state. The admission rule is a
-/// pure function of the per-pipeline emission counter — `count % period
-/// == phase` — so the kept subset depends only on emission order, never
-/// on wall clock or thread timing. The phase is derived from the run
-/// seed via `ampere_sim::rng`, so different seeds keep different (but
-/// reproducible) subsets. Captures inherit `(period, phase)` with a
-/// fresh counter, which makes the per-shard kept subsets a function of
-/// shard contents alone — worker-count invariant.
-struct Sampler {
-    period: u64,
-    phase: u64,
-    emitted: AtomicU64,
-    sampled_out: Counter,
-}
-
 struct Pipeline {
     registry: MetricsRegistry,
     sinks: Mutex<Vec<Box<dyn EventSink>>>,
@@ -88,9 +73,6 @@ struct Pipeline {
     /// When true, [`Telemetry::emit_with`] appends to `batch` instead of
     /// taking the sinks lock per event; the testbed drains once per tick.
     batched: bool,
-    /// Deterministic sampler for [`Telemetry::emit_sampled_with`];
-    /// `None` keeps every sampled-class event (the default).
-    sampler: Option<Sampler>,
     /// Whether [`PhaseProfiler`]s built against this pipeline resolve
     /// live histograms (default false: profiling costs two clock reads
     /// per phase, so it is strictly opt-in).
@@ -124,7 +106,6 @@ impl fmt::Debug for Telemetry {
 pub struct TelemetryBuilder {
     sinks: Vec<Box<dyn EventSink>>,
     batched: bool,
-    sample: Option<(u64, u64)>,
     profiling: bool,
 }
 
@@ -141,30 +122,6 @@ impl TelemetryBuilder {
     /// dumps; only the locking cadence changes.
     pub fn batched(mut self, batched: bool) -> Self {
         self.batched = batched;
-        self
-    }
-
-    /// Keeps 1-in-`period` of the events emitted through
-    /// [`Telemetry::emit_sampled_with`], with the kept phase derived
-    /// deterministically from `seed`. `period <= 1` keeps everything.
-    pub fn sample_events(self, period: u64, seed: u64) -> Self {
-        let phase = if period > 1 {
-            ampere_sim::rng::derive_subseed(
-                seed,
-                ampere_sim::rng::streams::TELEMETRY_SAMPLE,
-                period,
-            ) % period
-        } else {
-            0
-        };
-        self.sample_raw(period, phase)
-    }
-
-    /// Like [`TelemetryBuilder::sample_events`], but with an already
-    /// derived phase — used by capture pipelines to inherit the parent's
-    /// sampler configuration verbatim.
-    pub(crate) fn sample_raw(mut self, period: u64, phase: u64) -> Self {
-        self.sample = (period > 1).then_some((period, phase));
         self
     }
 
@@ -186,21 +143,12 @@ impl TelemetryBuilder {
         for sink in &mut sinks {
             sink.bind_error_counter(errors.clone());
         }
-        // The sampled-out counter registers only when a sampler is
-        // configured, so unsampled runs export an unchanged metric set.
-        let sampler = self.sample.map(|(period, phase)| Sampler {
-            period,
-            phase,
-            emitted: AtomicU64::new(0),
-            sampled_out: registry.counter("telemetry_events_sampled_out", &[]),
-        });
         Telemetry {
             pipeline: Some(Arc::new(Pipeline {
                 registry,
                 sinks: Mutex::new(sinks),
                 batch: Mutex::new(Vec::new()),
                 batched: self.batched,
-                sampler,
                 profiling: self.profiling,
                 next_span: AtomicU64::new(1),
                 active_tick: Mutex::new(SpanCtx::NONE),
@@ -258,29 +206,6 @@ impl Telemetry {
     /// hot paths.
     pub fn emit(&self, event: Event) {
         self.emit_with(|| event);
-    }
-
-    /// Emits a high-cardinality per-server event through the
-    /// deterministic 1-in-N sampler. Without a configured sampler
-    /// (the default) this is exactly [`Telemetry::emit_with`]; with one,
-    /// dropped events increment `telemetry_events_sampled_out` so totals
-    /// stay reconstructible from the kept subset plus the counter.
-    #[inline]
-    pub fn emit_sampled_with(&self, build: impl FnOnce() -> Event) {
-        let Some(pipeline) = &self.pipeline else {
-            return;
-        };
-        match &pipeline.sampler {
-            None => self.emit_with(build),
-            Some(sampler) => {
-                let n = sampler.emitted.fetch_add(1, Ordering::Relaxed);
-                if n % sampler.period == sampler.phase {
-                    self.emit_with(build);
-                } else {
-                    sampler.sampled_out.inc();
-                }
-            }
-        }
     }
 
     /// Drains the batched event buffer to the sinks, in emission order.
@@ -407,15 +332,6 @@ impl Telemetry {
     /// Whether the tick-phase profiler is enabled for this pipeline.
     pub fn profiling_enabled(&self) -> bool {
         self.pipeline.as_ref().is_some_and(|p| p.profiling)
-    }
-
-    /// Events dropped by the deterministic sampler so far (0 without a
-    /// configured sampler).
-    pub fn events_sampled_out(&self) -> u64 {
-        self.pipeline
-            .as_ref()
-            .and_then(|p| p.sampler.as_ref())
-            .map_or(0, |s| s.sampled_out.get())
     }
 
     /// Snapshot of the metrics registry (`None` when disabled).

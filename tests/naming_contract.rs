@@ -48,7 +48,6 @@ const METRICS: &[&str] = &[
     "sched_wait_rounds",
     "sched_freeze_mins",
     "telemetry_sink_errors",
-    "telemetry_events_sampled_out",
     "watchdog_backstop_arms",
     "profile_phase_wall_us",
     "profile_bench_ops",
@@ -153,8 +152,8 @@ fn faulted_testbed(seed: u64) -> (Testbed, DomainId) {
 
 #[test]
 fn exported_names_match_the_audit_table() {
-    // One pipeline for both runs: batched, sampled and profiling so
-    // every export path is live.
+    // One pipeline for both runs: batched and profiling so every
+    // export path is live.
     let path = std::env::temp_dir().join(format!(
         "ampere-naming-contract-{}.jsonl",
         std::process::id()
@@ -163,7 +162,6 @@ fn exported_names_match_the_audit_table() {
     let tel = ampere_telemetry::Telemetry::builder()
         .sink(sink)
         .batched(true)
-        .sample_events(3, 42)
         .profiling(true)
         .build();
 
@@ -234,7 +232,6 @@ fn exported_names_match_the_audit_table() {
         "monitor_samples_ingested",
         "fault_samples_dropped",
         "profile_phase_wall_us",
-        "telemetry_events_sampled_out",
     ] {
         assert!(seen_metrics.contains(metric), "{metric} was never exported");
     }

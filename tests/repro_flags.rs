@@ -2,7 +2,8 @@
 //! that does not parse, must stop the run with exit code 2 and a
 //! message naming the flag, before any file is written. So must a run
 //! without a required flag: a benchmark's `--<bench>-out FILE` or
-//! `scenario`'s `--seed S`.
+//! `scenario`'s `--seed S`, and so must an unknown selection. A flag's
+//! value is never taken for the selection.
 
 use std::path::Path;
 use std::process::Command;
@@ -126,4 +127,32 @@ fn bench_runs_keep_the_telemetry_file() {
             "{bench}: telemetry file must end with the metrics snapshot: {tel:?}"
         );
     }
+}
+
+#[test]
+fn unknown_selection_exits_2_without_a_file() {
+    for what in ["fig3", "table9", "figs"] {
+        let (code, stderr, files) = run_in_empty_dir(what, &[what, "--quick"]);
+        assert_eq!(code, Some(2), "{what}: stderr:\n{stderr}");
+        assert!(stderr.contains(what), "message must name {what}: {stderr}");
+        assert!(files.is_empty(), "{what} wrote {files:?}");
+    }
+}
+
+#[test]
+fn a_flag_value_is_never_the_selection() {
+    // `figs` is `--csv`'s directory; `fig6` is what runs.
+    let dir = std::env::temp_dir().join(format!("repro_flags_{}_csv_value", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--csv", "figs", "fig6", "--quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("run repro");
+    let series = files_in(&dir.join("figs"));
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains("Fig 6"), "fig6 did not run:\n{stdout}");
+    assert!(!series.is_empty(), "fig6 wrote no CSV series under figs/");
 }
