@@ -2,18 +2,20 @@
 //!
 //! ```text
 //! repro [all|fig1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|table3|ablations|chaos]
-//!       [--quick] [--csv DIR] [--telemetry FILE] [--workers N]
-//! repro scale --scale-out FILE [--quick] [--hyper] [--workers N]
-//! repro profile --profile-out FILE [--quick] [--workers N]
-//! repro watch --watch-out FILE [--quick] [--workers N]
-//! repro hier|sla --<bench>-out FILE [--quick] [--seed S] [--workers N]
-//! repro scenarios --scenarios-out FILE --count N --seed S [--workers W]
+//!       [--quick] [--csv DIR]
+//! repro scale --scale-out FILE [--quick] [--hyper]
+//! repro profile --profile-out FILE [--quick]
+//! repro watch --watch-out FILE [--quick]
+//! repro hier|sla --<bench>-out FILE [--quick] [--seed S]
+//! repro scenarios --scenarios-out FILE [--count N] [--seed S]
 //! repro scenario --seed S [--shrink-level K]
 //! ```
 //!
-//! A run takes one selection (`all` when none is given); a flag's value
-//! is never taken for it. An unknown selection or flag, or a second
-//! selection, exits 2 before anything runs.
+//! Every command also takes `--workers N` and `--telemetry FILE`. A run
+//! takes one selection (`all` when none is given); a flag's value is
+//! never taken for it. An unknown selection or flag, a flag the
+//! selected command does not read, or a second selection exits 2
+//! before anything runs.
 //!
 //! `--quick` shrinks run lengths (used by CI); without it each
 //! experiment runs at paper scale. Output is plain text: `# name`
@@ -61,10 +63,10 @@
 //!
 //! `--telemetry FILE` installs the global telemetry pipeline before any
 //! testbed is built: every structured event (controller ticks, freezes,
-//! breaker trips, …) streams to `FILE` as JSONL — batched per tick and
-//! flushed through the capture fan-in, so ordering and bytes are
-//! unchanged from unbatched emission — and a final metrics snapshot is
-//! appended when the run completes.
+//! breaker trips, …) streams to `FILE` as JSONL as it is emitted —
+//! through the capture fan-in, in task order, under the parallel
+//! engine — and a final metrics snapshot is appended when the run
+//! completes.
 //!
 //! `repro scenarios` runs a seeded batch of randomized simulation
 //! scenarios through the invariant registry (see `ampere-scenario`),
@@ -96,35 +98,19 @@ type Run = Box<dyn FnOnce()>;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = selection(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir: Option<std::path::PathBuf> = flag(&args, "--csv");
     let telemetry_path: Option<std::path::PathBuf> = flag(&args, "--telemetry");
     if let Some(n) = flag(&args, "--workers") {
         ampere_par::set_default_workers(n);
     }
-    let run: Run = match what {
-        "scale" => scale(quick, &args),
-        "profile" => profile(quick, &args),
-        "watch" => watch(quick, &args),
-        "hier" => hier(quick, &args),
-        "sla" => sla(quick, &args),
-        "scenarios" => scenarios(&args),
-        "scenario" => scenario(&args),
-        _ => figures(what, quick, csv_dir),
+    let run: Run = match bench(what) {
+        Some(&(_, _, command)) => command(&args),
+        None => figures(what, &args),
     };
     // Install before building any testbed: components capture the
     // global handle at construction time.
     if let Some(path) = &telemetry_path {
         let sink = ampere_telemetry::JsonlSink::create(path).expect("create telemetry file");
-        // Batched emission: events buffer per task and flush per tick
-        // through the capture fan-in; order (and bytes) match the
-        // unbatched path.
-        ampere_telemetry::install_global(
-            ampere_telemetry::Telemetry::builder()
-                .sink(sink)
-                .batched(true)
-                .build(),
-        );
+        ampere_telemetry::install_global(ampere_telemetry::Telemetry::builder().sink(sink).build());
     }
     run();
 
@@ -145,68 +131,91 @@ fn main() {
     }
 }
 
-/// Flags that stand alone; the valued ones are [`VALUED_FLAGS`].
+/// Flags that stand alone; every other flag takes a value (see [`flag`]).
 const SWITCHES: [&str; 2] = ["--quick", "--hyper"];
 
-/// Flags that take a value (see [`flag`]).
-const VALUED_FLAGS: [&str; 12] = [
-    "--csv",
-    "--telemetry",
-    "--workers",
-    "--seed",
-    "--count",
-    "--shrink-level",
-    "--scale-out",
-    "--profile-out",
-    "--watch-out",
-    "--hier-out",
-    "--sla-out",
-    "--scenarios-out",
+/// Flags every command reads.
+const COMMON_FLAGS: [&str; 2] = ["--workers", "--telemetry"];
+
+/// Flags the figures and tables read besides [`COMMON_FLAGS`].
+const FIGURE_FLAGS: &[&str] = &["--quick", "--csv"];
+
+/// A command other than the figures: builds its run from the arguments.
+type Command = fn(&[String]) -> Run;
+
+/// Commands that run one benchmark or scenario instead of figures, with
+/// the flags each reads besides [`COMMON_FLAGS`].
+const BENCHES: [(&str, &[&str], Command); 7] = [
+    ("scale", &["--quick", "--hyper", "--scale-out"], scale),
+    ("profile", &["--quick", "--profile-out"], profile),
+    ("watch", &["--quick", "--watch-out"], watch),
+    ("hier", &["--quick", "--seed", "--hier-out"], hier),
+    ("sla", &["--quick", "--seed", "--sla-out"], sla),
+    (
+        "scenarios",
+        &["--count", "--seed", "--scenarios-out"],
+        scenarios,
+    ),
+    ("scenario", &["--seed", "--shrink-level"], scenario),
 ];
 
-/// Commands that run one benchmark or scenario instead of figures.
-const BENCHES: [&str; 7] = [
-    "scale",
-    "profile",
-    "watch",
-    "hier",
-    "sla",
-    "scenarios",
-    "scenario",
-];
+/// The [`BENCHES`] entry named `what`, if there is one.
+fn bench(what: &str) -> Option<&'static (&'static str, &'static [&'static str], Command)> {
+    BENCHES.iter().find(|&&(name, ..)| name == what)
+}
 
 /// The command's selection: its one argument that is neither a flag
 /// nor a flag's value, `all` when there is none. An unknown flag, an
-/// unknown selection or a second selection exits 2.
+/// unknown selection, a second selection or a flag the selection does
+/// not read exits 2.
 fn selection(args: &[String]) -> &str {
+    let known_flag = |arg: &str| {
+        COMMON_FLAGS.contains(&arg)
+            || FIGURE_FLAGS.contains(&arg)
+            || BENCHES.iter().any(|(_, flags, _)| flags.contains(&arg))
+    };
     let mut selected = Vec::new();
+    let mut flags = Vec::new();
     let mut rest = args.iter().map(String::as_str).peekable();
     while let Some(arg) = rest.next() {
-        if VALUED_FLAGS.contains(&arg) {
+        if !arg.starts_with("--") {
+            selected.push(arg);
+            continue;
+        }
+        if !known_flag(arg) {
+            usage_error(&format!("unknown flag {arg}"));
+        }
+        if !SWITCHES.contains(&arg) {
             // A missing value is `flag`'s error to report.
             rest.next_if(|v| !v.starts_with("--"));
-        } else if arg.starts_with("--") {
-            if !SWITCHES.contains(&arg) {
-                usage_error(&format!("unknown flag {arg}"));
-            }
-        } else {
-            selected.push(arg);
         }
+        flags.push(arg);
     }
     let known = |what: &str| {
         what == "all"
-            || BENCHES.contains(&what)
+            || bench(what).is_some()
             || FIGURES.iter().any(|(names, _)| names.contains(&what))
     };
-    match selected[..] {
+    let what = match selected[..] {
         [] => "all",
         [what] if known(what) => what,
-        [what] => usage_error(&format!(
-            "unknown selection {what:?}: expected all, a figure or table name, or {}",
-            BENCHES.join("|")
-        )),
+        [what] => {
+            let benches: Vec<&str> = BENCHES.iter().map(|&(name, ..)| name).collect();
+            usage_error(&format!(
+                "unknown selection {what:?}: expected all, a figure or table name, or {}",
+                benches.join("|")
+            ))
+        }
         [_, extra, ..] => usage_error(&format!("unexpected argument {extra:?}")),
+    };
+    let reads = bench(what).map_or(FIGURE_FLAGS, |&(_, flags, _)| flags);
+    if let Some(flag) = flags
+        .iter()
+        .find(|f| !COMMON_FLAGS.contains(f) && !reads.contains(f))
+    {
+        usage_error(&format!("{what} does not read {flag}"));
     }
+    what
 }
 
 /// The compute half of one experiment, given `--quick`.
@@ -233,8 +242,10 @@ const FIGURES: [(&[&str], Compute); 14] = [
 
 /// The figures and tables `what` selects (`all` for every one),
 /// computed on the worker pool and printed in figure order, with CSV
-/// series under `csv_dir` when given.
-fn figures(what: &str, quick: bool, csv_dir: Option<std::path::PathBuf>) -> Run {
+/// series under `--csv DIR` when given.
+fn figures(what: &str, args: &[String]) -> Run {
+    let quick = switch(args, "--quick");
+    let csv_dir: Option<std::path::PathBuf> = flag(args, "--csv");
     let what = what.to_owned();
     Box::new(move || {
         let out = Output::new(csv_dir).expect("create csv directory");
@@ -259,10 +270,9 @@ fn figures(what: &str, quick: bool, csv_dir: Option<std::path::PathBuf>) -> Run 
     })
 }
 
-fn scale(quick: bool, args: &[String]) -> Run {
+fn scale(args: &[String]) -> Run {
     let max_workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
-    let hyper = args.iter().any(|a| a == "--hyper");
-    let config = match (hyper, quick) {
+    let config = match (switch(args, "--hyper"), switch(args, "--quick")) {
         (true, true) => ampere_bench::scale::ScaleConfig::hyper_quick(max_workers),
         (true, false) => ampere_bench::scale::ScaleConfig::hyper(max_workers),
         (false, true) => ampere_bench::scale::ScaleConfig::quick(max_workers),
@@ -276,9 +286,9 @@ fn scale(quick: bool, args: &[String]) -> Run {
     })
 }
 
-fn profile(quick: bool, args: &[String]) -> Run {
+fn profile(args: &[String]) -> Run {
     let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
-    let config = if quick {
+    let config = if switch(args, "--quick") {
         ampere_bench::profile::ProfileConfig::quick(workers)
     } else {
         ampere_bench::profile::ProfileConfig::paper(workers)
@@ -291,9 +301,9 @@ fn profile(quick: bool, args: &[String]) -> Run {
     })
 }
 
-fn watch(quick: bool, args: &[String]) -> Run {
+fn watch(args: &[String]) -> Run {
     let workers = flag(args, "--workers").unwrap_or_else(ampere_par::available_workers);
-    let config = if quick {
+    let config = if switch(args, "--quick") {
         ampere_bench::watch::WatchBenchConfig::quick(workers)
     } else {
         ampere_bench::watch::WatchBenchConfig::paper(workers)
@@ -306,11 +316,11 @@ fn watch(quick: bool, args: &[String]) -> Run {
     })
 }
 
-fn hier(quick: bool, args: &[String]) -> Run {
+fn hier(args: &[String]) -> Run {
     use exp::hier::HierConfig;
     let mut config = HierConfig {
         workers: flag(args, "--workers").unwrap_or(1),
-        ..if quick {
+        ..if switch(args, "--quick") {
             HierConfig::quick()
         } else {
             HierConfig::paper()
@@ -329,10 +339,10 @@ fn hier(quick: bool, args: &[String]) -> Run {
     })
 }
 
-fn sla(quick: bool, args: &[String]) -> Run {
+fn sla(args: &[String]) -> Run {
     use exp::sla::SlaConfig;
     let workers = flag(args, "--workers").unwrap_or(1);
-    let mut config = if quick {
+    let mut config = if switch(args, "--quick") {
         SlaConfig::quick(workers)
     } else {
         SlaConfig::paper(workers)
@@ -373,6 +383,11 @@ fn write_dump(bench: &str, record: &dyn BenchDump, path: &str) -> bool {
     std::fs::write(path, record.encode()).expect("write benchmark dump");
     eprintln!("{bench} dump written to {path}");
     ampere_obs::gates_pass(bench, &record.gates())
+}
+
+/// Whether the switch `name` is anywhere in the argument list.
+fn switch(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
 }
 
 /// Parses `--name value` anywhere in the argument list: `None` when
@@ -416,7 +431,6 @@ fn scenarios(args: &[String]) -> Run {
             check_determinism: true,
             bug,
         },
-        shrink_failures: true,
     };
     let out = dump_path(args, "--scenarios-out");
     Box::new(move || {
@@ -447,24 +461,18 @@ fn scenarios(args: &[String]) -> Run {
             for v in &row.outcome.violations {
                 println!("  {v}");
             }
-            if let Some(s) = &row.shrink {
-                println!(
-                    "  shrunk {} levels along [{}] in {} runs to:",
-                    s.level,
-                    s.axes.join(", "),
-                    s.runs
-                );
-                println!("  {}", s.minimal);
-                println!(
-                    "repro: {}",
-                    sc::repro_command(&program, bug_env, row.seed, s.level, workers)
-                );
-            } else {
-                println!(
-                    "repro: {}",
-                    sc::repro_command(&program, bug_env, row.seed, 0, workers)
-                );
-            }
+            let s = row.shrink.as_ref().expect("a batch shrinks every failure");
+            println!(
+                "  shrunk {} levels along [{}] in {} runs to:",
+                s.level,
+                s.axes.join(", "),
+                s.runs
+            );
+            println!("  {}", s.minimal);
+            println!(
+                "repro: {}",
+                sc::repro_command(&program, bug_env, row.seed, s.level, workers)
+            );
         }
         if write_dump("scenarios", &report.record(bug_env), &out) {
             println!("\nverdict: PASS — every invariant held across {count} scenarios");

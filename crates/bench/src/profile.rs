@@ -6,10 +6,10 @@
 //!
 //! 1. **no-op pass** — run in the disabled handle's scope; every
 //!    telemetry call site hits the disabled-handle fast path;
-//! 2. **instrumented pass** — full pipeline: JSONL serialization (to a
-//!    null writer, so the cost measured is serialization, not disk),
-//!    per-tick event batching (the pipeline `repro --telemetry` runs)
-//!    and the tick-phase profiler.
+//! 2. **instrumented pass** — the pipeline `repro --telemetry` runs,
+//!    each event serialized to JSONL as it is emitted (to a null
+//!    writer, so the cost measured is serialization, not disk), plus
+//!    the tick-phase profiler.
 //!
 //! A pair's delta is the telemetry self-overhead, as a fraction of
 //! instrumented wall time; the record reports the median pair, with
@@ -118,7 +118,7 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
         // Telemetry disabled — the no-op baseline.
         || Timed::run(|| (run_pass(config, &Telemetry::disabled()), ())),
         // Fully instrumented — serialization to a null writer,
-        // batching, profiling.
+        // profiling.
         || {
             let count = Arc::new(AtomicU64::new(0));
             let tel = Telemetry::builder()
@@ -126,7 +126,6 @@ pub fn run(config: &ProfileConfig) -> ProfileRun {
                 .sink(CountingSink {
                     count: Arc::clone(&count),
                 })
-                .batched(true)
                 .profiling(true)
                 .build();
             Timed::run(move || {

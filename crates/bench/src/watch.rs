@@ -132,14 +132,10 @@ fn run_tasks(config: &WatchBenchConfig, tel: &Telemetry) -> Vec<Fig10Result> {
         (CLEAN_PASS, WorkloadKind::Light, None),
         (CHAOS_PASS, WorkloadKind::Heavy, Some(config.fault_plan())),
     ];
-    let results = ampere_par::fan_out(tel, config.workers, passes, |_, (pass, kind, faults)| {
+    ampere_par::fan_out(tel, config.workers, passes, |_, (pass, kind, faults)| {
         ampere_telemetry::global().emit(pass_marker(pass));
         exp::fig10::run_with_faults(config.fig10(kind), faults)
-    });
-    // The replay lands in the parent's per-tick batch; drain it so the
-    // sinks (and the tap) see the tail before the pass is timed off.
-    tel.flush_events();
-    results
+    })
 }
 
 /// Runs the full benchmark: the bare and tapped pass pairs, gates.
@@ -150,7 +146,6 @@ pub fn run(config: WatchBenchConfig) -> WatchRun {
         || {
             let bare = Telemetry::builder()
                 .sink(JsonlSink::new(std::io::sink()))
-                .batched(true)
                 .build();
             Timed::run(|| (checksum_results(&run_tasks(&config, &bare)), ()))
         },
@@ -162,7 +157,6 @@ pub fn run(config: WatchBenchConfig) -> WatchRun {
             let tapped = Telemetry::builder()
                 .sink(JsonlSink::new(std::io::sink()))
                 .sink(tap)
-                .batched(true)
                 .build();
             Timed::run(|| (checksum_results(&run_tasks(&config, &tapped)), handle))
         },

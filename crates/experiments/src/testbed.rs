@@ -873,11 +873,6 @@ impl Testbed {
             record.frozen = frozen;
             record.freezing_ratio = frozen as f64 / dom.servers.len() as f64;
         }
-
-        // Batched pipelines drain once per tick; unbatched pipelines
-        // make this a no-op, so the cadence is a pipeline choice, not a
-        // testbed one.
-        self.telemetry.flush_events();
     }
 
     /// Folds domain `d`'s member list, in member order, over this

@@ -1,11 +1,12 @@
 //! Events agree with counters: a controlled run dumped through the
-//! batched JSONL pipeline carries one `scheduler/freeze` and one
-//! `scheduler/unfreeze` event per actuation, so the `freezes` and
-//! `unfreezes` that `report` counts from the event stream equal the
-//! scheduler's `sched_servers_frozen` and `sched_servers_unfrozen`
-//! counters in the same dump's metrics snapshot. A pipeline that kept
-//! only some of those events would break the equality, and with it
-//! the freeze-hold and link statistics read from the stream.
+//! JSONL pipeline `repro --telemetry` runs carries one
+//! `scheduler/freeze` and one `scheduler/unfreeze` event per
+//! actuation, so the `freezes` and `unfreezes` that `report` counts
+//! from the event stream equal the scheduler's `sched_servers_frozen`
+//! and `sched_servers_unfrozen` counters in the same dump's metrics
+//! snapshot. A pipeline that kept only some of those events would
+//! break the equality, and with it the freeze-hold and link statistics
+//! read from the stream.
 
 use ampere_experiments::{ShardedTestbed, ShardedTestbedConfig};
 use ampere_obs::{read_run, RunSummary};
@@ -21,7 +22,6 @@ fn freeze_events_equal_the_scheduler_counters() {
         std::env::temp_dir().join(format!("ampere-event-counts-{}.jsonl", std::process::id()));
     let tel = Telemetry::builder()
         .sink(JsonlSink::create(&path).expect("create dump"))
-        .batched(true)
         .build();
     // Three controlled rows on two workers: every row reports through
     // its own capture, replayed into `tel`.

@@ -27,8 +27,6 @@ pub struct BatchConfig {
     pub workers: usize,
     /// Per-scenario run options.
     pub options: RunOptions,
-    /// Shrink every failing scenario (costs extra runs per failure).
-    pub shrink_failures: bool,
 }
 
 impl Default for BatchConfig {
@@ -38,7 +36,6 @@ impl Default for BatchConfig {
             count: 50,
             workers: 1,
             options: RunOptions::default(),
-            shrink_failures: true,
         }
     }
 }
@@ -65,7 +62,7 @@ pub struct BatchRow {
     pub seed: u64,
     /// The outcome.
     pub outcome: ScenarioOutcome,
-    /// Shrink summary, present on failures when shrinking was on.
+    /// Shrink summary, present on every failure.
     pub shrink: Option<ShrinkSummary>,
 }
 
@@ -174,7 +171,7 @@ pub fn run_batch(config: &BatchConfig) -> BatchReport {
         |index, seed| {
             let scenario = Scenario::generate(seed);
             let outcome = run_scenario(&scenario, options);
-            let shrink = (config.shrink_failures && !outcome.passed()).then(|| {
+            let shrink = (!outcome.passed()).then(|| {
                 let kinds = outcome.violated_kinds();
                 let result: ShrinkResult = shrink(&scenario, &kinds, options);
                 ShrinkSummary {

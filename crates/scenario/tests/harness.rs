@@ -122,7 +122,6 @@ fn sla_ordering_canary_is_detected_and_shrunk_by_the_batch() {
         count: 50,
         workers: 4,
         options,
-        shrink_failures: true,
     });
     let failures: Vec<_> = report
         .rows
@@ -191,7 +190,6 @@ fn batch_of_fifty_is_green_and_worker_count_invariant() {
         count: 50,
         workers,
         options: RunOptions::default(),
-        shrink_failures: true,
     };
     let serial = run_batch(&config(1));
     let failures: Vec<String> = serial

@@ -12,7 +12,9 @@
 //!
 //! 1. [`Capture::new_under`] builds a private pipeline (own event buffer,
 //!    own metrics registry, own span counter starting at 1) inheriting
-//!    the parent's batching and profiling settings.
+//!    the parent's profiling setting. The capture's buffer is the only
+//!    place an event waits before a sink: every other pipeline hands
+//!    each event to its sinks as it is emitted.
 //! 2. The task runs inside [`Capture::with`], the private pipeline's
 //!    [`Telemetry::scope`]: for the closure's duration it is the thread's
 //!    [`global()`](crate::global), so everything the task constructs
@@ -75,26 +77,13 @@ pub struct Captured {
 }
 
 impl Capture {
-    /// Builds a capture pipeline inheriting `parent`'s configuration,
-    /// or `None` when the parent is disabled (there is nothing to
-    /// capture or replay).
+    /// Builds a capture pipeline with `parent`'s profiling setting, so a
+    /// task behaves identically whether it reports straight into the
+    /// parent or through a capture; `None` when the parent is disabled
+    /// (there is nothing to capture or replay).
     pub fn new_under(parent: &Telemetry) -> Option<Capture> {
         let pipeline = parent.pipeline.as_ref()?;
-        let shared = Arc::new(Mutex::new(Vec::new()));
-        // Inherit the parent's whole hot-path configuration — batching
-        // and profiling — so a task behaves identically whether it
-        // reports straight into the parent or through a capture.
-        let telemetry = Telemetry::builder()
-            .sink(CaptureSink {
-                shared: Arc::clone(&shared),
-            })
-            .batched(pipeline.batched)
-            .profiling(pipeline.profiling)
-            .build();
-        Some(Capture {
-            telemetry,
-            events: shared,
-        })
+        Some(Capture::build(pipeline.profiling))
     }
 
     /// Builds a capture pipeline that exists on its own, not under a
@@ -103,11 +92,16 @@ impl Capture {
     /// scenario invariant checker counting freeze/unfreeze events) use
     /// this.
     pub fn standalone() -> Capture {
+        Capture::build(false)
+    }
+
+    fn build(profiling: bool) -> Capture {
         let shared = Arc::new(Mutex::new(Vec::new()));
         let telemetry = Telemetry::builder()
             .sink(CaptureSink {
                 shared: Arc::clone(&shared),
             })
+            .profiling(profiling)
             .build();
         Capture {
             telemetry,
@@ -128,10 +122,8 @@ impl Capture {
     }
 
     /// Consumes the capture, returning the buffered events, metrics
-    /// snapshot and span-id usage. Drains any batched events first, so
-    /// batched pipelines never strand a tail of events.
+    /// snapshot and span-id usage.
     pub fn finish(self) -> Captured {
-        self.telemetry.flush_events();
         let events =
             std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner));
         let snapshot = self.telemetry.snapshot().unwrap_or_default();

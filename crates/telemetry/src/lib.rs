@@ -67,12 +67,6 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 struct Pipeline {
     registry: MetricsRegistry,
     sinks: Mutex<Vec<Box<dyn EventSink>>>,
-    /// Per-task event buffer (see [`Telemetry::flush_events`]). Empty
-    /// and unused when `batched` is false.
-    batch: Mutex<Vec<Event>>,
-    /// When true, [`Telemetry::emit_with`] appends to `batch` instead of
-    /// taking the sinks lock per event; the testbed drains once per tick.
-    batched: bool,
     /// Whether [`PhaseProfiler`]s built against this pipeline resolve
     /// live histograms (default false: profiling costs two clock reads
     /// per phase, so it is strictly opt-in).
@@ -105,7 +99,6 @@ impl fmt::Debug for Telemetry {
 #[derive(Default)]
 pub struct TelemetryBuilder {
     sinks: Vec<Box<dyn EventSink>>,
-    batched: bool,
     profiling: bool,
 }
 
@@ -116,12 +109,9 @@ impl TelemetryBuilder {
         self
     }
 
-    /// Buffers emitted events and flushes them to the sinks in batches
-    /// (see [`Telemetry::flush_events`]). Emission order is preserved
-    /// exactly, so batched and unbatched pipelines produce byte-identical
-    /// dumps; only the locking cadence changes.
-    pub fn batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
+    /// No-op kept for the benchmark package; its update (ROADMAP item 9) deletes it.
+    #[deprecated(note = "events always reach the sinks when emitted")]
+    pub fn batched(self, _batched: bool) -> Self {
         self
     }
 
@@ -147,8 +137,6 @@ impl TelemetryBuilder {
             pipeline: Some(Arc::new(Pipeline {
                 registry,
                 sinks: Mutex::new(sinks),
-                batch: Mutex::new(Vec::new()),
-                batched: self.batched,
                 profiling: self.profiling,
                 next_span: AtomicU64::new(1),
                 active_tick: Mutex::new(SpanCtx::NONE),
@@ -174,22 +162,13 @@ impl Telemetry {
         self.pipeline.is_some()
     }
 
-    /// Emits an event, building it lazily: with a disabled pipeline
-    /// `build` is never called, so the hot path allocates nothing.
+    /// Emits an event, building it lazily, and hands it to every sink
+    /// at once: with a disabled pipeline `build` is never called, so the
+    /// hot path allocates nothing.
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if let Some(pipeline) = &self.pipeline {
             let event = build();
-            if pipeline.batched {
-                // Batched hot path: one buffer push now, sinks see the
-                // event at the next flush_events() in exactly this order.
-                pipeline
-                    .batch
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(event);
-                return;
-            }
             // The emit path must never take the simulation down: recover
             // a poisoned sink list instead of panicking.
             let mut sinks = pipeline
@@ -208,36 +187,9 @@ impl Telemetry {
         self.emit_with(|| event);
     }
 
-    /// Drains the batched event buffer to the sinks, in emission order.
-    /// The testbed calls this once per tick; [`Telemetry::flush`] and
-    /// capture finish call it too, so no event is ever stranded. No-op
-    /// for unbatched pipelines.
-    pub fn flush_events(&self) {
-        let Some(pipeline) = &self.pipeline else {
-            return;
-        };
-        if !pipeline.batched {
-            return;
-        }
-        let drained = std::mem::take(
-            &mut *pipeline
-                .batch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        if drained.is_empty() {
-            return;
-        }
-        let mut sinks = pipeline
-            .sinks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for event in &drained {
-            for sink in sinks.iter_mut() {
-                sink.record(event);
-            }
-        }
-    }
+    /// No-op kept for the benchmark package; its update (ROADMAP item 9) deletes it.
+    #[deprecated(note = "events always reach the sinks when emitted")]
+    pub fn flush_events(&self) {}
 
     /// Like [`Telemetry::emit_with`], attaching `span` to the built
     /// event. With a disabled pipeline `build` never runs.
@@ -350,9 +302,8 @@ impl Telemetry {
         f()
     }
 
-    /// Flushes every sink (draining the batched event buffer first).
+    /// Flushes every sink.
     pub fn flush(&self) {
-        self.flush_events();
         if let Some(pipeline) = &self.pipeline {
             let mut sinks = pipeline
                 .sinks

@@ -3,7 +3,7 @@
 
 use crate::rollup::{PowerHistogram, WindowAccum, WindowRollup};
 use crate::rules::{AlertRule, RuleInput, RuleState, Transition};
-use crate::{digest_lines, WatchConfig};
+use crate::{digest_lines, WatchConfig, P_OVER_MARGIN, SLIDING_WINDOWS, WINDOW};
 
 use ampere_sim::SimTime;
 use ampere_telemetry::json::{write_json_f64, write_json_string};
@@ -378,15 +378,13 @@ impl WatchEngine {
         if tick.controller_seen {
             self.armed = true;
         }
-        let window_ms = self.config.window.as_millis().max(1);
-        let index = tick.time.as_millis() / window_ms;
+        let index = tick.time.as_millis() / WINDOW.as_millis();
         if self.window.as_ref().is_some_and(|w| w.index != index) {
             // The stream moved past the window boundary: the closed
             // window is complete, so window rules evaluate.
             self.close_window(true);
         }
         let backstop = self.backstops_armed > 0;
-        let over_margin = self.config.p_over_margin;
         let w = self.window.get_or_insert_with(|| WindowAccum::new(index));
         w.ticks += 1;
         if tick.controller_seen && tick.power_norm.is_finite() {
@@ -394,7 +392,7 @@ impl WatchEngine {
             w.power_sum += tick.power_norm;
             w.power_max = w.power_max.max(tick.power_norm);
             w.hist.record(tick.power_norm);
-            if tick.power_norm > over_margin {
+            if tick.power_norm > P_OVER_MARGIN {
                 w.over_ticks += 1;
             }
             w.min_headroom = w.min_headroom.min(tick.headroom);
@@ -477,7 +475,7 @@ impl WatchEngine {
         let Some(w) = self.window.take() else {
             return;
         };
-        let window_ms = self.config.window.as_millis().max(1);
+        let window_ms = WINDOW.as_millis();
         let start = SimTime::from_millis(w.index * window_ms);
         let end = SimTime::from_millis((w.index + 1) * window_ms);
         if complete && self.armed {
@@ -546,7 +544,7 @@ impl WatchEngine {
             min_headroom: w.min_headroom,
         });
         self.history.push_back(w);
-        while self.history.len() >= self.config.sliding_windows.max(1) {
+        while self.history.len() >= SLIDING_WINDOWS {
             self.history.pop_front();
         }
     }
@@ -653,11 +651,8 @@ mod tests {
 
     fn config(rules: Vec<AlertRule>) -> WatchConfig {
         WatchConfig {
-            window: SimDuration::from_mins(5),
-            sliding_windows: 3,
             rules,
             ack_after: SimDuration::from_mins(2),
-            p_over_margin: 0.95,
         }
     }
 

@@ -52,31 +52,32 @@ use ampere_telemetry::{Event, EventSink, Severity};
 
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// Tumbling window length over sim time.
+pub const WINDOW: SimDuration = SimDuration::from_mins(5);
+
+/// Tumbling windows merged into the sliding view: the closing window
+/// and its trailing neighbours.
+pub const SLIDING_WINDOWS: usize = 3;
+
+/// Normalized power above which a tick counts toward the empirical
+/// violation-probability gauge `P(power_norm > margin)`.
+pub const P_OVER_MARGIN: f64 = 0.95;
+
 /// Configures a [`WatchEngine`].
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
-    /// Tumbling window length over sim time.
-    pub window: SimDuration,
-    /// Trailing tumbling windows merged into the sliding view (≥ 1).
-    pub sliding_windows: usize,
     /// The alert-rule table evaluated over the stream.
     pub rules: Vec<AlertRule>,
     /// Open incidents auto-acknowledge after this sim-time delay (the
     /// deterministic stand-in for a human clicking "ack").
     pub ack_after: SimDuration,
-    /// Normalized power above which a tick counts toward the empirical
-    /// violation-probability gauge `P(power_norm > margin)`.
-    pub p_over_margin: f64,
 }
 
 impl Default for WatchConfig {
     fn default() -> Self {
         WatchConfig {
-            window: SimDuration::from_mins(5),
-            sliding_windows: 3,
             rules: default_rules(),
             ack_after: SimDuration::from_mins(2),
-            p_over_margin: 0.95,
         }
     }
 }

@@ -86,7 +86,7 @@ pub(crate) struct WindowAccum {
     pub degraded_ticks: u64,
     pub backstop_ticks: u64,
     pub violations: u64,
-    /// Controller ticks with `power_norm > p_over_margin`.
+    /// Controller ticks with `power_norm >` [`P_OVER_MARGIN`](crate::P_OVER_MARGIN).
     pub over_ticks: u64,
     /// Arbiter reallocation rounds folded in.
     pub arb_rounds: u64,

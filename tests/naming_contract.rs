@@ -152,8 +152,8 @@ fn faulted_testbed(seed: u64) -> (Testbed, DomainId) {
 
 #[test]
 fn exported_names_match_the_audit_table() {
-    // One pipeline for both runs: batched and profiling so every
-    // export path is live.
+    // One pipeline for both runs, profiling so every export path is
+    // live.
     let path = std::env::temp_dir().join(format!(
         "ampere-naming-contract-{}.jsonl",
         std::process::id()
@@ -161,7 +161,6 @@ fn exported_names_match_the_audit_table() {
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
     let tel = ampere_telemetry::Telemetry::builder()
         .sink(sink)
-        .batched(true)
         .profiling(true)
         .build();
 

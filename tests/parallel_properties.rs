@@ -35,6 +35,13 @@ fn dump_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// The dump at `path`, which is removed once read.
+fn take_dump(path: &std::path::Path) -> String {
+    let dump = std::fs::read_to_string(path).expect("read dump");
+    std::fs::remove_file(path).expect("remove dump");
+    dump
+}
+
 /// Runs a 6-shard, 30-simulated-minute sharded testbed on `workers`
 /// threads in the scope of `tel`, then flushes it.
 fn run_sharded_in(tel: &Telemetry, workers: usize) {
@@ -56,10 +63,7 @@ fn sharded_dump(workers: usize, tag: &str) -> (String, String) {
     let tel = Telemetry::builder().sink(sink).build();
     run_sharded_in(&tel, workers);
     let snapshot = tel.snapshot().expect("pipeline is enabled");
-    (
-        std::fs::read_to_string(&path).expect("read dump"),
-        snapshot.to_jsonl(),
-    )
+    (take_dump(&path), snapshot.to_jsonl())
 }
 
 #[test]
@@ -92,14 +96,14 @@ fn telemetry_dump_is_stable_across_reruns() {
 
 #[test]
 fn analyzer_report_is_identical_across_worker_counts() {
-    let _ = sharded_dump(1, "report-w1");
-    let _ = sharded_dump(3, "report-w3");
-    let report = |tag: &str| {
-        let run = ampere_obs::read_run(dump_path(tag).to_str().unwrap()).expect("parse dump");
+    let report = |workers: usize, tag: &str| {
+        let (dump, _) = sharded_dump(workers, tag);
+        let reader = ampere_obs::RunReader::new(dump.as_bytes());
+        let run = ampere_obs::Run::collect(reader).expect("parse dump");
         ampere_obs::RunReport::build(&run)
     };
-    let serial = report("report-w1");
-    let parallel = report("report-w3");
+    let serial = report(1, "report-w1");
+    let parallel = report(3, "report-w3");
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -108,18 +112,14 @@ fn analyzer_report_is_identical_across_worker_counts() {
     assert_eq!(serial.to_markdown(), parallel.to_markdown());
 }
 
-/// Like [`sharded_dump`] but with the full hot-path pipeline armed:
-/// per-tick batching and the tick-phase profiler. Returns the event dump and the final snapshot's
-/// metric lines minus the profiler's (its wall-time histograms are the
-/// one legitimately nondeterministic export).
+/// Like [`sharded_dump`] but with the tick-phase profiler armed.
+/// Returns the event dump and the final snapshot's metric lines minus
+/// the profiler's (its wall-time histograms are the one legitimately
+/// nondeterministic export).
 fn sharded_dump_full(workers: usize, tag: &str) -> (String, String) {
     let path = dump_path(tag);
     let sink = ampere_telemetry::JsonlSink::create(&path).expect("create dump");
-    let tel = Telemetry::builder()
-        .sink(sink)
-        .batched(true)
-        .profiling(true)
-        .build();
+    let tel = Telemetry::builder().sink(sink).profiling(true).build();
     run_sharded_in(&tel, workers);
     let snapshot = tel.snapshot().expect("pipeline is enabled");
     let metrics: String = snapshot
@@ -128,11 +128,11 @@ fn sharded_dump_full(workers: usize, tag: &str) -> (String, String) {
         .filter(|l| !l.contains("\"profile_phase_wall_us\""))
         .collect::<Vec<_>>()
         .join("\n");
-    (std::fs::read_to_string(&path).expect("read dump"), metrics)
+    (take_dump(&path), metrics)
 }
 
 #[test]
-fn batched_profiled_dump_is_worker_count_invariant() {
+fn profiled_dump_is_worker_count_invariant() {
     let (serial_events, serial_metrics) = sharded_dump_full(1, "full-w1");
     let (parallel_events, parallel_metrics) = sharded_dump_full(4, "full-w4");
     assert!(
@@ -141,8 +141,7 @@ fn batched_profiled_dump_is_worker_count_invariant() {
     );
     assert_eq!(
         serial_events, parallel_events,
-        "batching + profiling must keep the event stream byte-identical \
-         across worker counts"
+        "profiling must keep the event stream byte-identical across worker counts"
     );
     assert_eq!(
         serial_metrics, parallel_metrics,
@@ -152,14 +151,14 @@ fn batched_profiled_dump_is_worker_count_invariant() {
 }
 
 #[test]
-fn batching_preserves_event_bytes() {
-    let (unbatched, _) = sharded_dump(2, "plain-w2");
-    let (batched, _) = sharded_dump_full(2, "batched-w2");
-    // The whole stream, freeze and unfreeze events included: batching
-    // may never reorder or reformat.
+fn profiling_preserves_event_bytes() {
+    let (plain, _) = sharded_dump(2, "plain-w2");
+    let (profiled, _) = sharded_dump_full(2, "profiled-w2");
+    // The whole stream, freeze and unfreeze events included: the
+    // profiler reads the wall clock but may never reorder or reformat.
     assert_eq!(
-        unbatched, batched,
-        "per-tick batching must flush the same bytes in the same order as direct emission"
+        plain, profiled,
+        "the profiled pipeline must write the same bytes in the same order as the plain one"
     );
 }
 

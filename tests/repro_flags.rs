@@ -2,8 +2,9 @@
 //! that does not parse, must stop the run with exit code 2 and a
 //! message naming the flag, before any file is written. So must a run
 //! without a required flag: a benchmark's `--<bench>-out FILE` or
-//! `scenario`'s `--seed S`, and so must an unknown selection. A flag's
-//! value is never taken for the selection.
+//! `scenario`'s `--seed S`, and so must an unknown selection or a flag
+//! the selected command does not read. A flag's value is never taken
+//! for the selection.
 
 use std::path::Path;
 use std::process::Command;
@@ -126,6 +127,27 @@ fn bench_runs_keep_the_telemetry_file() {
             last.is_some_and(|l| l.starts_with("{\"metric\":")),
             "{bench}: telemetry file must end with the metrics snapshot: {tel:?}"
         );
+    }
+}
+
+#[test]
+fn flag_the_command_does_not_read_exits_2_without_a_file() {
+    for (case, flag, args) in [
+        (
+            "sla_count",
+            "--count",
+            &["sla", "--quick", "--count", "3", "--sla-out", "x.json"][..],
+        ),
+        (
+            "fig6_seed",
+            "--seed",
+            &["fig6", "--quick", "--seed", "5"][..],
+        ),
+    ] {
+        let (code, stderr, files) = run_in_empty_dir(case, args);
+        assert_eq!(code, Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(flag), "message must name {flag}: {stderr}");
+        assert!(files.is_empty(), "{args:?} wrote {files:?}");
     }
 }
 

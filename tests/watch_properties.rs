@@ -69,11 +69,8 @@ fn power_rule(sustain: u32) -> AlertRule {
 
 fn engine(sustain: u32) -> WatchEngine {
     WatchEngine::new(WatchConfig {
-        window: SimDuration::from_mins(5),
-        sliding_windows: 3,
         rules: vec![power_rule(sustain)],
         ack_after: SimDuration::from_mins(60),
-        p_over_margin: 0.95,
     })
 }
 
