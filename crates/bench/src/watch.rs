@@ -23,12 +23,14 @@
 
 use ampere_experiments as exp;
 use ampere_faults::{FaultPlan, OutageWindow};
-use ampere_obs::alerts::{CHAOS_PASS, CLEAN_PASS, PROXIMITY_RULE};
-use ampere_obs::dump::{hex, Fields};
+use ampere_obs::alerts::{
+    AlertLine, IncidentLine, RuleLine, WindowLine, CHAOS_PASS, CLEAN_PASS, PROXIMITY_RULE,
+};
+use ampere_obs::dump::hex;
 use ampere_obs::WatchRun;
 use ampere_sim::{Fnv, SimTime};
-use ampere_telemetry::{JsonlSink, Telemetry};
-use ampere_watch::pass_marker;
+use ampere_telemetry::{JsonlSink, SpanCtx, Telemetry};
+use ampere_watch::{pass_marker, RuleInput};
 use exp::fig10::{Fig10Config, Fig10Result, WorkloadKind};
 
 use crate::{median_pair, Timed};
@@ -162,6 +164,12 @@ pub fn run(config: WatchBenchConfig) -> WatchRun {
         },
     );
     let report = pair.observed.value.finish();
+    // The dump's trace/span pair, present only for a linked span.
+    let link = |span: SpanCtx| {
+        span.is_some()
+            .then(|| (span.trace.raw(), span.span.raw()))
+            .unzip()
+    };
 
     let mut run = WatchRun {
         workers: config.workers as u64,
@@ -172,25 +180,94 @@ pub fn run(config: WatchBenchConfig) -> WatchRun {
         overhead_fraction: pair.overhead_fraction,
         checksum_plain: hex(pair.checksum_bare),
         checksum_watch: hex(pair.checksum_observed),
-        rule_digest: hex(report.rule_digest()),
-        alert_digest: hex(report.alert_digest()),
+        rule_digest: String::new(),
+        alert_digest: String::new(),
         events: report.events_seen,
         clean_fires: report.fires_in_pass(CLEAN_PASS) as u64,
         chaos_fires: report.fires_in_pass(CHAOS_PASS) as u64,
         chaos_proximity_incidents: report.incidents_for(CHAOS_PASS, PROXIMITY_RULE) as u64,
-        rule_lines: Vec::new(),
-        alerts: Vec::new(),
-        incidents: Vec::new(),
-        window_lines: Vec::new(),
+        rules: report
+            .rules
+            .iter()
+            .map(|r| RuleLine {
+                rule: r.name.clone(),
+                input: r.input.as_str().into(),
+                min_churn: match r.input {
+                    RuleInput::ChurnZScore { min_churn } => Some(min_churn),
+                    _ => None,
+                },
+                scope: r.scope.clone(),
+                cmp: r.cmp.as_str().into(),
+                threshold: r.threshold,
+                clear: r.clear,
+                sustain: r.sustain.into(),
+                severity: r.severity.as_str().into(),
+            })
+            .collect(),
+        alerts: report
+            .alerts
+            .iter()
+            .map(|a| {
+                let (trace, span) = link(a.span);
+                AlertLine {
+                    t_ms: a.time.as_millis(),
+                    pass: a.pass.clone(),
+                    alert: a.rule.clone(),
+                    state: a.state.into(),
+                    value: a.value,
+                    trace,
+                    span,
+                    incident: a.incident,
+                }
+            })
+            .collect(),
+        incidents: report
+            .incidents
+            .iter()
+            .map(|i| {
+                let (trace, span) = link(i.span);
+                IncidentLine {
+                    incident: i.id,
+                    pass: i.pass.clone(),
+                    rule: i.rule.clone(),
+                    severity: i.severity.as_str().into(),
+                    opened_ms: i.opened_at.as_millis(),
+                    acked_ms: i.acked_at.map(SimTime::as_millis),
+                    resolved_ms: i.resolved_at.map(SimTime::as_millis),
+                    peak: i.peak,
+                    trace,
+                    span,
+                }
+            })
+            .collect(),
+        windows: report
+            .windows
+            .iter()
+            .map(|w| WindowLine {
+                window: w.index,
+                segment: w.segment,
+                pass: w.pass.clone(),
+                start_ms: w.start.as_millis(),
+                end_ms: w.end.as_millis(),
+                ticks: w.ticks,
+                power_ticks: w.power_ticks,
+                power_mean: w.power_mean,
+                power_max: w.power_max,
+                power_p99: w.power_p99,
+                sliding_p99: w.sliding_p99,
+                churn: w.churn,
+                sliding_churn: w.sliding_churn,
+                degraded_ticks: w.degraded_ticks,
+                backstop_ticks: w.backstop_ticks,
+                violations: w.violations,
+                arb_rounds: w.arb_rounds,
+                starved_rounds: w.starved_rounds,
+                p_over: w.p_over,
+                min_headroom: w.min_headroom,
+            })
+            .collect(),
     };
-    let lines = report.rules.iter().map(|r| r.to_json_line());
-    let lines = lines.chain(report.alerts.iter().map(|a| a.to_json_line()));
-    let lines = lines.chain(report.incidents.iter().map(|i| i.to_json_line()));
-    for line in lines.chain(report.windows.iter().map(|w| w.to_json_line())) {
-        let fields = Fields::parse(0, &line).expect("the engine writes JSON lines");
-        run.push_line(&line, &fields)
-            .expect("the engine writes well-typed lines");
-    }
+    run.stamp_digests();
     run
 }
 
@@ -212,10 +289,10 @@ mod tests {
         assert!(r.trajectory_clean(), "tap perturbed the simulation");
         assert!(
             r.streams_verified(),
-            "online digests disagree with the lines"
+            "header digests disagree with the lines"
         );
         assert!(r.events > 0);
-        assert!(!r.window_lines.is_empty());
+        assert!(!r.windows.is_empty());
 
         // Rerun: the tapped pass must reproduce the same alert digest.
         let r2 = run(config);
@@ -225,9 +302,21 @@ mod tests {
         let jsonl = r.encode();
         assert_eq!(
             jsonl.lines().count(),
-            1 + r.rule_lines.len() + r.alerts.len() + r.incidents.len() + r.window_lines.len()
+            1 + r.rules.len() + r.alerts.len() + r.incidents.len() + r.windows.len()
         );
         let decoded = WatchRun::decode(&jsonl).expect("dump decodes");
+        // The whole record survives the dump; only the walls are
+        // written at fixed precision.
+        assert!((decoded.wall_plain_ms - r.wall_plain_ms).abs() <= 5e-4);
+        assert!((decoded.wall_watch_ms - r.wall_watch_ms).abs() <= 5e-4);
+        assert!((decoded.overhead_fraction - r.overhead_fraction).abs() <= 5e-7);
+        let walls = WatchRun {
+            wall_plain_ms: decoded.wall_plain_ms,
+            wall_watch_ms: decoded.wall_watch_ms,
+            overhead_fraction: decoded.overhead_fraction,
+            ..r.clone()
+        };
+        assert_eq!(decoded, walls);
         assert_eq!(decoded.gates(), r.gates());
         assert_eq!(decoded.encode(), jsonl);
     }

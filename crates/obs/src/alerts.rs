@@ -4,17 +4,18 @@
 //! `repro watch` emits `BENCH_watch.json` — a JSONL header describing
 //! one observability benchmark of alternating bare and tapped pass
 //! pairs, then the alert-rule table, the alert stream, the incident
-//! ledger and the window rollups the online engine produced.
-//! [`WatchRun`] is that dump as a record ([`BenchDump`]) with the
-//! verdicts CI gates on:
+//! ledger and the window rollups the online engine produced. Each of
+//! those four line kinds is declared once, below, as a field table:
+//! `repro watch` builds the lines from the engine's typed records and
+//! this module alone writes and reads them. [`WatchRun`] is that dump
+//! as a record ([`BenchDump`]) with the verdicts CI gates on:
 //!
 //! - **trajectory digest** — every pass must reproduce the first bare
 //!   pass's trajectory checksum exactly (a tap that steers the run it
 //!   observes is a correctness bug);
-//! - **stream digests** — the alert stream and rule table are re-hashed
-//!   from the raw lines and compared against the digests the engine
-//!   computed online; any divergence means the dump was truncated or
-//!   edited, or the engine's serialization drifted;
+//! - **stream digests** — the header carries digests of the encoded
+//!   alert stream and rule table; re-hashing the decoded lines must
+//!   reproduce them, so an edited or truncated dump fails;
 //! - **silence on health** — zero alert firings in the clean pass;
 //! - **signal on chaos** — at least one breaker-proximity incident in
 //!   the chaos pass;
@@ -23,7 +24,7 @@
 //!   makes it a soft gate by default).
 
 use crate::dump::{dump_line, expect_count, hex, read, BenchDump, DumpLine, Fields, Gate, Line};
-use ampere_watch::digest_lines;
+use ampere_sim::Fnv;
 
 use std::fmt::Write as _;
 
@@ -33,6 +34,32 @@ pub const CLEAN_PASS: &str = "clean";
 pub const CHAOS_PASS: &str = "chaos";
 /// Rule expected to page during the chaos pass.
 pub const PROXIMITY_RULE: &str = "breaker-proximity";
+
+dump_line! {
+    /// One rule-table line: an alert rule that was in force.
+    pub struct RuleLine {
+        /// Unique rule name.
+        rule: String,
+        /// Gauge the rule watches (`et_headroom`, `violation_streak`, …).
+        input: String,
+        /// Row filter; `None` watches every row.
+        scope: Option<String>,
+        /// Breach direction, `above` or `below`.
+        cmp: String,
+        /// Breach level.
+        threshold: f64,
+        /// Clear level (hysteresis).
+        clear: f64,
+        /// Consecutive breaching evaluations required to fire.
+        sustain: u64,
+        /// Severity of its firings and incidents.
+        severity: String,
+    }
+    extra {
+        /// Churn floor of a `churn_zscore` rule (absent for other inputs).
+        min_churn: Option<u64>,
+    }
+}
 
 dump_line! {
     /// One alert-stream line.
@@ -53,8 +80,8 @@ dump_line! {
     extra {
         /// Linked trace id (absent when the stream had no span to link).
         trace: Option<u64>,
-        /// The line as the engine serialized it (the digest input).
-        raw: String,
+        /// Linked span id (absent along with `trace`).
+        span: Option<u64>,
     }
 }
 
@@ -71,19 +98,143 @@ dump_line! {
         severity: String,
         /// Opened at (sim ms).
         opened_ms: u64,
-        /// Worst gauge value while active.
-        peak: f64,
-    }
-    extra {
         /// Auto-acknowledged at (sim ms), if it was.
         acked_ms: Option<u64>,
         /// Resolved at (sim ms); `None` means still open at stream end.
         resolved_ms: Option<u64>,
+        /// Worst gauge value while active.
+        peak: f64,
+    }
+    extra {
         /// Linked causal trace id.
         trace: Option<u64>,
-        /// The line as the engine serialized it.
-        raw: String,
+        /// Linked causal span id.
+        span: Option<u64>,
     }
+}
+
+dump_line! {
+    /// One closed window's rollup line.
+    pub struct WindowLine {
+        /// Window index within the segment.
+        window: u64,
+        /// Monotone segment number.
+        segment: u64,
+        /// Pass label in effect.
+        pass: String,
+        /// Window start (sim ms, inclusive).
+        start_ms: u64,
+        /// Window end (sim ms, exclusive).
+        end_ms: u64,
+        /// Closed ticks folded in.
+        ticks: u64,
+        /// Ticks with a controller decision.
+        power_ticks: u64,
+        /// Mean normalized power over controller ticks (0 when none).
+        power_mean: f64,
+        /// Max normalized power.
+        power_max: f64,
+        /// Bucketed p99 of normalized power.
+        power_p99: f64,
+        /// p99 over the sliding view.
+        sliding_p99: f64,
+        /// Freeze + unfreeze churn.
+        churn: u64,
+        /// Churn over the sliding view.
+        sliding_churn: u64,
+        /// Ticks in degraded mode.
+        degraded_ticks: u64,
+        /// Ticks with the watchdog backstop armed.
+        backstop_ticks: u64,
+        /// Breaker violation events.
+        violations: u64,
+        /// Arbiter reallocation rounds.
+        arb_rounds: u64,
+        /// Rounds with a row pinned at its floor while reserve was held.
+        starved_rounds: u64,
+        /// Empirical P(power_norm > margin) over controller ticks.
+        p_over: f64,
+        /// Minimum Et headroom; `None` when power was never known.
+        min_headroom: Option<f64>,
+    }
+}
+
+/// Writes `trace` and `span`, when known, right after the field `after`.
+fn write_link(line: &mut Line, after: &'static str, trace: Option<u64>, span: Option<u64>) {
+    let mut at = after;
+    if let Some(trace) = trace {
+        line.insert_after(at, "trace", &trace);
+        at = "trace";
+    }
+    if let Some(span) = span {
+        line.insert_after(at, "span", &span);
+    }
+}
+
+impl RuleLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(RuleLine {
+            min_churn: f.opt("min_churn")?,
+            ..RuleLine::read(f)?
+        })
+    }
+
+    fn line(&self) -> Line {
+        let mut line = Line::of(self);
+        if let Some(min_churn) = self.min_churn {
+            line.insert_after("input", "min_churn", &min_churn);
+        }
+        line
+    }
+}
+
+impl AlertLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(AlertLine {
+            trace: f.opt("trace")?,
+            span: f.opt("span")?,
+            ..AlertLine::read(f)?
+        })
+    }
+
+    fn line(&self) -> Line {
+        let mut line = Line::of(self);
+        write_link(&mut line, "value", self.trace, self.span);
+        line
+    }
+}
+
+impl IncidentLine {
+    fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(IncidentLine {
+            trace: f.opt("trace")?,
+            span: f.opt("span")?,
+            ..IncidentLine::read(f)?
+        })
+    }
+
+    fn line(&self) -> Line {
+        let mut line = Line::of(self);
+        write_link(&mut line, "peak", self.trace, self.span);
+        line
+    }
+}
+
+/// The lines of `items`, each with its newline.
+fn lines<T>(items: &[T], line: impl Fn(&T) -> Line) -> String {
+    let mut out = String::new();
+    for item in items {
+        line(item).write_to(&mut out);
+    }
+    out
+}
+
+/// FNV-1a digest of encoded lines (order-sensitive; each line ends in
+/// its newline, so `"x\ny\n"` and `"xy\n"` differ), as hex.
+fn digest_lines(lines: &str) -> String {
+    let mut fnv = Fnv::new();
+    fnv.bytes(lines.as_bytes());
+    hex(fnv.finish())
 }
 
 dump_line! {
@@ -107,9 +258,9 @@ dump_line! {
         /// The first pass's trajectory checksum that differs from
         /// `checksum_plain`, or that one when every pass agrees (hex).
         checksum_watch: String,
-        /// Rule-table digest the engine computed online (hex).
+        /// Digest of the encoded rule table (hex).
         rule_digest: String,
-        /// Alert-stream digest the engine computed online (hex).
+        /// Digest of the encoded alert stream (hex).
         alert_digest: String,
         /// Events the tap observed.
         events: u64,
@@ -121,41 +272,23 @@ dump_line! {
         chaos_proximity_incidents: u64,
     }
     extra {
-        /// Rule-table lines (digest input, in table order).
-        rule_lines: Vec<String>,
+        /// The rule table, in table order.
+        rules: Vec<RuleLine>,
         /// The alert stream, in evaluation order.
         alerts: Vec<AlertLine>,
         /// The incident ledger, in open order.
         incidents: Vec<IncidentLine>,
-        /// Window rollup lines.
-        window_lines: Vec<String>,
+        /// Window rollups, in close order.
+        windows: Vec<WindowLine>,
     }
 }
 
 impl WatchRun {
-    /// Adds one body line, keyed by its leading field: a rule, an
-    /// alert (`t_ms`), an incident or a window rollup. Section order
-    /// does not matter; [`encode`](BenchDump::encode) writes rules,
-    /// alerts, incidents, then windows.
-    pub fn push_line(&mut self, raw: &str, f: &Fields) -> Result<(), String> {
-        match f.first_key() {
-            "rule" => self.rule_lines.push(raw.to_string()),
-            "t_ms" => self.alerts.push(AlertLine {
-                trace: f.opt("trace")?,
-                raw: raw.to_string(),
-                ..AlertLine::read(f)?
-            }),
-            "incident" => self.incidents.push(IncidentLine {
-                acked_ms: f.opt("acked_ms")?,
-                resolved_ms: f.opt("resolved_ms")?,
-                trace: f.opt("trace")?,
-                raw: raw.to_string(),
-                ..IncidentLine::read(f)?
-            }),
-            "window" => self.window_lines.push(raw.to_string()),
-            other => return Err(format!("unknown line kind {other:?}: {raw}")),
-        }
-        Ok(())
+    /// Sets the header's stream digests to those of the body lines (what
+    /// the producer calls once the body is complete).
+    pub fn stamp_digests(&mut self) {
+        self.rule_digest = self.rule_digest_recomputed();
+        self.alert_digest = self.alert_digest_recomputed();
     }
 
     /// Whether the tapped pass reproduced the bare pass's trajectory.
@@ -163,18 +296,17 @@ impl WatchRun {
         self.checksum_plain == self.checksum_watch
     }
 
-    /// Re-hashes the raw alert lines; must match the header digest.
+    /// Re-hashes the encoded alert lines; must match the header digest.
     pub fn alert_digest_recomputed(&self) -> String {
-        let raw: Vec<&str> = self.alerts.iter().map(|a| a.raw.as_str()).collect();
-        hex(digest_lines(&raw))
+        digest_lines(&lines(&self.alerts, AlertLine::line))
     }
 
-    /// Re-hashes the raw rule-table lines; must match the header digest.
+    /// Re-hashes the encoded rule lines; must match the header digest.
     pub fn rule_digest_recomputed(&self) -> String {
-        hex(digest_lines(&self.rule_lines))
+        digest_lines(&lines(&self.rules, RuleLine::line))
     }
 
-    /// Whether both recomputed stream digests match the engine's.
+    /// Whether both recomputed stream digests match the header's.
     pub fn streams_verified(&self) -> bool {
         self.alert_digest_recomputed() == self.alert_digest
             && self.rule_digest_recomputed() == self.rule_digest
@@ -216,16 +348,24 @@ fn mean_mins(deltas_ms: impl Iterator<Item = u64>) -> Option<f64> {
 }
 
 impl BenchDump for WatchRun {
+    /// Reads the header, then each body line by its leading key: a
+    /// rule, an alert (`t_ms`), an incident or a window.
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "watch")?;
         let mut run = WatchRun::read(&h)?;
-        for (raw, f) in &body {
-            run.push_line(raw, f)?;
+        for f in &body {
+            match f.first_key() {
+                "rule" => run.rules.push(RuleLine::decode(f)?),
+                "t_ms" => run.alerts.push(AlertLine::decode(f)?),
+                "incident" => run.incidents.push(IncidentLine::decode(f)?),
+                "window" => run.windows.push(WindowLine::read(f)?),
+                other => return Err(f.err(format!("unknown line kind {other:?}"))),
+            }
         }
-        expect_count(h.get("rules")?, run.rule_lines.len(), "rules")?;
+        expect_count(h.get("rules")?, run.rules.len(), "rules")?;
         expect_count(h.get("alerts")?, run.alerts.len(), "alerts")?;
         expect_count(h.get("incidents")?, run.incidents.len(), "incidents")?;
-        expect_count(h.get("windows")?, run.window_lines.len(), "windows")?;
+        expect_count(h.get("windows")?, run.windows.len(), "windows")?;
         Ok(run)
     }
 
@@ -234,20 +374,15 @@ impl BenchDump for WatchRun {
     fn encode(&self) -> String {
         let mut out = String::new();
         let mut header = Line::header("watch", self);
-        header.insert_after("alert_digest", "rules", &(self.rule_lines.len() as u64));
+        header.insert_after("alert_digest", "rules", &(self.rules.len() as u64));
         header.insert_after("rules", "alerts", &(self.alerts.len() as u64));
         header.insert_after("alerts", "incidents", &(self.incidents.len() as u64));
-        header.insert_after("incidents", "windows", &(self.window_lines.len() as u64));
+        header.insert_after("incidents", "windows", &(self.windows.len() as u64));
         header.write_to(&mut out);
-        let lines = self
-            .rule_lines
-            .iter()
-            .chain(self.alerts.iter().map(|a| &a.raw));
-        let lines = lines.chain(self.incidents.iter().map(|i| &i.raw));
-        for line in lines.chain(&self.window_lines) {
-            out.push_str(line);
-            out.push('\n');
-        }
+        out += &lines(&self.rules, RuleLine::line);
+        out += &lines(&self.alerts, AlertLine::line);
+        out += &lines(&self.incidents, IncidentLine::line);
+        out += &lines(&self.windows, Line::of);
         out
     }
 
@@ -302,7 +437,7 @@ impl BenchDump for WatchRun {
             self.seed,
             self.hours,
             self.events,
-            self.window_lines.len(),
+            self.windows.len(),
             self.wall_plain_ms,
             self.wall_watch_ms,
             self.overhead_fraction * 100.0
@@ -311,10 +446,7 @@ impl BenchDump for WatchRun {
         // Per-rule firing counts.
         let _ = writeln!(md, "| rule | fires | incidents | open at end |");
         let _ = writeln!(md, "|:-----|------:|----------:|------------:|");
-        for rule_line in &self.rule_lines {
-            let name = Fields::parse(0, rule_line)
-                .and_then(|f| f.get::<String>("rule"))
-                .unwrap_or_default();
+        for name in self.rules.iter().map(|r| r.rule.as_str()) {
             let fires = self
                 .alerts
                 .iter()
@@ -403,7 +535,7 @@ impl BenchDump for WatchRun {
         let _ = writeln!(
             md,
             "Stream digests: **{}** — alert stream `{}`, rule table `{}` \
-             (recomputed from the raw lines).",
+             (recomputed from the decoded lines).",
             if self.streams_verified() {
                 "VERIFIED"
             } else {
@@ -437,6 +569,14 @@ mod tests {
         include_str!("../tests/fixtures/watch.jsonl").to_string()
     }
 
+    /// The fixture with line `no` (1-based) replaced by `line`.
+    fn with_line(no: usize, line: &str) -> String {
+        let full = dump();
+        let mut lines: Vec<&str> = full.lines().collect();
+        lines[no - 1] = line;
+        lines.join("\n")
+    }
+
     #[test]
     fn parses_verifies_and_reports() {
         let run = WatchRun::decode(&dump()).unwrap();
@@ -446,7 +586,7 @@ mod tests {
         assert_eq!(run.fires_in_pass("chaos"), 1);
         assert_eq!(run.alerts[1].trace, None);
         assert_eq!(run.incidents[0].trace, Some(17));
-        assert_eq!(run.window_lines.len(), 1);
+        assert_eq!(run.windows.len(), 1);
         assert_eq!(run.encode(), dump());
         // 2 min to ack, 50 min to resolve.
         assert!((run.mtta_mins().unwrap() - 2.0).abs() < 1e-9);
@@ -461,7 +601,8 @@ mod tests {
 
     #[test]
     fn detects_tampered_alert_stream() {
-        let tampered = dump().replace("\"value\":3.0", "\"value\":4.0");
+        let tampered = dump().replace("\"value\":3,", "\"value\":4,");
+        assert_ne!(tampered, dump());
         let run = WatchRun::decode(&tampered).unwrap();
         assert!(!run.streams_verified());
         assert!(run.to_markdown().contains("**MISMATCH**"));
@@ -480,5 +621,73 @@ mod tests {
         // Unknown line kind.
         let unknown = format!("{}{}", full, "{\"mystery\":1}\n");
         assert!(WatchRun::decode(&unknown).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn malformed_window_and_rule_lines_fail_decoding() {
+        let full = dump();
+        let window = full.lines().nth(6).unwrap();
+        let rule = full.lines().nth(1).unwrap();
+        assert!(window.starts_with("{\"window\":") && rule.starts_with("{\"rule\":"));
+        for (no, line, key) in [
+            (7, "{\"window\":\"x\"}".to_string(), "window"),
+            (
+                7,
+                window.replace(",\"starved_rounds\":0", ""),
+                "starved_rounds",
+            ),
+            (
+                2,
+                rule.replace("\"sustain\":2", "\"sustain\":\"2\""),
+                "sustain",
+            ),
+        ] {
+            let bad = with_line(no, &line);
+            assert_ne!(bad.trim_end(), full.trim_end(), "{key}");
+            let err = WatchRun::decode(&bad).unwrap_err();
+            assert!(err.starts_with(&format!("line {no}:")), "{err}");
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn digest_is_order_sensitive_and_stable() {
+        let a = digest_lines("x\ny\n");
+        assert_ne!(a, digest_lines("y\nx\n"));
+        assert_eq!(a, digest_lines("x\ny\n"));
+        // Line splitting matters: ["xy"] != ["x","y"].
+        assert_ne!(digest_lines("xy\n"), a);
+    }
+
+    #[test]
+    fn one_changed_value_changes_its_stream_digest() {
+        let run = WatchRun::decode(&dump()).unwrap();
+        let mut alert = run.clone();
+        alert.alerts[2].value = 0.25;
+        assert_ne!(alert.alert_digest_recomputed(), run.alert_digest);
+        assert_eq!(alert.rule_digest_recomputed(), run.rule_digest);
+        assert!(!alert.streams_verified());
+        alert.stamp_digests();
+        assert!(alert.streams_verified());
+
+        let mut rule = run.clone();
+        rule.rules[0].threshold += 0.01;
+        assert_ne!(rule.rule_digest_recomputed(), run.rule_digest);
+        assert_eq!(rule.alert_digest_recomputed(), run.alert_digest);
+    }
+
+    #[test]
+    fn optional_fields_round_trip_absent_or_null() {
+        let mut run = WatchRun::decode(&dump()).unwrap();
+        run.rules[0].min_churn = Some(8);
+        run.rules[0].scope = Some("control".into());
+        run.windows[0].min_headroom = None;
+        run.incidents[0].resolved_ms = None;
+        run.stamp_digests();
+        let text = run.encode();
+        assert!(text.contains(r#""input":"violation_streak","min_churn":8,"scope":"control","#));
+        assert!(text.contains(r#""min_headroom":null}"#));
+        assert!(text.contains(r#""resolved_ms":null,"#));
+        assert_eq!(WatchRun::decode(&text), Ok(run));
     }
 }

@@ -17,7 +17,8 @@
 //! generates the struct, its reader (`DumpLine::read`) and its writer
 //! (`DumpLine::write`), in declaration order. A record's `encode` and
 //! `decode` hold hand-written code only for what is not a plain field:
-//! header counts, indices, sentinels, joined lists and verbatim lines.
+//! header counts, indices, sentinels, joined lists and fields that are
+//! absent rather than `null` when unknown.
 //!
 //! Headers keep the producer's own verdicts (`sla_protected`,
 //! `zero_trips`, …). A gate whose verdict the header declares passes
@@ -245,6 +246,24 @@ impl DumpValue for f64 {
     }
 }
 
+/// A nullable field: written `null` when `None`. The key must still be
+/// present; [`Fields::opt`] reads fields that may be absent.
+impl<V: DumpValue> DumpValue for Option<V> {
+    const WHAT: &'static str = V::WHAT;
+    fn write(&self, decimals: Option<usize>, out: &mut String) {
+        match self {
+            Some(v) => v.write(decimals, out),
+            None => out.push_str("null"),
+        }
+    }
+    fn from_json(json: &JsonValue) -> Option<Self> {
+        match json {
+            JsonValue::Scalar(Value::F64(v)) if v.is_nan() => Some(None),
+            _ => V::from_json(json).map(Some),
+        }
+    }
+}
+
 impl DumpValue for Vec<f64> {
     const WHAT: &'static str = "an array of numbers";
     fn write(&self, decimals: Option<usize>, out: &mut String) {
@@ -390,18 +409,15 @@ macro_rules! dump_line {
 }
 pub(crate) use dump_line;
 
-/// A dump's non-blank body lines, each with its raw text.
-pub type Body<'a> = Vec<(&'a str, Fields)>;
-
 /// Splits a dump into its header — checked to carry `"bench":<bench>`
-/// — and its body.
-pub fn read<'a>(text: &'a str, bench: &str) -> Result<(Fields, Body<'a>), String> {
+/// — and its non-blank body lines.
+pub fn read(text: &str, bench: &str) -> Result<(Fields, Vec<Fields>), String> {
     let mut lines = text
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(no, l)| Fields::parse(no + 1, l).map(|f| (l, f)));
-    let (_, header) = lines
+        .map(|(no, l)| Fields::parse(no + 1, l));
+    let header = lines
         .next()
         .ok_or_else(|| format!("empty {bench} dump"))??;
     match header.get::<String>("bench") {
@@ -450,6 +466,10 @@ mod tests {
             levels: Vec<f64> => 1,
             /// Indices.
             rows: Vec<usize>,
+            /// A nullable float at a fixed precision.
+            limit: Option<f64> => 2,
+            /// A nullable integer, written `null`.
+            cap: Option<u64>,
         }
         extra {
             /// Not in the table.
@@ -467,6 +487,8 @@ mod tests {
             factor: 1.2,
             levels: vec![0.26, 3.0],
             rows: vec![0, 2],
+            limit: Some(0.5),
+            cap: None,
             note: "kept out".into(),
         }
     }
@@ -479,7 +501,7 @@ mod tests {
             text,
             concat!(
                 r#"{"count":7,"offset":-1,"ok":true,"name":"a \"b\"","watts":1.235,"#,
-                r#""factor":1.2,"levels":[0.3,3.0],"rows":[0,2]}"#,
+                r#""factor":1.2,"levels":[0.3,3.0],"rows":[0,2],"limit":0.50,"cap":null}"#,
                 "\n"
             )
         );
@@ -500,7 +522,7 @@ mod tests {
         let mut text = String::new();
         header.write_to(&mut text);
         assert!(text.starts_with(r#"{"bench":"x","count":7,"offset":-1,"ok":true,"n":2,"name""#));
-        assert!(text.ends_with(concat!(r#""rows":[0,2],"last":false}"#, "\n")));
+        assert!(text.ends_with(concat!(r#""cap":null,"last":false}"#, "\n")));
     }
 
     #[test]
@@ -514,6 +536,8 @@ mod tests {
             ("\"watts\":1.235", "\"watts\":\"1.235\"", "watts"),
             ("\"levels\":[0.3,3.0]", "\"levels\":0.3", "levels"),
             ("\"rows\":[0,2]", "\"rows\":[0.5]", "rows"),
+            (",\"limit\":0.50", "", "limit"),
+            ("\"cap\":null", "\"cap\":\"x\"", "cap"),
             ("\"name\":\"a \\\"b\\\"\"", "\"name\":3", "name"),
         ] {
             let bad = text.replace(from, to);
@@ -547,8 +571,7 @@ mod tests {
         let (header, body) = read("{\"bench\":\"x\",\"n\":1}\n\n{\"k\":2}\n", "x").unwrap();
         assert_eq!(header.get::<u64>("n"), Ok(1));
         assert_eq!(body.len(), 1);
-        assert_eq!(body[0].0, "{\"k\":2}");
-        assert_eq!(body[0].1.first_key(), "k");
+        assert_eq!(body[0].first_key(), "k");
         assert!(expect_count(2, 1, "points")
             .unwrap_err()
             .contains("declares 2 points"));

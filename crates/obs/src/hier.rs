@@ -228,7 +228,7 @@ impl BenchDump for HierRun {
     fn decode(text: &str) -> Result<Self, String> {
         let (h, body) = read(text, "hier")?;
         let mut run = HierRun::read(&h)?;
-        for (_, f) in &body {
+        for f in &body {
             // Each cell line carries the next index; its round lines
             // follow it and repeat that index.
             let cell: u64 = f.get("cell")?;

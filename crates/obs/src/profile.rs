@@ -93,7 +93,7 @@ impl BenchDump for ProfileRun {
         let mut run = ProfileRun::read(&h)?;
         run.phases = body
             .iter()
-            .map(|(_, f)| ProfilePhase::read(f))
+            .map(ProfilePhase::read)
             .collect::<Result<_, _>>()?;
         expect_count(h.get("phases")?, run.phases.len(), "phases")?;
         Ok(run)

@@ -125,7 +125,7 @@ impl BenchDump for ScaleSweep {
         let mut sweep = ScaleSweep::read(&header)?;
         sweep.points = body
             .iter()
-            .map(|(_, f)| ScalePoint::read(f))
+            .map(ScalePoint::read)
             .collect::<Result<_, _>>()?;
         expect_count(header.get("points")?, sweep.points.len(), "points")?;
         Ok(sweep)

@@ -151,7 +151,7 @@ impl BenchDump for ScenarioBatch {
         let mut batch = ScenarioBatch::read(&h)?;
         batch.rows = body
             .iter()
-            .map(|(_, f)| ScenarioRow::decode(f))
+            .map(ScenarioRow::decode)
             .collect::<Result<_, _>>()?;
         expect_count(batch.count, batch.rows.len(), "scenarios")?;
         let failed = batch.failures().len() as u64;

@@ -165,7 +165,7 @@ impl BenchDump for SlaRun {
         let mut run = SlaRun::read(&h)?;
         run.arms = body
             .iter()
-            .map(|(_, f)| SlaArmLine::read(f))
+            .map(SlaArmLine::read)
             .collect::<Result<_, _>>()?;
         for policy in ["baseline", "uniform", "selective"] {
             if run.arm(policy).is_none() {

@@ -46,6 +46,7 @@ fn committed_baselines_round_trip_byte_for_byte() {
     round_trip::<ProfileRun>("BENCH_profile.json", &repo_file("BENCH_profile.json"));
     round_trip::<HierRun>("BENCH_hier.json", &repo_file("BENCH_hier.json"));
     round_trip::<ScenarioBatch>("BENCH_scenarios.json", &repo_file("BENCH_scenarios.json"));
+    round_trip::<WatchRun>("BENCH_watch.json", &repo_file("BENCH_watch.json"));
 }
 
 #[test]

@@ -13,9 +13,9 @@
 //!   exact bounded top tail of a sample (the §4.3 p99.9 latency).
 //! - [`summary`] — mean / variance / min / max running summaries.
 //! - [`correlation`] — Pearson correlation (§2.2, §4.1.2 group validation).
-//! - [`regression`] — ordinary least squares, including through-origin fits
-//!   used for `f(u) = kr * u` (§3.4, Fig 5).
-//! - [`timeseries`] — resampling and first differences (Fig 9), EWMA.
+//! - [`regression`] — the through-origin least-squares fit of
+//!   `f(u) = kr * u` (§3.4, Fig 5).
+//! - [`timeseries`] — resampling and first differences (Fig 9).
 //!
 //! # Examples
 //!
@@ -55,6 +55,6 @@ pub mod timeseries;
 
 pub use correlation::pearson;
 pub use quantile::{cdf_points, percentile, Cdf};
-pub use regression::{linear_fit, linear_fit_through_origin, LinearFit};
+pub use regression::{linear_fit_through_origin, LinearFit};
 pub use summary::Summary;
-pub use timeseries::{ewma, first_differences, resample_max};
+pub use timeseries::{first_differences, resample_max};

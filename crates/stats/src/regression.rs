@@ -2,9 +2,8 @@
 //!
 //! §3.4 of the paper fits the effect of the freezing ratio on row power
 //! with a linear function `f(u) = kr * u`. Since `f(0) = 0` by
-//! construction (no frozen servers ⇒ no control effect), the production
-//! fit is *through the origin*; the general two-parameter fit is also
-//! provided for model diagnostics (the intercept should be ≈ 0).
+//! construction (no frozen servers ⇒ no control effect), the fit is
+//! *through the origin*.
 
 /// Result of a linear fit `y = slope * x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,32 +23,6 @@ impl LinearFit {
     }
 }
 
-/// Two-parameter OLS fit. Returns `None` for fewer than two points,
-/// non-finite inputs, or constant `x`.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    if x.iter().chain(y.iter()).any(|v| !v.is_finite()) {
-        return None;
-    }
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        sxx += (a - mx) * (a - mx);
-        sxy += (a - mx) * (b - my);
-    }
-    if sxx == 0.0 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    Some(finish_fit(x, y, slope, intercept))
-}
-
 /// Through-origin OLS fit `y = slope * x`. Returns `None` on degenerate
 /// input (empty, non-finite, or all-zero `x`).
 pub fn linear_fit_through_origin(x: &[f64], y: &[f64]) -> Option<LinearFit> {
@@ -65,11 +38,11 @@ pub fn linear_fit_through_origin(x: &[f64], y: &[f64]) -> Option<LinearFit> {
     }
     let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
     let slope = sxy / sxx;
-    Some(finish_fit(x, y, slope, 0.0))
+    Some(finish_fit(x, y, slope))
 }
 
-/// Computes R² for the given fit parameters against the data.
-fn finish_fit(x: &[f64], y: &[f64], slope: f64, intercept: f64) -> LinearFit {
+/// Computes R² of the through-origin line `slope` against the data.
+fn finish_fit(x: &[f64], y: &[f64], slope: f64) -> LinearFit {
     let n = y.len() as f64;
     let my = y.iter().sum::<f64>() / n;
     let ss_tot: f64 = y.iter().map(|b| (b - my) * (b - my)).sum();
@@ -77,7 +50,7 @@ fn finish_fit(x: &[f64], y: &[f64], slope: f64, intercept: f64) -> LinearFit {
         .iter()
         .zip(y)
         .map(|(&a, &b)| {
-            let e = b - (slope * a + intercept);
+            let e = b - slope * a;
             e * e
         })
         .sum();
@@ -92,7 +65,7 @@ fn finish_fit(x: &[f64], y: &[f64], slope: f64, intercept: f64) -> LinearFit {
     };
     LinearFit {
         slope,
-        intercept,
+        intercept: 0.0,
         r_squared,
     }
 }
@@ -100,17 +73,6 @@ fn finish_fit(x: &[f64], y: &[f64], slope: f64, intercept: f64) -> LinearFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_line() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [1.0, 3.0, 5.0, 7.0];
-        let fit = linear_fit(&x, &y).unwrap();
-        assert!((fit.slope - 2.0).abs() < 1e-12);
-        assert!((fit.intercept - 1.0).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 21.0).abs() < 1e-12);
-    }
 
     #[test]
     fn through_origin_exact() {
@@ -138,20 +100,12 @@ mod tests {
 
     #[test]
     fn degenerate_cases() {
-        assert_eq!(linear_fit(&[1.0], &[1.0]), None);
-        assert_eq!(linear_fit(&[1.0, 1.0], &[1.0, 2.0]), None);
-        assert_eq!(linear_fit(&[1.0, 2.0], &[1.0, f64::NAN]), None);
+        assert_eq!(
+            linear_fit_through_origin(&[1.0, 2.0], &[1.0, f64::NAN]),
+            None
+        );
+        assert_eq!(linear_fit_through_origin(&[1.0, 2.0], &[1.0]), None);
         assert_eq!(linear_fit_through_origin(&[], &[]), None);
         assert_eq!(linear_fit_through_origin(&[0.0, 0.0], &[1.0, 2.0]), None);
-    }
-
-    #[test]
-    fn two_param_intercept_near_zero_for_origin_data() {
-        // Data generated through the origin: the free intercept should be ~0.
-        let x: Vec<f64> = (0..50).map(|i| i as f64 / 50.0).collect();
-        let y: Vec<f64> = x.iter().map(|&a| 0.25 * a).collect();
-        let fit = linear_fit(&x, &y).unwrap();
-        assert!(fit.intercept.abs() < 1e-12);
-        assert!((fit.slope - 0.25).abs() < 1e-12);
     }
 }

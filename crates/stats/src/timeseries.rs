@@ -4,8 +4,7 @@
 //! the k-minute scale, we compute a sequence of the maximum power for
 //! every k minutes, and then plot the CDF of the first order differences
 //! of the power sequence". [`resample_max`] and [`first_differences`]
-//! implement exactly that pipeline. [`ewma`] supports the online `Et`
-//! predictor extension (§6 future work).
+//! implement exactly that pipeline.
 
 /// Resamples a series into blocks of `k` consecutive points, keeping the
 /// maximum of each block. A trailing partial block is kept (its max over
@@ -26,29 +25,6 @@ pub fn resample_max(series: &[f64], k: usize) -> Vec<f64> {
 /// First-order differences `x[i+1] - x[i]`.
 pub fn first_differences(series: &[f64]) -> Vec<f64> {
     series.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Exponentially weighted moving average with smoothing factor
-/// `alpha` in `(0, 1]`. The first output equals the first input.
-///
-/// Returns an empty vector for empty input; panics if `alpha` is outside
-/// `(0, 1]`.
-pub fn ewma(series: &[f64], alpha: f64) -> Vec<f64> {
-    assert!(
-        alpha > 0.0 && alpha <= 1.0,
-        "EWMA alpha must be in (0, 1], got {alpha}"
-    );
-    let mut out = Vec::with_capacity(series.len());
-    let mut state = None;
-    for &v in series {
-        let next = match state {
-            None => v,
-            Some(prev) => alpha * v + (1.0 - alpha) * prev,
-        };
-        out.push(next);
-        state = Some(next);
-    }
-    out
 }
 
 /// Rolling maximum over a window of `w` points (inclusive of the current
@@ -87,27 +63,6 @@ mod tests {
         assert_eq!(first_differences(&[1.0, 4.0, 2.0]), vec![3.0, -2.0]);
         assert!(first_differences(&[1.0]).is_empty());
         assert!(first_differences(&[]).is_empty());
-    }
-
-    #[test]
-    fn ewma_basics() {
-        assert!(ewma(&[], 0.5).is_empty());
-        let out = ewma(&[1.0, 1.0, 1.0], 0.3);
-        assert_eq!(out, vec![1.0, 1.0, 1.0]);
-        let out = ewma(&[0.0, 10.0], 0.5);
-        assert_eq!(out, vec![0.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "EWMA alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = ewma(&[1.0], 0.0);
-    }
-
-    #[test]
-    fn ewma_alpha_one_is_identity() {
-        let s = [3.0, 1.0, 4.0, 1.0, 5.0];
-        assert_eq!(ewma(&s, 1.0), s.to_vec());
     }
 
     #[test]

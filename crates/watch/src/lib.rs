@@ -19,8 +19,15 @@
 //! pipeline, which only sees the merged stream at capture replay — in
 //! task order, byte-identical at any worker count — so the alert and
 //! incident streams are worker-invariant by construction. Two same-seed
-//! runs produce byte-identical alert streams (gated by
-//! [`WatchReport::alert_digest`]).
+//! runs produce identical alert streams.
+//!
+//! ## Output
+//!
+//! The engine produces typed records only — [`AlertRule`],
+//! [`AlertRecord`], [`Incident`] and [`WindowRollup`], gathered in a
+//! [`WatchReport`] — and writes no JSON. `repro watch` turns them into
+//! the `BENCH_watch.json` lines, which `ampere-obs::alerts` declares
+//! once each and digests for its `stream-digests` gate.
 //!
 //! ## Stream model
 //!
@@ -47,7 +54,7 @@ pub use engine::{AlertRecord, Incident, WatchEngine, WatchReport};
 pub use rollup::WindowRollup;
 pub use rules::{default_rules, AlertRule, Cmp, RuleInput, DEFAULT_HEADROOM_MIN};
 
-use ampere_sim::{Fnv, SimDuration, SimTime};
+use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{Event, EventSink, Severity};
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -135,31 +142,9 @@ pub fn pass_marker(label: &'static str) -> Event {
     Event::new(SimTime::ZERO, Severity::Info, "watch", "pass").with("label", label)
 }
 
-/// FNV-1a digest of a line sequence (order-sensitive), each line
-/// followed by a newline; the alert/rule digest gates in `repro watch`
-/// and `report --alerts` both use this.
-pub fn digest_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
-    let mut fnv = Fnv::new();
-    for line in lines {
-        fnv.bytes(line.as_ref().as_bytes());
-        fnv.bytes(b"\n");
-    }
-    fnv.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_is_order_sensitive_and_stable() {
-        let a = digest_lines(&["x", "y"]);
-        let b = digest_lines(&["y", "x"]);
-        assert_ne!(a, b);
-        assert_eq!(a, digest_lines(&["x", "y"]));
-        // Line splitting matters: ["xy"] != ["x","y"].
-        assert_ne!(digest_lines(&["xy"]), a);
-    }
 
     #[test]
     fn pass_marker_shape() {

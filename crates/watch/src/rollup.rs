@@ -8,10 +8,7 @@
 //! each window close, never a re-scan of raw samples.
 
 use ampere_sim::SimTime;
-use ampere_telemetry::json::{write_json_f64, write_json_string};
 use ampere_telemetry::SpanCtx;
-
-use std::fmt::Write as _;
 
 /// Histogram buckets for normalized power: 0.00..2.00 in 0.01 steps.
 const BUCKETS: usize = 200;
@@ -165,49 +162,8 @@ pub struct WindowRollup {
     pub starved_rounds: u64,
     /// Empirical P(power_norm > margin) over controller ticks.
     pub p_over: f64,
-    /// Minimum Et headroom (NaN/∞ serializes as null when never known).
-    pub min_headroom: f64,
-}
-
-impl WindowRollup {
-    /// Serializes as one JSON line keyed by a leading `"window"` field.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"window\":{},\"segment\":{},\"pass\":",
-            self.index, self.segment
-        );
-        write_json_string(&self.pass, &mut out);
-        let _ = write!(
-            out,
-            ",\"start_ms\":{},\"end_ms\":{},\"ticks\":{},\"power_ticks\":{}",
-            self.start.as_millis(),
-            self.end.as_millis(),
-            self.ticks,
-            self.power_ticks
-        );
-        out.push_str(",\"power_mean\":");
-        write_json_f64(self.power_mean, &mut out);
-        out.push_str(",\"power_max\":");
-        write_json_f64(self.power_max, &mut out);
-        out.push_str(",\"power_p99\":");
-        write_json_f64(self.power_p99, &mut out);
-        out.push_str(",\"sliding_p99\":");
-        write_json_f64(self.sliding_p99, &mut out);
-        let _ = write!(
-            out,
-            ",\"churn\":{},\"sliding_churn\":{},\"degraded_ticks\":{},\"backstop_ticks\":{},\"violations\":{},\"arb_rounds\":{},\"starved_rounds\":{}",
-            self.churn, self.sliding_churn, self.degraded_ticks, self.backstop_ticks, self.violations,
-            self.arb_rounds, self.starved_rounds
-        );
-        out.push_str(",\"p_over\":");
-        write_json_f64(self.p_over, &mut out);
-        out.push_str(",\"min_headroom\":");
-        write_json_f64(self.min_headroom, &mut out);
-        out.push('}');
-        out
-    }
+    /// Minimum Et headroom; `None` when power was never known.
+    pub min_headroom: Option<f64>,
 }
 
 #[cfg(test)]
@@ -249,35 +205,5 @@ mod tests {
         assert_eq!(h.total, 2);
         // Overflow bucket upper bound.
         assert!(h.quantile(1.0) > 2.0);
-    }
-
-    #[test]
-    fn rollup_line_serializes_unknown_headroom_as_null() {
-        let r = WindowRollup {
-            segment: 0,
-            pass: "run".into(),
-            index: 2,
-            start: SimTime::from_mins(10),
-            end: SimTime::from_mins(15),
-            ticks: 5,
-            power_ticks: 0,
-            power_mean: 0.0,
-            power_max: 0.0,
-            power_p99: 0.0,
-            sliding_p99: 0.0,
-            churn: 0,
-            sliding_churn: 0,
-            degraded_ticks: 0,
-            backstop_ticks: 0,
-            violations: 0,
-            arb_rounds: 0,
-            starved_rounds: 0,
-            p_over: 0.0,
-            min_headroom: f64::INFINITY,
-        };
-        let line = r.to_json_line();
-        assert!(line.starts_with("{\"window\":2,"), "{line}");
-        assert!(line.contains("\"min_headroom\":null"), "{line}");
-        ampere_telemetry::json::parse_object(&line).expect("valid JSON");
     }
 }

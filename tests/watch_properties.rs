@@ -10,7 +10,7 @@
 //! threshold/clear band.
 
 use ampere_bench::watch::{run, WatchBenchConfig};
-use ampere_obs::WatchRun;
+use ampere_obs::{BenchDump, WatchRun};
 use ampere_sim::{SimDuration, SimTime};
 use ampere_telemetry::{Event, Severity};
 use ampere_watch::{AlertRule, Cmp, RuleInput, WatchConfig, WatchEngine};
@@ -25,14 +25,11 @@ fn tiny(workers: usize) -> WatchBenchConfig {
     }
 }
 
-/// Every serialized stream the run carries, in order: alerts, then
-/// incidents, then window rollups.
+/// The dump's body lines as the record encodes them, in order: the rule
+/// table, alerts, incidents, then window rollups. The header is left
+/// out: it carries the worker count and wall times.
 fn serialized_streams(r: &WatchRun) -> Vec<String> {
-    let mut lines = Vec::new();
-    lines.extend(r.alerts.iter().map(|a| a.raw.clone()));
-    lines.extend(r.incidents.iter().map(|i| i.raw.clone()));
-    lines.extend(r.window_lines.iter().cloned());
-    lines
+    r.encode().lines().skip(1).map(str::to_string).collect()
 }
 
 #[test]
