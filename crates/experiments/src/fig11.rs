@@ -15,7 +15,6 @@
 //! of over-budget minutes, fraction of servers capped) come from the
 //! same testbed run.
 
-use ampere_cluster::ServiceClass;
 use ampere_sim::SimDuration;
 use ampere_workload::interactive::{episodic_capping, InteractiveSim, RedisBenchReport};
 use ampere_workload::RateProfile;
@@ -40,11 +39,6 @@ pub struct Fig11Config {
     /// servers are CPU-bound", so they sit near the top of the
     /// per-server RAPL share and get clamped hard when capping engages.
     pub redis_node_util: f64,
-    /// Per-server service-class tags for the Redis row. `None` (the
-    /// default) is the paper's homogeneous all-interactive deployment
-    /// and reproduces the legacy figure byte-identically; a mix runs
-    /// the client benchmark only over interactive servers.
-    pub service_classes: Option<Vec<ServiceClass>>,
 }
 
 impl Default for Fig11Config {
@@ -60,7 +54,6 @@ impl Default for Fig11Config {
             seed: 11,
             sim: InteractiveSim::default(),
             redis_node_util: 0.85,
-            service_classes: None,
         }
     }
 }
@@ -91,21 +84,10 @@ pub fn run(config: Fig11Config) -> Fig11Result {
     // A capped, uncontrolled heavy run to measure real capping
     // behaviour: the experiment group of a parity-split row, with RAPL
     // armed against the scaled budget.
-    let mut tb = Testbed::new(TestbedConfig {
-        service_classes: config.service_classes.clone(),
-        ..TestbedConfig::paper_row(config.profile, config.seed)
-    });
-    // The Redis deployment takes every other server — restricted to the
-    // interactive class on a mixed fleet. With the default homogeneous
-    // tagging this is exactly the legacy even-index split.
-    let class_of = |i: u64| {
-        config
-            .service_classes
-            .as_ref()
-            .map_or(ServiceClass::Interactive, |c| c[i as usize])
-    };
+    let mut tb = Testbed::new(TestbedConfig::paper_row(config.profile, config.seed));
+    // The Redis deployment takes every even-index server.
     let servers: Vec<ampere_cluster::ServerId> = (0..tb.cluster().server_count() as u64)
-        .filter(|&i| i % 2 == 0 && class_of(i) == ServiceClass::Interactive)
+        .step_by(2)
         .map(ampere_cluster::ServerId::new)
         .collect();
     let n_redis = servers.len();
@@ -201,40 +183,6 @@ pub fn run(config: Fig11Config) -> Fig11Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn explicit_all_interactive_mix_reproduces_legacy_figure() {
-        let quick = |classes: Option<Vec<ServiceClass>>| {
-            run(Fig11Config {
-                hours: 1,
-                warmup_mins: 30,
-                sim: InteractiveSim {
-                    run_secs: 5.0,
-                    ..InteractiveSim::default()
-                },
-                service_classes: classes,
-                ..Fig11Config::default()
-            })
-        };
-        let legacy = quick(None);
-        let tagged = quick(Some(vec![ServiceClass::Interactive; 440]));
-        // Parameterizing over an all-interactive mix is the identity:
-        // every statistic and every latency report is bit-equal.
-        assert_eq!(
-            legacy.capped_time_fraction.to_bits(),
-            tagged.capped_time_fraction.to_bits()
-        );
-        assert_eq!(legacy.capped_freq.to_bits(), tagged.capped_freq.to_bits());
-        assert_eq!(
-            legacy.redis_node_freq.to_bits(),
-            tagged.redis_node_freq.to_bits()
-        );
-        for (a, b) in legacy.reports.iter().zip(&tagged.reports) {
-            assert_eq!(a.op, b.op);
-            assert_eq!(a.capped_p999_us.to_bits(), b.capped_p999_us.to_bits());
-            assert_eq!(a.ampere_p999_us.to_bits(), b.ampere_p999_us.to_bits());
-        }
-    }
 
     #[test]
     fn capping_doubles_tail_latency_ampere_does_not() {

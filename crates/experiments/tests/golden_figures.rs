@@ -1,12 +1,12 @@
 //! Golden-figure regression tests.
 //!
 //! Every run here is fully seeded and deterministic, so the headline
-//! statistics of the paper's key figures can be locked into committed
-//! golden files and compared on every test run — a regression net far
-//! tighter than the shape properties the per-module tests assert.
-//! Tolerances absorb deliberate, reviewed drift (e.g. a distribution
-//! retune); anything outside them is a behavior change that must be
-//! explained, not absorbed.
+//! statistics of the paper's key figures are locked into committed
+//! golden files, one `key value` line each at six decimals, and the
+//! rendered text must equal the file on every test run — a regression
+//! net far tighter than the shape properties the per-module tests
+//! assert. A value that moves is a behavior change to explain, not
+//! noise to absorb.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -26,64 +26,43 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Compares `(key, actual, tolerance)` stats against the committed
-/// golden file, or rewrites the file when `AMPERE_REGEN_GOLDEN` is set.
-fn golden_check<K: AsRef<str>>(name: &str, stats: &[(K, f64, f64)]) {
+/// Renders `(key, value)` stats as the golden text and asserts that it
+/// equals the committed file, or rewrites the file when
+/// `AMPERE_REGEN_GOLDEN` is set.
+fn golden_check<K: AsRef<str>>(name: &str, stats: &[(K, f64)]) {
+    let mut fresh = String::from("# key value — regenerated by golden_figures\n");
+    for (key, value) in stats {
+        let _ = writeln!(fresh, "{} {value:.6}", key.as_ref());
+    }
     let path = golden_path(name);
     if std::env::var_os("AMPERE_REGEN_GOLDEN").is_some() {
-        let mut out = String::from("# key value tolerance — regenerated by golden_figures\n");
-        for (key, value, tol) in stats {
-            let key = key.as_ref();
-            let _ = writeln!(out, "{key} {value:.6} {tol}");
-        }
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, out).unwrap();
+        std::fs::write(&path, fresh).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{}: {e}\nrun AMPERE_REGEN_GOLDEN=1 cargo test -p ampere-experiments \
              --test golden_figures to create it",
             path.display()
         )
     });
-    let mut golden = Vec::new();
-    for line in text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-    {
-        let mut parts = line.split_whitespace();
-        let key = parts.next().expect("golden key");
-        let value: f64 = parts.next().expect("golden value").parse().expect("value");
-        let tol: f64 = parts
-            .next()
-            .expect("golden tolerance")
-            .parse()
-            .expect("tol");
-        golden.push((key.to_string(), value, tol));
+    if fresh == golden {
+        return;
     }
-    assert_eq!(
-        golden.len(),
-        stats.len(),
-        "{name}: golden file has {} stats, run produced {} — regenerate",
-        golden.len(),
-        stats.len()
-    );
-    let mut failures = String::new();
-    for ((gkey, gvalue, gtol), (key, actual, _)) in golden.iter().zip(stats) {
-        let key = key.as_ref();
-        assert_eq!(gkey, key, "{name}: golden keys out of order — regenerate");
-        if (actual - gvalue).abs() > *gtol {
-            let _ = writeln!(
-                failures,
-                "  {key}: got {actual:.6}, golden {gvalue:.6} ± {gtol}"
-            );
+    let mut diff = String::new();
+    for (got, want) in fresh.lines().zip(golden.lines()) {
+        if got != want {
+            let _ = writeln!(diff, "  got {got:?}, golden {want:?}");
         }
     }
-    assert!(
-        failures.is_empty(),
-        "{name} drifted outside golden tolerances:\n{failures}\
+    let (got, want) = (fresh.lines().count(), golden.lines().count());
+    if got != want {
+        let _ = writeln!(diff, "  {got} lines rendered, {want} in the file");
+    }
+    panic!(
+        "{name} differs from its golden file:\n{diff}\
          if intentional, regenerate with AMPERE_REGEN_GOLDEN=1 and review the diff"
     );
 }
@@ -97,11 +76,11 @@ fn golden_fig7_duration_cdf() {
     golden_check(
         "fig7",
         &[
-            ("mean_mins", r.mean_mins, 0.05),
-            ("frac_under_2min", r.frac_under_2min, 0.005),
-            ("frac_under_10min", r.frac_under_10min, 0.005),
-            ("max_mins", r.max_mins, 1.0),
-            ("cdf_points", r.cdf.len() as f64, 0.0),
+            ("mean_mins", r.mean_mins),
+            ("frac_under_2min", r.frac_under_2min),
+            ("frac_under_10min", r.frac_under_10min),
+            ("max_mins", r.max_mins),
+            ("cdf_points", r.cdf.len() as f64),
         ],
     );
 }
@@ -116,9 +95,9 @@ fn golden_fig8_row_power() {
     golden_check(
         "fig8",
         &[
-            ("mean", r.mean, 0.005),
-            ("swing", r.swing, 0.01),
-            ("minutes", r.series.len() as f64, 0.0),
+            ("mean", r.mean),
+            ("swing", r.swing),
+            ("minutes", r.series.len() as f64),
         ],
     );
 }
@@ -146,24 +125,22 @@ fn golden_sla_quick() {
     golden_check(
         "sla_quick",
         &[
-            ("baseline_p999_us", baseline.p999_us, 5.0),
+            ("baseline_p999_us", baseline.p999_us),
             (
                 "baseline_over_budget_ticks",
                 baseline.over_budget_ticks as f64,
-                0.0,
             ),
-            ("uniform_p999_ratio", uniform.p999_ratio, 0.05),
-            ("uniform_froze", uniform.froze as f64, 2.0),
-            ("uniform_min_capacity", uniform.min_capacity, 0.02),
-            ("selective_p999_ratio", selective.p999_ratio, 0.02),
-            ("selective_froze", selective.froze as f64, 2.0),
-            ("selective_min_capacity", selective.min_capacity, 0.02),
+            ("uniform_p999_ratio", uniform.p999_ratio),
+            ("uniform_froze", uniform.froze as f64),
+            ("uniform_min_capacity", uniform.min_capacity),
+            ("selective_p999_ratio", selective.p999_ratio),
+            ("selective_froze", selective.froze as f64),
+            ("selective_min_capacity", selective.min_capacity),
             (
                 "selective_interactive_frozen_peak",
                 selective.interactive_frozen_peak as f64,
-                0.0,
             ),
-            ("sla_protected", f64::from(sla_protected), 0.0),
+            ("sla_protected", f64::from(sla_protected)),
         ],
     );
 }
@@ -172,7 +149,7 @@ fn golden_sla_quick() {
 fn golden_fig11_redis_p999() {
     // `repro fig11 --quick`'s capped testbed run, with a 10 s client
     // benchmark per op. Locks every op's p99.9 under the capping trace
-    // and under Ampere, to a tenth of the op's mean service time.
+    // and under Ampere.
     let r = exp::fig11::run(exp::fig11::Fig11Config {
         hours: 4,
         warmup_mins: 90,
@@ -182,21 +159,18 @@ fn golden_fig11_redis_p999() {
         },
         ..exp::fig11::Fig11Config::default()
     });
-    let stats: Vec<(String, f64, f64)> = r
+    let stats: Vec<(String, f64)> = r
         .reports
         .iter()
         .flat_map(|rep| {
-            let tol = rep.op.base_service_us() / 10.0;
             [
                 (
                     format!("{}_capped_p999_us", rep.op.name()),
                     rep.capped_p999_us,
-                    tol,
                 ),
                 (
                     format!("{}_ampere_p999_us", rep.op.name()),
                     rep.ampere_p999_us,
-                    tol,
                 ),
             ]
         })
@@ -215,13 +189,13 @@ fn golden_fig10_heavy_control() {
     golden_check(
         "fig10",
         &[
-            ("exp_u_mean", r.exp.u_mean, 0.01),
-            ("exp_u_max", r.exp.u_max, 0.02),
-            ("exp_p_mean", r.exp.p_mean, 0.005),
-            ("exp_p_max", r.exp.p_max, 0.005),
-            ("exp_violations", r.exp.violations as f64, 0.0),
-            ("ctl_p_max", r.ctl.p_max, 0.005),
-            ("ctl_violations", r.ctl.violations as f64, 2.0),
+            ("exp_u_mean", r.exp.u_mean),
+            ("exp_u_max", r.exp.u_max),
+            ("exp_p_mean", r.exp.p_mean),
+            ("exp_p_max", r.exp.p_max),
+            ("exp_violations", r.exp.violations as f64),
+            ("ctl_p_max", r.ctl.p_max),
+            ("ctl_violations", r.ctl.violations as f64),
         ],
     );
 }

@@ -73,7 +73,8 @@ impl Distribution {
         }
     }
 
-    /// Nearest-rank quantile (`q` in [0, 1]), or `None` when empty.
+    /// The order statistic at index `round(q·(n−1))` of the `n` sorted
+    /// samples (`q` clamped to [0, 1]), or `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
@@ -340,8 +341,7 @@ impl DegradedOps {
 }
 
 /// The one-table summary of a run: every value is a plain number so the
-/// same list drives the Markdown table, the JSON report and the
-/// baseline regression check.
+/// same list drives the Markdown table and the JSON report.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// `(metric name, value)` pairs, in render order.

@@ -1,10 +1,9 @@
-//! `report` — analyze a telemetry dump and gate CI on a baseline.
+//! `report` — analyze a telemetry dump and the benchmark dumps.
 //!
 //! ```text
 //! report [--telemetry FILE] [--scale FILE] [--scenarios FILE] [--profile FILE]
 //!        [--alerts FILE] [--hier FILE] [--sla FILE] [--max-overhead F]
-//!        [--md FILE] [--json FILE] [--write-baseline FILE]
-//!        [--baseline FILE --check]
+//!        [--md FILE] [--json FILE]
 //! ```
 //!
 //! Reads the dump produced by `repro … --telemetry FILE`, prints the
@@ -19,19 +18,17 @@
 //! - `--max-overhead F` (fraction, e.g. `0.10`) additionally gates the
 //!   wall-clock-dependent observability overhead of the `--profile`
 //!   and `--alerts` runs;
-//! - `--json FILE` writes the machine-readable report;
-//! - `--write-baseline FILE` snapshots the run summary with default
-//!   per-metric tolerances (commit this as the known-good baseline);
-//! - `--baseline FILE --check` compares the summary against a baseline
-//!   and exits 1 when any metric drifts outside tolerance.
+//! - `--json FILE` writes the machine-readable report. The committed
+//!   `crates/obs/baselines/{fig10,chaos}-quick.json` are this output for
+//!   `repro fig10|chaos --quick --telemetry FILE`; a tier-1 test
+//!   (`tests/run_reports.rs`) requires a fresh run to match them exactly.
 //!
-//! Exit codes: 0 success, 1 baseline regression or failed gate, 2
-//! usage or schema error.
+//! Exit codes: 0 success, 1 failed gate, 2 usage or schema error.
 
 use ampere_obs::reader::read_run;
-use ampere_obs::report::{check, parse_baseline, render_check, write_baseline, RunReport};
 use ampere_obs::{
-    gates_pass, BenchDump, Gate, HierRun, ProfileRun, ScaleSweep, ScenarioBatch, SlaRun, WatchRun,
+    gates_pass, BenchDump, Gate, HierRun, ProfileRun, RunReport, ScaleSweep, ScenarioBatch, SlaRun,
+    WatchRun,
 };
 
 use std::process::ExitCode;
@@ -59,15 +56,11 @@ struct Args {
     max_overhead: Option<f64>,
     md: Option<String>,
     json: Option<String>,
-    baseline: Option<String>,
-    write_baseline: Option<String>,
-    do_check: bool,
 }
 
 const USAGE: &str = "usage: report [--telemetry FILE] [--scale FILE] [--scenarios FILE] \
                      [--profile FILE] [--alerts FILE] [--hier FILE] [--sla FILE] \
-                     [--max-overhead F] [--md FILE] [--json FILE] \
-                     [--write-baseline FILE] [--baseline FILE --check]";
+                     [--max-overhead F] [--md FILE] [--json FILE]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut telemetry = None;
@@ -75,9 +68,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut max_overhead = None;
     let mut md = None;
     let mut json = None;
-    let mut baseline = None;
-    let mut write_baseline = None;
-    let mut do_check = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -100,9 +90,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--md" => md = Some(value("--md")?),
             "--json" => json = Some(value("--json")?),
-            "--baseline" => baseline = Some(value("--baseline")?),
-            "--write-baseline" => write_baseline = Some(value("--write-baseline")?),
-            "--check" => do_check = true,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -113,9 +100,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             .zip(&dumps)
             .any(|((f, _), path)| *f == flag && path.is_some())
     };
-    if do_check && baseline.is_none() {
-        return Err(format!("--check needs --baseline FILE\n{USAGE}"));
-    }
     if !given("--profile") && !given("--alerts") && max_overhead.is_some() {
         return Err(format!(
             "--max-overhead needs --profile or --alerts FILE\n{USAGE}"
@@ -127,10 +111,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
              required\n{USAGE}"
         ));
     }
-    if telemetry.is_none() && (do_check || write_baseline.is_some() || json.is_some()) {
-        return Err(format!(
-            "--check/--write-baseline/--json need --telemetry FILE\n{USAGE}"
-        ));
+    if telemetry.is_none() && json.is_some() {
+        return Err(format!("--json needs --telemetry FILE\n{USAGE}"));
     }
     Ok(Args {
         telemetry,
@@ -138,9 +120,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         max_overhead,
         md,
         json,
-        baseline,
-        write_baseline,
-        do_check,
     })
 }
 
@@ -184,28 +163,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    if let (Some(path), Some(report)) = (&args.write_baseline, &report) {
-        std::fs::write(path, write_baseline(&report.summary))
-            .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
 
     let mut failed = false;
-    if args.do_check {
-        let report = report.as_ref().expect("validated in parse_args");
-        let path = args.baseline.as_deref().expect("validated in parse_args");
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
-        let results = check(&report.summary, &baseline);
-        let (table, all_ok) = render_check(&results);
-        eprintln!("\nbaseline check against {path}:\n{table}");
-        if all_ok {
-            eprintln!("baseline check passed");
-        } else {
-            eprintln!("baseline check FAILED");
-            failed = true;
-        }
-    }
     for (label, dump) in &dumps {
         let mut gates = dump.gates();
         if let (Some(max), Some(fraction)) = (args.max_overhead, dump.overhead_fraction()) {

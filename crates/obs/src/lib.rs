@@ -12,10 +12,10 @@
 //! - **How did control behave?** [`analysis`] computes freeze-duration
 //!   CDFs, decision→response latency, violation attribution by `Et`
 //!   regime, violation-epoch timelines and a flat [`RunSummary`].
-//! - **Did it regress?** [`report`] renders Markdown/JSON reports and
-//!   implements the baseline gate behind `report --check`: a committed
-//!   known-good summary with per-metric tolerances that CI compares
-//!   every smoke run against.
+//! - **Did it regress?** [`report`] renders Markdown/JSON reports. The
+//!   JSON reports of the quick `fig10` and `chaos` runs are committed
+//!   under `crates/obs/baselines/`, and a tier-1 test compares a fresh
+//!   run's report with them exactly.
 //! - **Did the benchmarks pass?** Every `repro` benchmark has one
 //!   record here, implementing [`BenchDump`] ([`dump`]): `encode` and
 //!   `decode` are the only writer and reader of its
@@ -36,8 +36,8 @@
 //!   invariant tally and minimal repro per failing scenario.
 //!
 //! Everything is offline and dependency-free: the dump is the only
-//! input, and seeded runs produce byte-identical dumps, so summaries —
-//! and therefore baselines — are deterministic.
+//! input, and seeded runs produce byte-identical dumps, so reports —
+//! and therefore the committed ones — are deterministic.
 
 #![warn(missing_docs)]
 
@@ -62,9 +62,7 @@ pub use dump::{gates_pass, BenchDump, Gate};
 pub use hier::{HierCellLine, HierRoundLine, HierRun};
 pub use profile::{ProfilePhase, ProfileRun};
 pub use reader::{read_run, MetricLine, MetricValue, ReadError, Run, RunLine, RunReader};
-pub use report::{
-    check, parse_baseline, render_check, write_baseline, BaselineMetric, CheckResult, RunReport,
-};
+pub use report::RunReport;
 pub use scale::{ScalePoint, ScaleSweep};
 pub use scenario::ScenarioBatch;
 pub use sla::{SlaArmLine, SlaRun};

@@ -1,13 +1,12 @@
-//! Run reports and the baseline regression gate.
+//! Run reports.
 //!
 //! [`RunReport`] bundles every analysis over one dump and renders as
-//! Markdown (for humans and CI artifacts) or JSON (for tooling). The
-//! baseline half implements the CI gate: [`write_baseline`] snapshots a
-//! known-good run's summary with per-metric tolerances into JSONL, and
-//! [`check`] compares a later run against it — `report --check` exits
-//! non-zero when any metric drifts outside its tolerance, so a control
-//! regression (more violations, slower decision→response, broken trace
-//! linkage) fails the build instead of rotting silently.
+//! Markdown (for humans and CI artifacts) or JSON (for tooling). Seeded
+//! runs are deterministic, so the JSON report is the regression gate:
+//! the committed `crates/obs/baselines/{fig10,chaos}-quick.json` must
+//! equal, byte for byte, the report of a fresh `repro fig10|chaos
+//! --quick --telemetry` run (`tests/run_reports.rs`). A metric that
+//! moves is a behavior change; regenerate the file and review the diff.
 
 use crate::analysis::{
     decision_latency, freeze_durations, violation_epochs, DecisionLatency, DegradedOps,
@@ -17,14 +16,13 @@ use crate::reader::Run;
 use crate::trace::{LinkReport, TraceIndex};
 
 use ampere_telemetry::json;
-use ampere_telemetry::Value;
 
 use std::fmt::Write as _;
 
 /// Every analysis over one run, ready to render.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The flat summary (also the baseline surface).
+    /// The flat summary: one named number per metric.
     pub summary: RunSummary,
     /// Tracing health.
     pub link: LinkReport,
@@ -237,149 +235,6 @@ impl RunReport {
     }
 }
 
-/// One baseline entry: a metric with its allowed drift. The tolerance
-/// is `tol_abs + tol_rel · |value|` in either direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineMetric {
-    /// Summary metric name.
-    pub name: String,
-    /// Known-good value.
-    pub value: f64,
-    /// Relative tolerance.
-    pub tol_rel: f64,
-    /// Absolute tolerance.
-    pub tol_abs: f64,
-}
-
-/// Outcome of checking one metric against the baseline.
-#[derive(Debug, Clone)]
-pub struct CheckResult {
-    /// Metric name.
-    pub name: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value (`None` if the metric vanished from the summary).
-    pub current: Option<f64>,
-    /// Allowed absolute drift.
-    pub allowed: f64,
-    /// Whether the metric is within tolerance.
-    pub ok: bool,
-}
-
-/// Serializes a summary as a baseline file, one JSONL entry per metric.
-/// Counts that gate correctness get tight tolerances; latency-flavored
-/// statistics (sensitive to scheduling noise across code changes that
-/// are *not* regressions) get looser ones.
-pub fn write_baseline(summary: &RunSummary) -> String {
-    let mut out = String::new();
-    for (name, value) in &summary.metrics {
-        let (tol_rel, tol_abs) = default_tolerance(name);
-        let _ = write!(out, "{{\"metric\":\"{name}\",\"value\":");
-        json::write_json_f64(*value, &mut out);
-        out.push_str(",\"tol_rel\":");
-        json::write_json_f64(tol_rel, &mut out);
-        out.push_str(",\"tol_abs\":");
-        json::write_json_f64(tol_abs, &mut out);
-        out.push_str("}\n");
-    }
-    out
-}
-
-fn default_tolerance(name: &str) -> (f64, f64) {
-    match name {
-        // Structural invariants: must hold exactly.
-        "freeze_link_ratio" | "sink_errors" | "breaker_trips" => (0.0, 1e-9),
-        // Latency statistics wobble with benign control-flow changes.
-        n if n.starts_with("decision_latency") => (0.5, 2.0),
-        n if n.starts_with("freeze_hold") => (0.25, 2.0),
-        // Everything else: seeded runs are deterministic, so a modest
-        // band only absorbs intentional-but-small behavior shifts.
-        _ => (0.1, 1e-6),
-    }
-}
-
-/// Parses a baseline file produced by [`write_baseline`].
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineMetric>, String> {
-    let mut out = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let pairs = json::parse_object(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let mut name = None;
-        let mut value = None;
-        let mut tol_rel = 0.0;
-        let mut tol_abs = 0.0;
-        for (k, v) in pairs {
-            match (k.as_str(), &v) {
-                ("metric", Value::Str(s)) => name = Some(s.clone()),
-                ("value", v) => value = v.as_f64(),
-                ("tol_rel", v) => tol_rel = v.as_f64().unwrap_or(0.0),
-                ("tol_abs", v) => tol_abs = v.as_f64().unwrap_or(0.0),
-                (k, _) => return Err(format!("line {}: unexpected key {k:?}", no + 1)),
-            }
-        }
-        out.push(BaselineMetric {
-            name: name.ok_or_else(|| format!("line {}: missing metric name", no + 1))?,
-            value: value.ok_or_else(|| format!("line {}: missing value", no + 1))?,
-            tol_rel,
-            tol_abs,
-        });
-    }
-    if out.is_empty() {
-        return Err("baseline file has no metrics".into());
-    }
-    Ok(out)
-}
-
-/// Compares a run summary against a baseline. Metrics in the summary
-/// but not the baseline are ignored (new metrics never fail old
-/// baselines); metrics in the baseline but missing from the summary
-/// fail.
-pub fn check(summary: &RunSummary, baseline: &[BaselineMetric]) -> Vec<CheckResult> {
-    baseline
-        .iter()
-        .map(|b| {
-            let current = summary.get(&b.name);
-            let allowed = b.tol_abs + b.tol_rel * b.value.abs();
-            let ok = current.is_some_and(|c| (c - b.value).abs() <= allowed);
-            CheckResult {
-                name: b.name.clone(),
-                baseline: b.value,
-                current,
-                allowed,
-                ok,
-            }
-        })
-        .collect()
-}
-
-/// Renders check results as a human-readable table; `true` if all pass.
-pub fn render_check(results: &[CheckResult]) -> (String, bool) {
-    let mut out = String::new();
-    let mut all_ok = true;
-    let _ = writeln!(
-        out,
-        "{:<32} {:>14} {:>14} {:>12}  status",
-        "metric", "baseline", "current", "allowed ±"
-    );
-    for r in results {
-        all_ok &= r.ok;
-        let current = r.current.map_or_else(|| "missing".to_string(), fmt_num);
-        let _ = writeln!(
-            out,
-            "{:<32} {:>14} {:>14} {:>12}  {}",
-            r.name,
-            fmt_num(r.baseline),
-            current,
-            fmt_num(r.allowed),
-            if r.ok { "ok" } else { "FAIL" }
-        );
-    }
-    (out, all_ok)
-}
-
 /// Downsamples CDF points to at most `max` evenly spaced entries,
 /// always keeping the last.
 fn sampled(points: &[(f64, f64)], max: usize) -> Vec<(f64, f64)> {
@@ -405,55 +260,6 @@ fn fmt_num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn summary(pairs: &[(&'static str, f64)]) -> RunSummary {
-        RunSummary {
-            metrics: pairs.to_vec(),
-        }
-    }
-
-    #[test]
-    fn baseline_round_trips_and_passes_on_identical_summary() {
-        let s = summary(&[("violations", 3.0), ("freeze_link_ratio", 1.0)]);
-        let text = write_baseline(&s);
-        let baseline = parse_baseline(&text).unwrap();
-        assert_eq!(baseline.len(), 2);
-        let results = check(&s, &baseline);
-        assert!(results.iter().all(|r| r.ok), "{results:?}");
-    }
-
-    #[test]
-    fn check_fails_outside_tolerance_and_on_missing_metric() {
-        let base = parse_baseline(concat!(
-            "{\"metric\":\"violations\",\"value\":10.0,\"tol_rel\":0.1,\"tol_abs\":0.5}\n",
-            "{\"metric\":\"gone\",\"value\":1.0,\"tol_rel\":0.0,\"tol_abs\":0.0}\n",
-        ))
-        .unwrap();
-        // 11.4 is within 10 ± (0.5 + 1.0); 12 is not; "gone" is missing.
-        let ok = check(&summary(&[("violations", 11.4)]), &base);
-        assert!(ok[0].ok);
-        assert!(!ok[1].ok);
-        let bad = check(&summary(&[("violations", 12.0)]), &base);
-        assert!(!bad[0].ok);
-        let (_, all_ok) = render_check(&bad);
-        assert!(!all_ok);
-    }
-
-    #[test]
-    fn baseline_parser_rejects_garbage() {
-        assert!(parse_baseline("").is_err());
-        assert!(parse_baseline("{\"value\":1.0}\n").is_err());
-        assert!(parse_baseline("{\"metric\":\"x\",\"value\":1.0,\"extra\":2}\n").is_err());
-    }
-
-    #[test]
-    fn structural_metrics_get_exact_tolerances() {
-        let s = summary(&[("freeze_link_ratio", 1.0)]);
-        let baseline = parse_baseline(&write_baseline(&s)).unwrap();
-        // Any real drift must fail.
-        let drifted = summary(&[("freeze_link_ratio", 0.97)]);
-        assert!(!check(&drifted, &baseline)[0].ok);
-    }
 
     #[test]
     fn markdown_and_json_render_without_data() {

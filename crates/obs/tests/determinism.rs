@@ -1,11 +1,8 @@
-//! Determinism: two identical seeded testbed runs produce byte-identical
-//! traced event streams. Span ids come from a per-pipeline counter and
-//! events carry sim time only, so tracing must not perturb
-//! reproducibility — this is what makes committed report baselines
-//! meaningful.
-//!
-//! Installs the process-wide pipeline (twice), so it lives alone in its
-//! own integration-test binary.
+//! Determinism: two identical seeded testbed runs, each in its own
+//! pipeline (`Telemetry::scope`), produce byte-identical traced event
+//! streams. Span ids come from a per-pipeline counter and events carry
+//! sim time only, so tracing must not perturb reproducibility — this is
+//! what lets the committed run reports be compared exactly.
 
 use ampere_cluster::{ClusterSpec, ServerId};
 use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile, ParitySplit};

@@ -1,17 +1,11 @@
 //! Schema contract: a real smoke run's telemetry dump parses back
-//! line-by-line with zero errors, trace reassembly links every freeze
-//! to a controller-tick root span, and the baseline gate passes against
-//! the run's own summary while catching a perturbed one.
-//!
-//! This test owns the process-wide telemetry pipeline (components
-//! capture it at construction), so it lives alone in its own
-//! integration-test binary.
+//! line-by-line with zero errors, and trace reassembly links every
+//! freeze to a controller-tick root span.
 
 use ampere_cluster::{ClusterSpec, ServerId};
 use ampere_core::{AmpereController, ControllerConfig, HistoricalPercentile, ParitySplit};
 use ampere_experiments::testbed::{DomainSpec, Testbed, TestbedConfig};
-use ampere_obs::report::{check, parse_baseline, render_check, write_baseline, RunReport};
-use ampere_obs::{read_run, RunLine, RunReader, TraceIndex};
+use ampere_obs::{read_run, RunLine, RunReader, RunReport, TraceIndex};
 use ampere_power::CappingConfig;
 use ampere_sched::{FreezePolicy, RandomFit};
 use ampere_sim::SimDuration;
@@ -109,25 +103,6 @@ fn smoke_dump_parses_links_and_gates() {
             );
         }
     }
-
-    // The baseline gate passes against the run's own summary …
-    let baseline = parse_baseline(&write_baseline(&report.summary)).expect("round trip");
-    let results = check(&report.summary, &baseline);
-    let (table, all_ok) = render_check(&results);
-    assert!(all_ok, "self-check failed:\n{table}");
-
-    // … and fails once a gated metric is perturbed beyond tolerance.
-    let mut perturbed = report.summary.clone();
-    for m in &mut perturbed.metrics {
-        if m.0 == "violations" {
-            m.1 = m.1 * 2.0 + 100.0;
-        }
-    }
-    let results = check(&perturbed, &baseline);
-    assert!(
-        results.iter().any(|r| !r.ok),
-        "perturbed summary passed the gate"
-    );
 
     std::fs::remove_file(&path).ok();
 }

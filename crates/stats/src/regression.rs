@@ -5,22 +5,13 @@
 //! construction (no frozen servers ⇒ no control effect), the fit is
 //! *through the origin*.
 
-/// Result of a linear fit `y = slope * x + intercept`.
+/// Result of a through-origin linear fit `y = slope * x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope. For the Ampere control model this is `kr`.
     pub slope: f64,
-    /// Fitted intercept (0 for through-origin fits).
-    pub intercept: f64,
     /// Coefficient of determination in `[−∞, 1]`; 1 is a perfect fit.
     pub r_squared: f64,
-}
-
-impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 /// Through-origin OLS fit `y = slope * x`. Returns `None` on degenerate
@@ -63,11 +54,7 @@ fn finish_fit(x: &[f64], y: &[f64], slope: f64) -> LinearFit {
     } else {
         1.0 - ss_res / ss_tot
     };
-    LinearFit {
-        slope,
-        intercept: 0.0,
-        r_squared,
-    }
+    LinearFit { slope, r_squared }
 }
 
 #[cfg(test)]
@@ -80,7 +67,9 @@ mod tests {
         let y = [0.5, 1.0, 2.0];
         let fit = linear_fit_through_origin(&x, &y).unwrap();
         assert!((fit.slope - 0.5).abs() < 1e-12);
-        assert_eq!(fit.intercept, 0.0);
+        for (a, b) in x.iter().zip(y) {
+            assert!((fit.slope * a - b).abs() < 1e-12);
+        }
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
     }
 

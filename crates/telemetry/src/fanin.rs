@@ -6,7 +6,7 @@
 //! [`global()`](crate::global) at construction), but writing straight
 //! into the parent pipeline from many threads would interleave events
 //! and allocate span ids in racy order, breaking the byte-determinism
-//! contract that the CI baselines rely on.
+//! contract that the committed outputs and CI's `cmp` gates rely on.
 //!
 //! The fix is **capture + replay**:
 //!
